@@ -23,6 +23,7 @@ from .protocol import (
     tally,
     verify_contribution,
     verify_contribution_payload,
+    verify_ledger,
     verify_round1,
 )
 from .rangeproof import (
@@ -42,7 +43,6 @@ from .sigma import (
     DlogProof,
     FsTranscript,
     SquareProof,
-    fs_challenge,
     prove_bit,
     prove_dh_tuple,
     prove_dlog,

@@ -1,9 +1,10 @@
 """zorro: simulate aggregation sessions over a file ledger and inspect them.
 
-Parties run in one process but exchange nothing except ledger entries, so a
-run exercises exactly the public-information flow of the protocol.  Exit
-codes distinguish the failure classes: 1 usage or illegal input, 2 proof
-rejection, 3 ledger corruption, 4 dropout (a party missing from a round).
+Parties run in one process and exchange nothing but their public posts, and
+every session is checked by the same public ledger verifier that `zorro
+verify` runs.  Exit codes distinguish the failure classes: 1 usage or
+illegal input, 2 proof rejection, 3 ledger corruption, 4 dropout (a party
+missing from a round).
 """
 
 import argparse
@@ -16,18 +17,10 @@ import numpy as np
 from . import bench as bench_mod
 from . import reductions
 from .dlog import DlogWindow
-from .errors import ChainBroken, MissingPost, ZorroError
+from .errors import ChainBroken, LedgerRejected, MissingPost, NotInWindow, ZorroError
 from .groups import get_group, prod_group, test_group
-from .ledger import Ledger, LedgerHeader
-from .protocol import (
-    Party,
-    ProtocolConfig,
-    Round1Post,
-    Round2Post,
-    tally,
-    verify_contribution,
-    verify_round1,
-)
+from .ledger import Ledger
+from .protocol import Party, ProtocolConfig, tally, verify_ledger
 from .rangeproof import BoundPolicy
 
 EXIT_OK = 0
@@ -38,9 +31,7 @@ EXIT_DROPOUT = 4
 
 
 class SessionFailure(ZorroError):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
+    """A usage error: bad arguments or input files (exit 1)."""
 
 
 def _group_for(name: str):
@@ -51,7 +42,7 @@ def _policy_for(kind: str, bound: int) -> BoundPolicy:
     if kind == "none":
         return BoundPolicy.none()
     if bound is None:
-        raise SessionFailure(EXIT_USAGE, f"--bound is required for --check {kind}")
+        raise SessionFailure(f"--bound is required for --check {kind}")
     return BoundPolicy.l1(bound) if kind == "l1" else BoundPolicy.l2(bound)
 
 
@@ -63,54 +54,38 @@ def _derived_rng(seed: int, label: str) -> random.Random:
 def run_session(cfg: ProtocolConfig, vectors, ledger: Ledger, seed: int, window=None):
     """Drive n in-process parties through both rounds over the ledger.
 
-    All cross-party data flows through serialized ledger payloads.  Every
-    contribution is publicly verified before tallying.  Returns the tally.
+    Parties see each other only through their posts: round-1 posts derive
+    the pads, and the finished ledger is verified from its bytes alone by
+    verify_ledger before tallying.  Returns the tally.
     """
     group = cfg.group
     parties = [Party(cfg, i, _derived_rng(seed, f"party{i}")) for i in range(cfg.n)]
-    for party in parties:
-        ledger.append(1, party.index, party.round1().to_bytes(group))
-
-    posts1 = [
-        Round1Post.from_bytes(group, entry.payload)
-        for entry in ledger.read_round(cfg.session, 1)
-    ]
-    if len(posts1) < cfg.n:
-        present = {p.party for p in posts1}
-        missing = min(i for i in range(cfg.n) if i not in present)
-        raise SessionFailure(EXIT_DROPOUT, f"party {missing} missing from round 1")
+    posts1 = [party.round1() for party in parties]
     for post in posts1:
-        if not verify_round1(cfg, post):
-            raise SessionFailure(EXIT_PROOF, f"round-1 proof of party {post.party} rejected")
+        ledger.append(1, post.party, post.to_bytes(group))
     for party in parties:
         party.receive_round1(posts1)
-
-    for i, party in enumerate(parties):
-        ledger.append(2, party.index, party.round2(vectors[i]).to_bytes(group))
-
-    posts2 = [
-        Round2Post.from_bytes(group, entry.payload)
-        for entry in ledger.read_round(cfg.session, 2)
-    ]
-    if len(posts2) < cfg.n:
-        present = {p.party for p in posts2}
-        missing = min(i for i in range(cfg.n) if i not in present)
-        raise SessionFailure(EXIT_DROPOUT, f"party {missing} missing from round 2")
-    for post in posts2:
-        ok, reason = verify_contribution(cfg, posts1, post)
-        if not ok:
-            raise SessionFailure(
-                EXIT_PROOF, f"contribution of party {post.party} rejected ({reason})"
-            )
-
-    return tally(cfg, posts2, window)
+    for party, values in zip(parties, vectors):
+        ledger.append(2, party.index, party.round2(values).to_bytes(group))
+    return tally(cfg, verify_ledger(cfg, ledger), window)
 
 
-def _new_ledger(cfg: ProtocolConfig, path) -> Ledger:
-    header = LedgerHeader(
-        cfg.group.group_id, cfg.session, cfg.n, cfg.m, cfg.policy.kind, cfg.policy.B
-    )
-    return Ledger(header, path=path)
+def _read_rows(path, cast=int):
+    """Rows of a dataset file: comma/space separated, `#` starts a comment."""
+    rows = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            rows.append([cast(tok) for tok in line.replace(",", " ").split()])
+    if not rows or any(len(r) != len(rows[0]) for r in rows):
+        raise SessionFailure(f"{path}: need equal-length non-empty rows")
+    return rows
+
+
+def _totals_csv(result) -> str:
+    return ",".join(str(t) for t in result.totals)
 
 
 def _make_config(group, n, m, policy, seed) -> ProtocolConfig:
@@ -123,21 +98,8 @@ def _make_config(group, n, m, policy, seed) -> ProtocolConfig:
 
 def cmd_vote(args) -> int:
     group = _group_for(args.group)
-    ballots = []
-    with open(args.ballots) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            ballots.append([int(tok) for tok in line.replace(",", " ").split()])
-    if not ballots:
-        print("no ballots found", file=sys.stderr)
-        return EXIT_USAGE
+    ballots = _read_rows(args.ballots)
     m = len(ballots[0])
-    if any(len(b) != m for b in ballots):
-        print("ballots disagree on candidate count", file=sys.stderr)
-        return EXIT_USAGE
-
     vectors = []
     policy = None
     for i, ballot in enumerate(ballots):
@@ -149,14 +111,14 @@ def cmd_vote(args) -> int:
         vectors.append(vec)
 
     cfg = _make_config(group, len(ballots), m, policy, args.seed)
-    ledger = _new_ledger(cfg, args.ledger)
+    ledger = Ledger(cfg.header(), path=args.ledger)
     result = run_session(cfg, vectors, ledger, args.seed)
     ledger.verify_chain()
     for j, total in enumerate(result.totals):
         print(f"candidate {j}: {total} votes")
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(",".join(str(t) for t in result.totals) + "\n")
+            fh.write(_totals_csv(result) + "\n")
     return EXIT_OK
 
 
@@ -164,30 +126,23 @@ def cmd_aggregate(args) -> int:
     group = _group_for(args.group)
     policy = _policy_for(args.check, args.bound)
     if args.vectors:
-        vectors = []
-        with open(args.vectors) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                vectors.append([int(tok) for tok in line.replace(",", " ").split()])
-        n, m = len(vectors), len(vectors[0]) if vectors else 0
-        if n < 2 or m < 1 or any(len(v) != m for v in vectors):
-            print("vectors file must hold >= 2 equal-length rows", file=sys.stderr)
-            return EXIT_USAGE
+        vectors = _read_rows(args.vectors)
+        n, m = len(vectors), len(vectors[0])
+        if n < 2 or m < 1:
+            raise SessionFailure("vectors file must hold >= 2 equal-length rows")
     else:
         n, m = args.parties, args.dim
         rng = _derived_rng(args.seed, "inputs")
         vectors = [_random_vector(policy, m, rng) for _ in range(n)]
 
     cfg = _make_config(group, n, m, policy, args.seed)
-    ledger = _new_ledger(cfg, args.ledger)
+    ledger = Ledger(cfg.header(), path=args.ledger)
     window = DlogWindow(0, args.window) if policy.kind == "none" else None
     result = run_session(cfg, vectors, ledger, args.seed, window=window)
-    print("tally:", ",".join(str(t) for t in result.totals))
+    print("tally:", _totals_csv(result))
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(",".join(str(t) for t in result.totals) + "\n")
+            fh.write(_totals_csv(result) + "\n")
     return EXIT_OK
 
 
@@ -206,48 +161,25 @@ def _random_vector(policy: BoundPolicy, m: int, rng) -> list:
 
 
 def cmd_verify(args) -> int:
-    try:
-        ledger = Ledger.load(args.ledger)
-        ledger.verify_chain()
-    except ChainBroken as exc:
-        print(f"ledger corrupt at seq {exc.seq}: {exc.reason}", file=sys.stderr)
-        return EXIT_LEDGER
+    ledger = Ledger.load(args.ledger)
+    ledger.verify_chain()
     header = ledger.header
     try:
         group = get_group(header.group_id)
     except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
+        raise SessionFailure(exc.args[0]) from exc
     policy = BoundPolicy(header.policy_kind, header.policy_bound)
     cfg = ProtocolConfig(group, header.n, header.m, policy, header.session)
-
-    posts1, posts2 = {}, {}
-    for entry in ledger.entries:
+    posts2 = verify_ledger(cfg, ledger)
+    result = None
+    if policy.tally_window(cfg.n) is not None:
         try:
-            if entry.round == 1:
-                posts1[entry.party] = Round1Post.from_bytes(group, entry.payload)
-            else:
-                posts2[entry.party] = Round2Post.from_bytes(group, entry.payload)
-        except ZorroError as exc:
-            print(f"entry seq {entry.seq} undecodable: {exc}", file=sys.stderr)
-            return EXIT_PROOF
-    for i in range(cfg.n):
-        if i not in posts1:
-            print(f"party {i} missing from round 1", file=sys.stderr)
-            return EXIT_DROPOUT
-        if not verify_round1(cfg, posts1[i]):
-            print(f"round-1 proof of party {i} rejected", file=sys.stderr)
-            return EXIT_PROOF
-    for i in range(cfg.n):
-        if i not in posts2:
-            print(f"party {i} missing from round 2", file=sys.stderr)
-            return EXIT_DROPOUT
-    for i in range(cfg.n):
-        ok, reason = verify_contribution(cfg, list(posts1.values()), posts2[i])
-        if not ok:
-            print(f"contribution of party {i} rejected ({reason})", file=sys.stderr)
-            return EXIT_PROOF
+            result = tally(cfg, posts2)
+        except NotInWindow as exc:
+            raise LedgerRejected(None, "tally", f"tally failed at {exc}") from exc
     print(f"ledger ok: {len(ledger.entries)} entries, {cfg.n} parties verified")
+    if result is not None:
+        print("tally:", _totals_csv(result))
     return EXIT_OK
 
 
@@ -269,27 +201,13 @@ def cmd_bench(args) -> int:
 # -- reduction demos --------------------------------------------------------------
 
 
-def _run_plain(cfg, vectors, seed, window=None):
-    ledger = _new_ledger(cfg, None)
-    return run_session(cfg, vectors, ledger, seed, window=window)
-
-
-def _read_rows(path, cast=int):
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([cast(tok) for tok in line.replace(",", " ").split()])
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise SessionFailure(EXIT_USAGE, f"{path}: need equal-length non-empty rows")
-    return rows
+def _run_plain(cfg, vectors, seed):
+    return run_session(cfg, vectors, Ledger(cfg.header()), seed)
 
 
 def _split_rows(rows, parties):
     if len(rows) < parties:
-        raise SessionFailure(EXIT_USAGE, f"need at least {parties} rows for {parties} parties")
+        raise SessionFailure(f"need at least {parties} rows for {parties} parties")
     chunk = -(-len(rows) // parties)
     return [rows[i * chunk : (i + 1) * chunk] for i in range(parties)]
 
@@ -320,7 +238,7 @@ def cmd_demo_id3(args) -> int:
         # rows "feature_value label" with a binary feature
         rows = _read_rows(args.samples)
         if any(len(r) != 2 or r[0] not in (0, 1) or r[1] < 0 for r in rows):
-            raise SessionFailure(EXIT_USAGE, "samples must be rows 'feature(0|1) label'")
+            raise SessionFailure("samples must be rows 'feature(0|1) label'")
         k = max(r[1] for r in rows) + 1
         cap = len(rows)
         ps, qs = [], []
@@ -358,7 +276,7 @@ def cmd_demo_nb(args) -> int:
     if args.samples:
         rows = _read_rows(args.samples)
         if any(len(r) != 2 or r[0] < 0 or r[1] < 0 for r in rows):
-            raise SessionFailure(EXIT_USAGE, "samples must be rows 'feature_value label'")
+            raise SessionFailure("samples must be rows 'feature_value label'")
         values = max(r[0] for r in rows) + 1
         k = max(r[1] for r in rows) + 1
         cap = len(rows)
@@ -396,7 +314,7 @@ def cmd_demo_regression(args) -> int:
     if args.data:
         rows = np.asarray(_read_rows(args.data, cast=float))
         if rows.shape[1] < 2:
-            raise SessionFailure(EXIT_USAGE, "data rows must be 'x1 ... xd y'")
+            raise SessionFailure("data rows must be 'x1 ... xd y'")
         X, Y = rows[:, :-1], rows[:, -1]
         d, samples = X.shape[1], X.shape[0]
     else:
@@ -430,7 +348,7 @@ def cmd_demo_cf(args) -> int:
     if args.ratings:
         rows = _read_rows(args.ratings)
         if any(v < 0 for row in rows for v in row):
-            raise SessionFailure(EXIT_USAGE, "ratings must be non-negative integers")
+            raise SessionFailure("ratings must be non-negative integers")
         ratings = [np.asarray(row) for row in rows]
         n, items = len(ratings), len(rows[0])
     else:
@@ -530,12 +448,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SessionFailure as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
     except ChainBroken as exc:
         print(f"ledger corrupt at seq {exc.seq}: {exc.reason}", file=sys.stderr)
         return EXIT_LEDGER
+    except LedgerRejected as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_PROOF
     except MissingPost as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_DROPOUT

@@ -62,7 +62,7 @@ def bsgs(group, target, window: DlogWindow) -> int:
     table = _baby_table(group, width)
     # search g^(m - lo) in [0, n)
     shifted = target * group.g ** (-window.lo % group.q) if window.lo else target
-    giant = group.inv(group.g ** width)
+    giant = (group.g ** width).inverse()
     block = shifted
     for i in range(0, n, width):
         j = table.get(group.encode_element(block))

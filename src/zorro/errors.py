@@ -36,9 +36,22 @@ class KeyMismatch(ZorroError):
 class MissingPost(ZorroError):
     """A required ledger post from some party is absent."""
 
-    def __init__(self, party):
-        super().__init__(f"missing post from party {party}")
+    def __init__(self, party, round=None):
+        if round is None:
+            super().__init__(f"missing post from party {party}")
+        else:
+            super().__init__(f"party {party} missing from round {round}")
         self.party = party
+        self.round = round
+
+
+class LedgerRejected(ZorroError):
+    """A ledger post fails a public check; `party` and `check` name it."""
+
+    def __init__(self, party, check, message):
+        super().__init__(message)
+        self.party = party
+        self.check = check
 
 
 class InvalidRound1Proof(ZorroError):

@@ -38,30 +38,7 @@ class Group:
     def scalar_bytes(self) -> int:
         return (self.q.bit_length() + 7) // 8
 
-    # -- group operations ---------------------------------------------------
-
-    def exp(self, base, e: int):
-        return base ** e
-
-    def op(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return a.inverse()
-
     # -- scalar field -------------------------------------------------------
-
-    def scalar_add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def scalar_sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def scalar_mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def scalar_neg(self, a: int) -> int:
-        return (-a) % self.q
 
     def random_scalar(self, rng) -> int:
         """Uniform draw from [0, q) using the caller's entropy source."""

@@ -193,7 +193,3 @@ class Ledger:
             ledger.entries.append(entry)
             ledger._slots.add((entry.round, entry.party))
         return ledger
-
-
-def verify_chain(ledger: Ledger) -> bool:
-    return ledger.verify_chain()

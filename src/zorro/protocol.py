@@ -25,8 +25,16 @@ from . import rangeproof
 from .dlog import DlogWindow, bsgs
 from .elgamal import Ciphertext, Keypair, encrypt_exp
 from .encoding import Reader, pack_u8, pack_u32
-from .errors import InvalidRound1Proof, MalformedEncoding, MissingPost, ZorroError
+from .errors import (
+    InvalidRound1Proof,
+    LedgerRejected,
+    MalformedEncoding,
+    MissingPost,
+    NotInWindow,
+    ZorroError,
+)
 from .groups import Group
+from .ledger import LedgerHeader
 from .rangeproof import BoundPolicy, L1RangeProof, L2RangeProof
 from .sigma import DlogProof, FsTranscript, prove_dlog, verify_dlog
 
@@ -48,6 +56,12 @@ class ProtocolConfig:
             raise ValueError("vector dimension must be at least 1")
         if len(self.session) != SESSION_BYTES:
             raise ValueError(f"session id must be {SESSION_BYTES} bytes")
+
+    def header(self) -> LedgerHeader:
+        """The header of this session's ledger."""
+        return LedgerHeader(
+            self.group.group_id, self.session, self.n, self.m, self.policy.kind, self.policy.B
+        )
 
     def base_context(self) -> FsTranscript:
         return FsTranscript(
@@ -277,14 +291,78 @@ def tally(cfg: ProtocolConfig, round2_posts, window: DlogWindow | None = None) -
         point = table[0].cts[j].B
         for i in range(1, cfg.n):
             point = point * table[i].cts[j].B
-        totals.append(bsgs(group, point, window))
+        try:
+            totals.append(bsgs(group, point, window))
+        except NotInWindow as exc:
+            raise NotInWindow(f"slot {j}: {exc}") from exc
     return TallyResult(tuple(totals))
+
+
+def _ledger_round(cfg: ProtocolConfig, ledger, round: int) -> list:
+    """Decode one round of the ledger into one post per party, in party order.
+
+    Every entry must sit under a party id in [0, n), be that party's only
+    entry of the round, decode, claim the party it is filed under and carry
+    m slots.
+    """
+    cls = Round1Post if round == 1 else Round2Post
+    posts = {}
+    for entry in ledger.read_round(cfg.session, round):
+        party = entry.party
+        where = f"round-{round} entry seq {entry.seq} of party {party}"
+        if not 0 <= party < cfg.n:
+            raise LedgerRejected(party, "party", f"{where}: party id outside [0, {cfg.n})")
+        if party in posts:
+            raise LedgerRejected(party, "duplicate", f"{where}: second entry in round {round}")
+        try:
+            post = cls.from_bytes(cfg.group, entry.payload)
+        except ZorroError as exc:
+            raise LedgerRejected(party, "malformed", f"{where} undecodable: {exc}") from exc
+        if post.party != party:
+            raise LedgerRejected(party, "binding", f"{where}: payload claims party {post.party}")
+        dim = len(post.elements if round == 1 else post.cts)
+        if dim != cfg.m:
+            raise LedgerRejected(party, "dimension", f"{where}: {dim} slots, expected {cfg.m}")
+        posts[party] = post
+    for i in range(cfg.n):
+        if i not in posts:
+            raise MissingPost(i, round)
+    return [posts[i] for i in range(cfg.n)]
+
+
+def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
+    """Publicly verify every post of a session ledger; anyone can run this.
+
+    Checks that the header matches cfg, that each of the n parties posted
+    exactly once per round under its own id, that every round-1 proof holds
+    and that every contribution proves valid.  Returns the round-2 posts in
+    party order, ready for tally().  The hash chain is the caller's to check
+    (Ledger.verify_chain).  A failed check raises LedgerRejected naming the
+    party and the check; an absent post raises MissingPost.  Malformed bytes
+    never raise anything else.
+    """
+    if ledger.header != cfg.header():
+        raise LedgerRejected(None, "header", "ledger header does not match the session")
+    posts1 = _ledger_round(cfg, ledger, 1)
+    posts2 = _ledger_round(cfg, ledger, 2)
+    for post in posts1:
+        if not verify_round1(cfg, post):
+            raise LedgerRejected(
+                post.party, "round1", f"round-1 proof of party {post.party} rejected"
+            )
+    for post in posts2:
+        ok, reason = verify_contribution(cfg, posts1, post)
+        if not ok:
+            raise LedgerRejected(
+                post.party, reason, f"contribution of party {post.party} rejected ({reason})"
+            )
+    return posts2
 
 
 class Party:
     """One participant as an explicit state machine.
 
-    States advance round1 -> pads -> round2 -> done; calling out of order
+    States advance new -> round1 -> pads -> round2; calling out of order
     raises.  The only inputs are public posts, mirroring the no-private-
     channels model.
     """
@@ -328,8 +406,3 @@ class Party:
         )
         self._state = "round2"
         return post
-
-    def tally(self, posts, window=None) -> TallyResult:
-        if self._state != "round2":
-            raise RuntimeError(f"tally called in state {self._state}")
-        return tally(self.cfg, posts, window)

@@ -57,10 +57,6 @@ class FsTranscript:
         return int.from_bytes(h.digest(), "big") % group.q
 
 
-def fs_challenge(transcript: FsTranscript, group) -> int:
-    return transcript.challenge(group)
-
-
 def _chal(group, ctx: FsTranscript, *elements) -> int:
     t = ctx.copy()
     t.append(group.group_id.encode())

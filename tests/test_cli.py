@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import pytest
 
 from zorro.cli import (
@@ -8,6 +11,8 @@ from zorro.cli import (
     EXIT_USAGE,
     main,
 )
+from zorro import protocol
+from zorro.errors import NotInWindow
 from zorro.ledger import Ledger
 
 
@@ -101,6 +106,138 @@ def test_verify_detects_forged_payload(ballots_file, tmp_path, capsys):
         rebuilt.append(entry.round, entry.party, payload)
     assert run(["verify", str(tmp_path / "forged.ledger")]) == EXIT_PROOF
     assert "rejected" in capsys.readouterr().err
+
+
+def _rechained(src, dst, edit):
+    """Copy ledger `src` to `dst` through Ledger.append, so the chain stays valid.
+
+    `edit(entry, entries)` returns the (round, party, payload) posts that
+    replace one entry: [] drops it, more than one adds entries after it.
+    """
+    led = Ledger.load(str(src))
+    copy = Ledger(led.header, path=str(dst))
+    for entry in led.entries:
+        for post in edit(entry, led.entries):
+            copy.append(*post)
+    return str(dst)
+
+
+def _payload(entries, round, party):
+    return next(e.payload for e in entries if (e.round, e.party) == (round, party))
+
+
+def _claiming(payload, party):
+    forged = bytearray(payload)
+    forged[1:5] = party.to_bytes(4, "big")
+    return bytes(forged)
+
+
+def _assert_rejected(path, capsys, *names):
+    assert run(["verify", path]) == EXIT_PROOF
+    captured = capsys.readouterr()
+    assert "ledger ok" not in captured.out
+    assert "Traceback" not in captured.err
+    for name in names:
+        assert name in captured.err
+
+
+@pytest.fixture
+def vote_ledger(ballots_file, tmp_path, capsys):
+    path = tmp_path / "vote.ledger"
+    assert run(["vote", ballots_file, "--bound", "4", "--ledger", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    return path
+
+
+@pytest.mark.parametrize("round", [1, 2])
+def test_verify_rejects_byte_copy_of_another_partys_post(vote_ledger, tmp_path, capsys, round):
+    # party 1's entry carries party 0's post verbatim; it used to pass
+    # (round 2) or fail as a dropout (round 1)
+    def edit(entry, entries):
+        if (entry.round, entry.party) == (round, 1):
+            return [(round, 1, _payload(entries, round, 0))]
+        return [(entry.round, entry.party, entry.payload)]
+
+    path = _rechained(vote_ledger, tmp_path / "copied.ledger", edit)
+    _assert_rejected(path, capsys, f"round-{round}", "of party 1", "claims party 0")
+
+
+@pytest.mark.parametrize("round", [1, 2])
+def test_verify_rejects_payload_claiming_party_out_of_range(vote_ledger, tmp_path, capsys, round):
+    # a payload claiming party 7 of 3 used to crash verify with a KeyError
+    def edit(entry, entries):
+        if (entry.round, entry.party) == (round, 1):
+            return [(round, 1, _claiming(entry.payload, 7))]
+        return [(entry.round, entry.party, entry.payload)]
+
+    path = _rechained(vote_ledger, tmp_path / "claim7.ledger", edit)
+    _assert_rejected(path, capsys, "of party 1", "claims party 7")
+
+
+def test_verify_rejects_entry_under_party_id_n(vote_ledger, tmp_path, capsys):
+    def edit(entry, entries):
+        posts = [(entry.round, entry.party, entry.payload)]
+        if entry is entries[-1]:
+            posts.append((2, 3, _claiming(_payload(entries, 2, 2), 3)))
+        return posts
+
+    path = _rechained(vote_ledger, tmp_path / "extra.ledger", edit)
+    _assert_rejected(path, capsys, "of party 3", "outside [0, 3)")
+
+
+def test_verify_rejects_second_round2_entry(vote_ledger, capsys):
+    # Ledger.append refuses a second post, so chain the extra line by hand:
+    # entry_hash = SHA256(prev_hash || canonical entry bytes)
+    led = Ledger.load(str(vote_ledger))
+    last = led.entries[-1]
+    dup = dataclasses.replace(
+        next(e for e in led.entries if (e.round, e.party) == (2, 0)),
+        seq=last.seq + 1, prev_hash=last.entry_hash,
+    )
+    dup = dataclasses.replace(
+        dup, entry_hash=hashlib.sha256(dup.prev_hash + dup.canonical_bytes()).digest()
+    )
+    with open(vote_ledger, "a") as fh:
+        fh.write(dup.to_line() + "\n")
+    _assert_rejected(str(vote_ledger), capsys, "of party 0", "second entry")
+
+
+def test_verify_prints_the_tally_from_the_ledger_alone(vote_ledger, capsys):
+    assert run(["verify", str(vote_ledger)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("ledger ok")
+    assert lines[1:] == ["tally: 4,3"]
+
+
+def test_verify_maps_tally_failure_to_proof_rejection(vote_ledger, capsys, monkeypatch):
+    def no_log(group, target, window):
+        raise NotInWindow("no logarithm")
+
+    monkeypatch.setattr(protocol, "bsgs", no_log)
+    assert run(["verify", str(vote_ledger)]) == EXIT_PROOF
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tally failed at slot 0" in captured.err
+
+
+@pytest.mark.parametrize(
+    "check, bound, digest, size, totals",
+    [
+        ("l1", "4", "3379591361db2096fe6a0db622630e8a9c2d586ba70452ff44614266555fa143", 5228, "4,4"),
+        ("l2", "9", "1687111bb850b17979bb141c6fd23314c138eaa724004bc0b674bdff72b10cb3", 7568, "4,7"),
+    ],
+)
+def test_golden_ledger_bytes(tmp_path, capsys, check, bound, digest, size, totals):
+    # a fixed-seed session must keep producing the same ledger file byte for byte
+    path = tmp_path / "golden.ledger"
+    code = run(
+        ["aggregate", "--group", "test", "--parties", "3", "--dim", "2", "--seed", "11",
+         "--check", check, "--bound", bound, "--ledger", str(path)]
+    )
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == f"tally: {totals}\n"
+    raw = path.read_bytes()
+    assert (len(raw), hashlib.sha256(raw).hexdigest()) == (size, digest)
 
 
 def test_aggregate_with_vector_file(tmp_path, capsys):

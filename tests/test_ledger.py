@@ -1,7 +1,7 @@
 import pytest
 
 from zorro.errors import ChainBroken, DuplicatePost
-from zorro.ledger import Ledger, LedgerHeader, verify_chain
+from zorro.ledger import Ledger, LedgerHeader
 
 SESSION = bytes(range(16))
 
@@ -54,9 +54,9 @@ def test_empty_ledger_chain_valid():
     assert led.read_round(SESSION, 1) == []
 
 
-def test_chain_verifies_and_function_alias():
+def test_filled_chain_verifies():
     led = filled()
-    assert verify_chain(led)
+    assert led.verify_chain()
 
 
 def test_file_roundtrip_identical_hashes(tmp_path):

@@ -9,9 +9,11 @@ from zorro.elgamal import encrypt_exp
 from zorro.errors import (
     BoundExceeded,
     InvalidRound1Proof,
+    LedgerRejected,
     MissingPost,
     NotInWindow,
 )
+from zorro.ledger import Ledger
 from zorro.protocol import (
     Party,
     ProtocolConfig,
@@ -23,6 +25,7 @@ from zorro.protocol import (
     tally,
     verify_contribution,
     verify_contribution_payload,
+    verify_ledger,
     verify_round1,
 )
 from zorro.rangeproof import BoundPolicy
@@ -87,7 +90,7 @@ def test_pads_two_party_algebra():
     secrets, posts = full_round1(cfg)
     pads0 = derive_pads(cfg, posts, 0)
     pads1 = derive_pads(cfg, posts, 1)
-    assert pads0[0] == MOD.inv(posts[1].elements[0])
+    assert pads0[0] == posts[1].elements[0].inverse()
     assert pads1[0] == posts[0].elements[0]
     combined = pads0[0] ** secrets[0].x[0] * pads1[0] ** secrets[1].x[0]
     assert combined == MOD.identity
@@ -196,6 +199,57 @@ def test_dropout_leaves_pads_uncancelled():
         tally(cfg, [posts2[0], posts2[1], fake], window=DlogWindow(0, 10))
 
 
+def test_tally_names_the_slot_out_of_window():
+    cfg = config(n=2, m=2)
+    _, _, posts2 = make_session(cfg, [[1, 2], [3, 9]])
+    with pytest.raises(NotInWindow, match="slot 1"):
+        tally(cfg, posts2, window=DlogWindow(0, 10))
+
+
+def session_ledger(cfg, vectors, order=None, posts=None):
+    """An in-memory ledger of an honest session, posted in `order`."""
+    _, posts1, posts2 = posts or make_session(cfg, vectors)
+    ledger = Ledger(cfg.header())
+    for round, round_posts in ((1, posts1), (2, posts2)):
+        for i in order or range(cfg.n):
+            ledger.append(round, i, round_posts[i].to_bytes(cfg.group))
+    return ledger, posts2
+
+
+def test_verify_ledger_returns_round2_posts_in_party_order():
+    cfg = config(n=3, m=2, policy=BoundPolicy.l1(3))
+    ledger, posts2 = session_ledger(cfg, [[1, 0], [2, 1], [0, 3]], order=[2, 0, 1])
+    assert verify_ledger(cfg, ledger) == posts2
+    assert tally(cfg, verify_ledger(cfg, ledger)).totals == (3, 4)
+
+
+def test_verify_ledger_rejects_foreign_header():
+    cfg = config(n=2, m=1)
+    ledger, _ = session_ledger(cfg, [[1], [2]])
+    other = config(n=2, m=1, session=bytes(16))
+    with pytest.raises(LedgerRejected) as err:
+        verify_ledger(other, ledger)
+    assert err.value.check == "header"
+
+
+def test_verify_ledger_rejects_dimension_mismatch():
+    cfg = config(n=2, m=1)
+    parties, posts1, posts2 = make_session(cfg, [[1], [2]])
+    _, wide = round1_generate(config(n=2, m=2), 1, random.Random(3))
+    ledger, _ = session_ledger(cfg, None, posts=(parties, [posts1[0], wide], posts2))
+    with pytest.raises(LedgerRejected, match="party 1: 2 slots, expected 1") as err:
+        verify_ledger(cfg, ledger)
+    assert (err.value.party, err.value.check) == (1, "dimension")
+
+
+def test_verify_ledger_missing_post_names_the_round():
+    cfg = config(n=3, m=1)
+    ledger, _ = session_ledger(cfg, [[1], [2], [3]], order=[0, 2])
+    with pytest.raises(MissingPost, match="party 1 missing from round 1") as err:
+        verify_ledger(cfg, ledger)
+    assert (err.value.party, err.value.round) == (1, 1)
+
+
 def test_verify_contribution_detects_ciphertext_swap():
     cfg = config(n=2, m=2, policy=BoundPolicy.l1(3))
     parties, posts1, posts2 = make_session(cfg, [[2, 0], [1, 1]])
@@ -252,8 +306,6 @@ def test_party_state_machine_order():
     other = Party(cfg, 1, random.Random(1))
     posts1 = [post, other.round1()]
     party.receive_round1(posts1)
-    with pytest.raises(RuntimeError):
-        party.tally([])
     party.round2([1])
 
 

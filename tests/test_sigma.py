@@ -19,7 +19,6 @@ from zorro.sigma import (
     _dlog_respond,
     _square_commit,
     _square_respond,
-    fs_challenge,
     prove_bit,
     prove_dh_tuple,
     prove_dlog,
@@ -56,7 +55,7 @@ def test_challenge_domain_separation():
 def test_challenge_below_order():
     for i in range(50):
         t = FsTranscript(b"range", [bytes([i])])
-        assert 0 <= fs_challenge(t, TOY) < TOY.q
+        assert 0 <= t.challenge(TOY) < TOY.q
 
 
 def test_child_context_extends_tag():
