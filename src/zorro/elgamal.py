@@ -9,7 +9,7 @@ control of it (round-1 secrets are reused, digit randomness must telescope).
 
 from dataclasses import dataclass
 
-from .encoding import Reader
+from .encoding import Record
 
 
 @dataclass(frozen=True)
@@ -26,25 +26,9 @@ class Keypair:
 
 
 @dataclass(frozen=True)
-class Ciphertext:
+class Ciphertext(Record):
     A: object
     B: object
-
-    def to_bytes(self, group) -> bytes:
-        return group.encode_element(self.A) + group.encode_element(self.B)
-
-    @classmethod
-    def read_from(cls, group, reader: Reader):
-        a = group.decode_element(reader.take(group.element_bytes))
-        b = group.decode_element(reader.take(group.element_bytes))
-        return cls(a, b)
-
-    @classmethod
-    def from_bytes(cls, group, data: bytes):
-        r = Reader(data)
-        ct = cls.read_from(group, r)
-        r.expect_end()
-        return ct
 
 
 def encrypt_exp(group, m: int, r: int, pk, base=None) -> Ciphertext:

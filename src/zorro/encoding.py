@@ -1,9 +1,18 @@
-"""Fixed-width integer packing and a bounds-checked byte reader.
+"""Fixed-width integer packing, a bounds-checked byte reader and the wire codec.
 
 Every object that ever gets hashed or persisted round-trips through these
 helpers, so all widths are fixed and all reads are strict.
+
+The wire codec states each byte layout once.  A Record is a frozen
+dataclass whose layout is its field list: an optional one-byte TAG, then
+the fields in declaration order.  Field order is wire order; a field typed
+``object`` is one group element, a field typed ``int`` one scalar, and any
+other type a nested Record.  Nothing carries a length prefix: a type whose
+counts vary (a bundle, a post) writes its own header, encodes through put()
+and reads each run of equal items with read_many().
 """
 
+import dataclasses
 import struct
 
 from .errors import MalformedEncoding
@@ -44,6 +53,69 @@ class Reader:
     def u64(self) -> int:
         return struct.unpack(">Q", self.take(8))[0]
 
+    def expect_tag(self, tag: int, what: str):
+        got = self.u8()
+        if got != tag:
+            raise MalformedEncoding(f"expected {what} tag {tag:#x}, got {got:#x}")
+
     def expect_end(self):
         if self._off != len(self._data):
             raise MalformedEncoding("trailing bytes")
+
+
+def put(group, *values) -> bytes:
+    """Encode values back to back: bytes verbatim, tuples item by item,
+    records by their layout, ints as scalars, anything else as an element."""
+    out = []
+    for v in values:
+        if isinstance(v, bytes):
+            out.append(v)
+        elif isinstance(v, tuple):
+            out.append(put(group, *v))
+        elif isinstance(v, int):
+            out.append(group.encode_scalar(v))
+        elif isinstance(v, Record):
+            out.append(v.to_bytes(group))
+        else:
+            out.append(group.encode_element(v))
+    return b"".join(out)
+
+
+def read_one(group, reader: Reader, kind):
+    """Read one item of `kind`: object (element), int (scalar) or a Record class."""
+    if kind is object:
+        return group.decode_element(reader.take(group.element_bytes))
+    if kind is int:
+        return group.decode_scalar(reader.take(group.scalar_bytes))
+    return kind.read_from(group, reader)
+
+
+def read_many(group, reader: Reader, count: int, kind) -> tuple:
+    """Read `count` consecutive items of `kind` (see read_one)."""
+    return tuple(read_one(group, reader, kind) for _ in range(count))
+
+
+class Record:
+    """Base of the fixed-layout wire types; subclasses are frozen dataclasses."""
+
+    TAG = None
+
+    def to_bytes(self, group) -> bytes:
+        values = [getattr(self, f.name) for f in dataclasses.fields(self)]
+        if self.TAG is not None:
+            values.insert(0, pack_u8(self.TAG))
+        return put(group, *values)
+
+    @classmethod
+    def read_from(cls, group, reader: Reader):
+        if cls.TAG is not None:
+            reader.expect_tag(cls.TAG, cls.__name__)
+        return cls(*(read_one(group, reader, f.type) for f in dataclasses.fields(cls)))
+
+    @classmethod
+    def from_bytes(cls, group, data: bytes):
+        """Decode exactly one record; leftover bytes are malformed."""
+        reader = Reader(data)
+        record = cls.read_from(group, reader)
+        reader.expect_end()
+        return record

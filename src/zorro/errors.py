@@ -9,7 +9,7 @@ class MalformedEncoding(ZorroError):
     """Byte string cannot be parsed as the requested object."""
 
 
-class NotInSubgroup(ZorroError):
+class NotInSubgroup(MalformedEncoding):
     """Decoded value is not a member of the prime-order group."""
 
 

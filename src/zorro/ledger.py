@@ -22,7 +22,7 @@ from .encoding import pack_u8, pack_u32, pack_u64
 from .errors import ChainBroken, DuplicatePost, MalformedEncoding
 
 _LINE_RE = re.compile(
-    r"^(0|[1-9][0-9]*) ([12]) (0|[1-9][0-9]*) ([0-9a-f]{64}) ([0-9a-f]{64}) ((?:[0-9a-f]{2})+)$"
+    r"^(0|[1-9][0-9]*) ([12]) (0|[1-9][0-9]*) ([0-9a-f]{64}) ([0-9a-f]{64}) ((?:[0-9a-f]{2})*)$"
 )
 
 

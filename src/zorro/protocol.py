@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import rangeproof
 from .dlog import DlogWindow, bsgs
 from .elgamal import Ciphertext, Keypair, encrypt_exp
-from .encoding import Reader, pack_u8, pack_u32
+from .encoding import Reader, pack_u8, pack_u32, put, read_many
 from .errors import (
     InvalidRound1Proof,
     LedgerRejected,
@@ -75,6 +75,15 @@ class Round1Secret:
     x: tuple
 
 
+def _read_post_head(reader: Reader, tag: int, what: str):
+    """Tag, party id and slot count that open every post."""
+    reader.expect_tag(tag, what)
+    party, m = reader.u32(), reader.u32()
+    if not 1 <= m <= 1 << 20:
+        raise MalformedEncoding("implausible dimension")
+    return party, m
+
+
 @dataclass(frozen=True)
 class Round1Post:
     party: int
@@ -82,24 +91,23 @@ class Round1Post:
     proofs: tuple
 
     def to_bytes(self, group) -> bytes:
-        out = [b"\x11", pack_u32(self.party), pack_u32(len(self.elements))]
-        out += [group.encode_element(e) for e in self.elements]
-        out += [p.to_bytes(group) for p in self.proofs]
-        return b"".join(out)
+        return put(
+            group, b"\x11", pack_u32(self.party), pack_u32(len(self.elements)),
+            self.elements, self.proofs,
+        )
 
     @classmethod
     def from_bytes(cls, group, data: bytes) -> "Round1Post":
         r = Reader(data)
-        if r.u8() != 0x11:
-            raise MalformedEncoding("not a round-1 post")
-        party = r.u32()
-        m = r.u32()
-        if not 1 <= m <= 1 << 20:
-            raise MalformedEncoding("implausible dimension")
-        elements = tuple(group.decode_element(r.take(group.element_bytes)) for _ in range(m))
-        proofs = tuple(DlogProof.read_from(group, r) for _ in range(m))
+        party, m = _read_post_head(r, 0x11, "round-1 post")
+        elements = read_many(group, r, m, object)
+        proofs = read_many(group, r, m, DlogProof)
         r.expect_end()
         return cls(party, elements, proofs)
+
+
+# round-2 bundle kind byte -> bundle type; kind 0 carries no bundle
+_BUNDLE_KINDS = (type(None), L1RangeProof, L2RangeProof)
 
 
 @dataclass(frozen=True)
@@ -109,37 +117,21 @@ class Round2Post:
     bundle: object  # L1RangeProof | L2RangeProof | None
 
     def to_bytes(self, group) -> bytes:
-        out = [b"\x12", pack_u32(self.party), pack_u32(len(self.cts))]
-        out += [ct.to_bytes(group) for ct in self.cts]
-        if self.bundle is None:
-            out.append(pack_u8(0))
-        elif isinstance(self.bundle, L1RangeProof):
-            out.append(pack_u8(1))
-            out.append(self.bundle.to_bytes(group))
-        else:
-            out.append(pack_u8(2))
-            out.append(self.bundle.to_bytes(group))
-        return b"".join(out)
+        kind = _BUNDLE_KINDS.index(type(self.bundle))
+        return put(
+            group, b"\x12", pack_u32(self.party), pack_u32(len(self.cts)), self.cts,
+            pack_u8(kind), self.bundle.to_bytes(group) if kind else b"",
+        )
 
     @classmethod
     def from_bytes(cls, group, data: bytes) -> "Round2Post":
         r = Reader(data)
-        if r.u8() != 0x12:
-            raise MalformedEncoding("not a round-2 post")
-        party = r.u32()
-        m = r.u32()
-        if not 1 <= m <= 1 << 20:
-            raise MalformedEncoding("implausible dimension")
-        cts = tuple(Ciphertext.read_from(group, r) for _ in range(m))
+        party, m = _read_post_head(r, 0x12, "round-2 post")
+        cts = read_many(group, r, m, Ciphertext)
         kind = r.u8()
-        if kind == 0:
-            bundle = None
-        elif kind == 1:
-            bundle = L1RangeProof.read_from(group, r)
-        elif kind == 2:
-            bundle = L2RangeProof.read_from(group, r)
-        else:
+        if kind >= len(_BUNDLE_KINDS):
             raise MalformedEncoding(f"unknown bundle kind {kind}")
+        bundle = _BUNDLE_KINDS[kind].read_from(group, r) if kind else None
         r.expect_end()
         return cls(party, cts, bundle)
 
@@ -317,7 +309,7 @@ def _ledger_round(cfg: ProtocolConfig, ledger, round: int) -> list:
         try:
             post = cls.from_bytes(cfg.group, entry.payload)
         except ZorroError as exc:
-            raise LedgerRejected(party, "malformed", f"{where} undecodable: {exc}") from exc
+            raise LedgerRejected(party, "malformed", f"{where} malformed: {exc}") from exc
         if post.party != party:
             raise LedgerRejected(party, "binding", f"{where}: payload claims party {post.party}")
         dim = len(post.elements if round == 1 else post.cts)

@@ -26,10 +26,11 @@ bounds would need set-membership machinery that is out of scope.
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 from .dlog import DlogWindow
 from .elgamal import Ciphertext, encrypt_exp, hom_mul, hom_pow
-from .encoding import Reader, pack_u8, pack_u32, pack_u64
+from .encoding import Reader, pack_u8, pack_u32, pack_u64, put, read_many, read_one
 from .errors import BoundExceeded, MalformedEncoding, NegativeEntry
 from .sigma import (
     BitProof,
@@ -116,8 +117,8 @@ class BoundPolicy:
             raise MalformedEncoding(f"unknown policy code {code}")
         B = reader.u64()
         kind = _KIND_NAMES[code]
-        if kind == NONE and B != 0:
-            raise MalformedEncoding("policy none carries no bound")
+        if (kind == NONE) != (B == 0):
+            raise MalformedEncoding(f"policy {kind} cannot carry bound {B}")
         return cls(kind, B)
 
 
@@ -170,6 +171,68 @@ def verify_reencryption_link(group, ct: Ciphertext, ct_star: Ciphertext, h_pad, 
     return verify_dh_tuple(group, statement, proof, ctx)
 
 
+def _prove_links(group, values, x, pad_keys, h_i, ctx, rng):
+    """(E*[T_j] for every slot, their link proofs), one slot after another."""
+    reenc, links = zip(*(
+        reencryption_link(group, values[j], x[j], pad_keys[j], h_i, ctx.child(b"link", j), rng)
+        for j in range(len(values))
+    ))
+    return reenc, links
+
+
+def _links_ok(group, posted_cts, proof, pad_keys, ctx) -> bool:
+    return all(
+        verify_reencryption_link(group, ct, ct_star, h, proof.h_i, link, ctx.child(b"link", j))
+        for j, (ct, ct_star, h, link) in enumerate(
+            zip(posted_cts, proof.reencrypted, pad_keys, proof.links)
+        )
+    )
+
+
+# -- digit decomposition -------------------------------------------------------
+
+
+def _prove_digits(group, digits, rand, h_i, row_ctx, rng):
+    """Encrypt digit l with randomness rand[l] under h_i and prove it a bit
+    in context row_ctx/l; returns (ciphertexts, bit proofs)."""
+    cts = tuple(encrypt_exp(group, d, r, h_i) for d, r in zip(digits, rand))
+    proofs = tuple(
+        prove_bit(group, d, r, ct, h_i, row_ctx.child(l), rng)
+        for l, (d, r, ct) in enumerate(zip(digits, rand, cts))
+    )
+    return cts, proofs
+
+
+def _recompose(digit_cts) -> Ciphertext:
+    """prod_l E[d_l]^(2^l): an encryption of the number the digits spell."""
+    acc = digit_cts[0]
+    for l in range(1, len(digit_cts)):
+        acc = hom_mul(acc, hom_pow(digit_cts[l], 1 << l))
+    return acc
+
+
+def _bits_ok(group, digit_cts, digit_proofs, h_i, row_ctx) -> bool:
+    return all(
+        verify_bit(group, ct, h_i, p, row_ctx.child(l))
+        for l, (ct, p) in enumerate(zip(digit_cts, digit_proofs))
+    )
+
+
+# -- bundle codec -------------------------------------------------------------
+
+
+def _read_bundle_head(group, reader: Reader, tag: int, kind: str):
+    """Tag, policy and slot count of a bundle, then the prover key h_i."""
+    reader.expect_tag(tag, f"{kind} bundle")
+    policy = BoundPolicy.read_from(reader)
+    if policy.kind != kind:
+        raise MalformedEncoding(f"bundle policy is not {kind}")
+    m = reader.u32()
+    if not 1 <= m <= _MAX_DIM or policy.L > _MAX_DIGITS:
+        raise MalformedEncoding("implausible bundle dimensions")
+    return policy, m, read_one(group, reader, object)
+
+
 # -- L2 norm bound ------------------------------------------------------------
 
 
@@ -185,37 +248,26 @@ class L2RangeProof:
     square_proofs: tuple      # square-relation proofs, aligned with square_cts
 
     def to_bytes(self, group) -> bytes:
-        m = len(self.links)
-        out = [b"\x05", self.policy.to_bytes(), pack_u32(m), group.encode_element(self.h_i)]
-        out += [ct.to_bytes(group) for ct in self.reencrypted]
-        out += [p.to_bytes(group) for p in self.links]
-        out += [ct.to_bytes(group) for ct in self.digit_cts]
-        out += [p.to_bytes(group) for p in self.digit_proofs]
-        out += [ct.to_bytes(group) for ct in self.square_cts]
-        out += [p.to_bytes(group) for p in self.square_proofs]
-        return b"".join(out)
+        return put(
+            group, b"\x05", self.policy.to_bytes(), pack_u32(len(self.links)), self.h_i,
+            self.reencrypted, self.links, self.digit_cts, self.digit_proofs,
+            self.square_cts, self.square_proofs,
+        )
 
     @classmethod
     def read_from(cls, group, reader: Reader) -> "L2RangeProof":
-        tag = reader.u8()
-        if tag != 0x05:
-            raise MalformedEncoding(f"expected L2 bundle tag, got {tag:#x}")
-        policy = BoundPolicy.read_from(reader)
-        if policy.kind != L2:
-            raise MalformedEncoding("bundle policy is not l2")
-        m = reader.u32()
-        if not 1 <= m <= _MAX_DIM or policy.L > _MAX_DIGITS:
-            raise MalformedEncoding("implausible bundle dimensions")
+        policy, m, h_i = _read_bundle_head(group, reader, 0x05, L2)
         L = policy.L
         m_ext = _extended_len(m, L)
-        h_i = group.decode_element(reader.take(group.element_bytes))
-        reenc = tuple(Ciphertext.read_from(group, reader) for _ in range(m_ext))
-        links = tuple(DhTupleProof.read_from(group, reader) for _ in range(m))
-        digit_cts = tuple(Ciphertext.read_from(group, reader) for _ in range(L))
-        digit_proofs = tuple(BitProof.read_from(group, reader) for _ in range(L))
-        square_cts = tuple(Ciphertext.read_from(group, reader) for _ in range(m_ext))
-        square_proofs = tuple(SquareProof.read_from(group, reader) for _ in range(m_ext))
-        return cls(policy, h_i, reenc, links, digit_cts, digit_proofs, square_cts, square_proofs)
+        return cls(
+            policy, h_i,
+            read_many(group, reader, m_ext, Ciphertext),
+            read_many(group, reader, m, DhTupleProof),
+            read_many(group, reader, L, Ciphertext),
+            read_many(group, reader, L, BitProof),
+            read_many(group, reader, m_ext, Ciphertext),
+            read_many(group, reader, m_ext, SquareProof),
+        )
 
 
 def _extended_len(m: int, L: int) -> int:
@@ -242,25 +294,13 @@ def prove_l2(group, values, x, pad_keys, h_i, policy: BoundPolicy, ctx, rng) -> 
     padded = list(values) + [0] * (m_ext - m)
     x_all = list(x) + [group.random_scalar(rng) for _ in range(m_ext - m)]
 
-    reenc, links = [], []
-    for j in range(m):
-        ct_star, link = reencryption_link(
-            group, values[j], x[j], pad_keys[j], h_i, ctx.child(b"link", j), rng
-        )
-        reenc.append(ct_star)
-        links.append(link)
-    for j in range(m, m_ext):
-        reenc.append(encrypt_exp(group, 0, x_all[j], h_i))
+    reenc, links = _prove_links(group, values, x, pad_keys, h_i, ctx, rng)
+    reenc += tuple(encrypt_exp(group, 0, x_all[j], h_i) for j in range(m, m_ext))
 
-    digits = bits_of(s, L)
     x_digits = [group.random_scalar(rng) for _ in range(L)]
-    digit_cts, digit_proofs = [], []
-    for l in range(L):
-        ct = encrypt_exp(group, digits[l], x_digits[l], h_i)
-        digit_cts.append(ct)
-        digit_proofs.append(
-            prove_bit(group, digits[l], x_digits[l], ct, h_i, ctx.child(b"bit", l), rng)
-        )
+    digit_cts, digit_proofs = _prove_digits(
+        group, bits_of(s, L), x_digits, h_i, ctx.child(b"bit"), rng
+    )
 
     xstar = [group.random_scalar(rng) for _ in range(m_ext)]
     noise = noise_terms(group, xstar)
@@ -280,8 +320,8 @@ def prove_l2(group, values, x, pad_keys, h_i, policy: BoundPolicy, ctx, rng) -> 
         )
 
     return L2RangeProof(
-        policy, h_i, tuple(reenc), tuple(links), tuple(digit_cts),
-        tuple(digit_proofs), tuple(square_cts), tuple(square_proofs),
+        policy, h_i, reenc, links, digit_cts, digit_proofs,
+        tuple(square_cts), tuple(square_proofs),
     )
 
 
@@ -305,36 +345,20 @@ def verify_l2(group, posted_cts, proof: L2RangeProof, policy: BoundPolicy, pad_k
         or len(pad_keys) != m
     ):
         return False, "malformed"
-
-    for j in range(m):
-        if not verify_reencryption_link(
-            group, posted_cts[j], proof.reencrypted[j], pad_keys[j], proof.h_i,
-            proof.links[j], ctx.child(b"link", j),
-        ):
-            return False, "tuple"
-
-    lhs = proof.square_cts[0]
-    for ct in proof.square_cts[1:]:
-        lhs = hom_mul(lhs, ct)
-    rhs = proof.digit_cts[0]
-    for l in range(1, L):
-        rhs = hom_mul(rhs, hom_pow(proof.digit_cts[l], 1 << l))
-    if lhs != rhs:
+    if not _links_ok(group, posted_cts, proof, pad_keys, ctx):
+        return False, "tuple"
+    if reduce(hom_mul, proof.square_cts) != _recompose(proof.digit_cts):
         return False, "consistency"
-
-    for l in range(L):
-        if not verify_bit(
-            group, proof.digit_cts[l], proof.h_i, proof.digit_proofs[l], ctx.child(b"bit", l)
-        ):
-            return False, "bit"
-
-    for j in range(m_ext):
-        if not verify_square(
+    if not _bits_ok(group, proof.digit_cts, proof.digit_proofs, proof.h_i, ctx.child(b"bit")):
+        return False, "bit"
+    if not all(
+        verify_square(
             group, proof.reencrypted[j], proof.square_cts[j], proof.h_i,
             proof.square_proofs[j], ctx.child(b"square", j),
-        ):
-            return False, "square"
-
+        )
+        for j in range(m_ext)
+    ):
+        return False, "square"
     return True, None
 
 
@@ -353,42 +377,25 @@ class L1RangeProof:
     sum_digit_proofs: tuple
 
     def to_bytes(self, group) -> bytes:
-        m = len(self.links)
-        out = [b"\x06", self.policy.to_bytes(), pack_u32(m), group.encode_element(self.h_i)]
-        out += [ct.to_bytes(group) for ct in self.reencrypted]
-        out += [p.to_bytes(group) for p in self.links]
-        for row in self.element_digit_cts:
-            out += [ct.to_bytes(group) for ct in row]
-        for row in self.element_digit_proofs:
-            out += [p.to_bytes(group) for p in row]
-        out += [ct.to_bytes(group) for ct in self.sum_digit_cts]
-        out += [p.to_bytes(group) for p in self.sum_digit_proofs]
-        return b"".join(out)
+        return put(
+            group, b"\x06", self.policy.to_bytes(), pack_u32(len(self.links)), self.h_i,
+            self.reencrypted, self.links, self.element_digit_cts, self.element_digit_proofs,
+            self.sum_digit_cts, self.sum_digit_proofs,
+        )
 
     @classmethod
     def read_from(cls, group, reader: Reader) -> "L1RangeProof":
-        tag = reader.u8()
-        if tag != 0x06:
-            raise MalformedEncoding(f"expected L1 bundle tag, got {tag:#x}")
-        policy = BoundPolicy.read_from(reader)
-        if policy.kind != L1:
-            raise MalformedEncoding("bundle policy is not l1")
-        m = reader.u32()
-        if not 1 <= m <= _MAX_DIM or policy.L > _MAX_DIGITS:
-            raise MalformedEncoding("implausible bundle dimensions")
+        policy, m, h_i = _read_bundle_head(group, reader, 0x06, L1)
         L = policy.L
-        h_i = group.decode_element(reader.take(group.element_bytes))
-        reenc = tuple(Ciphertext.read_from(group, reader) for _ in range(m))
-        links = tuple(DhTupleProof.read_from(group, reader) for _ in range(m))
-        elem_cts = tuple(
-            tuple(Ciphertext.read_from(group, reader) for _ in range(L)) for _ in range(m)
+        return cls(
+            policy, h_i,
+            read_many(group, reader, m, Ciphertext),
+            read_many(group, reader, m, DhTupleProof),
+            tuple(read_many(group, reader, L, Ciphertext) for _ in range(m)),
+            tuple(read_many(group, reader, L, BitProof) for _ in range(m)),
+            read_many(group, reader, L, Ciphertext),
+            read_many(group, reader, L, BitProof),
         )
-        elem_proofs = tuple(
-            tuple(BitProof.read_from(group, reader) for _ in range(L)) for _ in range(m)
-        )
-        sum_cts = tuple(Ciphertext.read_from(group, reader) for _ in range(L))
-        sum_proofs = tuple(BitProof.read_from(group, reader) for _ in range(L))
-        return cls(policy, h_i, reenc, links, elem_cts, elem_proofs, sum_cts, sum_proofs)
 
 
 def _digit_randomness(group, target: int, width: int, rng) -> list[int]:
@@ -418,42 +425,21 @@ def prove_l1(group, values, x, pad_keys, h_i, policy: BoundPolicy, ctx, rng) -> 
 
 def _build_l1(group, values, digits, sum_digits, x, pad_keys, h_i, policy, ctx, rng) -> L1RangeProof:
     # digit lists are taken as given so tests can force dishonest bundles
-    m, L = len(values), policy.L
-    reenc, links = [], []
-    for j in range(m):
-        ct_star, link = reencryption_link(
-            group, values[j], x[j], pad_keys[j], h_i, ctx.child(b"link", j), rng
+    L = policy.L
+    reenc, links = _prove_links(group, values, x, pad_keys, h_i, ctx, rng)
+    elem_cts, elem_proofs = zip(*(
+        _prove_digits(
+            group, digits[j], _digit_randomness(group, x[j], L, rng), h_i,
+            ctx.child(b"bit", j), rng,
         )
-        reenc.append(ct_star)
-        links.append(link)
-
-    elem_cts, elem_proofs = [], []
-    for j in range(m):
-        rho = _digit_randomness(group, x[j], L, rng)
-        row_cts, row_proofs = [], []
-        for l in range(L):
-            ct = encrypt_exp(group, digits[j][l], rho[l], h_i)
-            row_cts.append(ct)
-            row_proofs.append(
-                prove_bit(
-                    group, digits[j][l], rho[l], ct, h_i, ctx.child(b"bit", j, l), rng
-                )
-            )
-        elem_cts.append(tuple(row_cts))
-        elem_proofs.append(tuple(row_proofs))
-
-    rho_sum = _digit_randomness(group, sum(x) % group.q, L, rng)
-    sum_cts, sum_proofs = [], []
-    for l in range(L):
-        ct = encrypt_exp(group, sum_digits[l], rho_sum[l], h_i)
-        sum_cts.append(ct)
-        sum_proofs.append(
-            prove_bit(group, sum_digits[l], rho_sum[l], ct, h_i, ctx.child(b"sumbit", l), rng)
-        )
-
+        for j in range(len(values))
+    ))
+    sum_cts, sum_proofs = _prove_digits(
+        group, sum_digits, _digit_randomness(group, sum(x) % group.q, L, rng), h_i,
+        ctx.child(b"sumbit"), rng,
+    )
     return L1RangeProof(
-        policy, h_i, tuple(reenc), tuple(links), tuple(elem_cts),
-        tuple(elem_proofs), tuple(sum_cts), tuple(sum_proofs),
+        policy, h_i, reenc, links, elem_cts, elem_proofs, sum_cts, sum_proofs
     )
 
 
@@ -478,43 +464,20 @@ def verify_l1(group, posted_cts, proof: L1RangeProof, policy: BoundPolicy, pad_k
         or len(pad_keys) != m
     ):
         return False, "malformed"
-
-    for j in range(m):
-        if not verify_reencryption_link(
-            group, posted_cts[j], proof.reencrypted[j], pad_keys[j], proof.h_i,
-            proof.links[j], ctx.child(b"link", j),
-        ):
-            return False, "tuple"
-
-    for j in range(m):
-        acc = proof.element_digit_cts[j][0]
-        for l in range(1, L):
-            acc = hom_mul(acc, hom_pow(proof.element_digit_cts[j][l], 1 << l))
-        if acc != proof.reencrypted[j]:
-            return False, "element"
-
-    for j in range(m):
-        for l in range(L):
-            if not verify_bit(
-                group, proof.element_digit_cts[j][l], proof.h_i,
-                proof.element_digit_proofs[j][l], ctx.child(b"bit", j, l),
-            ):
-                return False, "bit"
-
-    lhs = proof.reencrypted[0]
-    for ct in proof.reencrypted[1:]:
-        lhs = hom_mul(lhs, ct)
-    rhs = proof.sum_digit_cts[0]
-    for l in range(1, L):
-        rhs = hom_mul(rhs, hom_pow(proof.sum_digit_cts[l], 1 << l))
-    if lhs != rhs:
+    if not _links_ok(group, posted_cts, proof, pad_keys, ctx):
+        return False, "tuple"
+    if any(
+        _recompose(row) != ct_star
+        for row, ct_star in zip(proof.element_digit_cts, proof.reencrypted)
+    ):
+        return False, "element"
+    if not all(
+        _bits_ok(group, cts, proofs, proof.h_i, ctx.child(b"bit", j))
+        for j, (cts, proofs) in enumerate(zip(proof.element_digit_cts, proof.element_digit_proofs))
+    ):
+        return False, "bit"
+    if reduce(hom_mul, proof.reencrypted) != _recompose(proof.sum_digit_cts):
         return False, "sum"
-
-    for l in range(L):
-        if not verify_bit(
-            group, proof.sum_digit_cts[l], proof.h_i, proof.sum_digit_proofs[l],
-            ctx.child(b"sumbit", l),
-        ):
-            return False, "sum_bit"
-
+    if not _bits_ok(group, proof.sum_digit_cts, proof.sum_digit_proofs, proof.h_i, ctx.child(b"sumbit")):
+        return False, "sum_bit"
     return True, None

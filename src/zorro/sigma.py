@@ -16,8 +16,8 @@ import hashlib
 from dataclasses import dataclass
 
 from .elgamal import Ciphertext, encrypt_exp
-from .encoding import Reader, pack_u32
-from .errors import KeyMismatch, MalformedEncoding
+from .encoding import Record, pack_u32
+from .errors import KeyMismatch
 
 
 class FsTranscript:
@@ -68,21 +68,11 @@ def _chal(group, ctx: FsTranscript, *elements) -> int:
 
 
 @dataclass(frozen=True)
-class DlogProof:
+class DlogProof(Record):
+    TAG = 0x01
+
     K: object
     s: int
-
-    def to_bytes(self, group) -> bytes:
-        return b"\x01" + group.encode_element(self.K) + group.encode_scalar(self.s)
-
-    @classmethod
-    def read_from(cls, group, reader: Reader):
-        tag = reader.u8()
-        if tag != 0x01:
-            raise MalformedEncoding(f"expected dlog proof tag, got {tag:#x}")
-        K = group.decode_element(reader.take(group.element_bytes))
-        s = group.decode_scalar(reader.take(group.scalar_bytes))
-        return cls(K, s)
 
 
 def _dlog_commit(group, rng):
@@ -111,28 +101,12 @@ def verify_dlog(group, A, proof: DlogProof, ctx: FsTranscript) -> bool:
 
 
 @dataclass(frozen=True)
-class DhTupleProof:
+class DhTupleProof(Record):
+    TAG = 0x02
+
     a: object
     b: object
     z: int
-
-    def to_bytes(self, group) -> bytes:
-        return (
-            b"\x02"
-            + group.encode_element(self.a)
-            + group.encode_element(self.b)
-            + group.encode_scalar(self.z)
-        )
-
-    @classmethod
-    def read_from(cls, group, reader: Reader):
-        tag = reader.u8()
-        if tag != 0x02:
-            raise MalformedEncoding(f"expected DH-tuple proof tag, got {tag:#x}")
-        a = group.decode_element(reader.take(group.element_bytes))
-        b = group.decode_element(reader.take(group.element_bytes))
-        z = group.decode_scalar(reader.take(group.scalar_bytes))
-        return cls(a, b, z)
 
 
 def _dh_commit(group, g1, h1, rng):
@@ -166,12 +140,14 @@ def verify_dh_tuple(group, statement, proof: DhTupleProof, ctx: FsTranscript) ->
 
 
 @dataclass(frozen=True)
-class BitProof:
+class BitProof(Record):
     """Disjunctive Chaum-Pedersen: (x, y) encrypts 0 or encrypts 1.
 
     Branch 1 plays against (x, y) (the m=0 claim), branch 2 against
     (x, y/g) (the m=1 claim); d1 + d2 must equal the hash challenge.
     """
+
+    TAG = 0x03
 
     a1: object
     b1: object
@@ -181,29 +157,6 @@ class BitProof:
     d2: int
     r1: int
     r2: int
-
-    def to_bytes(self, group) -> bytes:
-        enc_e, enc_s = group.encode_element, group.encode_scalar
-        return (
-            b"\x03"
-            + enc_e(self.a1)
-            + enc_e(self.b1)
-            + enc_e(self.a2)
-            + enc_e(self.b2)
-            + enc_s(self.d1)
-            + enc_s(self.d2)
-            + enc_s(self.r1)
-            + enc_s(self.r2)
-        )
-
-    @classmethod
-    def read_from(cls, group, reader: Reader):
-        tag = reader.u8()
-        if tag != 0x03:
-            raise MalformedEncoding(f"expected bit proof tag, got {tag:#x}")
-        elems = [group.decode_element(reader.take(group.element_bytes)) for _ in range(4)]
-        scalars = [group.decode_scalar(reader.take(group.scalar_bytes)) for _ in range(4)]
-        return cls(*elems, *scalars)
 
 
 def prove_bit(group, m: int, r: int, ct: Ciphertext, pk, ctx: FsTranscript, rng) -> BitProof:
@@ -254,7 +207,7 @@ def verify_bit(group, ct: Ciphertext, pk, proof: BitProof, ctx: FsTranscript) ->
 
 
 @dataclass(frozen=True)
-class SquareProof:
+class SquareProof(Record):
     """Plaintext of ct_b is the square of the plaintext of ct_a.
 
     Verification equations (base is the message generator of both
@@ -264,33 +217,13 @@ class SquareProof:
         ct_a^v * (g^z_b, pk^z_b)  =  ct_b^c * C_b
     """
 
+    TAG = 0x04
+
     C_a: Ciphertext
     C_b: Ciphertext
     v: int
     z_a: int
     z_b: int
-
-    def to_bytes(self, group) -> bytes:
-        return (
-            b"\x04"
-            + self.C_a.to_bytes(group)
-            + self.C_b.to_bytes(group)
-            + group.encode_scalar(self.v)
-            + group.encode_scalar(self.z_a)
-            + group.encode_scalar(self.z_b)
-        )
-
-    @classmethod
-    def read_from(cls, group, reader: Reader):
-        tag = reader.u8()
-        if tag != 0x04:
-            raise MalformedEncoding(f"expected square proof tag, got {tag:#x}")
-        C_a = Ciphertext.read_from(group, reader)
-        C_b = Ciphertext.read_from(group, reader)
-        v = group.decode_scalar(reader.take(group.scalar_bytes))
-        z_a = group.decode_scalar(reader.take(group.scalar_bytes))
-        z_b = group.decode_scalar(reader.take(group.scalar_bytes))
-        return cls(C_a, C_b, v, z_a, z_b)
 
 
 def _square_commit(group, ct_a: Ciphertext, pk, base, rng):

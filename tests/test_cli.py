@@ -11,7 +11,7 @@ from zorro.cli import (
     EXIT_USAGE,
     main,
 )
-from zorro import protocol
+from zorro import groups, protocol
 from zorro.errors import NotInWindow
 from zorro.ledger import Ledger
 
@@ -183,6 +183,31 @@ def test_verify_rejects_entry_under_party_id_n(vote_ledger, tmp_path, capsys):
 
     path = _rechained(vote_ledger, tmp_path / "extra.ledger", edit)
     _assert_rejected(path, capsys, "of party 3", "outside [0, 3)")
+
+
+# offset of the 8-byte bound in a round-2 l1 post with m=2 on the test group:
+# tag, party, m, two ciphertexts, bundle kind, bundle tag, policy code
+_BOUND_AT = 1 + 4 + 4 + 2 * 2 * groups.test_group().element_bytes + 1 + 1 + 1
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda payload: b"",
+        lambda payload: payload[:_BOUND_AT] + bytes(8) + payload[_BOUND_AT + 8:],
+    ],
+    ids=["empty-payload", "bundle-bound-0"],
+)
+def test_verify_rejects_undecodable_round2_post(vote_ledger, tmp_path, capsys, corrupt):
+    # an empty payload used to fail to load (exit 3) and a zero bundle bound
+    # escaped as a bare ValueError (exit 1); both are party 1's malformed post
+    def edit(entry, entries):
+        if (entry.round, entry.party) == (2, 1):
+            return [(2, 1, corrupt(entry.payload))]
+        return [(entry.round, entry.party, entry.payload)]
+
+    path = _rechained(vote_ledger, tmp_path / "corrupt.ledger", edit)
+    _assert_rejected(path, capsys, "of party 1", "malformed")
 
 
 def test_verify_rejects_second_round2_entry(vote_ledger, capsys):

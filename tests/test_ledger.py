@@ -68,6 +68,16 @@ def test_file_roundtrip_identical_hashes(tmp_path):
     assert reloaded.header == led.header
 
 
+def test_empty_payload_loads_back(tmp_path):
+    path = tmp_path / "session.ledger"
+    led = Ledger(header(), path=str(path))
+    led.append(1, 0, b"")
+    loaded = Ledger.load(str(path))
+    assert loaded.entries == led.entries
+    assert loaded.entries[0].payload == b""
+    assert loaded.verify_chain()
+
+
 def test_rewriting_identical_content_preserves_hashes(tmp_path):
     a = filled(path=str(tmp_path / "a.ledger"))
     b = filled(path=str(tmp_path / "b.ledger"))

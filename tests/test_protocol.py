@@ -10,6 +10,7 @@ from zorro.errors import (
     BoundExceeded,
     InvalidRound1Proof,
     LedgerRejected,
+    MalformedEncoding,
     MissingPost,
     NotInWindow,
 )
@@ -322,6 +323,33 @@ def test_round2_serialization_roundtrip():
         _, _, posts2 = make_session(cfg, [[1, 1], [2, 0]])
         for post in posts2:
             assert Round2Post.from_bytes(MOD, post.to_bytes(MOD)) == post
+
+
+# offsets in a round-2 post with m=2 on MOD: its bundle kind byte follows the
+# tag, party, slot count and two ciphertexts; the bundle's own slot count
+# follows the kind byte, the bundle tag and the 9-byte policy
+_KIND_AT = 1 + 4 + 4 + 2 * 2 * MOD.element_bytes
+_BUNDLE_M_AT = _KIND_AT + 1 + 1 + 9
+
+
+@pytest.mark.parametrize(
+    "policy, at, patch",
+    [
+        (BoundPolicy.l1(3), _KIND_AT, b"\x02"),
+        (BoundPolicy.l2(4), _KIND_AT, b"\x01"),
+        (BoundPolicy.l1(3), _KIND_AT, b"\x03"),
+        (BoundPolicy.l1(3), 5, (1 << 20).to_bytes(4, "big")),
+        (BoundPolicy.l2(4), _BUNDLE_M_AT, (1 << 20).to_bytes(4, "big")),
+    ],
+    ids=["l1-read-as-l2", "l2-read-as-l1", "kind-3", "slot-count-overrun", "bundle-count-overrun"],
+)
+def test_round2_decoding_rejects_inconsistent_layouts(policy, at, patch):
+    cfg = config(n=2, m=2, policy=policy)
+    _, _, posts2 = make_session(cfg, [[1, 1], [2, 0]])
+    data = bytearray(posts2[0].to_bytes(MOD))
+    data[at : at + len(patch)] = patch
+    with pytest.raises(MalformedEncoding):
+        Round2Post.from_bytes(MOD, bytes(data))
 
 
 # -- privacy ---------------------------------------------------------------------

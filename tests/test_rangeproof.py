@@ -75,6 +75,17 @@ def test_policy_serialization():
         reader.expect_end()
 
 
+@pytest.mark.parametrize(
+    "data",
+    [b"\x01" + bytes(8), b"\x02" + bytes(8), b"\x00" + (5).to_bytes(8, "big"), b"\x03" + bytes(8)],
+    ids=["l1-bound-0", "l2-bound-0", "none-with-bound", "unknown-kind"],
+)
+def test_policy_decoding_rejects_impossible_policies(data):
+    # a zero l1/l2 bound used to escape as the constructor's ValueError
+    with pytest.raises(MalformedEncoding):
+        BoundPolicy.read_from(Reader(data))
+
+
 def test_bits_of():
     assert bits_of(25, 5) == [1, 0, 0, 1, 1]
     assert bits_of(0, 3) == [0, 0, 0]
