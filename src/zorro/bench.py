@@ -2,8 +2,7 @@
 
 Costs are dominated by the round-2 validity bundles, which scale with the
 vector length m and (through the digit count) the bound B, so the grid runs
-two-party sessions over (m, B) and reports medians.  A second harness grows
-the party count to expose the linear per-verifier cost.
+two-party sessions over (m, B) and reports medians.
 """
 
 import csv
@@ -86,26 +85,6 @@ def bench_grid(group, kind: str, ms, Bs, reps: int = 3, seed: int = 0):
                 )
             )
     return rows
-
-
-def bench_verify_scaling(group, kind: str, n_values, m: int, B: int, reps: int = 3, seed: int = 0):
-    """Median time to verify all contributions, per total party count n."""
-    rng = random.Random(seed)
-    out = {}
-    for n in n_values:
-        cfg, parties, posts1 = _session(group, kind, n, m, B, rng)
-        values = _legal_vector(m, B)
-        posts2 = [p.round2(values) for p in parties]
-        pads = {p.index: p.pads for p in parties}
-        times = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            for post in posts2:
-                ok, reason = verify_contribution(cfg, posts1, post, pads=pads[post.party])
-                assert ok, reason
-            times.append(time.perf_counter() - t0)
-        out[n] = statistics.median(times) * 1e3
-    return out
 
 
 def write_csv(rows, path):

@@ -165,11 +165,12 @@ def cmd_verify(args) -> int:
     ledger.verify_chain()
     header = ledger.header
     try:
-        group = get_group(header.group_id)
-    except KeyError as exc:
-        raise SessionFailure(exc.args[0]) from exc
-    policy = BoundPolicy(header.policy_kind, header.policy_bound)
-    cfg = ProtocolConfig(group, header.n, header.m, policy, header.session)
+        policy = BoundPolicy(header.policy_kind, header.policy_bound)
+        cfg = ProtocolConfig(
+            get_group(header.group_id), header.n, header.m, policy, header.session
+        )
+    except (KeyError, ValueError) as exc:
+        raise LedgerRejected(None, "header", f"bad ledger header: {exc.args[0]}") from exc
     posts2 = verify_ledger(cfg, ledger)
     result = None
     if policy.tally_window(cfg.n) is not None:

@@ -15,6 +15,15 @@ The group law is written multiplicatively everywhere (``a * b``, ``a ** e``)
 even for the curve, so higher-level code reads like the underlying algebra.
 Scalars are plain ints in [0, q).  All encodings are fixed-length and
 injective; decoding validates subgroup membership.
+
+Curve points are affine at rest: ``*``, ``==``, hashing and the codec see
+(x, y).  Only ``**`` works in Jacobian coordinates (X, Y, Z) ~ (X/Z^2, Y/Z^3),
+with the a = 0 formulas dbl-2009-l and madd-2007-bl of Bernstein and Lange's
+Explicit-Formulas Database, so an exponentiation pays one field inversion
+instead of one per point addition.  A variable base uses a 4-bit fixed window
+over its 15 affine multiples; the fixed generators g and gamma use a table of
+64 rows x 15 multiples of 16^i (Brickell-Gordon-McCurley-Wilson), built on
+their first exponentiation, and need no doublings at all.
 """
 
 import hashlib
@@ -205,15 +214,31 @@ class CurvePoint:
         return CurvePoint(self.group, self.x, (-self.y) % self.group.p)
 
     def __pow__(self, e: int):
-        e %= self.group.q
-        acc = CurvePoint(self.group, None, None)
-        add = self
-        while e:
-            if e & 1:
-                acc = acc * add
-            add = add * add
-            e >>= 1
-        return acc
+        group = self.group
+        e %= group.q
+        if e == 0 or self.is_identity:
+            return group.identity
+        p = group.p
+        X, Y, Z = _J_IDENTITY
+        table = group._fixed_base_table(self)
+        if table is not None:
+            for row in table:
+                digit = e & _WINDOW_MASK
+                if digit:
+                    X, Y, Z = _jmadd(X, Y, Z, *row[digit - 1], p)
+                e >>= _WINDOW
+        else:
+            row = _multiples(self.x, self.y, _WINDOW_MASK, p)
+            for shift in range((e.bit_length() - 1) // _WINDOW * _WINDOW, -1, -_WINDOW):
+                if Z:
+                    for _ in range(_WINDOW):
+                        X, Y, Z = _jdouble(X, Y, Z, p)
+                digit = (e >> shift) & _WINDOW_MASK
+                if digit:
+                    X, Y, Z = _jmadd(X, Y, Z, *row[digit - 1], p)
+        zi = pow(Z, -1, p)  # Z != 0: 0 < e < q and the group has prime order
+        zi2 = zi * zi % p
+        return CurvePoint(group, X * zi2 % p, Y * zi2 * zi % p)
 
     def __eq__(self, other):
         return (
@@ -232,10 +257,78 @@ class CurvePoint:
         return f"CurvePoint({hex(self.x)}, {hex(self.y)})"
 
 
+# -- Jacobian arithmetic for a = 0 curves, used only inside CurvePoint.__pow__ --
+
+_WINDOW = 4
+_WINDOW_MASK = (1 << _WINDOW) - 1
+_J_IDENTITY = (1, 1, 0)  # any Z = 0 triple is the identity
+
+
+def _jdouble(X, Y, Z, p):
+    """dbl-2009-l: 2(X, Y, Z).  Z = 0 stays 0, so the identity doubles to itself."""
+    A = X * X % p
+    B = Y * Y % p
+    C = B * B % p
+    t = X + B
+    D = 2 * (t * t - A - C) % p
+    E = 3 * A
+    X3 = (E * E - 2 * D) % p
+    return X3, (E * (D - X3) - 8 * C) % p, 2 * Y * Z % p
+
+
+def _jmadd(X1, Y1, Z1, x2, y2, p):
+    """madd-2007-bl: (X1, Y1, Z1) + affine (x2, y2), for every pair of inputs."""
+    if Z1 == 0:
+        return x2, y2, 1
+    Z1Z1 = Z1 * Z1 % p
+    H = (x2 * Z1Z1 - X1) % p
+    r = 2 * (y2 * Z1 * Z1Z1 - Y1) % p
+    if H == 0:
+        # same x: the points are equal (r = 0) or inverse
+        return _jdouble(x2, y2, 1, p) if r == 0 else _J_IDENTITY
+    HH = H * H % p
+    I = 4 * HH
+    J = H * I % p
+    V = X1 * I % p
+    X3 = (r * r - J - 2 * V) % p
+    t = Z1 + H
+    return X3, (r * (V - X3) - 2 * Y1 * J) % p, (t * t - Z1Z1 - HH) % p
+
+
+def _multiples(x, y, count, p):
+    """[(x, y) * j for j = 1..count] as affine pairs, with one inversion.
+
+    count must be below the group order, so no multiple is the identity.
+    """
+    jac = [(x, y, 1)]
+    while len(jac) < count:
+        jac.append(_jmadd(*jac[-1], x, y, p))  # the first step is P + P: a doubling
+    # Montgomery's trick: invert the product of all Z, then peel off each 1/Z
+    prefix = []
+    acc = 1
+    for _, _, Z in jac:
+        prefix.append(acc)
+        acc = acc * Z % p
+    inv = pow(acc, -1, p)
+    out = [None] * count
+    for j in range(count - 1, -1, -1):
+        X, Y, Z = jac[j]
+        zi = inv * prefix[j] % p
+        inv = inv * Z % p
+        zi2 = zi * zi % p
+        out[j] = (X * zi2 % p, Y * zi2 * zi % p)
+    return out
+
+
 class CurveGroup(Group):
-    """Prime-order elliptic curve group y^2 = x^3 + ax + b over F_p, cofactor 1."""
+    """Prime-order elliptic curve group y^2 = x^3 + ax + b over F_p, cofactor 1.
+
+    Exponentiation uses a = 0 formulas, so only a = 0 curves are accepted.
+    """
 
     def __init__(self, group_id, p, a, b, gx, gy, q):
+        if a != 0:
+            raise ValueError("CurvePoint.__pow__ implements a = 0 curves only")
         self.group_id = group_id
         self.p = p
         self.a = a
@@ -244,6 +337,24 @@ class CurveGroup(Group):
         self.g = CurvePoint(self, gx, gy)
         self.identity = CurvePoint(self, None, None)
         self.element_bytes = 1 + (p.bit_length() + 7) // 8
+        self._tables = {}  # (x, y) of g or gamma -> its fixed-base table
+
+    def _fixed_base_table(self, pt):
+        """Rows i = 0..63 of [j * 16^i * pt for j = 1..15] when pt is g or
+        gamma, else None.  Built on the first exponentiation of that base."""
+        key = (pt.x, pt.y)
+        table = self._tables.get(key)
+        if table is None:
+            if key != (self.g.x, self.g.y) and key != (self.gamma.x, self.gamma.y):
+                return None
+            table = []
+            x, y = key
+            for _ in range(-(-self.q.bit_length() // _WINDOW)):
+                row = _multiples(x, y, _WINDOW_MASK + 1, self.p)
+                table.append(row[:-1])
+                x, y = row[-1]
+            self._tables[key] = table
+        return table
 
     def contains(self, a) -> bool:
         if not isinstance(a, CurvePoint):

@@ -166,7 +166,9 @@ class Ledger:
         try:
             header_line = lines[0].decode()
             header = LedgerHeader.from_line(header_line)
-        except (UnicodeDecodeError, ValueError, KeyError, MalformedEncoding) as exc:
+        except (
+            UnicodeDecodeError, ValueError, KeyError, TypeError, AttributeError, MalformedEncoding
+        ) as exc:
             raise ChainBroken(0, f"unreadable header: {exc}") from exc
         ledger = cls.__new__(cls)
         ledger.header = header

@@ -11,12 +11,13 @@ import math
 import random
 import statistics
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from zorro import groups
-from zorro.bench import bench_grid, bench_verify_scaling
+from zorro.bench import bench_grid
 from zorro.dlog import DlogWindow, bsgs
 from zorro.elgamal import Keypair, encrypt_exp, hom_mul, hom_pow
 from zorro.errors import BoundExceeded, ChainBroken, NegativeEntry, ZorroError
@@ -369,7 +370,30 @@ def test_criterion_07_bsgs():
     announce(7, f"exact recovery on [0, 32000]; t(4N)/t(N) = {ratio:.2f} <= 3")
 
 
-def test_criterion_08_benchmark_trends():
+def _verify_group_ops(n, monkeypatch):
+    """Group operations spent verifying all n contributions of one session."""
+    cfg, parties, posts1, posts2, _ = run_session(
+        MOD, n, 4, BoundPolicy.l1(4), [[1, 1, 1, 0]] * n, seed=10, verify=False
+    )
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    with monkeypatch.context() as patch:
+        for name in ("__pow__", "__mul__", "__truediv__", "inverse"):
+            patch.setattr(groups.ModElement, name, counting(name, getattr(groups.ModElement, name)))
+        for post in posts2:
+            ok, reason = verify_contribution(cfg, posts1, post, pads=parties[post.party].pads)
+            assert ok, reason
+    return counts
+
+
+def test_criterion_08_benchmark_trends(monkeypatch):
     ms = [1, 4, 16, 32]
     rows = bench_grid(MOD, "l1", ms, [2], reps=5, seed=8)
     gens = [row.gen_ms for row in rows]
@@ -379,14 +403,15 @@ def test_criterion_08_benchmark_trends():
     tall = bench_grid(MOD, "l1", [1], [32], reps=5, seed=9)[0]
     assert wide.gen_ms > tall.gen_ms, (wide.gen_ms, tall.gen_ms)
 
-    scaling = bench_verify_scaling(MOD, "l1", [2, 8], m=4, B=4, reps=5, seed=10)
-    ratio = scaling[8] / (4 * scaling[2])
-    assert 0.8 <= ratio <= 1.2, f"verify scaling ratio {ratio:.3f}"
+    # verification is linear in n: exact group-op counts, not wall-clock time
+    small, large = _verify_group_ops(2, monkeypatch), _verify_group_ops(8, monkeypatch)
+    assert small["__pow__"] > 0
+    assert large == Counter({op: 4 * c for op, c in small.items()}), (small, large)
     announce(
         8,
         f"gen monotone in m {['%.2f' % g for g in gens]}; "
         f"gen(m=32,B=2)={wide.gen_ms:.2f}ms > gen(m=1,B=32)={tall.gen_ms:.2f}ms; "
-        f"verify linear in n (ratio {ratio:.3f})",
+        f"verify linear in n (group ops n=2 {dict(small)}, n=8 exactly 4x)",
     )
 
 

@@ -210,6 +210,21 @@ def test_verify_rejects_undecodable_round2_post(vote_ledger, tmp_path, capsys, c
     _assert_rejected(path, capsys, "of party 1", "malformed")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("policy_bound", 0), ("policy_kind", "l3"), ("n", 1), ("group_id", "nope")],
+    ids=["bound-0", "kind-l3", "n-1", "unknown-group"],
+)
+def test_verify_rejects_impossible_header(vote_ledger, tmp_path, capsys, field, value):
+    # each used to exit 1, the usage-error code, instead of rejecting the ledger
+    led = Ledger.load(str(vote_ledger))
+    path = tmp_path / "header.ledger"
+    copy = Ledger(dataclasses.replace(led.header, **{field: value}), path=str(path))
+    for entry in led.entries:
+        copy.append(entry.round, entry.party, entry.payload)
+    _assert_rejected(str(path), capsys, "bad ledger header")
+
+
 def test_verify_rejects_second_round2_entry(vote_ledger, capsys):
     # Ledger.append refuses a second post, so chain the extra line by hand:
     # entry_hash = SHA256(prev_hash || canonical entry bytes)

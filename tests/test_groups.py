@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zorro.errors import EntropyFailure, MalformedEncoding, NotInSubgroup
 from zorro import groups
@@ -144,3 +145,74 @@ def test_curve_point_algebra():
 def test_elements_do_not_mix_groups():
     assert TOY.g != MOD.g
     assert groups.ModElement(TOY, 2) != groups.ModElement(MOD, 2)
+
+
+# -- secp256k1 exponentiation against the affine oracle --------------------------
+
+
+def affine_pow(P, e):
+    """Affine double-and-add, the former CurvePoint.__pow__: the test oracle."""
+    e %= P.group.q
+    acc, add = P.group.identity, P
+    while e:
+        if e & 1:
+            acc = acc * add
+        add = add * add
+        e >>= 1
+    return acc
+
+
+def to_affine(X, Y, Z):
+    p = CURVE.p
+    if Z % p == 0:
+        return CURVE.identity
+    zi = pow(Z, -1, p)
+    return groups.CurvePoint(CURVE, X * zi * zi % p, Y * zi**3 % p)
+
+
+HASHED = CURVE.hash_to_group(b"zorro.test.variable-base")
+BASES = {"g": CURVE.g, "gamma": CURVE.gamma, "hashed": HASHED, "identity": CURVE.identity}
+EDGE_SCALARS = [0, 1, 2, 15, 16, 17, CURVE.q - 1, CURVE.q, CURVE.q + 1, -1]
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_curve_exp_matches_affine_oracle(name):
+    base = BASES[name]
+    rng = random.Random(41)
+    for e in EDGE_SCALARS + [rng.getrandbits(256) for _ in range(6)]:
+        assert base ** e == affine_pow(base, e), (name, e)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(e=st.integers(min_value=-(2**256), max_value=2**256), name=st.sampled_from(sorted(BASES)))
+def test_curve_exp_matches_affine_oracle_on_drawn_scalars(e, name):
+    assert BASES[name] ** e == affine_pow(BASES[name], e)
+
+
+def test_curve_exp_is_affine_at_rest():
+    P = HASHED ** 12345
+    assert isinstance(P.x, int) and CURVE.contains(P)
+    assert CURVE.decode_element(CURVE.encode_element(P)) == P
+    assert hash(P) == hash(affine_pow(HASHED, 12345))
+    # only the two fixed generators get a table
+    assert (HASHED.x, HASHED.y) not in CURVE._tables
+    CURVE.g ** 3
+    CURVE.gamma ** 3
+    assert set(CURVE._tables) == {(CURVE.g.x, CURVE.g.y), (CURVE.gamma.x, CURVE.gamma.y)}
+
+
+def test_mixed_add_edge_branches():
+    p, x, y = CURVE.p, HASHED.x, HASHED.y
+    # HASHED in Jacobian form with Z = 5, so the inputs are not trivially equal
+    X, Y, Z = x * 25 % p, y * 125 % p, 5
+    assert to_affine(*groups._jmadd(X, Y, Z, x, y, p)) == HASHED * HASHED  # P + P doubles
+    assert to_affine(*groups._jmadd(X, Y, Z, x, -y % p, p)) == CURVE.identity  # P + (-P)
+    assert groups._jmadd(*groups._J_IDENTITY, x, y, p) == (x, y, 1)  # identity accumulator
+    assert to_affine(*groups._jdouble(*groups._J_IDENTITY, p)) == CURVE.identity
+    Q = CURVE.g ** 7
+    assert to_affine(*groups._jmadd(X, Y, Z, Q.x, Q.y, p)) == HASHED * Q
+
+
+def test_curve_group_rejects_nonzero_a():
+    with pytest.raises(ValueError):
+        groups.CurveGroup("a1", p=23, a=1, b=1, gx=3, gy=10, q=29)

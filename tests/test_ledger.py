@@ -111,6 +111,22 @@ def test_header_mutation_detected(tmp_path):
     assert err.value.seq == 0
 
 
+@pytest.mark.parametrize(
+    "line",
+    [b"[1]", b'{"format":"zorro-ledger/1","group":"mod41","session":"00","n":3,"m":2,"policy":5}'],
+    ids=["not-an-object", "policy-not-an-object"],
+)
+def test_header_of_the_wrong_shape_is_unreadable(tmp_path, line):
+    # both escaped Ledger.load as a bare AttributeError / TypeError
+    path = tmp_path / "session.ledger"
+    filled(path=str(path))
+    raw = path.read_bytes()
+    path.write_bytes(line + raw[raw.index(b"\n"):])
+    with pytest.raises(ChainBroken, match="unreadable header") as err:
+        Ledger.load(str(path))
+    assert err.value.seq == 0
+
+
 def test_unparseable_line_reports_seq(tmp_path):
     path = tmp_path / "session.ledger"
     filled(path=str(path))
