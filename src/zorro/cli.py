@@ -18,7 +18,7 @@ from . import bench as bench_mod
 from . import reductions
 from .dlog import DlogWindow
 from .errors import ChainBroken, LedgerRejected, MissingPost, NotInWindow, ZorroError
-from .groups import get_group, prod_group, test_group
+from .groups import prod_group, test_group
 from .ledger import Ledger
 from .protocol import Party, ProtocolConfig, tally, verify_ledger
 from .rangeproof import BoundPolicy
@@ -84,69 +84,62 @@ def _read_rows(path, cast=int):
     return rows
 
 
-def _totals_csv(result) -> str:
-    return ",".join(str(t) for t in result.totals)
+def _run_and_report(args, vectors, policy, window=None):
+    """Run one session over the per-party vectors and return its totals.
+
+    The ledger is kept at --ledger when the subcommand has that flag and its
+    hash chain is re-checked; the totals are written to --out when given.
+    """
+    m = len(vectors[0]) if vectors else 0
+    session = hashlib.sha256(f"session|{args.seed}".encode()).digest()[:16]
+    cfg = ProtocolConfig(_group_for(args.group), len(vectors), m, policy, session)
+    ledger = Ledger(cfg.header(), path=getattr(args, "ledger", None))
+    totals = run_session(cfg, vectors, ledger, args.seed, window=window).totals
+    ledger.verify_chain()
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(",".join(map(str, totals)) + "\n")
+    return totals
 
 
-def _make_config(group, n, m, policy, seed) -> ProtocolConfig:
-    session = hashlib.sha256(f"session|{seed}".encode()).digest()[:16]
-    return ProtocolConfig(group, n, m, policy, session)
+def _run_encoded(args, encode, inputs):
+    """Encode each party's input with `encode(input) -> (vector, policy)`, then run and report."""
+    vectors, policy = [], None
+    for i, item in enumerate(inputs):
+        try:
+            vec, policy = encode(item)
+        except ZorroError as exc:
+            raise SessionFailure(f"input of party {i} is illegal: {exc}") from exc
+        vectors.append(vec)
+    return _run_and_report(args, vectors, policy)
 
 
 # -- subcommands ----------------------------------------------------------------
 
 
 def cmd_vote(args) -> int:
-    group = _group_for(args.group)
     ballots = _read_rows(args.ballots)
-    m = len(ballots[0])
-    vectors = []
-    policy = None
-    for i, ballot in enumerate(ballots):
-        try:
-            vec, policy = reductions.encode_ballot(ballot, args.bound)
-        except ZorroError as exc:
-            print(f"ballot of voter {i} is illegal: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        vectors.append(vec)
-
-    cfg = _make_config(group, len(ballots), m, policy, args.seed)
-    ledger = Ledger(cfg.header(), path=args.ledger)
-    result = run_session(cfg, vectors, ledger, args.seed)
-    ledger.verify_chain()
-    for j, total in enumerate(result.totals):
+    totals = _run_encoded(args, lambda ballot: reductions.encode_ballot(ballot, args.bound), ballots)
+    for j, total in enumerate(totals):
         print(f"candidate {j}: {total} votes")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_totals_csv(result) + "\n")
     return EXIT_OK
 
 
 def cmd_aggregate(args) -> int:
-    group = _group_for(args.group)
     policy = _policy_for(args.check, args.bound)
     if args.vectors:
         vectors = _read_rows(args.vectors)
-        n, m = len(vectors), len(vectors[0])
-        if n < 2 or m < 1:
-            raise SessionFailure("vectors file must hold >= 2 equal-length rows")
     else:
-        n, m = args.parties, args.dim
         rng = _derived_rng(args.seed, "inputs")
-        vectors = [_random_vector(policy, m, rng) for _ in range(n)]
-
-    cfg = _make_config(group, n, m, policy, args.seed)
-    ledger = Ledger(cfg.header(), path=args.ledger)
+        vectors = [_random_vector(policy, args.dim, rng) for _ in range(args.parties)]
     window = DlogWindow(0, args.window) if policy.kind == "none" else None
-    result = run_session(cfg, vectors, ledger, args.seed, window=window)
-    print("tally:", _totals_csv(result))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(_totals_csv(result) + "\n")
+    print("tally:", ",".join(map(str, _run_and_report(args, vectors, policy, window))))
     return EXIT_OK
 
 
 def _random_vector(policy: BoundPolicy, m: int, rng) -> list:
+    if m < 1:
+        return []  # the session refuses the dimension
     if policy.kind == "l1":
         budget = policy.B
         vec = [0] * m
@@ -163,24 +156,20 @@ def _random_vector(policy: BoundPolicy, m: int, rng) -> list:
 def cmd_verify(args) -> int:
     ledger = Ledger.load(args.ledger)
     ledger.verify_chain()
-    header = ledger.header
     try:
-        policy = BoundPolicy(header.policy_kind, header.policy_bound)
-        cfg = ProtocolConfig(
-            get_group(header.group_id), header.n, header.m, policy, header.session
-        )
+        cfg = ProtocolConfig.from_header(ledger.header)
     except (KeyError, ValueError) as exc:
         raise LedgerRejected(None, "header", f"bad ledger header: {exc.args[0]}") from exc
     posts2 = verify_ledger(cfg, ledger)
     result = None
-    if policy.tally_window(cfg.n) is not None:
+    if cfg.policy.tally_window(cfg.n) is not None:
         try:
             result = tally(cfg, posts2)
         except NotInWindow as exc:
             raise LedgerRejected(None, "tally", f"tally failed at {exc}") from exc
     print(f"ledger ok: {len(ledger.entries)} entries, {cfg.n} parties verified")
     if result is not None:
-        print("tally:", _totals_csv(result))
+        print("tally:", ",".join(map(str, result.totals)))
     return EXIT_OK
 
 
@@ -202,104 +191,82 @@ def cmd_bench(args) -> int:
 # -- reduction demos --------------------------------------------------------------
 
 
-def _run_plain(cfg, vectors, seed):
-    return run_session(cfg, vectors, Ledger(cfg.header()), seed)
-
-
 def _split_rows(rows, parties):
-    if len(rows) < parties:
-        raise SessionFailure(f"need at least {parties} rows for {parties} parties")
-    chunk = -(-len(rows) // parties)
-    return [rows[i * chunk : (i + 1) * chunk] for i in range(parties)]
+    """Balanced shares of the dataset rows, one per party (sizes differ by at most one)."""
+    if not 0 < parties <= len(rows):
+        raise SessionFailure(f"cannot split {len(rows)} rows over {parties} parties")
+    return np.array_split(np.asarray(rows), parties)
+
+
+def _sample_tables(path, parties, values=None):
+    """Per-party (feature value x label) count tables from a file of 'value label'
+    rows, and the row count; `values` defaults to the largest value seen + 1."""
+    rows = _read_rows(path)
+    values = values or max(r[0] for r in rows) + 1
+    if any(len(r) != 2 or not 0 <= r[0] < values or r[1] < 0 for r in rows):
+        raise SessionFailure(f"samples must be rows 'feature label', 0 <= feature < {values}")
+    k = max(r[1] for r in rows) + 1
+    tables = []
+    for share in _split_rows(rows, parties):
+        table = [[0] * k for _ in range(values)]
+        for v, y in share:
+            table[v][y] += 1
+        tables.append(table)
+    return tables, len(rows)
+
+
+def _count_session(args, tables, cap):
+    """Tally per-party count tables under L1(cap); returns (tallied, centralised) tables."""
+    totals = _run_encoded(args, lambda t: reductions.encode_counts(t, cap), tables)
+    tallied = reductions.decode_counts(totals, np.shape(tables[0]))
+    return tallied, np.sum(np.array(tables), axis=0)
 
 
 def cmd_demo_lda(args) -> int:
     rng = _derived_rng(args.seed, "lda")
-    words, topics, cap = 6, 3, 40
-    n = args.parties
+    words, topics = 6, 3
     matrices = [
-        [[rng.randrange(3) for _ in range(topics)] for _ in range(words)] for _ in range(n)
+        [[rng.randrange(3) for _ in range(topics)] for _ in range(words)]
+        for _ in range(args.parties)
     ]
-    encoded = [reductions.encode_counts(mat, cap) for mat in matrices]
-    policy = encoded[0][1]
-    cfg = _make_config(_group_for(args.group), n, words * topics, policy, args.seed)
-    result = _run_plain(cfg, [vec for vec, _ in encoded], args.seed)
-    tallied = reductions.decode_counts(result.totals, (words, topics))
-    central = np.sum(np.array(matrices), axis=0)
+    tallied, central = _count_session(args, matrices, cap=40)
+    same = bool(np.array_equal(tallied, central))
     print("aggregated word-topic counts:")
     print(tallied)
-    print("matches centralized sum:", bool(np.array_equal(tallied, central)))
-    return EXIT_OK if np.array_equal(tallied, central) else EXIT_PROOF
+    print("matches centralized sum:", same)
+    return EXIT_OK if same else EXIT_PROOF
 
 
 def cmd_demo_id3(args) -> int:
-    rng = _derived_rng(args.seed, "id3")
-    n = args.parties
     if args.samples:
-        # rows "feature_value label" with a binary feature
-        rows = _read_rows(args.samples)
-        if any(len(r) != 2 or r[0] not in (0, 1) or r[1] < 0 for r in rows):
-            raise SessionFailure("samples must be rows 'feature(0|1) label'")
-        k = max(r[1] for r in rows) + 1
-        cap = len(rows)
-        ps, qs = [], []
-        for chunk in _split_rows(rows, n):
-            p, q = [0] * k, [0] * k
-            for f, y in chunk:
-                (p if f == 0 else q)[y] += 1
-            ps.append(p)
-            qs.append(q)
+        tables, cap = _sample_tables(args.samples, args.parties, values=2)
     else:
+        rng = _derived_rng(args.seed, "id3")
         k, cap = 3, 60
-        # per user: p = counts with feature 0, q = counts with feature 1
-        ps = [[rng.randrange(5) for _ in range(k)] for _ in range(n)]
-        qs = [[rng.randrange(5) for _ in range(k)] for _ in range(n)]
-    vectors = [reductions.encode_counts([p, q], cap)[0] for p, q in zip(ps, qs)]
-    policy = reductions.encode_counts([ps[0], qs[0]], cap)[1]
-    cfg = _make_config(_group_for(args.group), n, 2 * k, policy, args.seed)
-    result = _run_plain(cfg, vectors, args.seed)
-    split = reductions.decode_counts(result.totals, (2, k))
-    c = split.sum(axis=0)
-    gain = reductions.compute_gain(c, split)
-    p_sum = [sum(p[j] for p in ps) for j in range(k)]
-    q_sum = [sum(q[j] for q in qs) for j in range(k)]
-    central = reductions.compute_gain(
-        [a + b for a, b in zip(p_sum, q_sum)], [p_sum, q_sum]
-    )
+        # per user: p = label counts with feature 0, q = with feature 1
+        ps = [[rng.randrange(5) for _ in range(k)] for _ in range(args.parties)]
+        qs = [[rng.randrange(5) for _ in range(k)] for _ in range(args.parties)]
+        tables = [[p, q] for p, q in zip(ps, qs)]
+    split, central_split = _count_session(args, tables, cap)
+    gain = reductions.compute_gain(split.sum(axis=0), split)
+    central = reductions.compute_gain(central_split.sum(axis=0), central_split)
     print(f"entropy gain (distributed): {gain:.6f}")
     print(f"entropy gain (centralized): {central:.6f}")
     return EXIT_OK if abs(gain - central) < 1e-12 else EXIT_PROOF
 
 
 def cmd_demo_nb(args) -> int:
-    rng = _derived_rng(args.seed, "nb")
-    n = args.parties
     if args.samples:
-        rows = _read_rows(args.samples)
-        if any(len(r) != 2 or r[0] < 0 or r[1] < 0 for r in rows):
-            raise SessionFailure("samples must be rows 'feature_value label'")
-        values = max(r[0] for r in rows) + 1
-        k = max(r[1] for r in rows) + 1
-        cap = len(rows)
-        tables = []
-        for chunk in _split_rows(rows, n):
-            table = [[0] * k for _ in range(values)]
-            for v, y in chunk:
-                table[v][y] += 1
-            tables.append(table)
+        tables, cap = _sample_tables(args.samples, args.parties)
     else:
+        rng = _derived_rng(args.seed, "nb")
         k, values, cap = 2, 3, 80
         tables = [
-            [[1 + rng.randrange(4) for _ in range(k)] for _ in range(values)] for _ in range(n)
+            [[1 + rng.randrange(4) for _ in range(k)] for _ in range(values)]
+            for _ in range(args.parties)
         ]
-    vectors = [reductions.encode_counts(t, cap)[0] for t in tables]
-    policy = reductions.encode_counts(tables[0], cap)[1]
-    cfg = _make_config(_group_for(args.group), n, values * k, policy, args.seed)
-    result = _run_plain(cfg, vectors, args.seed)
-    table = reductions.decode_counts(result.totals, (values, k))
-    labels = table.sum(axis=0)
-    priors, conds = reductions.nb_parameters(labels, [table])
-    central_table = np.sum(np.array(tables), axis=0)
+    table, central_table = _count_session(args, tables, cap)
+    priors, conds = reductions.nb_parameters(table.sum(axis=0), [table])
     priors_c, conds_c = reductions.nb_parameters(central_table.sum(axis=0), [central_table])
     print("class priors:", np.round(priors, 6))
     print("conditionals:")
@@ -310,27 +277,20 @@ def cmd_demo_nb(args) -> int:
 
 
 def cmd_demo_regression(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    n = args.parties
     if args.data:
         rows = np.asarray(_read_rows(args.data, cast=float))
         if rows.shape[1] < 2:
             raise SessionFailure("data rows must be 'x1 ... xd y'")
-        X, Y = rows[:, :-1], rows[:, -1]
-        d, samples = X.shape[1], X.shape[0]
     else:
-        d, samples = 2, 24
-        X = rng.integers(-8, 9, size=(samples, d))
-        beta_true = np.array([2.0, -1.0])
-        Y = (X @ beta_true).astype(int)
-    parts = np.array_split(np.arange(samples), n)
-    vectors, policy = [], None
-    for idx in parts:
-        vec, policy = reductions.encode_regression(X[idx], Y[idx], bound=10**6)
-        vectors.append(vec)
-    cfg = _make_config(_group_for(args.group), n, d * d + d, policy, args.seed)
-    result = _run_plain(cfg, vectors, args.seed)
-    beta = reductions.solve_beta(result.totals, d)
+        X = np.random.default_rng(args.seed).integers(-8, 9, size=(24, 2))
+        rows = np.column_stack([X, (X @ np.array([2.0, -1.0])).astype(int)])
+    X, Y = rows[:, :-1], rows[:, -1]
+    totals = _run_encoded(
+        args,
+        lambda share: reductions.encode_regression(share[:, :-1], share[:, -1], bound=10**6),
+        _split_rows(rows, args.parties),
+    )
+    beta = reductions.solve_beta(totals, X.shape[1])
     # oracle: centralized least squares on the same floor-quantized data
     central, *_ = np.linalg.lstsq(np.floor(X).astype(float), np.floor(Y).astype(float), rcond=None)
     print("beta (distributed): ", np.round(beta, 9))
@@ -351,24 +311,20 @@ def cmd_demo_cf(args) -> int:
         if any(v < 0 for row in rows for v in row):
             raise SessionFailure("ratings must be non-negative integers")
         ratings = [np.asarray(row) for row in rows]
-        n, items = len(ratings), len(rows[0])
+        items = len(rows[0])
     else:
         items = 4
-        n = args.parties
-        ratings = [rng.integers(0, 6, size=items) for _ in range(n)]
+        ratings = [rng.integers(0, 6, size=items) for _ in range(args.parties)]
     A = rng.normal(scale=0.3, size=(k, items))
-    vectors, policy = [], None
-    for P in ratings:
-        vec, policy = reductions.encode_cf_gradient(A, P, bound=10**9, scale=scale)
-        vectors.append(vec)
-    cfg = _make_config(_group_for(args.group), n, k * items, policy, args.seed)
-    result = _run_plain(cfg, vectors, args.seed)
+    totals = _run_encoded(
+        args, lambda P: reductions.encode_cf_gradient(A, P, bound=10**9, scale=scale), ratings
+    )
     central = sum(reductions.cf_gradient(A, P) for P in ratings)
-    tallied = np.array([float(v) for v in result.totals]).reshape(k, items) / scale
+    tallied = np.array([float(v) for v in totals]).reshape(k, items) / scale
     err = np.abs(tallied - central).max()
-    tol = 2 * n / scale
+    tol = 2 * len(ratings) / scale
     print(f"gradient max deviation: {err:.3e} (fixed-point tolerance {tol:.3e})")
-    A_next = reductions.cf_gradient_step(result.totals, A, step=0.05, scale=scale)
+    A_next = reductions.cf_gradient_step(totals, A, step=0.05, scale=scale)
     print("factor updated, norm change:", f"{np.linalg.norm(A_next - A):.6f}")
     return EXIT_OK if err <= tol else EXIT_PROOF
 

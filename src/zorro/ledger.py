@@ -51,10 +51,11 @@ class LedgerHeader:
 
     @classmethod
     def from_line(cls, line: str) -> "LedgerHeader":
+        """Parse a header line; only the exact bytes `to_line` writes are accepted."""
         obj = json.loads(line)
         if obj.get("format") != "zorro-ledger/1":
             raise MalformedEncoding("not a zorro ledger file")
-        return cls(
+        header = cls(
             group_id=obj["group"],
             session=bytes.fromhex(obj["session"]),
             n=int(obj["n"]),
@@ -62,6 +63,9 @@ class LedgerHeader:
             policy_kind=obj["policy"]["kind"],
             policy_bound=int(obj["policy"]["bound"]),
         )
+        if header.to_line() != line:
+            raise MalformedEncoding("header is not in canonical form")
+        return header
 
 
 @dataclass(frozen=True)

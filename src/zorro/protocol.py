@@ -33,7 +33,7 @@ from .errors import (
     NotInWindow,
     ZorroError,
 )
-from .groups import Group
+from .groups import Group, get_group
 from .ledger import LedgerHeader
 from .rangeproof import BoundPolicy, L1RangeProof, L2RangeProof
 from .sigma import DlogProof, FsTranscript, prove_dlog, verify_dlog
@@ -62,6 +62,12 @@ class ProtocolConfig:
         return LedgerHeader(
             self.group.group_id, self.session, self.n, self.m, self.policy.kind, self.policy.B
         )
+
+    @classmethod
+    def from_header(cls, header: LedgerHeader) -> "ProtocolConfig":
+        """The config a ledger header describes; KeyError or ValueError if none can."""
+        policy = BoundPolicy(header.policy_kind, header.policy_bound)
+        return cls(get_group(header.group_id), header.n, header.m, policy, header.session)
 
     def base_context(self) -> FsTranscript:
         return FsTranscript(

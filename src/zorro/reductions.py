@@ -46,11 +46,6 @@ def encode_ballot(ballot, B: int):
     return votes, BoundPolicy.l1(B - 1)
 
 
-def decode_tally(totals):
-    """Per-candidate vote totals; the inverse of encode_ballot is identity."""
-    return list(totals)
-
-
 # -- count matrices (LDA sync, ID3 / naive Bayes statistics) -------------------
 
 
@@ -144,24 +139,18 @@ class RegressionTensors:
 
     gram: np.ndarray
     moments: np.ndarray
-    scale: int
-    rounding: str
-
-    @property
-    def d(self) -> int:
-        return self.moments.shape[0]
 
     def to_vector(self):
         return [int(v) for v in self.gram.reshape(-1)] + [int(v) for v in self.moments]
 
     @classmethod
-    def from_vector(cls, vector, d: int, scale: int = 1, rounding: str = "floor"):
+    def from_vector(cls, vector, d: int):
         vec = list(vector)
         if len(vec) != d * d + d:
             raise ShapeMismatch(f"expected {d * d + d} entries, got {len(vec)}")
         gram = np.array(vec[: d * d], dtype=object).reshape(d, d)
         moments = np.array(vec[d * d :], dtype=object)
-        return cls(gram, moments, scale, rounding)
+        return cls(gram, moments)
 
 
 def _quantize(arr, scale: int, rounding: str):
@@ -177,11 +166,13 @@ def regression_tensors(X, Y, scale: int = 1, rounding: str = "floor") -> Regress
     Y = np.asarray(Y, dtype=float)
     if X.ndim != 2 or Y.ndim != 1 or X.shape[0] != Y.shape[0]:
         raise ShapeMismatch("X must be (samples x d) and Y (samples,)")
+    if X.shape[0] == 0:
+        raise EmptyDataset("regression over zero samples")
     Xq = _quantize(X, scale, rounding)
     Yq = _quantize(Y.reshape(-1, 1), scale, rounding).reshape(-1)
     gram = Xq.T @ Xq
     moments = Xq.T @ Yq
-    return RegressionTensors(gram, moments, scale, rounding)
+    return RegressionTensors(gram, moments)
 
 
 def encode_regression(X, Y, bound: int, scale: int = 1, rounding: str = "floor"):

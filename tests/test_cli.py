@@ -317,12 +317,43 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
-@pytest.mark.parametrize(
-    "command", ["demo-lda", "demo-id3", "demo-nb", "demo-regression", "demo-cf"]
-)
+# SHA-256 of each demo's whole stdout at --seed 4
+_DEMO_STDOUT = {
+    "demo-lda": "5c03db5040dbe04b9cb79055392f2c0452cd9b00db3f554d7106af8f251fa489",
+    "demo-id3": "f3c7f87738a7594d23d80206aa765e1373fc168f6d0a2f08c25f777a3eda87a8",
+    "demo-nb": "f04bc0445acb4f71cb4160a570dac9569fbc2052f457e74af114547dd5030f0d",
+    "demo-regression": "d85d06826749191a52c41183850cc94888570cb036c2a601f982df6ad67a5ec4",
+    "demo-cf": "b0206d885ba3f3f29e3c8367cbba95ed05e38e9c4e048500ce85610dd349d953",
+}
+
+
+@pytest.mark.parametrize("command", list(_DEMO_STDOUT))
 def test_demos_match_centralized(command, capsys):
     assert run([command, "--seed", "4"]) == EXIT_OK
-    capsys.readouterr()
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _DEMO_STDOUT[command]
+
+
+@pytest.mark.parametrize(
+    "argv, data, name",
+    [
+        (["demo-lda", "--parties", "0"], None, "parties"),
+        (["demo-id3", "--parties", "0"], None, "parties"),
+        (["demo-nb", "--parties", "0"], None, "parties"),
+        (["demo-regression", "--parties", "30"], None, "rows"),
+        (["demo-regression", "--parties", "3", "--data", "FILE"], "1,2\n2,3\n", "rows"),
+        (["demo-id3", "--parties", "3", "--samples", "FILE"], "0 0\n1 1\n", "rows"),
+        (["aggregate", "--dim", "0", "--bound", "4", "--ledger", "FILE"], None, "dimension"),
+    ],
+    ids=["lda-0", "id3-0", "nb-0", "regression-30", "regression-data", "id3-samples", "dim-0"],
+)
+def test_bad_party_counts_are_usage_errors(tmp_path, capsys, argv, data, name):
+    # the demo cases other than id3-samples escaped main as IndexError /
+    # AttributeError tracebacks; --dim 0 said "empty range for randrange()"
+    path = tmp_path / "input"
+    if data is not None:
+        path.write_text(data)
+    assert run([str(path) if arg == "FILE" else arg for arg in argv]) == EXIT_USAGE
+    assert name in capsys.readouterr().err
 
 
 def test_demo_regression_data_file(tmp_path, capsys):

@@ -111,13 +111,24 @@ def test_header_mutation_detected(tmp_path):
     assert err.value.seq == 0
 
 
+def _header_with_n(value):
+    return header().to_line().replace('"n":3', f'"n":{value}').encode()
+
+
 @pytest.mark.parametrize(
     "line",
-    [b"[1]", b'{"format":"zorro-ledger/1","group":"mod41","session":"00","n":3,"m":2,"policy":5}'],
-    ids=["not-an-object", "policy-not-an-object"],
+    [
+        b"[1]",
+        b'{"format":"zorro-ledger/1","group":"mod41","session":"00","n":3,"m":2,"policy":5}',
+        _header_with_n('"3"'),
+        _header_with_n("3.0"),
+        _header_with_n("3.7"),
+    ],
+    ids=["not-an-object", "policy-not-an-object", "n-string", "n-float", "n-fraction"],
 )
 def test_header_of_the_wrong_shape_is_unreadable(tmp_path, line):
-    # both escaped Ledger.load as a bare AttributeError / TypeError
+    # the first two escaped Ledger.load as a bare AttributeError / TypeError;
+    # the n variants were read as n=3, so a re-chained copy passed verify
     path = tmp_path / "session.ledger"
     filled(path=str(path))
     raw = path.read_bytes()

@@ -21,7 +21,6 @@ from zorro.reductions import (
     compute_entropy,
     compute_gain,
     decode_counts,
-    decode_tally,
     encode_ballot,
     encode_cf_gradient,
     encode_counts,
@@ -59,7 +58,7 @@ def test_ballot_abstention():
 def test_vote_tally_roundtrip():
     ballots = [[3, 0], [1, 2], [0, 1]]
     vectors = [encode_ballot(b, B=4)[0] for b in ballots]
-    assert decode_tally(aggregate(vectors)) == [4, 3]
+    assert aggregate(vectors) == [4, 3]
 
 
 # -- count matrices ------------------------------------------------------------
@@ -244,6 +243,8 @@ def test_regression_shape_checks():
         encode_regression([[1, 2]], [1, 2], bound=100)
     with pytest.raises(ShapeMismatch):
         RegressionTensors.from_vector([1, 2, 3], d=2)
+    with pytest.raises(EmptyDataset):
+        encode_regression(np.zeros((0, 2)), np.zeros(0), bound=100)
 
 
 # -- collaborative filtering --------------------------------------------------------------
