@@ -8,7 +8,7 @@ map common joint-training statistics onto that primitive.
 
 from .dlog import DlogWindow, bsgs
 from .elgamal import Ciphertext, Keypair, decrypt_point, encrypt_exp, hom_mul, hom_pow
-from .groups import get_group, prod_group, system_rng, test_group, toy_group
+from .groups import get_group, prod_group, test_group, toy_group
 from .ledger import Ledger, LedgerEntry, LedgerHeader
 from .protocol import (
     Party,
@@ -22,7 +22,6 @@ from .protocol import (
     round2_generate,
     tally,
     verify_contribution,
-    verify_contribution_payload,
     verify_ledger,
     verify_round1,
 )

@@ -30,10 +30,6 @@ class BenchRow:
     tally_ms: float
 
 
-def _policy(kind: str, B: int) -> BoundPolicy:
-    return BoundPolicy.l1(B) if kind == "l1" else BoundPolicy.l2(B)
-
-
 def _legal_vector(m: int, B: int) -> list:
     # a few ones, always legal under either policy for B >= 1
     ones = min(m, B)
@@ -41,12 +37,12 @@ def _legal_vector(m: int, B: int) -> list:
 
 
 def _session(group, kind: str, n: int, m: int, B: int, rng):
-    cfg = ProtocolConfig(group, n, m, _policy(kind, B), bytes(rng.randbytes(16)))
+    cfg = ProtocolConfig(group, n, m, BoundPolicy(kind, B), bytes(rng.randbytes(16)))
     parties = [Party(cfg, i, random.Random(rng.randrange(2**63))) for i in range(n)]
     posts1 = [p.round1() for p in parties]
     for p in parties:
         p.receive_round1(posts1)
-    return cfg, parties, posts1
+    return cfg, parties
 
 
 def bench_grid(group, kind: str, ms, Bs, reps: int = 3, seed: int = 0):
@@ -55,19 +51,18 @@ def bench_grid(group, kind: str, ms, Bs, reps: int = 3, seed: int = 0):
     rows = []
     for m in ms:
         for B in Bs:
-            cfg, parties, posts1 = _session(group, kind, 2, m, B, rng)
+            cfg, parties = _session(group, kind, 2, m, B, rng)
             values = _legal_vector(m, B)
             gen_times, verify_times, tally_times = [], [], []
-            pads = {p.index: p.pads for p in parties}
+            first = parties[0]
             for _ in range(reps):
                 t0 = time.perf_counter()
                 post = round2_generate(
-                    cfg, 0, values, parties[0].secret, pads[0], parties[0].keypair,
-                    parties[0].rng,
+                    cfg, 0, values, first.secret, first.pads, first.keypair, first.rng
                 )
                 gen_times.append(time.perf_counter() - t0)
                 t0 = time.perf_counter()
-                ok, reason = verify_contribution(cfg, posts1, post, pads=pads[0])
+                ok, reason = verify_contribution(cfg, post, first.pads)
                 verify_times.append(time.perf_counter() - t0)
                 assert ok, reason
             other = parties[1].round2(values)

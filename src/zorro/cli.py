@@ -43,7 +43,7 @@ def _policy_for(kind: str, bound: int) -> BoundPolicy:
         return BoundPolicy.none()
     if bound is None:
         raise SessionFailure(f"--bound is required for --check {kind}")
-    return BoundPolicy.l1(bound) if kind == "l1" else BoundPolicy.l2(bound)
+    return BoundPolicy(kind, bound)
 
 
 def _derived_rng(seed: int, label: str) -> random.Random:

@@ -28,7 +28,6 @@ their first exponentiation, and need no doublings at all.
 
 import hashlib
 from itertools import count
-from random import SystemRandom
 
 from .errors import EntropyFailure, MalformedEncoding, NotInSubgroup
 
@@ -460,8 +459,3 @@ def get_group(group_id: str) -> Group:
 _register(ModGroup("toy23", p=23, q=11, g=2))
 _register(ModGroup("mod41", **_MOD41))
 _register(CurveGroup("secp256k1", **_SECP256K1))
-
-
-def system_rng() -> SystemRandom:
-    """OS-backed entropy source for non-test use."""
-    return SystemRandom()

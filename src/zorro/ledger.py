@@ -174,13 +174,7 @@ class Ledger:
             UnicodeDecodeError, ValueError, KeyError, TypeError, AttributeError, MalformedEncoding
         ) as exc:
             raise ChainBroken(0, f"unreadable header: {exc}") from exc
-        ledger = cls.__new__(cls)
-        ledger.header = header
-        ledger.path = None
-        ledger.entries = []
-        ledger._slots = set()
-        ledger._lock = threading.Lock()
-        ledger._header_line = header_line
+        ledger = cls(header)  # from_line guarantees header.to_line() == header_line
         for pos, line in enumerate(lines[1:]):
             try:
                 text = line.decode()

@@ -9,10 +9,11 @@ keys
 which satisfy prod_i h_ij^(x_ij) = 1 for every slot j.
 
 Round 2: party i posts E[T_ij] = (g^(x_ij), g^(T_ij) h_ij^(x_ij)) - the same
-x_ij, by construction - plus the validity bundle its policy demands.  The
-slot-wise product of all posted second components collapses to g^(sum T_ij),
-and a baby-step/giant-step search over the policy window recovers the sum.
-No decryption key exists: the "key" cancels only when all n posts multiply.
+x_ij, which verify_ledger checks - plus the validity bundle its policy
+demands.  The slot-wise product of all posted second components collapses to
+g^(sum T_ij), and a baby-step/giant-step search over the policy window
+recovers the sum.  No decryption key exists: the "key" cancels only when all
+n posts multiply.
 
 A party that completes round 1 but never posts round 2 leaves the pads
 uncancellable; tally() then fails naming the culprit, and the session must
@@ -173,31 +174,34 @@ def round1_generate(cfg: ProtocolConfig, party: int, rng):
     return Round1Secret(party, tuple(x)), Round1Post(party, tuple(elements), tuple(proofs))
 
 
-def verify_round1(cfg: ProtocolConfig, post: Round1Post) -> bool:
+def _round1_failure(cfg: ProtocolConfig, post: Round1Post):
+    """First slot whose proof fails (0 for a wrong dimension), or None if all hold."""
     if len(post.elements) != cfg.m or len(post.proofs) != cfg.m:
-        return False
+        return 0
     base = cfg.base_context()
-    return all(
-        verify_dlog(cfg.group, post.elements[j], post.proofs[j], base.child(b"r1", post.party, j))
-        for j in range(cfg.m)
-    )
+    for j in range(cfg.m):
+        ctx = base.child(b"r1", post.party, j)
+        if not verify_dlog(cfg.group, post.elements[j], post.proofs[j], ctx):
+            return j
+    return None
+
+
+def verify_round1(cfg: ProtocolConfig, post: Round1Post) -> bool:
+    return _round1_failure(cfg, post) is None
 
 
 def derive_pads(cfg: ProtocolConfig, round1_posts, party: int):
     """Pad keys h_ij for `party` from everyone's round-1 posts.
 
-    All n posts must be present and every discrete-log proof must check out
+    All n posts must be present (else MissingPost) and every discrete-log
+    proof must check out (else InvalidRound1Proof naming party and slot)
     before any pad is trusted.
     """
     table = _by_party(cfg, round1_posts)
-    base = cfg.base_context()
     for k in range(cfg.n):
-        post = table[k]
-        if len(post.elements) != cfg.m or len(post.proofs) != cfg.m:
-            raise InvalidRound1Proof(k, 0)
-        for j in range(cfg.m):
-            if not verify_dlog(cfg.group, post.elements[j], post.proofs[j], base.child(b"r1", k, j)):
-                raise InvalidRound1Proof(k, j)
+        slot = _round1_failure(cfg, table[k])
+        if slot is not None:
+            raise InvalidRound1Proof(k, slot)
     pads = []
     for j in range(cfg.m):
         h = cfg.group.identity
@@ -235,18 +239,15 @@ def round2_generate(
     return Round2Post(party, cts, bundle)
 
 
-def verify_contribution(cfg: ProtocolConfig, round1_posts, post: Round2Post, pads=None):
-    """Check one round-2 post against the re-derived pad keys.
+def verify_contribution(cfg: ProtocolConfig, post: Round2Post, pads):
+    """Check one round-2 post against its party's pad keys.
 
-    Returns (ok, reason).  Round-1 posts are a precondition: missing or
-    invalid ones raise, they are not this contribution's fault.  Callers
-    that already derived this party's pads may pass them to skip the
-    re-derivation.
+    `pads` is derive_pads(cfg, round1_posts, post.party).  Returns
+    (ok, reason).  That each ciphertext reuses the party's round-1 element
+    is verify_ledger's check: the pads alone do not carry those elements.
     """
     if len(post.cts) != cfg.m:
         return False, "malformed"
-    if pads is None:
-        pads = derive_pads(cfg, round1_posts, post.party)
     ctx = cfg.base_context().child(b"r2", post.party)
     if cfg.policy.kind == rangeproof.NONE:
         if post.bundle is not None:
@@ -259,16 +260,6 @@ def verify_contribution(cfg: ProtocolConfig, round1_posts, post: Round2Post, pad
     if not isinstance(post.bundle, L2RangeProof):
         return False, "policy"
     return rangeproof.verify_l2(cfg.group, post.cts, post.bundle, cfg.policy, pads, ctx)
-
-
-def verify_contribution_payload(cfg: ProtocolConfig, round1_posts, payload: bytes, pads=None):
-    """Ledger-facing variant of verify_contribution: malformed payload bytes
-    are a rejection, never an exception."""
-    try:
-        post = Round2Post.from_bytes(cfg.group, payload)
-    except ZorroError:
-        return False, "malformed"
-    return verify_contribution(cfg, round1_posts, post, pads=pads)
 
 
 def tally(cfg: ProtocolConfig, round2_posts, window: DlogWindow | None = None) -> TallyResult:
@@ -328,32 +319,41 @@ def _ledger_round(cfg: ProtocolConfig, ledger, round: int) -> list:
     return [posts[i] for i in range(cfg.n)]
 
 
+def _rejected(what: str, party: int, check: str, detail=None) -> LedgerRejected:
+    message = f"{what} of party {party} rejected ({check})"
+    return LedgerRejected(party, check, message + (f": {detail}" if detail else ""))
+
+
 def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
     """Publicly verify every post of a session ledger; anyone can run this.
 
     Checks that the header matches cfg, that each of the n parties posted
-    exactly once per round under its own id, that every round-1 proof holds
-    and that every contribution proves valid.  Returns the round-2 posts in
-    party order, ready for tally().  The hash chain is the caller's to check
+    exactly once per round under its own id, that each ciphertext reuses its
+    round-1 element g^(x_ij) ("binding"; else the pads need not cancel),
+    that every round-1 proof holds and that every contribution proves valid
+    under its derive_pads keys.  Returns the round-2 posts in party order,
+    ready for tally().  The hash chain is the caller's to check
     (Ledger.verify_chain).  A failed check raises LedgerRejected naming the
-    party and the check; an absent post raises MissingPost.  Malformed bytes
-    never raise anything else.
+    party, the check and, where there is one, the slot; an absent post
+    raises MissingPost.  Malformed bytes never raise anything else.
     """
     if ledger.header != cfg.header():
         raise LedgerRejected(None, "header", "ledger header does not match the session")
     posts1 = _ledger_round(cfg, ledger, 1)
     posts2 = _ledger_round(cfg, ledger, 2)
+    for post1, post2 in zip(posts1, posts2):
+        for j in range(cfg.m):
+            if post2.cts[j].A != post1.elements[j]:
+                detail = f"slot {j} does not reuse its round-1 element"
+                raise _rejected("contribution", post2.party, "binding", detail)
     for post in posts1:
-        if not verify_round1(cfg, post):
-            raise LedgerRejected(
-                post.party, "round1", f"round-1 proof of party {post.party} rejected"
-            )
+        slot = _round1_failure(cfg, post)
+        if slot is not None:
+            raise _rejected("round-1 proof", post.party, "round1", f"slot {slot}")
     for post in posts2:
-        ok, reason = verify_contribution(cfg, posts1, post)
+        ok, reason = verify_contribution(cfg, post, derive_pads(cfg, posts1, post.party))
         if not ok:
-            raise LedgerRejected(
-                post.party, reason, f"contribution of party {post.party} rejected ({reason})"
-            )
+            raise _rejected("contribution", post.party, reason)
     return posts2
 
 

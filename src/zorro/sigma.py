@@ -159,6 +159,11 @@ class BitProof(Record):
     r2: int
 
 
+def _bit_branch(group, x, y, pk, bit: int, d: int, r: int):
+    """Commitments (g^r * x^d, pk^r * (y / g^bit)^d) of the branch claiming `bit`."""
+    return group.g ** r * x ** d, pk ** r * (y / group.g if bit else y) ** d
+
+
 def prove_bit(group, m: int, r: int, ct: Ciphertext, pk, ctx: FsTranscript, rng) -> BitProof:
     """Prove ct = (g^r, pk^r) or (g^r, pk^r * g) without revealing which."""
     if m not in (0, 1):
@@ -166,27 +171,18 @@ def prove_bit(group, m: int, r: int, ct: Ciphertext, pk, ctx: FsTranscript, rng)
     if ct != encrypt_exp(group, m, r, pk):
         raise KeyMismatch("ciphertext does not match witness under this key")
     x, y = ct.A, ct.B
-    q = group.q
+    # the branch claiming m is real; the other is simulated from (d_sim, r_sim)
     w = group.random_scalar(rng)
+    d_sim, r_sim = group.random_scalar(rng), group.random_scalar(rng)
+    real = (group.g ** w, pk ** w)
+    sim = _bit_branch(group, x, y, pk, 1 - m, d_sim, r_sim)
+    (a1, b1), (a2, b2) = (real, sim) if m == 0 else (sim, real)
+    c = _chal(group, ctx, pk, x, y, a1, b1, a2, b2)
+    d_real = (c - d_sim) % group.q
+    r_real = (w - r * d_real) % group.q
     if m == 0:
-        # real branch 1, simulated branch 2
-        d2, r2 = group.random_scalar(rng), group.random_scalar(rng)
-        a1, b1 = group.g ** w, pk ** w
-        a2 = group.g ** r2 * x ** d2
-        b2 = pk ** r2 * (y / group.g) ** d2
-        c = _chal(group, ctx, pk, x, y, a1, b1, a2, b2)
-        d1 = (c - d2) % q
-        r1 = (w - r * d1) % q
-    else:
-        # simulated branch 1, real branch 2
-        d1, r1 = group.random_scalar(rng), group.random_scalar(rng)
-        a1 = group.g ** r1 * x ** d1
-        b1 = pk ** r1 * y ** d1
-        a2, b2 = group.g ** w, pk ** w
-        c = _chal(group, ctx, pk, x, y, a1, b1, a2, b2)
-        d2 = (c - d1) % q
-        r2 = (w - r * d2) % q
-    return BitProof(a1, b1, a2, b2, d1, d2, r1, r2)
+        return BitProof(a1, b1, a2, b2, d_real, d_sim, r_real, r_sim)
+    return BitProof(a1, b1, a2, b2, d_sim, d_real, r_sim, r_real)
 
 
 def verify_bit(group, ct: Ciphertext, pk, proof: BitProof, ctx: FsTranscript) -> bool:
@@ -194,13 +190,9 @@ def verify_bit(group, ct: Ciphertext, pk, proof: BitProof, ctx: FsTranscript) ->
     c = _chal(group, ctx, pk, x, y, proof.a1, proof.b1, proof.a2, proof.b2)
     if (proof.d1 + proof.d2) % group.q != c:
         return False
-    if proof.a1 != group.g ** proof.r1 * x ** proof.d1:
+    if (proof.a1, proof.b1) != _bit_branch(group, x, y, pk, 0, proof.d1, proof.r1):
         return False
-    if proof.b1 != pk ** proof.r1 * y ** proof.d1:
-        return False
-    if proof.a2 != group.g ** proof.r2 * x ** proof.d2:
-        return False
-    return proof.b2 == pk ** proof.r2 * (y / group.g) ** proof.d2
+    return (proof.a2, proof.b2) == _bit_branch(group, x, y, pk, 1, proof.d2, proof.r2)
 
 
 # -- square relation ----------------------------------------------------------

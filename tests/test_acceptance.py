@@ -26,10 +26,10 @@ from zorro.protocol import (
     Party,
     ProtocolConfig,
     Round1Post,
+    Round2Post,
     derive_pads,
     tally,
     verify_contribution,
-    verify_contribution_payload,
     verify_round1,
 )
 from zorro.rangeproof import (
@@ -81,9 +81,7 @@ def run_session(group, n, m, policy, vectors, seed, window=None, verify=True):
     posts2 = [parties[i].round2(vectors[i]) for i in range(n)]
     if verify:
         for post in posts2:
-            ok, reason = verify_contribution(
-                cfg, posts1, post, pads=parties[post.party].pads
-            )
+            ok, reason = verify_contribution(cfg, post, parties[post.party].pads)
             assert ok, f"party {post.party} rejected: {reason}"
     return cfg, parties, posts1, posts2, tally(cfg, posts2, window)
 
@@ -195,9 +193,12 @@ def test_criterion_03_mutation_soundness():
             data = post.to_bytes(MOD)
             pads = parties[post.party].pads
 
-            def check_r2(payload, cfg=cfg, posts1=posts1, pads=pads):
-                ok, _ = verify_contribution_payload(cfg, posts1, payload, pads=pads)
-                return ok
+            def check_r2(payload, cfg=cfg, pads=pads):
+                try:
+                    decoded = Round2Post.from_bytes(MOD, payload)
+                except ZorroError:
+                    return False
+                return verify_contribution(cfg, decoded, pads)[0]
 
             targets.append((data, check_r2))
 
@@ -388,7 +389,7 @@ def _verify_group_ops(n, monkeypatch):
         for name in ("__pow__", "__mul__", "__truediv__", "inverse"):
             patch.setattr(groups.ModElement, name, counting(name, getattr(groups.ModElement, name)))
         for post in posts2:
-            ok, reason = verify_contribution(cfg, posts1, post, pads=parties[post.party].pads)
+            ok, reason = verify_contribution(cfg, post, parties[post.party].pads)
             assert ok, reason
     return counts
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from zorro.cli import (
 from zorro import groups, protocol
 from zorro.errors import NotInWindow
 from zorro.ledger import Ledger
+from zorro.rangeproof import BoundPolicy
 
 
 def run(argv):
@@ -195,8 +197,10 @@ _BOUND_AT = 1 + 4 + 4 + 2 * 2 * groups.test_group().element_bytes + 1 + 1 + 1
     [
         lambda payload: b"",
         lambda payload: payload[:_BOUND_AT] + bytes(8) + payload[_BOUND_AT + 8:],
+        lambda payload: payload[:10],
+        lambda payload: payload[:9] + bytes(len(payload) - 9),
     ],
-    ids=["empty-payload", "bundle-bound-0"],
+    ids=["empty-payload", "bundle-bound-0", "truncated", "zeroed-body"],
 )
 def test_verify_rejects_undecodable_round2_post(vote_ledger, tmp_path, capsys, corrupt):
     # an empty payload used to fail to load (exit 3) and a zero bundle bound
@@ -208,6 +212,46 @@ def test_verify_rejects_undecodable_round2_post(vote_ledger, tmp_path, capsys, c
 
     path = _rechained(vote_ledger, tmp_path / "corrupt.ledger", edit)
     _assert_rejected(path, capsys, "of party 1", "malformed")
+
+
+def test_verify_names_the_slot_of_a_bad_round1_proof(vote_ledger, tmp_path, capsys):
+    group = groups.test_group()
+
+    def edit(entry, entries):
+        if (entry.round, entry.party) != (1, 2):
+            return [(entry.round, entry.party, entry.payload)]
+        post = protocol.Round1Post.from_bytes(group, entry.payload)
+        bad = dataclasses.replace(post.proofs[1], s=(post.proofs[1].s + 1) % group.q)
+        post = dataclasses.replace(post, proofs=(post.proofs[0], bad))
+        return [(1, 2, post.to_bytes(group))]
+
+    path = _rechained(vote_ledger, tmp_path / "round1.ledger", edit)
+    _assert_rejected(path, capsys, "of party 2", "round1", "slot 1")
+
+
+@pytest.mark.parametrize("policy", [BoundPolicy.l1(4), BoundPolicy.none()], ids=["l1", "none"])
+def test_verify_rejects_ciphertexts_not_bound_to_round1(tmp_path, capsys, policy):
+    # party 1 encrypts under fresh exponents instead of its round-1 x_1j: every
+    # proof holds, but the pads cannot cancel.  The l1 ledger used to fail the
+    # tally naming no party, the policy-none ledger used to pass
+    group = groups.test_group()
+    cfg = protocol.ProtocolConfig(group, 3, 2, policy, bytes(range(16)))
+    parties = [protocol.Party(cfg, i, random.Random(i)) for i in range(3)]
+    posts1 = [p.round1() for p in parties]
+    for p in parties:
+        p.receive_round1(posts1)
+    fresh, _ = protocol.round1_generate(cfg, 1, random.Random(99))
+    cheat = parties[1]
+    posts2 = [p.round2(v) for p, v in zip(parties, [[1, 0], [2, 1], [0, 3]])]
+    posts2[1] = protocol.round2_generate(
+        cfg, 1, [2, 1], fresh, cheat.pads, cheat.keypair, random.Random(7)
+    )
+    path = tmp_path / "rebound.ledger"
+    ledger = Ledger(cfg.header(), path=str(path))
+    for round, posts in ((1, posts1), (2, posts2)):
+        for post in posts:
+            ledger.append(round, post.party, post.to_bytes(group))
+    _assert_rejected(str(path), capsys, "of party 1", "(binding)", "slot 0")
 
 
 @pytest.mark.parametrize(

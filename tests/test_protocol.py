@@ -25,7 +25,6 @@ from zorro.protocol import (
     round2_generate,
     tally,
     verify_contribution,
-    verify_contribution_payload,
     verify_ledger,
     verify_round1,
 )
@@ -149,7 +148,7 @@ def test_l1_session_verifies_and_tallies():
     cfg = config(n=2, m=2, policy=BoundPolicy.l1(3))
     parties, posts1, posts2 = make_session(cfg, [[3, 0], [1, 2]])
     for post in posts2:
-        assert verify_contribution(cfg, posts1, post) == (True, None)
+        assert verify_contribution(cfg, post, derive_pads(cfg, posts1, post.party)) == (True, None)
     assert tally(cfg, posts2).totals == (4, 2)
 
 
@@ -258,7 +257,7 @@ def test_verify_contribution_detects_ciphertext_swap():
     x0 = parties[0].secret.x
     swapped_cts = (encrypt_exp(MOD, 3, x0[0], pads0[0]), posts2[0].cts[1])
     bad = dataclasses.replace(posts2[0], cts=swapped_cts)
-    ok, reason = verify_contribution(cfg, posts1, bad)
+    ok, reason = verify_contribution(cfg, bad, pads0)
     assert not ok and reason == "tuple"
 
 
@@ -270,29 +269,18 @@ def test_verify_contribution_rejects_cross_session_replay():
     for p in parties:
         p.receive_round1(posts1)
     post = parties[0].round2([1])
-    assert verify_contribution(cfg_a, posts1, post) == (True, None)
-    # round-1 proofs are session-bound too, so re-deriving pads under the
-    # other session already fails
+    assert verify_contribution(cfg_a, post, derive_pads(cfg_a, posts1, 0)) == (True, None)
+    # round-1 proofs are session-bound too, so deriving pads under the other
+    # session already fails
     with pytest.raises(InvalidRound1Proof):
-        verify_contribution(cfg_b, posts1, post)
-
-
-def test_verify_contribution_payload_malformed():
-    cfg = config(n=2, m=1, policy=BoundPolicy.l1(3))
-    _, posts1, posts2 = make_session(cfg, [[1], [2]])
-    payload = posts2[0].to_bytes(MOD)
-    assert verify_contribution_payload(cfg, posts1, payload) == (True, None)
-    assert verify_contribution_payload(cfg, posts1, payload[:10]) == (False, "malformed")
-    assert verify_contribution_payload(cfg, posts1, b"") == (False, "malformed")
-    garbage = bytes([payload[0]]) + bytes(len(payload) - 1)
-    assert verify_contribution_payload(cfg, posts1, garbage)[0] is False
+        derive_pads(cfg_b, posts1, 0)
 
 
 def test_policy_kind_must_match_bundle():
     cfg_l1 = config(n=2, m=1, policy=BoundPolicy.l1(3))
     _, posts1, posts2 = make_session(cfg_l1, [[1], [2]])
     cfg_none = config(n=2, m=1, policy=BoundPolicy.none())
-    ok, reason = verify_contribution(cfg_none, posts1, posts2[0])
+    ok, reason = verify_contribution(cfg_none, posts2[0], derive_pads(cfg_none, posts1, 0))
     assert not ok and reason == "policy"
 
 
