@@ -16,7 +16,6 @@ from .protocol import (
     Round1Post,
     Round1Secret,
     Round2Post,
-    TallyResult,
     derive_pads,
     round1_generate,
     round2_generate,

@@ -94,7 +94,7 @@ def _run_and_report(args, vectors, policy, window=None):
     session = hashlib.sha256(f"session|{args.seed}".encode()).digest()[:16]
     cfg = ProtocolConfig(_group_for(args.group), len(vectors), m, policy, session)
     ledger = Ledger(cfg.header(), path=getattr(args, "ledger", None))
-    totals = run_session(cfg, vectors, ledger, args.seed, window=window).totals
+    totals = run_session(cfg, vectors, ledger, args.seed, window=window)
     ledger.verify_chain()
     if args.out:
         with open(args.out, "w") as fh:
@@ -161,15 +161,15 @@ def cmd_verify(args) -> int:
     except (KeyError, ValueError) as exc:
         raise LedgerRejected(None, "header", f"bad ledger header: {exc.args[0]}") from exc
     posts2 = verify_ledger(cfg, ledger)
-    result = None
+    totals = None
     if cfg.policy.tally_window(cfg.n) is not None:
         try:
-            result = tally(cfg, posts2)
+            totals = tally(cfg, posts2)
         except NotInWindow as exc:
             raise LedgerRejected(None, "tally", f"tally failed at {exc}") from exc
     print(f"ledger ok: {len(ledger.entries)} entries, {cfg.n} parties verified")
-    if result is not None:
-        print("tally:", ",".join(map(str, result.totals)))
+    if totals is not None:
+        print("tally:", ",".join(map(str, totals)))
     return EXIT_OK
 
 

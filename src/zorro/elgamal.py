@@ -31,15 +31,13 @@ class Ciphertext(Record):
     B: object
 
 
-def encrypt_exp(group, m: int, r: int, pk, base=None) -> Ciphertext:
-    """Encrypt m in the exponent: (g^r, base^m * pk^r); base defaults to g.
+def encrypt_exp(group, m: int, r: int, pk) -> Ciphertext:
+    """Encrypt m in the exponent of the group generator: (g^r, g^m * pk^r).
 
     Negative m is represented as q + m, so decryption over a symmetric
     window recovers the signed value.
     """
-    if base is None:
-        base = group.g
-    return Ciphertext(group.g ** r, (base ** (m % group.q)) * pk ** r)
+    return Ciphertext(group.g ** r, group.g ** (m % group.q) * pk ** r)
 
 
 def hom_mul(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:

@@ -36,11 +36,8 @@ class KeyMismatch(ZorroError):
 class MissingPost(ZorroError):
     """A required ledger post from some party is absent."""
 
-    def __init__(self, party, round=None):
-        if round is None:
-            super().__init__(f"missing post from party {party}")
-        else:
-            super().__init__(f"party {party} missing from round {round}")
+    def __init__(self, party, round):
+        super().__init__(f"party {party} missing from round {round}")
         self.party = party
         self.round = round
 
@@ -89,7 +86,7 @@ class CapExceeded(ZorroError):
 
 
 class ZeroClassCount(ZorroError):
-    """A class label has zero tallied samples and smoothing is disabled."""
+    """A class label has zero tallied samples, so its conditionals are undefined."""
 
 
 class SingularGram(ZorroError):

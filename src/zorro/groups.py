@@ -9,7 +9,7 @@ Three registered instantiations share one interface:
                 arithmetic with a challenge space large enough that forgery
                 and wraparound artifacts vanish; the default for protocol
                 simulations and benchmarks.
-  ``secp256k1`` Production elliptic curve (~128-bit security).
+  ``secp256k1`` Production elliptic curve y^2 = x^3 + 7 (~128-bit security).
 
 The group law is written multiplicatively everywhere (``a * b``, ``a ** e``)
 even for the curve, so higher-level code reads like the underlying algebra.
@@ -21,9 +21,9 @@ Curve points are affine at rest: ``*``, ``==``, hashing and the codec see
 with the a = 0 formulas dbl-2009-l and madd-2007-bl of Bernstein and Lange's
 Explicit-Formulas Database, so an exponentiation pays one field inversion
 instead of one per point addition.  A variable base uses a 4-bit fixed window
-over its 15 affine multiples; the fixed generators g and gamma use a table of
-64 rows x 15 multiples of 16^i (Brickell-Gordon-McCurley-Wilson), built on
-their first exponentiation, and need no doublings at all.
+over its 15 affine multiples.  Only the generator g has a table of 64 rows x
+15 multiples of 16^i (Brickell-Gordon-McCurley-Wilson), built on its first
+exponentiation, and needs no doublings at all; gamma is a variable base.
 """
 
 import hashlib
@@ -197,7 +197,7 @@ class CurvePoint:
         if self.x == other.x:
             if (self.y + other.y) % p == 0:
                 return CurvePoint(self.group, None, None)
-            s = (3 * self.x * self.x + self.group.a) * pow(2 * self.y, -1, p) % p
+            s = 3 * self.x * self.x * pow(2 * self.y, -1, p) % p
         else:
             s = (other.y - self.y) * pow(other.x - self.x, -1, p) % p
         x3 = (s * s - self.x - other.x) % p
@@ -256,7 +256,7 @@ class CurvePoint:
         return f"CurvePoint({hex(self.x)}, {hex(self.y)})"
 
 
-# -- Jacobian arithmetic for a = 0 curves, used only inside CurvePoint.__pow__ --
+# -- Jacobian arithmetic for y^2 = x^3 + b, used only inside CurvePoint.__pow__ --
 
 _WINDOW = 4
 _WINDOW_MASK = (1 << _WINDOW) - 1
@@ -320,40 +320,32 @@ def _multiples(x, y, count, p):
 
 
 class CurveGroup(Group):
-    """Prime-order elliptic curve group y^2 = x^3 + ax + b over F_p, cofactor 1.
+    """Prime-order elliptic curve group y^2 = x^3 + b over F_p, cofactor 1."""
 
-    Exponentiation uses a = 0 formulas, so only a = 0 curves are accepted.
-    """
-
-    def __init__(self, group_id, p, a, b, gx, gy, q):
-        if a != 0:
-            raise ValueError("CurvePoint.__pow__ implements a = 0 curves only")
+    def __init__(self, group_id, p, b, gx, gy, q):
         self.group_id = group_id
         self.p = p
-        self.a = a
         self.b = b
         self.q = q
         self.g = CurvePoint(self, gx, gy)
         self.identity = CurvePoint(self, None, None)
         self.element_bytes = 1 + (p.bit_length() + 7) // 8
-        self._tables = {}  # (x, y) of g or gamma -> its fixed-base table
+        self._g_table = None
 
     def _fixed_base_table(self, pt):
-        """Rows i = 0..63 of [j * 16^i * pt for j = 1..15] when pt is g or
-        gamma, else None.  Built on the first exponentiation of that base."""
-        key = (pt.x, pt.y)
-        table = self._tables.get(key)
-        if table is None:
-            if key != (self.g.x, self.g.y) and key != (self.gamma.x, self.gamma.y):
-                return None
+        """Rows i = 0..63 of [j * 16^i * g for j = 1..15] when pt is g, else
+        None.  Built on the first exponentiation of g."""
+        if (pt.x, pt.y) != (self.g.x, self.g.y):
+            return None
+        if self._g_table is None:
             table = []
-            x, y = key
+            x, y = pt.x, pt.y
             for _ in range(-(-self.q.bit_length() // _WINDOW)):
                 row = _multiples(x, y, _WINDOW_MASK + 1, self.p)
                 table.append(row[:-1])
                 x, y = row[-1]
-            self._tables[key] = table
-        return table
+            self._g_table = table
+        return self._g_table
 
     def contains(self, a) -> bool:
         if not isinstance(a, CurvePoint):
@@ -364,7 +356,7 @@ class CurveGroup(Group):
         return (
             0 <= a.x < self.p
             and 0 <= a.y < self.p
-            and (a.y * a.y - (a.x**3 + self.a * a.x + self.b)) % self.p == 0
+            and (a.y * a.y - (a.x**3 + self.b)) % self.p == 0
         )
 
     def encode_element(self, pt) -> bytes:
@@ -396,7 +388,7 @@ class CurveGroup(Group):
         return CurvePoint(self, x, y)
 
     def _solve_y(self, x):
-        rhs = (x**3 + self.a * x + self.b) % self.p
+        rhs = (x**3 + self.b) % self.p
         # p = 3 mod 4 so a square root, when it exists, is rhs^((p+1)/4)
         y = pow(rhs, (self.p + 1) // 4, self.p)
         if y * y % self.p != rhs:
@@ -417,7 +409,6 @@ class CurveGroup(Group):
 
 _SECP256K1 = dict(
     p=0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F,
-    a=0,
     b=7,
     gx=0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798,
     gy=0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8,

@@ -57,6 +57,12 @@ class ProtocolConfig:
             raise ValueError("vector dimension must be at least 1")
         if len(self.session) != SESSION_BYTES:
             raise ValueError(f"session id must be {SESSION_BYTES} bytes")
+        # proofs and the tally hold mod q, so no legal sum may reach q
+        q, window = self.group.q, self.policy.tally_window(self.n)
+        if window is not None and window.size > q:
+            raise ValueError(f"tally window of {window.size} values exceeds the group order {q}")
+        if self.policy.kind == rangeproof.L1 and self.m * self.policy.effective_bound >= q:
+            raise ValueError(f"a sum of {self.m} l1 entries can reach the group order {q}")
 
     def header(self) -> LedgerHeader:
         """The header of this session's ledger."""
@@ -143,18 +149,13 @@ class Round2Post:
         return cls(party, cts, bundle)
 
 
-@dataclass(frozen=True)
-class TallyResult:
-    totals: tuple
-
-
-def _by_party(cfg, posts) -> dict:
+def _by_party(cfg, posts, round: int) -> dict:
     table = {}
     for post in posts:
         table[post.party] = post
     for i in range(cfg.n):
         if i not in table:
-            raise MissingPost(i)
+            raise MissingPost(i, round)
     return table
 
 
@@ -197,7 +198,7 @@ def derive_pads(cfg: ProtocolConfig, round1_posts, party: int):
     proof must check out (else InvalidRound1Proof naming party and slot)
     before any pad is trusted.
     """
-    table = _by_party(cfg, round1_posts)
+    table = _by_party(cfg, round1_posts, 1)
     for k in range(cfg.n):
         slot = _round1_failure(cfg, table[k])
         if slot is not None:
@@ -262,14 +263,14 @@ def verify_contribution(cfg: ProtocolConfig, post: Round2Post, pads):
     return rangeproof.verify_l2(cfg.group, post.cts, post.bundle, cfg.policy, pads, ctx)
 
 
-def tally(cfg: ProtocolConfig, round2_posts, window: DlogWindow | None = None) -> TallyResult:
+def tally(cfg: ProtocolConfig, round2_posts, window: DlogWindow | None = None) -> tuple:
     """Self-tally: multiply everyone's second components and take small dlogs.
 
-    The window defaults to what the policy implies; sessions without a
-    policy must supply one.  A NotInWindow failure here means a corrupt
-    contribution slipped past verification.
+    Returns the m slot totals.  The window defaults to what the policy
+    implies; sessions without a policy must supply one.  A NotInWindow
+    failure here means a corrupt contribution slipped past verification.
     """
-    table = _by_party(cfg, round2_posts)
+    table = _by_party(cfg, round2_posts, 2)
     if window is None:
         window = cfg.policy.tally_window(cfg.n)
     if window is None:
@@ -284,7 +285,7 @@ def tally(cfg: ProtocolConfig, round2_posts, window: DlogWindow | None = None) -
             totals.append(bsgs(group, point, window))
         except NotInWindow as exc:
             raise NotInWindow(f"slot {j}: {exc}") from exc
-    return TallyResult(tuple(totals))
+    return tuple(totals)
 
 
 def _ledger_round(cfg: ProtocolConfig, ledger, round: int) -> list:
@@ -296,7 +297,7 @@ def _ledger_round(cfg: ProtocolConfig, ledger, round: int) -> list:
     """
     cls = Round1Post if round == 1 else Round2Post
     posts = {}
-    for entry in ledger.read_round(cfg.session, round):
+    for entry in ledger.read_round(round):
         party = entry.party
         where = f"round-{round} entry seq {entry.seq} of party {party}"
         if not 0 <= party < cfg.n:

@@ -5,8 +5,10 @@ model quantities.
 Counting reductions (voting, LDA count matrices, decision-tree and naive
 Bayes statistics) are exact and carry an L1 policy: entries are counts, so
 non-negativity and a total cap are the right validity conditions.  Numeric
-reductions (least squares, collaborative-filtering gradients) are fixed-point
-encoded and carry an L2 policy bounding each party's pull on the model.
+reductions carry an L2 policy bounding each party's pull on the model: least
+squares floor-quantises its data at scale 1 (integer data passes unchanged),
+collaborative-filtering gradients are floored at a caller-chosen fixed-point
+scale.
 """
 
 import math
@@ -25,9 +27,6 @@ from .errors import (
     ZeroClassCount,
 )
 from .rangeproof import BoundPolicy
-
-_ROUNDERS = {"floor": math.floor, "ceil": math.ceil}
-
 
 # -- cumulative voting --------------------------------------------------------
 
@@ -100,21 +99,21 @@ def compute_gain(label_counts, split_counts) -> float:
     return gain
 
 
-def nb_parameters(label_tally, feature_tallies, smoothing: bool = False):
+def nb_parameters(label_tally, feature_tallies):
     """Empirical naive-Bayes estimates from tallied counts.
 
-    label_tally: per-class sample counts (length k).
+    label_tally: per-class sample counts (length k), every one positive.
     feature_tallies: one (num_values x k) matrix per feature whose columns
     sum to label_tally.  Returns (priors, conditionals) where
-    conditionals[i][v, l] = Pr(x_i = v | y = l).  With smoothing enabled,
-    add-one estimates keep unseen feature values at nonzero probability.
+    conditionals[i][v, l] = Pr(x_i = v | y = l).
     """
     labels = np.asarray(label_tally, dtype=float)
     total = labels.sum()
     if total <= 0:
         raise EmptyDataset("no tallied samples")
-    if not smoothing and np.any(labels == 0):
-        raise ZeroClassCount("a class has zero samples; enable smoothing")
+    empty = np.flatnonzero(labels == 0)
+    if empty.size:
+        raise ZeroClassCount(f"class {empty[0]} has zero samples")
     priors = labels / total
     conditionals = []
     for counts in feature_tallies:
@@ -123,10 +122,7 @@ def nb_parameters(label_tally, feature_tallies, smoothing: bool = False):
             raise ShapeMismatch("feature tally must be (num_values x num_labels)")
         if not np.array_equal(table.sum(axis=0), labels):
             raise ValueError("feature tally columns must sum to the label tally")
-        if smoothing:
-            conditionals.append((table + 1) / (labels + table.shape[0]))
-        else:
-            conditionals.append(table / labels)
+        conditionals.append(table / labels)
     return priors, conditionals
 
 
@@ -153,34 +149,32 @@ class RegressionTensors:
         return cls(gram, moments)
 
 
-def _quantize(arr, scale: int, rounding: str):
-    if rounding not in _ROUNDERS:
-        raise ValueError(f"rounding must be one of {sorted(_ROUNDERS)}")
-    rounder = _ROUNDERS[rounding]
-    return np.array([[rounder(v * scale) for v in row] for row in np.atleast_2d(arr)], dtype=object)
+def _quantize(arr, scale: int):
+    """floor(v * scale) of every entry, as exact Python ints."""
+    return np.array([[math.floor(v * scale) for v in row] for row in np.atleast_2d(arr)], dtype=object)
 
 
-def regression_tensors(X, Y, scale: int = 1, rounding: str = "floor") -> RegressionTensors:
-    """Quantize the data then form the integer Gram matrix and moment vector."""
+def regression_tensors(X, Y) -> RegressionTensors:
+    """Floor the data to integers then form the Gram matrix and moment vector."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.ndim != 2 or Y.ndim != 1 or X.shape[0] != Y.shape[0]:
         raise ShapeMismatch("X must be (samples x d) and Y (samples,)")
     if X.shape[0] == 0:
         raise EmptyDataset("regression over zero samples")
-    Xq = _quantize(X, scale, rounding)
-    Yq = _quantize(Y.reshape(-1, 1), scale, rounding).reshape(-1)
+    Xq = _quantize(X, 1)
+    Yq = _quantize(Y.reshape(-1, 1), 1).reshape(-1)
     gram = Xq.T @ Xq
     moments = Xq.T @ Yq
     return RegressionTensors(gram, moments)
 
 
-def encode_regression(X, Y, bound: int, scale: int = 1, rounding: str = "floor"):
-    """Flattened normal-equation share plus its L2(bound) policy.
+def encode_regression(X, Y, bound: int):
+    """Flattened normal-equation share of the floored data plus its L2(bound) policy.
 
     Fails closed when the share's Euclidean norm exceeds the bound.
     """
-    tensors = regression_tensors(X, Y, scale, rounding)
+    tensors = regression_tensors(X, Y)
     vector = tensors.to_vector()
     if sum(v * v for v in vector) > bound * bound:
         raise BoundExceeded(f"tensor norm exceeds {bound}")
@@ -188,11 +182,7 @@ def encode_regression(X, Y, bound: int, scale: int = 1, rounding: str = "floor")
 
 
 def solve_beta(tally, d: int):
-    """Least-squares coefficients from the tallied normal equations.
-
-    The fixed-point scale cancels between Gram matrix and moment vector, so
-    no de-scaling is needed.
-    """
+    """Least-squares coefficients from the tallied normal equations."""
     tensors = RegressionTensors.from_vector(tally, d)
     gram = tensors.gram.astype(float)
     moments = tensors.moments.astype(float)
@@ -219,10 +209,11 @@ def cf_gradient(A, P):
     return A @ P.T @ P @ (np.eye(m) - A.T @ A)
 
 
-def encode_cf_gradient(A, P_i, bound: int, scale: int = 1, rounding: str = "floor"):
-    """Fixed-point encode a user's gradient share under an L2(bound) policy."""
+def encode_cf_gradient(A, P_i, bound: int, scale: int = 1):
+    """Fixed-point encode a user's gradient share, floor(G * scale), under an
+    L2(bound) policy."""
     G = cf_gradient(A, P_i)
-    Gq = _quantize(G, scale, rounding)
+    Gq = _quantize(G, scale)
     vector = [int(v) for v in Gq.reshape(-1)]
     if sum(v * v for v in vector) > bound * bound:
         raise BoundExceeded(f"gradient norm exceeds {bound}")

@@ -5,9 +5,9 @@
   BitProof      disjunctive proof that a ciphertext encrypts 0 or 1
   SquareProof   plaintext of one ciphertext is the square of the other's
 
-Challenges are SHA-256 over domain_tag || length-prefixed messages, reduced
-mod q.  Message order is pinned: group id, then statement elements in
-transcript order, then commitment elements.  Each prover is split into
+Challenges are SHA-256 over the length-prefixed domain tag, group id and
+encoded elements, reduced mod q.  Element order is pinned: statement
+elements in transcript order, then commitment elements.  Each prover is split into
 commit/respond halves so tests can replay the interactive form with chosen
 challenges (special-soundness checks); the public API is the NIZK.
 """
@@ -21,47 +21,31 @@ from .errors import KeyMismatch
 
 
 class FsTranscript:
-    """Ordered hash input: a domain tag plus protocol messages.
+    """A Fiat-Shamir domain: the tag every challenge of one sub-proof hashes.
 
-    The challenge is a pure function of (domain_tag, messages).  Contexts
-    are forked with child() so every sub-proof of a bundle gets its own
-    domain and nothing can be replayed across slots, parties or sessions.
+    Contexts are forked with child() so every sub-proof of a bundle gets its
+    own domain and nothing can be replayed across slots, parties or sessions.
     """
 
-    __slots__ = ("domain_tag", "messages")
+    __slots__ = ("domain_tag",)
 
-    def __init__(self, domain_tag: bytes, messages=()):
+    def __init__(self, domain_tag: bytes):
         self.domain_tag = bytes(domain_tag)
-        self.messages = list(messages)
-
-    def copy(self) -> "FsTranscript":
-        return FsTranscript(self.domain_tag, self.messages)
 
     def child(self, *labels) -> "FsTranscript":
         tag = self.domain_tag
         for label in labels:
             part = label if isinstance(label, bytes) else str(label).encode()
             tag += b"/" + part
-        return FsTranscript(tag, self.messages)
+        return FsTranscript(tag)
 
-    def append(self, *chunks: bytes):
-        self.messages.extend(chunks)
-
-    def challenge(self, group) -> int:
+    def challenge(self, group, *elements) -> int:
+        """SHA-256 of u32(len m) || m for m in [tag, group id, enc(e)...], mod q."""
         h = hashlib.sha256()
-        h.update(pack_u32(len(self.domain_tag)))
-        h.update(self.domain_tag)
-        for msg in self.messages:
+        for msg in (self.domain_tag, group.group_id.encode(), *map(group.encode_element, elements)):
             h.update(pack_u32(len(msg)))
             h.update(msg)
         return int.from_bytes(h.digest(), "big") % group.q
-
-
-def _chal(group, ctx: FsTranscript, *elements) -> int:
-    t = ctx.copy()
-    t.append(group.group_id.encode())
-    t.append(*(group.encode_element(e) for e in elements))
-    return t.challenge(group)
 
 
 # -- knowledge of discrete log ------------------------------------------------
@@ -86,14 +70,14 @@ def _dlog_respond(group, a: int, k: int, c: int) -> int:
 
 def prove_dlog(group, a: int, A, ctx: FsTranscript, rng) -> DlogProof:
     k, K = _dlog_commit(group, rng)
-    c = _chal(group, ctx, A, K)
+    c = ctx.challenge(group, A, K)
     return DlogProof(K, _dlog_respond(group, a, k, c))
 
 
 def verify_dlog(group, A, proof: DlogProof, ctx: FsTranscript) -> bool:
     if not group.contains(A):
         return False
-    c = _chal(group, ctx, A, proof.K)
+    c = ctx.challenge(group, A, proof.K)
     return group.g ** proof.s == proof.K * A ** c
 
 
@@ -124,7 +108,7 @@ def prove_dh_tuple(group, w: int, statement, ctx: FsTranscript, rng) -> DhTupleP
     if g1 == group.identity or h1 == group.identity:
         raise ValueError("degenerate DH-tuple statement: identity base")
     r, (a, b) = _dh_commit(group, g1, h1, rng)
-    e = _chal(group, ctx, g1, h1, u, v, a, b)
+    e = ctx.challenge(group, g1, h1, u, v, a, b)
     return DhTupleProof(a, b, _dh_respond(group, w, r, e))
 
 
@@ -132,7 +116,7 @@ def verify_dh_tuple(group, statement, proof: DhTupleProof, ctx: FsTranscript) ->
     g1, h1, u, v = statement
     if g1 == group.identity or h1 == group.identity:
         return False
-    e = _chal(group, ctx, g1, h1, u, v, proof.a, proof.b)
+    e = ctx.challenge(group, g1, h1, u, v, proof.a, proof.b)
     return g1 ** proof.z == proof.a * u ** e and h1 ** proof.z == proof.b * v ** e
 
 
@@ -177,7 +161,7 @@ def prove_bit(group, m: int, r: int, ct: Ciphertext, pk, ctx: FsTranscript, rng)
     real = (group.g ** w, pk ** w)
     sim = _bit_branch(group, x, y, pk, 1 - m, d_sim, r_sim)
     (a1, b1), (a2, b2) = (real, sim) if m == 0 else (sim, real)
-    c = _chal(group, ctx, pk, x, y, a1, b1, a2, b2)
+    c = ctx.challenge(group, pk, x, y, a1, b1, a2, b2)
     d_real = (c - d_sim) % group.q
     r_real = (w - r * d_real) % group.q
     if m == 0:
@@ -187,7 +171,7 @@ def prove_bit(group, m: int, r: int, ct: Ciphertext, pk, ctx: FsTranscript, rng)
 
 def verify_bit(group, ct: Ciphertext, pk, proof: BitProof, ctx: FsTranscript) -> bool:
     x, y = ct.A, ct.B
-    c = _chal(group, ctx, pk, x, y, proof.a1, proof.b1, proof.a2, proof.b2)
+    c = ctx.challenge(group, pk, x, y, proof.a1, proof.b1, proof.a2, proof.b2)
     if (proof.d1 + proof.d2) % group.q != c:
         return False
     if (proof.a1, proof.b1) != _bit_branch(group, x, y, pk, 0, proof.d1, proof.r1):
@@ -202,10 +186,11 @@ def verify_bit(group, ct: Ciphertext, pk, proof: BitProof, ctx: FsTranscript) ->
 class SquareProof(Record):
     """Plaintext of ct_b is the square of the plaintext of ct_a.
 
-    Verification equations (base is the message generator of both
-    ciphertexts, pk their shared key):
+    Both ciphertexts encrypt in the exponent of g under one key pk (the
+    challenge also hashes g, in the statement slot after pk).  Verification
+    equations:
 
-        (g^z_a, base^v * pk^z_a)  =  ct_a^c * C_a
+        (g^z_a, g^v * pk^z_a)  =  ct_a^c * C_a
         ct_a^v * (g^z_b, pk^z_b)  =  ct_b^c * C_b
     """
 
@@ -218,11 +203,11 @@ class SquareProof(Record):
     z_b: int
 
 
-def _square_commit(group, ct_a: Ciphertext, pk, base, rng):
+def _square_commit(group, ct_a: Ciphertext, pk, rng):
     x = group.random_scalar(rng)
     r_a = group.random_scalar(rng)
     r_b = group.random_scalar(rng)
-    C_a = Ciphertext(group.g ** r_a, base ** x * pk ** r_a)
+    C_a = Ciphertext(group.g ** r_a, group.g ** x * pk ** r_a)
     C_b = Ciphertext(ct_a.A ** x * group.g ** r_b, ct_a.B ** x * pk ** r_b)
     return (x, r_a, r_b), (C_a, C_b)
 
@@ -238,41 +223,34 @@ def _square_respond(group, a, s_a, s_b, state, c):
 
 def prove_square(
     group, a: int, s_a: int, s_b: int, ct_a: Ciphertext, ct_b: Ciphertext, pk,
-    ctx: FsTranscript, rng, base=None,
+    ctx: FsTranscript, rng,
 ) -> SquareProof:
-    """Prove ct_b encrypts a^2 given ct_a encrypts a (same key, same base).
+    """Prove ct_b encrypts a^2 given ct_a encrypts a (same key).
 
     s_a and s_b are the encryption randomness of ct_a and ct_b.
     """
-    if base is None:
-        base = group.g
-    if ct_a != encrypt_exp(group, a, s_a, pk, base=base):
-        raise KeyMismatch("ct_a does not match witness under this key/base")
-    if ct_b != encrypt_exp(group, a * a, s_b, pk, base=base):
-        raise KeyMismatch("ct_b does not encrypt the square under this key/base")
-    state, (C_a, C_b) = _square_commit(group, ct_a, pk, base, rng)
-    c = _chal(
-        group, ctx, pk, base, ct_a.A, ct_a.B, ct_b.A, ct_b.B,
-        C_a.A, C_a.B, C_b.A, C_b.B,
+    if ct_a != encrypt_exp(group, a, s_a, pk):
+        raise KeyMismatch("ct_a does not match witness under this key")
+    if ct_b != encrypt_exp(group, a * a, s_b, pk):
+        raise KeyMismatch("ct_b does not encrypt the square under this key")
+    state, (C_a, C_b) = _square_commit(group, ct_a, pk, rng)
+    c = ctx.challenge(
+        group, pk, group.g, ct_a.A, ct_a.B, ct_b.A, ct_b.B, C_a.A, C_a.B, C_b.A, C_b.B
     )
     v, z_a, z_b = _square_respond(group, a, s_a, s_b, state, c)
     return SquareProof(C_a, C_b, v, z_a, z_b)
 
 
 def verify_square(
-    group, ct_a: Ciphertext, ct_b: Ciphertext, pk, proof: SquareProof,
-    ctx: FsTranscript, base=None,
+    group, ct_a: Ciphertext, ct_b: Ciphertext, pk, proof: SquareProof, ctx: FsTranscript
 ) -> bool:
-    if base is None:
-        base = group.g
     C_a, C_b = proof.C_a, proof.C_b
-    c = _chal(
-        group, ctx, pk, base, ct_a.A, ct_a.B, ct_b.A, ct_b.B,
-        C_a.A, C_a.B, C_b.A, C_b.B,
+    c = ctx.challenge(
+        group, pk, group.g, ct_a.A, ct_a.B, ct_b.A, ct_b.B, C_a.A, C_a.B, C_b.A, C_b.B
     )
     if group.g ** proof.z_a != ct_a.A ** c * C_a.A:
         return False
-    if base ** proof.v * pk ** proof.z_a != ct_a.B ** c * C_a.B:
+    if group.g ** proof.v * pk ** proof.z_a != ct_a.B ** c * C_a.B:
         return False
     if ct_a.A ** proof.v * group.g ** proof.z_b != ct_b.A ** c * C_b.A:
         return False

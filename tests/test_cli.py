@@ -324,6 +324,41 @@ def test_golden_ledger_bytes(tmp_path, capsys, check, bound, digest, size, total
     assert (len(raw), hashlib.sha256(raw).hexdigest()) == (size, digest)
 
 
+# l1 bound 2^41 - 1 on mod41, where q = 2^40 + 15: legal entries can sum to q
+WRAP_BOUND = str(2**41 - 1)
+
+
+def test_aggregate_refuses_an_l1_bound_whose_tally_wraps(tmp_path, capsys):
+    # both rows are legal, but they sum to q: this printed "tally: 0" and
+    # the ledger passed `zorro verify`
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("1099511627790\n1\n")
+    code = run(
+        ["aggregate", "--group", "test", "--check", "l1", "--bound", WRAP_BOUND,
+         "--vectors", str(vectors), "--ledger", str(tmp_path / "wrap.ledger")]
+    )
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "group order" in captured.err
+
+
+def test_verify_rejects_a_header_whose_l1_bound_wraps(tmp_path, capsys):
+    # the golden ledger re-chained under the wrapping bound used to fail only
+    # later, as "contribution of party 0 rejected (policy)"
+    golden = tmp_path / "golden.ledger"
+    code = run(
+        ["aggregate", "--group", "test", "--parties", "3", "--dim", "2", "--seed", "11",
+         "--check", "l1", "--bound", "4", "--ledger", str(golden)]
+    )
+    assert code == EXIT_OK
+    led = Ledger.load(str(golden))
+    path = tmp_path / "wrap.ledger"
+    copy = Ledger(dataclasses.replace(led.header, policy_bound=int(WRAP_BOUND)), path=str(path))
+    for entry in led.entries:
+        copy.append(entry.round, entry.party, entry.payload)
+    _assert_rejected(str(path), capsys, "bad ledger header", "group order")
+
+
 def test_aggregate_with_vector_file(tmp_path, capsys):
     vectors = tmp_path / "vectors.txt"
     vectors.write_text("1 2 3\n4 0 1\n0 0 2\n")
@@ -419,6 +454,13 @@ def test_demo_nb_samples_file(tmp_path, capsys):
     samples.write_text("0,0\n1,1\n2,0\n0,1\n1,0\n2,1\n1,1\n0,0\n")
     assert run(["demo-nb", "--parties", "2", "--samples", str(samples)]) == EXIT_OK
     capsys.readouterr()
+
+
+def test_demo_nb_names_the_class_without_samples(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("0 0\n1 0\n0 2\n1 2\n")
+    assert run(["demo-nb", "--parties", "2", "--samples", str(samples)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "class 1 has zero samples\n"
 
 
 def test_demo_id3_samples_file(tmp_path, capsys):

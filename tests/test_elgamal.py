@@ -90,10 +90,3 @@ def test_ciphertext_serialization():
     ct = encrypt_exp(MOD, 3, MOD.random_scalar(rng), kp.pk)
     assert Ciphertext.from_bytes(MOD, ct.to_bytes(MOD)) == ct
 
-
-def test_alternate_message_base():
-    rng = random.Random(9)
-    kp = Keypair.generate(MOD, rng)
-    r = MOD.random_scalar(rng)
-    ct = encrypt_exp(MOD, 2, r, kp.pk, base=MOD.gamma)
-    assert decrypt_point(ct, kp.sk) == MOD.gamma ** 2

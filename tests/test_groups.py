@@ -194,11 +194,11 @@ def test_curve_exp_is_affine_at_rest():
     assert isinstance(P.x, int) and CURVE.contains(P)
     assert CURVE.decode_element(CURVE.encode_element(P)) == P
     assert hash(P) == hash(affine_pow(HASHED, 12345))
-    # only the two fixed generators get a table
-    assert (HASHED.x, HASHED.y) not in CURVE._tables
+    # only the generator g gets a table
+    assert CURVE._fixed_base_table(HASHED) is None
+    assert CURVE._fixed_base_table(CURVE.gamma) is None
     CURVE.g ** 3
-    CURVE.gamma ** 3
-    assert set(CURVE._tables) == {(CURVE.g.x, CURVE.g.y), (CURVE.gamma.x, CURVE.gamma.y)}
+    assert CURVE._fixed_base_table(CURVE.g) is CURVE._g_table is not None
 
 
 def test_mixed_add_edge_branches():
@@ -212,7 +212,3 @@ def test_mixed_add_edge_branches():
     Q = CURVE.g ** 7
     assert to_affine(*groups._jmadd(X, Y, Z, Q.x, Q.y, p)) == HASHED * Q
 
-
-def test_curve_group_rejects_nonzero_a():
-    with pytest.raises(ValueError):
-        groups.CurveGroup("a1", p=23, a=1, b=1, gx=3, gy=10, q=29)

@@ -43,15 +43,14 @@ def test_full_session_entry_count():
 
 def test_read_round():
     led = filled()
-    assert [e.party for e in led.read_round(SESSION, 1)] == [0, 1, 2]
-    assert len(led.read_round(SESSION, 2)) == 3
-    assert led.read_round(b"\xff" * 16, 1) == []
+    assert [e.party for e in led.read_round(1)] == [0, 1, 2]
+    assert len(led.read_round(2)) == 3
 
 
 def test_empty_ledger_chain_valid():
     led = Ledger(header())
     assert led.verify_chain()
-    assert led.read_round(SESSION, 1) == []
+    assert led.read_round(1) == []
 
 
 def test_filled_chain_verifies():

@@ -1,15 +1,20 @@
 """Property-based ledger fuzzer: mutated ledgers through `zorro verify`.
 
 Fixed-seed mod41 sessions (n=3, m=2) under the l1 and none policies are
-mutated by re-chained edits (bit flips, truncations, entry drops, party
-relabels, payloads spliced in from another seed's session) and by raw byte
-flips that break the chain.  Whatever the bytes, `zorro verify` must exit
-0, 2, 3 or 4 without raising, an exit-2 rejection must name a party unless
-the header is at fault, and an l1 ledger that passes must print the true
-tally.
+mutated by entry edits (bit flips, truncations, drops, duplicates, swaps,
+party relabels, payloads spliced in from another seed's session) and header
+field edits (n, m, bound, kind, group, session; some bounds let legal sums
+wrap mod q).  Each mutated ledger is written either re-chained, with every
+seq and hash recomputed as `Ledger.append` would (a second post of a party
+included), or with each line keeping its old seq and hashes; raw byte flips
+are applied on top.  Whatever the bytes, `zorro verify` must exit 0, 2, 3 or
+4 without raising, an exit-2 rejection must name a party unless the header
+is at fault, and an l1 ledger that passes must print the true tally.
 """
 
 import contextlib
+import dataclasses
+import hashlib
 import io
 import random
 import re
@@ -40,65 +45,100 @@ def _session(policy, seed):
 # per policy: the ledger that is mutated and one from another seed to splice from
 LEDGERS = {name: (_session(policy, 1), _session(policy, 2)) for name, policy in POLICIES.items()}
 
+# header field -> values it is edited to; on mod41 (q = 2^40 + 15) an l1 bound
+# of 2^39 or 2^41 - 1 lets three legal contributions sum past q
+HEADER_EDITS = [
+    (field, value)
+    for field, values in {
+        "n": [0, 1, 2, 4],
+        "m": [0, 1, 3],
+        "policy_bound": [0, 1, 3, 5, 2**39, 2**41 - 1],
+        "policy_kind": ["l1", "l2", "none", "l3"],
+        "group_id": ["toy23", "secp256k1", "nope"],
+        "session": [bytes(16), bytes(15)],
+    }.items()
+    for value in values
+]
 
-def _posts(ledger):
-    return [[e.round, e.party, e.payload] for e in ledger.entries]
 
-
-def _flip(posts, i, bit):
-    payload = bytearray(posts[i][2])
+def _flip(entries, i, bit):
+    payload = bytearray(entries[i].payload)
     if payload:
         payload[bit // 8 % len(payload)] ^= 1 << bit % 8
-    posts[i][2] = bytes(payload)
+    entries[i] = dataclasses.replace(entries[i], payload=bytes(payload))
 
 
-def _truncate(posts, i, keep):
-    posts[i][2] = posts[i][2][: keep % (len(posts[i][2]) + 1)]
+def _truncate(entries, i, keep):
+    payload = entries[i].payload
+    entries[i] = dataclasses.replace(entries[i], payload=payload[: keep % (len(payload) + 1)])
 
 
-def _drop(posts, i, _):
-    del posts[i]
+def _drop(entries, i, _):
+    del entries[i]
 
 
-def _relabel(posts, i, party):
-    # swap labels with the round's entry already filed under `party`, if any,
-    # so that Ledger.append sees no second post
-    rnd = posts[i][0]
-    for other in posts:
-        if other[:2] == [rnd, party]:
-            other[1] = posts[i][1]
-    posts[i][1] = party
+def _duplicate(entries, i, _):
+    entries.insert(i + 1, entries[i])
 
 
-def _splice(posts, i, j, donor):
-    posts[i][2] = donor.entries[j % len(donor.entries)].payload
+def _swap(entries, i, j):
+    j %= len(entries)
+    entries[i], entries[j] = entries[j], entries[i]
 
 
-EDITS = {"flip": _flip, "truncate": _truncate, "drop": _drop, "relabel": _relabel}
+def _relabel(entries, i, party):
+    # swap labels with the round's entry already filed under `party`, if any
+    rnd, own = entries[i].round, entries[i].party
+    for k, other in enumerate(entries):
+        if (other.round, other.party) == (rnd, party):
+            entries[k] = dataclasses.replace(other, party=own)
+    entries[i] = dataclasses.replace(entries[i], party=party)
+
+
+EDITS = {
+    "flip": _flip, "truncate": _truncate, "drop": _drop, "duplicate": _duplicate,
+    "swap": _swap, "relabel": _relabel,
+}
 
 mutations = st.one_of(
     st.tuples(st.sampled_from(sorted(EDITS)), st.integers(0, 2 * N - 1), st.integers(0, 1 << 16)),
     st.tuples(st.just("splice"), st.integers(0, 2 * N - 1), st.integers(0, 2 * N - 1)),
+    st.tuples(st.just("header"), st.sampled_from(HEADER_EDITS), st.just(None)),
     st.tuples(st.just("raw"), st.integers(0, 1 << 16), st.integers(1, 255)),
 )
 
 
-def _mutated_file(path, name, edits):
+def _write(path, header, entries, rechain):
+    """Write a ledger file; with `rechain`, seq and hashes are recomputed as
+    Ledger.append would, else every entry line keeps its own."""
+    lines = [header.to_line()]
+    prev = hashlib.sha256(lines[0].encode()).digest()
+    for seq, entry in enumerate(entries):
+        if rechain:
+            entry = dataclasses.replace(entry, seq=seq, session=header.session, prev_hash=prev)
+            prev = hashlib.sha256(prev + entry.canonical_bytes()).digest()
+            entry = dataclasses.replace(entry, entry_hash=prev)
+        lines.append(entry.to_line())
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+def _mutated_file(path, name, edits, rechain=True):
     ledger, donor = LEDGERS[name]
-    posts = _posts(ledger)
+    header, entries = ledger.header, list(ledger.entries)
     raw_flips = []
     for kind, a, b in edits:
         if kind == "raw":
             raw_flips.append((a, b))
-        elif posts:
-            i = a % len(posts)
+        elif kind == "header":
+            header = dataclasses.replace(header, **{a[0]: a[1]})
+        elif entries:
+            i = a % len(entries)
             if kind == "splice":
-                _splice(posts, i, b, donor)
+                payload = donor.entries[b % len(donor.entries)].payload
+                entries[i] = dataclasses.replace(entries[i], payload=payload)
             else:
-                EDITS[kind](posts, i, b % (N + 1) if kind == "relabel" else b)
-    copy = Ledger(ledger.header, path=str(path))
-    for post in posts:
-        copy.append(*post)
+                EDITS[kind](entries, i, b % (N + 1) if kind == "relabel" else b)
+    _write(path, header, entries, rechain)
     data = bytearray(path.read_bytes())
     for pos, mask in raw_flips:
         data[pos % len(data)] ^= mask
@@ -120,15 +160,26 @@ def workdir(tmp_path_factory):
 
 @pytest.mark.parametrize("name", sorted(LEDGERS))
 def test_unmutated_ledgers_verify(workdir, name):
-    code, out, _ = _verify(_mutated_file(workdir / "clean.ledger", name, []))
-    assert code == EXIT_OK
-    assert (f"tally: {TOTALS}" in out) == (name == "l1")
+    ledger = LEDGERS[name][0]
+    expected = "".join(line + "\n" for line in [ledger.header.to_line()] + [
+        entry.to_line() for entry in ledger.entries
+    ])
+    for rechain in (True, False):
+        path = _mutated_file(workdir / "clean.ledger", name, [], rechain)
+        assert path.read_text() == expected
+        code, out, _ = _verify(path)
+        assert code == EXIT_OK
+        assert (f"tally: {TOTALS}" in out) == (name == "l1")
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(name=st.sampled_from(sorted(LEDGERS)), edits=st.lists(mutations, min_size=1, max_size=3))
-def test_verify_survives_mutated_ledgers(workdir, name, edits):
-    code, out, err = _verify(_mutated_file(workdir / "mutated.ledger", name, edits))
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(
+    name=st.sampled_from(sorted(LEDGERS)),
+    edits=st.lists(mutations, min_size=1, max_size=3),
+    rechain=st.booleans(),
+)
+def test_verify_survives_mutated_ledgers(workdir, name, edits, rechain):
+    code, out, err = _verify(_mutated_file(workdir / "mutated.ledger", name, edits, rechain))
     assert code in (EXIT_OK, EXIT_PROOF, EXIT_LEDGER, EXIT_DROPOUT), err
     if code == EXIT_PROOF:
         assert re.search(r"party \d+", err) or "header" in err, err

@@ -107,12 +107,26 @@ def test_pad_cancellation_three_party():
         assert prod == MOD.identity
 
 
+def test_config_refuses_bounds_whose_sums_wrap_mod_q():
+    session = bytes(16)
+    # m = 3 entries of 2^39 - 1 can sum to q + 5, about twice the bound; a
+    # bundle for [B, B, 22] with sum digits of 5 passed verify_contribution
+    with pytest.raises(ValueError, match="sum of 3 l1 entries"):
+        ProtocolConfig(MOD, 2, 3, BoundPolicy.l1(2**39 - 1), session)
+    with pytest.raises(ValueError, match="tally window"):
+        ProtocolConfig(MOD, 3, 1, BoundPolicy.l1(2**39 - 1), session)
+    ProtocolConfig(MOD, 2, 1, BoundPolicy.l1(2**39 - 1), session)  # 2 (2^39 - 1) < q
+    with pytest.raises(ValueError, match="tally window"):
+        ProtocolConfig(MOD, 2, 1, BoundPolicy.l2(2**39), session)
+    ProtocolConfig(MOD, 2, 1, BoundPolicy.l2(2**37), session)
+
+
 def test_derive_pads_missing_post():
     cfg = config(n=3)
     _, posts = full_round1(cfg)
-    with pytest.raises(MissingPost) as err:
+    with pytest.raises(MissingPost, match="^party 1 missing from round 1$") as err:
         derive_pads(cfg, posts[:1] + posts[2:], 0)
-    assert err.value.party == 1
+    assert (err.value.party, err.value.round) == (1, 1)
 
 
 def test_round2_policy_none_tallies():
@@ -132,7 +146,7 @@ def test_round2_policy_none_tallies():
     with pytest.raises(NotInWindow):
         bsgs(MOD, partial, DlogWindow(0, 10))
     result = tally(cfg, r2, window=DlogWindow(0, 10))
-    assert result.totals == (7,)
+    assert result == (7,)
 
 
 def make_session(cfg, vectors, seed=0):
@@ -149,7 +163,7 @@ def test_l1_session_verifies_and_tallies():
     parties, posts1, posts2 = make_session(cfg, [[3, 0], [1, 2]])
     for post in posts2:
         assert verify_contribution(cfg, post, derive_pads(cfg, posts1, post.party)) == (True, None)
-    assert tally(cfg, posts2).totals == (4, 2)
+    assert tally(cfg, posts2) == (4, 2)
 
 
 def test_l1_session_refuses_illegal_vector():
@@ -165,13 +179,13 @@ def test_l1_session_refuses_illegal_vector():
 def test_spec_tally_example():
     cfg = config(n=3, m=2)
     _, _, posts2 = make_session(cfg, [[1, 0], [2, 1], [0, 4]])
-    assert tally(cfg, posts2, window=DlogWindow(0, 20)).totals == (3, 5)
+    assert tally(cfg, posts2, window=DlogWindow(0, 20)) == (3, 5)
 
 
 def test_tally_all_zero():
     cfg = config(n=3, m=3)
     _, _, posts2 = make_session(cfg, [[0] * 3] * 3)
-    assert tally(cfg, posts2, window=DlogWindow(0, 5)).totals == (0, 0, 0)
+    assert tally(cfg, posts2, window=DlogWindow(0, 5)) == (0, 0, 0)
 
 
 def test_tally_requires_window_without_policy():
@@ -184,9 +198,9 @@ def test_tally_requires_window_without_policy():
 def test_tally_missing_post():
     cfg = config(n=3, m=1)
     _, _, posts2 = make_session(cfg, [[1], [2], [3]])
-    with pytest.raises(MissingPost) as err:
+    with pytest.raises(MissingPost, match="^party 2 missing from round 2$") as err:
         tally(cfg, posts2[:2], window=DlogWindow(0, 10))
-    assert err.value.party == 2
+    assert (err.value.party, err.value.round) == (2, 2)
 
 
 def test_dropout_leaves_pads_uncancelled():
@@ -220,7 +234,7 @@ def test_verify_ledger_returns_round2_posts_in_party_order():
     cfg = config(n=3, m=2, policy=BoundPolicy.l1(3))
     ledger, posts2 = session_ledger(cfg, [[1, 0], [2, 1], [0, 3]], order=[2, 0, 1])
     assert verify_ledger(cfg, ledger) == posts2
-    assert tally(cfg, verify_ledger(cfg, ledger)).totals == (3, 4)
+    assert tally(cfg, verify_ledger(cfg, ledger)) == (3, 4)
 
 
 def test_verify_ledger_rejects_foreign_header():

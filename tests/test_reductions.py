@@ -170,11 +170,12 @@ def test_nb_matches_centralized_fit():
 
 
 def test_nb_zero_class_and_smoothing():
-    with pytest.raises(ZeroClassCount):
-        nb_parameters([5, 0], [[[3, 0], [2, 0]]])
-    priors, conds = nb_parameters([5, 0], [[[3, 0], [2, 0]]], smoothing=True)
-    assert np.all(conds[0] > 0)
-    assert conds[0][:, 1].sum() == pytest.approx(1.0)
+    with pytest.raises(ZeroClassCount, match="^class 1 has zero samples$"):
+        nb_parameters([5, 0, 2], [[[3, 0, 1], [2, 0, 1]]])
+    # no smoothing: a feature value a class never shows keeps probability 0
+    priors, conds = nb_parameters([5, 2], [[[5, 0], [0, 2]]])
+    assert conds[0][1, 0] == 0 and conds[0][0, 1] == 0
+    assert conds[0][:, 0].sum() == conds[0][:, 1].sum() == 1
 
 
 def test_nb_column_sum_validation():
@@ -208,20 +209,12 @@ def test_regression_split_matches_centralized():
 def test_regression_tensor_symmetry_and_roundtrip():
     X = [[1.5, 2.0], [0.25, -1.0]]
     Y = [1.0, 2.0]
-    vec, _ = encode_regression(X, Y, bound=10**6, scale=4, rounding="floor")
+    vec, _ = encode_regression(X, Y, bound=10**6)
     tensors = RegressionTensors.from_vector(vec, d=2)
     assert np.array_equal(tensors.gram, tensors.gram.T)
     assert tensors.to_vector() == vec
-
-
-def test_regression_rounding_modes_differ():
-    X = [[1.4], [2.6]]
-    Y = [1.9, 3.1]
-    lo, _ = encode_regression(X, Y, bound=10**6, scale=1, rounding="floor")
-    hi, _ = encode_regression(X, Y, bound=10**6, scale=1, rounding="ceil")
-    assert lo != hi
-    with pytest.raises(ValueError):
-        encode_regression(X, Y, bound=10**6, rounding="nearest")
+    # floored at scale 1: X = [[1, 2], [0, -1]], Y = [1, 2]
+    assert vec == [1, 2, 2, 5, 1, 0]
 
 
 def test_regression_bound_fail_closed():

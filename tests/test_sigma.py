@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -37,33 +38,35 @@ MOD = groups.test_group()
 
 
 def test_challenge_deterministic():
-    t1 = FsTranscript(b"tag", [b"a", b"b"])
-    t2 = FsTranscript(b"tag", [b"a", b"b"])
-    assert t1.challenge(MOD) == t2.challenge(MOD)
+    A = MOD.g ** 5
+    assert FsTranscript(b"tag").challenge(MOD, A, MOD.g) == FsTranscript(b"tag").challenge(
+        MOD, A, MOD.g
+    )
+    # the byte layout: u32(len m) || m for m in [tag, group id, enc(e)...]
+    msgs = [b"tag", b"mod41", MOD.encode_element(A), MOD.encode_element(MOD.g)]
+    digest = hashlib.sha256(b"".join(len(m).to_bytes(4, "big") + m for m in msgs)).digest()
+    assert FsTranscript(b"tag").challenge(MOD, A, MOD.g) == int.from_bytes(digest, "big") % MOD.q
 
 
 def test_challenge_domain_separation():
-    t1 = FsTranscript(b"tag1", [b"a"])
-    t2 = FsTranscript(b"tag2", [b"a"])
-    assert t1.challenge(MOD) != t2.challenge(MOD)
-    # length prefixing: "ab" + "c" differs from "a" + "bc"
-    assert FsTranscript(b"t", [b"ab", b"c"]).challenge(MOD) != FsTranscript(
-        b"t", [b"a", b"bc"]
-    ).challenge(MOD)
+    A = MOD.g ** 5
+    assert FsTranscript(b"tag1").challenge(MOD, A) != FsTranscript(b"tag2").challenge(MOD, A)
+    # element order is part of the input
+    assert FsTranscript(b"t").challenge(MOD, A, MOD.g) != FsTranscript(b"t").challenge(
+        MOD, MOD.g, A
+    )
 
 
 def test_challenge_below_order():
     for i in range(50):
-        t = FsTranscript(b"range", [bytes([i])])
-        assert 0 <= t.challenge(TOY) < TOY.q
+        assert 0 <= FsTranscript(bytes([i])).challenge(TOY, TOY.g) < TOY.q
 
 
 def test_child_context_extends_tag():
-    base = FsTranscript(b"base", [b"m"])
+    base = FsTranscript(b"base")
     child = base.child(b"bit", 3)
     assert child.domain_tag == b"base/bit/3"
-    assert child.messages == [b"m"]
-    assert base.challenge(MOD) != child.challenge(MOD)
+    assert base.challenge(MOD, MOD.g) != child.challenge(MOD, MOD.g)
 
 
 # -- completeness and targeted mutations ----------------------------------------
@@ -183,18 +186,19 @@ def test_square_roundtrip(a):
     assert verify_square(MOD, ct_a, ct_b, kp.pk, proof, ctx)
 
 
-def test_square_with_independent_base():
-    # commitments over the hash-derived generator instead of g
+def test_square_challenge_hashes_g_after_pk():
     rng = random.Random(10)
     kp = Keypair.generate(MOD, rng)
-    ctx = FsTranscript(b"square-gamma")
+    ctx = FsTranscript(b"square")
     s_a, s_b = MOD.random_scalar(rng), MOD.random_scalar(rng)
-    ct_a = encrypt_exp(MOD, 4, s_a, kp.pk, base=MOD.gamma)
-    ct_b = encrypt_exp(MOD, 16, s_b, kp.pk, base=MOD.gamma)
-    proof = prove_square(MOD, 4, s_a, s_b, ct_a, ct_b, kp.pk, ctx, rng, base=MOD.gamma)
-    assert verify_square(MOD, ct_a, ct_b, kp.pk, proof, ctx, base=MOD.gamma)
-    # base is part of the statement: swapping it breaks verification
-    assert not verify_square(MOD, ct_a, ct_b, kp.pk, proof, ctx)
+    ct_a = encrypt_exp(MOD, 4, s_a, kp.pk)
+    ct_b = encrypt_exp(MOD, 16, s_b, kp.pk)
+    proof = prove_square(MOD, 4, s_a, s_b, ct_a, ct_b, kp.pk, ctx, rng)
+    C_a, C_b = proof.C_a, proof.C_b
+    statement = (ct_a.A, ct_a.B, ct_b.A, ct_b.B, C_a.A, C_a.B, C_b.A, C_b.B)
+    c = ctx.challenge(MOD, kp.pk, MOD.g, *statement)
+    assert MOD.g ** proof.z_a == ct_a.A ** c * C_a.A
+    assert c != ctx.challenge(MOD, kp.pk, *statement)
 
 
 def test_square_rejects_non_square():
@@ -271,7 +275,7 @@ def test_square_proof_true_statement_opens_all_challenges():
     rng = random.Random(16)
     ct_a = encrypt_exp(TOY, 3, 2, kp.pk)
     ct_b = encrypt_exp(TOY, 9, 6, kp.pk)
-    state, (C_a, C_b) = _square_commit(TOY, ct_a, kp.pk, TOY.g, rng)
+    state, (C_a, C_b) = _square_commit(TOY, ct_a, kp.pk, rng)
     for c in range(11):
         v, z_a, z_b = _square_respond(TOY, 3, 2, 6, state, c)
         assert TOY.g ** z_a == ct_a.A ** c * C_a.A
@@ -309,7 +313,7 @@ def test_square_extraction():
     kp = Keypair(2, TOY.g ** 2)
     a, s_a, s_b = 4, 3, 8
     ct_a = encrypt_exp(TOY, a, s_a, kp.pk)
-    state, _ = _square_commit(TOY, ct_a, kp.pk, TOY.g, rng)
+    state, _ = _square_commit(TOY, ct_a, kp.pk, rng)
     c1, c2 = 1, 6
     v1, *_ = _square_respond(TOY, a, s_a, s_b, state, c1)
     v2, *_ = _square_respond(TOY, a, s_a, s_b, state, c2)
