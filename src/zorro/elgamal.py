@@ -37,7 +37,7 @@ def encrypt_exp(group, m: int, r: int, pk) -> Ciphertext:
     Negative m is represented as q + m, so decryption over a symmetric
     window recovers the signed value.
     """
-    return Ciphertext(group.g ** r, group.g ** (m % group.q) * pk ** r)
+    return Ciphertext(group.g ** r, group.multi_exp(((group.g, m), (pk, r))))
 
 
 def hom_mul(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:

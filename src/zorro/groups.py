@@ -16,14 +16,33 @@ even for the curve, so higher-level code reads like the underlying algebra.
 Scalars are plain ints in [0, q).  All encodings are fixed-length and
 injective; decoding validates subgroup membership.
 
+Every group has one exponentiation engine, ``group.multi_exp(pairs)``, the
+product of base ** e over (base, e) pairs; ``a ** e`` is the one-term case.
+The modular groups multiply builtin ``pow`` results.
+
 Curve points are affine at rest: ``*``, ``==``, hashing and the codec see
-(x, y).  Only ``**`` works in Jacobian coordinates (X, Y, Z) ~ (X/Z^2, Y/Z^3),
-with the a = 0 formulas dbl-2009-l and madd-2007-bl of Bernstein and Lange's
-Explicit-Formulas Database, so an exponentiation pays one field inversion
-instead of one per point addition.  A variable base uses a 4-bit fixed window
-over its 15 affine multiples.  Only the generator g has a table of 64 rows x
-15 multiples of 16^i (Brickell-Gordon-McCurley-Wilson), built on its first
-exponentiation, and needs no doublings at all; gamma is a variable base.
+(x, y).  Only ``multi_exp`` works in Jacobian coordinates (X, Y, Z) ~
+(X/Z^2, Y/Z^3), with the a = 0 formulas dbl-2009-l and madd-2007-bl of
+Bernstein and Lange's Explicit-Formulas Database:
+
+  * GLV (Gallant-Lambert-Vanstone): secp256k1 has the endomorphism
+    (x, y) -> (beta * x, y) = lam * P, so each variable-base scalar splits
+    into two ~128-bit halves k1 + k2 * lam = e (mod q), and lam * P's table
+    is P's with x scaled by beta.
+  * Each half is recoded as width-5 wNAF: signed odd digits |d| < 16 over
+    the table P, 3P, ..., 15P, negated by y -> p - y.
+  * The tables of all bases of a call are made affine with one batched
+    (Montgomery) inversion.
+  * One Straus loop shares ~128 doublings among every half and adds one
+    table entry per nonzero digit.
+  * Powers of the generator g are summed and added after the loop through a
+    table of 64 rows x 15 multiples of 16^i (Brickell-Gordon-McCurley-
+    Wilson), built on g's first use, so they need no doublings; gamma is a
+    variable base.
+  * One final inversion returns an affine point.
+
+The digit patterns follow the scalars, so like the rest of the arithmetic
+this is not constant-time.
 """
 
 import hashlib
@@ -35,8 +54,9 @@ from .errors import EntropyFailure, MalformedEncoding, NotInSubgroup
 class Group:
     """Shared behaviour for prime-order groups.
 
-    Concrete subclasses define group_id, q, g, identity, element_bytes and
-    the element codec.  Elements are immutable and hashable.
+    Concrete subclasses define group_id, q, g, identity, element_bytes, the
+    element codec and multi_exp(pairs), the product of base ** e over
+    (base, e) pairs.  Elements are immutable and hashable.
     """
 
     group_id: str
@@ -139,6 +159,15 @@ class ModGroup(Group):
         self.identity = ModElement(self, 1)
         self.element_bytes = (p.bit_length() + 7) // 8
 
+    def multi_exp(self, pairs):
+        """The product of base ** e over (base, e) pairs: one ** per term and
+        one * per term after the first, through the element operators."""
+        result = None
+        for base, e in pairs:
+            term = base ** e
+            result = term if result is None else result * term
+        return self.identity if result is None else result
+
     def contains(self, a) -> bool:
         return (
             isinstance(a, ModElement)
@@ -213,31 +242,7 @@ class CurvePoint:
         return CurvePoint(self.group, self.x, (-self.y) % self.group.p)
 
     def __pow__(self, e: int):
-        group = self.group
-        e %= group.q
-        if e == 0 or self.is_identity:
-            return group.identity
-        p = group.p
-        X, Y, Z = _J_IDENTITY
-        table = group._fixed_base_table(self)
-        if table is not None:
-            for row in table:
-                digit = e & _WINDOW_MASK
-                if digit:
-                    X, Y, Z = _jmadd(X, Y, Z, *row[digit - 1], p)
-                e >>= _WINDOW
-        else:
-            row = _multiples(self.x, self.y, _WINDOW_MASK, p)
-            for shift in range((e.bit_length() - 1) // _WINDOW * _WINDOW, -1, -_WINDOW):
-                if Z:
-                    for _ in range(_WINDOW):
-                        X, Y, Z = _jdouble(X, Y, Z, p)
-                digit = (e >> shift) & _WINDOW_MASK
-                if digit:
-                    X, Y, Z = _jmadd(X, Y, Z, *row[digit - 1], p)
-        zi = pow(Z, -1, p)  # Z != 0: 0 < e < q and the group has prime order
-        zi2 = zi * zi % p
-        return CurvePoint(group, X * zi2 % p, Y * zi2 * zi % p)
+        return self.group.multi_exp(((self, e),))
 
     def __eq__(self, other):
         return (
@@ -256,10 +261,11 @@ class CurvePoint:
         return f"CurvePoint({hex(self.x)}, {hex(self.y)})"
 
 
-# -- Jacobian arithmetic for y^2 = x^3 + b, used only inside CurvePoint.__pow__ --
+# -- Jacobian arithmetic for y^2 = x^3 + b, used only inside CurveGroup.multi_exp --
 
-_WINDOW = 4
+_WINDOW = 4  # the g table: 4-bit unsigned digits
 _WINDOW_MASK = (1 << _WINDOW) - 1
+_TABLE = 8  # P, 3P, ..., 15P: the odd multiples a width-5 wNAF digit selects
 _J_IDENTITY = (1, 1, 0)  # any Z = 0 triple is the identity
 
 
@@ -294,23 +300,46 @@ def _jmadd(X1, Y1, Z1, x2, y2, p):
     return X3, (r * (V - X3) - 2 * Y1 * J) % p, (t * t - Z1Z1 - HH) % p
 
 
-def _multiples(x, y, count, p):
-    """[(x, y) * j for j = 1..count] as affine pairs, with one inversion.
-
-    count must be below the group order, so no multiple is the identity.
-    """
+def _jmultiples(x, y, count, p):
+    """[(x, y) * j for j = 1..count] in Jacobian coordinates."""
     jac = [(x, y, 1)]
     while len(jac) < count:
         jac.append(_jmadd(*jac[-1], x, y, p))  # the first step is P + P: a doubling
-    # Montgomery's trick: invert the product of all Z, then peel off each 1/Z
+    return jac
+
+
+def _odd_multiples(x, y, p):
+    """[P, 3P, ..., 15P] for P = (x, y), in Jacobian coordinates.
+
+    One doubling and seven mixed additions of 2P = (X2, Y2, Z2): they run on
+    the isomorphic curve (x, y) -> (x Z2^2, y Z2^3), where 2P is affine (the
+    a = 0 formulas do not use b), and a result (X, Y, Z) there is
+    (X, Y, Z * Z2) here.
+    """
+    X2, Y2, Z2 = _jdouble(x, y, 1, p)
+    zz = Z2 * Z2 % p
+    X, Y, Z = x * zz % p, y * zz * Z2 % p, 1
+    out = [(x, y, 1)]
+    for _ in range(_TABLE - 1):
+        X, Y, Z = _jmadd(X, Y, Z, X2, Y2, p)
+        out.append((X, Y, Z * Z2 % p))
+    return out
+
+
+def _to_affine(jac, p):
+    """Affine (x, y) of every Jacobian triple, with one inversion.
+
+    Montgomery's trick: invert the product of all Z, then peel off each 1/Z.
+    No triple may be the identity.
+    """
     prefix = []
     acc = 1
     for _, _, Z in jac:
         prefix.append(acc)
         acc = acc * Z % p
     inv = pow(acc, -1, p)
-    out = [None] * count
-    for j in range(count - 1, -1, -1):
+    out = [None] * len(jac)
+    for j in range(len(jac) - 1, -1, -1):
         X, Y, Z = jac[j]
         zi = inv * prefix[j] % p
         inv = inv * Z % p
@@ -319,14 +348,42 @@ def _multiples(x, y, count, p):
     return out
 
 
-class CurveGroup(Group):
-    """Prime-order elliptic curve group y^2 = x^3 + b over F_p, cofactor 1."""
+def _wnaf(k):
+    """Width-5 NAF of k >= 0, least significant digit first.
 
-    def __init__(self, group_id, p, b, gx, gy, q):
+    sum(d_i * 2^i) == k; every digit is 0 or odd with |d_i| < 16, and a
+    nonzero digit is followed by at least four zeros.
+    """
+    digits = []
+    while k:
+        if k & 1:
+            d = k & 31
+            if d & 16:
+                d -= 32
+            digits += (d, 0, 0, 0, 0)
+            k = (k - d) >> 5
+        else:
+            zeros = (k & -k).bit_length() - 1
+            digits += [0] * zeros
+            k >>= zeros
+    return digits
+
+
+class CurveGroup(Group):
+    """Prime-order elliptic curve group y^2 = x^3 + b over F_p, cofactor 1.
+
+    beta and lam define the GLV endomorphism (x, y) -> (beta * x, y) = lam * P,
+    and (a1, b1), (a2, b2 = a1) is a short basis of the lattice of (k1, k2)
+    with k1 + k2 * lam = 0 (mod q).
+    """
+
+    def __init__(self, group_id, p, b, gx, gy, q, beta, lam, a1, b1, a2):
         self.group_id = group_id
         self.p = p
         self.b = b
         self.q = q
+        self.beta, self.lam = beta, lam
+        self._basis = (a1, b1, a2)
         self.g = CurvePoint(self, gx, gy)
         self.identity = CurvePoint(self, None, None)
         self.element_bytes = 1 + (p.bit_length() + 7) // 8
@@ -341,11 +398,75 @@ class CurveGroup(Group):
             table = []
             x, y = pt.x, pt.y
             for _ in range(-(-self.q.bit_length() // _WINDOW)):
-                row = _multiples(x, y, _WINDOW_MASK + 1, self.p)
+                row = _to_affine(_jmultiples(x, y, _WINDOW_MASK + 1, self.p), self.p)
                 table.append(row[:-1])
                 x, y = row[-1]
             self._g_table = table
         return self._g_table
+
+    def _glv_split(self, k):
+        """(k1, k2) with k1 + k2 * lam = k (mod q) and |k1|, |k2| about sqrt(q).
+
+        Rounds k against the short lattice basis (Gallant-Lambert-Vanstone);
+        0 <= k < q.
+        """
+        a1, b1, a2 = self._basis
+        q, half = self.q, self.q >> 1
+        c1 = (a1 * k + half) // q  # round(b2 * k / q), b2 = a1
+        c2 = (-b1 * k + half) // q
+        return k - c1 * a1 - c2 * a2, -(c1 * b1 + c2 * a1)
+
+    def multi_exp(self, pairs):
+        """The product of base ** e over (base, e) pairs.
+
+        Each variable base P is split by GLV into two ~128-bit powers of P
+        and lam * P, each recoded as width-5 wNAF.  One Straus loop shares
+        ~128 doublings among all of them and adds one table entry per nonzero
+        digit; the tables of odd multiples are made affine with one
+        inversion, and lam * P's table is P's with x scaled by beta.  Powers
+        of g are summed and added after the loop through the g table, with no
+        doublings.  One final inversion returns an affine point.
+        """
+        p, q = self.p, self.q
+        g_e = 0
+        bases, scalars = [], []
+        for base, e in pairs:
+            e %= q
+            if not e or base.is_identity:
+                continue
+            if self._fixed_base_table(base) is not None:
+                g_e += e
+            else:
+                bases.append(base)
+                scalars.append(self._glv_split(e))
+        tables = _to_affine([pt for b in bases for pt in _odd_multiples(b.x, b.y, p)], p)
+        steps = []  # steps[i]: affine points to add at bit i
+        for t, (k1, k2) in enumerate(scalars):
+            table = tables[_TABLE * t:_TABLE * (t + 1)]
+            lam_table = [(self.beta * x % p, y) for x, y in table]
+            for tab, k in ((table, k1), (lam_table, k2)):
+                digits = _wnaf(abs(k))
+                steps += [[] for _ in range(len(digits) - len(steps))]
+                for i, d in enumerate(digits):
+                    if d:
+                        x, y = tab[abs(d) >> 1]
+                        steps[i].append((x, y if (d > 0) == (k > 0) else p - y))
+        X, Y, Z = _J_IDENTITY
+        for adds in reversed(steps):
+            if Z:
+                X, Y, Z = _jdouble(X, Y, Z, p)
+            for x, y in adds:
+                X, Y, Z = _jmadd(X, Y, Z, x, y, p)
+        if g_e:
+            g_e %= q
+            for row in self._g_table:
+                digit = g_e & _WINDOW_MASK
+                if digit:
+                    X, Y, Z = _jmadd(X, Y, Z, *row[digit - 1], p)
+                g_e >>= _WINDOW
+        if Z == 0:
+            return self.identity
+        return CurvePoint(self, *_to_affine([(X, Y, Z)], p)[0])
 
     def contains(self, a) -> bool:
         if not isinstance(a, CurvePoint):
@@ -413,6 +534,12 @@ _SECP256K1 = dict(
     gx=0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798,
     gy=0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8,
     q=0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141,
+    # GLV: beta^3 = 1 (mod p), lam^3 = 1 (mod q), (beta * x, y) = lam * (x, y)
+    beta=0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE,
+    lam=0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72,
+    a1=0x3086D221A7D46BCDE86C90E49284EB15,
+    b1=-0xE4437ED6010E88286F547FA90ABFE4C3,
+    a2=0x114CA50F7A8E2F3F657C1108D9D44CFD8,
 )
 
 # q = 2^40 + 15 (prime), p = 6q + 1 (prime), g = 2^6 has order q

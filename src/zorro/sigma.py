@@ -75,10 +75,11 @@ def prove_dlog(group, a: int, A, ctx: FsTranscript, rng) -> DlogProof:
 
 
 def verify_dlog(group, A, proof: DlogProof, ctx: FsTranscript) -> bool:
+    """g^s == K * A^c, checked as multi_exp([(g, s), (A, q - c)]) == K."""
     if not group.contains(A):
         return False
     c = ctx.challenge(group, A, proof.K)
-    return group.g ** proof.s == proof.K * A ** c
+    return group.multi_exp(((group.g, proof.s), (A, group.q - c))) == proof.K
 
 
 # -- Diffie-Hellman 4-tuple ---------------------------------------------------
@@ -113,11 +114,16 @@ def prove_dh_tuple(group, w: int, statement, ctx: FsTranscript, rng) -> DhTupleP
 
 
 def verify_dh_tuple(group, statement, proof: DhTupleProof, ctx: FsTranscript) -> bool:
+    """g1^z == a * u^e and h1^z == b * v^e, checked as
+    multi_exp([(g1, z), (u, q - e)]) == a and multi_exp([(h1, z), (v, q - e)]) == b."""
     g1, h1, u, v = statement
     if g1 == group.identity or h1 == group.identity:
         return False
     e = ctx.challenge(group, g1, h1, u, v, proof.a, proof.b)
-    return g1 ** proof.z == proof.a * u ** e and h1 ** proof.z == proof.b * v ** e
+    return (
+        group.multi_exp(((g1, proof.z), (u, group.q - e))) == proof.a
+        and group.multi_exp(((h1, proof.z), (v, group.q - e))) == proof.b
+    )
 
 
 # -- encryption of a bit ------------------------------------------------------
@@ -144,8 +150,10 @@ class BitProof(Record):
 
 
 def _bit_branch(group, x, y, pk, bit: int, d: int, r: int):
-    """Commitments (g^r * x^d, pk^r * (y / g^bit)^d) of the branch claiming `bit`."""
-    return group.g ** r * x ** d, pk ** r * (y / group.g if bit else y) ** d
+    """Commitments (g^r * x^d, pk^r * (y / g^bit)^d) of the branch claiming `bit`:
+    multi_exp([(g, r), (x, d)]) and multi_exp([(pk, r), (y / g^bit, d)])."""
+    y_bit = y / group.g if bit else y
+    return group.multi_exp(((group.g, r), (x, d))), group.multi_exp(((pk, r), (y_bit, d)))
 
 
 def prove_bit(group, m: int, r: int, ct: Ciphertext, pk, ctx: FsTranscript, rng) -> BitProof:
@@ -207,8 +215,9 @@ def _square_commit(group, ct_a: Ciphertext, pk, rng):
     x = group.random_scalar(rng)
     r_a = group.random_scalar(rng)
     r_b = group.random_scalar(rng)
-    C_a = Ciphertext(group.g ** r_a, group.g ** x * pk ** r_a)
-    C_b = Ciphertext(ct_a.A ** x * group.g ** r_b, ct_a.B ** x * pk ** r_b)
+    g, exp = group.g, group.multi_exp
+    C_a = Ciphertext(g ** r_a, exp(((g, x), (pk, r_a))))
+    C_b = Ciphertext(exp(((ct_a.A, x), (g, r_b))), exp(((ct_a.B, x), (pk, r_b))))
     return (x, r_a, r_b), (C_a, C_b)
 
 
@@ -248,10 +257,11 @@ def verify_square(
     c = ctx.challenge(
         group, pk, group.g, ct_a.A, ct_a.B, ct_b.A, ct_b.B, C_a.A, C_a.B, C_b.A, C_b.B
     )
-    if group.g ** proof.z_a != ct_a.A ** c * C_a.A:
+    g, exp, minus_c = group.g, group.multi_exp, group.q - c
+    if exp(((g, proof.z_a), (ct_a.A, minus_c))) != C_a.A:
         return False
-    if group.g ** proof.v * pk ** proof.z_a != ct_a.B ** c * C_a.B:
+    if exp(((g, proof.v), (pk, proof.z_a), (ct_a.B, minus_c))) != C_a.B:
         return False
-    if ct_a.A ** proof.v * group.g ** proof.z_b != ct_b.A ** c * C_b.A:
+    if exp(((ct_a.A, proof.v), (g, proof.z_b), (ct_b.A, minus_c))) != C_b.A:
         return False
-    return ct_a.B ** proof.v * pk ** proof.z_b == ct_b.B ** c * C_b.B
+    return exp(((ct_a.B, proof.v), (pk, proof.z_b), (ct_b.B, minus_c))) == C_b.B

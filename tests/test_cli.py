@@ -324,6 +324,21 @@ def test_golden_ledger_bytes(tmp_path, capsys, check, bound, digest, size, total
     assert (len(raw), hashlib.sha256(raw).hexdigest()) == (size, digest)
 
 
+def test_golden_secp256k1_ledger_bytes(tmp_path, capsys):
+    # the curve exponentiation must keep producing the same points
+    path = tmp_path / "golden.ledger"
+    code = run(
+        ["aggregate", "--group", "prod", "--parties", "3", "--dim", "2", "--seed", "11",
+         "--check", "l1", "--bound", "4", "--ledger", str(path)]
+    )
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == "tally: 4,4\n"
+    raw = path.read_bytes()
+    assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
+        22974, "21d7cda27ebd46ad3a0a8dfcbb00593ca8a50f0e0236baf03ffa2e96b80c753a"
+    )
+
+
 # l1 bound 2^41 - 1 on mod41, where q = 2^40 + 15: legal entries can sum to q
 WRAP_BOUND = str(2**41 - 1)
 

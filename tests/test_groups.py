@@ -212,3 +212,131 @@ def test_mixed_add_edge_branches():
     Q = CURVE.g ** 7
     assert to_affine(*groups._jmadd(X, Y, Z, Q.x, Q.y, p)) == HASHED * Q
 
+
+
+# -- multi_exp against products of single powers ----------------------------------
+
+P = HASHED
+MULTI_CASES = {
+    "empty": [],
+    "identity bases": [(CURVE.identity, 5), (P, 7), (CURVE.identity, CURVE.q - 1)],
+    "P with its inverse": [(P, 123456789), (P.inverse(), 123456789)],
+    "repeated base": [(P, 3), (P, 2**200 + 1), (P, CURVE.q - 5)],
+    "g mixed in": [(CURVE.g, 2**255 - 19), (P, 77), (CURVE.gamma, -3), (CURVE.g, 5)],
+    "edge scalars": [
+        (P, 0), (CURVE.gamma, 1), (CURVE.g, CURVE.q - 1), (P, CURVE.q), (CURVE.gamma, -1),
+    ],
+    "all zero": [(P, 0), (CURVE.g, CURVE.q), (CURVE.gamma, -CURVE.q)],
+}
+
+
+def curve_product(pairs):
+    out = CURVE.identity
+    for base, e in pairs:
+        out = out * affine_pow(base, e)
+    return out
+
+
+def mod_product(group, pairs):
+    out = group.identity
+    for base, e in pairs:
+        out = out * base ** e
+    return out
+
+
+@pytest.mark.parametrize("case", MULTI_CASES)
+def test_curve_multi_exp_matches_affine_oracle(case):
+    pairs = MULTI_CASES[case]
+    result = CURVE.multi_exp(pairs)
+    assert result == curve_product(pairs), case
+    assert CURVE.contains(result)
+
+
+def test_curve_multi_exp_returns_the_identity_object():
+    assert CURVE.multi_exp([]) is CURVE.identity
+    assert CURVE.multi_exp([(P, 9), (P.inverse(), 9)]) is CURVE.identity
+
+
+@pytest.mark.parametrize("group", [TOY, MOD], ids=lambda g: g.group_id)
+def test_mod_multi_exp_matches_product_of_powers(group):
+    g, h = group.g, group.gamma
+    for pairs in ([], [(g, 0)], [(g, 1), (h, group.q - 1)], [(g, group.q), (h, -1), (g, 5)],
+                  [(h, 3), (h.inverse(), 3)], [(group.identity, 4), (g, 2)]):
+        assert group.multi_exp(pairs) == mod_product(group, pairs), pairs
+
+
+CURVE_BASES = sorted(BASES)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(st.sampled_from(CURVE_BASES), st.booleans(),
+                  st.integers(min_value=-(2**256), max_value=2**256)),
+        min_size=1, max_size=4,
+    )
+)
+def test_curve_multi_exp_matches_affine_oracle_on_drawn_terms(terms):
+    pairs = [(BASES[name].inverse() if neg else BASES[name], e) for name, neg, e in terms]
+    assert CURVE.multi_exp(pairs) == curve_product(pairs)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    group=st.sampled_from([TOY, MOD]),
+    terms=st.lists(st.tuples(st.integers(0, 2**41), st.integers(-(2**42), 2**42)), max_size=4),
+)
+def test_mod_multi_exp_matches_product_of_powers_on_drawn_terms(group, terms):
+    pairs = [(group.g ** k, e) for k, e in terms]
+    assert group.multi_exp(pairs) == mod_product(group, pairs)
+
+
+# -- GLV split and wNAF recoding ------------------------------------------------------
+
+SPLIT_SCALARS = [0, 1, 2, CURVE.q - 1, CURVE.q - 2, CURVE.lam, CURVE.q - CURVE.lam,
+                 2**128, 2**128 - 1, CURVE.q >> 1, (CURVE.q >> 1) + 1]
+
+
+def test_glv_constants():
+    p, q, beta, lam = CURVE.p, CURVE.q, CURVE.beta, CURVE.lam
+    assert pow(beta, 3, p) == 1 != beta
+    assert pow(lam, 3, q) == 1 != lam
+    for pt in (CURVE.g, HASHED):
+        assert affine_pow(pt, lam) == groups.CurvePoint(CURVE, beta * pt.x % p, pt.y)
+
+
+def _check_split(k):
+    k1, k2 = CURVE._glv_split(k)
+    assert (k1 + k2 * CURVE.lam - k) % CURVE.q == 0, k
+    assert abs(k1) < 2**129 and abs(k2) < 2**129, (k, k1, k2)
+
+
+def test_glv_split_on_edge_scalars():
+    for k in SPLIT_SCALARS:
+        _check_split(k)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(k=st.integers(min_value=0, max_value=CURVE.q - 1))
+def test_glv_split_on_drawn_scalars(k):
+    _check_split(k)
+
+
+def _check_wnaf(k):
+    digits = groups._wnaf(k)
+    assert sum(d << i for i, d in enumerate(digits)) == k
+    nonzero = [i for i, d in enumerate(digits) if d]
+    assert all(d % 2 == 1 and abs(d) < 16 for d in digits if d)
+    assert all(b - a >= 5 for a, b in zip(nonzero, nonzero[1:])), digits
+
+
+def test_wnaf_on_edge_scalars():
+    assert groups._wnaf(0) == []
+    for k in [1, 15, 16, 17, 31, 32, 2**129 - 1] + SPLIT_SCALARS:
+        _check_wnaf(k)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(k=st.integers(min_value=0, max_value=2**130))
+def test_wnaf_on_drawn_scalars(k):
+    _check_wnaf(k)
