@@ -339,6 +339,53 @@ def test_golden_secp256k1_ledger_bytes(tmp_path, capsys):
     )
 
 
+def test_golden_secp256k1_l2_ledger_bytes(tmp_path, capsys):
+    # the l2 bundle codec must keep writing the same curve ledger
+    path = tmp_path / "golden.ledger"
+    code = run(
+        ["aggregate", "--group", "prod", "--parties", "3", "--dim", "2", "--seed", "11",
+         "--check", "l2", "--bound", "9", "--ledger", str(path)]
+    )
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == "tally: 4,7\n"
+    raw = path.read_bytes()
+    assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
+        35586, "bfbe2b14843650880669a492e817fa9dedeb87a243be1757f7008ee397622731"
+    )
+
+
+@pytest.mark.parametrize(
+    "check, bound, slot_fields",
+    [
+        ("l1", "4", ("reencrypted", "links", "element_digit_cts", "element_digit_proofs")),
+        # L = 7, so the padded l2 runs keep their 8 slots at m = 1 as at m = 2
+        ("l2", "9", ("links",)),
+    ],
+)
+def test_verify_rejects_a_bundle_cut_to_one_slot(tmp_path, capsys, check, bound, slot_fields):
+    # party 1's bundle decodes as a well-formed one-slot bundle, but it sits
+    # under two posted ciphertexts
+    group = groups.test_group()
+    source = tmp_path / "source.ledger"
+    code = run(
+        ["aggregate", "--group", "test", "--parties", "3", "--dim", "2", "--seed", "11",
+         "--check", check, "--bound", bound, "--ledger", str(source)]
+    )
+    assert code == EXIT_OK
+    capsys.readouterr()
+
+    def edit(entry, entries):
+        if (entry.round, entry.party) != (2, 1):
+            return [(entry.round, entry.party, entry.payload)]
+        post = protocol.Round2Post.from_bytes(group, entry.payload)
+        cut = {name: getattr(post.bundle, name)[:1] for name in slot_fields}
+        post = dataclasses.replace(post, bundle=dataclasses.replace(post.bundle, **cut))
+        return [(2, 1, post.to_bytes(group))]
+
+    path = _rechained(source, tmp_path / "cut.ledger", edit)
+    _assert_rejected(path, capsys, "contribution of party 1 rejected (malformed)")
+
+
 # l1 bound 2^41 - 1 on mod41, where q = 2^40 + 15: legal entries can sum to q
 WRAP_BOUND = str(2**41 - 1)
 

@@ -386,6 +386,63 @@ def test_l1_serialization():
     reader.expect_end()
 
 
+# -- bundle shape -------------------------------------------------------------------
+
+
+def _short_by_one(proof, field, row=None):
+    """The bundle with one item dropped from `field`, or from its row `row`."""
+    items = list(getattr(proof, field))
+    if row is None:
+        items.pop()
+    else:
+        items[row] = items[row][:-1]
+    return dataclasses.replace(proof, **{field: tuple(items)})
+
+
+def _bundle_case(kind):
+    rng = random.Random(24)
+    policy = BoundPolicy(kind, 5)
+    x, pads, kp = make_keys(MOD, 2, rng)
+    values = [1, 2]
+    prove = prove_l1 if kind == "l1" else prove_l2
+    proof = prove(MOD, values, x, pads, kp.pk, policy, FsTranscript(b"shape"), rng)
+    return posted(MOD, values, x, pads), proof, policy, pads
+
+
+@pytest.mark.parametrize(
+    "kind, field, row",
+    [
+        ("l1", "reencrypted", None),
+        ("l1", "links", None),
+        ("l1", "element_digit_cts", None),
+        ("l1", "element_digit_cts", 1),
+        ("l1", "element_digit_proofs", None),
+        ("l1", "element_digit_proofs", 0),
+        ("l1", "sum_digit_cts", None),
+        ("l1", "sum_digit_proofs", None),
+        ("l2", "reencrypted", None),
+        ("l2", "links", None),
+        ("l2", "digit_cts", None),
+        ("l2", "digit_proofs", None),
+        ("l2", "square_cts", None),
+        ("l2", "square_proofs", None),
+    ],
+)
+def test_bundle_missing_an_item_is_malformed(kind, field, row):
+    cts, proof, policy, pads = _bundle_case(kind)
+    verify = verify_l1 if kind == "l1" else verify_l2
+    bad = _short_by_one(proof, field, row)
+    assert verify(MOD, cts, bad, policy, pads, FsTranscript(b"shape")) == (False, "malformed")
+
+
+@pytest.mark.parametrize("kind", ["l1", "l2"])
+def test_bundle_with_wrong_pad_key_count_is_malformed(kind):
+    cts, proof, policy, pads = _bundle_case(kind)
+    verify = verify_l1 if kind == "l1" else verify_l2
+    for keys in (pads[:1], pads + pads[:1]):
+        assert verify(MOD, cts, proof, policy, keys, FsTranscript(b"shape")) == (False, "malformed")
+
+
 # -- toy-scale exhaustive soundness ---------------------------------------------
 #
 # Parameters are chosen so the digit range stays inside the 11-element
