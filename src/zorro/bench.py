@@ -47,6 +47,8 @@ def _session(group, kind: str, n: int, m: int, B: int, rng):
 
 def bench_grid(group, kind: str, ms, Bs, reps: int = 3, seed: int = 0):
     """Median generation / verification / tally times over an (m, B) grid."""
+    if reps < 1:
+        raise ValueError(f"reps must be at least 1, got {reps}")
     rng = random.Random(seed)
     rows = []
     for m in ms:

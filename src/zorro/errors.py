@@ -51,15 +51,6 @@ class LedgerRejected(ZorroError):
         self.check = check
 
 
-class InvalidRound1Proof(ZorroError):
-    """A round-1 discrete-log proof failed verification."""
-
-    def __init__(self, party, index):
-        super().__init__(f"round-1 proof of party {party} failed at slot {index}")
-        self.party = party
-        self.index = index
-
-
 class DuplicatePost(ZorroError):
     """A party attempted to post twice in the same round (equivocation)."""
 

@@ -27,7 +27,6 @@ from .dlog import DlogWindow, bsgs
 from .elgamal import Ciphertext, Keypair, encrypt_exp
 from .encoding import Reader, pack_u8, pack_u32, put, read_many
 from .errors import (
-    InvalidRound1Proof,
     LedgerRejected,
     MalformedEncoding,
     MissingPost,
@@ -119,7 +118,7 @@ class Round1Post:
         return cls(party, elements, proofs)
 
 
-# round-2 bundle kind byte -> bundle type; kind 0 carries no bundle
+# round-2 bundle kind byte (the policy code) -> bundle type; policy none posts no bundle
 _BUNDLE_KINDS = (type(None), L1RangeProof, L2RangeProof)
 
 
@@ -191,18 +190,30 @@ def verify_round1(cfg: ProtocolConfig, post: Round1Post) -> bool:
     return _round1_failure(cfg, post) is None
 
 
+def _rejected(what: str, party: int, check: str, detail=None) -> LedgerRejected:
+    message = f"{what} of party {party} rejected ({check})"
+    return LedgerRejected(party, check, message + (f": {detail}" if detail else ""))
+
+
+def _check_round1(cfg: ProtocolConfig, posts):
+    """Raise LedgerRejected (check "round1") naming the first post, in the
+    given order, whose proof fails and its slot."""
+    for post in posts:
+        slot = _round1_failure(cfg, post)
+        if slot is not None:
+            raise _rejected("round-1 proof", post.party, "round1", f"slot {slot}")
+
+
 def derive_pads(cfg: ProtocolConfig, round1_posts, party: int):
     """Pad keys h_ij for `party` from everyone's round-1 posts.
 
     All n posts must be present (else MissingPost) and every discrete-log
-    proof must check out (else InvalidRound1Proof naming party and slot)
-    before any pad is trusted.
+    proof must check out (else LedgerRejected with check "round1", naming
+    the party and slot, as verify_ledger reports it) before any pad is
+    trusted.
     """
     table = _by_party(cfg, round1_posts, 1)
-    for k in range(cfg.n):
-        slot = _round1_failure(cfg, table[k])
-        if slot is not None:
-            raise InvalidRound1Proof(k, slot)
+    _check_round1(cfg, [table[k] for k in range(cfg.n)])
     pads = []
     for j in range(cfg.m):
         h = cfg.group.identity
@@ -230,13 +241,11 @@ def round2_generate(
     cts = tuple(
         encrypt_exp(group, values[j], secret.x[j], pads[j]) for j in range(cfg.m)
     )
-    ctx = cfg.base_context().child(b"r2", party)
-    if cfg.policy.kind == rangeproof.L1:
-        bundle = rangeproof.prove_l1(group, values, secret.x, pads, keypair.pk, cfg.policy, ctx, rng)
-    elif cfg.policy.kind == rangeproof.L2:
-        bundle = rangeproof.prove_l2(group, values, secret.x, pads, keypair.pk, cfg.policy, ctx, rng)
-    else:
-        bundle = None
+    bundle = None
+    if cfg.policy.kind != rangeproof.NONE:
+        prove = getattr(rangeproof, f"prove_{cfg.policy.kind}")
+        ctx = cfg.base_context().child(b"r2", party)
+        bundle = prove(group, values, secret.x, pads, keypair.pk, cfg.policy, ctx, rng)
     return Round2Post(party, cts, bundle)
 
 
@@ -249,18 +258,13 @@ def verify_contribution(cfg: ProtocolConfig, post: Round2Post, pads):
     """
     if len(post.cts) != cfg.m:
         return False, "malformed"
-    ctx = cfg.base_context().child(b"r2", post.party)
-    if cfg.policy.kind == rangeproof.NONE:
-        if post.bundle is not None:
-            return False, "policy"
-        return True, None
-    if cfg.policy.kind == rangeproof.L1:
-        if not isinstance(post.bundle, L1RangeProof):
-            return False, "policy"
-        return rangeproof.verify_l1(cfg.group, post.cts, post.bundle, cfg.policy, pads, ctx)
-    if not isinstance(post.bundle, L2RangeProof):
+    if type(post.bundle) is not _BUNDLE_KINDS[cfg.policy.code]:
         return False, "policy"
-    return rangeproof.verify_l2(cfg.group, post.cts, post.bundle, cfg.policy, pads, ctx)
+    if post.bundle is None:
+        return True, None
+    verify = getattr(rangeproof, f"verify_{cfg.policy.kind}")
+    ctx = cfg.base_context().child(b"r2", post.party)
+    return verify(cfg.group, post.cts, post.bundle, cfg.policy, pads, ctx)
 
 
 def tally(cfg: ProtocolConfig, round2_posts, window: DlogWindow | None = None) -> tuple:
@@ -320,11 +324,6 @@ def _ledger_round(cfg: ProtocolConfig, ledger, round: int) -> list:
     return [posts[i] for i in range(cfg.n)]
 
 
-def _rejected(what: str, party: int, check: str, detail=None) -> LedgerRejected:
-    message = f"{what} of party {party} rejected ({check})"
-    return LedgerRejected(party, check, message + (f": {detail}" if detail else ""))
-
-
 def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
     """Publicly verify every post of a session ledger; anyone can run this.
 
@@ -347,10 +346,7 @@ def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
             if post2.cts[j].A != post1.elements[j]:
                 detail = f"slot {j} does not reuse its round-1 element"
                 raise _rejected("contribution", post2.party, "binding", detail)
-    for post in posts1:
-        slot = _round1_failure(cfg, post)
-        if slot is not None:
-            raise _rejected("round-1 proof", post.party, "round1", f"slot {slot}")
+    _check_round1(cfg, posts1)
     for post in posts2:
         ok, reason = verify_contribution(cfg, post, derive_pads(cfg, posts1, post.party))
         if not ok:

@@ -22,10 +22,16 @@ recompose exactly, so both recompositions are plain ciphertext equalities:
 
 The enforced bound is always the full digit range 2^L - 1; exact non-power
 bounds would need set-membership machinery that is out of scope.
+
+Each bundle states its shape once, as runs(m, L): the item type and count
+of every field after h_i, in wire order, for m slots and L digits.  A count
+is an int, or (rows, cols) for a table such as L1's m x L digit rows.  The
+shared Bundle base derives the codec (tag, policy, u32 m, h_i, then each
+run item by item) and the verifiers' shape check fits(m) from that table.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 
 from .dlog import DlogWindow
@@ -107,8 +113,13 @@ class BoundPolicy:
             return DlogWindow(-n * per_party, n * per_party)
         return None
 
+    @property
+    def code(self) -> int:
+        """The policy's one-byte wire code: none 0, l1 1, l2 2."""
+        return _KIND_CODES[self.kind]
+
     def to_bytes(self) -> bytes:
-        return pack_u8(_KIND_CODES[self.kind]) + pack_u64(self.B)
+        return pack_u8(self.code) + pack_u64(self.B)
 
     @classmethod
     def read_from(cls, reader: Reader) -> "BoundPolicy":
@@ -218,55 +229,83 @@ def _bits_ok(group, digit_cts, digit_proofs, h_i, row_ctx) -> bool:
     )
 
 
-# -- bundle codec -------------------------------------------------------------
+# -- bundle shape and codec ---------------------------------------------------
 
 
-def _read_bundle_head(group, reader: Reader, tag: int, kind: str):
-    """Tag, policy and slot count of a bundle, then the prover key h_i."""
-    reader.expect_tag(tag, f"{kind} bundle")
-    policy = BoundPolicy.read_from(reader)
-    if policy.kind != kind:
-        raise MalformedEncoding(f"bundle policy is not {kind}")
-    m = reader.u32()
-    if not 1 <= m <= _MAX_DIM or policy.L > _MAX_DIGITS:
-        raise MalformedEncoding("implausible bundle dimensions")
-    return policy, m, read_one(group, reader, object)
+def _read_run(group, reader: Reader, kind, count) -> tuple:
+    if isinstance(count, int):
+        return read_many(group, reader, count, kind)
+    rows, cols = count
+    return tuple(read_many(group, reader, cols, kind) for _ in range(rows))
+
+
+def _run_fits(items, count) -> bool:
+    rows, cols = count if isinstance(count, tuple) else (count, None)
+    return len(items) == rows and (cols is None or all(len(row) == cols for row in items))
+
+
+@dataclass(frozen=True)
+class Bundle:
+    """A validity bundle: its policy, the prover key h_i, then the runs of
+    items that its subclass lays out in runs(m, L) and tags with TAG and
+    the policy KIND.  `links` holds one proof per slot, so its length is
+    the m that the wire form carries."""
+
+    policy: BoundPolicy
+    h_i: object
+
+    def _run_values(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)[2:]]
+
+    def fits(self, m: int) -> bool:
+        """Every run has the length runs(m, L) gives it under this bundle's policy."""
+        shape = self.runs(m, self.policy.L)
+        return all(
+            _run_fits(items, count)
+            for items, (_, count) in zip(self._run_values(), shape, strict=True)
+        )
+
+    def to_bytes(self, group) -> bytes:
+        return put(
+            group, pack_u8(self.TAG), self.policy.to_bytes(), pack_u32(len(self.links)),
+            self.h_i, *self._run_values(),
+        )
+
+    @classmethod
+    def read_from(cls, group, reader: Reader) -> "Bundle":
+        reader.expect_tag(cls.TAG, f"{cls.KIND} bundle")
+        policy = BoundPolicy.read_from(reader)
+        if policy.kind != cls.KIND:
+            raise MalformedEncoding(f"bundle policy is not {cls.KIND}")
+        m = reader.u32()
+        if not 1 <= m <= _MAX_DIM or policy.L > _MAX_DIGITS:
+            raise MalformedEncoding("implausible bundle dimensions")
+        h_i = read_one(group, reader, object)
+        runs = cls.runs(m, policy.L)
+        return cls(policy, h_i, *(_read_run(group, reader, kind, count) for kind, count in runs))
 
 
 # -- L2 norm bound ------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class L2RangeProof:
-    policy: BoundPolicy
-    h_i: object
+class L2RangeProof(Bundle):
     reencrypted: tuple        # E*[T_j]; padded with encryptions of 0 past m
     links: tuple              # DH-tuple proofs, one per real slot
-    digit_cts: tuple          # E[s_l], L of them
+    digit_cts: tuple          # E[s_l]
     digit_proofs: tuple       # bit proofs for the digits
     square_cts: tuple         # E[w_j], one per (padded) slot
     square_proofs: tuple      # square-relation proofs, aligned with square_cts
 
-    def to_bytes(self, group) -> bytes:
-        return put(
-            group, b"\x05", self.policy.to_bytes(), pack_u32(len(self.links)), self.h_i,
-            self.reencrypted, self.links, self.digit_cts, self.digit_proofs,
-            self.square_cts, self.square_proofs,
-        )
+    TAG = 0x05
+    KIND = L2
 
-    @classmethod
-    def read_from(cls, group, reader: Reader) -> "L2RangeProof":
-        policy, m, h_i = _read_bundle_head(group, reader, 0x05, L2)
-        L = policy.L
+    @staticmethod
+    def runs(m: int, L: int) -> tuple:
         m_ext = _extended_len(m, L)
-        return cls(
-            policy, h_i,
-            read_many(group, reader, m_ext, Ciphertext),
-            read_many(group, reader, m, DhTupleProof),
-            read_many(group, reader, L, Ciphertext),
-            read_many(group, reader, L, BitProof),
-            read_many(group, reader, m_ext, Ciphertext),
-            read_many(group, reader, m_ext, SquareProof),
+        return (
+            (Ciphertext, m_ext), (DhTupleProof, m), (Ciphertext, L), (BitProof, L),
+            (Ciphertext, m_ext), (SquareProof, m_ext),
         )
 
 
@@ -333,17 +372,8 @@ def verify_l2(group, posted_cts, proof: L2RangeProof, policy: BoundPolicy, pad_k
     """
     if proof.policy != policy:
         return False, "policy"
-    m, L = len(posted_cts), policy.L
-    m_ext = _extended_len(m, L)
-    if (
-        len(proof.reencrypted) != m_ext
-        or len(proof.links) != m
-        or len(proof.digit_cts) != L
-        or len(proof.digit_proofs) != L
-        or len(proof.square_cts) != m_ext
-        or len(proof.square_proofs) != m_ext
-        or len(pad_keys) != m
-    ):
+    m = len(posted_cts)
+    if not proof.fits(m) or len(pad_keys) != m:
         return False, "malformed"
     if not _links_ok(group, posted_cts, proof, pad_keys, ctx):
         return False, "tuple"
@@ -352,11 +382,10 @@ def verify_l2(group, posted_cts, proof: L2RangeProof, policy: BoundPolicy, pad_k
     if not _bits_ok(group, proof.digit_cts, proof.digit_proofs, proof.h_i, ctx.child(b"bit")):
         return False, "bit"
     if not all(
-        verify_square(
-            group, proof.reencrypted[j], proof.square_cts[j], proof.h_i,
-            proof.square_proofs[j], ctx.child(b"square", j),
+        verify_square(group, ct_t, ct_w, proof.h_i, p, ctx.child(b"square", j))
+        for j, (ct_t, ct_w, p) in enumerate(
+            zip(proof.reencrypted, proof.square_cts, proof.square_proofs)
         )
-        for j in range(m_ext)
     ):
         return False, "square"
     return True, None
@@ -366,35 +395,22 @@ def verify_l2(group, posted_cts, proof: L2RangeProof, policy: BoundPolicy, pad_k
 
 
 @dataclass(frozen=True)
-class L1RangeProof:
-    policy: BoundPolicy
-    h_i: object
+class L1RangeProof(Bundle):
     reencrypted: tuple        # E*[T_j]
     links: tuple              # DH-tuple proofs
-    element_digit_cts: tuple  # m x L ciphertexts E[b_jl]
+    element_digit_cts: tuple  # rows of E[b_jl], one row per slot
     element_digit_proofs: tuple
-    sum_digit_cts: tuple      # L ciphertexts E[sigma_l]
+    sum_digit_cts: tuple      # E[sigma_l]
     sum_digit_proofs: tuple
 
-    def to_bytes(self, group) -> bytes:
-        return put(
-            group, b"\x06", self.policy.to_bytes(), pack_u32(len(self.links)), self.h_i,
-            self.reencrypted, self.links, self.element_digit_cts, self.element_digit_proofs,
-            self.sum_digit_cts, self.sum_digit_proofs,
-        )
+    TAG = 0x06
+    KIND = L1
 
-    @classmethod
-    def read_from(cls, group, reader: Reader) -> "L1RangeProof":
-        policy, m, h_i = _read_bundle_head(group, reader, 0x06, L1)
-        L = policy.L
-        return cls(
-            policy, h_i,
-            read_many(group, reader, m, Ciphertext),
-            read_many(group, reader, m, DhTupleProof),
-            tuple(read_many(group, reader, L, Ciphertext) for _ in range(m)),
-            tuple(read_many(group, reader, L, BitProof) for _ in range(m)),
-            read_many(group, reader, L, Ciphertext),
-            read_many(group, reader, L, BitProof),
+    @staticmethod
+    def runs(m: int, L: int) -> tuple:
+        return (
+            (Ciphertext, m), (DhTupleProof, m), (Ciphertext, (m, L)), (BitProof, (m, L)),
+            (Ciphertext, L), (BitProof, L),
         )
 
 
@@ -451,18 +467,8 @@ def verify_l1(group, posted_cts, proof: L1RangeProof, policy: BoundPolicy, pad_k
     """
     if proof.policy != policy:
         return False, "policy"
-    m, L = len(posted_cts), policy.L
-    if (
-        len(proof.reencrypted) != m
-        or len(proof.links) != m
-        or len(proof.element_digit_cts) != m
-        or len(proof.element_digit_proofs) != m
-        or any(len(row) != L for row in proof.element_digit_cts)
-        or any(len(row) != L for row in proof.element_digit_proofs)
-        or len(proof.sum_digit_cts) != L
-        or len(proof.sum_digit_proofs) != L
-        or len(pad_keys) != m
-    ):
+    m = len(posted_cts)
+    if not proof.fits(m) or len(pad_keys) != m:
         return False, "malformed"
     if not _links_ok(group, posted_cts, proof, pad_keys, ctx):
         return False, "tuple"

@@ -484,8 +484,13 @@ def test_demos_match_centralized(command, capsys):
         (["demo-regression", "--parties", "3", "--data", "FILE"], "1,2\n2,3\n", "rows"),
         (["demo-id3", "--parties", "3", "--samples", "FILE"], "0 0\n1 1\n", "rows"),
         (["aggregate", "--dim", "0", "--bound", "4", "--ledger", "FILE"], None, "dimension"),
+        (["bench", "--dims", "1", "--bounds", "2", "--reps", "0", "--out", "FILE"], None, "reps"),
+        (["bench", "--dims", "1", "--bounds", "2", "--reps", "-2", "--out", "FILE"], None, "reps"),
     ],
-    ids=["lda-0", "id3-0", "nb-0", "regression-30", "regression-data", "id3-samples", "dim-0"],
+    ids=[
+        "lda-0", "id3-0", "nb-0", "regression-30", "regression-data", "id3-samples", "dim-0",
+        "reps-0", "reps-negative",
+    ],
 )
 def test_bad_party_counts_are_usage_errors(tmp_path, capsys, argv, data, name):
     # the demo cases other than id3-samples escaped main as IndexError /

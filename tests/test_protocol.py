@@ -8,7 +8,6 @@ from zorro.dlog import DlogWindow, bsgs
 from zorro.elgamal import encrypt_exp
 from zorro.errors import (
     BoundExceeded,
-    InvalidRound1Proof,
     LedgerRejected,
     MalformedEncoding,
     MissingPost,
@@ -81,8 +80,9 @@ def test_round1_proofs_bound_to_party():
     _, posts = full_round1(cfg)
     swapped = dataclasses.replace(posts[0], proofs=posts[1].proofs)
     assert not verify_round1(cfg, swapped)
-    with pytest.raises(InvalidRound1Proof):
+    with pytest.raises(LedgerRejected) as exc:
         derive_pads(cfg, [swapped] + posts[1:], 0)
+    assert (exc.value.party, exc.value.check) == (0, "round1")
 
 
 def test_pads_two_party_algebra():
@@ -286,8 +286,9 @@ def test_verify_contribution_rejects_cross_session_replay():
     assert verify_contribution(cfg_a, post, derive_pads(cfg_a, posts1, 0)) == (True, None)
     # round-1 proofs are session-bound too, so deriving pads under the other
     # session already fails
-    with pytest.raises(InvalidRound1Proof):
+    with pytest.raises(LedgerRejected) as exc:
         derive_pads(cfg_b, posts1, 0)
+    assert (exc.value.party, exc.value.check) == (0, "round1")
 
 
 def test_policy_kind_must_match_bundle():
