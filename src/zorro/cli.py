@@ -118,6 +118,8 @@ def _run_encoded(args, encode, inputs):
 
 
 def cmd_vote(args) -> int:
+    if args.bound < 2:
+        raise SessionFailure(f"--bound must be at least 2 (one vote), got {args.bound}")
     ballots = _read_rows(args.ballots)
     totals = _run_encoded(args, lambda ballot: reductions.encode_ballot(ballot, args.bound), ballots)
     for j, total in enumerate(totals):

@@ -18,7 +18,9 @@ injective; decoding validates subgroup membership.
 
 Every group has one exponentiation engine, ``group.multi_exp(pairs)``, the
 product of base ** e over (base, e) pairs; ``a ** e`` is the one-term case.
-The modular groups multiply builtin ``pow`` results.
+Every group skips the terms whose exponent is 0 mod q, so a sigma prover
+evaluates its verification equations at challenge 0 for free.  The modular
+groups multiply builtin ``pow`` results.
 
 Curve points are affine at rest: ``*``, ``==``, hashing and the codec see
 (x, y).  Only ``multi_exp`` works in Jacobian coordinates (X, Y, Z) ~
@@ -160,12 +162,14 @@ class ModGroup(Group):
         self.element_bytes = (p.bit_length() + 7) // 8
 
     def multi_exp(self, pairs):
-        """The product of base ** e over (base, e) pairs: one ** per term and
-        one * per term after the first, through the element operators."""
-        result = None
+        """The product of base ** e over (base, e) pairs: one ** per term with
+        e != 0 mod q and one * per such term after the first, through the
+        element operators."""
+        q, result = self.q, None
         for base, e in pairs:
-            term = base ** e
-            result = term if result is None else result * term
+            if e % q:
+                term = base ** e
+                result = term if result is None else result * term
         return self.identity if result is None else result
 
     def contains(self, a) -> bool:

@@ -179,7 +179,7 @@ class Ledger:
             except UnicodeDecodeError as exc:
                 raise ChainBroken(pos, "undecodable entry line") from exc
             match = _LINE_RE.match(text)
-            if match is None:
+            if match is None or int(match[3]) > 0xFFFFFFFF:  # the party id is hashed as a u32
                 raise ChainBroken(pos, "malformed entry line")
             try:
                 entry = LedgerEntry(

@@ -77,6 +77,8 @@ class BoundPolicy:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind != NONE and self.B < 1:
             raise ValueError("bound must be a positive integer")
+        if self.B >= 1 << 64:
+            raise ValueError(f"bound {self.B} does not fit the u64 wire field")
 
     @classmethod
     def l1(cls, B: int) -> "BoundPolicy":
@@ -163,22 +165,18 @@ def reencryption_link(group, t: int, x: int, h_pad, h_i, ctx, rng):
     Returns (E*[t], proof).  The proof statement is the DH 4-tuple
     (g, h_pad/h_i, g^x, (h_pad/h_i)^x): the posted and re-encrypted
     ciphertexts differ exactly by that last factor in their second slot.
+    prove_dh_tuple raises ValueError when the pad key equals h_i.
     """
     base = h_pad / h_i
-    if base == group.identity:
-        raise ValueError("degenerate link: pad key equals long-term key")
     ct_star = encrypt_exp(group, t, x, h_i)
-    statement = (group.g, base, group.g ** x, base ** x)
+    statement = (group.g, base, ct_star.A, base ** x)
     return ct_star, prove_dh_tuple(group, x, statement, ctx, rng)
 
 
 def verify_reencryption_link(group, ct: Ciphertext, ct_star: Ciphertext, h_pad, h_i, proof, ctx) -> bool:
     if ct.A != ct_star.A:
         return False
-    base = h_pad / h_i
-    if base == group.identity:
-        return False
-    statement = (group.g, base, ct.A, ct.B / ct_star.B)
+    statement = (group.g, h_pad / h_i, ct.A, ct.B / ct_star.B)
     return verify_dh_tuple(group, statement, proof, ctx)
 
 

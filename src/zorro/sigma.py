@@ -7,9 +7,12 @@
 
 Challenges are SHA-256 over the length-prefixed domain tag, group id and
 encoded elements, reduced mod q.  Element order is pinned: statement
-elements in transcript order, then commitment elements.  Each prover is split into
-commit/respond halves so tests can replay the interactive form with chosen
-challenges (special-soundness checks); the public API is the NIZK.
+elements in transcript order, then commitment elements.
+
+Each relation states its verification equations once, as a function of
+(responses, challenge) returning the commitments they answer: the verifier
+compares its value at the posted responses and hashed challenge with the
+posted commitments, and the prover takes it at its nonces with challenge 0.
 """
 
 import hashlib
@@ -59,27 +62,23 @@ class DlogProof(Record):
     s: int
 
 
-def _dlog_commit(group, rng):
-    k = group.random_scalar(rng)
-    return k, group.g ** k
-
-
-def _dlog_respond(group, a: int, k: int, c: int) -> int:
-    return (k + c * a) % group.q
+def _dlog_commitment(group, A, s: int, c: int):
+    """g^s * A^-c: the K that response s answers under challenge c."""
+    return group.multi_exp(((group.g, s), (A, group.q - c)))
 
 
 def prove_dlog(group, a: int, A, ctx: FsTranscript, rng) -> DlogProof:
-    k, K = _dlog_commit(group, rng)
+    k = group.random_scalar(rng)
+    K = _dlog_commitment(group, A, k, 0)
     c = ctx.challenge(group, A, K)
-    return DlogProof(K, _dlog_respond(group, a, k, c))
+    return DlogProof(K, (k + c * a) % group.q)
 
 
 def verify_dlog(group, A, proof: DlogProof, ctx: FsTranscript) -> bool:
-    """g^s == K * A^c, checked as multi_exp([(g, s), (A, q - c)]) == K."""
     if not group.contains(A):
         return False
     c = ctx.challenge(group, A, proof.K)
-    return group.multi_exp(((group.g, proof.s), (A, group.q - c))) == proof.K
+    return _dlog_commitment(group, A, proof.s, c) == proof.K
 
 
 # -- Diffie-Hellman 4-tuple ---------------------------------------------------
@@ -94,13 +93,11 @@ class DhTupleProof(Record):
     z: int
 
 
-def _dh_commit(group, g1, h1, rng):
-    r = group.random_scalar(rng)
-    return r, (g1 ** r, h1 ** r)
-
-
-def _dh_respond(group, w: int, r: int, e: int) -> int:
-    return (r + e * w) % group.q
+def _dh_commitments(group, statement, z: int, e: int):
+    """(g1^z * u^-e, h1^z * v^-e): the (a, b) that response z answers under e."""
+    g1, h1, u, v = statement
+    minus_e = group.q - e
+    return group.multi_exp(((g1, z), (u, minus_e))), group.multi_exp(((h1, z), (v, minus_e)))
 
 
 def prove_dh_tuple(group, w: int, statement, ctx: FsTranscript, rng) -> DhTupleProof:
@@ -108,22 +105,18 @@ def prove_dh_tuple(group, w: int, statement, ctx: FsTranscript, rng) -> DhTupleP
     g1, h1, u, v = statement
     if g1 == group.identity or h1 == group.identity:
         raise ValueError("degenerate DH-tuple statement: identity base")
-    r, (a, b) = _dh_commit(group, g1, h1, rng)
+    r = group.random_scalar(rng)
+    a, b = _dh_commitments(group, statement, r, 0)
     e = ctx.challenge(group, g1, h1, u, v, a, b)
-    return DhTupleProof(a, b, _dh_respond(group, w, r, e))
+    return DhTupleProof(a, b, (r + e * w) % group.q)
 
 
 def verify_dh_tuple(group, statement, proof: DhTupleProof, ctx: FsTranscript) -> bool:
-    """g1^z == a * u^e and h1^z == b * v^e, checked as
-    multi_exp([(g1, z), (u, q - e)]) == a and multi_exp([(h1, z), (v, q - e)]) == b."""
     g1, h1, u, v = statement
     if g1 == group.identity or h1 == group.identity:
         return False
     e = ctx.challenge(group, g1, h1, u, v, proof.a, proof.b)
-    return (
-        group.multi_exp(((g1, proof.z), (u, group.q - e))) == proof.a
-        and group.multi_exp(((h1, proof.z), (v, group.q - e))) == proof.b
-    )
+    return _dh_commitments(group, statement, proof.z, e) == (proof.a, proof.b)
 
 
 # -- encryption of a bit ------------------------------------------------------
@@ -150,8 +143,8 @@ class BitProof(Record):
 
 
 def _bit_branch(group, x, y, pk, bit: int, d: int, r: int):
-    """Commitments (g^r * x^d, pk^r * (y / g^bit)^d) of the branch claiming `bit`:
-    multi_exp([(g, r), (x, d)]) and multi_exp([(pk, r), (y / g^bit, d)])."""
+    """(g^r * x^d, pk^r * (y / g^bit)^d): the commitments of the branch claiming
+    `bit` that response r answers under branch challenge d."""
     y_bit = y / group.g if bit else y
     return group.multi_exp(((group.g, r), (x, d))), group.multi_exp(((pk, r), (y_bit, d)))
 
@@ -166,7 +159,7 @@ def prove_bit(group, m: int, r: int, ct: Ciphertext, pk, ctx: FsTranscript, rng)
     # the branch claiming m is real; the other is simulated from (d_sim, r_sim)
     w = group.random_scalar(rng)
     d_sim, r_sim = group.random_scalar(rng), group.random_scalar(rng)
-    real = (group.g ** w, pk ** w)
+    real = _bit_branch(group, x, y, pk, 0, 0, w)  # at d = 0 the claimed bit does not enter
     sim = _bit_branch(group, x, y, pk, 1 - m, d_sim, r_sim)
     (a1, b1), (a2, b2) = (real, sim) if m == 0 else (sim, real)
     c = ctx.challenge(group, pk, x, y, a1, b1, a2, b2)
@@ -195,11 +188,7 @@ class SquareProof(Record):
     """Plaintext of ct_b is the square of the plaintext of ct_a.
 
     Both ciphertexts encrypt in the exponent of g under one key pk (the
-    challenge also hashes g, in the statement slot after pk).  Verification
-    equations:
-
-        (g^z_a, g^v * pk^z_a)  =  ct_a^c * C_a
-        ct_a^v * (g^z_b, pk^z_b)  =  ct_b^c * C_b
+    challenge also hashes g, in the statement slot after pk).
     """
 
     TAG = 0x04
@@ -211,23 +200,28 @@ class SquareProof(Record):
     z_b: int
 
 
-def _square_commit(group, ct_a: Ciphertext, pk, rng):
-    x = group.random_scalar(rng)
-    r_a = group.random_scalar(rng)
-    r_b = group.random_scalar(rng)
-    g, exp = group.g, group.multi_exp
-    C_a = Ciphertext(g ** r_a, exp(((g, x), (pk, r_a))))
-    C_b = Ciphertext(exp(((ct_a.A, x), (g, r_b))), exp(((ct_a.B, x), (pk, r_b))))
-    return (x, r_a, r_b), (C_a, C_b)
+def _square_commitments(group, ct_a, ct_b, pk, v: int, z_a: int, z_b: int, c: int):
+    """The (C_a, C_b) that responses (v, z_a, z_b) answer under challenge c:
+
+        C_a = (g^z_a, g^v * pk^z_a) / ct_a^c
+        C_b = ct_a^v * (g^z_b, pk^z_b) / ct_b^c
+    """
+    g, exp, minus_c = group.g, group.multi_exp, group.q - c
+    C_a = Ciphertext(
+        exp(((g, z_a), (ct_a.A, minus_c))), exp(((g, v), (pk, z_a), (ct_a.B, minus_c)))
+    )
+    C_b = Ciphertext(
+        exp(((ct_a.A, v), (g, z_b), (ct_b.A, minus_c))),
+        exp(((ct_a.B, v), (pk, z_b), (ct_b.B, minus_c))),
+    )
+    return C_a, C_b
 
 
-def _square_respond(group, a, s_a, s_b, state, c):
-    x, r_a, r_b = state
-    q = group.q
-    v = (c * a + x) % q
-    z_a = (c * s_a + r_a) % q
-    z_b = (c * (s_b - a * s_a) + r_b) % q
-    return v, z_a, z_b
+def _square_challenge(group, ctx: FsTranscript, pk, ct_a, ct_b, C_a, C_b) -> int:
+    """The hash of pk, g, ct_a, ct_b, C_a, C_b, one element at a time."""
+    return ctx.challenge(
+        group, pk, group.g, ct_a.A, ct_a.B, ct_b.A, ct_b.B, C_a.A, C_a.B, C_b.A, C_b.B
+    )
 
 
 def prove_square(
@@ -242,26 +236,20 @@ def prove_square(
         raise KeyMismatch("ct_a does not match witness under this key")
     if ct_b != encrypt_exp(group, a * a, s_b, pk):
         raise KeyMismatch("ct_b does not encrypt the square under this key")
-    state, (C_a, C_b) = _square_commit(group, ct_a, pk, rng)
-    c = ctx.challenge(
-        group, pk, group.g, ct_a.A, ct_a.B, ct_b.A, ct_b.B, C_a.A, C_a.B, C_b.A, C_b.B
+    x = group.random_scalar(rng)
+    r_a = group.random_scalar(rng)
+    r_b = group.random_scalar(rng)
+    C_a, C_b = _square_commitments(group, ct_a, ct_b, pk, x, r_a, r_b, 0)
+    c = _square_challenge(group, ctx, pk, ct_a, ct_b, C_a, C_b)
+    q = group.q
+    return SquareProof(
+        C_a, C_b, (c * a + x) % q, (c * s_a + r_a) % q, (c * (s_b - a * s_a) + r_b) % q
     )
-    v, z_a, z_b = _square_respond(group, a, s_a, s_b, state, c)
-    return SquareProof(C_a, C_b, v, z_a, z_b)
 
 
 def verify_square(
     group, ct_a: Ciphertext, ct_b: Ciphertext, pk, proof: SquareProof, ctx: FsTranscript
 ) -> bool:
-    C_a, C_b = proof.C_a, proof.C_b
-    c = ctx.challenge(
-        group, pk, group.g, ct_a.A, ct_a.B, ct_b.A, ct_b.B, C_a.A, C_a.B, C_b.A, C_b.B
-    )
-    g, exp, minus_c = group.g, group.multi_exp, group.q - c
-    if exp(((g, proof.z_a), (ct_a.A, minus_c))) != C_a.A:
-        return False
-    if exp(((g, proof.v), (pk, proof.z_a), (ct_a.B, minus_c))) != C_a.B:
-        return False
-    if exp(((ct_a.A, proof.v), (g, proof.z_b), (ct_b.A, minus_c))) != C_b.A:
-        return False
-    return exp(((ct_a.B, proof.v), (pk, proof.z_b), (ct_b.B, minus_c))) == C_b.B
+    c = _square_challenge(group, ctx, pk, ct_a, ct_b, proof.C_a, proof.C_b)
+    commitments = _square_commitments(group, ct_a, ct_b, pk, proof.v, proof.z_a, proof.z_b, c)
+    return commitments == (proof.C_a, proof.C_b)

@@ -421,6 +421,50 @@ def test_verify_rejects_a_header_whose_l1_bound_wraps(tmp_path, capsys):
     _assert_rejected(str(path), capsys, "bad ledger header", "group order")
 
 
+def _golden_l1_ledger(tmp_path, capsys):
+    path = tmp_path / "golden.ledger"
+    code = run(
+        ["aggregate", "--group", "test", "--parties", "3", "--dim", "2", "--seed", "11",
+         "--check", "l1", "--bound", "4", "--ledger", str(path)]
+    )
+    assert code == EXIT_OK
+    capsys.readouterr()
+    return path
+
+
+def test_verify_reports_a_party_id_beyond_u32_as_a_malformed_line(tmp_path, capsys):
+    # the entry hash covers the party id as a u32: 2^32 used to escape
+    # verify_chain as struct.error instead of naming the broken line
+    path = _golden_l1_ledger(tmp_path, capsys)
+    lines = path.read_text().splitlines()
+    fields = lines[3].split(" ")  # entry seq 2
+    fields[2] = str(2**32)
+    lines[3] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    assert run(["verify", str(path)]) == EXIT_LEDGER
+    assert capsys.readouterr().err == "ledger corrupt at seq 2: malformed entry line\n"
+
+
+def test_aggregate_refuses_a_bound_beyond_u64(tmp_path, capsys):
+    # this ended in struct.error from pack_u64
+    code = run(
+        ["aggregate", "--group", "prod", "--check", "l2", "--bound", str(2**64),
+         "--parties", "2", "--dim", "1", "--ledger", str(tmp_path / "big.ledger")]
+    )
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "u64" in captured.err
+
+
+def test_verify_rejects_a_header_bound_beyond_u64(tmp_path, capsys):
+    led = Ledger.load(str(_golden_l1_ledger(tmp_path, capsys)))
+    path = tmp_path / "big.ledger"
+    copy = Ledger(dataclasses.replace(led.header, policy_bound=2**64), path=str(path))
+    for entry in led.entries:
+        copy.append(entry.round, entry.party, entry.payload)
+    _assert_rejected(str(path), capsys, "bad ledger header", "u64")
+
+
 def test_aggregate_with_vector_file(tmp_path, capsys):
     vectors = tmp_path / "vectors.txt"
     vectors.write_text("1 2 3\n4 0 1\n0 0 2\n")
@@ -486,10 +530,12 @@ def test_demos_match_centralized(command, capsys):
         (["aggregate", "--dim", "0", "--bound", "4", "--ledger", "FILE"], None, "dimension"),
         (["bench", "--dims", "1", "--bounds", "2", "--reps", "0", "--out", "FILE"], None, "reps"),
         (["bench", "--dims", "1", "--bounds", "2", "--reps", "-2", "--out", "FILE"], None, "reps"),
+        (["vote", "FILE", "--bound", "1", "--ledger", "FILE"], "0,0\n0,0\n", "--bound"),
+        (["vote", "FILE", "--bound", "0", "--ledger", "FILE"], "0,0\n0,0\n", "--bound"),
     ],
     ids=[
         "lda-0", "id3-0", "nb-0", "regression-30", "regression-data", "id3-samples", "dim-0",
-        "reps-0", "reps-negative",
+        "reps-0", "reps-negative", "vote-bound-1", "vote-bound-0",
     ],
 )
 def test_bad_party_counts_are_usage_errors(tmp_path, capsys, argv, data, name):

@@ -265,6 +265,15 @@ def test_mod_multi_exp_matches_product_of_powers(group):
         assert group.multi_exp(pairs) == mod_product(group, pairs), pairs
 
 
+def test_mod_multi_exp_skips_zero_exponents(monkeypatch):
+    # the curve rule too: a term whose exponent is 0 mod q costs nothing
+    calls = []
+    power = groups.ModElement.__pow__
+    monkeypatch.setattr(groups.ModElement, "__pow__", lambda a, e: calls.append(e) or power(a, e))
+    assert MOD.multi_exp([(MOD.g, 0), (MOD.gamma, MOD.q), (MOD.g, -MOD.q)]) is MOD.identity
+    assert calls == []
+
+
 CURVE_BASES = sorted(BASES)
 
 

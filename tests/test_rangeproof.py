@@ -22,7 +22,7 @@ from zorro.rangeproof import (
     verify_l2,
     verify_reencryption_link,
 )
-from zorro.sigma import FsTranscript
+from zorro.sigma import DhTupleProof, FsTranscript
 
 TOY = groups.toy_group()
 MOD = groups.test_group()
@@ -86,6 +86,14 @@ def test_policy_decoding_rejects_impossible_policies(data):
         BoundPolicy.read_from(Reader(data))
 
 
+def test_policy_refuses_a_bound_beyond_its_u64_wire_field():
+    # 2^64 used to pass the constructor and fail later in pack_u64 as struct.error
+    assert BoundPolicy.l1(2**64 - 1).to_bytes()[1:] == b"\xff" * 8
+    for kind in ("l1", "l2"):
+        with pytest.raises(ValueError, match="u64"):
+            BoundPolicy(kind, 2**64)
+
+
 def test_bits_of():
     assert bits_of(25, 5) == [1, 0, 0, 1, 1]
     assert bits_of(0, 3) == [0, 0, 0]
@@ -146,6 +154,20 @@ def test_link_degenerate_keys():
     ctx = FsTranscript(b"link")
     with pytest.raises(ValueError):
         reencryption_link(MOD, 3, 5, kp.pk, kp.pk, ctx, rng)
+
+
+def test_link_verifier_refuses_degenerate_keys():
+    # with h_pad = h_i the DH base is the identity, and this proof satisfies
+    # both equations; verify_dh_tuple's identity-base check refuses it
+    rng = random.Random(4)
+    kp = Keypair.generate(MOD, rng)
+    x, r = 5, 9
+    ct = encrypt_exp(MOD, 3, x, kp.pk)
+    ctx = FsTranscript(b"link")
+    a, b = MOD.g ** r, MOD.identity
+    e = ctx.challenge(MOD, MOD.g, MOD.identity, ct.A, MOD.identity, a, b)
+    proof = DhTupleProof(a, b, (r + e * x) % MOD.q)
+    assert not verify_reencryption_link(MOD, ct, ct, kp.pk, kp.pk, proof, ctx)
 
 
 def test_link_requires_matching_first_component():

@@ -14,12 +14,9 @@ from zorro.sigma import (
     DlogProof,
     FsTranscript,
     SquareProof,
-    _dh_commit,
-    _dh_respond,
-    _dlog_commit,
-    _dlog_respond,
-    _square_commit,
-    _square_respond,
+    _dh_commitments,
+    _dlog_commitment,
+    _square_commitments,
     prove_bit,
     prove_dh_tuple,
     prove_dlog,
@@ -273,11 +270,14 @@ def test_square_proof_true_statement_opens_all_challenges():
     # contrast: with a genuine square, one commitment answers every challenge
     kp = Keypair(5, TOY.g ** 5)
     rng = random.Random(16)
-    ct_a = encrypt_exp(TOY, 3, 2, kp.pk)
-    ct_b = encrypt_exp(TOY, 9, 6, kp.pk)
-    state, (C_a, C_b) = _square_commit(TOY, ct_a, kp.pk, rng)
+    a, s_a, s_b = 3, 2, 6
+    ct_a = encrypt_exp(TOY, a, s_a, kp.pk)
+    ct_b = encrypt_exp(TOY, 9, s_b, kp.pk)
+    x, r_a, r_b = (TOY.random_scalar(rng) for _ in range(3))
+    C_a, C_b = _square_commitments(TOY, ct_a, ct_b, kp.pk, x, r_a, r_b, 0)
     for c in range(11):
-        v, z_a, z_b = _square_respond(TOY, 3, 2, 6, state, c)
+        v, z_a, z_b = (c * a + x) % 11, (c * s_a + r_a) % 11, (c * (s_b - a * s_a) + r_b) % 11
+        assert _square_commitments(TOY, ct_a, ct_b, kp.pk, v, z_a, z_b, c) == (C_a, C_b)
         assert TOY.g ** z_a == ct_a.A ** c * C_a.A
         assert TOY.g ** v * kp.pk ** z_a == ct_a.B ** c * C_a.B
         assert ct_a.A ** v * TOY.g ** z_b == ct_b.A ** c * C_b.A
@@ -285,14 +285,20 @@ def test_square_proof_true_statement_opens_all_challenges():
 
 
 # -- special soundness: two accepting transcripts extract the witness -----------
+#
+# The prover's commitment is its relation's commitment function at challenge
+# 0; the honest response to any challenge must give that commitment back.
 
 
 def test_dlog_extraction():
     rng = random.Random(12)
     a = 7
-    k, K = _dlog_commit(TOY, rng)
+    A = TOY.g ** a
+    k = TOY.random_scalar(rng)
+    K = _dlog_commitment(TOY, A, k, 0)
     c1, c2 = 2, 9
-    s1, s2 = _dlog_respond(TOY, a, k, c1), _dlog_respond(TOY, a, k, c2)
+    s1, s2 = (k + c1 * a) % TOY.q, (k + c2 * a) % TOY.q
+    assert _dlog_commitment(TOY, A, s1, c1) == K == _dlog_commitment(TOY, A, s2, c2)
     extracted = (s1 - s2) * pow(c1 - c2, -1, TOY.q) % TOY.q
     assert extracted == a
 
@@ -301,9 +307,13 @@ def test_dh_extraction():
     rng = random.Random(13)
     w = 6
     h = TOY.g ** 4
-    r, (a, b) = _dh_commit(TOY, TOY.g, h, rng)
+    statement = (TOY.g, h, TOY.g ** w, h ** w)
+    r = TOY.random_scalar(rng)
+    commitments = _dh_commitments(TOY, statement, r, 0)
     e1, e2 = 3, 8
-    z1, z2 = _dh_respond(TOY, w, r, e1), _dh_respond(TOY, w, r, e2)
+    z1, z2 = (r + e1 * w) % TOY.q, (r + e2 * w) % TOY.q
+    assert _dh_commitments(TOY, statement, z1, e1) == commitments
+    assert _dh_commitments(TOY, statement, z2, e2) == commitments
     extracted = (z1 - z2) * pow(e1 - e2, -1, TOY.q) % TOY.q
     assert extracted == w
 
@@ -313,11 +323,16 @@ def test_square_extraction():
     kp = Keypair(2, TOY.g ** 2)
     a, s_a, s_b = 4, 3, 8
     ct_a = encrypt_exp(TOY, a, s_a, kp.pk)
-    state, _ = _square_commit(TOY, ct_a, kp.pk, rng)
+    ct_b = encrypt_exp(TOY, a * a, s_b, kp.pk)
+    x, r_a, r_b = (TOY.random_scalar(rng) for _ in range(3))
+    commitments = _square_commitments(TOY, ct_a, ct_b, kp.pk, x, r_a, r_b, 0)
     c1, c2 = 1, 6
-    v1, *_ = _square_respond(TOY, a, s_a, s_b, state, c1)
-    v2, *_ = _square_respond(TOY, a, s_a, s_b, state, c2)
-    extracted = (v1 - v2) * pow(c1 - c2, -1, TOY.q) % TOY.q
+    vs = []
+    for c in (c1, c2):
+        v, z_a, z_b = (c * a + x) % 11, (c * s_a + r_a) % 11, (c * (s_b - a * s_a) + r_b) % 11
+        assert _square_commitments(TOY, ct_a, ct_b, kp.pk, v, z_a, z_b, c) == commitments
+        vs.append(v)
+    extracted = (vs[0] - vs[1]) * pow(c1 - c2, -1, TOY.q) % TOY.q
     assert extracted == a % TOY.q
 
 
