@@ -7,7 +7,6 @@ for m exponents against the same window.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 
 from .errors import NotInWindow
@@ -30,13 +29,11 @@ class DlogWindow:
 
 
 _tables = {}
-_tables_lock = threading.Lock()
 
 
 def _baby_table(group, width: int):
     key = (group.group_id, width)
-    with _tables_lock:
-        table = _tables.get(key)
+    table = _tables.get(key)
     if table is not None:
         return table
     table = {}
@@ -46,8 +43,7 @@ def _baby_table(group, width: int):
         # canonical representative
         table.setdefault(group.encode_element(step), j)
         step = step * group.g
-    with _tables_lock:
-        _tables[key] = table
+    _tables[key] = table
     return table
 
 

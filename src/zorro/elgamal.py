@@ -48,8 +48,3 @@ def hom_mul(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
 def hom_pow(c: Ciphertext, k: int) -> Ciphertext:
     """Component-wise power; plaintext scales by k."""
     return Ciphertext(c.A ** k, c.B ** k)
-
-
-def decrypt_point(c: Ciphertext, sk: int):
-    """Strip the pad: returns g^m ( = B / A^sk ), not m itself."""
-    return c.B / c.A ** sk

@@ -15,7 +15,6 @@ object without a path.
 import hashlib
 import json
 import re
-import threading
 from dataclasses import dataclass
 
 from .encoding import pack_u8, pack_u32, pack_u64
@@ -107,7 +106,6 @@ class Ledger:
         self.path = path
         self.entries = []
         self._slots = set()
-        self._lock = threading.Lock()
         self._header_line = header.to_line()
         if path is not None:
             with open(path, "w") as fh:
@@ -123,20 +121,19 @@ class Ledger:
         """Add one post; a party may post once per round."""
         if round not in (1, 2):
             raise ValueError("round must be 1 or 2")
-        with self._lock:
-            if (round, party) in self._slots:
-                raise DuplicatePost(f"party {party} already posted in round {round}")
-            seq = len(self.entries)
-            prev = self._tip
-            payload = bytes(payload)
-            digest = _entry_hash(prev, _canonical(seq, self.header.session, round, party, payload))
-            entry = LedgerEntry(seq, self.header.session, round, party, payload, prev, digest)
-            self.entries.append(entry)
-            self._slots.add((round, party))
-            if self.path is not None:
-                with open(self.path, "a") as fh:
-                    fh.write(entry.to_line() + "\n")
-            return seq
+        if (round, party) in self._slots:
+            raise DuplicatePost(f"party {party} already posted in round {round}")
+        seq = len(self.entries)
+        prev = self._tip
+        payload = bytes(payload)
+        digest = _entry_hash(prev, _canonical(seq, self.header.session, round, party, payload))
+        entry = LedgerEntry(seq, self.header.session, round, party, payload, prev, digest)
+        self.entries.append(entry)
+        self._slots.add((round, party))
+        if self.path is not None:
+            with open(self.path, "a") as fh:
+                fh.write(entry.to_line() + "\n")
+        return seq
 
     def read_round(self, round: int) -> list:
         """Entries of one round in seq order."""

@@ -36,7 +36,16 @@ from .errors import (
 from .groups import Group, get_group
 from .ledger import LedgerHeader
 from .rangeproof import BoundPolicy, L1RangeProof, L2RangeProof
-from .sigma import DlogProof, FsTranscript, prove_dlog, verify_dlog
+from .sigma import (
+    DlogProof,
+    FsTranscript,
+    dlog_equations,
+    fold_holds,
+    fold_seed,
+    folds,
+    prove_dlog,
+    verify_dlog,
+)
 
 SESSION_BYTES = 16
 
@@ -175,13 +184,24 @@ def round1_generate(cfg: ProtocolConfig, party: int, rng):
 
 
 def _round1_failure(cfg: ProtocolConfig, post: Round1Post):
-    """First slot whose proof fails (0 for a wrong dimension), or None if all hold."""
+    """First slot whose proof fails (0 for a wrong dimension), or None if all hold.
+
+    A folding group first tries one fold of all m proofs; only when it fails
+    are the proofs checked one by one, to name the slot.
+    """
     if len(post.elements) != cfg.m or len(post.proofs) != cfg.m:
         return 0
-    base = cfg.base_context()
+    group, base = cfg.group, cfg.base_context()
+    if folds(group):
+        parts = [
+            dlog_equations(group, A, proof, base.child(b"r1", post.party, j))
+            for j, (A, proof) in enumerate(zip(post.elements, post.proofs))
+        ]
+        if fold_holds(group, fold_seed(group, base, post.to_bytes(group)), parts):
+            return None
     for j in range(cfg.m):
         ctx = base.child(b"r1", post.party, j)
-        if not verify_dlog(cfg.group, post.elements[j], post.proofs[j], ctx):
+        if not verify_dlog(group, post.elements[j], post.proofs[j], ctx):
             return j
     return None
 

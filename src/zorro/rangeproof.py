@@ -23,6 +23,14 @@ recompose exactly, so both recompositions are plain ciphertext equalities:
 The enforced bound is always the full digit range 2^L - 1; exact non-power
 bounds would need set-membership machinery that is out of scope.
 
+verify_l1 and verify_l2 run the bundle's checks in one of two ways.  On a
+group with q > 2^128 (secp256k1) they first fold every group equation of the
+post (links, recompositions, bit and square proofs) into one multi_exp with
+128-bit weights hashed from the posted ciphertexts, the bundle's bytes, the
+context and the pad keys (sigma.fold_holds).  When that fold fails, and
+always on the modular groups, the checks run one equation at a time, in the
+order the docstrings list, and the first that fails names the reason.
+
 Each bundle states its shape once, as runs(m, L): the item type and count
 of every field after h_i, in wire order, for m slots and L digits.  A count
 is an int, or (rows, cols) for a table such as L1's m x L digit rows.  The
@@ -42,9 +50,15 @@ from .sigma import (
     BitProof,
     DhTupleProof,
     SquareProof,
+    bit_equations,
+    dh_tuple_equations,
+    fold_holds,
+    fold_seed,
+    folds,
     prove_bit,
     prove_dh_tuple,
     prove_square,
+    square_equations,
     verify_bit,
     verify_dh_tuple,
     verify_square,
@@ -173,11 +187,16 @@ def reencryption_link(group, t: int, x: int, h_pad, h_i, ctx, rng):
     return ct_star, prove_dh_tuple(group, x, statement, ctx, rng)
 
 
-def verify_reencryption_link(group, ct: Ciphertext, ct_star: Ciphertext, h_pad, h_i, proof, ctx) -> bool:
+def _link_statement(group, ct: Ciphertext, ct_star: Ciphertext, h_pad, h_i):
+    """The DH tuple a link proves, or None when ct and ct_star differ in A."""
     if ct.A != ct_star.A:
-        return False
-    statement = (group.g, h_pad / h_i, ct.A, ct.B / ct_star.B)
-    return verify_dh_tuple(group, statement, proof, ctx)
+        return None
+    return (group.g, h_pad / h_i, ct.A, ct.B / ct_star.B)
+
+
+def verify_reencryption_link(group, ct: Ciphertext, ct_star: Ciphertext, h_pad, h_i, proof, ctx) -> bool:
+    statement = _link_statement(group, ct, ct_star, h_pad, h_i)
+    return statement is not None and verify_dh_tuple(group, statement, proof, ctx)
 
 
 def _prove_links(group, values, x, pad_keys, h_i, ctx, rng):
@@ -196,6 +215,19 @@ def _links_ok(group, posted_cts, proof, pad_keys, ctx) -> bool:
             zip(posted_cts, proof.reencrypted, pad_keys, proof.links)
         )
     )
+
+
+def _link_equations(group, posted_cts, proof, pad_keys, ctx) -> list:
+    parts = []
+    for j, (ct, ct_star, h, link) in enumerate(
+        zip(posted_cts, proof.reencrypted, pad_keys, proof.links)
+    ):
+        statement = _link_statement(group, ct, ct_star, h, proof.h_i)
+        parts.append(
+            None if statement is None
+            else dh_tuple_equations(group, statement, link, ctx.child(b"link", j))
+        )
+    return parts
 
 
 # -- digit decomposition -------------------------------------------------------
@@ -220,11 +252,56 @@ def _recompose(digit_cts) -> Ciphertext:
     return acc
 
 
+def _recompose_equations(group, cts, digit_cts) -> list:
+    """prod(cts) == _recompose(digit_cts) as one equation per component."""
+    q = group.q
+    return [
+        [(getattr(ct, part), 1) for ct in cts]
+        + [(getattr(d, part), q - (1 << l)) for l, d in enumerate(digit_cts)]
+        for part in ("A", "B")
+    ]
+
+
 def _bits_ok(group, digit_cts, digit_proofs, h_i, row_ctx) -> bool:
     return all(
         verify_bit(group, ct, h_i, p, row_ctx.child(l))
         for l, (ct, p) in enumerate(zip(digit_cts, digit_proofs))
     )
+
+
+def _bits_equations(group, digit_cts, digit_proofs, h_i, row_ctx) -> list:
+    return [
+        bit_equations(group, ct, h_i, p, row_ctx.child(l))
+        for l, (ct, p) in enumerate(zip(digit_cts, digit_proofs))
+    ]
+
+
+# -- verification: the fold, or the checks one by one --------------------------
+
+
+def _fold_seed(group, posted_cts, proof, pad_keys, ctx) -> bytes:
+    """The fold's seed: the posted ciphertexts, the bundle's bytes and the pad keys."""
+    return fold_seed(group, ctx, tuple(posted_cts), proof.to_bytes(group), tuple(pad_keys))
+
+
+def _verify(group, posted_cts, proof, policy, pad_keys, ctx, equations, failure):
+    """(ok, reason) of a bundle against the posted ciphertexts.
+
+    After the policy and shape checks, a folding group tries the fold of
+    equations(...) first.  When it fails, or the group does not fold,
+    failure(...) checks one equation at a time and names the first check
+    that fails, so a rejection reads the same with or without the fold.
+    """
+    if proof.policy != policy:
+        return False, "policy"
+    m = len(posted_cts)
+    if not proof.fits(m) or len(pad_keys) != m:
+        return False, "malformed"
+    args = (group, posted_cts, proof, pad_keys, ctx)
+    if folds(group) and fold_holds(group, _fold_seed(*args), equations(*args)):
+        return True, None
+    reason = failure(*args)
+    return reason is None, reason
 
 
 # -- bundle shape and codec ---------------------------------------------------
@@ -368,25 +445,44 @@ def verify_l2(group, posted_cts, proof: L2RangeProof, policy: BoundPolicy, pad_k
     Returns (ok, reason); reason names the first failed check, one of
     "policy", "malformed", "tuple", "consistency", "bit", "square".
     """
-    if proof.policy != policy:
-        return False, "policy"
-    m = len(posted_cts)
-    if not proof.fits(m) or len(pad_keys) != m:
-        return False, "malformed"
+    return _verify(group, posted_cts, proof, policy, pad_keys, ctx, _l2_equations, _l2_failure)
+
+
+def _l2_failure(group, posted_cts, proof: L2RangeProof, pad_keys, ctx):
+    """The reason of the first check that fails, one group equation at a time, or None."""
     if not _links_ok(group, posted_cts, proof, pad_keys, ctx):
-        return False, "tuple"
+        return "tuple"
     if reduce(hom_mul, proof.square_cts) != _recompose(proof.digit_cts):
-        return False, "consistency"
+        return "consistency"
     if not _bits_ok(group, proof.digit_cts, proof.digit_proofs, proof.h_i, ctx.child(b"bit")):
-        return False, "bit"
+        return "bit"
     if not all(
         verify_square(group, ct_t, ct_w, proof.h_i, p, ctx.child(b"square", j))
         for j, (ct_t, ct_w, p) in enumerate(
             zip(proof.reencrypted, proof.square_cts, proof.square_proofs)
         )
     ):
-        return False, "square"
-    return True, None
+        return "square"
+    return None
+
+
+def _l2_equations(group, posted_cts, proof: L2RangeProof, pad_keys, ctx) -> list:
+    """Every group equation that _l2_failure checks, as fold_holds parts.
+
+    Keep in step with _l2_failure: an equation missing here is one that the
+    fold on secp256k1 never checks.
+    """
+    return [
+        *_link_equations(group, posted_cts, proof, pad_keys, ctx),
+        _recompose_equations(group, proof.square_cts, proof.digit_cts),
+        *_bits_equations(group, proof.digit_cts, proof.digit_proofs, proof.h_i, ctx.child(b"bit")),
+        *(
+            square_equations(group, ct_t, ct_w, proof.h_i, p, ctx.child(b"square", j))
+            for j, (ct_t, ct_w, p) in enumerate(
+                zip(proof.reencrypted, proof.square_cts, proof.square_proofs)
+            )
+        ),
+    ]
 
 
 # -- L1 norm bound with non-negativity ----------------------------------------
@@ -463,25 +559,50 @@ def verify_l1(group, posted_cts, proof: L1RangeProof, policy: BoundPolicy, pad_k
     Returns (ok, reason); reason is one of "policy", "malformed", "tuple",
     "element", "bit", "sum", "sum_bit".
     """
-    if proof.policy != policy:
-        return False, "policy"
-    m = len(posted_cts)
-    if not proof.fits(m) or len(pad_keys) != m:
-        return False, "malformed"
+    return _verify(group, posted_cts, proof, policy, pad_keys, ctx, _l1_equations, _l1_failure)
+
+
+def _l1_failure(group, posted_cts, proof: L1RangeProof, pad_keys, ctx):
+    """The reason of the first check that fails, one group equation at a time, or None."""
     if not _links_ok(group, posted_cts, proof, pad_keys, ctx):
-        return False, "tuple"
+        return "tuple"
     if any(
         _recompose(row) != ct_star
         for row, ct_star in zip(proof.element_digit_cts, proof.reencrypted)
     ):
-        return False, "element"
+        return "element"
     if not all(
         _bits_ok(group, cts, proofs, proof.h_i, ctx.child(b"bit", j))
         for j, (cts, proofs) in enumerate(zip(proof.element_digit_cts, proof.element_digit_proofs))
     ):
-        return False, "bit"
+        return "bit"
     if reduce(hom_mul, proof.reencrypted) != _recompose(proof.sum_digit_cts):
-        return False, "sum"
+        return "sum"
     if not _bits_ok(group, proof.sum_digit_cts, proof.sum_digit_proofs, proof.h_i, ctx.child(b"sumbit")):
-        return False, "sum_bit"
-    return True, None
+        return "sum_bit"
+    return None
+
+
+def _l1_equations(group, posted_cts, proof: L1RangeProof, pad_keys, ctx) -> list:
+    """Every group equation that _l1_failure checks, as fold_holds parts.
+
+    Keep in step with _l1_failure: an equation missing here is one that the
+    fold on secp256k1 never checks.
+    """
+    rows = zip(proof.element_digit_cts, proof.element_digit_proofs)
+    return [
+        *_link_equations(group, posted_cts, proof, pad_keys, ctx),
+        *(
+            _recompose_equations(group, (ct_star,), row)
+            for row, ct_star in zip(proof.element_digit_cts, proof.reencrypted)
+        ),
+        *(
+            part
+            for j, (cts, proofs) in enumerate(rows)
+            for part in _bits_equations(group, cts, proofs, proof.h_i, ctx.child(b"bit", j))
+        ),
+        _recompose_equations(group, proof.reencrypted, proof.sum_digit_cts),
+        *_bits_equations(
+            group, proof.sum_digit_cts, proof.sum_digit_proofs, proof.h_i, ctx.child(b"sumbit")
+        ),
+    ]

@@ -13,13 +13,31 @@ Each relation states its verification equations once, as a function of
 (responses, challenge) returning the commitments they answer: the verifier
 compares its value at the posted responses and hashed challenge with the
 posted commitments, and the prover takes it at its nonces with challenge 0.
+
+The same functions also give each equation as data.  Called with _Terms(group),
+whose multi_exp returns its (base, exponent) pairs unevaluated, they yield the
+terms of every commitment; the *_equations functions append each posted
+commitment at exponent q - 1, so every equation is a list of terms whose
+product must be the identity, and return None when a check outside the group
+equations fails (a challenge split, a membership or identity-base guard).
+
+On groups with q > 2^128 (secp256k1) a verifier folds all equations of one
+post into one multi_exp (fold_holds): the small-exponent batch test of
+Bellare, Garay and Rabin (EUROCRYPT 1998).  Each equation is raised to its own
+128-bit weight, hashed with SHA-256 from the post's full bytes, its context
+and its pad keys (fold_seed), so the weights cover the responses and cannot be
+chosen after them; terms that share a base are merged, and one equation that
+fails survives the weighting with probability about 2^-128.  When a fold
+fails, the caller runs the relation verifiers one by one, which name the
+check that failed.  The modular groups never fold: their verifiers check one
+equation at a time, as verify_* do.
 """
 
 import hashlib
 from dataclasses import dataclass
 
 from .elgamal import Ciphertext, encrypt_exp
-from .encoding import Record, pack_u32
+from .encoding import Record, pack_u32, put
 from .errors import KeyMismatch
 
 
@@ -51,6 +69,74 @@ class FsTranscript:
         return int.from_bytes(h.digest(), "big") % group.q
 
 
+# -- equations as data, and their fold ----------------------------------------
+
+FOLD_WEIGHT_BITS = 128
+
+
+class _Terms:
+    """`group` with a multi_exp that returns its pairs unevaluated: passed to a
+    commitment function, it gives each commitment as (base, exponent) terms."""
+
+    __slots__ = ("_group",)
+
+    def __init__(self, group):
+        self._group = group
+
+    def __getattr__(self, name):
+        return getattr(self._group, name)
+
+    @staticmethod
+    def multi_exp(pairs):
+        return tuple(pairs)
+
+
+def _equations(group, commitments, posted) -> list:
+    """Each commitment's terms with its posted value at exponent q - 1."""
+    minus_one = group.q - 1
+    return [(*terms, (P, minus_one)) for terms, P in zip(commitments, posted, strict=True)]
+
+
+def folds(group) -> bool:
+    """Whether verifiers fold each post: only where q > 2^128 (secp256k1), so
+    that 128-bit weights are distinct mod q and still short exponents."""
+    return group.q >> FOLD_WEIGHT_BITS > 0
+
+
+def fold_seed(group, ctx: FsTranscript, *values) -> bytes:
+    """SHA-256 of the context's domain tag and put(group, *values), the post's bytes."""
+    tag = ctx.domain_tag
+    data = b"zorro.fold.v1" + pack_u32(len(tag)) + tag + put(group, *values)
+    return hashlib.sha256(data).digest()
+
+
+def fold_weights(seed: bytes, count: int) -> list[int]:
+    """`count` 128-bit weights: the first 16 bytes of SHA-256(seed || u32(k))."""
+    size = FOLD_WEIGHT_BITS // 8
+    return [
+        int.from_bytes(hashlib.sha256(seed + pack_u32(k)).digest()[:size], "big")
+        for k in range(count)
+    ]
+
+
+def fold_holds(group, seed: bytes, parts) -> bool:
+    """Whether every equation of `parts` holds, as one multi_exp.
+
+    `parts` lists the *_equations results of one post; a None among them
+    fails the fold.  Equation k is raised to weight k of fold_weights(seed),
+    terms that share a base are merged, and the product of all must be the
+    identity.
+    """
+    if any(part is None for part in parts):
+        return False
+    equations = [eq for part in parts for eq in part]
+    merged = {}
+    for weight, terms in zip(fold_weights(seed, len(equations)), equations):
+        for base, e in terms:
+            merged[base] = merged.get(base, 0) + weight * e
+    return group.multi_exp(merged.items()) == group.identity
+
+
 # -- knowledge of discrete log ------------------------------------------------
 
 
@@ -79,6 +165,14 @@ def verify_dlog(group, A, proof: DlogProof, ctx: FsTranscript) -> bool:
         return False
     c = ctx.challenge(group, A, proof.K)
     return _dlog_commitment(group, A, proof.s, c) == proof.K
+
+
+def dlog_equations(group, A, proof: DlogProof, ctx: FsTranscript):
+    """verify_dlog's equation as data; None when A is not in the group."""
+    if not group.contains(A):
+        return None
+    c = ctx.challenge(group, A, proof.K)
+    return _equations(group, (_dlog_commitment(_Terms(group), A, proof.s, c),), (proof.K,))
 
 
 # -- Diffie-Hellman 4-tuple ---------------------------------------------------
@@ -117,6 +211,16 @@ def verify_dh_tuple(group, statement, proof: DhTupleProof, ctx: FsTranscript) ->
         return False
     e = ctx.challenge(group, g1, h1, u, v, proof.a, proof.b)
     return _dh_commitments(group, statement, proof.z, e) == (proof.a, proof.b)
+
+
+def dh_tuple_equations(group, statement, proof: DhTupleProof, ctx: FsTranscript):
+    """verify_dh_tuple's two equations as data; None on an identity base."""
+    g1, h1, u, v = statement
+    if g1 == group.identity or h1 == group.identity:
+        return None
+    e = ctx.challenge(group, g1, h1, u, v, proof.a, proof.b)
+    commitments = _dh_commitments(_Terms(group), statement, proof.z, e)
+    return _equations(group, commitments, (proof.a, proof.b))
 
 
 # -- encryption of a bit ------------------------------------------------------
@@ -178,6 +282,20 @@ def verify_bit(group, ct: Ciphertext, pk, proof: BitProof, ctx: FsTranscript) ->
     if (proof.a1, proof.b1) != _bit_branch(group, x, y, pk, 0, proof.d1, proof.r1):
         return False
     return (proof.a2, proof.b2) == _bit_branch(group, x, y, pk, 1, proof.d2, proof.r2)
+
+
+def bit_equations(group, ct: Ciphertext, pk, proof: BitProof, ctx: FsTranscript):
+    """verify_bit's four equations as data; None when d1 + d2 is not the challenge."""
+    x, y = ct.A, ct.B
+    c = ctx.challenge(group, pk, x, y, proof.a1, proof.b1, proof.a2, proof.b2)
+    if (proof.d1 + proof.d2) % group.q != c:
+        return None
+    terms = _Terms(group)
+    commitments = (
+        *_bit_branch(terms, x, y, pk, 0, proof.d1, proof.r1),
+        *_bit_branch(terms, x, y, pk, 1, proof.d2, proof.r2),
+    )
+    return _equations(group, commitments, (proof.a1, proof.b1, proof.a2, proof.b2))
 
 
 # -- square relation ----------------------------------------------------------
@@ -253,3 +371,15 @@ def verify_square(
     c = _square_challenge(group, ctx, pk, ct_a, ct_b, proof.C_a, proof.C_b)
     commitments = _square_commitments(group, ct_a, ct_b, pk, proof.v, proof.z_a, proof.z_b, c)
     return commitments == (proof.C_a, proof.C_b)
+
+
+def square_equations(
+    group, ct_a: Ciphertext, ct_b: Ciphertext, pk, proof: SquareProof, ctx: FsTranscript
+):
+    """verify_square's four equations as data."""
+    c = _square_challenge(group, ctx, pk, ct_a, ct_b, proof.C_a, proof.C_b)
+    C_a, C_b = _square_commitments(
+        _Terms(group), ct_a, ct_b, pk, proof.v, proof.z_a, proof.z_b, c
+    )
+    posted = (proof.C_a.A, proof.C_a.B, proof.C_b.A, proof.C_b.B)
+    return _equations(group, (C_a.A, C_a.B, C_b.A, C_b.B), posted)
