@@ -24,19 +24,26 @@ groups multiply builtin ``pow`` results.
 
 Curve points are affine at rest: ``*``, ``==``, hashing and the codec see
 (x, y).  Only ``multi_exp`` works in Jacobian coordinates (X, Y, Z) ~
-(X/Z^2, Y/Z^3), with the a = 0 formulas dbl-2009-l and madd-2007-bl of
-Bernstein and Lange's Explicit-Formulas Database:
+(X/Z^2, Y/Z^3), with the a = 0 formulas dbl-2009-l, madd-2007-bl and
+add-2007-bl of Bernstein and Lange's Explicit-Formulas Database:
 
   * GLV (Gallant-Lambert-Vanstone): secp256k1 has the endomorphism
     (x, y) -> (beta * x, y) = lam * P, so each variable-base scalar splits
     into two ~128-bit halves k1 + k2 * lam = e (mod q), and lam * P's table
-    is P's with x scaled by beta.
-  * Each half is recoded as width-5 wNAF: signed odd digits |d| < 16 over
-    the table P, 3P, ..., 15P, negated by y -> p - y.
-  * The tables of all bases of a call are made affine with one batched
-    (Montgomery) inversion.
-  * One Straus loop shares ~128 doublings among every half and adds one
-    table entry per nonzero digit.
+    is P's with x scaled by beta.  A scalar within 2^128 of 0 or q (a fold
+    weight, or its negative) is one half already.
+  * Below 64 variable bases (Straus):
+    - each half is recoded as width-5 wNAF: signed odd digits |d| < 16 over
+      the table P, 3P, ..., 15P, negated by y -> p - y;
+    - the tables of all bases of a call are made affine with one batched
+      (Montgomery) inversion;
+    - one loop shares ~128 doublings among every half and adds one table
+      entry per nonzero digit.
+  * From 64 variable bases on, as in a fold (Pippenger): each half's
+    signed radix-2^c digits, c about log2(halves) - 3, drop its point into
+    one of 2^(c-1) buckets per window, and each window's sum_i i * bucket_i
+    comes from two running sums.  No tables are built, and ~128 doublings
+    are shared as in Straus.
   * Powers of the generator g are summed and added after the loop through a
     table of 64 rows x 15 multiples of 16^i (Brickell-Gordon-McCurley-
     Wilson), built on g's first use, so they need no doublings; gamma is a
@@ -271,6 +278,7 @@ _WINDOW = 4  # the g table: 4-bit unsigned digits
 _WINDOW_MASK = (1 << _WINDOW) - 1
 _TABLE = 8  # P, 3P, ..., 15P: the odd multiples a width-5 wNAF digit selects
 _J_IDENTITY = (1, 1, 0)  # any Z = 0 triple is the identity
+_BUCKETS_FROM = 64  # variable bases from which multi_exp uses buckets, not Straus
 
 
 def _jdouble(X, Y, Z, p):
@@ -302,6 +310,29 @@ def _jmadd(X1, Y1, Z1, x2, y2, p):
     X3 = (r * r - J - 2 * V) % p
     t = Z1 + H
     return X3, (r * (V - X3) - 2 * Y1 * J) % p, (t * t - Z1Z1 - HH) % p
+
+
+def _jadd(X1, Y1, Z1, X2, Y2, Z2, p):
+    """add-2007-bl: (X1, Y1, Z1) + (X2, Y2, Z2), for every pair of inputs."""
+    if Z2 == 0:
+        return X1, Y1, Z1
+    if Z1 == 0:
+        return X2, Y2, Z2
+    Z1Z1 = Z1 * Z1 % p
+    Z2Z2 = Z2 * Z2 % p
+    U1 = X1 * Z2Z2 % p
+    S1 = Y1 * Z2 * Z2Z2 % p
+    H = (X2 * Z1Z1 - U1) % p
+    r = 2 * (Y2 * Z1 * Z1Z1 - S1) % p
+    if H == 0:
+        # same x: the points are equal (r = 0) or inverse
+        return _jdouble(X1, Y1, Z1, p) if r == 0 else _J_IDENTITY
+    I = 4 * H * H % p
+    J = H * I % p
+    V = U1 * I % p
+    X3 = (r * r - J - 2 * V) % p
+    t = Z1 + Z2
+    return X3, (r * (V - X3) - 2 * S1 * J) % p, (t * t - Z1Z1 - Z2Z2) * H % p
 
 
 def _jmultiples(x, y, count, p):
@@ -373,6 +404,22 @@ def _wnaf(k):
     return digits
 
 
+def _signed_digits(k, c):
+    """Radix-2^c digits of k >= 0 in (-2^(c-1), 2^(c-1)], least significant first.
+
+    sum(d_i * 2^(c*i)) == k.
+    """
+    half, mask = 1 << (c - 1), (1 << c) - 1
+    digits = []
+    while k:
+        d = k & mask
+        if d > half:
+            d -= mask + 1
+        digits.append(d)
+        k = (k - d) >> c
+    return digits
+
+
 class CurveGroup(Group):
     """Prime-order elliptic curve group y^2 = x^3 + b over F_p, cofactor 1.
 
@@ -412,10 +459,15 @@ class CurveGroup(Group):
         """(k1, k2) with k1 + k2 * lam = k (mod q) and |k1|, |k2| about sqrt(q).
 
         Rounds k against the short lattice basis (Gallant-Lambert-Vanstone);
-        0 <= k < q.
+        0 <= k < q.  A k within 2^128 of 0 or of q, such as a fold weight or
+        its negative, is already that short: it is (k or k - q, 0).
         """
         a1, b1, a2 = self._basis
         q, half = self.q, self.q >> 1
+        if k >> 128 == 0:
+            return k, 0
+        if (q - k) >> 128 == 0:
+            return k - q, 0
         c1 = (a1 * k + half) // q  # round(b2 * k / q), b2 = a1
         c2 = (-b1 * k + half) // q
         return k - c1 * a1 - c2 * a2, -(c1 * b1 + c2 * a1)
@@ -424,12 +476,10 @@ class CurveGroup(Group):
         """The product of base ** e over (base, e) pairs.
 
         Each variable base P is split by GLV into two ~128-bit powers of P
-        and lam * P, each recoded as width-5 wNAF.  One Straus loop shares
-        ~128 doublings among all of them and adds one table entry per nonzero
-        digit; the tables of odd multiples are made affine with one
-        inversion, and lam * P's table is P's with x scaled by beta.  Powers
-        of g are summed and added after the loop through the g table, with no
-        doublings.  One final inversion returns an affine point.
+        and lam * P.  Below _BUCKETS_FROM variable bases they are summed by
+        _straus, from that many on by _buckets.  Powers of g are summed and
+        added afterwards through the g table, with no doublings.  One final
+        inversion returns an affine point.
         """
         p, q = self.p, self.q
         g_e = 0
@@ -443,6 +493,29 @@ class CurveGroup(Group):
             else:
                 bases.append(base)
                 scalars.append(self._glv_split(e))
+        accumulate = self._buckets if len(bases) >= _BUCKETS_FROM else self._straus
+        X, Y, Z = accumulate(bases, scalars)
+        if g_e:
+            g_e %= q
+            for row in self._g_table:
+                digit = g_e & _WINDOW_MASK
+                if digit:
+                    X, Y, Z = _jmadd(X, Y, Z, *row[digit - 1], p)
+                g_e >>= _WINDOW
+        if Z == 0:
+            return self.identity
+        return CurvePoint(self, *_to_affine([(X, Y, Z)], p)[0])
+
+    def _straus(self, bases, scalars):
+        """sum of k1 * P + k2 * (lam * P) over the bases P and their GLV
+        halves (k1, k2), in Jacobian coordinates.
+
+        Each half is recoded as width-5 wNAF.  One Straus loop shares ~128
+        doublings among all of them and adds one table entry per nonzero
+        digit; the tables of odd multiples are made affine with one
+        inversion, and lam * P's table is P's with x scaled by beta.
+        """
+        p = self.p
         tables = _to_affine([pt for b in bases for pt in _odd_multiples(b.x, b.y, p)], p)
         steps = []  # steps[i]: affine points to add at bit i
         for t, (k1, k2) in enumerate(scalars):
@@ -461,16 +534,43 @@ class CurveGroup(Group):
                 X, Y, Z = _jdouble(X, Y, Z, p)
             for x, y in adds:
                 X, Y, Z = _jmadd(X, Y, Z, x, y, p)
-        if g_e:
-            g_e %= q
-            for row in self._g_table:
-                digit = g_e & _WINDOW_MASK
-                if digit:
-                    X, Y, Z = _jmadd(X, Y, Z, *row[digit - 1], p)
-                g_e >>= _WINDOW
-        if Z == 0:
-            return self.identity
-        return CurvePoint(self, *_to_affine([(X, Y, Z)], p)[0])
+        return X, Y, Z
+
+    def _buckets(self, bases, scalars):
+        """What _straus returns, by bucket accumulation (Pippenger).
+
+        Every nonzero half k of P (or lam * P) becomes the affine point
+        sign(k) * P and the radix-2^c signed digits of |k|, c about
+        log2(halves) - 3.  Window by window from the top, the accumulator is
+        doubled c times, each point is added into the bucket of its digit
+        (a negative digit adds its negation), and sum_i i * bucket_i is
+        added from two running sums.  No tables are built.
+        """
+        p = self.p
+        points, magnitudes = [], []
+        for base, halves in zip(bases, scalars):
+            for x, k in zip((base.x, self.beta * base.x % p), halves):
+                if k:
+                    points.append((x, base.y if k > 0 else p - base.y))
+                    magnitudes.append(abs(k))
+        c = max(4, len(points).bit_length() - 3)
+        digits = [_signed_digits(k, c) for k in magnitudes]
+        X, Y, Z = _J_IDENTITY
+        for w in range(max(map(len, digits), default=0) - 1, -1, -1):
+            if Z:
+                for _ in range(c):
+                    X, Y, Z = _jdouble(X, Y, Z, p)
+            buckets = [_J_IDENTITY] * ((1 << (c - 1)) + 1)
+            for (x, y), row in zip(points, digits):
+                d = row[w] if w < len(row) else 0
+                if d:
+                    buckets[abs(d)] = _jmadd(*buckets[abs(d)], x, y if d > 0 else p - y, p)
+            running = total = _J_IDENTITY
+            for bucket in reversed(buckets[1:]):
+                running = _jadd(*running, *bucket, p)
+                total = _jadd(*total, *running, p)
+            X, Y, Z = _jadd(X, Y, Z, *total, p)
+        return X, Y, Z
 
     def contains(self, a) -> bool:
         if not isinstance(a, CurvePoint):

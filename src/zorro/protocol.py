@@ -18,6 +18,15 @@ n posts multiply.
 A party that completes round 1 but never posts round 2 leaves the pads
 uncancellable; tally() then fails naming the culprit, and the session must
 abort (re-keying is out of scope).
+
+verify_ledger is what every participant runs on the public ledger.  On a
+folding group (sigma.folds: secp256k1) it checks every round-1 proof and
+every contribution as one weighted multi_exp (the ledger fold), with all n
+pad vectors from one prefix/suffix pass (_all_pads).  Only when that fold
+fails does it run the checks post by post, which name the party, the check
+and the slot.  Per-post folds remain in derive_pads (each party's check of
+round 1 before it trusts its pads), in a standalone verify_contribution and
+in that fallback.
 """
 
 from dataclasses import dataclass
@@ -183,6 +192,15 @@ def round1_generate(cfg: ProtocolConfig, party: int, rng):
     return Round1Secret(party, tuple(x)), Round1Post(party, tuple(elements), tuple(proofs))
 
 
+def _round1_equations(cfg: ProtocolConfig, post: Round1Post) -> list:
+    """The m dlog equations of a round-1 post, as sigma.fold_holds parts."""
+    base = cfg.base_context()
+    return [
+        dlog_equations(cfg.group, A, proof, base.child(b"r1", post.party, j))
+        for j, (A, proof) in enumerate(zip(post.elements, post.proofs))
+    ]
+
+
 def _round1_failure(cfg: ProtocolConfig, post: Round1Post):
     """First slot whose proof fails (0 for a wrong dimension), or None if all hold.
 
@@ -193,11 +211,8 @@ def _round1_failure(cfg: ProtocolConfig, post: Round1Post):
         return 0
     group, base = cfg.group, cfg.base_context()
     if folds(group):
-        parts = [
-            dlog_equations(group, A, proof, base.child(b"r1", post.party, j))
-            for j, (A, proof) in enumerate(zip(post.elements, post.proofs))
-        ]
-        if fold_holds(group, fold_seed(group, base, post.to_bytes(group)), parts):
+        seed = fold_seed(group, base, post.to_bytes(group))
+        if fold_holds(group, seed, _round1_equations(cfg, post)):
             return None
     for j in range(cfg.m):
         ctx = base.child(b"r1", post.party, j)
@@ -243,6 +258,26 @@ def derive_pads(cfg: ProtocolConfig, round1_posts, party: int):
             h = h / table[k].elements[j]
         pads.append(h)
     return tuple(pads)
+
+
+def _all_pads(cfg: ProtocolConfig, round1_posts) -> list:
+    """Every party's pad keys, derive_pads(cfg, round1_posts, i) for i in
+    [0, n), from the n round-1 posts in party order, in one O(nm) pass.
+
+    h_ij is the prefix product prod_{k<i} g^(x_kj) over the suffix product
+    prod_{k>i} g^(x_kj) (the cancellation of Hao, Ryan and Zielinski's Open
+    Vote Network).  The round-1 proofs are not checked here.
+    """
+    identity, columns = cfg.group.identity, []
+    for j in range(cfg.m):
+        elements = [post.elements[j] for post in round1_posts]
+        prefix, suffix = [identity], [identity]
+        for A in elements[:-1]:
+            prefix.append(prefix[-1] * A)
+        for A in reversed(elements[1:]):
+            suffix.append(suffix[-1] * A)
+        columns.append([p / s for p, s in zip(prefix, reversed(suffix))])
+    return list(zip(*columns))
 
 
 def round2_generate(
@@ -344,6 +379,39 @@ def _ledger_round(cfg: ProtocolConfig, ledger, round: int) -> list:
     return [posts[i] for i in range(cfg.n)]
 
 
+def _ledger_equations(cfg: ProtocolConfig, posts1, posts2) -> list:
+    """Every group equation of a decoded ledger, as sigma.fold_holds parts.
+
+    Each round-1 post's m dlog equations, then each contribution's bundle
+    equations under its _all_pads keys, all in party order.  A bundle of
+    the wrong type for the policy, or one that fails its policy or shape
+    check, is a None part, which fails the fold.
+    """
+    group, base = cfg.group, cfg.base_context()
+    parts = [part for post in posts1 for part in _round1_equations(cfg, post)]
+    for post, pads in zip(posts2, _all_pads(cfg, posts1)):
+        if type(post.bundle) is not _BUNDLE_KINDS[cfg.policy.code]:
+            parts.append(None)
+        elif post.bundle is not None:
+            ctx = base.child(b"r2", post.party)
+            equations = rangeproof.bundle_equations(
+                group, post.cts, post.bundle, cfg.policy, pads, ctx
+            )
+            parts += [None] if equations is None else equations
+    return parts
+
+
+def _ledger_holds(cfg: ProtocolConfig, ledger, posts1, posts2) -> bool:
+    """Whether every round-1 proof and contribution of the ledger holds, as one fold.
+
+    The weights' seed hashes the base context and the payload of every
+    entry, in ledger order, so the weights cover every response of every
+    party.
+    """
+    seed = fold_seed(cfg.group, cfg.base_context(), *(e.payload for e in ledger.entries))
+    return fold_holds(cfg.group, seed, _ledger_equations(cfg, posts1, posts2))
+
+
 def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
     """Publicly verify every post of a session ledger; anyone can run this.
 
@@ -356,6 +424,15 @@ def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
     (Ledger.verify_chain).  A failed check raises LedgerRejected naming the
     party, the check and, where there is one, the slot; an absent post
     raises MissingPost.  Malformed bytes never raise anything else.
+
+    After the header, decode and binding checks, a folding group checks the
+    rest as one fold (_ledger_holds).  The checks outside the group
+    equations (bundle type against the policy code, the bundle's policy and
+    shape, membership of A, identity bases, d1 + d2 = c, ct.A == ct*.A) run
+    while its parts are built, and any failure fails the fold.  A failed
+    fold, and every ledger on the modular groups, goes through _check_round1
+    and then verify_contribution party by party, so a rejection reads the
+    same with or without the fold.
     """
     if ledger.header != cfg.header():
         raise LedgerRejected(None, "header", "ledger header does not match the session")
@@ -366,6 +443,8 @@ def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
             if post2.cts[j].A != post1.elements[j]:
                 detail = f"slot {j} does not reuse its round-1 element"
                 raise _rejected("contribution", post2.party, "binding", detail)
+    if folds(cfg.group) and _ledger_holds(cfg, ledger, posts1, posts2):
+        return posts2
     _check_round1(cfg, posts1)
     for post in posts2:
         ok, reason = verify_contribution(cfg, post, derive_pads(cfg, posts1, post.party))

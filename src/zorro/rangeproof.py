@@ -30,6 +30,8 @@ post (links, recompositions, bit and square proofs) into one multi_exp with
 context and the pad keys (sigma.fold_holds).  When that fold fails, and
 always on the modular groups, the checks run one equation at a time, in the
 order the docstrings list, and the first that fails names the reason.
+bundle_equations gives those equations as fold parts, after the policy and
+shape checks; protocol.verify_ledger folds them with every other post's.
 
 Each bundle states its shape once, as runs(m, L): the item type and count
 of every field after h_i, in wire order, for m slots and L digits.  A count
@@ -284,21 +286,40 @@ def _fold_seed(group, posted_cts, proof, pad_keys, ctx) -> bytes:
     return fold_seed(group, ctx, tuple(posted_cts), proof.to_bytes(group), tuple(pad_keys))
 
 
-def _verify(group, posted_cts, proof, policy, pad_keys, ctx, equations, failure):
+def _shape_failure(posted_cts, proof, policy, pad_keys):
+    """"policy" or "malformed" when the bundle's policy or shape is wrong, else None."""
+    if proof.policy != policy:
+        return "policy"
+    m = len(posted_cts)
+    if not proof.fits(m) or len(pad_keys) != m:
+        return "malformed"
+    return None
+
+
+def bundle_equations(group, posted_cts, proof, policy, pad_keys, ctx):
+    """Every group equation of an L1 or L2 bundle as sigma.fold_holds parts,
+    or None when its policy or shape check fails."""
+    if _shape_failure(posted_cts, proof, policy, pad_keys) is not None:
+        return None
+    equations = _l1_equations if isinstance(proof, L1RangeProof) else _l2_equations
+    return equations(group, posted_cts, proof, pad_keys, ctx)
+
+
+def _verify(group, posted_cts, proof, policy, pad_keys, ctx, failure):
     """(ok, reason) of a bundle against the posted ciphertexts.
 
     After the policy and shape checks, a folding group tries the fold of
-    equations(...) first.  When it fails, or the group does not fold,
+    bundle_equations(...) first.  When it fails, or the group does not fold,
     failure(...) checks one equation at a time and names the first check
     that fails, so a rejection reads the same with or without the fold.
     """
-    if proof.policy != policy:
-        return False, "policy"
-    m = len(posted_cts)
-    if not proof.fits(m) or len(pad_keys) != m:
-        return False, "malformed"
+    reason = _shape_failure(posted_cts, proof, policy, pad_keys)
+    if reason is not None:
+        return False, reason
     args = (group, posted_cts, proof, pad_keys, ctx)
-    if folds(group) and fold_holds(group, _fold_seed(*args), equations(*args)):
+    if folds(group) and fold_holds(
+        group, _fold_seed(*args), bundle_equations(group, posted_cts, proof, policy, pad_keys, ctx)
+    ):
         return True, None
     reason = failure(*args)
     return reason is None, reason
@@ -445,7 +466,7 @@ def verify_l2(group, posted_cts, proof: L2RangeProof, policy: BoundPolicy, pad_k
     Returns (ok, reason); reason names the first failed check, one of
     "policy", "malformed", "tuple", "consistency", "bit", "square".
     """
-    return _verify(group, posted_cts, proof, policy, pad_keys, ctx, _l2_equations, _l2_failure)
+    return _verify(group, posted_cts, proof, policy, pad_keys, ctx, _l2_failure)
 
 
 def _l2_failure(group, posted_cts, proof: L2RangeProof, pad_keys, ctx):
@@ -559,7 +580,7 @@ def verify_l1(group, posted_cts, proof: L1RangeProof, policy: BoundPolicy, pad_k
     Returns (ok, reason); reason is one of "policy", "malformed", "tuple",
     "element", "bit", "sum", "sum_bit".
     """
-    return _verify(group, posted_cts, proof, policy, pad_keys, ctx, _l1_equations, _l1_failure)
+    return _verify(group, posted_cts, proof, policy, pad_keys, ctx, _l1_failure)
 
 
 def _l1_failure(group, posted_cts, proof: L1RangeProof, pad_keys, ctx):

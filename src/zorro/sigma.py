@@ -21,11 +21,15 @@ commitment at exponent q - 1, so every equation is a list of terms whose
 product must be the identity, and return None when a check outside the group
 equations fails (a challenge split, a membership or identity-base guard).
 
-On groups with q > 2^128 (secp256k1) a verifier folds all equations of one
-post into one multi_exp (fold_holds): the small-exponent batch test of
-Bellare, Garay and Rabin (EUROCRYPT 1998).  Each equation is raised to its own
-128-bit weight, hashed with SHA-256 from the post's full bytes, its context
-and its pad keys (fold_seed), so the weights cover the responses and cannot be
+On groups with q > 2^128 (secp256k1) a verifier folds many equations into
+one multi_exp (fold_holds): the small-exponent batch test of Bellare, Garay
+and Rabin (EUROCRYPT 1998).  protocol.verify_ledger folds a whole ledger,
+every round-1 proof and every contribution, at once; one post is folded
+alone where it is checked alone (derive_pads' round-1 check, a standalone
+verify_contribution, and the fallback of a failed ledger fold).  Each
+equation is raised to its own 128-bit weight, hashed with SHA-256 from the
+full bytes of every post folded, their context and, for one contribution,
+its pad keys (fold_seed), so the weights cover the responses and cannot be
 chosen after them; terms that share a base are merged, and one equation that
 fails survives the weighting with probability about 2^-128.  When a fold
 fails, the caller runs the relation verifiers one by one, which name the
@@ -104,7 +108,8 @@ def folds(group) -> bool:
 
 
 def fold_seed(group, ctx: FsTranscript, *values) -> bytes:
-    """SHA-256 of the context's domain tag and put(group, *values), the post's bytes."""
+    """SHA-256 of the context's domain tag and put(group, *values), the bytes
+    of the folded posts."""
     tag = ctx.domain_tag
     data = b"zorro.fold.v1" + pack_u32(len(tag)) + tag + put(group, *values)
     return hashlib.sha256(data).digest()
@@ -122,8 +127,8 @@ def fold_weights(seed: bytes, count: int) -> list[int]:
 def fold_holds(group, seed: bytes, parts) -> bool:
     """Whether every equation of `parts` holds, as one multi_exp.
 
-    `parts` lists the *_equations results of one post; a None among them
-    fails the fold.  Equation k is raised to weight k of fold_weights(seed),
+    `parts` lists the *_equations results of one post or of a whole ledger;
+    a None among them fails the fold.  Equation k is raised to weight k of fold_weights(seed),
     terms that share a base are merged, and the product of all must be the
     identity.
     """

@@ -1,8 +1,14 @@
 import dataclasses
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import zorro
 
 from zorro.cli import (
     EXIT_DROPOUT,
@@ -291,6 +297,21 @@ def test_verify_prints_the_tally_from_the_ledger_alone(vote_ledger, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("ledger ok")
     assert lines[1:] == ["tally: 4,3"]
+
+
+def test_verify_does_not_import_numpy(vote_ledger):
+    # only vote and the demos need numpy; importing the CLI and verifying a
+    # ledger in a fresh interpreter must not load it
+    script = (
+        "import sys, zorro.cli\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        f"assert zorro.cli.main(['verify', {str(vote_ledger)!r}]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'verify'\n"
+    )
+    src = str(Path(zorro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_maps_tally_failure_to_proof_rejection(vote_ledger, capsys, monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 
 from zorro import groups, protocol, rangeproof, sigma
 from zorro.elgamal import Keypair, encrypt_exp
-from zorro.errors import LedgerRejected
+from zorro.errors import LedgerRejected, MissingPost
 from zorro.ledger import Ledger
 from zorro.protocol import Party, ProtocolConfig, Round2Post, verify_ledger
 from zorro.rangeproof import (
@@ -346,3 +346,215 @@ def test_modular_groups_never_fold(monkeypatch):
     cts = [encrypt_exp(MOD, t, xj, h) for t, xj, h in zip([1, 2], x, pads)]
     assert verify_l1(MOD, cts, proof, policy, pads, ctx) == (True, None)
     assert folded == []
+
+
+# -- one fold per ledger ------------------------------------------------------------
+
+
+def _session_ledger(policy, vectors, seed):
+    """An honest secp256k1 session of `vectors` under `policy`: its config,
+    parties, posts and the values of party 1."""
+    session = bytes(range(seed, seed + 16))
+    cfg = ProtocolConfig(CURVE, len(vectors), len(vectors[0]), policy, session)
+    parties = [Party(cfg, i, random.Random(seed + i)) for i in range(cfg.n)]
+    posts1 = [p.round1() for p in parties]
+    for p in parties:
+        p.receive_round1(posts1)
+    posts2 = [p.round2(values) for p, values in zip(parties, vectors)]
+    return cfg, parties, posts1, posts2, vectors[1]
+
+
+# party 1 posts the values of l1_case / l2_case, so every dishonest variant fits it
+@pytest.fixture(scope="module")
+def l1_ledger():
+    return _session_ledger(BoundPolicy.l1(3), [[1, 1], [2, 1]], 50)
+
+
+@pytest.fixture(scope="module")
+def l2_ledger():
+    return _session_ledger(BoundPolicy.l2(2), [[0, 1], [1, -1]], 70)
+
+
+def _party_case(ledger):
+    """The Case of party 1's honest contribution to a _session_ledger."""
+    cfg, parties, _, posts2, values = ledger
+    party = parties[1]
+    ctx = cfg.base_context().child(b"r2", party.index)
+    return Case(
+        values, list(party.secret.x), list(party.pads), party.keypair, ctx, posts2[1].bundle,
+        random.Random(party.index),
+    )
+
+
+def _ledger_wrong_pad_key(case):
+    """The ledger form of _wrong_pad_key: on a ledger the verifier takes the
+    pad keys from round 1, so the bundle is proved under a wrong one."""
+    prove = prove_l1 if isinstance(case.proof, L1RangeProof) else prove_l2
+    pads = [case.pads[0], case.pads[1] * CURVE.g]
+    c = case
+    proof = prove(CURVE, c.values, c.x, pads, c.kp.pk, c.proof.policy, c.ctx, c.rng)
+    return case.posted, proof, case.pads
+
+
+def _ledger_variant(ledger, variants, reason):
+    """The ledger with party 1's contribution replaced by variants[reason]."""
+    cfg, _, posts1, posts2, _ = ledger
+    case = _party_case(ledger)
+    variant = _ledger_wrong_pad_key if reason == "tuple" else variants[reason]
+    posted, bundle, pads = variant(case)
+    assert pads == case.pads
+    return cfg, _ledger(cfg, posts1, [posts2[0], Round2Post(1, tuple(posted), bundle)])
+
+
+def _verdict(cfg, ledger):
+    """What verify_ledger says: ("ok",) or the exception's type, party, check and message."""
+    try:
+        verify_ledger(cfg, ledger)
+    except LedgerRejected as exc:
+        return "LedgerRejected", exc.party, exc.check, str(exc)
+    except MissingPost as exc:
+        return "MissingPost", exc.party, None, str(exc)
+    return ("ok",)
+
+
+def _agrees(cfg, ledger, monkeypatch):
+    """The verdict with the ledger fold, which must equal the verdict without
+    it, and the results of the ledger folds it ran: none when a check before
+    the fold decided, else one that held exactly when the ledger passed."""
+    results = []
+    holds = protocol._ledger_holds
+
+    def spy(*args):
+        results.append(holds(*args))
+        return results[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol, "_ledger_holds", spy)
+        folded = _verdict(cfg, ledger)
+    assert results in ([], [folded == ("ok",)])
+    with monkeypatch.context() as patch:
+        _sequentially(patch)
+        assert _verdict(cfg, ledger) == folded
+    return folded, results
+
+
+def test_honest_ledger_is_one_fold(l1_ledger, monkeypatch):
+    cfg, _, posts1, posts2, _ = l1_ledger
+    ledger = _ledger(cfg, posts1, posts2)
+    folded = _fold_spy(monkeypatch, protocol)
+    calls = []
+    for name in ("derive_pads", "verify_dlog"):
+
+        def spy(*args, _name=name, _real=getattr(protocol, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(protocol, name, spy)
+    assert verify_ledger(cfg, ledger) == posts2
+    assert folded == [True] and calls == []
+
+
+@pytest.mark.parametrize("reason", L1_DISHONEST)
+def test_dishonest_l1_contribution_reads_the_same_with_the_ledger_fold(
+    l1_ledger, reason, monkeypatch
+):
+    cfg, ledger = _ledger_variant(l1_ledger, L1_DISHONEST, reason)
+    verdict, folds = _agrees(cfg, ledger, monkeypatch)
+    assert verdict[1:3] == (1, reason) and folds == [False]
+
+
+@pytest.mark.parametrize("reason", L2_DISHONEST)
+def test_dishonest_l2_contribution_reads_the_same_with_the_ledger_fold(
+    l2_ledger, reason, monkeypatch
+):
+    cfg, ledger = _ledger_variant(l2_ledger, L2_DISHONEST, reason)
+    verdict, folds = _agrees(cfg, ledger, monkeypatch)
+    assert verdict[1:3] == (1, reason) and folds == [False]
+
+
+@pytest.mark.parametrize("bundle", ["other kind", "other bound"])
+def test_wrong_policy_bundle_reads_the_same_with_the_ledger_fold(
+    l1_ledger, l2_ledger, bundle, monkeypatch
+):
+    cfg, _, posts1, posts2, _ = l1_ledger
+    if bundle == "other kind":
+        forged = l2_ledger[3][1].bundle
+    else:
+        case = _party_case(l1_ledger)
+        forged = prove_l1(CURVE, case.values, case.x, case.pads, case.kp.pk, BoundPolicy.l1(7),
+                          case.ctx, case.rng)
+    ledger = _ledger(cfg, posts1, [posts2[0], dataclasses.replace(posts2[1], bundle=forged)])
+    verdict, folds = _agrees(cfg, ledger, monkeypatch)
+    assert verdict[1:3] == (1, "policy") and folds == [False]
+
+
+def test_round1_response_plus_one_reads_the_same_with_the_ledger_fold(session, monkeypatch):
+    cfg, _, posts1, posts2 = session
+    proofs = list(posts1[1].proofs)
+    proofs[2] = DlogProof(proofs[2].K, (proofs[2].s + 1) % CURVE.q)
+    forged = dataclasses.replace(posts1[1], proofs=tuple(proofs))
+    verdict, folds = _agrees(cfg, _ledger(cfg, [posts1[0], forged], posts2), monkeypatch)
+    assert verdict[1:3] == (1, "round1") and verdict[3].endswith("slot 2") and folds == [False]
+
+
+def test_flipped_round2_bytes_read_the_same_with_the_ledger_fold(l1_ledger, monkeypatch):
+    """A derandomized slice of the ledger fuzzer on secp256k1: one bit of a
+    round-2 payload flipped, the ledger re-chained."""
+    cfg, _, posts1, posts2, _ = l1_ledger
+    honest = _ledger(cfg, posts1, posts2)
+    rng = random.Random(2024)
+    checks, folded = set(), 0
+    for _ in range(30):
+        target = rng.choice([e.seq for e in honest.entries if e.round == 2])
+        bit = rng.randrange(8 * len(honest.entries[target].payload))
+        ledger = Ledger(cfg.header())
+        for entry in honest.entries:
+            payload = bytearray(entry.payload)
+            if entry.seq == target:
+                payload[bit // 8] ^= 1 << bit % 8
+            ledger.append(entry.round, entry.party, bytes(payload))
+        verdict, folds = _agrees(cfg, ledger, monkeypatch)
+        checks.add(verdict[2])
+        folded += len(folds)
+    # some flips fail to decode, others reach the fold and fail it
+    assert "malformed" in checks and folded > 0
+
+
+def test_ledger_fold_weights_cover_every_post(session, monkeypatch):
+    """Round-1 responses of parties 0 and 1 shifted so that the shifts cancel
+    under the honest ledger's weights: weights drawn from each post alone, or
+    from fewer than all posts, could accept them."""
+    cfg, _, posts1, posts2 = session
+    seeds = []
+    weights = sigma.fold_weights
+
+    def recording(seed, count):
+        seeds.append(seed)
+        return weights(seed, count)
+
+    monkeypatch.setattr(sigma, "fold_weights", recording)
+    assert verify_ledger(cfg, _ledger(cfg, posts1, posts2)) == posts2
+    (honest_seed,) = seeds
+    # the ledger's equations start with party 0's m round-1 proofs, then party 1's
+    w = weights(honest_seed, 2 * cfg.m)
+    q, delta = CURVE.q, 0x5EED
+    shifted = []
+    for post, shift in zip(posts1, (delta * w[cfg.m], -delta * w[0])):
+        first = DlogProof(post.proofs[0].K, (post.proofs[0].s + shift) % q)
+        shifted.append(dataclasses.replace(post, proofs=(first, *post.proofs[1:])))
+    assert fold_holds(CURVE, honest_seed, protocol._ledger_equations(cfg, shifted, posts2))
+
+    verdict = _rejection(cfg, _ledger(cfg, shifted, posts2))
+    assert verdict[:2] == (0, "round1") and verdict[2].endswith("slot 0")
+
+
+@pytest.mark.parametrize("group", [groups.toy_group(), MOD, CURVE], ids=lambda g: g.group_id)
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_all_pads_are_derive_pads(group, n):
+    cfg = ProtocolConfig(group, n, 2, BoundPolicy.none(), bytes(16))
+    rng = random.Random(n)
+    secrets, posts1 = zip(*(protocol.round1_generate(cfg, i, rng) for i in range(n)))
+    pads = protocol._all_pads(cfg, posts1)
+    assert pads == [protocol.derive_pads(cfg, posts1, k) for k in range(n)]
+    for j in range(cfg.m):
+        assert group.multi_exp((pads[k][j], secrets[k].x[j]) for k in range(n)) == group.identity

@@ -201,6 +201,20 @@ def test_curve_exp_is_affine_at_rest():
     assert CURVE._fixed_base_table(CURVE.g) is CURVE._g_table is not None
 
 
+def test_jacobian_add_edge_branches():
+    p, x, y = CURVE.p, HASHED.x, HASHED.y
+    P5 = (x * 25 % p, y * 125 % p, 5)  # HASHED with Z = 5
+    P7 = (x * 49 % p, y * 343 % p, 7)  # HASHED with Z = 7
+    minus = (x * 49 % p, -y * 343 % p, 7)
+    assert to_affine(*groups._jadd(*P5, *P7, p)) == HASHED * HASHED  # P + P doubles
+    assert to_affine(*groups._jadd(*P5, *minus, p)) == CURVE.identity  # P + (-P)
+    assert groups._jadd(*groups._J_IDENTITY, *P7, p) == P7
+    assert groups._jadd(*P7, *groups._J_IDENTITY, p) == P7
+    Q = CURVE.g ** 7
+    Q3 = (Q.x * 9 % p, Q.y * 27 % p, 3)
+    assert to_affine(*groups._jadd(*P5, *Q3, p)) == HASHED * Q
+
+
 def test_mixed_add_edge_branches():
     p, x, y = CURVE.p, HASHED.x, HASHED.y
     # HASHED in Jacobian form with Z = 5, so the inputs are not trivially equal
@@ -252,6 +266,31 @@ def test_curve_multi_exp_matches_affine_oracle(case):
     assert CURVE.contains(result)
 
 
+@pytest.mark.parametrize("case", MULTI_CASES)
+def test_curve_multi_exp_in_buckets_matches_affine_oracle(case, monkeypatch):
+    monkeypatch.setattr(groups, "_BUCKETS_FROM", 1)
+    pairs = MULTI_CASES[case]
+    assert CURVE.multi_exp(pairs) == curve_product(pairs), case
+
+
+def test_buckets_and_straus_agree_on_many_bases(monkeypatch):
+    # fold-like terms: full, 128-bit and negated 128-bit exponents, zero
+    # exponents, repeated bases, inverse pairs, the identity and g
+    rng = random.Random(64)
+    points = CURVE_MANY
+    q = CURVE.q
+    pairs = [(P, rng.randrange(q)) for P in points[:40]]
+    pairs += [(P, rng.getrandbits(128)) for P in points[40:60]]
+    pairs += [(P, q - rng.getrandbits(128)) for P in points[60:]]
+    pairs += [(points[0], 5), (points[1].inverse(), pairs[1][1]), (points[2], 0),
+              (CURVE.identity, 9), (CURVE.g, rng.randrange(q))]
+    assert len({P for P, e in pairs if e % q and P not in (CURVE.g, CURVE.identity)}) >= 64
+    folded = CURVE.multi_exp(pairs)
+    monkeypatch.setattr(groups, "_BUCKETS_FROM", len(pairs) + 1)
+    assert folded == CURVE.multi_exp(pairs)
+    assert CURVE.multi_exp(pairs + [(folded, q - 1)]) is CURVE.identity
+
+
 def test_curve_multi_exp_returns_the_identity_object():
     assert CURVE.multi_exp([]) is CURVE.identity
     assert CURVE.multi_exp([(P, 9), (P.inverse(), 9)]) is CURVE.identity
@@ -275,6 +314,7 @@ def test_mod_multi_exp_skips_zero_exponents(monkeypatch):
 
 
 CURVE_BASES = sorted(BASES)
+CURVE_MANY = [CURVE.g ** (1000 + k) for k in range(80)]
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -349,3 +389,19 @@ def test_wnaf_on_edge_scalars():
 @given(k=st.integers(min_value=0, max_value=2**130))
 def test_wnaf_on_drawn_scalars(k):
     _check_wnaf(k)
+
+
+@pytest.mark.parametrize("c", [4, 5, 7])
+def test_signed_digits(c):
+    rng = random.Random(c)
+    for k in [0, 1, (1 << c) - 1, 1 << (c - 1), (1 << (c - 1)) + 1, CURVE.q - 1]:
+        _check_signed_digits(k, c)
+    for _ in range(50):
+        _check_signed_digits(rng.getrandbits(130), c)
+
+
+def _check_signed_digits(k, c):
+    digits = groups._signed_digits(k, c)
+    assert sum(d << (c * i) for i, d in enumerate(digits)) == k
+    assert all(-(1 << (c - 1)) < d <= 1 << (c - 1) for d in digits), digits
+    assert not digits or digits[-1] != 0
