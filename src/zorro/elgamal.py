@@ -10,14 +10,24 @@ control of it (round-1 secrets are reused, digit randomness must telescope).
 from dataclasses import dataclass
 
 from .encoding import Record
+from .errors import KeyMismatch
 
 
 @dataclass(frozen=True)
 class Keypair:
-    """Long-term key: pk = g^sk."""
+    """Long-term key: pk = g^sk.
+
+    The constructor refuses a pair that breaks pk = g^sk with KeyMismatch, so
+    provers holding a Keypair may compute under pk from sk's discrete log;
+    the invariant is checked once per key, never once per proof.
+    """
 
     sk: int
     pk: object
+
+    def __post_init__(self):
+        if self.pk != self.pk.group.g ** self.sk:
+            raise KeyMismatch("public key is not g ** sk")
 
     @classmethod
     def generate(cls, group, rng):
@@ -43,8 +53,3 @@ def encrypt_exp(group, m: int, r: int, pk) -> Ciphertext:
 def hom_mul(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
     """Component-wise product; plaintexts add."""
     return Ciphertext(c1.A * c2.A, c1.B * c2.B)
-
-
-def hom_pow(c: Ciphertext, k: int) -> Ciphertext:
-    """Component-wise power; plaintext scales by k."""
-    return Ciphertext(c.A ** k, c.B ** k)

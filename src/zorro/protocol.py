@@ -300,7 +300,7 @@ def round2_generate(
     if cfg.policy.kind != rangeproof.NONE:
         prove = getattr(rangeproof, f"prove_{cfg.policy.kind}")
         ctx = cfg.base_context().child(b"r2", party)
-        bundle = prove(group, values, secret.x, pads, keypair.pk, cfg.policy, ctx, rng)
+        bundle = prove(group, values, secret.x, pads, keypair, cfg.policy, ctx, rng)
     return Round2Post(party, cts, bundle)
 
 

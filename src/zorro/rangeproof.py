@@ -4,6 +4,12 @@ Both proofs hang off the same trick: re-encrypt each slot under the prover's
 own long-term key h_i (tied to the posted ciphertext by a DH-tuple proof),
 then show the relevant quantity decomposes into proven bits.
 
+The provers take the Keypair (sk, h_i).  Every ciphertext under h_i is
+computed from its discrete logs (sigma.encrypt_own) and every bit and square
+proof is committed the same way, each element one fixed-base g ** log; only
+the links' DH-tuple commitments (h_pad/h_i)^r, whose log nobody knows, are
+evaluated on elements.
+
 L2 ("l2"): prove sum_j T_j^2 <= 2^L - 1.  The squares w_j are encrypted with
 noise r_j that telescopes to zero across the vector and carries the digit
 randomness, so the ledger equality
@@ -45,7 +51,7 @@ from dataclasses import dataclass, fields
 from functools import reduce
 
 from .dlog import DlogWindow
-from .elgamal import Ciphertext, encrypt_exp, hom_mul, hom_pow
+from .elgamal import Ciphertext, Keypair, hom_mul
 from .encoding import Reader, pack_u8, pack_u32, pack_u64, put, read_many, read_one
 from .errors import BoundExceeded, MalformedEncoding, NegativeEntry
 from .sigma import (
@@ -54,6 +60,7 @@ from .sigma import (
     SquareProof,
     bit_equations,
     dh_tuple_equations,
+    encrypt_own,
     fold_holds,
     fold_seed,
     folds,
@@ -174,17 +181,17 @@ def noise_terms(group, xstar: list[int]) -> list[int]:
 # -- re-encryption link -------------------------------------------------------
 
 
-def reencryption_link(group, t: int, x: int, h_pad, h_i, ctx, rng):
-    """Re-encrypt t under h_i with the same randomness x used under h_pad,
-    and prove both ciphertexts carry the same plaintext.
+def reencryption_link(group, t: int, x: int, h_pad, keypair: Keypair, ctx, rng):
+    """Re-encrypt t under h_i = keypair.pk with the same randomness x used
+    under h_pad, and prove both ciphertexts carry the same plaintext.
 
     Returns (E*[t], proof).  The proof statement is the DH 4-tuple
     (g, h_pad/h_i, g^x, (h_pad/h_i)^x): the posted and re-encrypted
     ciphertexts differ exactly by that last factor in their second slot.
     prove_dh_tuple raises ValueError when the pad key equals h_i.
     """
-    base = h_pad / h_i
-    ct_star = encrypt_exp(group, t, x, h_i)
+    base = h_pad / keypair.pk
+    ct_star = encrypt_own(group, t, x, keypair)
     statement = (group.g, base, ct_star.A, base ** x)
     return ct_star, prove_dh_tuple(group, x, statement, ctx, rng)
 
@@ -201,10 +208,10 @@ def verify_reencryption_link(group, ct: Ciphertext, ct_star: Ciphertext, h_pad, 
     return statement is not None and verify_dh_tuple(group, statement, proof, ctx)
 
 
-def _prove_links(group, values, x, pad_keys, h_i, ctx, rng):
+def _prove_links(group, values, x, pad_keys, keypair, ctx, rng):
     """(E*[T_j] for every slot, their link proofs), one slot after another."""
     reenc, links = zip(*(
-        reencryption_link(group, values[j], x[j], pad_keys[j], h_i, ctx.child(b"link", j), rng)
+        reencryption_link(group, values[j], x[j], pad_keys[j], keypair, ctx.child(b"link", j), rng)
         for j in range(len(values))
     ))
     return reenc, links
@@ -235,12 +242,12 @@ def _link_equations(group, posted_cts, proof, pad_keys, ctx) -> list:
 # -- digit decomposition -------------------------------------------------------
 
 
-def _prove_digits(group, digits, rand, h_i, row_ctx, rng):
-    """Encrypt digit l with randomness rand[l] under h_i and prove it a bit
-    in context row_ctx/l; returns (ciphertexts, bit proofs)."""
-    cts = tuple(encrypt_exp(group, d, r, h_i) for d, r in zip(digits, rand))
+def _prove_digits(group, digits, rand, keypair, row_ctx, rng):
+    """Encrypt digit l with randomness rand[l] under keypair.pk and prove it a
+    bit in context row_ctx/l; returns (ciphertexts, bit proofs)."""
+    cts = tuple(encrypt_own(group, d, r, keypair) for d, r in zip(digits, rand))
     proofs = tuple(
-        prove_bit(group, d, r, ct, h_i, row_ctx.child(l), rng)
+        prove_bit(group, d, r, ct, keypair, row_ctx.child(l), rng)
         for l, (d, r, ct) in enumerate(zip(digits, rand, cts))
     )
     return cts, proofs
@@ -250,7 +257,8 @@ def _recompose(digit_cts) -> Ciphertext:
     """prod_l E[d_l]^(2^l): an encryption of the number the digits spell."""
     acc = digit_cts[0]
     for l in range(1, len(digit_cts)):
-        acc = hom_mul(acc, hom_pow(digit_cts[l], 1 << l))
+        d = digit_cts[l]
+        acc = hom_mul(acc, Ciphertext(d.A ** (1 << l), d.B ** (1 << l)))
     return acc
 
 
@@ -411,9 +419,12 @@ def _extended_len(m: int, L: int) -> int:
     return m if m > L else L + 1
 
 
-def prove_l2(group, values, x, pad_keys, h_i, policy: BoundPolicy, ctx, rng) -> L2RangeProof:
+def prove_l2(
+    group, values, x, pad_keys, keypair: Keypair, policy: BoundPolicy, ctx, rng
+) -> L2RangeProof:
     """Build the L2 validity bundle for `values` posted with randomness `x`
-    under pad keys `pad_keys`, re-encrypted under the prover's key h_i.
+    under pad keys `pad_keys`, re-encrypted under the prover's key h_i =
+    keypair.pk.
 
     Refuses with BoundExceeded when sum of squares exceeds the effective
     bound 2^L - 1.
@@ -429,12 +440,12 @@ def prove_l2(group, values, x, pad_keys, h_i, policy: BoundPolicy, ctx, rng) -> 
     padded = list(values) + [0] * (m_ext - m)
     x_all = list(x) + [group.random_scalar(rng) for _ in range(m_ext - m)]
 
-    reenc, links = _prove_links(group, values, x, pad_keys, h_i, ctx, rng)
-    reenc += tuple(encrypt_exp(group, 0, x_all[j], h_i) for j in range(m, m_ext))
+    reenc, links = _prove_links(group, values, x, pad_keys, keypair, ctx, rng)
+    reenc += tuple(encrypt_own(group, 0, x_all[j], keypair) for j in range(m, m_ext))
 
     x_digits = [group.random_scalar(rng) for _ in range(L)]
     digit_cts, digit_proofs = _prove_digits(
-        group, bits_of(s, L), x_digits, h_i, ctx.child(b"bit"), rng
+        group, bits_of(s, L), x_digits, keypair, ctx.child(b"bit"), rng
     )
 
     xstar = [group.random_scalar(rng) for _ in range(m_ext)]
@@ -445,17 +456,17 @@ def prove_l2(group, values, x, pad_keys, h_i, policy: BoundPolicy, ctx, rng) -> 
         if j < L:
             r_w = (r_w + x_digits[j] * (1 << j)) % group.q
         w = padded[j] * padded[j]
-        ct_w = encrypt_exp(group, w, r_w, h_i)
+        ct_w = encrypt_own(group, w, r_w, keypair)
         square_cts.append(ct_w)
         square_proofs.append(
             prove_square(
-                group, padded[j], x_all[j], r_w, reenc[j], ct_w, h_i,
+                group, padded[j], x_all[j], r_w, reenc[j], ct_w, keypair,
                 ctx.child(b"square", j), rng,
             )
         )
 
     return L2RangeProof(
-        policy, h_i, reenc, links, digit_cts, digit_proofs,
+        policy, keypair.pk, reenc, links, digit_cts, digit_proofs,
         tuple(square_cts), tuple(square_proofs),
     )
 
@@ -536,8 +547,10 @@ def _digit_randomness(group, target: int, width: int, rng) -> list[int]:
     return rho
 
 
-def prove_l1(group, values, x, pad_keys, h_i, policy: BoundPolicy, ctx, rng) -> L1RangeProof:
-    """Build the L1 + non-negativity bundle.
+def prove_l1(
+    group, values, x, pad_keys, keypair: Keypair, policy: BoundPolicy, ctx, rng
+) -> L1RangeProof:
+    """Build the L1 + non-negativity bundle under the prover's key h_i = keypair.pk.
 
     Refuses with NegativeEntry on any negative element and BoundExceeded
     when the element sum exceeds 2^L - 1.
@@ -551,26 +564,28 @@ def prove_l1(group, values, x, pad_keys, h_i, policy: BoundPolicy, ctx, rng) -> 
         raise BoundExceeded(f"element sum {total} > {policy.effective_bound}")
     digits = [bits_of(t, policy.L) for t in values]
     sum_digits = bits_of(total, policy.L)
-    return _build_l1(group, values, digits, sum_digits, x, pad_keys, h_i, policy, ctx, rng)
+    return _build_l1(group, values, digits, sum_digits, x, pad_keys, keypair, policy, ctx, rng)
 
 
-def _build_l1(group, values, digits, sum_digits, x, pad_keys, h_i, policy, ctx, rng) -> L1RangeProof:
+def _build_l1(
+    group, values, digits, sum_digits, x, pad_keys, keypair, policy, ctx, rng
+) -> L1RangeProof:
     # digit lists are taken as given so tests can force dishonest bundles
     L = policy.L
-    reenc, links = _prove_links(group, values, x, pad_keys, h_i, ctx, rng)
+    reenc, links = _prove_links(group, values, x, pad_keys, keypair, ctx, rng)
     elem_cts, elem_proofs = zip(*(
         _prove_digits(
-            group, digits[j], _digit_randomness(group, x[j], L, rng), h_i,
+            group, digits[j], _digit_randomness(group, x[j], L, rng), keypair,
             ctx.child(b"bit", j), rng,
         )
         for j in range(len(values))
     ))
     sum_cts, sum_proofs = _prove_digits(
-        group, sum_digits, _digit_randomness(group, sum(x) % group.q, L, rng), h_i,
+        group, sum_digits, _digit_randomness(group, sum(x) % group.q, L, rng), keypair,
         ctx.child(b"sumbit"), rng,
     )
     return L1RangeProof(
-        policy, h_i, reenc, links, elem_cts, elem_proofs, sum_cts, sum_proofs
+        policy, keypair.pk, reenc, links, elem_cts, elem_proofs, sum_cts, sum_proofs
     )
 
 

@@ -14,6 +14,15 @@ Each relation states its verification equations once, as a function of
 compares its value at the posted responses and hashed challenge with the
 posted commitments, and the prover takes it at its nonces with challenge 0.
 
+Provers of bit and square proofs work under their own key pk = g^sk and know
+every discrete log involved (sk, the plaintexts, the randomness, the nonces).
+They evaluate the same functions on _Logs(group), where each element is its
+log to base g, and turn each resulting commitment into an element with one
+fixed-base g ** log (_Logs.lift), instead of one variable-base power per use
+of pk or of the ciphertext.  encrypt_own encrypts under the prover's own key
+the same way.  Where no party knows the logs (the DH-tuple statement of a
+re-encryption link, whose base holds a pad key) provers evaluate on elements.
+
 The same functions also give each equation as data.  Called with _Terms(group),
 whose multi_exp returns its (base, exponent) pairs unevaluated, they yield the
 terms of every commitment; the *_equations functions append each posted
@@ -40,7 +49,7 @@ equation at a time, as verify_* do.
 import hashlib
 from dataclasses import dataclass
 
-from .elgamal import Ciphertext, encrypt_exp
+from .elgamal import Ciphertext, Keypair, encrypt_exp
 from .encoding import Record, pack_u32, put
 from .errors import KeyMismatch
 
@@ -93,6 +102,63 @@ class _Terms:
     @staticmethod
     def multi_exp(pairs):
         return tuple(pairs)
+
+
+@dataclass(frozen=True)
+class _Log:
+    """A group element held as its discrete log to base g, mod q."""
+
+    log: int
+    q: int
+
+    def __mul__(self, other):
+        return _Log((self.log + other.log) % self.q, self.q)
+
+    def __truediv__(self, other):
+        return _Log((self.log - other.log) % self.q, self.q)
+
+    def __pow__(self, e: int):
+        return _Log(self.log * e % self.q, self.q)
+
+
+class _Logs:
+    """`group` seen through discrete logs to base g, the mirror of _Terms.
+
+    Its elements are _Log scalars: * adds, / subtracts, ** scales, and
+    multi_exp returns sum(log * e) mod q.  Passed to a commitment function by
+    a prover that knows every log, it gives each commitment's log; lift turns
+    those into elements with one fixed-base g ** log each.
+    """
+
+    __slots__ = ("_group", "q", "g")
+
+    def __init__(self, group):
+        self._group = group
+        self.q = group.q
+        self.g = self.at(1)
+
+    def at(self, log: int) -> _Log:
+        """The element g^log."""
+        return _Log(log % self.q, self.q)
+
+    def multi_exp(self, pairs) -> _Log:
+        return self.at(sum(P.log * e for P, e in pairs))
+
+    def lift(self, value):
+        """`value` (a _Log, a Ciphertext of them, or a tuple of either) with
+        every _Log replaced by its group element g ** log."""
+        if isinstance(value, _Log):
+            return self._group.g ** value.log
+        if isinstance(value, Ciphertext):
+            return Ciphertext(self.lift(value.A), self.lift(value.B))
+        return tuple(map(self.lift, value))
+
+
+def encrypt_own(group, m: int, r: int, keypair: Keypair) -> Ciphertext:
+    """encrypt_exp(group, m, r, keypair.pk), computed from the logs m, r and sk:
+    one fixed-base g ** log per component."""
+    logs = _Logs(group)
+    return logs.lift(encrypt_exp(logs, m, r, logs.at(keypair.sk)))
 
 
 def _equations(group, commitments, posted) -> list:
@@ -258,20 +324,26 @@ def _bit_branch(group, x, y, pk, bit: int, d: int, r: int):
     return group.multi_exp(((group.g, r), (x, d))), group.multi_exp(((pk, r), (y_bit, d)))
 
 
-def prove_bit(group, m: int, r: int, ct: Ciphertext, pk, ctx: FsTranscript, rng) -> BitProof:
-    """Prove ct = (g^r, pk^r) or (g^r, pk^r * g) without revealing which."""
+def prove_bit(
+    group, m: int, r: int, ct: Ciphertext, keypair: Keypair, ctx: FsTranscript, rng
+) -> BitProof:
+    """Prove ct = (g^r, pk^r) or (g^r, pk^r * g) under pk = keypair.pk without
+    revealing which; both branches are evaluated on discrete logs."""
     if m not in (0, 1):
         raise ValueError(f"bit witness must be 0 or 1, got {m}")
-    if ct != encrypt_exp(group, m, r, pk):
+    logs = _Logs(group)
+    pk = logs.at(keypair.sk)
+    own = encrypt_exp(logs, m, r, pk)
+    if ct != logs.lift(own):
         raise KeyMismatch("ciphertext does not match witness under this key")
-    x, y = ct.A, ct.B
+    x, y = own.A, own.B
     # the branch claiming m is real; the other is simulated from (d_sim, r_sim)
     w = group.random_scalar(rng)
     d_sim, r_sim = group.random_scalar(rng), group.random_scalar(rng)
-    real = _bit_branch(group, x, y, pk, 0, 0, w)  # at d = 0 the claimed bit does not enter
-    sim = _bit_branch(group, x, y, pk, 1 - m, d_sim, r_sim)
-    (a1, b1), (a2, b2) = (real, sim) if m == 0 else (sim, real)
-    c = ctx.challenge(group, pk, x, y, a1, b1, a2, b2)
+    real = _bit_branch(logs, x, y, pk, 0, 0, w)  # at d = 0 the claimed bit does not enter
+    sim = _bit_branch(logs, x, y, pk, 1 - m, d_sim, r_sim)
+    (a1, b1), (a2, b2) = logs.lift((real, sim) if m == 0 else (sim, real))
+    c = ctx.challenge(group, keypair.pk, ct.A, ct.B, a1, b1, a2, b2)
     d_real = (c - d_sim) % group.q
     r_real = (w - r * d_real) % group.q
     if m == 0:
@@ -348,22 +420,26 @@ def _square_challenge(group, ctx: FsTranscript, pk, ct_a, ct_b, C_a, C_b) -> int
 
 
 def prove_square(
-    group, a: int, s_a: int, s_b: int, ct_a: Ciphertext, ct_b: Ciphertext, pk,
+    group, a: int, s_a: int, s_b: int, ct_a: Ciphertext, ct_b: Ciphertext, keypair: Keypair,
     ctx: FsTranscript, rng,
 ) -> SquareProof:
-    """Prove ct_b encrypts a^2 given ct_a encrypts a (same key).
+    """Prove ct_b encrypts a^2 given ct_a encrypts a, both under keypair.pk.
 
-    s_a and s_b are the encryption randomness of ct_a and ct_b.
+    s_a and s_b are the encryption randomness of ct_a and ct_b.  The
+    commitments are evaluated on discrete logs.
     """
-    if ct_a != encrypt_exp(group, a, s_a, pk):
+    logs = _Logs(group)
+    pk = logs.at(keypair.sk)
+    own_a, own_b = encrypt_exp(logs, a, s_a, pk), encrypt_exp(logs, a * a, s_b, pk)
+    if ct_a != logs.lift(own_a):
         raise KeyMismatch("ct_a does not match witness under this key")
-    if ct_b != encrypt_exp(group, a * a, s_b, pk):
+    if ct_b != logs.lift(own_b):
         raise KeyMismatch("ct_b does not encrypt the square under this key")
     x = group.random_scalar(rng)
     r_a = group.random_scalar(rng)
     r_b = group.random_scalar(rng)
-    C_a, C_b = _square_commitments(group, ct_a, ct_b, pk, x, r_a, r_b, 0)
-    c = _square_challenge(group, ctx, pk, ct_a, ct_b, C_a, C_b)
+    C_a, C_b = logs.lift(_square_commitments(logs, own_a, own_b, pk, x, r_a, r_b, 0))
+    c = _square_challenge(group, ctx, keypair.pk, ct_a, ct_b, C_a, C_b)
     q = group.q
     return SquareProof(
         C_a, C_b, (c * a + x) % q, (c * s_a + r_a) % q, (c * (s_b - a * s_a) + r_b) % q

@@ -1,7 +1,10 @@
 import random
 
+import pytest
+
 from zorro.dlog import DlogWindow, bsgs
-from zorro.elgamal import Ciphertext, Keypair, encrypt_exp, hom_mul, hom_pow
+from zorro.elgamal import Ciphertext, Keypair, encrypt_exp, hom_mul
+from zorro.errors import KeyMismatch
 from zorro import groups
 
 TOY = groups.toy_group()
@@ -11,6 +14,11 @@ MOD = groups.test_group()
 def decrypt_point(c: Ciphertext, sk: int):
     """Test oracle: strip the pad with the secret key, giving g^m = B / A^sk."""
     return c.B / c.A ** sk
+
+
+def component_pow(c: Ciphertext, k: int) -> Ciphertext:
+    """Component-wise power: the plaintext scales by k."""
+    return Ciphertext(c.A ** k, c.B ** k)
 
 
 def toy_dlog(element):
@@ -56,8 +64,8 @@ def test_homomorphic_addition():
     e1 = encrypt_exp(TOY, 1, TOY.random_scalar(rng), kp.pk)
     e2 = encrypt_exp(TOY, 1, TOY.random_scalar(rng), kp.pk)
     assert toy_dlog(decrypt_point(hom_mul(e1, e2), kp.sk)) == 2
-    assert toy_dlog(decrypt_point(hom_pow(e1, 4), kp.sk)) == 4
-    assert hom_pow(e1, 0) == Ciphertext(TOY.identity, TOY.identity)
+    assert toy_dlog(decrypt_point(component_pow(e1, 4), kp.sk)) == 4
+    assert component_pow(e1, 0) == Ciphertext(TOY.identity, TOY.identity)
 
 
 def test_homomorphism_randomized():
@@ -71,7 +79,7 @@ def test_homomorphism_randomized():
         got = bsgs(MOD, decrypt_point(hom_mul(ca, cb), kp.sk), window)
         assert got == a + b
         k = rng.randrange(0, 4)
-        assert bsgs(MOD, decrypt_point(hom_pow(ca, k), kp.sk), window) == k * a
+        assert bsgs(MOD, decrypt_point(component_pow(ca, k), kp.sk), window) == k * a
 
 
 def test_rerandomization_neutral():
@@ -87,6 +95,14 @@ def test_keypair_invariant():
     rng = random.Random(7)
     kp = Keypair.generate(MOD, rng)
     assert kp.pk == MOD.g ** kp.sk
+
+
+@pytest.mark.parametrize("group", [TOY, MOD, groups.prod_group()], ids=lambda g: g.group_id)
+def test_keypair_refuses_a_public_key_other_than_g_to_the_sk(group):
+    sk = 5
+    assert Keypair(sk, group.g ** sk).pk == group.g ** sk
+    with pytest.raises(KeyMismatch):
+        Keypair(sk, group.g ** (sk + 1))
 
 
 def test_ciphertext_serialization():

@@ -97,7 +97,7 @@ def _case(prove, policy, values, seed, tag):
     rng = random.Random(seed)
     x, pads, kp = _keys(len(values), rng)
     ctx = FsTranscript(tag)
-    proof = prove(CURVE, values, x, pads, kp.pk, policy, ctx, rng)
+    proof = prove(CURVE, values, x, pads, kp, policy, ctx, rng)
     return Case(values, x, pads, kp, ctx, proof, rng)
 
 
@@ -114,7 +114,7 @@ def l2_case():
 def _forced_l1(case, digits, sum_digits):
     c = case
     proof = _build_l1(
-        CURVE, c.values, digits, sum_digits, c.x, c.pads, c.kp.pk, c.proof.policy, c.ctx, c.rng
+        CURVE, c.values, digits, sum_digits, c.x, c.pads, c.kp, c.proof.policy, c.ctx, c.rng
     )
     return c.posted, proof, c.pads
 
@@ -281,7 +281,7 @@ def test_dishonest_contribution_on_the_ledger_names_the_party(session, monkeypat
     digits = [bits_of(1, 2), bits_of(0, 2), bits_of(1, 2)]  # slot 2 spells 1, not 2
     ctx = cfg.base_context().child(b"r2", party.index)
     bundle = _build_l1(
-        CURVE, values, digits, bits_of(3, 2), party.secret.x, party.pads, party.keypair.pk,
+        CURVE, values, digits, bits_of(3, 2), party.secret.x, party.pads, party.keypair,
         cfg.policy, ctx, random.Random(9),
     )
     cts = tuple(_posted(values, party.secret.x, party.pads))
@@ -341,7 +341,7 @@ def test_modular_groups_never_fold(monkeypatch):
     kp = Keypair.generate(MOD, rng)
     pads = [MOD.g ** MOD.random_scalar(rng) for _ in range(2)]
     ctx = FsTranscript(b"no-fold")
-    proof = prove_l1(MOD, [1, 2], x, pads, kp.pk, policy, ctx, rng)
+    proof = prove_l1(MOD, [1, 2], x, pads, kp, policy, ctx, rng)
     folded = _fold_spy(monkeypatch, rangeproof)
     cts = [encrypt_exp(MOD, t, xj, h) for t, xj, h in zip([1, 2], x, pads)]
     assert verify_l1(MOD, cts, proof, policy, pads, ctx) == (True, None)
@@ -392,7 +392,7 @@ def _ledger_wrong_pad_key(case):
     prove = prove_l1 if isinstance(case.proof, L1RangeProof) else prove_l2
     pads = [case.pads[0], case.pads[1] * CURVE.g]
     c = case
-    proof = prove(CURVE, c.values, c.x, pads, c.kp.pk, c.proof.policy, c.ctx, c.rng)
+    proof = prove(CURVE, c.values, c.x, pads, c.kp, c.proof.policy, c.ctx, c.rng)
     return case.posted, proof, case.pads
 
 
@@ -481,7 +481,7 @@ def test_wrong_policy_bundle_reads_the_same_with_the_ledger_fold(
         forged = l2_ledger[3][1].bundle
     else:
         case = _party_case(l1_ledger)
-        forged = prove_l1(CURVE, case.values, case.x, case.pads, case.kp.pk, BoundPolicy.l1(7),
+        forged = prove_l1(CURVE, case.values, case.x, case.pads, case.kp, BoundPolicy.l1(7),
                           case.ctx, case.rng)
     ledger = _ledger(cfg, posts1, [posts2[0], dataclasses.replace(posts2[1], bundle=forged)])
     verdict, folds = _agrees(cfg, ledger, monkeypatch)

@@ -14,8 +14,10 @@ from zorro.sigma import (
     DlogProof,
     FsTranscript,
     SquareProof,
+    _bit_branch,
     _dh_commitments,
     _dlog_commitment,
+    _Logs,
     _square_commitments,
     prove_bit,
     prove_dh_tuple,
@@ -138,7 +140,7 @@ def test_bit_roundtrip(group, m):
     for _ in range(10):
         r = group.random_scalar(rng)
         ct = encrypt_exp(group, m, r, kp.pk)
-        proof = prove_bit(group, m, r, ct, kp.pk, ctx, rng)
+        proof = prove_bit(group, m, r, ct, kp, ctx, rng)
         assert verify_bit(group, ct, kp.pk, proof, ctx)
 
 
@@ -148,9 +150,11 @@ def test_bit_rejects_witness_misuse():
     ctx = FsTranscript(b"bit")
     r = MOD.random_scalar(rng)
     with pytest.raises(ValueError):
-        prove_bit(MOD, 2, r, encrypt_exp(MOD, 2, r, kp.pk), kp.pk, ctx, rng)
+        prove_bit(MOD, 2, r, encrypt_exp(MOD, 2, r, kp.pk), kp, ctx, rng)
     with pytest.raises(KeyMismatch):
-        prove_bit(MOD, 0, r, encrypt_exp(MOD, 1, r, kp.pk), kp.pk, ctx, rng)
+        prove_bit(MOD, 0, r, encrypt_exp(MOD, 1, r, kp.pk), kp, ctx, rng)
+    with pytest.raises(KeyMismatch):  # the right bit, under another key
+        prove_bit(MOD, 1, r, encrypt_exp(MOD, 1, r, kp.pk * MOD.g), kp, ctx, rng)
 
 
 def test_bit_mutations():
@@ -159,7 +163,7 @@ def test_bit_mutations():
     ctx = FsTranscript(b"bit")
     r = MOD.random_scalar(rng)
     ct = encrypt_exp(MOD, 1, r, kp.pk)
-    proof = prove_bit(MOD, 1, r, ct, kp.pk, ctx, rng)
+    proof = prove_bit(MOD, 1, r, ct, kp, ctx, rng)
     for field in ("a1", "b1", "a2", "b2"):
         bad = dataclasses.replace(proof, **{field: getattr(proof, field) * MOD.g})
         assert not verify_bit(MOD, ct, kp.pk, bad, ctx)
@@ -179,7 +183,7 @@ def test_square_roundtrip(a):
     s_a, s_b = MOD.random_scalar(rng), MOD.random_scalar(rng)
     ct_a = encrypt_exp(MOD, a, s_a, kp.pk)
     ct_b = encrypt_exp(MOD, a * a, s_b, kp.pk)
-    proof = prove_square(MOD, a, s_a, s_b, ct_a, ct_b, kp.pk, ctx, rng)
+    proof = prove_square(MOD, a, s_a, s_b, ct_a, ct_b, kp, ctx, rng)
     assert verify_square(MOD, ct_a, ct_b, kp.pk, proof, ctx)
 
 
@@ -190,7 +194,7 @@ def test_square_challenge_hashes_g_after_pk():
     s_a, s_b = MOD.random_scalar(rng), MOD.random_scalar(rng)
     ct_a = encrypt_exp(MOD, 4, s_a, kp.pk)
     ct_b = encrypt_exp(MOD, 16, s_b, kp.pk)
-    proof = prove_square(MOD, 4, s_a, s_b, ct_a, ct_b, kp.pk, ctx, rng)
+    proof = prove_square(MOD, 4, s_a, s_b, ct_a, ct_b, kp, ctx, rng)
     C_a, C_b = proof.C_a, proof.C_b
     statement = (ct_a.A, ct_a.B, ct_b.A, ct_b.B, C_a.A, C_a.B, C_b.A, C_b.B)
     c = ctx.challenge(MOD, kp.pk, MOD.g, *statement)
@@ -205,11 +209,13 @@ def test_square_rejects_non_square():
     s_a, s_b = MOD.random_scalar(rng), MOD.random_scalar(rng)
     ct_a = encrypt_exp(MOD, 3, s_a, kp.pk)
     ct_b = encrypt_exp(MOD, 9, s_b, kp.pk)
-    proof = prove_square(MOD, 3, s_a, s_b, ct_a, ct_b, kp.pk, ctx, rng)
+    proof = prove_square(MOD, 3, s_a, s_b, ct_a, ct_b, kp, ctx, rng)
     ct_bad = encrypt_exp(MOD, 8, s_b, kp.pk)
     assert not verify_square(MOD, ct_a, ct_bad, kp.pk, proof, ctx)
     with pytest.raises(KeyMismatch):
-        prove_square(MOD, 3, s_a, s_b, ct_a, ct_bad, kp.pk, ctx, rng)
+        prove_square(MOD, 3, s_a, s_b, ct_a, ct_bad, kp, ctx, rng)
+    with pytest.raises(KeyMismatch):
+        prove_square(MOD, 3, s_a, s_b, encrypt_exp(MOD, 4, s_a, kp.pk), ct_b, kp, ctx, rng)
     for field, delta in (("v", 1), ("z_a", 1), ("z_b", 1)):
         bad = dataclasses.replace(proof, **{field: (getattr(proof, field) + delta) % MOD.q})
         assert not verify_square(MOD, ct_a, ct_b, kp.pk, bad, ctx)
@@ -336,6 +342,74 @@ def test_square_extraction():
     assert extracted == a % TOY.q
 
 
+# -- provers' evaluation on discrete logs ----------------------------------------
+#
+# A prover that knows the log of every base evaluates a commitment function
+# on _Logs(group) and lifts each result with g ** log; that must be the
+# element the same function gives on the group.
+
+COMMITMENT_FUNCTIONS = {
+    # name: (number of bases, number of scalars, the function on (view, bases, scalars))
+    "dlog": (1, 2, lambda G, b, s: _dlog_commitment(G, b[0], s[0], s[1])),
+    "dh_tuple": (4, 2, lambda G, b, s: _dh_commitments(G, b, s[0], s[1])),
+    "bit_branch_0": (3, 2, lambda G, b, s: _bit_branch(G, *b, 0, s[0], s[1])),
+    "bit_branch_1": (3, 2, lambda G, b, s: _bit_branch(G, *b, 1, s[0], s[1])),
+    "square": (
+        5, 4,
+        lambda G, b, s: _square_commitments(
+            G, Ciphertext(b[0], b[1]), Ciphertext(b[2], b[3]), b[4], *s
+        ),
+    ),
+    "encrypt_exp": (1, 2, lambda G, b, s: encrypt_exp(G, s[0], s[1], b[0])),
+}
+
+
+def _agrees_on_logs(group, name, values):
+    """f(_Logs(group)) lifted equals f(group) at bases g^values[:k] and the
+    scalars that follow them."""
+    k, count, f = COMMITMENT_FUNCTIONS[name]
+    bases, scalars = values[:k], values[k:k + count]
+    logs = _Logs(group)
+    on_logs = f(logs, tuple(logs.at(a) for a in bases), scalars)
+    on_elements = f(group, tuple(group.g ** a for a in bases), scalars)
+    return logs.lift(on_logs) == on_elements
+
+
+@pytest.mark.parametrize("name", COMMITMENT_FUNCTIONS)
+def test_logs_agree_with_elements_on_every_toy_scalar_pair(name):
+    q = TOY.q
+    k, count, _ = COMMITMENT_FUNCTIONS[name]
+    for u in range(q):
+        for v in range(q):
+            # every pair (u, v), and a third value from both, in every slot
+            pattern = (u, v, (u * v + 1) % q)
+            values = [pattern[i % 3] for i in range(k + count)]
+            assert _agrees_on_logs(TOY, name, values), (u, v)
+
+
+@pytest.mark.parametrize("group", [MOD, groups.prod_group()], ids=lambda g: g.group_id)
+@pytest.mark.parametrize("name", COMMITMENT_FUNCTIONS)
+def test_logs_agree_with_elements_on_seeded_scalars(group, name):
+    rng = random.Random(17)
+    q = group.q
+    width = sum(COMMITMENT_FUNCTIONS[name][:2])
+    rows = [[0] * width, [q - 1] * width, [0, q - 1] * width, [q - 1, 1] * width]
+    rows += [[group.random_scalar(rng) for _ in range(width)] for _ in range(4)]
+    for row in rows:
+        assert _agrees_on_logs(group, name, row[:width]), row
+
+
+def test_logs_lift_commitments_through_g():
+    logs = _Logs(MOD)
+    assert logs.g == logs.at(1) and logs.at(MOD.q + 3) == logs.at(3)
+    assert logs.at(5) * logs.at(7) == logs.at(12)
+    assert logs.at(5) / logs.at(7) == logs.at(-2)
+    assert logs.at(5) ** 3 == logs.at(15)
+    assert logs.lift((logs.at(0), Ciphertext(logs.at(2), logs.g))) == (
+        MOD.identity, Ciphertext(MOD.g ** 2, MOD.g)
+    )
+
+
 # -- serialization ----------------------------------------------------------------
 
 
@@ -350,11 +424,11 @@ def test_proof_serialization_roundtrips():
     proofs.append((prove_dh_tuple(MOD, 5, (MOD.g, h, MOD.g ** 5, h ** 5), ctx, rng), DhTupleProof))
     r = MOD.random_scalar(rng)
     ct = encrypt_exp(MOD, 1, r, kp.pk)
-    proofs.append((prove_bit(MOD, 1, r, ct, kp.pk, ctx, rng), BitProof))
+    proofs.append((prove_bit(MOD, 1, r, ct, kp, ctx, rng), BitProof))
     s_a, s_b = MOD.random_scalar(rng), MOD.random_scalar(rng)
     ct_a = encrypt_exp(MOD, 3, s_a, kp.pk)
     ct_b = encrypt_exp(MOD, 9, s_b, kp.pk)
-    proofs.append((prove_square(MOD, 3, s_a, s_b, ct_a, ct_b, kp.pk, ctx, rng), SquareProof))
+    proofs.append((prove_square(MOD, 3, s_a, s_b, ct_a, ct_b, kp, ctx, rng), SquareProof))
     for proof, cls in proofs:
         data = proof.to_bytes(MOD)
         reader = Reader(data)
