@@ -32,7 +32,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("vote-l1-secp256k1", "audit-l1-mod41-n128")
+WORKLOADS = ("vote-l1-secp256k1", "audit-l1-mod41-n128")  # the gated ones, the default
+DEFINED = tuple(json.loads((ROOT / "perfbench" / "spec.json").read_text())["workloads"])
 PAIRS = 10
 SECONDS = 40
 END_TO_END = ("setup_s", "aggregate_s", "verify_s", "ledger_bytes", "peak_rss_mb")
@@ -169,8 +170,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--out", type=Path, required=True, help="BENCH_*.json to write")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="workload to run (repeatable; default: both gated ones)")
+    parser.add_argument("--workload", action="append", choices=DEFINED,
+                        help="workload of perfbench/spec.json to run (repeatable; "
+                             "default: the two gated ones)")
     parser.add_argument("--first-seed", type=int, default=11)
     parser.add_argument("--trace-seconds", type=float, default=SECONDS,
                         help="length of the --trace 1 --seed 1 runs; 0 skips them")

@@ -201,6 +201,96 @@ def test_curve_exp_is_affine_at_rest():
     assert CURVE._fixed_base_table(CURVE.g) is CURVE._g_table is not None
 
 
+# -- the g table: GLV halves in signed radix-256 digits ---------------------------
+
+
+def _halves(k):
+    return CURVE._glv_split(k % CURVE.q)
+
+
+def _rows(k):
+    return len(groups._signed_digits(abs(k), 8))
+
+
+def _g_table_scalars():
+    """Scalars whose GLV halves reach every branch of the g-table loop."""
+    q, lam = CURVE.q, CURVE.lam
+    out = [0, 1, 2, q - 1, q - 2]
+    # within 2^128 of 0 or q: one half, positive or negative
+    out += [2**128 - 1, 2**127, 2**128 - 2**120, q - 2**128 + 1, q - 2**127, q - 12345]
+    for i in (0, 1, 7, 14, 15):
+        d128 = 128 << (8 * i)  # a digit of exactly +128 in row i; -128 from q - d128
+        out += [d128, q - d128, d128 + (1 << (8 * i + 8)), d128 - 1, q - d128 - 1]
+        out += [d128 * lam % q, -d128 * lam % q]  # the same digits in the lam half
+    every_128 = sum(128 << (8 * i) for i in range(16))
+    out += [every_128, q - every_128, every_128 * lam % q, -every_128 * lam % q]
+    rng = random.Random(14)
+    drawn = [rng.randrange(q) for _ in range(3000)]
+    out.append(next(k for k in drawn if _rows(_halves(k)[0]) == 17))  # carry into row 16
+    out.append(next(k for k in drawn if _rows(_halves(k)[1]) == 17))
+    out += [k for k in drawn if all(h < 0 for h in _halves(k))][:3]  # both halves negative
+    out += drawn[:6]
+    return out
+
+
+G_TABLE_SCALARS = _g_table_scalars()
+
+
+def test_g_table_scalars_reach_every_branch():
+    halves = [_halves(k) for k in G_TABLE_SCALARS]
+    assert any(k1 and not k2 and k1 < 0 for k1, k2 in halves)  # single negative half
+    assert any(k1 and not k2 and k1 > 0 for k1, k2 in halves)
+    assert any(k1 < 0 and k2 < 0 for k1, k2 in halves)
+    for side in (0, 1):
+        assert any(_rows(h[side]) == groups._G_ROWS for h in halves)
+        digits = [(h[side] > 0, groups._signed_digits(abs(h[side]), 8)) for h in halves]
+        for positive in (True, False):  # +128 and, in a negative half, -128
+            assert any(pos == positive and 128 in ds for pos, ds in digits), (side, positive)
+    assert max(_rows(h) for pair in halves for h in pair) == groups._G_ROWS
+
+
+def test_g_table_shape_and_reuse():
+    table = CURVE._fixed_base_table(CURVE.g)
+    assert len(table) == groups._G_ROWS == 17
+    assert all(len(row) == 128 for row in table)
+    assert CURVE._fixed_base_table(CURVE.g) is table
+    CURVE.g ** 12345
+    assert CURVE._g_table is table
+    for i, d in ((0, 1), (0, 128), (1, 1), (16, 77), (16, 128)):
+        assert groups.CurvePoint(CURVE, *table[i][d - 1]) == affine_pow(CURVE.g, d << (8 * i))
+
+
+@pytest.mark.parametrize("k", G_TABLE_SCALARS)
+def test_g_pow_on_table_edge_scalars(k):
+    assert CURVE.g ** k == affine_pow(CURVE.g, k)
+
+
+A_HASHED = 2**200 + 12345
+HASHED_POWER = affine_pow(HASHED, A_HASHED)
+
+
+def test_g_multi_exp_on_table_edge_scalars():
+    # g with one more variable base, on the Straus path
+    for k in G_TABLE_SCALARS:
+        expected = affine_pow(CURVE.g, k) * HASHED_POWER
+        assert CURVE.multi_exp([(CURVE.g, k), (HASHED, A_HASHED)]) == expected, k
+        # two g terms sum before the table is read
+        assert CURVE.multi_exp([(CURVE.g, k - 5), (HASHED, A_HASHED), (CURVE.g, 5)]) == expected
+
+
+@pytest.mark.parametrize("path", ["straus", "buckets"])
+def test_g_merged_with_many_bases(path):
+    # CURVE_MANY[j] = g ** (1000 + j), so the product is one power of g for the oracle
+    q, count = CURVE.q, 20 if path == "straus" else 70
+    assert (count >= groups._BUCKETS_FROM) == (path == "buckets")
+    rng = random.Random(count)
+    for k in G_TABLE_SCALARS[::7]:
+        es = [rng.randrange(q) for _ in range(count)]
+        pairs = [(CURVE.g, k)] + list(zip(CURVE_MANY, es))
+        total = k + sum((1000 + j) * e for j, e in enumerate(es))
+        assert CURVE.multi_exp(pairs) == affine_pow(CURVE.g, total), k
+
+
 def test_jacobian_add_edge_branches():
     p, x, y = CURVE.p, HASHED.x, HASHED.y
     P5 = (x * 25 % p, y * 125 % p, 5)  # HASHED with Z = 5
