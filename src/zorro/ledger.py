@@ -54,13 +54,16 @@ class LedgerHeader:
         obj = json.loads(line)
         if obj.get("format") != "zorro-ledger/1":
             raise MalformedEncoding("not a zorro ledger file")
+        n, m, bound = obj["n"], obj["m"], obj["policy"]["bound"]
+        if any(type(v) is not int for v in (n, m, bound)):  # int() of 1e400 would overflow
+            raise MalformedEncoding("n, m and the policy bound must be JSON integers")
         header = cls(
             group_id=obj["group"],
             session=bytes.fromhex(obj["session"]),
-            n=int(obj["n"]),
-            m=int(obj["m"]),
+            n=n,
+            m=m,
             policy_kind=obj["policy"]["kind"],
-            policy_bound=int(obj["policy"]["bound"]),
+            policy_bound=bound,
         )
         if header.to_line() != line:
             raise MalformedEncoding("header is not in canonical form")
@@ -166,7 +169,8 @@ class Ledger:
             header_line = lines[0].decode()
             header = LedgerHeader.from_line(header_line)
         except (
-            UnicodeDecodeError, ValueError, KeyError, TypeError, AttributeError, MalformedEncoding
+            UnicodeDecodeError, ValueError, KeyError, TypeError, AttributeError, RecursionError,
+            MalformedEncoding,
         ) as exc:
             raise ChainBroken(0, f"unreadable header: {exc}") from exc
         ledger = cls(header)  # from_line guarantees header.to_line() == header_line

@@ -19,14 +19,10 @@ A party that completes round 1 but never posts round 2 leaves the pads
 uncancellable; tally() then fails naming the culprit, and the session must
 abort (re-keying is out of scope).
 
-verify_ledger is what every participant runs on the public ledger.  On a
-folding group (sigma.folds: secp256k1) it checks every round-1 proof and
-every contribution as one weighted multi_exp (the ledger fold), with all n
-pad vectors from one prefix/suffix pass (_all_pads).  Only when that fold
-fails does it run the checks post by post, which name the party, the check
-and the slot.  Per-post folds remain in derive_pads (each party's check of
-round 1 before it trusts its pads), in a standalone verify_contribution and
-in that fallback.
+verify_ledger is what every participant runs on the public ledger.  Each
+post's checks are a check table, folded or run one by one as the sigma
+module describes; on a folding group verify_ledger first folds every table
+at once, with all n pad vectors from one prefix/suffix pass (_all_pads).
 """
 
 from dataclasses import dataclass
@@ -49,10 +45,12 @@ from .sigma import (
     DlogProof,
     FsTranscript,
     dlog_equations,
+    first_failure,
     fold_holds,
     fold_seed,
     folds,
     prove_dlog,
+    table_equations,
     verify_dlog,
 )
 
@@ -192,33 +190,24 @@ def round1_generate(cfg: ProtocolConfig, party: int, rng):
     return Round1Secret(party, tuple(x)), Round1Post(party, tuple(elements), tuple(proofs))
 
 
-def _round1_equations(cfg: ProtocolConfig, post: Round1Post) -> list:
-    """The m dlog equations of a round-1 post, as sigma.fold_holds parts."""
+def _round1_checks(cfg: ProtocolConfig, post: Round1Post) -> list:
+    """The check table (sigma.first_failure) of a round-1 post: slot j's proof, labelled j."""
     base = cfg.base_context()
     return [
-        dlog_equations(cfg.group, A, proof, base.child(b"r1", post.party, j))
+        (j, [(verify_dlog, dlog_equations, (A, proof, base.child(b"r1", post.party, j)))])
         for j, (A, proof) in enumerate(zip(post.elements, post.proofs))
     ]
 
 
 def _round1_failure(cfg: ProtocolConfig, post: Round1Post):
-    """First slot whose proof fails (0 for a wrong dimension), or None if all hold.
-
-    A folding group first tries one fold of all m proofs; only when it fails
-    are the proofs checked one by one, to name the slot.
-    """
+    """First slot whose proof fails (0 for a wrong dimension), or None if all hold."""
     if len(post.elements) != cfg.m or len(post.proofs) != cfg.m:
         return 0
-    group, base = cfg.group, cfg.base_context()
-    if folds(group):
-        seed = fold_seed(group, base, post.to_bytes(group))
-        if fold_holds(group, seed, _round1_equations(cfg, post)):
-            return None
-    for j in range(cfg.m):
-        ctx = base.child(b"r1", post.party, j)
-        if not verify_dlog(group, post.elements[j], post.proofs[j], ctx):
-            return j
-    return None
+    group = cfg.group
+    return first_failure(
+        group, _round1_checks(cfg, post),
+        lambda: fold_seed(group, cfg.base_context(), post.to_bytes(group)),
+    )
 
 
 def verify_round1(cfg: ProtocolConfig, post: Round1Post) -> bool:
@@ -304,6 +293,16 @@ def round2_generate(
     return Round2Post(party, cts, bundle)
 
 
+def _contribution_failure(cfg: ProtocolConfig, post: Round2Post):
+    """"malformed" for a wrong dimension, "policy" for a bundle of the wrong
+    type for the policy, else None: a contribution's checks before its bundle's."""
+    if len(post.cts) != cfg.m:
+        return "malformed"
+    if type(post.bundle) is not _BUNDLE_KINDS[cfg.policy.code]:
+        return "policy"
+    return None
+
+
 def verify_contribution(cfg: ProtocolConfig, post: Round2Post, pads):
     """Check one round-2 post against its party's pad keys.
 
@@ -311,10 +310,9 @@ def verify_contribution(cfg: ProtocolConfig, post: Round2Post, pads):
     (ok, reason).  That each ciphertext reuses the party's round-1 element
     is verify_ledger's check: the pads alone do not carry those elements.
     """
-    if len(post.cts) != cfg.m:
-        return False, "malformed"
-    if type(post.bundle) is not _BUNDLE_KINDS[cfg.policy.code]:
-        return False, "policy"
+    reason = _contribution_failure(cfg, post)
+    if reason is not None:
+        return False, reason
     if post.bundle is None:
         return True, None
     verify = getattr(rangeproof, f"verify_{cfg.policy.kind}")
@@ -382,22 +380,19 @@ def _ledger_round(cfg: ProtocolConfig, ledger, round: int) -> list:
 def _ledger_equations(cfg: ProtocolConfig, posts1, posts2) -> list:
     """Every group equation of a decoded ledger, as sigma.fold_holds parts.
 
-    Each round-1 post's m dlog equations, then each contribution's bundle
-    equations under its _all_pads keys, all in party order.  A bundle of
-    the wrong type for the policy, or one that fails its policy or shape
-    check, is a None part, which fails the fold.
+    Each round-1 post's table, then each contribution's bundle table under
+    its _all_pads keys, all in party order.  A contribution that fails
+    _contribution_failure, or its bundle's policy or shape check, is a None
+    part, which fails the fold.
     """
     group, base = cfg.group, cfg.base_context()
-    parts = [part for post in posts1 for part in _round1_equations(cfg, post)]
+    parts = [part for post in posts1 for part in table_equations(group, _round1_checks(cfg, post))]
     for post, pads in zip(posts2, _all_pads(cfg, posts1)):
-        if type(post.bundle) is not _BUNDLE_KINDS[cfg.policy.code]:
+        if _contribution_failure(cfg, post) is not None:
             parts.append(None)
         elif post.bundle is not None:
             ctx = base.child(b"r2", post.party)
-            equations = rangeproof.bundle_equations(
-                group, post.cts, post.bundle, cfg.policy, pads, ctx
-            )
-            parts += [None] if equations is None else equations
+            parts += rangeproof.bundle_equations(group, post.cts, post.bundle, cfg.policy, pads, ctx)
     return parts
 
 
@@ -426,13 +421,11 @@ def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
     raises MissingPost.  Malformed bytes never raise anything else.
 
     After the header, decode and binding checks, a folding group checks the
-    rest as one fold (_ledger_holds).  The checks outside the group
-    equations (bundle type against the policy code, the bundle's policy and
-    shape, membership of A, identity bases, d1 + d2 = c, ct.A == ct*.A) run
-    while its parts are built, and any failure fails the fold.  A failed
-    fold, and every ledger on the modular groups, goes through _check_round1
-    and then verify_contribution party by party, so a rejection reads the
-    same with or without the fold.
+    rest as one fold of every post's check table (_ledger_holds); a check
+    outside the group equations that fails while the parts are built fails
+    the fold.  A failed fold, and every ledger on the modular groups, goes
+    through _check_round1 and then verify_contribution party by party, so a
+    rejection reads the same with or without the fold.
     """
     if ledger.header != cfg.header():
         raise LedgerRejected(None, "header", "ledger header does not match the session")

@@ -29,15 +29,9 @@ recompose exactly, so both recompositions are plain ciphertext equalities:
 The enforced bound is always the full digit range 2^L - 1; exact non-power
 bounds would need set-membership machinery that is out of scope.
 
-verify_l1 and verify_l2 run the bundle's checks in one of two ways.  On a
-group with q > 2^128 (secp256k1) they first fold every group equation of the
-post (links, recompositions, bit and square proofs) into one multi_exp with
-128-bit weights hashed from the posted ciphertexts, the bundle's bytes, the
-context and the pad keys (sigma.fold_holds).  When that fold fails, and
-always on the modular groups, the checks run one equation at a time, in the
-order the docstrings list, and the first that fails names the reason.
-bundle_equations gives those equations as fold parts, after the policy and
-shape checks; protocol.verify_ledger folds them with every other post's.
+verify_l1 and verify_l2 check a bundle's policy and shape, then its check
+table, checks(posted_cts, pad_keys, ctx), as the sigma module describes; the
+table's labels are the reasons a rejection names.
 
 Each bundle states its shape once, as runs(m, L): the item type and count
 of every field after h_i, in wire order, for m slots and L digits.  A count
@@ -61,13 +55,13 @@ from .sigma import (
     bit_equations,
     dh_tuple_equations,
     encrypt_own,
-    fold_holds,
+    first_failure,
     fold_seed,
-    folds,
     prove_bit,
     prove_dh_tuple,
     prove_square,
     square_equations,
+    table_equations,
     verify_bit,
     verify_dh_tuple,
     verify_square,
@@ -208,6 +202,12 @@ def verify_reencryption_link(group, ct: Ciphertext, ct_star: Ciphertext, h_pad, 
     return statement is not None and verify_dh_tuple(group, statement, proof, ctx)
 
 
+def reencryption_link_equations(group, ct, ct_star, h_pad, h_i, proof, ctx):
+    """verify_reencryption_link's equations as data, or None when it fails outside them."""
+    statement = _link_statement(group, ct, ct_star, h_pad, h_i)
+    return None if statement is None else dh_tuple_equations(group, statement, proof, ctx)
+
+
 def _prove_links(group, values, x, pad_keys, keypair, ctx, rng):
     """(E*[T_j] for every slot, their link proofs), one slot after another."""
     reenc, links = zip(*(
@@ -217,26 +217,16 @@ def _prove_links(group, values, x, pad_keys, keypair, ctx, rng):
     return reenc, links
 
 
-def _links_ok(group, posted_cts, proof, pad_keys, ctx) -> bool:
-    return all(
-        verify_reencryption_link(group, ct, ct_star, h, proof.h_i, link, ctx.child(b"link", j))
-        for j, (ct, ct_star, h, link) in enumerate(
-            zip(posted_cts, proof.reencrypted, pad_keys, proof.links)
+def _link_checks(posted_cts, proof, pad_keys, ctx) -> list:
+    """The link of slot j in context ctx/link/j, for every posted slot."""
+    links = enumerate(zip(posted_cts, proof.reencrypted, pad_keys, proof.links))
+    return [
+        (
+            verify_reencryption_link, reencryption_link_equations,
+            (ct, ct_star, h, proof.h_i, link, ctx.child(b"link", j)),
         )
-    )
-
-
-def _link_equations(group, posted_cts, proof, pad_keys, ctx) -> list:
-    parts = []
-    for j, (ct, ct_star, h, link) in enumerate(
-        zip(posted_cts, proof.reencrypted, pad_keys, proof.links)
-    ):
-        statement = _link_statement(group, ct, ct_star, h, proof.h_i)
-        parts.append(
-            None if statement is None
-            else dh_tuple_equations(group, statement, link, ctx.child(b"link", j))
-        )
-    return parts
+        for j, (ct, ct_star, h, link) in links
+    ]
 
 
 # -- digit decomposition -------------------------------------------------------
@@ -262,8 +252,13 @@ def _recompose(digit_cts) -> Ciphertext:
     return acc
 
 
+def _recomposes(group, cts, digit_cts) -> bool:
+    """Whether prod(cts) == _recompose(digit_cts)."""
+    return reduce(hom_mul, cts) == _recompose(digit_cts)
+
+
 def _recompose_equations(group, cts, digit_cts) -> list:
-    """prod(cts) == _recompose(digit_cts) as one equation per component."""
+    """_recomposes as one equation per component."""
     q = group.q
     return [
         [(getattr(ct, part), 1) for ct in cts]
@@ -272,26 +267,15 @@ def _recompose_equations(group, cts, digit_cts) -> list:
     ]
 
 
-def _bits_ok(group, digit_cts, digit_proofs, h_i, row_ctx) -> bool:
-    return all(
-        verify_bit(group, ct, h_i, p, row_ctx.child(l))
-        for l, (ct, p) in enumerate(zip(digit_cts, digit_proofs))
-    )
-
-
-def _bits_equations(group, digit_cts, digit_proofs, h_i, row_ctx) -> list:
+def _bit_checks(digit_cts, digit_proofs, h_i, row_ctx) -> list:
+    """The bit proof of digit l in context row_ctx/l, for every digit of a row."""
     return [
-        bit_equations(group, ct, h_i, p, row_ctx.child(l))
+        (verify_bit, bit_equations, (ct, h_i, p, row_ctx.child(l)))
         for l, (ct, p) in enumerate(zip(digit_cts, digit_proofs))
     ]
 
 
-# -- verification: the fold, or the checks one by one --------------------------
-
-
-def _fold_seed(group, posted_cts, proof, pad_keys, ctx) -> bytes:
-    """The fold's seed: the posted ciphertexts, the bundle's bytes and the pad keys."""
-    return fold_seed(group, ctx, tuple(posted_cts), proof.to_bytes(group), tuple(pad_keys))
+# -- verification: policy and shape, then the check table ---------------------
 
 
 def _shape_failure(posted_cts, proof, policy, pad_keys):
@@ -305,31 +289,24 @@ def _shape_failure(posted_cts, proof, policy, pad_keys):
 
 
 def bundle_equations(group, posted_cts, proof, policy, pad_keys, ctx):
-    """Every group equation of an L1 or L2 bundle as sigma.fold_holds parts,
-    or None when its policy or shape check fails."""
+    """The fold parts of an L1 or L2 bundle's check table, or [None], which
+    fails the fold, when its policy or shape check fails."""
     if _shape_failure(posted_cts, proof, policy, pad_keys) is not None:
-        return None
-    equations = _l1_equations if isinstance(proof, L1RangeProof) else _l2_equations
-    return equations(group, posted_cts, proof, pad_keys, ctx)
+        return [None]
+    return table_equations(group, proof.checks(posted_cts, pad_keys, ctx))
 
 
-def _verify(group, posted_cts, proof, policy, pad_keys, ctx, failure):
-    """(ok, reason) of a bundle against the posted ciphertexts.
-
-    After the policy and shape checks, a folding group tries the fold of
-    bundle_equations(...) first.  When it fails, or the group does not fold,
-    failure(...) checks one equation at a time and names the first check
-    that fails, so a rejection reads the same with or without the fold.
-    """
+def _verify(group, posted_cts, proof, policy, pad_keys, ctx):
+    """(ok, reason) of a bundle: its policy and shape, then the first label
+    of its check table that fails (sigma.first_failure)."""
     reason = _shape_failure(posted_cts, proof, policy, pad_keys)
-    if reason is not None:
-        return False, reason
-    args = (group, posted_cts, proof, pad_keys, ctx)
-    if folds(group) and fold_holds(
-        group, _fold_seed(*args), bundle_equations(group, posted_cts, proof, policy, pad_keys, ctx)
-    ):
-        return True, None
-    reason = failure(*args)
+    if reason is None:
+        reason = first_failure(
+            group, proof.checks(posted_cts, pad_keys, ctx),
+            lambda: fold_seed(
+                group, ctx, tuple(posted_cts), proof.to_bytes(group), tuple(pad_keys)
+            ),
+        )
     return reason is None, reason
 
 
@@ -412,6 +389,22 @@ class L2RangeProof(Bundle):
             (Ciphertext, m_ext), (SquareProof, m_ext),
         )
 
+    def checks(self, posted_cts, pad_keys, ctx) -> list:
+        """The check table (sigma.first_failure): the links, the square sum
+        against the digits, the digits' bits, the squares."""
+        squares = enumerate(zip(self.reencrypted, self.square_cts, self.square_proofs))
+        return [
+            ("tuple", _link_checks(posted_cts, self, pad_keys, ctx)),
+            ("consistency", [
+                (_recomposes, _recompose_equations, (self.square_cts, self.digit_cts))
+            ]),
+            ("bit", _bit_checks(self.digit_cts, self.digit_proofs, self.h_i, ctx.child(b"bit"))),
+            ("square", [
+                (verify_square, square_equations, (t, w, self.h_i, p, ctx.child(b"square", j)))
+                for j, (t, w, p) in squares
+            ]),
+        ]
+
 
 def _extended_len(m: int, L: int) -> int:
     # the digit randomness rides on the first L square-ciphertext slots, so
@@ -477,44 +470,7 @@ def verify_l2(group, posted_cts, proof: L2RangeProof, policy: BoundPolicy, pad_k
     Returns (ok, reason); reason names the first failed check, one of
     "policy", "malformed", "tuple", "consistency", "bit", "square".
     """
-    return _verify(group, posted_cts, proof, policy, pad_keys, ctx, _l2_failure)
-
-
-def _l2_failure(group, posted_cts, proof: L2RangeProof, pad_keys, ctx):
-    """The reason of the first check that fails, one group equation at a time, or None."""
-    if not _links_ok(group, posted_cts, proof, pad_keys, ctx):
-        return "tuple"
-    if reduce(hom_mul, proof.square_cts) != _recompose(proof.digit_cts):
-        return "consistency"
-    if not _bits_ok(group, proof.digit_cts, proof.digit_proofs, proof.h_i, ctx.child(b"bit")):
-        return "bit"
-    if not all(
-        verify_square(group, ct_t, ct_w, proof.h_i, p, ctx.child(b"square", j))
-        for j, (ct_t, ct_w, p) in enumerate(
-            zip(proof.reencrypted, proof.square_cts, proof.square_proofs)
-        )
-    ):
-        return "square"
-    return None
-
-
-def _l2_equations(group, posted_cts, proof: L2RangeProof, pad_keys, ctx) -> list:
-    """Every group equation that _l2_failure checks, as fold_holds parts.
-
-    Keep in step with _l2_failure: an equation missing here is one that the
-    fold on secp256k1 never checks.
-    """
-    return [
-        *_link_equations(group, posted_cts, proof, pad_keys, ctx),
-        _recompose_equations(group, proof.square_cts, proof.digit_cts),
-        *_bits_equations(group, proof.digit_cts, proof.digit_proofs, proof.h_i, ctx.child(b"bit")),
-        *(
-            square_equations(group, ct_t, ct_w, proof.h_i, p, ctx.child(b"square", j))
-            for j, (ct_t, ct_w, p) in enumerate(
-                zip(proof.reencrypted, proof.square_cts, proof.square_proofs)
-            )
-        ),
-    ]
+    return _verify(group, posted_cts, proof, policy, pad_keys, ctx)
 
 
 # -- L1 norm bound with non-negativity ----------------------------------------
@@ -538,6 +494,27 @@ class L1RangeProof(Bundle):
             (Ciphertext, m), (DhTupleProof, m), (Ciphertext, (m, L)), (BitProof, (m, L)),
             (Ciphertext, L), (BitProof, L),
         )
+
+    def checks(self, posted_cts, pad_keys, ctx) -> list:
+        """The check table (sigma.first_failure): the links, each row against
+        its E*[T_j], the rows' bits, the sum against its digits, its bits."""
+        rows = zip(self.element_digit_cts, self.element_digit_proofs)
+        return [
+            ("tuple", _link_checks(posted_cts, self, pad_keys, ctx)),
+            ("element", [
+                (_recomposes, _recompose_equations, ((ct_star,), row))
+                for row, ct_star in zip(self.element_digit_cts, self.reencrypted)
+            ]),
+            ("bit", [
+                check
+                for j, (cts, proofs) in enumerate(rows)
+                for check in _bit_checks(cts, proofs, self.h_i, ctx.child(b"bit", j))
+            ]),
+            ("sum", [(_recomposes, _recompose_equations, (self.reencrypted, self.sum_digit_cts))]),
+            ("sum_bit", _bit_checks(
+                self.sum_digit_cts, self.sum_digit_proofs, self.h_i, ctx.child(b"sumbit")
+            )),
+        ]
 
 
 def _digit_randomness(group, target: int, width: int, rng) -> list[int]:
@@ -595,50 +572,4 @@ def verify_l1(group, posted_cts, proof: L1RangeProof, policy: BoundPolicy, pad_k
     Returns (ok, reason); reason is one of "policy", "malformed", "tuple",
     "element", "bit", "sum", "sum_bit".
     """
-    return _verify(group, posted_cts, proof, policy, pad_keys, ctx, _l1_failure)
-
-
-def _l1_failure(group, posted_cts, proof: L1RangeProof, pad_keys, ctx):
-    """The reason of the first check that fails, one group equation at a time, or None."""
-    if not _links_ok(group, posted_cts, proof, pad_keys, ctx):
-        return "tuple"
-    if any(
-        _recompose(row) != ct_star
-        for row, ct_star in zip(proof.element_digit_cts, proof.reencrypted)
-    ):
-        return "element"
-    if not all(
-        _bits_ok(group, cts, proofs, proof.h_i, ctx.child(b"bit", j))
-        for j, (cts, proofs) in enumerate(zip(proof.element_digit_cts, proof.element_digit_proofs))
-    ):
-        return "bit"
-    if reduce(hom_mul, proof.reencrypted) != _recompose(proof.sum_digit_cts):
-        return "sum"
-    if not _bits_ok(group, proof.sum_digit_cts, proof.sum_digit_proofs, proof.h_i, ctx.child(b"sumbit")):
-        return "sum_bit"
-    return None
-
-
-def _l1_equations(group, posted_cts, proof: L1RangeProof, pad_keys, ctx) -> list:
-    """Every group equation that _l1_failure checks, as fold_holds parts.
-
-    Keep in step with _l1_failure: an equation missing here is one that the
-    fold on secp256k1 never checks.
-    """
-    rows = zip(proof.element_digit_cts, proof.element_digit_proofs)
-    return [
-        *_link_equations(group, posted_cts, proof, pad_keys, ctx),
-        *(
-            _recompose_equations(group, (ct_star,), row)
-            for row, ct_star in zip(proof.element_digit_cts, proof.reencrypted)
-        ),
-        *(
-            part
-            for j, (cts, proofs) in enumerate(rows)
-            for part in _bits_equations(group, cts, proofs, proof.h_i, ctx.child(b"bit", j))
-        ),
-        _recompose_equations(group, proof.reencrypted, proof.sum_digit_cts),
-        *_bits_equations(
-            group, proof.sum_digit_cts, proof.sum_digit_proofs, proof.h_i, ctx.child(b"sumbit")
-        ),
-    ]
+    return _verify(group, posted_cts, proof, policy, pad_keys, ctx)

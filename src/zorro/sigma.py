@@ -30,20 +30,21 @@ commitment at exponent q - 1, so every equation is a list of terms whose
 product must be the identity, and return None when a check outside the group
 equations fails (a challenge split, a membership or identity-base guard).
 
-On groups with q > 2^128 (secp256k1) a verifier folds many equations into
-one multi_exp (fold_holds): the small-exponent batch test of Bellare, Garay
-and Rabin (EUROCRYPT 1998).  protocol.verify_ledger folds a whole ledger,
-every round-1 proof and every contribution, at once; one post is folded
-alone where it is checked alone (derive_pads' round-1 check, a standalone
-verify_contribution, and the fallback of a failed ledger fold).  Each
-equation is raised to its own 128-bit weight, hashed with SHA-256 from the
-full bytes of every post folded, their context and, for one contribution,
-its pad keys (fold_seed), so the weights cover the responses and cannot be
-chosen after them; terms that share a base are merged, and one equation that
-fails survives the weighting with probability about 2^-128.  When a fold
-fails, the caller runs the relation verifiers one by one, which name the
-check that failed.  The modular groups never fold: their verifiers check one
-equation at a time, as verify_* do.
+A verifier states the checks of one post once, as a check table: an ordered
+list of (label, [(verify, equations, args), ...]), where verify(group, *args)
+is a relation verifier (or rangeproof's link and recomposition checks) and
+equations(group, *args) the same check as data.  first_failure reads a table.
+On a group with q > 2^128 (secp256k1, see folds) it folds every equation into
+one multi_exp (fold_holds), the small-exponent batch test of Bellare, Garay
+and Rabin (EUROCRYPT 1998): equation k is raised to its own 128-bit weight,
+hashed from the post's full bytes, its context and, for a contribution, its
+pad keys (fold_seed, hashed only then), so the weights cannot be chosen after
+the responses; terms that share a base merge, and a false equation survives
+with probability about 2^-128.  When the fold fails, and always on the
+modular groups, it runs verify check by check and returns the label of the
+first failing entry, so a rejection reads the same with or without the fold.
+protocol.verify_ledger folds every post's table (table_equations) at once,
+seeded with the whole ledger; a post checked alone goes through first_failure.
 """
 
 import hashlib
@@ -206,6 +207,27 @@ def fold_holds(group, seed: bytes, parts) -> bool:
         for base, e in terms:
             merged[base] = merged.get(base, 0) + weight * e
     return group.multi_exp(merged.items()) == group.identity
+
+
+def table_equations(group, table) -> list:
+    """equations(group, *args) of every check of a check table, in table
+    order: the table's fold_holds parts."""
+    return [equations(group, *args) for _, checks in table for _, equations, args in checks]
+
+
+def first_failure(group, table, seed):
+    """The label of the first entry of a check table that fails, or None.
+
+    On a folding group the table is folded first, with weights from seed(),
+    called only then; when that fails, and on every other group, the checks
+    run one by one.
+    """
+    if folds(group) and fold_holds(group, seed(), table_equations(group, table)):
+        return None
+    for label, checks in table:
+        if not all(verify(group, *args) for verify, _, args in checks):
+            return label
+    return None
 
 
 # -- knowledge of discrete log ------------------------------------------------

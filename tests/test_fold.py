@@ -1,18 +1,21 @@
-"""The fold on secp256k1: each post's group equations checked as one weighted
-multi_exp, with the checks one by one as the fallback that gives the verdict.
+"""The check tables and their fold on secp256k1: each post's group equations
+checked as one weighted multi_exp, with the checks one by one as the fallback
+that gives the verdict.
 
 Every dishonest variant below must fail the fold, and the verifiers must then
-report exactly what the sequential checks report when called directly.
+report exactly what they report with the fold turned off.  On mod41 and
+secp256k1 alike, every check of a table must hold exactly when each of its
+equations holds alone.
 """
 
 import dataclasses
-import inspect
+import functools
 import random
 import re
 
 import pytest
 
-from zorro import groups, protocol, rangeproof, sigma
+from zorro import groups, protocol, sigma
 from zorro.elgamal import Keypair, encrypt_exp
 from zorro.errors import LedgerRejected, MissingPost
 from zorro.ledger import Ledger
@@ -33,28 +36,29 @@ CURVE = groups.prod_group()
 MOD = groups.test_group()
 
 
-def _keys(m, rng):
-    x = [CURVE.random_scalar(rng) for _ in range(m)]
-    kp = Keypair.generate(CURVE, rng)
-    pads = [CURVE.g ** CURVE.random_scalar(rng) for _ in range(m)]
+def _keys(group, m, rng):
+    x = [group.random_scalar(rng) for _ in range(m)]
+    kp = Keypair.generate(group, rng)
+    pads = [group.g ** group.random_scalar(rng) for _ in range(m)]
     return x, pads, kp
 
 
-def _posted(values, x, pads):
-    return [encrypt_exp(CURVE, t, xj, h) for t, xj, h in zip(values, x, pads)]
+def _posted(values, x, pads, group=CURVE):
+    return [encrypt_exp(group, t, xj, h) for t, xj, h in zip(values, x, pads)]
 
 
-def _check(posted, proof, pads, ctx, expected):
+def _check(posted, proof, pads, ctx, expected, monkeypatch):
     """The fold holds exactly for an honest bundle, and verify_* returns the
     verdict of the sequential checks, which name `expected` (None: honest)."""
-    l1 = isinstance(proof, L1RangeProof)
-    equations = rangeproof._l1_equations if l1 else rangeproof._l2_equations
-    failure = rangeproof._l1_failure if l1 else rangeproof._l2_failure
-    verify = verify_l1 if l1 else verify_l2
-    args = (CURVE, posted, proof, pads, ctx)
-    assert fold_holds(CURVE, rangeproof._fold_seed(*args), equations(*args)) == (expected is None)
-    assert failure(*args) == expected
-    assert verify(CURVE, posted, proof, proof.policy, pads, ctx) == (expected is None, expected)
+    verify = verify_l1 if isinstance(proof, L1RangeProof) else verify_l2
+    verdict = (expected is None, expected)
+    with monkeypatch.context() as patch:
+        folded = _fold_spy(patch, sigma)
+        assert verify(CURVE, posted, proof, proof.policy, pads, ctx) == verdict
+    assert folded == [expected is None]
+    with monkeypatch.context() as patch:
+        _sequentially(patch)
+        assert verify(CURVE, posted, proof, proof.policy, pads, ctx) == verdict
 
 
 def _replace_bit(proofs, l, **changes):
@@ -63,12 +67,12 @@ def _replace_bit(proofs, l, **changes):
     return tuple(proofs)
 
 
-def _bit_plus_one(proofs, l):
-    return _replace_bit(proofs, l, r1=(proofs[l].r1 + 1) % CURVE.q)
+def _bit_plus_one(proofs, l, q):
+    return _replace_bit(proofs, l, r1=(proofs[l].r1 + 1) % q)
 
 
 def _wrong_pad_key(case):
-    return case.posted, case.proof, [case.pads[0], case.pads[1] * CURVE.g]
+    return case.posted, case.proof, [case.pads[0], case.pads[1] * case.group.g]
 
 
 def test_folding_groups():
@@ -78,8 +82,9 @@ def test_folding_groups():
 
 @dataclasses.dataclass(frozen=True)
 class Case:
-    """One honest bundle on secp256k1 and what it was proved from."""
+    """One honest bundle and what it was proved from."""
 
+    group: object
     values: list
     x: list
     pads: list
@@ -90,65 +95,74 @@ class Case:
 
     @property
     def posted(self):
-        return _posted(self.values, self.x, self.pads)
+        return _posted(self.values, self.x, self.pads, self.group)
 
 
-def _case(prove, policy, values, seed, tag):
+# the honest bundles: prover, policy, values, rng seed and context tag
+HONEST = {
+    "l1": (prove_l1, BoundPolicy.l1(3), [2, 1], 111, b"fold-l1"),
+    "l2": (prove_l2, BoundPolicy.l2(2), [1, -1], 222, b"fold-l2"),
+}
+
+
+@functools.cache
+def _case(group, kind):
+    prove, policy, values, seed, tag = HONEST[kind]
     rng = random.Random(seed)
-    x, pads, kp = _keys(len(values), rng)
+    x, pads, kp = _keys(group, len(values), rng)
     ctx = FsTranscript(tag)
-    proof = prove(CURVE, values, x, pads, kp, policy, ctx, rng)
-    return Case(values, x, pads, kp, ctx, proof, rng)
+    proof = prove(group, values, x, pads, kp, policy, ctx, rng)
+    return Case(group, values, x, pads, kp, ctx, proof, rng)
 
 
 @pytest.fixture(scope="module")
 def l1_case():
-    return _case(prove_l1, BoundPolicy.l1(3), [2, 1], 111, b"fold-l1")
+    return _case(CURVE, "l1")
 
 
 @pytest.fixture(scope="module")
 def l2_case():
-    return _case(prove_l2, BoundPolicy.l2(2), [1, -1], 222, b"fold-l2")
+    return _case(CURVE, "l2")
 
 
 def _forced_l1(case, digits, sum_digits):
     c = case
     proof = _build_l1(
-        CURVE, c.values, digits, sum_digits, c.x, c.pads, c.kp, c.proof.policy, c.ctx, c.rng
+        c.group, c.values, digits, sum_digits, c.x, c.pads, c.kp, c.proof.policy, c.ctx, c.rng
     )
     return c.posted, proof, c.pads
 
 
 def _l1_row_bit(case):
     rows = list(case.proof.element_digit_proofs)
-    rows[1] = _bit_plus_one(rows[1], 1)
+    rows[1] = _bit_plus_one(rows[1], 1, case.group.q)
     return case.posted, dataclasses.replace(case.proof, element_digit_proofs=tuple(rows)), case.pads
 
 
 def _l1_sum_bit(case):
-    sums = _bit_plus_one(case.proof.sum_digit_proofs, 0)
+    sums = _bit_plus_one(case.proof.sum_digit_proofs, 0, case.group.q)
     return case.posted, dataclasses.replace(case.proof, sum_digit_proofs=sums), case.pads
 
 
 def _l2_consistency(case):
     squares = list(case.proof.square_cts)
-    squares[0] = encrypt_exp(CURVE, 1, 5, case.kp.pk)
+    squares[0] = encrypt_exp(case.group, 1, 5, case.kp.pk)
     return case.posted, dataclasses.replace(case.proof, square_cts=tuple(squares)), case.pads
 
 
 def _l2_bit(case):
-    bits = _bit_plus_one(case.proof.digit_proofs, 1)
+    bits = _bit_plus_one(case.proof.digit_proofs, 1, case.group.q)
     return case.posted, dataclasses.replace(case.proof, digit_proofs=bits), case.pads
 
 
 def _l2_square(case):
     squares = list(case.proof.square_proofs)
-    squares[2] = dataclasses.replace(squares[2], z_b=(squares[2].z_b + 1) % CURVE.q)
+    squares[2] = dataclasses.replace(squares[2], z_b=(squares[2].z_b + 1) % case.group.q)
     return case.posted, dataclasses.replace(case.proof, square_proofs=tuple(squares)), case.pads
 
 
-# One dishonest variant per reason of each bundle's sequential checks: the
-# honest case -> (posted ciphertexts, bundle, pad keys).
+# One dishonest variant per label of each bundle's check table: the honest
+# case -> (posted ciphertexts, bundle, pad keys).
 L1_DISHONEST = {
     "tuple": _wrong_pad_key,
     "element": lambda c: _forced_l1(c, [[0, 0], [1, 0]], [1, 1]),  # slot 0 spells 0, not 2
@@ -162,38 +176,113 @@ L2_DISHONEST = {
     "bit": _l2_bit,
     "square": _l2_square,
 }
+DISHONEST = {"l1": L1_DISHONEST, "l2": L2_DISHONEST}
 
 
-@pytest.mark.parametrize(
-    "verify, failure, variants",
-    [(verify_l1, rangeproof._l1_failure, L1_DISHONEST),
-     (verify_l2, rangeproof._l2_failure, L2_DISHONEST)],
-    ids=["l1", "l2"],
-)
-def test_every_sequential_reason_has_a_dishonest_variant(verify, failure, variants):
-    """A check added to *_failure under a new reason needs a variant here,
-    which fails unless *_equations gained the same group equations."""
+@pytest.mark.parametrize("kind, verify", [("l1", verify_l1), ("l2", verify_l2)], ids=["l1", "l2"])
+def test_every_sequential_reason_has_a_dishonest_variant(kind, verify):
+    """The reasons verify_* documents are the labels of the bundle's check
+    table, and each has a dishonest variant here."""
+    case = _case(CURVE, kind)
     documented = set(re.findall(r'"(\w+)"', verify.__doc__)) - {"policy", "malformed"}
-    returned = set(re.findall(r'return "(\w+)"', inspect.getsource(failure)))
-    assert returned == documented == set(variants)
+    labels = [label for label, _ in case.proof.checks(case.posted, case.pads, case.ctx)]
+    assert len(labels) == len(set(labels))
+    assert set(labels) == documented == set(DISHONEST[kind])
 
 
-def test_honest_l1_bundle_passes_the_fold(l1_case):
-    _check(l1_case.posted, l1_case.proof, l1_case.pads, l1_case.ctx, None)
+def _holds_alone(group, equations) -> bool:
+    """Whether a check's equations all hold, each as its own multi_exp."""
+    return equations is not None and all(
+        group.multi_exp(terms) == group.identity for terms in equations
+    )
+
+
+def _failing_labels(group, table) -> list:
+    """The labels of a check table whose checks fail, in table order, after
+    asserting that each check's verify agrees with its equations."""
+    failing = []
+    for label, checks in table:
+        for verify, equations, args in checks:
+            ok = verify(group, *args)
+            assert ok == _holds_alone(group, equations(group, *args)), (label, verify.__name__)
+            if not ok and label not in failing:
+                failing.append(label)
+    return failing
+
+
+@pytest.mark.parametrize("group", [MOD, CURVE], ids=lambda g: g.group_id)
+@pytest.mark.parametrize(
+    "kind, reason",
+    [(kind, reason) for kind in ("l1", "l2") for reason in (None, *DISHONEST[kind])],
+)
+def test_each_bundle_check_is_its_equations(group, kind, reason):
+    case = _case(group, kind)
+    if reason is None:
+        posted, proof, pads = case.posted, case.proof, case.pads
+    else:
+        posted, proof, pads = DISHONEST[kind][reason](case)
+    failing = _failing_labels(group, proof.checks(posted, pads, case.ctx))
+    assert failing[:1] == ([] if reason is None else [reason])
+    verify = verify_l1 if kind == "l1" else verify_l2
+    assert verify(group, posted, proof, proof.policy, pads, case.ctx) == (reason is None, reason)
+
+
+@pytest.mark.parametrize("group", [MOD, CURVE], ids=lambda g: g.group_id)
+@pytest.mark.parametrize("kind", ["l1", "l2"])
+def test_every_response_is_in_the_equations(group, kind):
+    """Each scalar of each proof in an honest bundle's table, shifted by one,
+    fails the check both as verify and as its equations: an equation the
+    *_equations functions left out would let its responses go unchecked."""
+    case = _case(group, kind)
+    shifted = 0
+    for label, checks in case.proof.checks(case.posted, case.pads, case.ctx):
+        for verify, equations, args in checks:
+            for k, proof in enumerate(args):
+                if not dataclasses.is_dataclass(proof):
+                    continue
+                for field in dataclasses.fields(proof):
+                    value = getattr(proof, field.name)
+                    if not isinstance(value, int):
+                        continue
+                    forged = dataclasses.replace(proof, **{field.name: (value + 1) % group.q})
+                    forged_args = (*args[:k], forged, *args[k + 1:])
+                    assert not verify(group, *forged_args), (label, field.name)
+                    assert not _holds_alone(group, equations(group, *forged_args)), (
+                        label, field.name,
+                    )
+                    shifted += 1
+    assert shifted > 0
+
+
+@pytest.mark.parametrize("group", [MOD, CURVE], ids=lambda g: g.group_id)
+@pytest.mark.parametrize("forged", [False, True], ids=["honest", "slot-2-plus-one"])
+def test_each_round1_check_is_its_equations(group, forged):
+    cfg = ProtocolConfig(group, 2, 3, BoundPolicy.l1(3), bytes(16))
+    _, post = protocol.round1_generate(cfg, 1, random.Random(55))
+    if forged:
+        proofs = list(post.proofs)
+        proofs[2] = DlogProof(proofs[2].K, (proofs[2].s + 1) % group.q)
+        post = dataclasses.replace(post, proofs=tuple(proofs))
+    assert _failing_labels(group, protocol._round1_checks(cfg, post)) == ([2] if forged else [])
+    assert protocol._round1_failure(cfg, post) == (2 if forged else None)
+
+
+def test_honest_l1_bundle_passes_the_fold(l1_case, monkeypatch):
+    _check(l1_case.posted, l1_case.proof, l1_case.pads, l1_case.ctx, None, monkeypatch)
 
 
 @pytest.mark.parametrize("reason", L1_DISHONEST)
-def test_dishonest_l1_bundle_fails_the_fold(l1_case, reason):
-    _check(*L1_DISHONEST[reason](l1_case), l1_case.ctx, reason)
+def test_dishonest_l1_bundle_fails_the_fold(l1_case, reason, monkeypatch):
+    _check(*L1_DISHONEST[reason](l1_case), l1_case.ctx, reason, monkeypatch)
 
 
-def test_honest_l2_bundle_passes_the_fold(l2_case):
-    _check(l2_case.posted, l2_case.proof, l2_case.pads, l2_case.ctx, None)
+def test_honest_l2_bundle_passes_the_fold(l2_case, monkeypatch):
+    _check(l2_case.posted, l2_case.proof, l2_case.pads, l2_case.ctx, None, monkeypatch)
 
 
 @pytest.mark.parametrize("reason", L2_DISHONEST)
-def test_dishonest_l2_bundle_fails_the_fold(l2_case, reason):
-    _check(*L2_DISHONEST[reason](l2_case), l2_case.ctx, reason)
+def test_dishonest_l2_bundle_fails_the_fold(l2_case, reason, monkeypatch):
+    _check(*L2_DISHONEST[reason](l2_case), l2_case.ctx, reason, monkeypatch)
 
 
 # -- round 1 and the ledger ---------------------------------------------------------
@@ -227,7 +316,7 @@ def _rejection(cfg, ledger):
 
 def _sequentially(monkeypatch):
     """Turn the fold off, leaving only the checks one by one."""
-    for module in (rangeproof, protocol):
+    for module in (sigma, protocol):
         monkeypatch.setattr(module, "folds", lambda group: False)
 
 
@@ -244,7 +333,7 @@ def _fold_spy(monkeypatch, module):
 
 def test_honest_round1_posts_and_ledger_pass_the_fold(session, monkeypatch):
     cfg, _, posts1, posts2 = session
-    folded = _fold_spy(monkeypatch, protocol)
+    folded = _fold_spy(monkeypatch, sigma)
     assert all(protocol._round1_failure(cfg, post) is None for post in posts1)
     assert folded == [True] * cfg.n
     assert verify_ledger(cfg, _ledger(cfg, posts1, posts2)) == posts2
@@ -263,7 +352,7 @@ def test_round1_response_plus_one_names_the_slot(session, monkeypatch):
         for j, (A, p) in enumerate(zip(forged.elements, forged.proofs))
     ]
     assert sequential == [True, True, False]
-    folded = _fold_spy(monkeypatch, protocol)
+    folded = _fold_spy(monkeypatch, sigma)
     assert protocol._round1_failure(cfg, forged) == 2
     assert folded == [False]
 
@@ -286,9 +375,7 @@ def test_dishonest_contribution_on_the_ledger_names_the_party(session, monkeypat
     )
     cts = tuple(_posted(values, party.secret.x, party.pads))
     forged = Round2Post(party.index, cts, bundle)
-    args = (CURVE, cts, bundle, party.pads, ctx)
-    assert not fold_holds(CURVE, rangeproof._fold_seed(*args), rangeproof._l1_equations(*args))
-    assert rangeproof._l1_failure(*args) == "element"
+    _check(cts, bundle, party.pads, ctx, "element", monkeypatch)
 
     ledger = _ledger(cfg, posts1, [posts2[0], forged])
     verdict = _rejection(cfg, ledger)
@@ -342,7 +429,7 @@ def test_modular_groups_never_fold(monkeypatch):
     pads = [MOD.g ** MOD.random_scalar(rng) for _ in range(2)]
     ctx = FsTranscript(b"no-fold")
     proof = prove_l1(MOD, [1, 2], x, pads, kp, policy, ctx, rng)
-    folded = _fold_spy(monkeypatch, rangeproof)
+    folded = _fold_spy(monkeypatch, sigma)
     cts = [encrypt_exp(MOD, t, xj, h) for t, xj, h in zip([1, 2], x, pads)]
     assert verify_l1(MOD, cts, proof, policy, pads, ctx) == (True, None)
     assert folded == []
@@ -381,8 +468,8 @@ def _party_case(ledger):
     party = parties[1]
     ctx = cfg.base_context().child(b"r2", party.index)
     return Case(
-        values, list(party.secret.x), list(party.pads), party.keypair, ctx, posts2[1].bundle,
-        random.Random(party.index),
+        CURVE, values, list(party.secret.x), list(party.pads), party.keypair, ctx,
+        posts2[1].bundle, random.Random(party.index),
     )
 
 

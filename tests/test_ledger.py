@@ -122,12 +122,18 @@ def _header_with_n(value):
         _header_with_n('"3"'),
         _header_with_n("3.0"),
         _header_with_n("3.7"),
+        _header_with_n("1e400"),
+        b"[" * 100_000,
     ],
-    ids=["not-an-object", "policy-not-an-object", "n-string", "n-float", "n-fraction"],
+    ids=[
+        "not-an-object", "policy-not-an-object", "n-string", "n-float", "n-fraction",
+        "n-infinite", "nested-100k-deep",
+    ],
 )
 def test_header_of_the_wrong_shape_is_unreadable(tmp_path, line):
     # the first two escaped Ledger.load as a bare AttributeError / TypeError;
-    # the n variants were read as n=3, so a re-chained copy passed verify
+    # the n variants were read as n=3, so a re-chained copy passed verify;
+    # the last two escaped as a bare OverflowError / RecursionError
     path = tmp_path / "session.ledger"
     filled(path=str(path))
     raw = path.read_bytes()
