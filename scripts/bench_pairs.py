@@ -15,9 +15,10 @@ once from each side, the parent first on odd pairs and the change first on
 even ones, so slow drift of a shared machine hits both sides alike.  There
 are PAIRS pairs per workload, each run SECONDS long, the run length that
 BENCHMARK.json sets.  Each run is a separate process, one at a time.  With
---trace-seconds > 0, one `--trace 1 --seed 1` run per side and workload adds
-the per-layer times and every count that differs.  The output has the shape
-of BENCH_8.json.
+--trace-seconds > 0, TRACED_PAIRS alternating `--trace 1 --seed 1` pairs per
+workload add the median and the runs of each per-layer time on each side,
+every count that differs between the sides, and every count that differs
+within one side.  The output has the shape of BENCH_8.json.
 """
 
 import argparse
@@ -36,6 +37,7 @@ WORKLOADS = ("vote-l1-secp256k1", "audit-l1-mod41-n128")  # the gated ones, the 
 DEFINED = tuple(json.loads((ROOT / "perfbench" / "spec.json").read_text())["workloads"])
 PAIRS = 10
 SECONDS = 40
+TRACED_PAIRS = 3  # one traced run per side cannot tell a layer change from noise
 END_TO_END = ("setup_s", "aggregate_s", "verify_s", "ledger_bytes", "peak_rss_mb")
 
 
@@ -129,24 +131,33 @@ def pairs(trees, workload, seeds, scratch) -> dict:
 
 
 def traced(trees, workload, seconds, scratch) -> dict:
-    """One --trace 1 --seed 1 run per side: per-layer times and the counts that differ."""
-    metrics = {
-        side: bench(tree, workload, 1, seconds, 1, scratch / f"{side}-{workload}-trace")["metrics"]
-        for side, tree in trees.items()
-    }
-    out = {"seed": 1, "seconds": seconds}
-    equal, differ = 0, {}
-    for name, metric in metrics["parent"].items():
-        values = {side: metrics[side][name]["value"] for side in trees}
+    """TRACED_PAIRS alternating --trace 1 --seed 1 pairs: each per-layer
+    time's median and runs per side, and the counts that differ between the
+    sides or within one."""
+    runs = {"parent": [], "change": []}
+    for k in range(TRACED_PAIRS):
+        for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
+            workdir = scratch / f"{side}-{workload}-trace{k}"
+            runs[side].append(bench(trees[side], workload, 1, seconds, 1, workdir)["metrics"])
+    out = {"seed": 1, "seconds": seconds, "pairs": TRACED_PAIRS}
+    equal, differ, unsteady = 0, {}, {}
+    for name, metric in runs["parent"][0].items():
+        values = {side: [r[name]["value"] for r in rs] for side, rs in runs.items()}
         if metric["unit"] == "count":
+            unsteady.update({f"{name} ({side})": vs for side, vs in values.items()
+                             if len(set(vs)) > 1})
             if values["parent"] == values["change"]:
                 equal += 1
             else:
                 differ[name] = values
         elif metric["unit"] == "s":
-            out[name] = {side: round(v, 4) for side, v in values.items()}
+            out[name] = {
+                side: {"median": round(statistics.median(vs), 4), "runs": [round(v, 4) for v in vs]}
+                for side, vs in values.items()
+            }
     out["count_metrics_equal"] = equal
     out["count_metrics_differ"] = differ
+    out["count_metrics_differ_within_a_side"] = unsteady
     return out
 
 
@@ -175,7 +186,7 @@ def main(argv=None):
                              "default: the two gated ones)")
     parser.add_argument("--first-seed", type=int, default=11)
     parser.add_argument("--trace-seconds", type=float, default=SECONDS,
-                        help="length of the --trace 1 --seed 1 runs; 0 skips them")
+                        help="length of each --trace 1 --seed 1 run; 0 skips them")
     parser.add_argument("--claim", help="WORKLOAD:METRIC:RATIO, the gain to check")
     parser.add_argument("--change-note", default="", help="one line saying what changed")
     args = parser.parse_args(argv)
@@ -199,6 +210,7 @@ def main(argv=None):
             print(f"{workload}: {PAIRS} pairs of {SECONDS} s", flush=True)
             result["perfbench_trace0_pairs"][workload] = pairs(trees, workload, seeds, scratch)
         if args.trace_seconds > 0:
+            print(f"traced: {TRACED_PAIRS} pairs of {args.trace_seconds} s", flush=True)
             result["perfbench_trace1_seed1"] = {
                 workload: traced(trees, workload, args.trace_seconds, scratch)
                 for workload in workloads

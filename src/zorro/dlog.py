@@ -11,6 +11,10 @@ from dataclasses import dataclass
 
 from .errors import NotInWindow
 
+# The widest baby-step table a tally may build: 2^22 entries, about 0.5 GB on
+# secp256k1.  No mod41 window reaches it (q < 2^41, so sqrt(q) < 2^21).
+MAX_BABY_STEPS = 1 << 22
+
 
 @dataclass(frozen=True)
 class DlogWindow:
@@ -26,6 +30,11 @@ class DlogWindow:
     @property
     def size(self) -> int:
         return self.hi - self.lo + 1
+
+    @property
+    def baby_steps(self) -> int:
+        """The width of bsgs's baby-step table for this window: ceil(sqrt(size))."""
+        return math.isqrt(self.size - 1) + 1
 
 
 _tables = {}
@@ -53,8 +62,7 @@ def bsgs(group, target, window: DlogWindow) -> int:
     Raises NotInWindow when no such exponent exists, which downstream
     signals a corrupted tally or a wrong bound.
     """
-    n = window.size
-    width = math.isqrt(n - 1) + 1 if n > 1 else 1
+    n, width = window.size, window.baby_steps
     table = _baby_table(group, width)
     # search g^(m - lo) in [0, n)
     shifted = target * group.g ** (-window.lo % group.q) if window.lo else target

@@ -57,6 +57,8 @@ class LedgerHeader:
         n, m, bound = obj["n"], obj["m"], obj["policy"]["bound"]
         if any(type(v) is not int for v in (n, m, bound)):  # int() of 1e400 would overflow
             raise MalformedEncoding("n, m and the policy bound must be JSON integers")
+        if any(type(v) is not str for v in (obj["group"], obj["session"], obj["policy"]["kind"])):
+            raise MalformedEncoding("group, session and the policy kind must be JSON strings")
         header = cls(
             group_id=obj["group"],
             session=bytes.fromhex(obj["session"]),

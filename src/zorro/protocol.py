@@ -28,7 +28,7 @@ at once, with all n pad vectors from one prefix/suffix pass (_all_pads).
 from dataclasses import dataclass
 
 from . import rangeproof
-from .dlog import DlogWindow, bsgs
+from .dlog import MAX_BABY_STEPS, DlogWindow, bsgs
 from .elgamal import Ciphertext, Keypair, encrypt_exp
 from .encoding import Reader, pack_u8, pack_u32, put, read_many
 from .errors import (
@@ -47,7 +47,6 @@ from .sigma import (
     dlog_equations,
     first_failure,
     fold_holds,
-    fold_seed,
     folds,
     prove_dlog,
     table_equations,
@@ -76,6 +75,9 @@ class ProtocolConfig:
         q, window = self.group.q, self.policy.tally_window(self.n)
         if window is not None and window.size > q:
             raise ValueError(f"tally window of {window.size} values exceeds the group order {q}")
+        if window is not None and window.baby_steps > MAX_BABY_STEPS:
+            steps = window.baby_steps
+            raise ValueError(f"tally window needs {steps} baby steps, over {MAX_BABY_STEPS}")
         if self.policy.kind == rangeproof.L1 and self.m * self.policy.effective_bound >= q:
             raise ValueError(f"a sum of {self.m} l1 entries can reach the group order {q}")
 
@@ -165,9 +167,7 @@ class Round2Post:
 
 
 def _by_party(cfg, posts, round: int) -> dict:
-    table = {}
-    for post in posts:
-        table[post.party] = post
+    table = {post.party: post for post in posts}
     for i in range(cfg.n):
         if i not in table:
             raise MissingPost(i, round)
@@ -190,28 +190,28 @@ def round1_generate(cfg: ProtocolConfig, party: int, rng):
     return Round1Secret(party, tuple(x)), Round1Post(party, tuple(elements), tuple(proofs))
 
 
-def _round1_checks(cfg: ProtocolConfig, post: Round1Post) -> list:
-    """The check table (sigma.first_failure) of a round-1 post: slot j's proof, labelled j."""
-    base = cfg.base_context()
-    return [
-        (j, [(verify_dlog, dlog_equations, (A, proof, base.child(b"r1", post.party, j)))])
-        for j, (A, proof) in enumerate(zip(post.elements, post.proofs))
-    ]
+def _refused(group):
+    """Check and equations of a wrong-dimension round-1 post: None fails both."""
+    return None
 
 
-def _round1_failure(cfg: ProtocolConfig, post: Round1Post):
-    """First slot whose proof fails (0 for a wrong dimension), or None if all hold."""
-    if len(post.elements) != cfg.m or len(post.proofs) != cfg.m:
-        return 0
-    group = cfg.group
-    return first_failure(
-        group, _round1_checks(cfg, post),
-        lambda: fold_seed(group, cfg.base_context(), post.to_bytes(group)),
-    )
+def _round1_checks(cfg: ProtocolConfig, posts) -> list:
+    """The check table (sigma.first_failure) of round-1 posts, in the given
+    order: the proof of slot j of party i, labelled (i, j), or one failing
+    entry (i, 0) for a post of the wrong dimension."""
+    base, table = cfg.base_context(), []
+    for post in posts:
+        if len(post.elements) != cfg.m or len(post.proofs) != cfg.m:
+            table.append(((post.party, 0), [(_refused, _refused, ())]))
+            continue
+        for j, (A, proof) in enumerate(zip(post.elements, post.proofs)):
+            ctx = base.child(b"r1", post.party, j)
+            table.append(((post.party, j), [(verify_dlog, dlog_equations, (A, proof, ctx))]))
+    return table
 
 
 def verify_round1(cfg: ProtocolConfig, post: Round1Post) -> bool:
-    return _round1_failure(cfg, post) is None
+    return first_failure(cfg.group, _round1_checks(cfg, [post])) is None
 
 
 def _rejected(what: str, party: int, check: str, detail=None) -> LedgerRejected:
@@ -221,11 +221,11 @@ def _rejected(what: str, party: int, check: str, detail=None) -> LedgerRejected:
 
 def _check_round1(cfg: ProtocolConfig, posts):
     """Raise LedgerRejected (check "round1") naming the first post, in the
-    given order, whose proof fails and its slot."""
-    for post in posts:
-        slot = _round1_failure(cfg, post)
-        if slot is not None:
-            raise _rejected("round-1 proof", post.party, "round1", f"slot {slot}")
+    given order, whose proof fails and its slot: one table for all posts."""
+    failure = first_failure(cfg.group, _round1_checks(cfg, posts))
+    if failure is not None:
+        party, slot = failure
+        raise _rejected("round-1 proof", party, "round1", f"slot {slot}")
 
 
 def derive_pads(cfg: ProtocolConfig, round1_posts, party: int):
@@ -378,15 +378,12 @@ def _ledger_round(cfg: ProtocolConfig, ledger, round: int) -> list:
 
 
 def _ledger_equations(cfg: ProtocolConfig, posts1, posts2) -> list:
-    """Every group equation of a decoded ledger, as sigma.fold_holds parts.
-
-    Each round-1 post's table, then each contribution's bundle table under
-    its _all_pads keys, all in party order.  A contribution that fails
-    _contribution_failure, or its bundle's policy or shape check, is a None
-    part, which fails the fold.
-    """
+    """Every group equation of a decoded ledger, as sigma.fold_holds parts: the
+    round-1 table, then each contribution's bundle table under its _all_pads
+    keys, in party order.  A contribution that fails _contribution_failure,
+    or its bundle's policy or shape check, is a None part, failing the fold."""
     group, base = cfg.group, cfg.base_context()
-    parts = [part for post in posts1 for part in table_equations(group, _round1_checks(cfg, post))]
+    parts = table_equations(group, _round1_checks(cfg, posts1))
     for post, pads in zip(posts2, _all_pads(cfg, posts1)):
         if _contribution_failure(cfg, post) is not None:
             parts.append(None)
@@ -394,17 +391,6 @@ def _ledger_equations(cfg: ProtocolConfig, posts1, posts2) -> list:
             ctx = base.child(b"r2", post.party)
             parts += rangeproof.bundle_equations(group, post.cts, post.bundle, cfg.policy, pads, ctx)
     return parts
-
-
-def _ledger_holds(cfg: ProtocolConfig, ledger, posts1, posts2) -> bool:
-    """Whether every round-1 proof and contribution of the ledger holds, as one fold.
-
-    The weights' seed hashes the base context and the payload of every
-    entry, in ledger order, so the weights cover every response of every
-    party.
-    """
-    seed = fold_seed(cfg.group, cfg.base_context(), *(e.payload for e in ledger.entries))
-    return fold_holds(cfg.group, seed, _ledger_equations(cfg, posts1, posts2))
 
 
 def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
@@ -421,11 +407,12 @@ def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
     raises MissingPost.  Malformed bytes never raise anything else.
 
     After the header, decode and binding checks, a folding group checks the
-    rest as one fold of every post's check table (_ledger_holds); a check
-    outside the group equations that fails while the parts are built fails
-    the fold.  A failed fold, and every ledger on the modular groups, goes
-    through _check_round1 and then verify_contribution party by party, so a
-    rejection reads the same with or without the fold.
+    rest as one fold (sigma.fold_holds) of every post's check table
+    (_ledger_equations); a check outside the group equations that fails
+    while the parts are built fails the fold.  A failed fold, and every
+    ledger on the modular groups, goes through _check_round1 and then
+    verify_contribution party by party, so a rejection reads the same with
+    or without the fold.
     """
     if ledger.header != cfg.header():
         raise LedgerRejected(None, "header", "ledger header does not match the session")
@@ -436,7 +423,7 @@ def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
             if post2.cts[j].A != post1.elements[j]:
                 detail = f"slot {j} does not reuse its round-1 element"
                 raise _rejected("contribution", post2.party, "binding", detail)
-    if folds(cfg.group) and _ledger_holds(cfg, ledger, posts1, posts2):
+    if folds(cfg.group) and fold_holds(cfg.group, _ledger_equations(cfg, posts1, posts2)):
         return posts2
     _check_round1(cfg, posts1)
     for post in posts2:

@@ -56,7 +56,6 @@ from .sigma import (
     dh_tuple_equations,
     encrypt_own,
     first_failure,
-    fold_seed,
     prove_bit,
     prove_dh_tuple,
     prove_square,
@@ -301,12 +300,7 @@ def _verify(group, posted_cts, proof, policy, pad_keys, ctx):
     of its check table that fails (sigma.first_failure)."""
     reason = _shape_failure(posted_cts, proof, policy, pad_keys)
     if reason is None:
-        reason = first_failure(
-            group, proof.checks(posted_cts, pad_keys, ctx),
-            lambda: fold_seed(
-                group, ctx, tuple(posted_cts), proof.to_bytes(group), tuple(pad_keys)
-            ),
-        )
+        reason = first_failure(group, proof.checks(posted_cts, pad_keys, ctx))
     return reason is None, reason
 
 

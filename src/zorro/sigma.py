@@ -36,22 +36,22 @@ is a relation verifier (or rangeproof's link and recomposition checks) and
 equations(group, *args) the same check as data.  first_failure reads a table.
 On a group with q > 2^128 (secp256k1, see folds) it folds every equation into
 one multi_exp (fold_holds), the small-exponent batch test of Bellare, Garay
-and Rabin (EUROCRYPT 1998): equation k is raised to its own 128-bit weight,
-hashed from the post's full bytes, its context and, for a contribution, its
-pad keys (fold_seed, hashed only then), so the weights cannot be chosen after
-the responses; terms that share a base merge, and a false equation survives
-with probability about 2^-128.  When the fold fails, and always on the
-modular groups, it runs verify check by check and returns the label of the
-first failing entry, so a rejection reads the same with or without the fold.
-protocol.verify_ledger folds every post's table (table_equations) at once,
-seeded with the whole ledger; a post checked alone goes through first_failure.
+and Rabin (EUROCRYPT 1998): equation k is raised to its own 128-bit weight
+and terms that share a base merge.  The weights hash every term of every
+equation folded (fold_weights), so changing any base or exponent the fold
+checks (a response, commitment, challenge or pad) draws fresh weights, and a
+false equation passes with probability about 2^-128 a draw.  When the fold
+fails, and always on the modular groups, the checks run one by one and the
+label of the first failing entry is returned, so a rejection reads the same
+with or without the fold.  protocol.verify_ledger folds every post's table
+(table_equations) at once.
 """
 
 import hashlib
 from dataclasses import dataclass
 
 from .elgamal import Ciphertext, Keypair, encrypt_exp
-from .encoding import Record, pack_u32, put
+from .encoding import Record, pack_u32
 from .errors import KeyMismatch
 
 
@@ -174,36 +174,36 @@ def folds(group) -> bool:
     return group.q >> FOLD_WEIGHT_BITS > 0
 
 
-def fold_seed(group, ctx: FsTranscript, *values) -> bytes:
-    """SHA-256 of the context's domain tag and put(group, *values), the bytes
-    of the folded posts."""
-    tag = ctx.domain_tag
-    data = b"zorro.fold.v1" + pack_u32(len(tag)) + tag + put(group, *values)
-    return hashlib.sha256(data).digest()
-
-
-def fold_weights(seed: bytes, count: int) -> list[int]:
-    """`count` 128-bit weights: the first 16 bytes of SHA-256(seed || u32(k))."""
-    size = FOLD_WEIGHT_BITS // 8
+def fold_weights(group, equations) -> list[int]:
+    """Weight k, for equation k, is the first 16 bytes of SHA-256(d || u32(k)),
+    d the SHA-256 of a tag, the group id and, equation by equation, u32(its
+    term count) then each term as put(group, base, e), e taken mod q."""
+    group_id = group.group_id.encode()
+    h = hashlib.sha256(b"zorro.fold.v2" + pack_u32(len(group_id)) + group_id)
+    for terms in equations:
+        h.update(pack_u32(len(terms)))
+        for base, e in terms:
+            h.update(group.encode_element(base) + group.encode_scalar(e))
+    digest, size = h.digest(), FOLD_WEIGHT_BITS // 8
     return [
-        int.from_bytes(hashlib.sha256(seed + pack_u32(k)).digest()[:size], "big")
-        for k in range(count)
+        int.from_bytes(hashlib.sha256(digest + pack_u32(k)).digest()[:size], "big")
+        for k in range(len(equations))
     ]
 
 
-def fold_holds(group, seed: bytes, parts) -> bool:
+def fold_holds(group, parts) -> bool:
     """Whether every equation of `parts` holds, as one multi_exp.
 
-    `parts` lists the *_equations results of one post or of a whole ledger;
-    a None among them fails the fold.  Equation k is raised to weight k of fold_weights(seed),
-    terms that share a base are merged, and the product of all must be the
-    identity.
+    `parts` lists the *_equations results of one table or of a whole ledger;
+    a None among them fails the fold.  Equation k is raised to weight k of
+    fold_weights, terms that share a base are merged, and the product of all
+    must be the identity.
     """
     if any(part is None for part in parts):
         return False
     equations = [eq for part in parts for eq in part]
     merged = {}
-    for weight, terms in zip(fold_weights(seed, len(equations)), equations):
+    for weight, terms in zip(fold_weights(group, equations), equations):
         for base, e in terms:
             merged[base] = merged.get(base, 0) + weight * e
     return group.multi_exp(merged.items()) == group.identity
@@ -215,14 +215,13 @@ def table_equations(group, table) -> list:
     return [equations(group, *args) for _, checks in table for _, equations, args in checks]
 
 
-def first_failure(group, table, seed):
+def first_failure(group, table):
     """The label of the first entry of a check table that fails, or None.
 
-    On a folding group the table is folded first, with weights from seed(),
-    called only then; when that fails, and on every other group, the checks
-    run one by one.
+    On a folding group the table is folded first; when that fails, and on
+    every other group, the checks run one by one.
     """
-    if folds(group) and fold_holds(group, seed(), table_equations(group, table)):
+    if folds(group) and fold_holds(group, table_equations(group, table)):
         return None
     for label, checks in table:
         if not all(verify(group, *args) for verify, _, args in checks):

@@ -20,7 +20,7 @@ from zorro.cli import (
 )
 from zorro import groups, protocol
 from zorro.errors import NotInWindow
-from zorro.ledger import Ledger
+from zorro.ledger import Ledger, LedgerHeader
 from zorro.rangeproof import BoundPolicy
 
 
@@ -484,6 +484,15 @@ def test_verify_rejects_a_header_bound_beyond_u64(tmp_path, capsys):
     for entry in led.entries:
         copy.append(entry.round, entry.party, entry.payload)
     _assert_rejected(str(path), capsys, "bad ledger header", "u64")
+
+
+def test_verify_rejects_a_header_whose_tally_needs_unbounded_baby_steps(tmp_path, capsys):
+    # an honest ledger under l1 bound 2^63 would pass verification, then
+    # ask bsgs for ~6e9 baby steps; the header-only ledger exited 4
+    # (MissingPost) after parsing it
+    path = tmp_path / "wide.ledger"
+    Ledger(LedgerHeader("secp256k1", bytes(16), 2, 1, "l1", 2**63), path=str(path))
+    _assert_rejected(str(path), capsys, "bad ledger header", "baby steps")
 
 
 def test_aggregate_with_vector_file(tmp_path, capsys):

@@ -16,6 +16,12 @@ def test_window_validation():
     assert DlogWindow(-3, 3).size == 7
 
 
+@pytest.mark.parametrize("size", [1, 2, 4, 5, 9, 10, 65_536**2, 65_536**2 + 1, 2**65 - 1])
+def test_baby_steps_are_the_ceiling_of_the_square_root(size):
+    steps = DlogWindow(0, size - 1).baby_steps
+    assert (steps - 1) ** 2 < size <= steps**2
+
+
 def test_identity_is_zero():
     assert bsgs(TOY, TOY.identity, DlogWindow(0, 100)) == 0
 

@@ -263,8 +263,9 @@ def test_each_round1_check_is_its_equations(group, forged):
         proofs = list(post.proofs)
         proofs[2] = DlogProof(proofs[2].K, (proofs[2].s + 1) % group.q)
         post = dataclasses.replace(post, proofs=tuple(proofs))
-    assert _failing_labels(group, protocol._round1_checks(cfg, post)) == ([2] if forged else [])
-    assert protocol._round1_failure(cfg, post) == (2 if forged else None)
+    table = protocol._round1_checks(cfg, [post])
+    assert _failing_labels(group, table) == ([(1, 2)] if forged else [])
+    assert sigma.first_failure(group, table) == ((1, 2) if forged else None)
 
 
 def test_honest_l1_bundle_passes_the_fold(l1_case, monkeypatch):
@@ -334,7 +335,7 @@ def _fold_spy(monkeypatch, module):
 def test_honest_round1_posts_and_ledger_pass_the_fold(session, monkeypatch):
     cfg, _, posts1, posts2 = session
     folded = _fold_spy(monkeypatch, sigma)
-    assert all(protocol._round1_failure(cfg, post) is None for post in posts1)
+    assert all(protocol.verify_round1(cfg, post) for post in posts1)
     assert folded == [True] * cfg.n
     assert verify_ledger(cfg, _ledger(cfg, posts1, posts2)) == posts2
 
@@ -353,7 +354,7 @@ def test_round1_response_plus_one_names_the_slot(session, monkeypatch):
     ]
     assert sequential == [True, True, False]
     folded = _fold_spy(monkeypatch, sigma)
-    assert protocol._round1_failure(cfg, forged) == 2
+    assert sigma.first_failure(CURVE, protocol._round1_checks(cfg, [forged])) == (1, 2)
     assert folded == [False]
 
     ledger = _ledger(cfg, [posts1[0], forged], posts2)
@@ -384,22 +385,33 @@ def test_dishonest_contribution_on_the_ledger_names_the_party(session, monkeypat
     assert _rejection(cfg, ledger) == verdict
 
 
+def _recording_weights(monkeypatch) -> list:
+    """Every fold_weights result, in call order."""
+    drawn, weights = [], sigma.fold_weights
+
+    def recording(group, equations):
+        drawn.append(weights(group, equations))
+        return drawn[-1]
+
+    monkeypatch.setattr(sigma, "fold_weights", recording)
+    return drawn
+
+
+def _fold_under(monkeypatch, weights, parts) -> bool:
+    """fold_holds(CURVE, parts) with `weights` in place of fold_weights."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sigma, "fold_weights", lambda group, equations: weights)
+        return fold_holds(CURVE, parts)
+
+
 def test_fold_weights_bind_the_responses(session, monkeypatch):
     """Two responses shifted so that the shifts cancel under the honest post's
     weights: a fold whose weights skipped the responses would accept them."""
     cfg, _, posts1, _ = session
     post = posts1[0]
-    seeds = []
-    weights = sigma.fold_weights
-
-    def recording(seed, count):
-        seeds.append(seed)
-        return weights(seed, count)
-
-    monkeypatch.setattr(sigma, "fold_weights", recording)
-    assert protocol._round1_failure(cfg, post) is None
-    honest_seed = seeds[-1]
-    w = weights(honest_seed, cfg.m)
+    drawn = _recording_weights(monkeypatch)
+    assert protocol.verify_round1(cfg, post)
+    honest_weights = w = drawn[-1]
 
     q, delta = CURVE.q, 0x5EED
     p0, p1 = post.proofs[:2]
@@ -414,11 +426,107 @@ def test_fold_weights_bind_the_responses(session, monkeypatch):
         dlog_equations(CURVE, A, p, base.child(b"r1", forged.party, j))
         for j, (A, p) in enumerate(zip(forged.elements, forged.proofs))
     ]
-    assert fold_holds(CURVE, honest_seed, parts)  # the shifts cancel under these weights
+    # the shifts cancel under these weights
+    assert _fold_under(monkeypatch, honest_weights, parts)
 
-    assert protocol._round1_failure(cfg, forged) == 0
-    assert seeds[-1] != honest_seed
-    assert not fold_holds(CURVE, seeds[-1], parts)
+    assert sigma.first_failure(CURVE, protocol._round1_checks(cfg, [forged])) == (0, 0)
+    assert drawn[-1] != honest_weights
+    assert not fold_holds(CURVE, parts)
+
+
+def _changed_terms(equations, rng, samples):
+    """(kind, the changed equations) for `samples` terms of `equations` drawn
+    by rng, each changed in its base, in its exponent, and by q."""
+    q = CURVE.q
+    for _ in range(samples):
+        k = rng.randrange(len(equations))
+        t = rng.randrange(len(equations[k]))
+        base, e = equations[k][t]
+        for kind, term in (
+            ("base", (base * CURVE.g, e)),
+            ("exponent", (base, (e + 1) % q)),
+            ("same exponent mod q", (base, e + q)),
+        ):
+            terms = list(equations[k])
+            terms[t] = term
+            yield kind, [*equations[:k], terms, *equations[k + 1:]]
+
+
+@pytest.mark.parametrize("table", ["round1", "l1"])
+def test_changing_any_term_changes_the_weights(session, l1_case, table):
+    """On secp256k1, a changed base or exponent mod q of any one term of an
+    honest table changes fold_weights; an exponent changed by q does not."""
+    if table == "round1":
+        cfg, _, posts1, _ = session
+        checks = protocol._round1_checks(cfg, posts1)
+    else:
+        checks = l1_case.proof.checks(l1_case.posted, l1_case.pads, l1_case.ctx)
+    equations = [eq for part in sigma.table_equations(CURVE, checks) for eq in part]
+    honest = sigma.fold_weights(CURVE, equations)
+    assert len(set(honest)) == len(equations)
+    kinds = set()
+    for kind, changed in _changed_terms(equations, random.Random(table), 12):
+        assert (sigma.fold_weights(CURVE, changed) == honest) == (kind == "same exponent mod q")
+        kinds.add(kind)
+    assert len(kinds) == 3
+
+
+@pytest.fixture(scope="module")
+def round1_of_three():
+    """Honest secp256k1 round-1 posts of n = 3 parties, m = 2."""
+    cfg = ProtocolConfig(CURVE, 3, 2, BoundPolicy.l1(3), bytes(range(3, 19)))
+    rng = random.Random(303)
+    return cfg, [protocol.round1_generate(cfg, i, rng)[1] for i in range(cfg.n)]
+
+
+def _bad_proof(post, slot):
+    proofs = list(post.proofs)
+    proofs[slot] = DlogProof(proofs[slot].K, (proofs[slot].s + 1) % CURVE.q)
+    return dataclasses.replace(post, proofs=tuple(proofs))
+
+
+def _one_slot_short(post):
+    return dataclasses.replace(post, elements=post.elements[:1], proofs=post.proofs[:1])
+
+
+ROUND1_FORGERIES = {
+    # which posts change (party -> forgery), and the (party, slot) named
+    "bad proof in party 2": ({2: lambda p: _bad_proof(p, 1)}, (2, 1)),
+    "bad proof, then wrong dimension": (
+        {1: lambda p: _bad_proof(p, 1), 2: _one_slot_short}, (1, 1)
+    ),
+    "wrong dimension, then bad proof": (
+        {1: _one_slot_short, 2: lambda p: _bad_proof(p, 0)}, (1, 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("forgery", ROUND1_FORGERIES)
+def test_round1_is_one_table_and_names_the_first_failing_post(
+    round1_of_three, forgery, monkeypatch
+):
+    """_check_round1 folds all n posts once and, whether or not it folds,
+    names the first failing post in the given order and its slot."""
+    cfg, posts1 = round1_of_three
+    forged_at, (party, slot) = ROUND1_FORGERIES[forgery]
+    posts = [forged_at.get(i, lambda p: p)(post) for i, post in enumerate(posts1)]
+
+    def verdict():
+        with pytest.raises(LedgerRejected) as err:
+            protocol._check_round1(cfg, posts)
+        return err.value.party, err.value.check, str(err.value)
+
+    with monkeypatch.context() as patch:
+        folded = _fold_spy(patch, sigma)
+        protocol._check_round1(cfg, posts1)
+        assert folded == [True]
+        folded.clear()
+        with_fold = verdict()
+        assert folded == [False]
+    assert with_fold[:2] == (party, "round1") and with_fold[2].endswith(f"slot {slot}")
+    with monkeypatch.context() as patch:
+        _sequentially(patch)
+        assert verdict() == with_fold
 
 
 def test_modular_groups_never_fold(monkeypatch):
@@ -508,15 +616,8 @@ def _agrees(cfg, ledger, monkeypatch):
     """The verdict with the ledger fold, which must equal the verdict without
     it, and the results of the ledger folds it ran: none when a check before
     the fold decided, else one that held exactly when the ledger passed."""
-    results = []
-    holds = protocol._ledger_holds
-
-    def spy(*args):
-        results.append(holds(*args))
-        return results[-1]
-
     with monkeypatch.context() as patch:
-        patch.setattr(protocol, "_ledger_holds", spy)
+        results = _fold_spy(patch, protocol)
         folded = _verdict(cfg, ledger)
     assert results in ([], [folded == ("ok",)])
     with monkeypatch.context() as patch:
@@ -612,24 +713,18 @@ def test_ledger_fold_weights_cover_every_post(session, monkeypatch):
     under the honest ledger's weights: weights drawn from each post alone, or
     from fewer than all posts, could accept them."""
     cfg, _, posts1, posts2 = session
-    seeds = []
-    weights = sigma.fold_weights
-
-    def recording(seed, count):
-        seeds.append(seed)
-        return weights(seed, count)
-
-    monkeypatch.setattr(sigma, "fold_weights", recording)
+    drawn = _recording_weights(monkeypatch)
     assert verify_ledger(cfg, _ledger(cfg, posts1, posts2)) == posts2
-    (honest_seed,) = seeds
+    (honest_weights,) = drawn
     # the ledger's equations start with party 0's m round-1 proofs, then party 1's
-    w = weights(honest_seed, 2 * cfg.m)
+    w = honest_weights
     q, delta = CURVE.q, 0x5EED
     shifted = []
     for post, shift in zip(posts1, (delta * w[cfg.m], -delta * w[0])):
         first = DlogProof(post.proofs[0].K, (post.proofs[0].s + shift) % q)
         shifted.append(dataclasses.replace(post, proofs=(first, *post.proofs[1:])))
-    assert fold_holds(CURVE, honest_seed, protocol._ledger_equations(cfg, shifted, posts2))
+    parts = protocol._ledger_equations(cfg, shifted, posts2)
+    assert _fold_under(monkeypatch, honest_weights, parts)
 
     verdict = _rejection(cfg, _ledger(cfg, shifted, posts2))
     assert verdict[:2] == (0, "round1") and verdict[2].endswith("slot 0")

@@ -114,6 +114,10 @@ def _header_with_n(value):
     return header().to_line().replace('"n":3', f'"n":{value}').encode()
 
 
+def _header_with(field, value):
+    return header().to_line().replace(field, value).encode()
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -124,16 +128,22 @@ def _header_with_n(value):
         _header_with_n("3.7"),
         _header_with_n("1e400"),
         b"[" * 100_000,
+        _header_with('"group":"mod41"', '"group":["mod41"]'),
+        _header_with('"kind":"l1"', '"kind":["l1"]'),
+        _header_with('"kind":"l1"', '"kind":{"a":1}'),
+        _header_with(f'"session":"{SESSION.hex()}"', '"session":{"a":1}'),
     ],
     ids=[
         "not-an-object", "policy-not-an-object", "n-string", "n-float", "n-fraction",
-        "n-infinite", "nested-100k-deep",
+        "n-infinite", "nested-100k-deep", "group-list", "kind-list", "kind-object",
+        "session-object",
     ],
 )
 def test_header_of_the_wrong_shape_is_unreadable(tmp_path, line):
     # the first two escaped Ledger.load as a bare AttributeError / TypeError;
     # the n variants were read as n=3, so a re-chained copy passed verify;
-    # the last two escaped as a bare OverflowError / RecursionError
+    # the next two escaped as a bare OverflowError / RecursionError, and the
+    # group, kind and session ones as a bare TypeError (zorro verify too)
     path = tmp_path / "session.ledger"
     filled(path=str(path))
     raw = path.read_bytes()

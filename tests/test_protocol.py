@@ -4,7 +4,7 @@ import random
 import pytest
 
 from zorro import groups
-from zorro.dlog import DlogWindow, bsgs
+from zorro.dlog import MAX_BABY_STEPS, DlogWindow, bsgs
 from zorro.elgamal import encrypt_exp
 from zorro.errors import (
     BoundExceeded,
@@ -119,6 +119,20 @@ def test_config_refuses_bounds_whose_sums_wrap_mod_q():
     with pytest.raises(ValueError, match="tally window"):
         ProtocolConfig(MOD, 2, 1, BoundPolicy.l2(2**39), session)
     ProtocolConfig(MOD, 2, 1, BoundPolicy.l2(2**37), session)
+
+
+@pytest.mark.parametrize(
+    "policy", [BoundPolicy.l1(2**63), BoundPolicy.l2(2**48)], ids=["l1-2^63", "l2-2^48"]
+)
+def test_config_refuses_a_window_too_wide_for_bsgs(policy):
+    """The tally's baby-step table is bounded by MAX_BABY_STEPS before any is built."""
+    curve = groups.prod_group()
+    with pytest.raises(ValueError, match="baby steps"):
+        ProtocolConfig(curve, 2, 1, policy, bytes(16))
+    assert policy.tally_window(2).baby_steps > MAX_BABY_STEPS
+    # l2 bound 10^9, the largest bound the demos use, stays well inside it
+    wide = ProtocolConfig(curve, 2, 1, BoundPolicy.l2(10**9), bytes(16))
+    assert wide.policy.tally_window(2).baby_steps == 65_536
 
 
 def test_derive_pads_missing_post():
