@@ -81,15 +81,19 @@ def _read_rows(path, cast=int):
     return rows
 
 
+def _session_config(args, n: int, m: int, policy) -> ProtocolConfig:
+    """The config of this run's session; ValueError if no session can have it."""
+    session = hashlib.sha256(f"session|{args.seed}".encode()).digest()[:16]
+    return ProtocolConfig(_group_for(args.group), n, m, policy, session)
+
+
 def _run_and_report(args, vectors, policy, window=None):
     """Run one session over the per-party vectors and return its totals.
 
     The ledger is kept at --ledger when the subcommand has that flag and its
     hash chain is re-checked; the totals are written to --out when given.
     """
-    m = len(vectors[0]) if vectors else 0
-    session = hashlib.sha256(f"session|{args.seed}".encode()).digest()[:16]
-    cfg = ProtocolConfig(_group_for(args.group), len(vectors), m, policy, session)
+    cfg = _session_config(args, len(vectors), len(vectors[0]) if vectors else 0, policy)
     ledger = Ledger(cfg.header(), path=getattr(args, "ledger", None))
     totals = run_session(cfg, vectors, ledger, args.seed, window=window)
     ledger.verify_chain()
@@ -131,6 +135,7 @@ def cmd_aggregate(args) -> int:
     if args.vectors:
         vectors = _read_rows(args.vectors)
     else:
+        _session_config(args, args.parties, args.dim, policy)  # refuse it before the draw
         rng = _derived_rng(args.seed, "inputs")
         vectors = [_random_vector(policy, args.dim, rng) for _ in range(args.parties)]
     window = DlogWindow(0, args.window) if policy.kind == "none" else None

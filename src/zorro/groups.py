@@ -20,7 +20,8 @@ Every group has one exponentiation engine, ``group.multi_exp(pairs)``, the
 product of base ** e over (base, e) pairs; ``a ** e`` is the one-term case.
 Every group skips the terms whose exponent is 0 mod q, so a sigma prover
 evaluates its verification equations at challenge 0 for free.  The modular
-groups multiply builtin ``pow`` results.
+groups multiply builtin ``pow`` results, and take a term at exponent 1 as
+its base.
 
 Curve points are affine at rest: ``*``, ``==``, hashing and the codec see
 (x, y).  Only ``multi_exp`` works in Jacobian coordinates (X, Y, Z) ~
@@ -173,12 +174,13 @@ class ModGroup(Group):
 
     def multi_exp(self, pairs):
         """The product of base ** e over (base, e) pairs: one ** per term with
-        e != 0 mod q and one * per such term after the first, through the
-        element operators."""
+        e != 0, 1 mod q (a term at 1 is its base) and one * per term with
+        e != 0 after the first, through the element operators."""
         q, result = self.q, None
         for base, e in pairs:
-            if e % q:
-                term = base ** e
+            e %= q
+            if e:
+                term = base if e == 1 else base ** e
                 result = term if result is None else result * term
         return self.identity if result is None else result
 

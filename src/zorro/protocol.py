@@ -44,12 +44,11 @@ from .rangeproof import BoundPolicy, L1RangeProof, L2RangeProof
 from .sigma import (
     DlogProof,
     FsTranscript,
-    dlog_equations,
     first_failure,
     fold_holds,
+    fold_parts,
     folds,
     prove_dlog,
-    table_equations,
     verify_dlog,
 )
 
@@ -191,8 +190,8 @@ def round1_generate(cfg: ProtocolConfig, party: int, rng):
 
 
 def _refused(group):
-    """Check and equations of a wrong-dimension round-1 post: None fails both."""
-    return None
+    """The check of a wrong-dimension round-1 post: it fails, and so does its fold part."""
+    return False
 
 
 def _round1_checks(cfg: ProtocolConfig, posts) -> list:
@@ -202,11 +201,11 @@ def _round1_checks(cfg: ProtocolConfig, posts) -> list:
     base, table = cfg.base_context(), []
     for post in posts:
         if len(post.elements) != cfg.m or len(post.proofs) != cfg.m:
-            table.append(((post.party, 0), [(_refused, _refused, ())]))
+            table.append(((post.party, 0), [(_refused, ())]))
             continue
         for j, (A, proof) in enumerate(zip(post.elements, post.proofs)):
             ctx = base.child(b"r1", post.party, j)
-            table.append(((post.party, j), [(verify_dlog, dlog_equations, (A, proof, ctx))]))
+            table.append(((post.party, j), [(verify_dlog, (A, proof, ctx))]))
     return table
 
 
@@ -377,19 +376,19 @@ def _ledger_round(cfg: ProtocolConfig, ledger, round: int) -> list:
     return [posts[i] for i in range(cfg.n)]
 
 
-def _ledger_equations(cfg: ProtocolConfig, posts1, posts2) -> list:
+def _ledger_parts(cfg: ProtocolConfig, posts1, posts2) -> list:
     """Every group equation of a decoded ledger, as sigma.fold_holds parts: the
     round-1 table, then each contribution's bundle table under its _all_pads
     keys, in party order.  A contribution that fails _contribution_failure,
     or its bundle's policy or shape check, is a None part, failing the fold."""
     group, base = cfg.group, cfg.base_context()
-    parts = table_equations(group, _round1_checks(cfg, posts1))
+    parts = fold_parts(group, _round1_checks(cfg, posts1))
     for post, pads in zip(posts2, _all_pads(cfg, posts1)):
         if _contribution_failure(cfg, post) is not None:
             parts.append(None)
         elif post.bundle is not None:
             ctx = base.child(b"r2", post.party)
-            parts += rangeproof.bundle_equations(group, post.cts, post.bundle, cfg.policy, pads, ctx)
+            parts += rangeproof.bundle_parts(group, post.cts, post.bundle, cfg.policy, pads, ctx)
     return parts
 
 
@@ -408,7 +407,7 @@ def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
 
     After the header, decode and binding checks, a folding group checks the
     rest as one fold (sigma.fold_holds) of every post's check table
-    (_ledger_equations); a check outside the group equations that fails
+    (_ledger_parts); a check outside the group equations that fails
     while the parts are built fails the fold.  A failed fold, and every
     ledger on the modular groups, goes through _check_round1 and then
     verify_contribution party by party, so a rejection reads the same with
@@ -423,7 +422,7 @@ def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
             if post2.cts[j].A != post1.elements[j]:
                 detail = f"slot {j} does not reuse its round-1 element"
                 raise _rejected("contribution", post2.party, "binding", detail)
-    if folds(cfg.group) and fold_holds(cfg.group, _ledger_equations(cfg, posts1, posts2)):
+    if folds(cfg.group) and fold_holds(cfg.group, _ledger_parts(cfg, posts1, posts2)):
         return posts2
     _check_round1(cfg, posts1)
     for post in posts2:

@@ -31,7 +31,12 @@ bounds would need set-membership machinery that is out of scope.
 
 verify_l1 and verify_l2 check a bundle's policy and shape, then its check
 table, checks(posted_cts, pad_keys, ctx), as the sigma module describes; the
-table's labels are the reasons a rejection names.
+table's labels are the reasons a rejection names.  The link and
+recomposition checks are verifiers in sigma's form, so the fold records
+their equations as it records the sigma proofs': a link guards that ct and
+E*[t] share their first component and then checks its DH tuple, and a
+recomposition is multi_exp(cts at 1) == multi_exp(digits at 2^l), one
+equation per ciphertext component.
 
 Each bundle states its shape once, as runs(m, L): the item type and count
 of every field after h_i, in wire order, for m slots and L digits.  A count
@@ -42,25 +47,21 @@ run item by item) and the verifiers' shape check fits(m) from that table.
 
 import math
 from dataclasses import dataclass, fields
-from functools import reduce
 
 from .dlog import DlogWindow
-from .elgamal import Ciphertext, Keypair, hom_mul
+from .elgamal import Ciphertext, Keypair
 from .encoding import Reader, pack_u8, pack_u32, pack_u64, put, read_many, read_one
 from .errors import BoundExceeded, MalformedEncoding, NegativeEntry
 from .sigma import (
     BitProof,
     DhTupleProof,
     SquareProof,
-    bit_equations,
-    dh_tuple_equations,
     encrypt_own,
     first_failure,
+    fold_parts,
     prove_bit,
     prove_dh_tuple,
     prove_square,
-    square_equations,
-    table_equations,
     verify_bit,
     verify_dh_tuple,
     verify_square,
@@ -189,22 +190,12 @@ def reencryption_link(group, t: int, x: int, h_pad, keypair: Keypair, ctx, rng):
     return ct_star, prove_dh_tuple(group, x, statement, ctx, rng)
 
 
-def _link_statement(group, ct: Ciphertext, ct_star: Ciphertext, h_pad, h_i):
-    """The DH tuple a link proves, or None when ct and ct_star differ in A."""
-    if ct.A != ct_star.A:
-        return None
-    return (group.g, h_pad / h_i, ct.A, ct.B / ct_star.B)
-
-
 def verify_reencryption_link(group, ct: Ciphertext, ct_star: Ciphertext, h_pad, h_i, proof, ctx) -> bool:
-    statement = _link_statement(group, ct, ct_star, h_pad, h_i)
-    return statement is not None and verify_dh_tuple(group, statement, proof, ctx)
-
-
-def reencryption_link_equations(group, ct, ct_star, h_pad, h_i, proof, ctx):
-    """verify_reencryption_link's equations as data, or None when it fails outside them."""
-    statement = _link_statement(group, ct, ct_star, h_pad, h_i)
-    return None if statement is None else dh_tuple_equations(group, statement, proof, ctx)
+    """Whether ct and ct_star share A and the link proves the DH tuple
+    (g, h_pad/h_i, ct.A, ct.B/ct_star.B)."""
+    if ct.A != ct_star.A:
+        return False
+    return verify_dh_tuple(group, (group.g, h_pad / h_i, ct.A, ct.B / ct_star.B), proof, ctx)
 
 
 def _prove_links(group, values, x, pad_keys, keypair, ctx, rng):
@@ -220,10 +211,7 @@ def _link_checks(posted_cts, proof, pad_keys, ctx) -> list:
     """The link of slot j in context ctx/link/j, for every posted slot."""
     links = enumerate(zip(posted_cts, proof.reencrypted, pad_keys, proof.links))
     return [
-        (
-            verify_reencryption_link, reencryption_link_equations,
-            (ct, ct_star, h, proof.h_i, link, ctx.child(b"link", j)),
-        )
+        (verify_reencryption_link, (ct, ct_star, h, proof.h_i, link, ctx.child(b"link", j)))
         for j, (ct, ct_star, h, link) in links
     ]
 
@@ -242,34 +230,20 @@ def _prove_digits(group, digits, rand, keypair, row_ctx, rng):
     return cts, proofs
 
 
-def _recompose(digit_cts) -> Ciphertext:
-    """prod_l E[d_l]^(2^l): an encryption of the number the digits spell."""
-    acc = digit_cts[0]
-    for l in range(1, len(digit_cts)):
-        d = digit_cts[l]
-        acc = hom_mul(acc, Ciphertext(d.A ** (1 << l), d.B ** (1 << l)))
-    return acc
-
-
 def _recomposes(group, cts, digit_cts) -> bool:
-    """Whether prod(cts) == _recompose(digit_cts)."""
-    return reduce(hom_mul, cts) == _recompose(digit_cts)
-
-
-def _recompose_equations(group, cts, digit_cts) -> list:
-    """_recomposes as one equation per component."""
-    q = group.q
-    return [
-        [(getattr(ct, part), 1) for ct in cts]
-        + [(getattr(d, part), q - (1 << l)) for l, d in enumerate(digit_cts)]
+    """Whether prod(cts) == prod_l E[d_l]^(2^l), the product of `cts` an
+    encryption of the number the digits spell: one equation per component."""
+    return all(
+        group.multi_exp((getattr(ct, part), 1) for ct in cts)
+        == group.multi_exp((getattr(d, part), 1 << l) for l, d in enumerate(digit_cts))
         for part in ("A", "B")
-    ]
+    )
 
 
 def _bit_checks(digit_cts, digit_proofs, h_i, row_ctx) -> list:
     """The bit proof of digit l in context row_ctx/l, for every digit of a row."""
     return [
-        (verify_bit, bit_equations, (ct, h_i, p, row_ctx.child(l)))
+        (verify_bit, (ct, h_i, p, row_ctx.child(l)))
         for l, (ct, p) in enumerate(zip(digit_cts, digit_proofs))
     ]
 
@@ -287,12 +261,12 @@ def _shape_failure(posted_cts, proof, policy, pad_keys):
     return None
 
 
-def bundle_equations(group, posted_cts, proof, policy, pad_keys, ctx):
+def bundle_parts(group, posted_cts, proof, policy, pad_keys, ctx):
     """The fold parts of an L1 or L2 bundle's check table, or [None], which
     fails the fold, when its policy or shape check fails."""
     if _shape_failure(posted_cts, proof, policy, pad_keys) is not None:
         return [None]
-    return table_equations(group, proof.checks(posted_cts, pad_keys, ctx))
+    return fold_parts(group, proof.checks(posted_cts, pad_keys, ctx))
 
 
 def _verify(group, posted_cts, proof, policy, pad_keys, ctx):
@@ -389,12 +363,10 @@ class L2RangeProof(Bundle):
         squares = enumerate(zip(self.reencrypted, self.square_cts, self.square_proofs))
         return [
             ("tuple", _link_checks(posted_cts, self, pad_keys, ctx)),
-            ("consistency", [
-                (_recomposes, _recompose_equations, (self.square_cts, self.digit_cts))
-            ]),
+            ("consistency", [(_recomposes, (self.square_cts, self.digit_cts))]),
             ("bit", _bit_checks(self.digit_cts, self.digit_proofs, self.h_i, ctx.child(b"bit"))),
             ("square", [
-                (verify_square, square_equations, (t, w, self.h_i, p, ctx.child(b"square", j)))
+                (verify_square, (t, w, self.h_i, p, ctx.child(b"square", j)))
                 for j, (t, w, p) in squares
             ]),
         ]
@@ -496,7 +468,7 @@ class L1RangeProof(Bundle):
         return [
             ("tuple", _link_checks(posted_cts, self, pad_keys, ctx)),
             ("element", [
-                (_recomposes, _recompose_equations, ((ct_star,), row))
+                (_recomposes, ((ct_star,), row))
                 for row, ct_star in zip(self.element_digit_cts, self.reencrypted)
             ]),
             ("bit", [
@@ -504,7 +476,7 @@ class L1RangeProof(Bundle):
                 for j, (cts, proofs) in enumerate(rows)
                 for check in _bit_checks(cts, proofs, self.h_i, ctx.child(b"bit", j))
             ]),
-            ("sum", [(_recomposes, _recompose_equations, (self.reencrypted, self.sum_digit_cts))]),
+            ("sum", [(_recomposes, (self.reencrypted, self.sum_digit_cts))]),
             ("sum_bit", _bit_checks(
                 self.sum_digit_cts, self.sum_digit_proofs, self.h_i, ctx.child(b"sumbit")
             )),

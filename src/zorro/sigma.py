@@ -23,28 +23,31 @@ of pk or of the ciphertext.  encrypt_own encrypts under the prover's own key
 the same way.  Where no party knows the logs (the DH-tuple statement of a
 re-encryption link, whose base holds a pad key) provers evaluate on elements.
 
-The same functions also give each equation as data.  Called with _Terms(group),
-whose multi_exp returns its (base, exponent) pairs unevaluated, they yield the
-terms of every commitment; the *_equations functions append each posted
-commitment at exponent q - 1, so every equation is a list of terms whose
-product must be the identity, and return None when a check outside the group
-equations fails (a challenge split, a membership or identity-base guard).
+A verifier states each check once, as verify(group, *args) -> bool: a
+relation verifier here, or rangeproof's link and recomposition checks.  Its
+guards outside the group equations (a challenge split, a membership or
+identity-base guard, a shared first component) run on real values, and each
+group equation is a multi_exp compared with what it must equal, the
+computed side on the left.  Passed _Recording(group) in place of the group,
+the same verifier records its equations instead of evaluating them: there
+multi_exp returns an unevaluated _Product, and comparing one with the posted
+element or _Product it must equal appends that equation, as terms whose
+product must be the identity, and reads True.  recorded() returns the
+equations, or None when a guard fails.
 
-A verifier states the checks of one post once, as a check table: an ordered
-list of (label, [(verify, equations, args), ...]), where verify(group, *args)
-is a relation verifier (or rangeproof's link and recomposition checks) and
-equations(group, *args) the same check as data.  first_failure reads a table.
-On a group with q > 2^128 (secp256k1, see folds) it folds every equation into
-one multi_exp (fold_holds), the small-exponent batch test of Bellare, Garay
-and Rabin (EUROCRYPT 1998): equation k is raised to its own 128-bit weight
-and terms that share a base merge.  The weights hash every term of every
-equation folded (fold_weights), so changing any base or exponent the fold
-checks (a response, commitment, challenge or pad) draws fresh weights, and a
-false equation passes with probability about 2^-128 a draw.  When the fold
-fails, and always on the modular groups, the checks run one by one and the
-label of the first failing entry is returned, so a rejection reads the same
-with or without the fold.  protocol.verify_ledger folds every post's table
-(table_equations) at once.
+A verifier states the checks of one post as a check table: an ordered list
+of (label, [(verify, args), ...]).  first_failure reads a table.  On a
+group with q > 2^128 (secp256k1, see folds) it folds every recorded
+equation into one multi_exp (fold_holds), the small-exponent batch test of
+Bellare, Garay and Rabin (EUROCRYPT 1998): equation k is raised to its own
+128-bit weight and terms that share a base merge.  The weights hash every
+term of every equation folded (fold_weights), so changing any base or
+exponent the fold checks (a response, commitment, challenge or pad) draws
+fresh weights, and a false equation passes with probability about 2^-128 a
+draw.  When the fold fails, and always on the modular groups, the checks run
+one by one on the group and the label of the first failing entry is
+returned, so a rejection reads the same with or without the fold.
+protocol.verify_ledger folds every post's table (fold_parts) at once.
 """
 
 import hashlib
@@ -88,21 +91,39 @@ class FsTranscript:
 FOLD_WEIGHT_BITS = 128
 
 
-class _Terms:
-    """`group` with a multi_exp that returns its pairs unevaluated: passed to a
-    commitment function, it gives each commitment as (base, exponent) terms."""
+class _Product:
+    """An unevaluated multi_exp of a _Recording: its (base, exponent) terms."""
 
-    __slots__ = ("_group",)
+    __slots__ = ("_view", "terms")
+
+    def __init__(self, view, terms):
+        self._view, self.terms = view, terms
+
+    def __eq__(self, other):
+        """Record self / other, other the posted element or _Product it must
+        equal, as one equation whose product must be the identity; read True."""
+        q = self._view.q
+        rhs = other.terms if isinstance(other, _Product) else ((other, 1),)
+        self._view.equations.append((*self.terms, *((base, -e % q) for base, e in rhs)))
+        return True
+
+
+class _Recording:
+    """`group` with a multi_exp that returns a _Product: passed to a verifier
+    that compares each product with what it must equal (product on the
+    left), it records every group equation of the check in `equations`."""
+
+    __slots__ = ("_group", "equations")
 
     def __init__(self, group):
         self._group = group
+        self.equations = []
 
     def __getattr__(self, name):
         return getattr(self._group, name)
 
-    @staticmethod
-    def multi_exp(pairs):
-        return tuple(pairs)
+    def multi_exp(self, pairs):
+        return _Product(self, tuple(pairs))
 
 
 @dataclass(frozen=True)
@@ -123,7 +144,7 @@ class _Log:
 
 
 class _Logs:
-    """`group` seen through discrete logs to base g, the mirror of _Terms.
+    """`group` seen through discrete logs to base g, the mirror of _Recording.
 
     Its elements are _Log scalars: * adds, / subtracts, ** scales, and
     multi_exp returns sum(log * e) mod q.  Passed to a commitment function by
@@ -162,12 +183,6 @@ def encrypt_own(group, m: int, r: int, keypair: Keypair) -> Ciphertext:
     return logs.lift(encrypt_exp(logs, m, r, logs.at(keypair.sk)))
 
 
-def _equations(group, commitments, posted) -> list:
-    """Each commitment's terms with its posted value at exponent q - 1."""
-    minus_one = group.q - 1
-    return [(*terms, (P, minus_one)) for terms, P in zip(commitments, posted, strict=True)]
-
-
 def folds(group) -> bool:
     """Whether verifiers fold each post: only where q > 2^128 (secp256k1), so
     that 128-bit weights are distinct mod q and still short exponents."""
@@ -194,10 +209,10 @@ def fold_weights(group, equations) -> list[int]:
 def fold_holds(group, parts) -> bool:
     """Whether every equation of `parts` holds, as one multi_exp.
 
-    `parts` lists the *_equations results of one table or of a whole ledger;
-    a None among them fails the fold.  Equation k is raised to weight k of
-    fold_weights, terms that share a base are merged, and the product of all
-    must be the identity.
+    `parts` lists the recorded checks of one table or of a whole ledger
+    (fold_parts); a None among them fails the fold.  Equation k is raised to
+    weight k of fold_weights, terms that share a base are merged, and the
+    product of all must be the identity.
     """
     if any(part is None for part in parts):
         return False
@@ -209,10 +224,18 @@ def fold_holds(group, parts) -> bool:
     return group.multi_exp(merged.items()) == group.identity
 
 
-def table_equations(group, table) -> list:
-    """equations(group, *args) of every check of a check table, in table
+def recorded(group, verify, args):
+    """The equations verify(group, *args) compares, in order, recorded on
+    _Recording(group); None when it returns False, which only a failed guard
+    outside the equations can make it do."""
+    view = _Recording(group)
+    return view.equations if verify(view, *args) else None
+
+
+def fold_parts(group, table) -> list:
+    """The recorded equations of every check of a check table, in table
     order: the table's fold_holds parts."""
-    return [equations(group, *args) for _, checks in table for _, equations, args in checks]
+    return [recorded(group, verify, args) for _, checks in table for verify, args in checks]
 
 
 def first_failure(group, table):
@@ -221,10 +244,10 @@ def first_failure(group, table):
     On a folding group the table is folded first; when that fails, and on
     every other group, the checks run one by one.
     """
-    if folds(group) and fold_holds(group, table_equations(group, table)):
+    if folds(group) and fold_holds(group, fold_parts(group, table)):
         return None
     for label, checks in table:
-        if not all(verify(group, *args) for verify, _, args in checks):
+        if not all(verify(group, *args) for verify, args in checks):
             return label
     return None
 
@@ -257,14 +280,6 @@ def verify_dlog(group, A, proof: DlogProof, ctx: FsTranscript) -> bool:
         return False
     c = ctx.challenge(group, A, proof.K)
     return _dlog_commitment(group, A, proof.s, c) == proof.K
-
-
-def dlog_equations(group, A, proof: DlogProof, ctx: FsTranscript):
-    """verify_dlog's equation as data; None when A is not in the group."""
-    if not group.contains(A):
-        return None
-    c = ctx.challenge(group, A, proof.K)
-    return _equations(group, (_dlog_commitment(_Terms(group), A, proof.s, c),), (proof.K,))
 
 
 # -- Diffie-Hellman 4-tuple ---------------------------------------------------
@@ -303,16 +318,6 @@ def verify_dh_tuple(group, statement, proof: DhTupleProof, ctx: FsTranscript) ->
         return False
     e = ctx.challenge(group, g1, h1, u, v, proof.a, proof.b)
     return _dh_commitments(group, statement, proof.z, e) == (proof.a, proof.b)
-
-
-def dh_tuple_equations(group, statement, proof: DhTupleProof, ctx: FsTranscript):
-    """verify_dh_tuple's two equations as data; None on an identity base."""
-    g1, h1, u, v = statement
-    if g1 == group.identity or h1 == group.identity:
-        return None
-    e = ctx.challenge(group, g1, h1, u, v, proof.a, proof.b)
-    commitments = _dh_commitments(_Terms(group), statement, proof.z, e)
-    return _equations(group, commitments, (proof.a, proof.b))
 
 
 # -- encryption of a bit ------------------------------------------------------
@@ -377,23 +382,10 @@ def verify_bit(group, ct: Ciphertext, pk, proof: BitProof, ctx: FsTranscript) ->
     c = ctx.challenge(group, pk, x, y, proof.a1, proof.b1, proof.a2, proof.b2)
     if (proof.d1 + proof.d2) % group.q != c:
         return False
-    if (proof.a1, proof.b1) != _bit_branch(group, x, y, pk, 0, proof.d1, proof.r1):
-        return False
-    return (proof.a2, proof.b2) == _bit_branch(group, x, y, pk, 1, proof.d2, proof.r2)
-
-
-def bit_equations(group, ct: Ciphertext, pk, proof: BitProof, ctx: FsTranscript):
-    """verify_bit's four equations as data; None when d1 + d2 is not the challenge."""
-    x, y = ct.A, ct.B
-    c = ctx.challenge(group, pk, x, y, proof.a1, proof.b1, proof.a2, proof.b2)
-    if (proof.d1 + proof.d2) % group.q != c:
-        return None
-    terms = _Terms(group)
-    commitments = (
-        *_bit_branch(terms, x, y, pk, 0, proof.d1, proof.r1),
-        *_bit_branch(terms, x, y, pk, 1, proof.d2, proof.r2),
+    return (
+        _bit_branch(group, x, y, pk, 0, proof.d1, proof.r1) == (proof.a1, proof.b1)
+        and _bit_branch(group, x, y, pk, 1, proof.d2, proof.r2) == (proof.a2, proof.b2)
     )
-    return _equations(group, commitments, (proof.a1, proof.b1, proof.a2, proof.b2))
 
 
 # -- square relation ----------------------------------------------------------
@@ -473,15 +465,3 @@ def verify_square(
     c = _square_challenge(group, ctx, pk, ct_a, ct_b, proof.C_a, proof.C_b)
     commitments = _square_commitments(group, ct_a, ct_b, pk, proof.v, proof.z_a, proof.z_b, c)
     return commitments == (proof.C_a, proof.C_b)
-
-
-def square_equations(
-    group, ct_a: Ciphertext, ct_b: Ciphertext, pk, proof: SquareProof, ctx: FsTranscript
-):
-    """verify_square's four equations as data."""
-    c = _square_challenge(group, ctx, pk, ct_a, ct_b, proof.C_a, proof.C_b)
-    C_a, C_b = _square_commitments(
-        _Terms(group), ct_a, ct_b, pk, proof.v, proof.z_a, proof.z_b, c
-    )
-    posted = (proof.C_a.A, proof.C_a.B, proof.C_b.A, proof.C_b.B)
-    return _equations(group, (C_a.A, C_a.B, C_b.A, C_b.B), posted)

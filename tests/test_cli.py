@@ -18,7 +18,7 @@ from zorro.cli import (
     EXIT_USAGE,
     main,
 )
-from zorro import groups, protocol
+from zorro import cli, groups, protocol
 from zorro.errors import NotInWindow
 from zorro.ledger import Ledger, LedgerHeader
 from zorro.rangeproof import BoundPolicy
@@ -475,6 +475,22 @@ def test_aggregate_refuses_a_bound_beyond_u64(tmp_path, capsys):
     assert code == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == "" and "u64" in captured.err
+
+
+def test_aggregate_refuses_its_config_before_drawing_vectors(tmp_path, capsys, monkeypatch):
+    # the l1 draw takes one rng.random() per unit of bound: this ran for
+    # minutes at 2^63 before the session refused the bound
+    def draw(*args):
+        raise AssertionError("vectors drawn for a config the session refuses")
+
+    monkeypatch.setattr(cli, "_random_vector", draw)
+    code = run(
+        ["aggregate", "--group", "prod", "--check", "l1", "--bound", str(2**63),
+         "--parties", "2", "--dim", "1", "--ledger", str(tmp_path / "wide.ledger")]
+    )
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "baby steps" in captured.err
 
 
 def test_verify_rejects_a_header_bound_beyond_u64(tmp_path, capsys):

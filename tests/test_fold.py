@@ -10,6 +10,7 @@ equations holds alone.
 
 import dataclasses
 import functools
+import hashlib
 import random
 import re
 
@@ -17,7 +18,9 @@ import pytest
 
 from zorro import groups, protocol, sigma
 from zorro.elgamal import Keypair, encrypt_exp
+from zorro.encoding import pack_u32
 from zorro.errors import LedgerRejected, MissingPost
+from zorro.groups import CurvePoint
 from zorro.ledger import Ledger
 from zorro.protocol import Party, ProtocolConfig, Round2Post, verify_ledger
 from zorro.rangeproof import (
@@ -30,7 +33,7 @@ from zorro.rangeproof import (
     verify_l1,
     verify_l2,
 )
-from zorro.sigma import DlogProof, FsTranscript, dlog_equations, fold_holds, verify_dlog
+from zorro.sigma import DlogProof, FsTranscript, fold_holds, recorded, verify_dlog
 
 CURVE = groups.prod_group()
 MOD = groups.test_group()
@@ -190,8 +193,10 @@ def test_every_sequential_reason_has_a_dishonest_variant(kind, verify):
     assert set(labels) == documented == set(DISHONEST[kind])
 
 
-def _holds_alone(group, equations) -> bool:
-    """Whether a check's equations all hold, each as its own multi_exp."""
+def _holds_alone(group, verify, args) -> bool:
+    """Whether the equations verify(group, *args) records all hold, each as its
+    own multi_exp."""
+    equations = recorded(group, verify, args)
     return equations is not None and all(
         group.multi_exp(terms) == group.identity for terms in equations
     )
@@ -199,12 +204,12 @@ def _holds_alone(group, equations) -> bool:
 
 def _failing_labels(group, table) -> list:
     """The labels of a check table whose checks fail, in table order, after
-    asserting that each check's verify agrees with its equations."""
+    asserting that each check's verify agrees with the equations it records."""
     failing = []
     for label, checks in table:
-        for verify, equations, args in checks:
+        for verify, args in checks:
             ok = verify(group, *args)
-            assert ok == _holds_alone(group, equations(group, *args)), (label, verify.__name__)
+            assert ok == _holds_alone(group, verify, args), (label, verify.__name__)
             if not ok and label not in failing:
                 failing.append(label)
     return failing
@@ -231,12 +236,12 @@ def test_each_bundle_check_is_its_equations(group, kind, reason):
 @pytest.mark.parametrize("kind", ["l1", "l2"])
 def test_every_response_is_in_the_equations(group, kind):
     """Each scalar of each proof in an honest bundle's table, shifted by one,
-    fails the check both as verify and as its equations: an equation the
-    *_equations functions left out would let its responses go unchecked."""
+    fails the check both as verify and as its recorded equations: an
+    equation the recording missed would let its responses go unchecked."""
     case = _case(group, kind)
     shifted = 0
     for label, checks in case.proof.checks(case.posted, case.pads, case.ctx):
-        for verify, equations, args in checks:
+        for verify, args in checks:
             for k, proof in enumerate(args):
                 if not dataclasses.is_dataclass(proof):
                     continue
@@ -247,9 +252,7 @@ def test_every_response_is_in_the_equations(group, kind):
                     forged = dataclasses.replace(proof, **{field.name: (value + 1) % group.q})
                     forged_args = (*args[:k], forged, *args[k + 1:])
                     assert not verify(group, *forged_args), (label, field.name)
-                    assert not _holds_alone(group, equations(group, *forged_args)), (
-                        label, field.name,
-                    )
+                    assert not _holds_alone(group, verify, forged_args), (label, field.name)
                     shifted += 1
     assert shifted > 0
 
@@ -423,7 +426,7 @@ def test_fold_weights_bind_the_responses(session, monkeypatch):
     forged = dataclasses.replace(post, proofs=proofs)
     base = cfg.base_context()
     parts = [
-        dlog_equations(CURVE, A, p, base.child(b"r1", forged.party, j))
+        recorded(CURVE, verify_dlog, (A, p, base.child(b"r1", forged.party, j)))
         for j, (A, p) in enumerate(zip(forged.elements, forged.proofs))
     ]
     # the shifts cancel under these weights
@@ -461,7 +464,7 @@ def test_changing_any_term_changes_the_weights(session, l1_case, table):
         checks = protocol._round1_checks(cfg, posts1)
     else:
         checks = l1_case.proof.checks(l1_case.posted, l1_case.pads, l1_case.ctx)
-    equations = [eq for part in sigma.table_equations(CURVE, checks) for eq in part]
+    equations = [eq for part in sigma.fold_parts(CURVE, checks) for eq in part]
     honest = sigma.fold_weights(CURVE, equations)
     assert len(set(honest)) == len(equations)
     kinds = set()
@@ -634,12 +637,13 @@ def test_honest_ledger_is_one_fold(l1_ledger, monkeypatch):
     for name in ("derive_pads", "verify_dlog"):
 
         def spy(*args, _name=name, _real=getattr(protocol, name)):
-            calls.append(_name)
+            calls.append((_name, args[0] is CURVE))
             return _real(*args)
 
         monkeypatch.setattr(protocol, name, spy)
     assert verify_ledger(cfg, ledger) == posts2
-    assert folded == [True] and calls == []
+    # each round-1 proof is recorded for the fold once, and never checked on the group
+    assert folded == [True] and calls == [("verify_dlog", False)] * (cfg.n * cfg.m)
 
 
 @pytest.mark.parametrize("reason", L1_DISHONEST)
@@ -723,11 +727,99 @@ def test_ledger_fold_weights_cover_every_post(session, monkeypatch):
     for post, shift in zip(posts1, (delta * w[cfg.m], -delta * w[0])):
         first = DlogProof(post.proofs[0].K, (post.proofs[0].s + shift) % q)
         shifted.append(dataclasses.replace(post, proofs=(first, *post.proofs[1:])))
-    parts = protocol._ledger_equations(cfg, shifted, posts2)
+    parts = protocol._ledger_parts(cfg, shifted, posts2)
     assert _fold_under(monkeypatch, honest_weights, parts)
 
     verdict = _rejection(cfg, _ledger(cfg, shifted, posts2))
     assert verdict[:2] == (0, "round1") and verdict[2].endswith("slot 0")
+
+
+# per pinned ledger: its ledger-fold equation count and the SHA-256 of, equation
+# by equation, u32(term count) then each term as fold_weights encodes it
+LEDGER_FOLD_DIGESTS = {
+    "l1": (72, "155d7f5f23c67f3fcab9c5bdc620801490fc23e69b3f94b30ef0c121b0f0d591"),
+    "l2": (72, "921ad5f49612504ba11c687e7ece951b9eac7e2ddf5f7ff174a4d0ad0236ccb5"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LEDGER_FOLD_DIGESTS))
+def test_ledger_fold_equations_are_pinned(l1_ledger, l2_ledger, kind):
+    """Every term of every ledger-fold equation, in order, is pinned: a
+    verifier that records a term differently changes the fold's weights."""
+    cfg, _, posts1, posts2, _ = l1_ledger if kind == "l1" else l2_ledger
+    equations = [eq for part in protocol._ledger_parts(cfg, posts1, posts2) for eq in part]
+    h = hashlib.sha256()
+    for terms in equations:
+        h.update(pack_u32(len(terms)))
+        for base, e in terms:
+            h.update(CURVE.encode_element(base) + CURVE.encode_scalar(e))
+    assert (len(equations), h.hexdigest()) == LEDGER_FOLD_DIGESTS[kind]
+
+
+def _honest_dh_tuple():
+    """A DH-tuple statement with base g and g^5, its proof and its context."""
+    h, w, ctx = CURVE.g ** 5, 7, FsTranscript(b"dh")
+    statement = (CURVE.g, h, CURVE.g ** w, h ** w)
+    return statement, sigma.prove_dh_tuple(CURVE, w, statement, ctx, random.Random(5)), ctx
+
+
+def _checks(table, label):
+    """The (verify, args) entries of a check table under `label`."""
+    return [check for name, checks in table if name == label for check in checks]
+
+
+def test_each_verifier_records_its_equations(session, l1_case, l2_case):
+    """On honest input each verifier records exactly its group equations."""
+    cfg, _, posts1, _ = session
+    tables = [protocol._round1_checks(cfg, posts1)] + [
+        case.proof.checks(case.posted, case.pads, case.ctx) for case in (l1_case, l2_case)
+    ]
+    counts = {}
+    for table in tables:
+        for _, checks in table:
+            for verify, args in checks:
+                counts.setdefault(verify.__name__, set()).add(len(recorded(CURVE, verify, args)))
+    statement, proof, ctx = _honest_dh_tuple()
+    counts["verify_dh_tuple"] = {len(recorded(CURVE, sigma.verify_dh_tuple, (statement, proof, ctx)))}
+    assert counts == {
+        "verify_dlog": {1}, "verify_dh_tuple": {2}, "verify_bit": {4}, "verify_square": {4},
+        "verify_reencryption_link": {2}, "_recomposes": {2},
+    }
+
+
+def test_a_failed_guard_is_a_none_part(session, l1_case):
+    """A guard outside the group equations runs on real values: when it fails,
+    the check is False and its fold part None.  A failed equation is not a
+    guard: it is recorded like a true one."""
+    cfg, _, posts1, _ = session
+    table = l1_case.proof.checks(l1_case.posted, l1_case.pads, l1_case.ctx)
+    (_, (A, dlog, dlog_ctx)), *_ = _checks(protocol._round1_checks(cfg, posts1), (0, 0))
+    statement, dh, dh_ctx = _honest_dh_tuple()
+    _, (ct, h_i, bit, bit_ctx) = _checks(table, "bit")[0]
+    link, (ct_a, ct_star, *link_rest) = _checks(table, "tuple")[0]
+    q = CURVE.q
+    guarded = {
+        "dlog base off the curve": (verify_dlog, (CurvePoint(CURVE, 1, 1), dlog, dlog_ctx)),
+        "DH tuple g1 identity": (
+            sigma.verify_dh_tuple, ((CURVE.identity, *statement[1:]), dh, dh_ctx)
+        ),
+        "DH tuple h1 identity": (
+            sigma.verify_dh_tuple, ((statement[0], CURVE.identity, *statement[2:]), dh, dh_ctx)
+        ),
+        "bit d1 + d2 not the challenge": (
+            sigma.verify_bit, (ct, h_i, dataclasses.replace(bit, d1=(bit.d1 + 1) % q), bit_ctx)
+        ),
+        "link first components differ": (
+            link, (ct_a, dataclasses.replace(ct_star, A=ct_star.A * CURVE.g), *link_rest)
+        ),
+        "round-1 post of the wrong dimension": (protocol._refused, ()),
+    }
+    for what, (verify, args) in guarded.items():
+        assert not verify(CURVE, *args), what
+        assert recorded(CURVE, verify, args) is None, what
+    forged = DlogProof(dlog.K, (dlog.s + 1) % q)
+    assert not verify_dlog(CURVE, A, forged, dlog_ctx)
+    assert len(recorded(CURVE, verify_dlog, (A, forged, dlog_ctx))) == 1
 
 
 @pytest.mark.parametrize("group", [groups.toy_group(), MOD, CURVE], ids=lambda g: g.group_id)

@@ -395,11 +395,14 @@ def test_mod_multi_exp_matches_product_of_powers(group):
 
 
 def test_mod_multi_exp_skips_zero_exponents(monkeypatch):
-    # the curve rule too: a term whose exponent is 0 mod q costs nothing
+    # the curve rule too: a term whose exponent is 0 mod q costs nothing,
+    # and a term at exponent 1 mod q is its base, with no **
     calls = []
     power = groups.ModElement.__pow__
     monkeypatch.setattr(groups.ModElement, "__pow__", lambda a, e: calls.append(e) or power(a, e))
     assert MOD.multi_exp([(MOD.g, 0), (MOD.gamma, MOD.q), (MOD.g, -MOD.q)]) is MOD.identity
+    assert MOD.multi_exp([(MOD.gamma, 0), (MOD.g, 1)]) is MOD.g
+    assert MOD.multi_exp([(MOD.g, MOD.q + 1), (MOD.gamma, 1)]) == MOD.g * MOD.gamma
     assert calls == []
 
 

@@ -1,18 +1,24 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+function or class of the package goes unused.
 
-__init__.py is the exception: its imports are the package's re-exports.  The
-check reads each module with ast alone: every name an import binds must
-appear as a name somewhere else in the module (an attribute chain counts
-through its base, so `import a.b` is used by `a.b.c`).
+__init__.py is the exception to the first: its imports are the package's
+re-exports.  The import check reads each module with ast alone: every name
+an import binds must appear as a name somewhere else in the module (an
+attribute chain counts through its base, so `import a.b` is used by
+`a.b.c`).  The second check reads the whole package: every module-level
+function or class whose name starts with `_` must be named, as a name, an
+attribute or an imported name, somewhere outside its own definition.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "zorro"
-MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
+MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
 
 
 def _unused_imports(source: str) -> list:
@@ -40,3 +46,44 @@ def test_every_module_is_checked():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _names(node) -> Counter:
+    """How often each name is named below `node`: as a name, an attribute or
+    a name imported from a module."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def _unreferenced_privates(sources: dict) -> list:
+    """The module-level `_` functions and classes of `sources` (module name
+    -> source) that nothing outside their own definition names."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and everywhere[node.name] == _names(node)[node.name]
+    )
+
+
+def test_the_check_finds_an_unreferenced_private():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _recursive(n):\n    return _recursive(n - 1)\n",
+        "b": "from a import _used\n\nclass _Spare:\n    pass\n",
+    }
+    assert _unreferenced_privates(sources) == ["a._recursive", "b._Spare"]
+
+
+def test_every_private_function_and_class_is_referenced():
+    assert _unreferenced_privates({path.stem: path.read_text() for path in PACKAGE}) == []
