@@ -25,8 +25,8 @@ its base.
 
 Curve points are affine at rest: ``*``, ``==``, hashing and the codec see
 (x, y).  Only ``multi_exp`` works in Jacobian coordinates (X, Y, Z) ~
-(X/Z^2, Y/Z^3), with the a = 0 formulas dbl-2009-l, madd-2007-bl and
-add-2007-bl of Bernstein and Lange's Explicit-Formulas Database:
+(X/Z^2, Y/Z^3), with the a = 0 formulas dbl-2009-l and madd-2007-bl of
+Bernstein and Lange's Explicit-Formulas Database:
 
   * GLV (Gallant-Lambert-Vanstone): secp256k1 has the endomorphism
     (x, y) -> (beta * x, y) = lam * P, so each variable-base scalar splits
@@ -40,11 +40,15 @@ add-2007-bl of Bernstein and Lange's Explicit-Formulas Database:
       (Montgomery) inversion;
     - one loop shares ~128 doublings among every half and adds one table
       entry per nonzero digit.
-  * From 64 variable bases on, as in a fold (Pippenger): each half's
+  * From 32 variable bases on, as in a fold (Pippenger): each half's
     signed radix-2^c digits, c about log2(halves) - 3, drop its point into
-    one of 2^(c-1) buckets per window, and each window's sum_i i * bucket_i
-    comes from two running sums.  No tables are built, and ~128 doublings
-    are shared as in Straus.
+    one of 2^(c-1) buckets per window.  The buckets are summed in affine
+    coordinates, level by level across the buckets of several windows, and
+    each window's sum_i i * bucket_i comes from two running sums taken in
+    lockstep across the windows; each level and each step shares one
+    inversion (Montgomery's simultaneous inversion), so an addition costs ~6
+    field multiplications.  No tables are built, and ~128 doublings combine
+    the windows.
   * Powers of the generator g are summed and added after the loop through a
     table of 17 rows x 128 multiples d * 256^i * g (Brickell-Gordon-McCurley-
     Wilson), built on g's first use, so they need no doublings.  The sum is
@@ -282,7 +286,8 @@ class CurvePoint:
 _G_ROWS = 17  # the g table: 8-bit signed digits of a GLV half below 2^129, and a carry
 _TABLE = 8  # P, 3P, ..., 15P: the odd multiples a width-5 wNAF digit selects
 _J_IDENTITY = (1, 1, 0)  # any Z = 0 triple is the identity
-_BUCKETS_FROM = 64  # variable bases from which multi_exp uses buckets, not Straus
+_BUCKETS_FROM = 32  # variable bases from which multi_exp uses buckets, not Straus
+_BUCKET_BATCH = 2048  # about how many bucket points _buckets sums at once, in whole windows
 
 
 def _jdouble(X, Y, Z, p):
@@ -314,29 +319,6 @@ def _jmadd(X1, Y1, Z1, x2, y2, p):
     X3 = (r * r - J - 2 * V) % p
     t = Z1 + H
     return X3, (r * (V - X3) - 2 * Y1 * J) % p, (t * t - Z1Z1 - HH) % p
-
-
-def _jadd(X1, Y1, Z1, X2, Y2, Z2, p):
-    """add-2007-bl: (X1, Y1, Z1) + (X2, Y2, Z2), for every pair of inputs."""
-    if Z2 == 0:
-        return X1, Y1, Z1
-    if Z1 == 0:
-        return X2, Y2, Z2
-    Z1Z1 = Z1 * Z1 % p
-    Z2Z2 = Z2 * Z2 % p
-    U1 = X1 * Z2Z2 % p
-    S1 = Y1 * Z2 * Z2Z2 % p
-    H = (X2 * Z1Z1 - U1) % p
-    r = 2 * (Y2 * Z1 * Z1Z1 - S1) % p
-    if H == 0:
-        # same x: the points are equal (r = 0) or inverse
-        return _jdouble(X1, Y1, Z1, p) if r == 0 else _J_IDENTITY
-    I = 4 * H * H % p
-    J = H * I % p
-    V = U1 * I % p
-    X3 = (r * r - J - 2 * V) % p
-    t = Z1 + Z2
-    return X3, (r * (V - X3) - 2 * S1 * J) % p, (t * t - Z1Z1 - Z2Z2) * H % p
 
 
 def _jmultiples(x, y, count, p):
@@ -384,6 +366,44 @@ def _to_affine(jac, p):
         inv = inv * Z % p
         zi2 = zi * zi % p
         out[j] = (X * zi2 % p, Y * zi2 * zi % p)
+    return out
+
+
+def _affine_sums(left, right, p):
+    """[P + Q for P, Q in zip(left, right)] of affine points, None the identity,
+    with one inversion.
+
+    Montgomery's trick, as in _to_affine: invert the product of every slope
+    denominator, then peel off each one from the last.  A pair with equal x
+    is P + P, with the tangent slope, or P + (-P) = None; no point has y = 0
+    on a curve of odd order.
+    """
+    prefix = []
+    acc = 1
+    for P, Q in zip(left, right):
+        if P and Q:
+            prefix.append(acc)
+            acc = acc * (Q[0] - P[0] or 2 * P[1]) % p
+    inv = pow(acc, -1, p)
+    out = []
+    for P, Q in zip(reversed(left), reversed(right)):
+        if not (P and Q):
+            out.append(P or Q)
+            continue
+        (x1, y1), (x2, y2) = P, Q
+        den = x2 - x1 or 2 * y1
+        s = inv * prefix.pop() % p  # 1 / den
+        inv = inv * den % p
+        if x1 != x2:
+            s = (y2 - y1) * s % p
+        elif y1 == y2:
+            s = 3 * x1 * x1 * s % p
+        else:
+            out.append(None)
+            continue
+        x3 = (s * s - x1 - x2) % p
+        out.append((x3, (s * (x1 - x3) - y1) % p))
+    out.reverse()
     return out
 
 
@@ -483,12 +503,13 @@ class CurveGroup(Group):
 
         Each variable base P is split by GLV into two ~128-bit powers of P
         and lam * P.  Below _BUCKETS_FROM variable bases they are summed by
-        _straus, from that many on by _buckets.  Powers of g are summed and
-        added afterwards through the g table, with no doublings: the sum is
-        split by GLV too, and each half's signed radix-256 digits d select
-        row entries |d| * 256^i * g (x scaled by beta for the lam half, y
-        negated for a negative digit or half), ~34 mixed additions in all.
-        One final inversion returns an affine point.
+        _straus, from that many on by _buckets, where Straus's tables and
+        Jacobian additions cost more than affine bucket sums.  Powers of g
+        are summed and added afterwards through the g table, with no
+        doublings: the sum is split by GLV too, and each half's signed
+        radix-256 digits d select row entries |d| * 256^i * g (x scaled by
+        beta for the lam half, y negated for a negative digit or half), ~34
+        mixed additions in all.  One final inversion returns an affine point.
         """
         p, q = self.p, self.q
         g_e = 0
@@ -546,14 +567,20 @@ class CurveGroup(Group):
         return X, Y, Z
 
     def _buckets(self, bases, scalars):
-        """What _straus returns, by bucket accumulation (Pippenger).
+        """What _straus returns, by bucket accumulation (Pippenger) with
+        affine bucket sums.
 
         Every nonzero half k of P (or lam * P) becomes the affine point
         sign(k) * P and the radix-2^c signed digits of |k|, c about
-        log2(halves) - 3.  Window by window from the top, the accumulator is
-        doubled c times, each point is added into the bucket of its digit
-        (a negative digit adds its negation), and sum_i i * bucket_i is
-        added from two running sums.  No tables are built.
+        log2(halves) - 3.  A digit d of window w drops the point, negated
+        for d < 0, into bucket |d| of window w.  The points of each bucket
+        are summed pairwise, one level at a time across every bucket of a
+        batch of whole windows (about _BUCKET_BATCH points, which bounds
+        the intermediate sums held at once).  The windows' sum_i i * bucket_i
+        come from two running sums, a bucket at a time in every window
+        together.  Each level and each step is one _affine_sums, so one
+        inversion.  The window sums are then combined from the top, c
+        Jacobian doublings apart.  No tables are built.
         """
         p = self.p
         points, magnitudes = [], []
@@ -563,22 +590,39 @@ class CurveGroup(Group):
                     points.append((x, base.y if k > 0 else p - base.y))
                     magnitudes.append(abs(k))
         c = max(4, len(points).bit_length() - 3)
+        half = 1 << (c - 1)
         digits = [_signed_digits(k, c) for k in magnitudes]
+        windows = max(map(len, digits), default=0)
+        buckets = [[] for _ in range(windows * half)]  # digit d of window w: w * half + |d| - 1
+        for point, row in zip(points, digits):
+            negated = (point[0], p - point[1])
+            for w, d in enumerate(row):
+                if d:
+                    buckets[w * half + abs(d) - 1].append(point if d > 0 else negated)
+        batch = max(1, _BUCKET_BATCH // len(points)) * half  # whole windows
+        for first in range(0, len(buckets), batch):
+            level = [b for b in buckets[first:first + batch] if len(b) > 1]
+            while level:
+                sums = _affine_sums(
+                    [P for b in level for P in b[:-1:2]], [Q for b in level for Q in b[1::2]], p
+                )
+                j = 0
+                for b in level:
+                    pairs = len(b) >> 1
+                    b[:] = [s for s in sums[j:j + pairs] if s] + b[2 * pairs:]
+                    j += pairs
+                level = [b for b in level if len(b) > 1]
+        running = totals = [None] * windows
+        for i in range(half - 1, -1, -1):
+            running = _affine_sums(running, [b[0] if b else None for b in buckets[i::half]], p)
+            totals = _affine_sums(totals, running, p)
         X, Y, Z = _J_IDENTITY
-        for w in range(max(map(len, digits), default=0) - 1, -1, -1):
+        for total in reversed(totals):
             if Z:
                 for _ in range(c):
                     X, Y, Z = _jdouble(X, Y, Z, p)
-            buckets = [_J_IDENTITY] * ((1 << (c - 1)) + 1)
-            for (x, y), row in zip(points, digits):
-                d = row[w] if w < len(row) else 0
-                if d:
-                    buckets[abs(d)] = _jmadd(*buckets[abs(d)], x, y if d > 0 else p - y, p)
-            running = total = _J_IDENTITY
-            for bucket in reversed(buckets[1:]):
-                running = _jadd(*running, *bucket, p)
-                total = _jadd(*total, *running, p)
-            X, Y, Z = _jadd(X, Y, Z, *total, p)
+            if total:
+                X, Y, Z = _jmadd(X, Y, Z, *total, p)
         return X, Y, Z
 
     def contains(self, a) -> bool:

@@ -2,8 +2,8 @@
 plus the post-tally computations that turn aggregated vectors back into
 model quantities.
 
-Counting reductions (voting, LDA count matrices, decision-tree and naive
-Bayes statistics) are exact and carry an L1 policy: entries are counts, so
+Counting reductions (LDA count matrices, decision-tree and naive Bayes
+statistics) are exact and carry an L1 policy: entries are counts, so
 non-negativity and a total cap are the right validity conditions.  Numeric
 reductions carry an L2 policy bounding each party's pull on the model: least
 squares floor-quantises its data at scale 1 (integer data passes unchanged),
@@ -20,30 +20,12 @@ from .errors import (
     BoundExceeded,
     CapExceeded,
     EmptyDataset,
-    IllegalBallot,
     NegativeCount,
     ShapeMismatch,
     SingularGram,
     ZeroClassCount,
 )
 from .rangeproof import BoundPolicy
-
-# -- cumulative voting --------------------------------------------------------
-
-
-def encode_ballot(ballot, B: int):
-    """Votes per candidate for a voter holding a budget of B - 1 votes.
-
-    Legal ballots are non-negative with total under B; the encoding is the
-    identity plus an L1(B-1) policy.
-    """
-    votes = [int(v) for v in ballot]
-    if any(v < 0 for v in votes):
-        raise IllegalBallot("negative votes are not allowed")
-    if sum(votes) >= B:
-        raise IllegalBallot(f"ballot spends {sum(votes)} votes, budget is {B - 1}")
-    return votes, BoundPolicy.l1(B - 1)
-
 
 # -- count matrices (LDA sync, ID3 / naive Bayes statistics) -------------------
 

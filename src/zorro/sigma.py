@@ -345,9 +345,11 @@ class BitProof(Record):
 
 def _bit_branch(group, x, y, pk, bit: int, d: int, r: int):
     """(g^r * x^d, pk^r * (y / g^bit)^d): the commitments of the branch claiming
-    `bit` that response r answers under branch challenge d."""
-    y_bit = y / group.g if bit else y
-    return group.multi_exp(((group.g, r), (x, d))), group.multi_exp(((pk, r), (y_bit, d)))
+    `bit` that response r answers under branch challenge d.  For bit 1 the
+    second is stated as pk^r * y^d * g^-d, so a fold merges its bases into the
+    y and g it already holds, and no quotient y / g is computed."""
+    b_terms = ((pk, r), (y, d), (group.g, -d % group.q)) if bit else ((pk, r), (y, d))
+    return group.multi_exp(((group.g, r), (x, d))), group.multi_exp(b_terms)
 
 
 def prove_bit(

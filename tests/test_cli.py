@@ -300,7 +300,7 @@ def test_verify_prints_the_tally_from_the_ledger_alone(vote_ledger, capsys):
 
 
 def test_verify_does_not_import_numpy(vote_ledger):
-    # only vote and the demos need numpy; importing the CLI and verifying a
+    # only the demos need numpy; importing the CLI and verifying a
     # ledger in a fresh interpreter must not load it
     script = (
         "import sys, zorro.cli\n"

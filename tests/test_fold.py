@@ -737,8 +737,8 @@ def test_ledger_fold_weights_cover_every_post(session, monkeypatch):
 # per pinned ledger: its ledger-fold equation count and the SHA-256 of, equation
 # by equation, u32(term count) then each term as fold_weights encodes it
 LEDGER_FOLD_DIGESTS = {
-    "l1": (72, "155d7f5f23c67f3fcab9c5bdc620801490fc23e69b3f94b30ef0c121b0f0d591"),
-    "l2": (72, "921ad5f49612504ba11c687e7ece951b9eac7e2ddf5f7ff174a4d0ad0236ccb5"),
+    "l1": (72, "fd166bb7968912fe70425feec6d4b8ff293c8265c87a8cc419bedae66e9cb256"),
+    "l2": (72, "f65cf9f71228b430cfb2bdf7cf345c2523009ebe3acf985a0e828e55d97affd2"),
 }
 
 
@@ -754,6 +754,41 @@ def test_ledger_fold_equations_are_pinned(l1_ledger, l2_ledger, kind):
         for base, e in terms:
             h.update(CURVE.encode_element(base) + CURVE.encode_scalar(e))
     assert (len(equations), h.hexdigest()) == LEDGER_FOLD_DIGESTS[kind]
+
+
+@pytest.fixture(scope="module")
+def vote_ledger():
+    """An honest secp256k1 session shaped like a vote: n = 3, m = 4, l1 bound 4."""
+    return _session_ledger(BoundPolicy.l1(4), [[1, 0, 2, 0], [0, 1, 1, 1], [3, 0, 0, 1]], 90)
+
+
+def test_vote_ledger_fold_has_357_variable_bases(vote_ledger):
+    """Each bit-1 branch is stated over y and g, which the fold already holds,
+    so it adds no y / g base: g and 357 variable bases, not 402.  The fold,
+    several batches of bucket windows, holds."""
+    cfg, _, posts1, posts2, _ = vote_ledger
+    parts = protocol._ledger_parts(cfg, posts1, posts2)
+    bases = {base for part in parts for terms in part for base, _ in terms}
+    assert CURVE.g in bases and len(bases) - 1 == 357
+    assert fold_holds(CURVE, parts)
+
+
+def test_tampered_vote_ledger_fails_the_bucket_fold(vote_ledger, monkeypatch):
+    """One bit-1 response off by one on a ledger folded through buckets: the
+    fold fails, and the rejection names the party and check of the
+    sequential path."""
+    cfg, _, posts1, posts2, _ = vote_ledger
+    bundle = posts2[2].bundle
+    rows = list(bundle.element_digit_proofs)
+    rows[3] = _replace_bit(rows[3], 0, r2=(rows[3][0].r2 + 1) % CURVE.q)
+    forged = dataclasses.replace(bundle, element_digit_proofs=tuple(rows))
+    ledger = _ledger(cfg, posts1, [*posts2[:2], dataclasses.replace(posts2[2], bundle=forged)])
+    sizes, buckets = [], CURVE._buckets
+    monkeypatch.setattr(CURVE, "_buckets", lambda bases, scalars: sizes.append(len(bases))
+                        or buckets(bases, scalars))
+    verdict, folds = _agrees(cfg, ledger, monkeypatch)
+    assert verdict[1:3] == (2, "bit") and folds == [False]
+    assert sizes and max(sizes) >= groups._BUCKETS_FROM
 
 
 def _honest_dh_tuple():

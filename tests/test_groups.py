@@ -291,18 +291,21 @@ def test_g_merged_with_many_bases(path):
         assert CURVE.multi_exp(pairs) == affine_pow(CURVE.g, total), k
 
 
-def test_jacobian_add_edge_branches():
+def test_affine_sums_edge_branches():
     p, x, y = CURVE.p, HASHED.x, HASHED.y
-    P5 = (x * 25 % p, y * 125 % p, 5)  # HASHED with Z = 5
-    P7 = (x * 49 % p, y * 343 % p, 7)  # HASHED with Z = 7
-    minus = (x * 49 % p, -y * 343 % p, 7)
-    assert to_affine(*groups._jadd(*P5, *P7, p)) == HASHED * HASHED  # P + P doubles
-    assert to_affine(*groups._jadd(*P5, *minus, p)) == CURVE.identity  # P + (-P)
-    assert groups._jadd(*groups._J_IDENTITY, *P7, p) == P7
-    assert groups._jadd(*P7, *groups._J_IDENTITY, p) == P7
     Q = CURVE.g ** 7
-    Q3 = (Q.x * 9 % p, Q.y * 27 % p, 3)
-    assert to_affine(*groups._jadd(*P5, *Q3, p)) == HASHED * Q
+    lam_P = (CURVE.beta * x % p, y)  # lam * HASHED: another x, the same y
+    left = [(x, y), (x, y), None, (x, y), None, (x, y), (x, y)]
+    right = [(x, y), (x, p - y), (x, y), None, None, (Q.x, Q.y), lam_P]
+    sums = [s and groups.CurvePoint(CURVE, *s) for s in groups._affine_sums(left, right, p)]
+    assert sums == [
+        HASHED * HASHED,  # P + P doubles
+        None,  # P + (-P)
+        HASHED, HASHED, None,  # the identity on either side, or both
+        HASHED * Q,
+        HASHED * groups.CurvePoint(CURVE, *lam_P),
+    ]
+    assert groups._affine_sums([], [], p) == []
 
 
 def test_mixed_add_edge_branches():
@@ -408,6 +411,71 @@ def test_mod_multi_exp_skips_zero_exponents(monkeypatch):
 
 CURVE_BASES = sorted(BASES)
 CURVE_MANY = [CURVE.g ** (1000 + k) for k in range(80)]
+
+
+def _lam(P):
+    """lam * P, as the GLV endomorphism gives it: (beta * x, y)."""
+    return groups.CurvePoint(CURVE, CURVE.beta * P.x % CURVE.p, P.y)
+
+
+def _bucket_cases():
+    """Terms (log of the base to g, base, exponent) over at least
+    _BUCKETS_FROM variable bases, each case reaching an edge of the affine
+    bucket sums: equal x in one bucket, or a window with nothing left."""
+    q, lam, rng = CURVE.q, CURVE.lam, random.Random(32)
+    many = [(1000 + j, P) for j, P in enumerate(CURVE_MANY[:40])]
+    cases = {}
+    # one base twice at one exponent lands twice in each of its buckets: P + P
+    cases["repeated bases"] = [(a, P, e) for a, P in many for e in [rng.randrange(q)] * 2]
+    cases["repeated bases"] += [(a, P, rng.randrange(q)) for a, P in many[:8]]
+    # P and -P at one exponent cancel in each bucket: P + (-P)
+    cases["negations"] = [
+        term for a, P in many for e in [rng.randrange(q)]
+        for term in ((a, P, e), (-a, P.inverse(), e if a % 2 else rng.randrange(q)))
+    ]
+    # lam * P = (beta * x, y) at P's lam half k2 shares its buckets (P + P),
+    # and at -k2 cancels it (P + (-P))
+    cases["lam halves"] = []
+    for a, P in many:
+        e = rng.randrange(q)
+        k2 = CURVE._glv_split(e)[1]
+        cases["lam halves"] += [(a, P, e), (a * lam, _lam(P), k2 if a % 2 else -k2)]
+    cases["identity bases"] = [(a, P, rng.randrange(q)) for a, P in many]
+    cases["identity bases"] += [(0, CURVE.identity, e) for e in (1, 5, q - 1, 2**200)]
+    # every window's buckets cancel: the identity
+    cases["all windows cancel"] = [
+        term for a, P in many for e in [rng.randrange(q)]
+        for term in ((a, P, e), (-a, P.inverse(), e))
+    ]
+    # exponents below 2^128 are one half each; equal low 64 bits cancel the
+    # low windows, and exponents below 2^16 leave the high windows to pairs
+    # that cancel
+    cases["low windows cancel"] = [
+        term for a, P in many for e in [rng.getrandbits(120)]
+        for term in ((a, P, e), (-a, P.inverse(), e + (rng.getrandbits(50) << 64)))
+    ]
+    cases["high windows cancel"] = [(a, P, rng.getrandbits(16)) for a, P in many[:20]] + [
+        term for a, P in many[20:] for e in [rng.getrandbits(128)]
+        for term in ((a, P, e), (-a, P.inverse(), e))
+    ]
+    return cases
+
+
+BUCKET_CASES = _bucket_cases()
+
+
+@pytest.mark.parametrize("case", BUCKET_CASES)
+@pytest.mark.parametrize("batch", ["all windows", "one window"])
+def test_curve_multi_exp_on_bucket_edges_matches_affine_oracle(case, batch, monkeypatch):
+    if batch == "one window":
+        monkeypatch.setattr(groups, "_BUCKET_BATCH", 1)
+    terms, q = BUCKET_CASES[case], CURVE.q
+    pairs = [(P, e) for _, P, e in terms]
+    assert len({P for P, e in pairs if e % q and not P.is_identity}) >= groups._BUCKETS_FROM
+    expected = affine_pow(CURVE.g, sum(a * e for a, _, e in terms))
+    assert CURVE.multi_exp(pairs) == expected, case
+    if case == "all windows cancel":
+        assert CURVE.multi_exp(pairs) is CURVE.identity
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)

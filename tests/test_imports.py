@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and no private
-function or class of the package goes unused.
+"""No module of the package imports a name it never uses, no private
+function or class of the package goes unused, and `zorro vote` runs without
+numpy.
 
 __init__.py is the exception to the first: its imports are the package's
 re-exports.  The import check reads each module with ast alone: every name
@@ -11,7 +12,10 @@ attribute or an imported name, somewhere outside its own definition.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -87,3 +91,21 @@ def test_the_check_finds_an_unreferenced_private():
 
 def test_every_private_function_and_class_is_referenced():
     assert _unreferenced_privates({path.stem: path.read_text() for path in PACKAGE}) == []
+
+
+def test_vote_does_not_import_numpy(tmp_path):
+    # numpy is for the demos' encoders; a vote session in a fresh interpreter
+    # must not load it
+    ballots = tmp_path / "ballots.csv"
+    ballots.write_text("1,2\n3,0\n0,1\n")
+    argv = ["vote", str(ballots), "--bound", "4", "--ledger", str(tmp_path / "vote.ledger")]
+    script = (
+        "import sys, zorro.cli\n"
+        f"assert zorro.cli.main({argv!r}) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["candidate 0: 4 votes", "candidate 1: 3 votes"]

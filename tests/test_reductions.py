@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from zorro.cli import encode_ballot
 from zorro.errors import (
     BoundExceeded,
     CapExceeded,
@@ -21,7 +22,6 @@ from zorro.reductions import (
     compute_entropy,
     compute_gain,
     decode_counts,
-    encode_ballot,
     encode_cf_gradient,
     encode_counts,
     encode_regression,
