@@ -167,12 +167,10 @@ def _random_vector(policy: BoundPolicy, m: int, rng) -> list:
     if m < 1:
         return []  # the session refuses the dimension
     if policy.kind == "l1":
-        budget = policy.B
-        vec = [0] * m
-        for _ in range(budget):
-            if rng.random() < 0.7:
-                vec[rng.randrange(m)] += 1
-        return vec
+        # a total in [0, B], cut into m non-negative parts at m - 1 sorted points
+        total = rng.randint(0, policy.B)
+        cuts = sorted(rng.randint(0, total) for _ in range(m - 1))
+        return [hi - lo for lo, hi in zip([0, *cuts], [*cuts, total])]
     if policy.kind == "l2":
         cap = max(1, int(policy.B / max(1, m) ** 0.5))
         return [rng.randrange(cap + 1) for _ in range(m)]

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -328,7 +329,7 @@ def test_verify_maps_tally_failure_to_proof_rejection(vote_ledger, capsys, monke
 @pytest.mark.parametrize(
     "check, bound, digest, size, totals",
     [
-        ("l1", "4", "3379591361db2096fe6a0db622630e8a9c2d586ba70452ff44614266555fa143", 5228, "4,4"),
+        ("l1", "4", "6159a45c7e873e2403385daee483142835332915e56f500536234e9720b33d22", 5228, "2,2"),
         ("l2", "9", "1687111bb850b17979bb141c6fd23314c138eaa724004bc0b674bdff72b10cb3", 7568, "4,7"),
     ],
 )
@@ -353,10 +354,10 @@ def test_golden_secp256k1_ledger_bytes(tmp_path, capsys):
          "--check", "l1", "--bound", "4", "--ledger", str(path)]
     )
     assert code == EXIT_OK
-    assert capsys.readouterr().out == "tally: 4,4\n"
+    assert capsys.readouterr().out == "tally: 2,2\n"
     raw = path.read_bytes()
     assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
-        22974, "21d7cda27ebd46ad3a0a8dfcbb00593ca8a50f0e0236baf03ffa2e96b80c753a"
+        22974, "0e25c9b5dc9e71f745c05e8b91b6936f2413345f1da9a83f512ba5ca71a9575a"
     )
 
 
@@ -478,8 +479,8 @@ def test_aggregate_refuses_a_bound_beyond_u64(tmp_path, capsys):
 
 
 def test_aggregate_refuses_its_config_before_drawing_vectors(tmp_path, capsys, monkeypatch):
-    # the l1 draw takes one rng.random() per unit of bound: this ran for
-    # minutes at 2^63 before the session refused the bound
+    # the session refuses its config before any vector is drawn: an l1 draw
+    # of one rng.random() per unit of bound ran for minutes at 2^63 first
     def draw(*args):
         raise AssertionError("vectors drawn for a config the session refuses")
 
@@ -491,6 +492,18 @@ def test_aggregate_refuses_its_config_before_drawing_vectors(tmp_path, capsys, m
     assert code == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == "" and "baby steps" in captured.err
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_random_l1_vector_is_drawn_in_order_m(m):
+    # one rng.random() per unit of bound took 4.9 s at B = 10^7
+    policy, rng = BoundPolicy.l1(10**7), random.Random(m)
+    start = time.perf_counter()
+    vectors = [cli._random_vector(policy, m, rng) for _ in range(50)]
+    assert time.perf_counter() - start < 1
+    for vec in vectors:
+        assert len(vec) == m and min(vec) >= 0 and sum(vec) <= policy.B
+    assert len({sum(vec) for vec in vectors}) > 1
 
 
 def test_verify_rejects_a_header_bound_beyond_u64(tmp_path, capsys):
