@@ -1,8 +1,8 @@
 """Append-only hash-chained bulletin board.
 
 One ledger holds one session.  The file format is line oriented and
-human-inspectable: a JSON header naming group, session and protocol shape,
-then one entry per line
+human-inspectable: a JSON header naming the format (FORMAT), group, session
+and protocol shape, then one entry per line
 
     <seq> <round> <party> <prev_hash> <entry_hash> <payload_hex>
 
@@ -10,6 +10,10 @@ with lowercase hex throughout.  Entry hashes chain over the exact header
 bytes and each entry's canonical encoding, so flipping any persisted byte
 breaks the chain at an identifiable seq.  The in-memory form is the same
 object without a path.
+
+Format 2 posts nothing a verifier can derive (see protocol and rangeproof).
+There is one reader: a file of any other format, format 1 included, is
+refused as unreadable, naming its format.
 """
 
 import hashlib
@@ -19,6 +23,8 @@ from dataclasses import dataclass
 
 from .encoding import pack_u8, pack_u32, pack_u64
 from .errors import ChainBroken, DuplicatePost, MalformedEncoding
+
+FORMAT = "zorro-ledger/2"
 
 _LINE_RE = re.compile(
     r"^(0|[1-9][0-9]*) ([12]) (0|[1-9][0-9]*) ([0-9a-f]{64}) ([0-9a-f]{64}) ((?:[0-9a-f]{2})*)$"
@@ -37,7 +43,7 @@ class LedgerHeader:
     def to_line(self) -> str:
         return json.dumps(
             {
-                "format": "zorro-ledger/1",
+                "format": FORMAT,
                 "group": self.group_id,
                 "session": self.session.hex(),
                 "n": self.n,
@@ -52,8 +58,8 @@ class LedgerHeader:
     def from_line(cls, line: str) -> "LedgerHeader":
         """Parse a header line; only the exact bytes `to_line` writes are accepted."""
         obj = json.loads(line)
-        if obj.get("format") != "zorro-ledger/1":
-            raise MalformedEncoding("not a zorro ledger file")
+        if obj.get("format") != FORMAT:
+            raise MalformedEncoding(f"unsupported ledger format {obj.get('format')!r}, not {FORMAT}")
         n, m, bound = obj["n"], obj["m"], obj["policy"]["bound"]
         if any(type(v) is not int for v in (n, m, bound)):  # int() of 1e400 would overflow
             raise MalformedEncoding("n, m and the policy bound must be JSON integers")

@@ -9,11 +9,13 @@ keys
 which satisfy prod_i h_ij^(x_ij) = 1 for every slot j.
 
 Round 2: party i posts E[T_ij] = (g^(x_ij), g^(T_ij) h_ij^(x_ij)) - the same
-x_ij, which verify_ledger checks - plus the validity bundle its policy
-demands.  The slot-wise product of all posted second components collapses to
-g^(sum T_ij), and a baby-step/giant-step search over the policy window
-recovers the sum.  No decryption key exists: the "key" cancels only when all
-n posts multiply.
+x_ij - plus the validity bundle its policy demands.  Only the second
+component goes on the wire: the first is the party's round-1 element, which
+a reader takes from round 1 (Round2Post.from_bytes), so a contribution
+cannot carry an exponent other than its round-1 one.  The slot-wise product
+of all posted second components collapses to g^(sum T_ij), and a
+baby-step/giant-step search over the policy window recovers the sum.  No
+decryption key exists: the "key" cancels only when all n posts multiply.
 
 A party that completes round 1 but never posts round 2 leaves the pads
 uncancellable; tally() then fails naming the culprit, and the session must
@@ -141,6 +143,8 @@ _BUNDLE_KINDS = (type(None), L1RangeProof, L2RangeProof)
 
 @dataclass(frozen=True)
 class Round2Post:
+    """A contribution: whole ciphertexts in memory, only each B on the wire."""
+
     party: int
     cts: tuple
     bundle: object  # L1RangeProof | L2RangeProof | None
@@ -148,15 +152,20 @@ class Round2Post:
     def to_bytes(self, group) -> bytes:
         kind = _BUNDLE_KINDS.index(type(self.bundle))
         return put(
-            group, b"\x12", pack_u32(self.party), pack_u32(len(self.cts)), self.cts,
-            pack_u8(kind), self.bundle.to_bytes(group) if kind else b"",
+            group, b"\x12", pack_u32(self.party), pack_u32(len(self.cts)),
+            tuple(ct.B for ct in self.cts), pack_u8(kind),
+            self.bundle.to_bytes(group) if kind else b"",
         )
 
     @classmethod
-    def from_bytes(cls, group, data: bytes) -> "Round2Post":
+    def from_bytes(cls, group, data: bytes, elements) -> "Round2Post":
+        """Decode a post whose party posted `elements` in round 1: element j
+        is the first component of ciphertext j, and the slot counts must agree."""
         r = Reader(data)
         party, m = _read_post_head(r, 0x12, "round-2 post")
-        cts = read_many(group, r, m, Ciphertext)
+        if m != len(elements):
+            raise MalformedEncoding(f"{m} slots, but round 1 posted {len(elements)}")
+        cts = tuple(map(Ciphertext, elements, read_many(group, r, m, object)))
         kind = r.u8()
         if kind >= len(_BUNDLE_KINDS):
             raise MalformedEncoding(f"unknown bundle kind {kind}")
@@ -306,8 +315,9 @@ def verify_contribution(cfg: ProtocolConfig, post: Round2Post, pads):
     """Check one round-2 post against its party's pad keys.
 
     `pads` is derive_pads(cfg, round1_posts, post.party).  Returns
-    (ok, reason).  That each ciphertext reuses the party's round-1 element
-    is verify_ledger's check: the pads alone do not carry those elements.
+    (ok, reason).  Each ciphertext's first component must be the party's
+    round-1 element; a post read from a ledger has it so by construction
+    (Round2Post.from_bytes), and the pads alone do not carry those elements.
     """
     reason = _contribution_failure(cfg, post)
     if reason is not None:
@@ -344,14 +354,14 @@ def tally(cfg: ProtocolConfig, round2_posts, window: DlogWindow | None = None) -
     return tuple(totals)
 
 
-def _ledger_round(cfg: ProtocolConfig, ledger, round: int) -> list:
+def _ledger_round(cfg: ProtocolConfig, ledger, round: int, decode) -> list:
     """Decode one round of the ledger into one post per party, in party order.
 
     Every entry must sit under a party id in [0, n), be that party's only
-    entry of the round, decode, claim the party it is filed under and carry
-    m slots.
+    entry of the round, decode (decode(party, payload) raises a ZorroError
+    if not) and claim the party it is filed under; a round-1 post must
+    carry m slots, which a round-2 post's decode then requires of it.
     """
-    cls = Round1Post if round == 1 else Round2Post
     posts = {}
     for entry in ledger.read_round(round):
         party = entry.party
@@ -361,13 +371,13 @@ def _ledger_round(cfg: ProtocolConfig, ledger, round: int) -> list:
         if party in posts:
             raise LedgerRejected(party, "duplicate", f"{where}: second entry in round {round}")
         try:
-            post = cls.from_bytes(cfg.group, entry.payload)
+            post = decode(party, entry.payload)
         except ZorroError as exc:
             raise LedgerRejected(party, "malformed", f"{where} malformed: {exc}") from exc
         if post.party != party:
             raise LedgerRejected(party, "binding", f"{where}: payload claims party {post.party}")
-        dim = len(post.elements if round == 1 else post.cts)
-        if dim != cfg.m:
+        if round == 1 and len(post.elements) != cfg.m:
+            dim = len(post.elements)
             raise LedgerRejected(party, "dimension", f"{where}: {dim} slots, expected {cfg.m}")
         posts[party] = post
     for i in range(cfg.n):
@@ -396,16 +406,17 @@ def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
     """Publicly verify every post of a session ledger; anyone can run this.
 
     Checks that the header matches cfg, that each of the n parties posted
-    exactly once per round under its own id, that each ciphertext reuses its
-    round-1 element g^(x_ij) ("binding"; else the pads need not cancel),
-    that every round-1 proof holds and that every contribution proves valid
-    under its derive_pads keys.  Returns the round-2 posts in party order,
-    ready for tally().  The hash chain is the caller's to check
+    exactly once per round under its own id, that every round-1 proof holds
+    and that every contribution proves valid under its derive_pads keys.
+    Each round-2 ciphertext takes its first component from its party's
+    round-1 element g^(x_ij) as it is decoded, so it reuses that exponent by
+    construction.  Returns the round-2 posts in party order, ready for
+    tally().  The hash chain is the caller's to check
     (Ledger.verify_chain).  A failed check raises LedgerRejected naming the
-    party, the check and, where there is one, the slot; an absent post
-    raises MissingPost.  Malformed bytes never raise anything else.
+    party, the check and, where there is one, the slot or digit; an absent
+    post raises MissingPost.  Malformed bytes never raise anything else.
 
-    After the header, decode and binding checks, a folding group checks the
+    After the header and decode checks, a folding group checks the
     rest as one fold (sigma.fold_holds) of every post's check table
     (_ledger_parts); a check outside the group equations that fails
     while the parts are built fails the fold.  A failed fold, and every
@@ -415,20 +426,24 @@ def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
     """
     if ledger.header != cfg.header():
         raise LedgerRejected(None, "header", "ledger header does not match the session")
-    posts1 = _ledger_round(cfg, ledger, 1)
-    posts2 = _ledger_round(cfg, ledger, 2)
-    for post1, post2 in zip(posts1, posts2):
-        for j in range(cfg.m):
-            if post2.cts[j].A != post1.elements[j]:
-                detail = f"slot {j} does not reuse its round-1 element"
-                raise _rejected("contribution", post2.party, "binding", detail)
-    if folds(cfg.group) and fold_holds(cfg.group, _ledger_parts(cfg, posts1, posts2)):
+    group = cfg.group
+    posts1 = _ledger_round(cfg, ledger, 1, lambda party, data: Round1Post.from_bytes(group, data))
+    posts2 = _ledger_round(
+        cfg, ledger, 2,
+        lambda party, data: Round2Post.from_bytes(group, data, posts1[party].elements),
+    )
+    if folds(group) and fold_holds(group, _ledger_parts(cfg, posts1, posts2)):
         return posts2
     _check_round1(cfg, posts1)
     for post in posts2:
-        ok, reason = verify_contribution(cfg, post, derive_pads(cfg, posts1, post.party))
+        pads = derive_pads(cfg, posts1, post.party)
+        ok, reason = verify_contribution(cfg, post, pads)
         if not ok:
-            raise _rejected("contribution", post.party, reason)
+            ctx = cfg.base_context().child(b"r2", post.party)
+            where = None if post.bundle is None else rangeproof.failure_position(
+                group, post.cts, post.bundle, pads, ctx, reason
+            )
+            raise _rejected("contribution", post.party, reason, where)
     return posts2
 
 

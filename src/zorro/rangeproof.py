@@ -26,17 +26,24 @@ recompose exactly, so both recompositions are plain ciphertext equalities:
     prod_l E[b_jl]^(2^l) == E*[T_j]      for every j
     prod_j E*[T_j]       == prod_l E[sigma_l]^(2^l)
 
+An L1 bundle does not post E*[T_j]: the verifier takes it as
+(ct_j.A, prod_l E[b_jl].B^(2^l)), the posted slot's first component and the
+second component row j recomposes (one Horner chain per slot).  The first
+identity is then the one equation ct_j.A == prod_l E[b_jl].A^(2^l), and the
+link of slot j hashes and checks ct_j.B over that derived second component.
+
 The enforced bound is always the full digit range 2^L - 1; exact non-power
 bounds would need set-membership machinery that is out of scope.
 
 verify_l1 and verify_l2 check a bundle's policy and shape, then its check
 table, checks(posted_cts, pad_keys, ctx), as the sigma module describes; the
-table's labels are the reasons a rejection names.  The link and
+table's labels are the reasons a rejection names, and failure_position
+names the slot or digit of the first failing entry under one.  The link and
 recomposition checks are verifiers in sigma's form, so the fold records
-their equations as it records the sigma proofs': a link guards that ct and
-E*[t] share their first component and then checks its DH tuple, and a
-recomposition is multi_exp(cts at 1) == multi_exp(digits at 2^l), one
-equation per ciphertext component.
+their equations as it records the sigma proofs': a link checks its DH tuple
+(an L2 link first guards that the posted E*[t] has the slot's first
+component), and a recomposition is multi_exp(cts at 1) ==
+multi_exp(digits at 2^l), one equation per ciphertext component compared.
 
 Each bundle states its shape once, as runs(m, L): the item type and count
 of every field after h_i, in wire order, for m slots and L digits.  A count
@@ -190,12 +197,18 @@ def reencryption_link(group, t: int, x: int, h_pad, keypair: Keypair, ctx, rng):
     return ct_star, prove_dh_tuple(group, x, statement, ctx, rng)
 
 
-def verify_reencryption_link(group, ct: Ciphertext, ct_star: Ciphertext, h_pad, h_i, proof, ctx) -> bool:
-    """Whether ct and ct_star share A and the link proves the DH tuple
-    (g, h_pad/h_i, ct.A, ct.B/ct_star.B)."""
+def verify_reencryption_link(group, ct: Ciphertext, star_B, h_pad, h_i, proof, ctx) -> bool:
+    """Whether the link proves the DH tuple (g, h_pad/h_i, ct.A, ct.B/star_B):
+    then E*[t] = (ct.A, star_B) encrypts under h_i what ct does under h_pad."""
+    return verify_dh_tuple(group, (group.g, h_pad / h_i, ct.A, ct.B / star_B), proof, ctx)
+
+
+def _verify_posted_link(group, ct: Ciphertext, ct_star: Ciphertext, h_pad, h_i, proof, ctx) -> bool:
+    """An L2 link, whose E*[t] is posted whole: its first component must be
+    ct.A, the one the link proves, before the link is checked."""
     if ct.A != ct_star.A:
         return False
-    return verify_dh_tuple(group, (group.g, h_pad / h_i, ct.A, ct.B / ct_star.B), proof, ctx)
+    return verify_reencryption_link(group, ct, ct_star.B, h_pad, h_i, proof, ctx)
 
 
 def _prove_links(group, values, x, pad_keys, keypair, ctx, rng):
@@ -207,12 +220,13 @@ def _prove_links(group, values, x, pad_keys, keypair, ctx, rng):
     return reenc, links
 
 
-def _link_checks(posted_cts, proof, pad_keys, ctx) -> list:
-    """The link of slot j in context ctx/link/j, for every posted slot."""
-    links = enumerate(zip(posted_cts, proof.reencrypted, pad_keys, proof.links))
+def _link_checks(verify, posted_cts, stars, proof, pad_keys, ctx) -> list:
+    """verify(ct, star, h_pad, h_i, link, ctx/link/j) for every posted slot j,
+    star the slot's E*[T_j] or its second component."""
+    links = enumerate(zip(posted_cts, stars, pad_keys, proof.links))
     return [
-        (verify_reencryption_link, (ct, ct_star, h, proof.h_i, link, ctx.child(b"link", j)))
-        for j, (ct, ct_star, h, link) in links
+        (verify, (ct, star, h, proof.h_i, link, ctx.child(b"link", j)))
+        for j, (ct, star, h, link) in links
     ]
 
 
@@ -230,14 +244,23 @@ def _prove_digits(group, digits, rand, keypair, row_ctx, rng):
     return cts, proofs
 
 
-def _recomposes(group, cts, digit_cts) -> bool:
+def _recomposes(group, cts, digit_cts, parts=("A", "B")) -> bool:
     """Whether prod(cts) == prod_l E[d_l]^(2^l), the product of `cts` an
-    encryption of the number the digits spell: one equation per component."""
+    encryption of the number the digits spell: one equation per component
+    in `parts`."""
     return all(
         group.multi_exp((getattr(ct, part), 1) for ct in cts)
         == group.multi_exp((getattr(d, part), 1 << l) for l, d in enumerate(digit_cts))
-        for part in ("A", "B")
+        for part in parts
     )
+
+
+def _recomposed_B(digit_cts):
+    """prod_l E[d_l].B^(2^l), by Horner's rule from the top digit."""
+    B = digit_cts[-1].B
+    for d in reversed(digit_cts[:-1]):
+        B = B * B * d.B
+    return B
 
 
 def _bit_checks(digit_cts, digit_proofs, h_i, row_ctx) -> list:
@@ -278,6 +301,22 @@ def _verify(group, posted_cts, proof, policy, pad_keys, ctx):
     return reason is None, reason
 
 
+def failure_position(group, posted_cts, proof, pad_keys, ctx, label):
+    """Where the first failing entry under `label` of a well-shaped bundle's
+    check table sits: "slot j", "digit l" or "slot j, digit l"; None for a
+    label that is not one of its POSITIONS, or when no entry fails."""
+    kind = proof.POSITIONS.get(label)
+    if kind is None:
+        return None
+    checks = dict(proof.checks(posted_cts, pad_keys, ctx))[label]
+    k = next((k for k, (verify, args) in enumerate(checks) if not verify(group, *args)), None)
+    if k is None:
+        return None
+    if kind == "slot, digit":
+        return f"slot {k // proof.policy.L}, digit {k % proof.policy.L}"
+    return f"{kind} {k}"
+
+
 # -- bundle shape and codec ---------------------------------------------------
 
 
@@ -298,7 +337,8 @@ class Bundle:
     """A validity bundle: its policy, the prover key h_i, then the runs of
     items that its subclass lays out in runs(m, L) and tags with TAG and
     the policy KIND.  `links` holds one proof per slot, so its length is
-    the m that the wire form carries."""
+    the m that the wire form carries.  POSITIONS maps a check-table label
+    whose entries run over slots or digits to what entry k names."""
 
     policy: BoundPolicy
     h_i: object
@@ -348,6 +388,7 @@ class L2RangeProof(Bundle):
 
     TAG = 0x05
     KIND = L2
+    POSITIONS = {"tuple": "slot", "bit": "digit", "square": "slot"}
 
     @staticmethod
     def runs(m: int, L: int) -> tuple:
@@ -362,7 +403,9 @@ class L2RangeProof(Bundle):
         against the digits, the digits' bits, the squares."""
         squares = enumerate(zip(self.reencrypted, self.square_cts, self.square_proofs))
         return [
-            ("tuple", _link_checks(posted_cts, self, pad_keys, ctx)),
+            ("tuple", _link_checks(
+                _verify_posted_link, posted_cts, self.reencrypted, self, pad_keys, ctx
+            )),
             ("consistency", [(_recomposes, (self.square_cts, self.digit_cts))]),
             ("bit", _bit_checks(self.digit_cts, self.digit_proofs, self.h_i, ctx.child(b"bit"))),
             ("square", [
@@ -444,8 +487,7 @@ def verify_l2(group, posted_cts, proof: L2RangeProof, policy: BoundPolicy, pad_k
 
 @dataclass(frozen=True)
 class L1RangeProof(Bundle):
-    reencrypted: tuple        # E*[T_j]
-    links: tuple              # DH-tuple proofs
+    links: tuple              # DH-tuple proofs; E*[T_j] is derived, not posted
     element_digit_cts: tuple  # rows of E[b_jl], one row per slot
     element_digit_proofs: tuple
     sum_digit_cts: tuple      # E[sigma_l]
@@ -453,30 +495,33 @@ class L1RangeProof(Bundle):
 
     TAG = 0x06
     KIND = L1
+    POSITIONS = {"tuple": "slot", "element": "slot", "bit": "slot, digit", "sum_bit": "digit"}
 
     @staticmethod
     def runs(m: int, L: int) -> tuple:
         return (
-            (Ciphertext, m), (DhTupleProof, m), (Ciphertext, (m, L)), (BitProof, (m, L)),
+            (DhTupleProof, m), (Ciphertext, (m, L)), (BitProof, (m, L)),
             (Ciphertext, L), (BitProof, L),
         )
 
     def checks(self, posted_cts, pad_keys, ctx) -> list:
-        """The check table (sigma.first_failure): the links, each row against
-        its E*[T_j], the rows' bits, the sum against its digits, its bits."""
-        rows = zip(self.element_digit_cts, self.element_digit_proofs)
+        """The check table (sigma.first_failure): the links, each row's first
+        components against its slot's, the rows' bits, the sum against its
+        digits, its bits.  E*[T_j] is (ct_j.A, the B that row j recomposes)."""
+        rows = self.element_digit_cts
+        stars = [Ciphertext(ct.A, _recomposed_B(row)) for ct, row in zip(posted_cts, rows)]
         return [
-            ("tuple", _link_checks(posted_cts, self, pad_keys, ctx)),
-            ("element", [
-                (_recomposes, ((ct_star,), row))
-                for row, ct_star in zip(self.element_digit_cts, self.reencrypted)
-            ]),
+            ("tuple", _link_checks(
+                verify_reencryption_link, posted_cts, [star.B for star in stars], self,
+                pad_keys, ctx,
+            )),
+            ("element", [(_recomposes, ((ct,), row, ("A",))) for ct, row in zip(posted_cts, rows)]),
             ("bit", [
                 check
-                for j, (cts, proofs) in enumerate(rows)
+                for j, (cts, proofs) in enumerate(zip(rows, self.element_digit_proofs))
                 for check in _bit_checks(cts, proofs, self.h_i, ctx.child(b"bit", j))
             ]),
-            ("sum", [(_recomposes, (self.reencrypted, self.sum_digit_cts))]),
+            ("sum", [(_recomposes, (stars, self.sum_digit_cts))]),
             ("sum_bit", _bit_checks(
                 self.sum_digit_cts, self.sum_digit_proofs, self.h_i, ctx.child(b"sumbit")
             )),
@@ -515,7 +560,7 @@ def _build_l1(
 ) -> L1RangeProof:
     # digit lists are taken as given so tests can force dishonest bundles
     L = policy.L
-    reenc, links = _prove_links(group, values, x, pad_keys, keypair, ctx, rng)
+    _, links = _prove_links(group, values, x, pad_keys, keypair, ctx, rng)
     elem_cts, elem_proofs = zip(*(
         _prove_digits(
             group, digits[j], _digit_randomness(group, x[j], L, rng), keypair,
@@ -527,9 +572,7 @@ def _build_l1(
         group, sum_digits, _digit_randomness(group, sum(x) % group.q, L, rng), keypair,
         ctx.child(b"sumbit"), rng,
     )
-    return L1RangeProof(
-        policy, keypair.pk, reenc, links, elem_cts, elem_proofs, sum_cts, sum_proofs
-    )
+    return L1RangeProof(policy, keypair.pk, links, elem_cts, elem_proofs, sum_cts, sum_proofs)
 
 
 def verify_l1(group, posted_cts, proof: L1RangeProof, policy: BoundPolicy, pad_keys, ctx):

@@ -25,8 +25,8 @@ re-encryption link, whose base holds a pad key) provers evaluate on elements.
 
 A verifier states each check once, as verify(group, *args) -> bool: a
 relation verifier here, or rangeproof's link and recomposition checks.  Its
-guards outside the group equations (a challenge split, a membership or
-identity-base guard, a shared first component) run on real values, and each
+guards outside the group equations (a membership or identity-base guard,
+a shared first component) run on real values, and each
 group equation is a multi_exp compared with what it must equal, the
 computed side on the left.  Passed _Recording(group) in place of the group,
 the same verifier records its equations instead of evaluating them: there
@@ -328,7 +328,9 @@ class BitProof(Record):
     """Disjunctive Chaum-Pedersen: (x, y) encrypts 0 or encrypts 1.
 
     Branch 1 plays against (x, y) (the m=0 claim), branch 2 against
-    (x, y/g) (the m=1 claim); d1 + d2 must equal the hash challenge.
+    (x, y/g) (the m=1 claim).  The branch challenges split the hash
+    challenge c, so only d1 is posted: the verifier takes d2 = c - d1 mod q,
+    the OR-proof form of Cramer, Damgard and Schoenmakers (CRYPTO 1994).
     """
 
     TAG = 0x03
@@ -338,7 +340,6 @@ class BitProof(Record):
     a2: object
     b2: object
     d1: int
-    d2: int
     r1: int
     r2: int
 
@@ -375,18 +376,17 @@ def prove_bit(
     d_real = (c - d_sim) % group.q
     r_real = (w - r * d_real) % group.q
     if m == 0:
-        return BitProof(a1, b1, a2, b2, d_real, d_sim, r_real, r_sim)
-    return BitProof(a1, b1, a2, b2, d_sim, d_real, r_sim, r_real)
+        return BitProof(a1, b1, a2, b2, d_real, r_real, r_sim)
+    return BitProof(a1, b1, a2, b2, d_sim, r_sim, r_real)
 
 
 def verify_bit(group, ct: Ciphertext, pk, proof: BitProof, ctx: FsTranscript) -> bool:
     x, y = ct.A, ct.B
     c = ctx.challenge(group, pk, x, y, proof.a1, proof.b1, proof.a2, proof.b2)
-    if (proof.d1 + proof.d2) % group.q != c:
-        return False
+    d2 = (c - proof.d1) % group.q
     return (
         _bit_branch(group, x, y, pk, 0, proof.d1, proof.r1) == (proof.a1, proof.b1)
-        and _bit_branch(group, x, y, pk, 1, proof.d2, proof.r2) == (proof.a2, proof.b2)
+        and _bit_branch(group, x, y, pk, 1, d2, proof.r2) == (proof.a2, proof.b2)
     )
 
 

@@ -192,10 +192,11 @@ def test_criterion_03_mutation_soundness():
         for post in posts2:
             data = post.to_bytes(MOD)
             pads = parties[post.party].pads
+            elements = posts1[post.party].elements
 
-            def check_r2(payload, cfg=cfg, pads=pads):
+            def check_r2(payload, cfg=cfg, pads=pads, elements=elements):
                 try:
-                    decoded = Round2Post.from_bytes(MOD, payload)
+                    decoded = Round2Post.from_bytes(MOD, payload, elements)
                 except ZorroError:
                     return False
                 return verify_contribution(cfg, decoded, pads)[0]
@@ -408,8 +409,10 @@ def test_criterion_08_benchmark_trends(monkeypatch):
     # verification is linear in n: exact group-op counts, not wall-clock time
     small, large = _verify_group_ops(2, monkeypatch), _verify_group_ops(8, monkeypatch)
     # the mod41 op mix is pinned: multi_exp there is one ** per term plus the *,
-    # and a bit-1 branch takes g ** -d where it took y / g
-    assert small == Counter({"__pow__": 342, "__mul__": 234, "__truediv__": 16, "inverse": 16})
+    # a bit-1 branch takes g ** -d where it took y / g, and the second
+    # component of each slot's E*[T_j] is its row's Horner chain, 2(L - 1) *,
+    # where the row's second-component equation took L - 1 ** and L - 1 *
+    assert small == Counter({"__pow__": 326, "__mul__": 250, "__truediv__": 16, "inverse": 16})
     assert large == Counter({op: 4 * c for op, c in small.items()}), (small, large)
     announce(
         8,

@@ -195,8 +195,8 @@ def test_verify_rejects_entry_under_party_id_n(vote_ledger, tmp_path, capsys):
 
 
 # offset of the 8-byte bound in a round-2 l1 post with m=2 on the test group:
-# tag, party, m, two ciphertexts, bundle kind, bundle tag, policy code
-_BOUND_AT = 1 + 4 + 4 + 2 * 2 * groups.test_group().element_bytes + 1 + 1 + 1
+# tag, party, m, two second components, bundle kind, bundle tag, policy code
+_BOUND_AT = 1 + 4 + 4 + 2 * groups.test_group().element_bytes + 1 + 1 + 1
 
 
 @pytest.mark.parametrize(
@@ -221,6 +221,45 @@ def test_verify_rejects_undecodable_round2_post(vote_ledger, tmp_path, capsys, c
     _assert_rejected(path, capsys, "of party 1", "malformed")
 
 
+def test_verify_refuses_a_format_1_ledger(vote_ledger, tmp_path, capsys):
+    # format 2 has the only reader: a format-1 file is unreadable, by name
+    path = tmp_path / "v1.ledger"
+    text = vote_ledger.read_text()
+    assert '"format":"zorro-ledger/2"' in text
+    path.write_text(text.replace('"format":"zorro-ledger/2"', '"format":"zorro-ledger/1"'))
+    assert run(["verify", str(path)]) == EXIT_LEDGER
+    err = capsys.readouterr().err
+    assert err.startswith("ledger corrupt at seq 0: unreadable header")
+    assert "unsupported ledger format 'zorro-ledger/1'" in err
+
+
+@pytest.mark.parametrize("check", ["l1", "none"])
+def test_verify_rejects_a_format_1_round2_payload(tmp_path, capsys, check):
+    # party 1's round-2 post carries each ciphertext whole, A before B, as
+    # format 1 laid it out; under policy none that is the whole format-1 post
+    group = groups.test_group()
+    source = tmp_path / "source.ledger"
+    code = run(
+        ["aggregate", "--group", "test", "--parties", "3", "--dim", "2", "--seed", "11",
+         "--check", check, "--bound", "4", "--ledger", str(source)]
+    )
+    assert code == EXIT_OK
+    capsys.readouterr()
+
+    def edit(entry, entries):
+        if (entry.round, entry.party) != (2, 1):
+            return [(entry.round, entry.party, entry.payload)]
+        elements = protocol.Round1Post.from_bytes(group, _payload(entries, 1, 1)).elements
+        post = protocol.Round2Post.from_bytes(group, entry.payload, elements)
+        v2 = post.to_bytes(group)
+        cts_end = 9 + len(post.cts) * group.element_bytes
+        v1 = v2[:9] + b"".join(ct.to_bytes(group) for ct in post.cts) + v2[cts_end:]
+        return [(2, 1, v1)]
+
+    path = _rechained(source, tmp_path / "v1-payload.ledger", edit)
+    _assert_rejected(path, capsys, "round-2 entry seq 4 of party 1 malformed")
+
+
 def test_verify_names_the_slot_of_a_bad_round1_proof(vote_ledger, tmp_path, capsys):
     group = groups.test_group()
 
@@ -236,11 +275,21 @@ def test_verify_names_the_slot_of_a_bad_round1_proof(vote_ledger, tmp_path, caps
     _assert_rejected(path, capsys, "of party 2", "round1", "slot 1")
 
 
-@pytest.mark.parametrize("policy", [BoundPolicy.l1(4), BoundPolicy.none()], ids=["l1", "none"])
-def test_verify_rejects_ciphertexts_not_bound_to_round1(tmp_path, capsys, policy):
-    # party 1 encrypts under fresh exponents instead of its round-1 x_1j: every
-    # proof holds, but the pads cannot cancel.  The l1 ledger used to fail the
-    # tally naming no party, the policy-none ledger used to pass
+@pytest.mark.parametrize(
+    "policy, names",
+    [
+        (BoundPolicy.l1(4), ("of party 1", "(tuple)", "slot 0")),
+        (BoundPolicy.none(), ("tally failed at slot 0",)),
+    ],
+    ids=["l1", "none"],
+)
+def test_verify_rejects_ciphertexts_not_bound_to_round1(tmp_path, capsys, policy, names):
+    # party 1 encrypts under fresh exponents instead of its round-1 x_1j, so
+    # the pads cannot cancel.  A reader takes each A from round 1, so only
+    # party 1's B's carry the fresh exponents: its l1 links, proved over the
+    # fresh A's, fail from slot 0.  Under policy none no proof binds B, so
+    # only the tally fails; a check on a posted A caught only a cheater who
+    # also posted its fresh A
     group = groups.test_group()
     cfg = protocol.ProtocolConfig(group, 3, 2, policy, bytes(range(16)))
     parties = [protocol.Party(cfg, i, random.Random(i)) for i in range(3)]
@@ -258,7 +307,7 @@ def test_verify_rejects_ciphertexts_not_bound_to_round1(tmp_path, capsys, policy
     for round, posts in ((1, posts1), (2, posts2)):
         for post in posts:
             ledger.append(round, post.party, post.to_bytes(group))
-    _assert_rejected(str(path), capsys, "of party 1", "(binding)", "slot 0")
+    _assert_rejected(str(path), capsys, *names)
 
 
 @pytest.mark.parametrize(
@@ -329,8 +378,8 @@ def test_verify_maps_tally_failure_to_proof_rejection(vote_ledger, capsys, monke
 @pytest.mark.parametrize(
     "check, bound, digest, size, totals",
     [
-        ("l1", "4", "6159a45c7e873e2403385daee483142835332915e56f500536234e9720b33d22", 5228, "2,2"),
-        ("l2", "9", "1687111bb850b17979bb141c6fd23314c138eaa724004bc0b674bdff72b10cb3", 7568, "4,7"),
+        ("l1", "4", "85e2747e669579ac3d3016550d696038e9f4776502487067d7de4f6b4a3f6045", 4688, "2,2"),
+        ("l2", "9", "0964cdde3aef7f2afa524cf00b80d9ce2b3dd838615d8418b486bc221f777e4f", 7244, "4,7"),
     ],
 )
 def test_golden_ledger_bytes(tmp_path, capsys, check, bound, digest, size, totals):
@@ -357,7 +406,7 @@ def test_golden_secp256k1_ledger_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == "tally: 2,2\n"
     raw = path.read_bytes()
     assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
-        22974, "0e25c9b5dc9e71f745c05e8b91b6936f2413345f1da9a83f512ba5ca71a9575a"
+        20058, "8771e5995256cb1a59ff02edae7d893d911517bd0a4f3e62b6b10b267eba4628"
     )
 
 
@@ -372,14 +421,14 @@ def test_golden_secp256k1_l2_ledger_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == "tally: 4,7\n"
     raw = path.read_bytes()
     assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
-        35586, "bfbe2b14843650880669a492e817fa9dedeb87a243be1757f7008ee397622731"
+        33846, "7b878214a9be05debe3c7fb9fbf5bf6861d6063aff395582e0085b63c399b8c7"
     )
 
 
 @pytest.mark.parametrize(
     "check, bound, slot_fields",
     [
-        ("l1", "4", ("reencrypted", "links", "element_digit_cts", "element_digit_proofs")),
+        ("l1", "4", ("links", "element_digit_cts", "element_digit_proofs")),
         # L = 7, so the padded l2 runs keep their 8 slots at m = 1 as at m = 2
         ("l2", "9", ("links",)),
     ],
@@ -399,7 +448,8 @@ def test_verify_rejects_a_bundle_cut_to_one_slot(tmp_path, capsys, check, bound,
     def edit(entry, entries):
         if (entry.round, entry.party) != (2, 1):
             return [(entry.round, entry.party, entry.payload)]
-        post = protocol.Round2Post.from_bytes(group, entry.payload)
+        elements = protocol.Round1Post.from_bytes(group, _payload(entries, 1, 1)).elements
+        post = protocol.Round2Post.from_bytes(group, entry.payload, elements)
         cut = {name: getattr(post.bundle, name)[:1] for name in slot_fields}
         post = dataclasses.replace(post, bundle=dataclasses.replace(post.bundle, **cut))
         return [(2, 1, post.to_bytes(group))]

@@ -27,6 +27,8 @@ from zorro.rangeproof import (
     BoundPolicy,
     L1RangeProof,
     _build_l1,
+    _digit_randomness,
+    _prove_digits,
     bits_of,
     prove_l1,
     prove_l2,
@@ -136,6 +138,26 @@ def _forced_l1(case, digits, sum_digits):
     return c.posted, proof, c.pads
 
 
+def _l1_element(case, j=0, spelled=0):
+    """Row j spells `spelled`, not T_j, under digit randomness off by
+    (T_j - spelled) / sk: its second components still recompose to those of
+    the honest E*[T_j], so the link holds and only the first components, off
+    from ct_j.A, show it."""
+    c = case
+    q, L, T = c.group.q, c.proof.policy.L, c.values[j]
+    target = (c.x[j] + (T - spelled) * pow(c.kp.sk, -1, q)) % q
+    row, proofs = _prove_digits(
+        c.group, bits_of(spelled, L), _digit_randomness(c.group, target, L, c.rng), c.kp,
+        c.ctx.child(b"bit", j), c.rng,
+    )
+    rows, row_proofs = list(c.proof.element_digit_cts), list(c.proof.element_digit_proofs)
+    rows[j], row_proofs[j] = row, proofs
+    forged = dataclasses.replace(
+        c.proof, element_digit_cts=tuple(rows), element_digit_proofs=tuple(row_proofs)
+    )
+    return c.posted, forged, c.pads
+
+
 def _l1_row_bit(case):
     rows = list(case.proof.element_digit_proofs)
     rows[1] = _bit_plus_one(rows[1], 1, case.group.q)
@@ -168,7 +190,7 @@ def _l2_square(case):
 # case -> (posted ciphertexts, bundle, pad keys).
 L1_DISHONEST = {
     "tuple": _wrong_pad_key,
-    "element": lambda c: _forced_l1(c, [[0, 0], [1, 0]], [1, 1]),  # slot 0 spells 0, not 2
+    "element": _l1_element,  # slot 0 spells 0, not 2
     "bit": _l1_row_bit,
     "sum": lambda c: _forced_l1(c, [[0, 1], [1, 0]], [0, 0]),  # the sum spells 0, not 3
     "sum_bit": _l1_sum_bit,
@@ -367,23 +389,32 @@ def test_round1_response_plus_one_names_the_slot(session, monkeypatch):
     assert _rejection(cfg, ledger) == verdict
 
 
-def test_dishonest_contribution_on_the_ledger_names_the_party(session, monkeypatch):
+@pytest.mark.parametrize("check", ["tuple", "element"])
+def test_dishonest_contribution_on_the_ledger_names_the_party(session, check, monkeypatch):
+    """Slot 2 of party 1 spells 1, not 2.  Under the honest digit randomness
+    the row re-encrypts 1, so the link of slot 2 fails; under randomness that
+    keeps the link, the row's first components fail."""
     cfg, parties, posts1, posts2 = session
     party = parties[1]
     values = [1, 0, 2]
-    digits = [bits_of(1, 2), bits_of(0, 2), bits_of(1, 2)]  # slot 2 spells 1, not 2
     ctx = cfg.base_context().child(b"r2", party.index)
-    bundle = _build_l1(
-        CURVE, values, digits, bits_of(3, 2), party.secret.x, party.pads, party.keypair,
-        cfg.policy, ctx, random.Random(9),
-    )
+    if check == "tuple":
+        digits = [bits_of(1, 2), bits_of(0, 2), bits_of(1, 2)]
+        bundle = _build_l1(
+            CURVE, values, digits, bits_of(3, 2), party.secret.x, party.pads, party.keypair,
+            cfg.policy, ctx, random.Random(9),
+        )
+    else:
+        case = Case(CURVE, values, list(party.secret.x), list(party.pads), party.keypair, ctx,
+                    posts2[1].bundle, random.Random(9))
+        bundle = _l1_element(case, j=2, spelled=1)[1]
     cts = tuple(_posted(values, party.secret.x, party.pads))
     forged = Round2Post(party.index, cts, bundle)
-    _check(cts, bundle, party.pads, ctx, "element", monkeypatch)
+    _check(cts, bundle, party.pads, ctx, check, monkeypatch)
 
     ledger = _ledger(cfg, posts1, [posts2[0], forged])
     verdict = _rejection(cfg, ledger)
-    assert verdict[:2] == (1, "element")
+    assert verdict[:2] == (1, check) and verdict[2].endswith(": slot 2")
     _sequentially(monkeypatch)
     assert _rejection(cfg, ledger) == verdict
 
@@ -664,6 +695,32 @@ def test_dishonest_l2_contribution_reads_the_same_with_the_ledger_fold(
     assert verdict[1:3] == (1, reason) and folds == [False]
 
 
+@pytest.mark.parametrize("delta", [1, -1], ids=["d1+1", "d1-1"])
+@pytest.mark.parametrize("where, check, named", [
+    ("row", "bit", "slot 1, digit 0"), ("sum", "sum_bit", "digit 1"),
+])
+def test_bit_d1_off_by_one_reads_the_same_with_the_ledger_fold(
+    l1_ledger, delta, where, check, named, monkeypatch
+):
+    """d2 is not posted: the verifier takes c - d1, so a d1 off by one moves
+    both branch challenges and fails the bit proof it sits in."""
+    cfg, _, posts1, posts2, _ = l1_ledger
+    bundle, q = posts2[1].bundle, CURVE.q
+    if where == "row":
+        rows = list(bundle.element_digit_proofs)
+        rows[1] = _replace_bit(rows[1], 0, d1=(rows[1][0].d1 + delta) % q)
+        forged = dataclasses.replace(bundle, element_digit_proofs=tuple(rows))
+    else:
+        sums = bundle.sum_digit_proofs
+        forged = dataclasses.replace(
+            bundle, sum_digit_proofs=_replace_bit(sums, 1, d1=(sums[1].d1 + delta) % q)
+        )
+    post = dataclasses.replace(posts2[1], bundle=forged)
+    verdict, folds = _agrees(cfg, _ledger(cfg, posts1, [posts2[0], post]), monkeypatch)
+    assert verdict[1:3] == (1, check) and verdict[3].endswith(f"({check}): {named}")
+    assert folds == [False]
+
+
 @pytest.mark.parametrize("bundle", ["other kind", "other bound"])
 def test_wrong_policy_bundle_reads_the_same_with_the_ledger_fold(
     l1_ledger, l2_ledger, bundle, monkeypatch
@@ -735,9 +792,12 @@ def test_ledger_fold_weights_cover_every_post(session, monkeypatch):
 
 
 # per pinned ledger: its ledger-fold equation count and the SHA-256 of, equation
-# by equation, u32(term count) then each term as fold_weights encodes it
+# by equation, u32(term count) then each term as fold_weights encodes it.  The
+# l1 ledger's equations are format 1's less the second-component equation of
+# each slot's row (n * m = 4), which holds by construction once E*[T_j] is
+# that row's recomposition; every other equation has the same terms.
 LEDGER_FOLD_DIGESTS = {
-    "l1": (72, "fd166bb7968912fe70425feec6d4b8ff293c8265c87a8cc419bedae66e9cb256"),
+    "l1": (68, "51c04e1b6c7e65dd0ff86918525201c14595a861fc8222511247623ee9bfd6d2"),
     "l2": (72, "f65cf9f71228b430cfb2bdf7cf345c2523009ebe3acf985a0e828e55d97affd2"),
 }
 
@@ -818,20 +878,21 @@ def test_each_verifier_records_its_equations(session, l1_case, l2_case):
     counts["verify_dh_tuple"] = {len(recorded(CURVE, sigma.verify_dh_tuple, (statement, proof, ctx)))}
     assert counts == {
         "verify_dlog": {1}, "verify_dh_tuple": {2}, "verify_bit": {4}, "verify_square": {4},
-        "verify_reencryption_link": {2}, "_recomposes": {2},
+        "verify_reencryption_link": {2}, "_verify_posted_link": {2}, "_recomposes": {1, 2},
     }
 
 
-def test_a_failed_guard_is_a_none_part(session, l1_case):
+def test_a_failed_guard_is_a_none_part(session, l1_case, l2_case):
     """A guard outside the group equations runs on real values: when it fails,
     the check is False and its fold part None.  A failed equation is not a
-    guard: it is recorded like a true one."""
+    guard: it is recorded like a true one, as a bit proof's d1 off by one is."""
     cfg, _, posts1, _ = session
     table = l1_case.proof.checks(l1_case.posted, l1_case.pads, l1_case.ctx)
+    l2_table = l2_case.proof.checks(l2_case.posted, l2_case.pads, l2_case.ctx)
     (_, (A, dlog, dlog_ctx)), *_ = _checks(protocol._round1_checks(cfg, posts1), (0, 0))
     statement, dh, dh_ctx = _honest_dh_tuple()
     _, (ct, h_i, bit, bit_ctx) = _checks(table, "bit")[0]
-    link, (ct_a, ct_star, *link_rest) = _checks(table, "tuple")[0]
+    link, (ct_a, ct_star, *link_rest) = _checks(l2_table, "tuple")[0]
     q = CURVE.q
     guarded = {
         "dlog base off the curve": (verify_dlog, (CurvePoint(CURVE, 1, 1), dlog, dlog_ctx)),
@@ -841,10 +902,7 @@ def test_a_failed_guard_is_a_none_part(session, l1_case):
         "DH tuple h1 identity": (
             sigma.verify_dh_tuple, ((statement[0], CURVE.identity, *statement[2:]), dh, dh_ctx)
         ),
-        "bit d1 + d2 not the challenge": (
-            sigma.verify_bit, (ct, h_i, dataclasses.replace(bit, d1=(bit.d1 + 1) % q), bit_ctx)
-        ),
-        "link first components differ": (
+        "L2 link first components differ": (
             link, (ct_a, dataclasses.replace(ct_star, A=ct_star.A * CURVE.g), *link_rest)
         ),
         "round-1 post of the wrong dimension": (protocol._refused, ()),
@@ -855,6 +913,9 @@ def test_a_failed_guard_is_a_none_part(session, l1_case):
     forged = DlogProof(dlog.K, (dlog.s + 1) % q)
     assert not verify_dlog(CURVE, A, forged, dlog_ctx)
     assert len(recorded(CURVE, verify_dlog, (A, forged, dlog_ctx))) == 1
+    shifted = (ct, h_i, dataclasses.replace(bit, d1=(bit.d1 + 1) % q), bit_ctx)
+    assert not sigma.verify_bit(CURVE, *shifted)
+    assert len(recorded(CURVE, sigma.verify_bit, shifted)) == 4
 
 
 @pytest.mark.parametrize("group", [groups.toy_group(), MOD, CURVE], ids=lambda g: g.group_id)

@@ -9,6 +9,11 @@ negation or the identity; two proofs of one type, or two ciphertexts, in
 the post swap places.  `zorro verify`
 must then print and exit the same with the fold on as with sigma.folds
 forced off, and a ledger it accepts must print the true tally.
+
+Only posted fields are mutated.  A round-2 ciphertext's A is its party's
+round-1 element, a bit proof's d2 is c - d1, and an L1 slot's E*[T_j] is
+the recomposition of its digit row: mutating a round-1 element, a d1 or a
+digit-row point is the only way to change them.
 """
 
 import contextlib
@@ -45,21 +50,32 @@ def _session(name):
 LEDGERS = {name: _session(name) for name in VECTORS}
 
 
-def _decode(entry):
-    cls = Round1Post if entry.round == 1 else Round2Post
-    return cls.from_bytes(CURVE, entry.payload)
+def _decode(ledger):
+    """Every post of `ledger` in seq order, each round-2 post read over its
+    party's round-1 elements."""
+    posts, elements = [], {}
+    for entry in ledger.entries:
+        if entry.round == 1:
+            post = Round1Post.from_bytes(CURVE, entry.payload)
+            elements[entry.party] = post.elements
+        else:
+            post = Round2Post.from_bytes(CURVE, entry.payload, elements[entry.party])
+        posts.append(post)
+    return posts
 
 
 def _leaves(value, path=()):
-    """(path, leaf) for every scalar, point, proof and ciphertext below a
-    post, each proof or ciphertext before what it holds; `party` and the
-    bundle policy are left alone."""
+    """(path, leaf) for every posted scalar, point, proof and ciphertext
+    below a post, each proof or ciphertext before what it holds; `party`
+    and the bundle policy are left alone, and a round-2 ciphertext's A is
+    not posted."""
     if isinstance(value, SWAPPED):
         yield path, value
     if dataclasses.is_dataclass(value):
         for field in dataclasses.fields(value):
-            if field.name not in ("party", "policy"):
-                yield from _leaves(getattr(value, field.name), (*path, field.name))
+            if field.name in ("party", "policy") or (path[:1] == ("cts",) and field.name == "A"):
+                continue
+            yield from _leaves(getattr(value, field.name), (*path, field.name))
     elif isinstance(value, tuple):
         for k, item in enumerate(value):
             yield from _leaves(item, (*path, k))
@@ -165,7 +181,7 @@ def _write(path, ledger, payloads):
 )
 def test_fold_and_sequential_verdicts_agree(workdir, name, seq, kind, a, b):
     ledger, totals = LEDGERS[name]
-    posts = [_decode(entry) for entry in ledger.entries]
+    posts = _decode(ledger)
     donors = [p for k, p in enumerate(posts) if k != seq]
     post = _mutated(posts[seq], donors, kind, a, b)
     if post is None:

@@ -335,17 +335,32 @@ def test_round1_serialization_roundtrip():
 
 
 def test_round2_serialization_roundtrip():
+    # only each ciphertext's B is posted: A comes back from round 1
     for policy in (BoundPolicy.none(), BoundPolicy.l1(3), BoundPolicy.l2(4)):
         cfg = config(n=2, m=2, policy=policy)
-        _, _, posts2 = make_session(cfg, [[1, 1], [2, 0]])
+        _, posts1, posts2 = make_session(cfg, [[1, 1], [2, 0]])
         for post in posts2:
-            assert Round2Post.from_bytes(MOD, post.to_bytes(MOD)) == post
+            data = post.to_bytes(MOD)
+            elements = posts1[post.party].elements
+            assert Round2Post.from_bytes(MOD, data, elements) == post
+            assert [ct.A for ct in post.cts] == list(elements)
+            assert data[9 : 9 + 2 * MOD.element_bytes + 1] == (
+                b"".join(MOD.encode_element(ct.B) for ct in post.cts) + bytes([policy.code])
+            )
+
+
+def test_round2_decoding_refuses_a_slot_count_other_than_round_1s():
+    cfg = config(n=2, m=2, policy=BoundPolicy.none())
+    _, posts1, posts2 = make_session(cfg, [[1, 1], [2, 0]])
+    data = posts2[0].to_bytes(MOD)
+    with pytest.raises(MalformedEncoding, match="2 slots, but round 1 posted 1"):
+        Round2Post.from_bytes(MOD, data, posts1[0].elements[:1])
 
 
 # offsets in a round-2 post with m=2 on MOD: its bundle kind byte follows the
-# tag, party, slot count and two ciphertexts; the bundle's own slot count
-# follows the kind byte, the bundle tag and the 9-byte policy
-_KIND_AT = 1 + 4 + 4 + 2 * 2 * MOD.element_bytes
+# tag, party, slot count and two second components; the bundle's own slot
+# count follows the kind byte, the bundle tag and the 9-byte policy
+_KIND_AT = 1 + 4 + 4 + 2 * MOD.element_bytes
 _BUNDLE_M_AT = _KIND_AT + 1 + 1 + 9
 
 
@@ -362,11 +377,11 @@ _BUNDLE_M_AT = _KIND_AT + 1 + 1 + 9
 )
 def test_round2_decoding_rejects_inconsistent_layouts(policy, at, patch):
     cfg = config(n=2, m=2, policy=policy)
-    _, _, posts2 = make_session(cfg, [[1, 1], [2, 0]])
+    _, posts1, posts2 = make_session(cfg, [[1, 1], [2, 0]])
     data = bytearray(posts2[0].to_bytes(MOD))
     data[at : at + len(patch)] = patch
     with pytest.raises(MalformedEncoding):
-        Round2Post.from_bytes(MOD, bytes(data))
+        Round2Post.from_bytes(MOD, bytes(data), posts1[0].elements)
 
 
 # -- privacy ---------------------------------------------------------------------

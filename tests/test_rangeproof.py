@@ -13,6 +13,9 @@ from zorro.rangeproof import (
     L1RangeProof,
     L2RangeProof,
     _build_l1,
+    _digit_randomness,
+    _prove_digits,
+    _verify_posted_link,
     bits_of,
     noise_terms,
     prove_l1,
@@ -135,7 +138,9 @@ def test_link_roundtrip():
     ct = encrypt_exp(MOD, 3, x[0], pads[0])
     ctx = FsTranscript(b"link")
     ct_star, proof = reencryption_link(MOD, 3, x[0], pads[0], kp, ctx, rng)
-    assert verify_reencryption_link(MOD, ct, ct_star, pads[0], kp.pk, proof, ctx)
+    assert ct_star.A == ct.A
+    assert verify_reencryption_link(MOD, ct, ct_star.B, pads[0], kp.pk, proof, ctx)
+    assert _verify_posted_link(MOD, ct, ct_star, pads[0], kp.pk, proof, ctx)
 
 
 def test_link_detects_plaintext_swap():
@@ -145,7 +150,7 @@ def test_link_detects_plaintext_swap():
     ctx = FsTranscript(b"link")
     # re-encryption of a different plaintext with the same randomness
     ct_star, proof = reencryption_link(MOD, 4, x[0], pads[0], kp, ctx, rng)
-    assert not verify_reencryption_link(MOD, ct, ct_star, pads[0], kp.pk, proof, ctx)
+    assert not verify_reencryption_link(MOD, ct, ct_star.B, pads[0], kp.pk, proof, ctx)
 
 
 def test_link_degenerate_keys():
@@ -167,16 +172,22 @@ def test_link_verifier_refuses_degenerate_keys():
     a, b = MOD.g ** r, MOD.identity
     e = ctx.challenge(MOD, MOD.g, MOD.identity, ct.A, MOD.identity, a, b)
     proof = DhTupleProof(a, b, (r + e * x) % MOD.q)
-    assert not verify_reencryption_link(MOD, ct, ct, kp.pk, kp.pk, proof, ctx)
+    assert not verify_reencryption_link(MOD, ct, ct.B, kp.pk, kp.pk, proof, ctx)
 
 
 def test_link_requires_matching_first_component():
+    # the link proves the posted ct.A; an L2 link also refuses an E*[t]
+    # posted with another first component
     rng = random.Random(5)
     x, pads, kp = make_keys(MOD, 1, rng)
     ctx = FsTranscript(b"link")
     ct_star, proof = reencryption_link(MOD, 3, x[0], pads[0], kp, ctx, rng)
     other = encrypt_exp(MOD, 3, (x[0] + 1) % MOD.q, pads[0])
-    assert not verify_reencryption_link(MOD, other, ct_star, pads[0], kp.pk, proof, ctx)
+    assert not verify_reencryption_link(MOD, other, ct_star.B, pads[0], kp.pk, proof, ctx)
+    ct = encrypt_exp(MOD, 3, x[0], pads[0])
+    moved = dataclasses.replace(ct_star, A=ct_star.A * MOD.g)
+    assert verify_reencryption_link(MOD, ct, moved.B, pads[0], kp.pk, proof, ctx)
+    assert not _verify_posted_link(MOD, ct, moved, pads[0], kp.pk, proof, ctx)
 
 
 # -- L2 bundle ----------------------------------------------------------------------
@@ -370,8 +381,8 @@ def test_l1_forced_negative_rejected():
     digits = [bits_of(v % 4, policy.L) for v in values]
     forced_sum = bits_of(sum(values) % 4, policy.L)
     proof = _build_l1(MOD, values, digits, forced_sum, x, pads, kp, policy, ctx, rng)
-    ok, reason = verify_l1(MOD, cts, proof, policy, pads, ctx)
-    assert not ok and reason in ("element", "sum")
+    # E*[T_0] is what row 0 spells, 3, so the link of slot 0 fails
+    assert verify_l1(MOD, cts, proof, policy, pads, ctx) == (False, "tuple")
 
 
 def test_l1_reason_codes():
@@ -383,9 +394,24 @@ def test_l1_reason_codes():
     ctx = FsTranscript(b"l1")
     proof = prove_l1(MOD, values, x, pads, kp, policy, ctx, rng)
 
+    # a row moved by E[0; r = 1] moves E*[T_0] with it: the link fails first
     rows = [list(r) for r in proof.element_digit_cts]
     rows[0][0] = hom_mul(rows[0][0], encrypt_exp(MOD, 0, 1, kp.pk))
     bad = dataclasses.replace(proof, element_digit_cts=tuple(tuple(r) for r in rows))
+    assert verify_l1(MOD, cts, bad, policy, pads, ctx) == (False, "tuple")
+
+    # row 0 spells 0 under randomness that keeps E*[T_0]: only its first
+    # components, off from cts[0].A, show it
+    target = (x[0] + 2 * pow(kp.sk, -1, MOD.q)) % MOD.q
+    row = _prove_digits(
+        MOD, bits_of(0, policy.L), _digit_randomness(MOD, target, policy.L, rng), kp,
+        ctx.child(b"bit", 0), rng,
+    )
+    bad = dataclasses.replace(
+        proof,
+        element_digit_cts=(row[0], *proof.element_digit_cts[1:]),
+        element_digit_proofs=(row[1], *proof.element_digit_proofs[1:]),
+    )
     assert verify_l1(MOD, cts, bad, policy, pads, ctx) == (False, "element")
 
     cts_swapped = [encrypt_exp(MOD, 1, x[0], pads[0]), cts[1]]
@@ -434,7 +460,6 @@ def _bundle_case(kind):
 @pytest.mark.parametrize(
     "kind, field, row",
     [
-        ("l1", "reencrypted", None),
         ("l1", "links", None),
         ("l1", "element_digit_cts", None),
         ("l1", "element_digit_cts", 1),

@@ -167,7 +167,7 @@ def test_bit_mutations():
     for field in ("a1", "b1", "a2", "b2"):
         bad = dataclasses.replace(proof, **{field: getattr(proof, field) * MOD.g})
         assert not verify_bit(MOD, ct, kp.pk, bad, ctx)
-    for field in ("d1", "d2", "r1", "r2"):
+    for field in ("d1", "r1", "r2"):  # d2 is c - d1, not posted
         bad = dataclasses.replace(proof, **{field: (getattr(proof, field) + 1) % MOD.q})
         assert not verify_bit(MOD, ct, kp.pk, bad, ctx)
     # proof for E[1] does not verify against E[0]
