@@ -25,10 +25,9 @@ re-encryption link, whose base holds a pad key) provers evaluate on elements.
 
 A verifier states each check once, as verify(group, *args) -> bool: a
 relation verifier here, or rangeproof's link and recomposition checks.  Its
-guards outside the group equations (a membership or identity-base guard,
-a shared first component) run on real values, and each
-group equation is a multi_exp compared with what it must equal, the
-computed side on the left.  Passed _Recording(group) in place of the group,
+guards outside the group equations (a membership or identity-base guard, a
+shared first component) run on real values, and each group equation is a
+multi_exp compared with what it must equal, the computed side on the left.  Passed _Recording(group) in place of the group,
 the same verifier records its equations instead of evaluating them: there
 multi_exp returns an unevaluated _Product, and comparing one with the posted
 element or _Product it must equal appends that equation, as terms whose

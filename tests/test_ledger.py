@@ -122,7 +122,7 @@ def _header_with(field, value):
     "line",
     [
         b"[1]",
-        b'{"format":"zorro-ledger/1","group":"mod41","session":"00","n":3,"m":2,"policy":5}',
+        b'{"format":"zorro-ledger/2","group":"mod41","session":"00","n":3,"m":2,"policy":5}',
         _header_with_n('"3"'),
         _header_with_n("3.0"),
         _header_with_n("3.7"),
