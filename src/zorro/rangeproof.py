@@ -191,10 +191,15 @@ def reencryption_link(group, t: int, x: int, h_pad, keypair: Keypair, ctx, rng):
     ciphertexts differ exactly by that last factor in their second slot.
     prove_dh_tuple raises ValueError when the pad key equals h_i.
     """
-    base = h_pad / keypair.pk
     ct_star = encrypt_own(group, t, x, keypair)
-    statement = (group.g, base, ct_star.A, base ** x)
-    return ct_star, prove_dh_tuple(group, x, statement, ctx, rng)
+    return ct_star, _link_proof(group, x, ct_star.A, h_pad, keypair, ctx, rng)
+
+
+def _link_proof(group, x: int, A, h_pad, keypair: Keypair, ctx, rng):
+    """reencryption_link's proof alone, for A = g^x: an L1 bundle posts no
+    E*[t], whose second component its verifier takes from the digits."""
+    base = h_pad / keypair.pk
+    return prove_dh_tuple(group, x, (group.g, base, A, base ** x), ctx, rng)
 
 
 def verify_reencryption_link(group, ct: Ciphertext, star_B, h_pad, h_i, proof, ctx) -> bool:
@@ -209,15 +214,6 @@ def _verify_posted_link(group, ct: Ciphertext, ct_star: Ciphertext, h_pad, h_i, 
     if ct.A != ct_star.A:
         return False
     return verify_reencryption_link(group, ct, ct_star.B, h_pad, h_i, proof, ctx)
-
-
-def _prove_links(group, values, x, pad_keys, keypair, ctx, rng):
-    """(E*[T_j] for every slot, their link proofs), one slot after another."""
-    reenc, links = zip(*(
-        reencryption_link(group, values[j], x[j], pad_keys[j], keypair, ctx.child(b"link", j), rng)
-        for j in range(len(values))
-    ))
-    return reenc, links
 
 
 def _link_checks(verify, posted_cts, stars, proof, pad_keys, ctx) -> list:
@@ -442,7 +438,10 @@ def prove_l2(
     padded = list(values) + [0] * (m_ext - m)
     x_all = list(x) + [group.random_scalar(rng) for _ in range(m_ext - m)]
 
-    reenc, links = _prove_links(group, values, x, pad_keys, keypair, ctx, rng)
+    reenc, links = zip(*(
+        reencryption_link(group, values[j], x[j], pad_keys[j], keypair, ctx.child(b"link", j), rng)
+        for j in range(m)
+    ))
     reenc += tuple(encrypt_own(group, 0, x_all[j], keypair) for j in range(m, m_ext))
 
     x_digits = [group.random_scalar(rng) for _ in range(L)]
@@ -560,7 +559,10 @@ def _build_l1(
 ) -> L1RangeProof:
     # digit lists are taken as given so tests can force dishonest bundles
     L = policy.L
-    _, links = _prove_links(group, values, x, pad_keys, keypair, ctx, rng)
+    links = tuple(
+        _link_proof(group, xj, group.g ** xj, h, keypair, ctx.child(b"link", j), rng)
+        for j, (xj, h) in enumerate(zip(x, pad_keys))
+    )
     elem_cts, elem_proofs = zip(*(
         _prove_digits(
             group, digits[j], _digit_randomness(group, x[j], L, rng), keypair,
