@@ -792,10 +792,9 @@ def test_ledger_fold_weights_cover_every_post(session, monkeypatch):
 
 
 # per pinned ledger: its ledger-fold equation count and the SHA-256 of, equation
-# by equation, u32(term count) then each term as fold_weights encodes it.  The
-# l1 ledger's equations are format 1's less the second-component equation of
-# each slot's row (n * m = 4), which holds by construction once E*[T_j] is
-# that row's recomposition; every other equation has the same terms.
+# by equation, u32(term count) then each term as fold_weights encodes it.  An
+# l1 row is one equation, on its first components: the second component of
+# E*[T_j] is that row's recomposition.
 LEDGER_FOLD_DIGESTS = {
     "l1": (68, "51c04e1b6c7e65dd0ff86918525201c14595a861fc8222511247623ee9bfd6d2"),
     "l2": (72, "f65cf9f71228b430cfb2bdf7cf345c2523009ebe3acf985a0e828e55d97affd2"),
