@@ -150,15 +150,25 @@ def cmd_vote(args) -> int:
     return EXIT_OK
 
 
+def _tally_window(args, policy):
+    """The --window of a policy-none session, refused if bsgs may not search
+    it; None under any other policy, which implies its own window."""
+    if policy.kind != "none":
+        return None
+    window = DlogWindow(0, args.window)
+    window.check_width()
+    return window
+
+
 def cmd_aggregate(args) -> int:
     policy = _policy_for(args.check, args.bound)
+    window = _tally_window(args, policy)
     if args.vectors:
         vectors = _read_rows(args.vectors)
     else:
         _session_config(args, args.parties, args.dim, policy)  # refuse it before the draw
         rng = _derived_rng(args.seed, "inputs")
         vectors = [_random_vector(policy, args.dim, rng) for _ in range(args.parties)]
-    window = DlogWindow(0, args.window) if policy.kind == "none" else None
     print("tally:", ",".join(map(str, _run_and_report(args, vectors, policy, window))))
     return EXIT_OK
 
@@ -184,8 +194,8 @@ def cmd_verify(args) -> int:
         cfg = ProtocolConfig.from_header(ledger.header)
     except (KeyError, ValueError) as exc:
         raise LedgerRejected(None, "header", f"bad ledger header: {exc.args[0]}") from exc
+    window = _tally_window(args, cfg.policy)
     posts2 = verify_ledger(cfg, ledger)
-    window = DlogWindow(0, args.window) if cfg.policy.kind == "none" else None
     try:
         totals = tally(cfg, posts2, window)
     except NotInWindow as exc:

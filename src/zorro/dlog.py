@@ -36,6 +36,15 @@ class DlogWindow:
         """The width of bsgs's baby-step table for this window: ceil(sqrt(size))."""
         return math.isqrt(self.size - 1) + 1
 
+    def check_width(self):
+        """ValueError unless bsgs may search this window: its baby-step table
+        must not exceed MAX_BABY_STEPS."""
+        if self.baby_steps > MAX_BABY_STEPS:
+            raise ValueError(
+                f"a window of {self.size} values needs {self.baby_steps} baby steps, "
+                f"over {MAX_BABY_STEPS}"
+            )
+
 
 _tables = {}
 
@@ -60,8 +69,10 @@ def bsgs(group, target, window: DlogWindow) -> int:
     """Return the unique m in `window` with g^m = target.
 
     Raises NotInWindow when no such exponent exists, which downstream
-    signals a corrupted tally or a wrong bound.
+    signals a corrupted tally or a wrong bound; ValueError, before any
+    table is built, when the window is too wide to search.
     """
+    window.check_width()
     n, width = window.size, window.baby_steps
     table = _baby_table(group, width)
     # search g^(m - lo) in [0, n)

@@ -28,34 +28,38 @@ Curve points are affine at rest: ``*``, ``==``, hashing and the codec see
 (X/Z^2, Y/Z^3), with the a = 0 formulas dbl-2009-l and madd-2007-bl of
 Bernstein and Lange's Explicit-Formulas Database:
 
+  * Affine points are added in batches: one inversion (Montgomery's
+    simultaneous inversion) serves every pair of a batch, so an addition
+    costs ~6 field multiplications.  Every precomputed table comes from one
+    ladder of such batches: each step doubles a row of multiples P, ..., kP
+    to P, ..., 2kP by adding kP to every entry.
   * GLV (Gallant-Lambert-Vanstone): secp256k1 has the endomorphism
     (x, y) -> (beta * x, y) = lam * P, so each variable-base scalar splits
     into two ~128-bit halves k1 + k2 * lam = e (mod q), and lam * P's table
     is P's with x scaled by beta.  A scalar within 2^128 of 0 or q (a fold
     weight, or its negative) is one half already.
-  * Below 64 variable bases (Straus):
+  * Below 32 variable bases (Straus):
     - each half is recoded as width-5 wNAF: signed odd digits |d| < 16 over
       the table P, 3P, ..., 15P, negated by y -> p - y;
-    - the tables of all bases of a call are made affine with one batched
-      (Montgomery) inversion;
+    - the ladder builds P, ..., 16P for all bases of a call at once, in four
+      batches, and the table keeps the odd multiples;
     - one loop shares ~128 doublings among every half and adds one table
       entry per nonzero digit.
   * From 32 variable bases on, as in a fold (Pippenger): each half's
     signed radix-2^c digits, c about log2(halves) - 3, drop its point into
-    one of 2^(c-1) buckets per window.  The buckets are summed in affine
-    coordinates, level by level across the buckets of several windows, and
-    each window's sum_i i * bucket_i comes from two running sums taken in
-    lockstep across the windows; each level and each step shares one
-    inversion (Montgomery's simultaneous inversion), so an addition costs ~6
-    field multiplications.  No tables are built, and ~128 doublings combine
-    the windows.
+    one of 2^(c-1) buckets per window.  The buckets are summed in batches,
+    level by level across the buckets of several windows, and each window's
+    sum_i i * bucket_i comes from two running sums taken in lockstep across
+    the windows, one batch per level and per step.  No tables are built,
+    and ~128 doublings combine the windows.
   * Powers of the generator g are summed and added after the loop through a
     table of 17 rows x 128 multiples d * 256^i * g (Brickell-Gordon-McCurley-
-    Wilson), built on g's first use, so they need no doublings.  The sum is
-    split by GLV, each half recoded as signed radix-256 digits |d| <= 128,
-    and the lam half reads the same rows with x scaled by beta: ~34 mixed
-    additions, ~0.4 ms per g ** k on a 2-vCPU x86_64 with CPython 3.11.
-    gamma is a variable base.
+    Wilson), built by the ladder on g's first use, so they need no
+    doublings.  The sum is split by GLV, each half recoded as signed
+    radix-256 digits |d| <= 128, and the lam half reads the same rows with
+    x scaled by beta: ~34 mixed additions, ~0.4 ms per g ** k on a 2-vCPU
+    x86_64 with CPython 3.11.  gamma is a variable base.  A call with no
+    other base skips the loop.
   * One final inversion returns an affine point.
 
 The digit patterns follow the scalars, so like the rest of the arithmetic
@@ -321,62 +325,15 @@ def _jmadd(X1, Y1, Z1, x2, y2, p):
     return X3, (r * (V - X3) - 2 * Y1 * J) % p, (t * t - Z1Z1 - HH) % p
 
 
-def _jmultiples(x, y, count, p):
-    """[(x, y) * j for j = 1..count] in Jacobian coordinates."""
-    jac = [(x, y, 1)]
-    while len(jac) < count:
-        jac.append(_jmadd(*jac[-1], x, y, p))  # the first step is P + P: a doubling
-    return jac
-
-
-def _odd_multiples(x, y, p):
-    """[P, 3P, ..., 15P] for P = (x, y), in Jacobian coordinates.
-
-    One doubling and seven mixed additions of 2P = (X2, Y2, Z2): they run on
-    the isomorphic curve (x, y) -> (x Z2^2, y Z2^3), where 2P is affine (the
-    a = 0 formulas do not use b), and a result (X, Y, Z) there is
-    (X, Y, Z * Z2) here.
-    """
-    X2, Y2, Z2 = _jdouble(x, y, 1, p)
-    zz = Z2 * Z2 % p
-    X, Y, Z = x * zz % p, y * zz * Z2 % p, 1
-    out = [(x, y, 1)]
-    for _ in range(_TABLE - 1):
-        X, Y, Z = _jmadd(X, Y, Z, X2, Y2, p)
-        out.append((X, Y, Z * Z2 % p))
-    return out
-
-
-def _to_affine(jac, p):
-    """Affine (x, y) of every Jacobian triple, with one inversion.
-
-    Montgomery's trick: invert the product of all Z, then peel off each 1/Z.
-    No triple may be the identity.
-    """
-    prefix = []
-    acc = 1
-    for _, _, Z in jac:
-        prefix.append(acc)
-        acc = acc * Z % p
-    inv = pow(acc, -1, p)
-    out = [None] * len(jac)
-    for j in range(len(jac) - 1, -1, -1):
-        X, Y, Z = jac[j]
-        zi = inv * prefix[j] % p
-        inv = inv * Z % p
-        zi2 = zi * zi % p
-        out[j] = (X * zi2 % p, Y * zi2 * zi % p)
-    return out
-
-
 def _affine_sums(left, right, p):
     """[P + Q for P, Q in zip(left, right)] of affine points, None the identity,
     with one inversion.
 
-    Montgomery's trick, as in _to_affine: invert the product of every slope
-    denominator, then peel off each one from the last.  A pair with equal x
-    is P + P, with the tangent slope, or P + (-P) = None; no point has y = 0
-    on a curve of odd order.
+    Montgomery's trick: invert the product of every slope denominator, then
+    peel off each one from the last.  A pair with equal x is P + P, with the
+    tangent slope, or P + (-P) = None; no point has y = 0 on a curve of odd
+    order.  Every table of multi_exp comes from here, through
+    _affine_multiples, and so do the bucket sums.
     """
     prefix = []
     acc = 1
@@ -405,6 +362,21 @@ def _affine_sums(left, right, p):
         out.append((x3, (s * (x1 - x3) - y1) % p))
     out.reverse()
     return out
+
+
+def _affine_multiples(points, count, p):
+    """[[P, 2P, ..., count * P] for P in points], affine, count a power of two.
+
+    Each step adds every row's last entry to each of its entries, which
+    doubles the rows: one _affine_sums, so one inversion, per step for all
+    rows together.
+    """
+    rows = [[P] for P in points]
+    for _ in range(count.bit_length() - 1):
+        left, right = [P for row in rows for P in row], [row[-1] for row in rows for _ in row]
+        sums = iter(_affine_sums(left, right, p))
+        rows = [row + [next(sums) for _ in row] for row in rows]
+    return rows
 
 
 def _wnaf(k):
@@ -466,18 +438,18 @@ class CurveGroup(Group):
 
     def _fixed_base_table(self, pt):
         """Rows i = 0..16 of affine [d * 256^i * g for d = 1..128] when pt is
-        g, else None: 2,176 points, built on the first exponentiation of g
-        with one inversion per row (~37 ms on a 2-vCPU x86_64, CPython 3.11)."""
+        g, else None: 2,176 points, built on the first exponentiation of g.
+        Each row is _affine_multiples of 256^i * g, and one more doubling of
+        its last entry starts the next row: 8 inversions per row."""
         if (pt.x, pt.y) != (self.g.x, self.g.y):
             return None
         if self._g_table is None:
             table = []
-            x, y = pt.x, pt.y
+            P = (pt.x, pt.y)
             for _ in range(_G_ROWS):
-                jac = _jmultiples(x, y, 128, self.p)
-                row = _to_affine(jac + [_jdouble(*jac[-1], self.p)], self.p)
-                table.append(row[:-1])
-                x, y = row[-1]  # 256 * 256^i * g
+                (row,) = _affine_multiples([P], 128, self.p)
+                table.append(row)
+                (P,) = _affine_sums([row[-1]], [row[-1]], self.p)  # 256 * 256^i * g
             self._g_table = table
         return self._g_table
 
@@ -524,7 +496,7 @@ class CurveGroup(Group):
                 bases.append(base)
                 scalars.append(self._glv_split(e))
         accumulate = self._buckets if len(bases) >= _BUCKETS_FROM else self._straus
-        X, Y, Z = accumulate(bases, scalars)
+        X, Y, Z = accumulate(bases, scalars) if bases else _J_IDENTITY
         if g_e:
             for k, beta in zip(self._glv_split(g_e % q), (1, self.beta)):
                 for row, d in zip(self._g_table, _signed_digits(abs(k), 8)):
@@ -534,7 +506,9 @@ class CurveGroup(Group):
                         X, Y, Z = _jmadd(X, Y, Z, beta * x % p, y, p)
         if Z == 0:
             return self.identity
-        return CurvePoint(self, *_to_affine([(X, Y, Z)], p)[0])
+        zi = pow(Z, -1, p)
+        zi2 = zi * zi % p
+        return CurvePoint(self, X * zi2 % p, Y * zi2 * zi % p)
 
     def _straus(self, bases, scalars):
         """sum of k1 * P + k2 * (lam * P) over the bases P and their GLV
@@ -542,14 +516,15 @@ class CurveGroup(Group):
 
         Each half is recoded as width-5 wNAF.  One Straus loop shares ~128
         doublings among all of them and adds one table entry per nonzero
-        digit; the tables of odd multiples are made affine with one
-        inversion, and lam * P's table is P's with x scaled by beta.
+        digit.  The tables of odd multiples are the odd entries of
+        _affine_multiples of every base at once (four inversions), and
+        lam * P's table is P's with x scaled by beta.
         """
         p = self.p
-        tables = _to_affine([pt for b in bases for pt in _odd_multiples(b.x, b.y, p)], p)
+        rows = _affine_multiples([(b.x, b.y) for b in bases], 2 * _TABLE, p)
         steps = []  # steps[i]: affine points to add at bit i
-        for t, (k1, k2) in enumerate(scalars):
-            table = tables[_TABLE * t:_TABLE * (t + 1)]
+        for row, (k1, k2) in zip(rows, scalars):
+            table = row[::2]  # P, 3P, ..., 15P
             lam_table = [(self.beta * x % p, y) for x, y in table]
             for tab, k in ((table, k1), (lam_table, k2)):
                 digits = _wnaf(abs(k))

@@ -30,7 +30,7 @@ at once, with all n pad vectors from one prefix/suffix pass (_all_pads).
 from dataclasses import dataclass
 
 from . import rangeproof
-from .dlog import MAX_BABY_STEPS, DlogWindow, bsgs
+from .dlog import DlogWindow, bsgs
 from .elgamal import Ciphertext, Keypair, encrypt_exp
 from .encoding import Reader, pack_u8, pack_u32, put, read_many
 from .errors import (
@@ -76,9 +76,8 @@ class ProtocolConfig:
         q, window = self.group.q, self.policy.tally_window(self.n)
         if window is not None and window.size > q:
             raise ValueError(f"tally window of {window.size} values exceeds the group order {q}")
-        if window is not None and window.baby_steps > MAX_BABY_STEPS:
-            steps = window.baby_steps
-            raise ValueError(f"tally window needs {steps} baby steps, over {MAX_BABY_STEPS}")
+        if window is not None:
+            window.check_width()
         if self.policy.kind == rangeproof.L1 and self.m * self.policy.effective_bound >= q:
             raise ValueError(f"a sum of {self.m} l1 entries can reach the group order {q}")
 

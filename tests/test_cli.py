@@ -19,7 +19,7 @@ from zorro.cli import (
     EXIT_USAGE,
     main,
 )
-from zorro import cli, groups, protocol
+from zorro import cli, dlog, groups, protocol
 from zorro.errors import NotInWindow
 from zorro.ledger import Ledger, LedgerHeader
 from zorro.rangeproof import BoundPolicy
@@ -572,6 +572,28 @@ def test_verify_rejects_a_header_whose_tally_needs_unbounded_baby_steps(tmp_path
     path = tmp_path / "wide.ledger"
     Ledger(LedgerHeader("secp256k1", bytes(16), 2, 1, "l1", 2**63), path=str(path))
     _assert_rejected(str(path), capsys, "bad ledger header", "baby steps")
+
+
+def test_a_window_too_wide_for_bsgs_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    # --window 2^50 asked _baby_table for 33,554,433 baby steps, a table of
+    # several GB, after a whole session (aggregate) or ledger check (verify)
+    path = tmp_path / "none.ledger"
+    argv = ["aggregate", "--check", "none", "--parties", "2", "--dim", "1", "--ledger", str(path)]
+    assert run(argv) == EXIT_OK
+    capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done for a window bsgs may not search")
+
+    for name in ("run_session", "verify_ledger"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(dlog, "_baby_table", refuse)
+    wide = ["--window", str(2**50)]
+    for argv in (["aggregate", "--check", "none", "--ledger", str(tmp_path / "wide.ledger")],
+                 ["verify", str(path)]):
+        assert run(argv + wide) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "33554433 baby steps" in captured.err, argv
 
 
 def test_aggregate_with_vector_file(tmp_path, capsys):

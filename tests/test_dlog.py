@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from zorro.dlog import DlogWindow, _tables, bsgs
+from zorro import dlog
+from zorro.dlog import MAX_BABY_STEPS, DlogWindow, _tables, bsgs
 from zorro.errors import NotInWindow
 from zorro import groups
 
@@ -20,6 +21,19 @@ def test_window_validation():
 def test_baby_steps_are_the_ceiling_of_the_square_root(size):
     steps = DlogWindow(0, size - 1).baby_steps
     assert (steps - 1) ** 2 < size <= steps**2
+
+
+def test_bsgs_refuses_a_window_over_the_cap_before_any_table(monkeypatch):
+    def build(*args):
+        raise AssertionError("baby table built for a window over MAX_BABY_STEPS")
+
+    monkeypatch.setattr(dlog, "_baby_table", build)
+    widest = DlogWindow(0, MAX_BABY_STEPS**2 - 1)
+    assert widest.baby_steps == MAX_BABY_STEPS
+    widest.check_width()
+    wider = DlogWindow(0, MAX_BABY_STEPS**2)
+    with pytest.raises(ValueError, match=f"{MAX_BABY_STEPS + 1} baby steps"):
+        bsgs(MOD, MOD.g, wider)
 
 
 def test_identity_is_zero():

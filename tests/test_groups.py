@@ -260,6 +260,29 @@ def test_g_table_shape_and_reuse():
         assert groups.CurvePoint(CURVE, *table[i][d - 1]) == affine_pow(CURVE.g, d << (8 * i))
 
 
+def test_g_table_is_every_multiple_the_oracle_builds():
+    # row i holds d * 256^i * g for d = 1..128: the oracle adds 256^i * g each step
+    base = CURVE.g
+    for row in CURVE._fixed_base_table(CURVE.g):
+        multiple = CURVE.identity
+        for entry in row:
+            multiple = multiple * base
+            assert groups.CurvePoint(CURVE, *entry) == multiple
+        base = multiple * multiple  # 256 * 256^i * g
+
+
+def test_g_alone_skips_the_variable_base_loop(monkeypatch):
+    def loop(bases, scalars):
+        raise AssertionError(f"variable-base loop run for {len(bases)} bases")
+
+    monkeypatch.setattr(CURVE, "_straus", loop)
+    monkeypatch.setattr(CURVE, "_buckets", loop)
+    assert CURVE.g ** 12345 == affine_pow(CURVE.g, 12345)
+    pairs = [(CURVE.g, 7), (CURVE.identity, 5), (HASHED, CURVE.q), (CURVE.g, -2)]
+    assert CURVE.multi_exp(pairs) == affine_pow(CURVE.g, 5)
+    assert CURVE.multi_exp([(CURVE.g, 3), (CURVE.g, -3)]) is CURVE.identity
+
+
 @pytest.mark.parametrize("k", G_TABLE_SCALARS)
 def test_g_pow_on_table_edge_scalars(k):
     assert CURVE.g ** k == affine_pow(CURVE.g, k)

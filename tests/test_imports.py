@@ -1,14 +1,15 @@
 """No module of the package imports a name it never uses, no private
-function or class of the package goes unused, and `zorro vote` runs without
-numpy.
+function, class or constant of the package goes unused, and `zorro vote`
+runs without numpy.
 
 __init__.py is the exception to the first: its imports are the package's
 re-exports.  The import check reads each module with ast alone: every name
 an import binds must appear as a name somewhere else in the module (an
 attribute chain counts through its base, so `import a.b` is used by
 `a.b.c`).  The second check reads the whole package: every module-level
-function or class whose name starts with `_` must be named, as a name, an
-attribute or an imported name, somewhere outside its own definition.
+function, class or one-name assignment whose name starts with `_` must be
+named, as a name, an attribute or an imported name, somewhere outside its
+own definition.
 """
 
 import ast
@@ -66,18 +67,34 @@ def _names(node) -> Counter:
     return names
 
 
+def _defined_name(node):
+    """The name a module-level statement defines: a function's, a class's or
+    that of a one-name assignment (a constant); else None."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    elif isinstance(node, ast.Assign):
+        targets = node.targets
+    else:
+        return None
+    return targets[0].id if len(targets) == 1 and isinstance(targets[0], ast.Name) else None
+
+
 def _unreferenced_privates(sources: dict) -> list:
-    """The module-level `_` functions and classes of `sources` (module name
-    -> source) that nothing outside their own definition names."""
+    """The module-level `_` functions, classes and constants of `sources`
+    (module name -> source) that nothing outside their own definition names.
+    Dunder names such as `__version__` are public."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     everywhere = sum((_names(tree) for tree in trees.values()), Counter())
     return sorted(
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and everywhere[node.name] == _names(node)[node.name]
+        if (name := _defined_name(node))
+        and name.startswith("_")
+        and not name.startswith("__")
+        and everywhere[name] == _names(node)[name]
     )
 
 
@@ -87,6 +104,14 @@ def test_the_check_finds_an_unreferenced_private():
         "b": "from a import _used\n\nclass _Spare:\n    pass\n",
     }
     assert _unreferenced_privates(sources) == ["a._recursive", "b._Spare"]
+
+
+def test_the_check_finds_an_unreferenced_private_constant():
+    sources = {
+        "a": "_USED = 1\n_SPARE = 2\n_SELF: int = len([_SELF for _ in ()])\n__version__ = '1'\n",
+        "b": "from a import _USED\n",
+    }
+    assert _unreferenced_privates(sources) == ["a._SELF", "a._SPARE"]
 
 
 def test_every_private_function_and_class_is_referenced():
