@@ -4,12 +4,12 @@ Every object that ever gets hashed or persisted round-trips through these
 helpers, so all widths are fixed and all reads are strict.
 
 The wire codec states each byte layout once.  A Record is a frozen
-dataclass whose layout is its field list: an optional one-byte TAG, then
-the fields in declaration order.  Field order is wire order; a field typed
-``object`` is one group element, a field typed ``int`` one scalar, and any
-other type a nested Record.  Nothing carries a length prefix: a type whose
-counts vary (a bundle, a post) writes its own header, encodes through put()
-and reads each run of equal items with read_many().
+dataclass whose layout is its field list, in declaration order, with no tag
+and no length prefix.  A field typed ``object`` is one group element, a
+field typed ``int`` one scalar, and any other type a nested Record.  A type
+whose counts vary (a bundle, a post) takes them from the ledger header and
+its entry, encodes through put() and reads each run of equal items with
+read_many().
 """
 
 import dataclasses
@@ -43,20 +43,6 @@ class Reader:
         chunk = self._data[self._off : self._off + n]
         self._off += n
         return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def expect_tag(self, tag: int, what: str):
-        got = self.u8()
-        if got != tag:
-            raise MalformedEncoding(f"expected {what} tag {tag:#x}, got {got:#x}")
 
     def expect_end(self):
         if self._off != len(self._data):
@@ -98,18 +84,11 @@ def read_many(group, reader: Reader, count: int, kind) -> tuple:
 class Record:
     """Base of the fixed-layout wire types; subclasses are frozen dataclasses."""
 
-    TAG = None
-
     def to_bytes(self, group) -> bytes:
-        values = [getattr(self, f.name) for f in dataclasses.fields(self)]
-        if self.TAG is not None:
-            values.insert(0, pack_u8(self.TAG))
-        return put(group, *values)
+        return put(group, *(getattr(self, f.name) for f in dataclasses.fields(self)))
 
     @classmethod
     def read_from(cls, group, reader: Reader):
-        if cls.TAG is not None:
-            reader.expect_tag(cls.TAG, cls.__name__)
         return cls(*(read_one(group, reader, f.type) for f in dataclasses.fields(cls)))
 
     @classmethod

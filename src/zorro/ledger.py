@@ -4,31 +4,33 @@ One ledger holds one session.  The file format is line oriented and
 human-inspectable: a JSON header naming the format (FORMAT), group, session
 and protocol shape, then one entry per line
 
-    <seq> <round> <party> <prev_hash> <entry_hash> <payload_hex>
+    <round> <party> <entry_hash> <payload_hex>
 
-with lowercase hex throughout.  Entry hashes chain over the exact header
-bytes and each entry's canonical encoding, so flipping any persisted byte
-breaks the chain at an identifiable seq.  The in-memory form is the same
-object without a path.
+with lowercase hex throughout.  An entry's seq is its line's position and
+its previous hash is the entry hash of the line above (the header's hash
+for seq 0); both are hashed, not written.  Entry hashes chain over the exact
+header bytes and each entry's canonical encoding, so flipping any persisted
+byte breaks the chain at an identifiable seq.  The in-memory form is the
+same object without a path.
 
-Format 2 posts nothing a verifier can derive (see protocol and rangeproof).
-There is one reader: a file of any other format, format 1 included, is
-refused as unreadable, naming its format.
+Format 3 posts nothing that the header, the entry or the line above states
+(see protocol and rangeproof).  There is one reader: a file of any other
+format, formats 1 and 2 included, is refused as unreadable, naming its
+format.
 """
 
 import hashlib
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .encoding import pack_u8, pack_u32, pack_u64
 from .errors import ChainBroken, DuplicatePost, MalformedEncoding
 
-FORMAT = "zorro-ledger/2"
+FORMAT = "zorro-ledger/3"
 
-_LINE_RE = re.compile(
-    r"^(0|[1-9][0-9]*) ([12]) (0|[1-9][0-9]*) ([0-9a-f]{64}) ([0-9a-f]{64}) ((?:[0-9a-f]{2})*)$"
-)
+# a party id of at most 10 digits, so that int() never meets a huge string
+_LINE_RE = re.compile(r"^([12]) (0|[1-9][0-9]{0,9}) ([0-9a-f]{64}) ((?:[0-9a-f]{2})*)$")
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,10 @@ class LedgerHeader:
             sort_keys=True,
             separators=(",", ":"),
         )
+
+    def digest(self) -> bytes:
+        """SHA-256 of the header line: the previous hash of entry 0."""
+        return hashlib.sha256(self.to_line().encode()).digest()
 
     @classmethod
     def from_line(cls, line: str) -> "LedgerHeader":
@@ -85,28 +91,19 @@ class LedgerEntry:
     round: int
     party: int
     payload: bytes
-    prev_hash: bytes
     entry_hash: bytes
 
-    def canonical_bytes(self) -> bytes:
-        return _canonical(self.seq, self.session, self.round, self.party, self.payload)
+    def hash_after(self, prev_hash: bytes) -> bytes:
+        """The entry hash of this entry below one whose hash is prev_hash:
+        SHA-256 of prev_hash and the canonical seq, session, round, party,
+        payload length and payload."""
+        return hashlib.sha256(
+            prev_hash + pack_u64(self.seq) + self.session + pack_u8(self.round)
+            + pack_u32(self.party) + pack_u32(len(self.payload)) + self.payload
+        ).digest()
 
     def to_line(self) -> str:
-        return (
-            f"{self.seq} {self.round} {self.party} "
-            f"{self.prev_hash.hex()} {self.entry_hash.hex()} {self.payload.hex()}"
-        )
-
-
-def _canonical(seq: int, session: bytes, round: int, party: int, payload: bytes) -> bytes:
-    return (
-        pack_u64(seq) + session + pack_u8(round) + pack_u32(party)
-        + pack_u32(len(payload)) + payload
-    )
-
-
-def _entry_hash(prev_hash: bytes, canonical: bytes) -> bytes:
-    return hashlib.sha256(prev_hash + canonical).digest()
+        return f"{self.round} {self.party} {self.entry_hash.hex()} {self.payload.hex()}"
 
 
 class Ledger:
@@ -117,16 +114,9 @@ class Ledger:
         self.path = path
         self.entries = []
         self._slots = set()
-        self._header_line = header.to_line()
         if path is not None:
             with open(path, "w") as fh:
-                fh.write(self._header_line + "\n")
-
-    @property
-    def _tip(self) -> bytes:
-        if self.entries:
-            return self.entries[-1].entry_hash
-        return hashlib.sha256(self._header_line.encode()).digest()
+                fh.write(header.to_line() + "\n")
 
     def append(self, round: int, party: int, payload: bytes) -> int:
         """Add one post; a party may post once per round."""
@@ -135,10 +125,9 @@ class Ledger:
         if (round, party) in self._slots:
             raise DuplicatePost(f"party {party} already posted in round {round}")
         seq = len(self.entries)
-        prev = self._tip
-        payload = bytes(payload)
-        digest = _entry_hash(prev, _canonical(seq, self.header.session, round, party, payload))
-        entry = LedgerEntry(seq, self.header.session, round, party, payload, prev, digest)
+        prev = self.entries[-1].entry_hash if self.entries else self.header.digest()
+        entry = LedgerEntry(seq, self.header.session, round, party, bytes(payload), b"")
+        entry = replace(entry, entry_hash=entry.hash_after(prev))
         self.entries.append(entry)
         self._slots.add((round, party))
         if self.path is not None:
@@ -151,15 +140,11 @@ class Ledger:
         return [e for e in self.entries if e.round == round]
 
     def verify_chain(self) -> bool:
-        """True when every hash link checks; raises ChainBroken otherwise."""
-        prev = hashlib.sha256(self._header_line.encode()).digest()
-        for pos, entry in enumerate(self.entries):
-            if entry.seq != pos:
-                raise ChainBroken(pos, "sequence number mismatch")
-            if entry.prev_hash != prev:
-                raise ChainBroken(pos, "previous-hash link mismatch")
-            if entry.entry_hash != _entry_hash(prev, entry.canonical_bytes()):
-                raise ChainBroken(pos, "entry hash mismatch")
+        """True when every entry hash checks; raises ChainBroken otherwise."""
+        prev = self.header.digest()
+        for entry in self.entries:
+            if entry.entry_hash != entry.hash_after(prev):
+                raise ChainBroken(entry.seq, "entry hash mismatch")
             prev = entry.entry_hash
         return True
 
@@ -174,29 +159,24 @@ class Ledger:
         if not lines:
             raise ChainBroken(0, "empty file")
         try:
-            header_line = lines[0].decode()
-            header = LedgerHeader.from_line(header_line)
+            header = LedgerHeader.from_line(lines[0].decode())
         except (
             UnicodeDecodeError, ValueError, KeyError, TypeError, AttributeError, RecursionError,
             MalformedEncoding,
         ) as exc:
             raise ChainBroken(0, f"unreadable header: {exc}") from exc
-        ledger = cls(header)  # from_line guarantees header.to_line() == header_line
-        for pos, line in enumerate(lines[1:]):
+        ledger = cls(header)  # from_line guarantees header.to_line() == lines[0]
+        for seq, line in enumerate(lines[1:]):
             try:
-                text = line.decode()
+                match = _LINE_RE.match(line.decode())
             except UnicodeDecodeError as exc:
-                raise ChainBroken(pos, "undecodable entry line") from exc
-            match = _LINE_RE.match(text)
-            if match is None or int(match[3]) > 0xFFFFFFFF:  # the party id is hashed as a u32
-                raise ChainBroken(pos, "malformed entry line")
-            try:
-                entry = LedgerEntry(
-                    int(match[1]), header.session, int(match[2]), int(match[3]),
-                    bytes.fromhex(match[6]), bytes.fromhex(match[4]), bytes.fromhex(match[5]),
-                )
-            except ValueError as exc:
-                raise ChainBroken(pos, "malformed entry line") from exc
+                raise ChainBroken(seq, "undecodable entry line") from exc
+            if match is None or int(match[2]) > 0xFFFFFFFF:  # the party id is hashed as a u32
+                raise ChainBroken(seq, "malformed entry line")
+            entry = LedgerEntry(
+                seq, header.session, int(match[1]), int(match[2]),
+                bytes.fromhex(match[4]), bytes.fromhex(match[3]),
+            )
             ledger.entries.append(entry)
             ledger._slots.add((entry.round, entry.party))
         return ledger

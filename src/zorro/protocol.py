@@ -17,6 +17,14 @@ of all posted second components collapses to g^(sum T_ij), and a
 baby-step/giant-step search over the policy window recovers the sum.  No
 decryption key exists: the "key" cancels only when all n posts multiply.
 
+A post carries no tag, party id, slot count or bundle kind: the ledger
+entry gives the party, and the header gives m and the policy, which pick
+how the payload is read.  Each statement stays bound to its party because
+every Fiat-Shamir context hashes the session and the party index (r1/i/j
+for round 1, r2/i for round 2), so a proof copied under another party's
+entry fails; see Bernhard, Pereira and Warinschi, "How not to prove
+yourself" (Asiacrypt 2012).
+
 A party that completes round 1 but never posts round 2 leaves the pads
 uncancellable; tally() then fails naming the culprit, and the session must
 abort (re-keying is out of scope).
@@ -32,10 +40,9 @@ from dataclasses import dataclass
 from . import rangeproof
 from .dlog import DlogWindow, bsgs
 from .elgamal import Ciphertext, Keypair, encrypt_exp
-from .encoding import Reader, pack_u8, pack_u32, put, read_many
+from .encoding import Reader, put, read_many
 from .errors import (
     LedgerRejected,
-    MalformedEncoding,
     MissingPost,
     NotInWindow,
     ZorroError,
@@ -105,39 +112,29 @@ class Round1Secret:
     x: tuple
 
 
-def _read_post_head(reader: Reader, tag: int, what: str):
-    """Tag, party id and slot count that open every post."""
-    reader.expect_tag(tag, what)
-    party, m = reader.u32(), reader.u32()
-    if not 1 <= m <= 1 << 20:
-        raise MalformedEncoding("implausible dimension")
-    return party, m
-
-
 @dataclass(frozen=True)
 class Round1Post:
+    """m round-1 elements and their proofs; the party is its entry's."""
+
     party: int
     elements: tuple
     proofs: tuple
 
     def to_bytes(self, group) -> bytes:
-        return put(
-            group, b"\x11", pack_u32(self.party), pack_u32(len(self.elements)),
-            self.elements, self.proofs,
-        )
+        return put(group, self.elements, self.proofs)
 
     @classmethod
-    def from_bytes(cls, group, data: bytes) -> "Round1Post":
+    def from_bytes(cls, group, data: bytes, party: int, m: int) -> "Round1Post":
+        """Decode the post of `party` in a session of m slots."""
         r = Reader(data)
-        party, m = _read_post_head(r, 0x11, "round-1 post")
         elements = read_many(group, r, m, object)
         proofs = read_many(group, r, m, DlogProof)
         r.expect_end()
         return cls(party, elements, proofs)
 
 
-# round-2 bundle kind byte (the policy code) -> bundle type; policy none posts no bundle
-_BUNDLE_KINDS = (type(None), L1RangeProof, L2RangeProof)
+# policy kind -> the type of its round-2 bundle; policy none posts no bundle
+_BUNDLES = {rangeproof.NONE: type(None), rangeproof.L1: L1RangeProof, rangeproof.L2: L2RangeProof}
 
 
 @dataclass(frozen=True)
@@ -149,26 +146,19 @@ class Round2Post:
     bundle: object  # L1RangeProof | L2RangeProof | None
 
     def to_bytes(self, group) -> bytes:
-        kind = _BUNDLE_KINDS.index(type(self.bundle))
-        return put(
-            group, b"\x12", pack_u32(self.party), pack_u32(len(self.cts)),
-            tuple(ct.B for ct in self.cts), pack_u8(kind),
-            self.bundle.to_bytes(group) if kind else b"",
-        )
+        bundle = b"" if self.bundle is None else self.bundle.to_bytes(group)
+        return put(group, tuple(ct.B for ct in self.cts), bundle)
 
     @classmethod
-    def from_bytes(cls, group, data: bytes, elements) -> "Round2Post":
-        """Decode a post whose party posted `elements` in round 1: element j
-        is the first component of ciphertext j, and the slot counts must agree."""
+    def from_bytes(cls, group, data: bytes, party: int, policy, elements) -> "Round2Post":
+        """Decode the post of `party` under `policy`, whose party posted
+        `elements` in round 1: element j is the first component of
+        ciphertext j, and there are as many slots as elements."""
         r = Reader(data)
-        party, m = _read_post_head(r, 0x12, "round-2 post")
-        if m != len(elements):
-            raise MalformedEncoding(f"{m} slots, but round 1 posted {len(elements)}")
-        cts = tuple(map(Ciphertext, elements, read_many(group, r, m, object)))
-        kind = r.u8()
-        if kind >= len(_BUNDLE_KINDS):
-            raise MalformedEncoding(f"unknown bundle kind {kind}")
-        bundle = _BUNDLE_KINDS[kind].read_from(group, r) if kind else None
+        cts = tuple(map(Ciphertext, elements, read_many(group, r, len(elements), object)))
+        bundle = None
+        if policy.kind != rangeproof.NONE:
+            bundle = _BUNDLES[policy.kind].read_from(group, r, len(cts), policy.L)
         r.expect_end()
         return cls(party, cts, bundle)
 
@@ -301,12 +291,11 @@ def round2_generate(
 
 
 def _contribution_failure(cfg: ProtocolConfig, post: Round2Post):
-    """"malformed" for a wrong dimension, "policy" for a bundle of the wrong
-    type for the policy, else None: a contribution's checks before its bundle's."""
-    if len(post.cts) != cfg.m:
+    """"malformed" for a wrong dimension or a bundle of the wrong type for
+    the policy (which only a post built in memory can have), else None: a
+    contribution's checks before its bundle's."""
+    if len(post.cts) != cfg.m or type(post.bundle) is not _BUNDLES[cfg.policy.kind]:
         return "malformed"
-    if type(post.bundle) is not _BUNDLE_KINDS[cfg.policy.code]:
-        return "policy"
     return None
 
 
@@ -357,9 +346,9 @@ def _ledger_round(cfg: ProtocolConfig, ledger, round: int, decode) -> list:
     """Decode one round of the ledger into one post per party, in party order.
 
     Every entry must sit under a party id in [0, n), be that party's only
-    entry of the round, decode (decode(party, payload) raises a ZorroError
-    if not) and claim the party it is filed under; a round-1 post must
-    carry m slots, which a round-2 post's decode then requires of it.
+    entry of the round and decode (decode(party, payload) raises a
+    ZorroError if not), which reads m slots and, in round 2, the header's
+    policy.
     """
     posts = {}
     for entry in ledger.read_round(round):
@@ -373,11 +362,6 @@ def _ledger_round(cfg: ProtocolConfig, ledger, round: int, decode) -> list:
             post = decode(party, entry.payload)
         except ZorroError as exc:
             raise LedgerRejected(party, "malformed", f"{where} malformed: {exc}") from exc
-        if post.party != party:
-            raise LedgerRejected(party, "binding", f"{where}: payload claims party {post.party}")
-        if round == 1 and len(post.elements) != cfg.m:
-            dim = len(post.elements)
-            raise LedgerRejected(party, "dimension", f"{where}: {dim} slots, expected {cfg.m}")
         posts[party] = post
     for i in range(cfg.n):
         if i not in posts:
@@ -389,7 +373,7 @@ def _ledger_parts(cfg: ProtocolConfig, posts1, posts2) -> list:
     """Every group equation of a decoded ledger, as sigma.fold_holds parts: the
     round-1 table, then each contribution's bundle table under its _all_pads
     keys, in party order.  A contribution that fails _contribution_failure,
-    or its bundle's policy or shape check, is a None part, failing the fold."""
+    or its bundle's shape check, is a None part, failing the fold."""
     group, base = cfg.group, cfg.base_context()
     parts = fold_parts(group, _round1_checks(cfg, posts1))
     for post, pads in zip(posts2, _all_pads(cfg, posts1)):
@@ -426,10 +410,14 @@ def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
     if ledger.header != cfg.header():
         raise LedgerRejected(None, "header", "ledger header does not match the session")
     group = cfg.group
-    posts1 = _ledger_round(cfg, ledger, 1, lambda party, data: Round1Post.from_bytes(group, data))
+    posts1 = _ledger_round(
+        cfg, ledger, 1, lambda party, data: Round1Post.from_bytes(group, data, party, cfg.m)
+    )
     posts2 = _ledger_round(
         cfg, ledger, 2,
-        lambda party, data: Round2Post.from_bytes(group, data, posts1[party].elements),
+        lambda party, data: Round2Post.from_bytes(
+            group, data, party, cfg.policy, posts1[party].elements
+        ),
     )
     if folds(group) and fold_holds(group, _ledger_parts(cfg, posts1, posts2)):
         return posts2
@@ -440,7 +428,7 @@ def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
         if not ok:
             ctx = cfg.base_context().child(b"r2", post.party)
             where = None if post.bundle is None else rangeproof.failure_position(
-                group, post.cts, post.bundle, pads, ctx, reason
+                group, post.cts, post.bundle, cfg.policy.L, pads, ctx, reason
             )
             raise _rejected("contribution", post.party, reason, where)
     return posts2

@@ -31,25 +31,29 @@ An L1 bundle does not post E*[T_j]: the verifier takes it as
 second component row j recomposes (one Horner chain per slot).  The first
 identity is then the one equation ct_j.A == prod_l E[b_jl].A^(2^l), and the
 link of slot j hashes and checks ct_j.B over that derived second component.
+An L2 bundle posts E*[T_j] whole only for its padded slots past m; for a
+real slot it posts the second component, and the verifier takes the first
+as ct_j.A, the component the link proves, as for L1.
 
 The enforced bound is always the full digit range 2^L - 1; exact non-power
 bounds would need set-membership machinery that is out of scope.
 
-verify_l1 and verify_l2 check a bundle's policy and shape, then its check
-table, checks(posted_cts, pad_keys, ctx), as the sigma module describes; the
+verify_l1 and verify_l2 check a bundle's shape, then its check table,
+checks(posted_cts, pad_keys, ctx), as the sigma module describes; the
 table's labels are the reasons a rejection names, and failure_position
 names the slot or digit of the first failing entry under one.  The link and
 recomposition checks are verifiers in sigma's form, so the fold records
-their equations as it records the sigma proofs': a link checks its DH tuple
-(an L2 link first guards that the posted E*[t] has the slot's first
-component), and a recomposition is multi_exp(cts at 1) ==
-multi_exp(digits at 2^l), one equation per ciphertext component compared.
+their equations as it records the sigma proofs': a link checks its DH tuple,
+and a recomposition is multi_exp(cts at 1) == multi_exp(digits at 2^l), one
+equation per ciphertext component compared.
 
 Each bundle states its shape once, as runs(m, L): the item type and count
 of every field after h_i, in wire order, for m slots and L digits.  A count
 is an int, or (rows, cols) for a table such as L1's m x L digit rows.  The
-shared Bundle base derives the codec (tag, policy, u32 m, h_i, then each
-run item by item) and the verifiers' shape check fits(m) from that table.
+shared Bundle base derives the codec (h_i, then each run item by item) and
+the verifiers' shape check fits(m, L) from that table.  A bundle posts no
+tag, policy or slot count: the ledger header gives the policy, and with it
+L, and m.
 """
 
 import math
@@ -57,8 +61,8 @@ from dataclasses import dataclass, fields
 
 from .dlog import DlogWindow
 from .elgamal import Ciphertext, Keypair
-from .encoding import Reader, pack_u8, pack_u32, pack_u64, put, read_many, read_one
-from .errors import BoundExceeded, MalformedEncoding, NegativeEntry
+from .encoding import Reader, put, read_many, read_one
+from .errors import BoundExceeded, NegativeEntry
 from .sigma import (
     BitProof,
     DhTupleProof,
@@ -76,13 +80,6 @@ from .sigma import (
 
 L1, L2, NONE = "l1", "l2", "none"
 
-_KIND_CODES = {NONE: 0, L1: 1, L2: 2}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
-
-# deserialization sanity caps
-_MAX_DIM = 1 << 20
-_MAX_DIGITS = 256
-
 
 @dataclass(frozen=True)
 class BoundPolicy:
@@ -97,12 +94,12 @@ class BoundPolicy:
     B: int = 0
 
     def __post_init__(self):
-        if self.kind not in _KIND_CODES:
+        if self.kind not in (NONE, L1, L2):
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind != NONE and self.B < 1:
             raise ValueError("bound must be a positive integer")
         if self.B >= 1 << 64:
-            raise ValueError(f"bound {self.B} does not fit the u64 wire field")
+            raise ValueError(f"bound {self.B} does not fit in a u64")
 
     @classmethod
     def l1(cls, B: int) -> "BoundPolicy":
@@ -138,25 +135,6 @@ class BoundPolicy:
             per_party = math.isqrt(self.effective_bound)
             return DlogWindow(-n * per_party, n * per_party)
         return None
-
-    @property
-    def code(self) -> int:
-        """The policy's one-byte wire code: none 0, l1 1, l2 2."""
-        return _KIND_CODES[self.kind]
-
-    def to_bytes(self) -> bytes:
-        return pack_u8(self.code) + pack_u64(self.B)
-
-    @classmethod
-    def read_from(cls, reader: Reader) -> "BoundPolicy":
-        code = reader.u8()
-        if code not in _KIND_NAMES:
-            raise MalformedEncoding(f"unknown policy code {code}")
-        B = reader.u64()
-        kind = _KIND_NAMES[code]
-        if (kind == NONE) != (B == 0):
-            raise MalformedEncoding(f"policy {kind} cannot carry bound {B}")
-        return cls(kind, B)
 
 
 def bits_of(value: int, width: int) -> list[int]:
@@ -208,21 +186,13 @@ def verify_reencryption_link(group, ct: Ciphertext, star_B, h_pad, h_i, proof, c
     return verify_dh_tuple(group, (group.g, h_pad / h_i, ct.A, ct.B / star_B), proof, ctx)
 
 
-def _verify_posted_link(group, ct: Ciphertext, ct_star: Ciphertext, h_pad, h_i, proof, ctx) -> bool:
-    """An L2 link, whose E*[t] is posted whole: its first component must be
-    ct.A, the one the link proves, before the link is checked."""
-    if ct.A != ct_star.A:
-        return False
-    return verify_reencryption_link(group, ct, ct_star.B, h_pad, h_i, proof, ctx)
-
-
-def _link_checks(verify, posted_cts, stars, proof, pad_keys, ctx) -> list:
-    """verify(ct, star, h_pad, h_i, link, ctx/link/j) for every posted slot j,
-    star the slot's E*[T_j] or its second component."""
-    links = enumerate(zip(posted_cts, stars, pad_keys, proof.links))
+def _link_checks(posted_cts, star_Bs, proof, pad_keys, ctx) -> list:
+    """The link of every posted slot j in context ctx/link/j, star_Bs[j] the
+    second component of the slot's E*[T_j], whose first is ct_j.A."""
+    links = enumerate(zip(posted_cts, star_Bs, pad_keys, proof.links))
     return [
-        (verify, (ct, star, h, proof.h_i, link, ctx.child(b"link", j)))
-        for j, (ct, star, h, link) in links
+        (verify_reencryption_link, (ct, B, h, proof.h_i, link, ctx.child(b"link", j)))
+        for j, (ct, B, h, link) in links
     ]
 
 
@@ -267,37 +237,33 @@ def _bit_checks(digit_cts, digit_proofs, h_i, row_ctx) -> list:
     ]
 
 
-# -- verification: policy and shape, then the check table ---------------------
+# -- verification: shape, then the check table --------------------------------
 
 
-def _shape_failure(posted_cts, proof, policy, pad_keys):
-    """"policy" or "malformed" when the bundle's policy or shape is wrong, else None."""
-    if proof.policy != policy:
-        return "policy"
+def _well_shaped(posted_cts, proof, L, pad_keys) -> bool:
+    """Whether the bundle's runs fit the m posted slots and L digits, with m pad keys."""
     m = len(posted_cts)
-    if not proof.fits(m) or len(pad_keys) != m:
-        return "malformed"
-    return None
+    return proof.fits(m, L) and len(pad_keys) == m
 
 
 def bundle_parts(group, posted_cts, proof, policy, pad_keys, ctx):
     """The fold parts of an L1 or L2 bundle's check table, or [None], which
-    fails the fold, when its policy or shape check fails."""
-    if _shape_failure(posted_cts, proof, policy, pad_keys) is not None:
+    fails the fold, when its shape check fails."""
+    if not _well_shaped(posted_cts, proof, policy.L, pad_keys):
         return [None]
     return fold_parts(group, proof.checks(posted_cts, pad_keys, ctx))
 
 
 def _verify(group, posted_cts, proof, policy, pad_keys, ctx):
-    """(ok, reason) of a bundle: its policy and shape, then the first label
-    of its check table that fails (sigma.first_failure)."""
-    reason = _shape_failure(posted_cts, proof, policy, pad_keys)
-    if reason is None:
-        reason = first_failure(group, proof.checks(posted_cts, pad_keys, ctx))
+    """(ok, reason) of a bundle: "malformed" when its shape is wrong, else
+    the first label of its check table that fails (sigma.first_failure)."""
+    if not _well_shaped(posted_cts, proof, policy.L, pad_keys):
+        return False, "malformed"
+    reason = first_failure(group, proof.checks(posted_cts, pad_keys, ctx))
     return reason is None, reason
 
 
-def failure_position(group, posted_cts, proof, pad_keys, ctx, label):
+def failure_position(group, posted_cts, proof, L, pad_keys, ctx, label):
     """Where the first failing entry under `label` of a well-shaped bundle's
     check table sits: "slot j", "digit l" or "slot j, digit l"; None for a
     label that is not one of its POSITIONS, or when no entry fails."""
@@ -309,7 +275,7 @@ def failure_position(group, posted_cts, proof, pad_keys, ctx, label):
     if k is None:
         return None
     if kind == "slot, digit":
-        return f"slot {k // proof.policy.L}, digit {k % proof.policy.L}"
+        return f"slot {k // L}, digit {k % L}"
     return f"{kind} {k}"
 
 
@@ -330,44 +296,30 @@ def _run_fits(items, count) -> bool:
 
 @dataclass(frozen=True)
 class Bundle:
-    """A validity bundle: its policy, the prover key h_i, then the runs of
-    items that its subclass lays out in runs(m, L) and tags with TAG and
-    the policy KIND.  `links` holds one proof per slot, so its length is
-    the m that the wire form carries.  POSITIONS maps a check-table label
+    """A validity bundle: the prover key h_i, then the runs of items that its
+    subclass lays out in runs(m, L) for m slots and L digits, which the
+    reader takes from the ledger header.  POSITIONS maps a check-table label
     whose entries run over slots or digits to what entry k names."""
 
-    policy: BoundPolicy
     h_i: object
 
     def _run_values(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)[2:]]
+        return [getattr(self, f.name) for f in fields(self)[1:]]
 
-    def fits(self, m: int) -> bool:
-        """Every run has the length runs(m, L) gives it under this bundle's policy."""
-        shape = self.runs(m, self.policy.L)
+    def fits(self, m: int, L: int) -> bool:
+        """Every run has the length runs(m, L) gives it."""
         return all(
             _run_fits(items, count)
-            for items, (_, count) in zip(self._run_values(), shape, strict=True)
+            for items, (_, count) in zip(self._run_values(), self.runs(m, L), strict=True)
         )
 
     def to_bytes(self, group) -> bytes:
-        return put(
-            group, pack_u8(self.TAG), self.policy.to_bytes(), pack_u32(len(self.links)),
-            self.h_i, *self._run_values(),
-        )
+        return put(group, self.h_i, *self._run_values())
 
     @classmethod
-    def read_from(cls, group, reader: Reader) -> "Bundle":
-        reader.expect_tag(cls.TAG, f"{cls.KIND} bundle")
-        policy = BoundPolicy.read_from(reader)
-        if policy.kind != cls.KIND:
-            raise MalformedEncoding(f"bundle policy is not {cls.KIND}")
-        m = reader.u32()
-        if not 1 <= m <= _MAX_DIM or policy.L > _MAX_DIGITS:
-            raise MalformedEncoding("implausible bundle dimensions")
+    def read_from(cls, group, reader: Reader, m: int, L: int) -> "Bundle":
         h_i = read_one(group, reader, object)
-        runs = cls.runs(m, policy.L)
-        return cls(policy, h_i, *(_read_run(group, reader, kind, count) for kind, count in runs))
+        return cls(h_i, *(_read_run(group, reader, kind, count) for kind, count in cls.runs(m, L)))
 
 
 # -- L2 norm bound ------------------------------------------------------------
@@ -375,33 +327,33 @@ class Bundle:
 
 @dataclass(frozen=True)
 class L2RangeProof(Bundle):
-    reencrypted: tuple        # E*[T_j]; padded with encryptions of 0 past m
+    reencrypted_B: tuple      # E*[T_j].B of the real slots; E*[T_j].A is ct_j.A
+    reencrypted_pad: tuple    # E*[0] whole, for the slots past m
     links: tuple              # DH-tuple proofs, one per real slot
     digit_cts: tuple          # E[s_l]
     digit_proofs: tuple       # bit proofs for the digits
     square_cts: tuple         # E[w_j], one per (padded) slot
     square_proofs: tuple      # square-relation proofs, aligned with square_cts
 
-    TAG = 0x05
-    KIND = L2
     POSITIONS = {"tuple": "slot", "bit": "digit", "square": "slot"}
 
     @staticmethod
     def runs(m: int, L: int) -> tuple:
         m_ext = _extended_len(m, L)
         return (
-            (Ciphertext, m_ext), (DhTupleProof, m), (Ciphertext, L), (BitProof, L),
-            (Ciphertext, m_ext), (SquareProof, m_ext),
+            (object, m), (Ciphertext, m_ext - m), (DhTupleProof, m), (Ciphertext, L),
+            (BitProof, L), (Ciphertext, m_ext), (SquareProof, m_ext),
         )
 
     def checks(self, posted_cts, pad_keys, ctx) -> list:
         """The check table (sigma.first_failure): the links, the square sum
-        against the digits, the digits' bits, the squares."""
-        squares = enumerate(zip(self.reencrypted, self.square_cts, self.square_proofs))
+        against the digits, the digits' bits, the squares.  E*[T_j] is
+        (ct_j.A, reencrypted_B[j]) for a real slot."""
+        stars = [Ciphertext(ct.A, B) for ct, B in zip(posted_cts, self.reencrypted_B)]
+        stars += self.reencrypted_pad
+        squares = enumerate(zip(stars, self.square_cts, self.square_proofs))
         return [
-            ("tuple", _link_checks(
-                _verify_posted_link, posted_cts, self.reencrypted, self, pad_keys, ctx
-            )),
+            ("tuple", _link_checks(posted_cts, self.reencrypted_B, self, pad_keys, ctx)),
             ("consistency", [(_recomposes, (self.square_cts, self.digit_cts))]),
             ("bit", _bit_checks(self.digit_cts, self.digit_proofs, self.h_i, ctx.child(b"bit"))),
             ("square", [
@@ -467,7 +419,7 @@ def prove_l2(
         )
 
     return L2RangeProof(
-        policy, keypair.pk, reenc, links, digit_cts, digit_proofs,
+        keypair.pk, tuple(ct.B for ct in reenc[:m]), reenc[m:], links, digit_cts, digit_proofs,
         tuple(square_cts), tuple(square_proofs),
     )
 
@@ -476,7 +428,7 @@ def verify_l2(group, posted_cts, proof: L2RangeProof, policy: BoundPolicy, pad_k
     """Check an L2 bundle against the posted ciphertexts.
 
     Returns (ok, reason); reason names the first failed check, one of
-    "policy", "malformed", "tuple", "consistency", "bit", "square".
+    "malformed", "tuple", "consistency", "bit", "square".
     """
     return _verify(group, posted_cts, proof, policy, pad_keys, ctx)
 
@@ -492,8 +444,6 @@ class L1RangeProof(Bundle):
     sum_digit_cts: tuple      # E[sigma_l]
     sum_digit_proofs: tuple
 
-    TAG = 0x06
-    KIND = L1
     POSITIONS = {"tuple": "slot", "element": "slot", "bit": "slot, digit", "sum_bit": "digit"}
 
     @staticmethod
@@ -510,10 +460,7 @@ class L1RangeProof(Bundle):
         rows = self.element_digit_cts
         stars = [Ciphertext(ct.A, _recomposed_B(row)) for ct, row in zip(posted_cts, rows)]
         return [
-            ("tuple", _link_checks(
-                verify_reencryption_link, posted_cts, [star.B for star in stars], self,
-                pad_keys, ctx,
-            )),
+            ("tuple", _link_checks(posted_cts, [star.B for star in stars], self, pad_keys, ctx)),
             ("element", [(_recomposes, ((ct,), row, ("A",))) for ct, row in zip(posted_cts, rows)]),
             ("bit", [
                 check
@@ -574,13 +521,13 @@ def _build_l1(
         group, sum_digits, _digit_randomness(group, sum(x) % group.q, L, rng), keypair,
         ctx.child(b"sumbit"), rng,
     )
-    return L1RangeProof(policy, keypair.pk, links, elem_cts, elem_proofs, sum_cts, sum_proofs)
+    return L1RangeProof(keypair.pk, links, elem_cts, elem_proofs, sum_cts, sum_proofs)
 
 
 def verify_l1(group, posted_cts, proof: L1RangeProof, policy: BoundPolicy, pad_keys, ctx):
     """Check an L1 bundle against the posted ciphertexts.
 
-    Returns (ok, reason); reason is one of "policy", "malformed", "tuple",
-    "element", "bit", "sum", "sum_bit".
+    Returns (ok, reason); reason is one of "malformed", "tuple", "element",
+    "bit", "sum", "sum_bit".
     """
     return _verify(group, posted_cts, proof, policy, pad_keys, ctx)

@@ -256,8 +256,6 @@ def first_failure(group, table):
 
 @dataclass(frozen=True)
 class DlogProof(Record):
-    TAG = 0x01
-
     K: object
     s: int
 
@@ -286,8 +284,6 @@ def verify_dlog(group, A, proof: DlogProof, ctx: FsTranscript) -> bool:
 
 @dataclass(frozen=True)
 class DhTupleProof(Record):
-    TAG = 0x02
-
     a: object
     b: object
     z: int
@@ -331,8 +327,6 @@ class BitProof(Record):
     challenge c, so only d1 is posted: the verifier takes d2 = c - d1 mod q,
     the OR-proof form of Cramer, Damgard and Schoenmakers (CRYPTO 1994).
     """
-
-    TAG = 0x03
 
     a1: object
     b1: object
@@ -399,8 +393,6 @@ class SquareProof(Record):
     Both ciphertexts encrypt in the exponent of g under one key pk (the
     challenge also hashes g, in the statement slot after pk).
     """
-
-    TAG = 0x04
 
     C_a: Ciphertext
     C_b: Ciphertext

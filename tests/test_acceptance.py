@@ -181,9 +181,9 @@ def test_criterion_03_mutation_soundness():
         for post in posts1:
             data = post.to_bytes(MOD)
 
-            def check_r1(payload, cfg=cfg):
+            def check_r1(payload, cfg=cfg, party=post.party):
                 try:
-                    decoded = Round1Post.from_bytes(MOD, payload)
+                    decoded = Round1Post.from_bytes(MOD, payload, party, cfg.m)
                 except ZorroError:
                     return False
                 return verify_round1(cfg, decoded)
@@ -194,9 +194,9 @@ def test_criterion_03_mutation_soundness():
             pads = parties[post.party].pads
             elements = posts1[post.party].elements
 
-            def check_r2(payload, cfg=cfg, pads=pads, elements=elements):
+            def check_r2(payload, cfg=cfg, pads=pads, elements=elements, party=post.party):
                 try:
-                    decoded = Round2Post.from_bytes(MOD, payload, elements)
+                    decoded = Round2Post.from_bytes(MOD, payload, party, cfg.policy, elements)
                 except ZorroError:
                     return False
                 return verify_contribution(cfg, decoded, pads)[0]

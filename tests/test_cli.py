@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -108,10 +109,7 @@ def test_verify_detects_forged_payload(ballots_file, tmp_path, capsys):
     for entry in led.entries:
         payload = entry.payload
         if entry.round == 2 and entry.party == 1:
-            donor = next(e for e in led.entries if e.round == 2 and e.party == 2)
-            forged = bytearray(donor.payload)
-            forged[1:5] = (1).to_bytes(4, "big")  # claim party 1
-            payload = bytes(forged)
+            payload = next(e for e in led.entries if e.round == 2 and e.party == 2).payload
         rebuilt.append(entry.round, entry.party, payload)
     assert run(["verify", str(tmp_path / "forged.ledger")]) == EXIT_PROOF
     assert "rejected" in capsys.readouterr().err
@@ -135,10 +133,23 @@ def _payload(entries, round, party):
     return next(e.payload for e in entries if (e.round, e.party) == (round, party))
 
 
-def _claiming(payload, party):
-    forged = bytearray(payload)
-    forged[1:5] = party.to_bytes(4, "big")
-    return bytes(forged)
+def _reheaded(src, dst, **changes):
+    """Copy ledger `src` to `dst` under its header with `changes`, re-chained."""
+    led = Ledger.load(str(src))
+    copy = Ledger(dataclasses.replace(led.header, **changes), path=str(dst))
+    for entry in led.entries:
+        copy.append(entry.round, entry.party, entry.payload)
+    return str(dst)
+
+
+def _decoded(cfg, entries, round, party):
+    """The post of `party` in `round`, read as verify_ledger reads it under `cfg`."""
+    post1 = protocol.Round1Post.from_bytes(cfg.group, _payload(entries, 1, party), party, cfg.m)
+    if round == 1:
+        return post1
+    return protocol.Round2Post.from_bytes(
+        cfg.group, _payload(entries, 2, party), party, cfg.policy, post1.elements
+    )
 
 
 def _assert_rejected(path, capsys, *names):
@@ -158,60 +169,85 @@ def vote_ledger(ballots_file, tmp_path, capsys):
     return path
 
 
-@pytest.mark.parametrize("round", [1, 2])
-def test_verify_rejects_byte_copy_of_another_partys_post(vote_ledger, tmp_path, capsys, round):
-    # party 1's entry carries party 0's post verbatim; it used to pass
-    # (round 2) or fail as a dropout (round 1)
+def _copied(src, dst, round):
+    """Ledger `src` re-chained into `dst` with party 1's entry of `round`
+    carrying party 0's payload verbatim."""
     def edit(entry, entries):
         if (entry.round, entry.party) == (round, 1):
             return [(round, 1, _payload(entries, round, 0))]
         return [(entry.round, entry.party, entry.payload)]
 
-    path = _rechained(vote_ledger, tmp_path / "copied.ledger", edit)
-    _assert_rejected(path, capsys, f"round-{round}", "of party 1", "claims party 0")
+    return _rechained(src, dst, edit)
 
 
-@pytest.mark.parametrize("round", [1, 2])
-def test_verify_rejects_payload_claiming_party_out_of_range(vote_ledger, tmp_path, capsys, round):
-    # a payload claiming party 7 of 3 used to crash verify with a KeyError
-    def edit(entry, entries):
-        if (entry.round, entry.party) == (round, 1):
-            return [(round, 1, _claiming(entry.payload, 7))]
-        return [(entry.round, entry.party, entry.payload)]
+@pytest.mark.parametrize("group", ["test", "prod"])
+@pytest.mark.parametrize(
+    "round, named",
+    [
+        (1, "round-1 proof of party 1 rejected (round1): slot 0"),
+        (2, "contribution of party 1 rejected (tuple): slot 0"),
+    ],
+    ids=["round1", "round2"],
+)
+def test_verify_rejects_byte_copy_of_another_partys_post(
+    ballots_file, tmp_path, capsys, monkeypatch, group, round, named
+):
+    # no post names its party: every proof context hashes the entry's party
+    # index, so the copied proofs fail from slot 0.  secp256k1 folds the
+    # ledger first; the failed fold falls back to the checks one by one
+    source = tmp_path / "vote.ledger"
+    argv = ["vote", ballots_file, "--bound", "4", "--group", group, "--ledger", str(source)]
+    assert run(argv) == EXIT_OK
+    capsys.readouterr()
+    path = _copied(source, tmp_path / "copied.ledger", round)
+    folds, fold_holds = [], protocol.fold_holds
 
-    path = _rechained(vote_ledger, tmp_path / "claim7.ledger", edit)
-    _assert_rejected(path, capsys, "of party 1", "claims party 7")
+    def spy(*args):
+        folds.append(fold_holds(*args))
+        return folds[-1]
+
+    monkeypatch.setattr(protocol, "fold_holds", spy)
+    _assert_rejected(path, capsys, named)
+    assert folds == ([False] if group == "prod" else [])
+
+
+def test_verify_tallies_a_policy_none_round2_copy(tmp_path, capsys):
+    # no proof binds a policy-none contribution: party 0's B's under party 1
+    # pass verification, and only the tally, whose pads no longer cancel, fails
+    source = tmp_path / "none.ledger"
+    code = run(
+        ["aggregate", "--group", "test", "--parties", "3", "--dim", "2", "--seed", "11",
+         "--check", "none", "--ledger", str(source)]
+    )
+    assert code == EXIT_OK
+    capsys.readouterr()
+    path = _copied(source, tmp_path / "copied.ledger", 2)
+    _assert_rejected(path, capsys, "tally failed at slot 0")
 
 
 def test_verify_rejects_entry_under_party_id_n(vote_ledger, tmp_path, capsys):
     def edit(entry, entries):
         posts = [(entry.round, entry.party, entry.payload)]
         if entry is entries[-1]:
-            posts.append((2, 3, _claiming(_payload(entries, 2, 2), 3)))
+            posts.append((2, 3, _payload(entries, 2, 2)))
         return posts
 
     path = _rechained(vote_ledger, tmp_path / "extra.ledger", edit)
     _assert_rejected(path, capsys, "of party 3", "outside [0, 3)")
 
 
-# offset of the 8-byte bound in a round-2 l1 post with m=2 on the test group:
-# tag, party, m, two second components, bundle kind, bundle tag, policy code
-_BOUND_AT = 1 + 4 + 4 + 2 * groups.test_group().element_bytes + 1 + 1 + 1
-
-
 @pytest.mark.parametrize(
     "corrupt",
     [
         lambda payload: b"",
-        lambda payload: payload[:_BOUND_AT] + bytes(8) + payload[_BOUND_AT + 8:],
         lambda payload: payload[:10],
         lambda payload: payload[:9] + bytes(len(payload) - 9),
     ],
-    ids=["empty-payload", "bundle-bound-0", "truncated", "zeroed-body"],
+    ids=["empty-payload", "truncated", "zeroed-body"],
 )
 def test_verify_rejects_undecodable_round2_post(vote_ledger, tmp_path, capsys, corrupt):
-    # an empty payload used to fail to load (exit 3) and a zero bundle bound
-    # escaped as a bare ValueError (exit 1); both are party 1's malformed post
+    # an empty payload used to fail to load (exit 3); each is party 1's
+    # malformed post
     def edit(entry, entries):
         if (entry.round, entry.party) == (2, 1):
             return [(2, 1, corrupt(entry.payload))]
@@ -221,22 +257,24 @@ def test_verify_rejects_undecodable_round2_post(vote_ledger, tmp_path, capsys, c
     _assert_rejected(path, capsys, "of party 1", "malformed")
 
 
-def test_verify_refuses_a_format_1_ledger(vote_ledger, tmp_path, capsys):
-    # format 2 has the only reader: a format-1 file is unreadable, by name
-    path = tmp_path / "v1.ledger"
+@pytest.mark.parametrize("old", [1, 2])
+def test_verify_refuses_a_format_1_ledger(vote_ledger, tmp_path, capsys, old):
+    # format 3 has the only reader: a format-1 or format-2 file is
+    # unreadable, by name
+    path = tmp_path / "old.ledger"
     text = vote_ledger.read_text()
-    assert '"format":"zorro-ledger/2"' in text
-    path.write_text(text.replace('"format":"zorro-ledger/2"', '"format":"zorro-ledger/1"'))
+    assert '"format":"zorro-ledger/3"' in text
+    path.write_text(text.replace('"format":"zorro-ledger/3"', f'"format":"zorro-ledger/{old}"'))
     assert run(["verify", str(path)]) == EXIT_LEDGER
     err = capsys.readouterr().err
     assert err.startswith("ledger corrupt at seq 0: unreadable header")
-    assert "unsupported ledger format 'zorro-ledger/1'" in err
+    assert f"unsupported ledger format 'zorro-ledger/{old}'" in err
 
 
 @pytest.mark.parametrize("check", ["l1", "none"])
 def test_verify_rejects_a_format_1_round2_payload(tmp_path, capsys, check):
     # party 1's round-2 post carries each ciphertext whole, A before B, as
-    # format 1 laid it out; under policy none that is the whole format-1 post
+    # format 1 laid it out
     group = groups.test_group()
     source = tmp_path / "source.ledger"
     code = run(
@@ -245,15 +283,14 @@ def test_verify_rejects_a_format_1_round2_payload(tmp_path, capsys, check):
     )
     assert code == EXIT_OK
     capsys.readouterr()
+    cfg = protocol.ProtocolConfig.from_header(Ledger.load(str(source)).header)
 
     def edit(entry, entries):
         if (entry.round, entry.party) != (2, 1):
             return [(entry.round, entry.party, entry.payload)]
-        elements = protocol.Round1Post.from_bytes(group, _payload(entries, 1, 1)).elements
-        post = protocol.Round2Post.from_bytes(group, entry.payload, elements)
-        v2 = post.to_bytes(group)
-        cts_end = 9 + len(post.cts) * group.element_bytes
-        v1 = v2[:9] + b"".join(ct.to_bytes(group) for ct in post.cts) + v2[cts_end:]
+        post = _decoded(cfg, entries, 2, 1)
+        cts_end = len(post.cts) * group.element_bytes
+        v1 = b"".join(ct.to_bytes(group) for ct in post.cts) + entry.payload[cts_end:]
         return [(2, 1, v1)]
 
     path = _rechained(source, tmp_path / "v1-payload.ledger", edit)
@@ -262,11 +299,12 @@ def test_verify_rejects_a_format_1_round2_payload(tmp_path, capsys, check):
 
 def test_verify_names_the_slot_of_a_bad_round1_proof(vote_ledger, tmp_path, capsys):
     group = groups.test_group()
+    cfg = protocol.ProtocolConfig.from_header(Ledger.load(str(vote_ledger)).header)
 
     def edit(entry, entries):
         if (entry.round, entry.party) != (1, 2):
             return [(entry.round, entry.party, entry.payload)]
-        post = protocol.Round1Post.from_bytes(group, entry.payload)
+        post = _decoded(cfg, entries, 1, 2)
         bad = dataclasses.replace(post.proofs[1], s=(post.proofs[1].s + 1) % group.q)
         post = dataclasses.replace(post, proofs=(post.proofs[0], bad))
         return [(1, 2, post.to_bytes(group))]
@@ -317,26 +355,19 @@ def test_verify_rejects_ciphertexts_not_bound_to_round1(tmp_path, capsys, policy
 )
 def test_verify_rejects_impossible_header(vote_ledger, tmp_path, capsys, field, value):
     # each used to exit 1, the usage-error code, instead of rejecting the ledger
-    led = Ledger.load(str(vote_ledger))
-    path = tmp_path / "header.ledger"
-    copy = Ledger(dataclasses.replace(led.header, **{field: value}), path=str(path))
-    for entry in led.entries:
-        copy.append(entry.round, entry.party, entry.payload)
-    _assert_rejected(str(path), capsys, "bad ledger header")
+    path = _reheaded(vote_ledger, tmp_path / "header.ledger", **{field: value})
+    _assert_rejected(path, capsys, "bad ledger header")
 
 
 def test_verify_rejects_second_round2_entry(vote_ledger, capsys):
-    # Ledger.append refuses a second post, so chain the extra line by hand:
-    # entry_hash = SHA256(prev_hash || canonical entry bytes)
+    # Ledger.append refuses a second post, so chain the extra line with the
+    # entry's own hash below the last line
     led = Ledger.load(str(vote_ledger))
     last = led.entries[-1]
     dup = dataclasses.replace(
-        next(e for e in led.entries if (e.round, e.party) == (2, 0)),
-        seq=last.seq + 1, prev_hash=last.entry_hash,
+        next(e for e in led.entries if (e.round, e.party) == (2, 0)), seq=last.seq + 1
     )
-    dup = dataclasses.replace(
-        dup, entry_hash=hashlib.sha256(dup.prev_hash + dup.canonical_bytes()).digest()
-    )
+    dup = dataclasses.replace(dup, entry_hash=dup.hash_after(last.entry_hash))
     with open(vote_ledger, "a") as fh:
         fh.write(dup.to_line() + "\n")
     _assert_rejected(str(vote_ledger), capsys, "of party 0", "second entry")
@@ -378,8 +409,8 @@ def test_verify_maps_tally_failure_to_proof_rejection(vote_ledger, capsys, monke
 @pytest.mark.parametrize(
     "check, bound, digest, size, totals",
     [
-        ("l1", "4", "85e2747e669579ac3d3016550d696038e9f4776502487067d7de4f6b4a3f6045", 4688, "2,2"),
-        ("l2", "9", "0964cdde3aef7f2afa524cf00b80d9ce2b3dd838615d8418b486bc221f777e4f", 7244, "4,7"),
+        ("l1", "4", "929fb23d82d172cd75673009c35d5d2134b71284e1b0ceada1211b59dd13b76d", 4010, "2,2"),
+        ("l2", "9", "263086fa576dd35424f5f7750cf98ea3fc64947b01f4e116f0e39d9cc365a892", 6458, "4,7"),
     ],
 )
 def test_golden_ledger_bytes(tmp_path, capsys, check, bound, digest, size, totals):
@@ -406,7 +437,7 @@ def test_golden_secp256k1_ledger_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == "tally: 2,2\n"
     raw = path.read_bytes()
     assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
-        20058, "8771e5995256cb1a59ff02edae7d893d911517bd0a4f3e62b6b10b267eba4628"
+        19380, "a338eeeea9e78da3b01cf15d8e01a83712fd9c3f0145b05e4bca3b9d47b3152a"
     )
 
 
@@ -421,7 +452,7 @@ def test_golden_secp256k1_l2_ledger_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == "tally: 4,7\n"
     raw = path.read_bytes()
     assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
-        33846, "7b878214a9be05debe3c7fb9fbf5bf6861d6063aff395582e0085b63c399b8c7"
+        32736, "9fd99cd50e13a5fa2f130e934891a1ebf4534633228d3a56a5ebc45d7b6c4af0"
     )
 
 
@@ -429,13 +460,12 @@ def test_golden_secp256k1_l2_ledger_bytes(tmp_path, capsys):
     "check, bound, slot_fields",
     [
         ("l1", "4", ("links", "element_digit_cts", "element_digit_proofs")),
-        # L = 7, so the padded l2 runs keep their 8 slots at m = 1 as at m = 2
-        ("l2", "9", ("links",)),
+        ("l2", "9", ("reencrypted_B", "links")),
     ],
 )
 def test_verify_rejects_a_bundle_cut_to_one_slot(tmp_path, capsys, check, bound, slot_fields):
-    # party 1's bundle decodes as a well-formed one-slot bundle, but it sits
-    # under two posted ciphertexts
+    # party 1's bundle is a one-slot bundle under two posted ciphertexts: in
+    # memory it fails the shape check, and the header's m = 2 cannot read it
     group = groups.test_group()
     source = tmp_path / "source.ledger"
     code = run(
@@ -444,18 +474,21 @@ def test_verify_rejects_a_bundle_cut_to_one_slot(tmp_path, capsys, check, bound,
     )
     assert code == EXIT_OK
     capsys.readouterr()
+    led = Ledger.load(str(source))
+    cfg = protocol.ProtocolConfig.from_header(led.header)
+    post = _decoded(cfg, led.entries, 2, 1)
+    cut = {name: getattr(post.bundle, name)[:1] for name in slot_fields}
+    post = dataclasses.replace(post, bundle=dataclasses.replace(post.bundle, **cut))
+    pads = protocol.derive_pads(cfg, [_decoded(cfg, led.entries, 1, i) for i in range(3)], 1)
+    assert protocol.verify_contribution(cfg, post, pads) == (False, "malformed")
 
     def edit(entry, entries):
         if (entry.round, entry.party) != (2, 1):
             return [(entry.round, entry.party, entry.payload)]
-        elements = protocol.Round1Post.from_bytes(group, _payload(entries, 1, 1)).elements
-        post = protocol.Round2Post.from_bytes(group, entry.payload, elements)
-        cut = {name: getattr(post.bundle, name)[:1] for name in slot_fields}
-        post = dataclasses.replace(post, bundle=dataclasses.replace(post.bundle, **cut))
         return [(2, 1, post.to_bytes(group))]
 
     path = _rechained(source, tmp_path / "cut.ledger", edit)
-    _assert_rejected(path, capsys, "contribution of party 1 rejected (malformed)")
+    _assert_rejected(path, capsys, "round-2 entry seq 4 of party 1 malformed")
 
 
 # l1 bound 2^41 - 1 on mod41, where q = 2^40 + 15: legal entries can sum to q
@@ -485,12 +518,8 @@ def test_verify_rejects_a_header_whose_l1_bound_wraps(tmp_path, capsys):
          "--check", "l1", "--bound", "4", "--ledger", str(golden)]
     )
     assert code == EXIT_OK
-    led = Ledger.load(str(golden))
-    path = tmp_path / "wrap.ledger"
-    copy = Ledger(dataclasses.replace(led.header, policy_bound=int(WRAP_BOUND)), path=str(path))
-    for entry in led.entries:
-        copy.append(entry.round, entry.party, entry.payload)
-    _assert_rejected(str(path), capsys, "bad ledger header", "group order")
+    path = _reheaded(golden, tmp_path / "wrap.ledger", policy_bound=int(WRAP_BOUND))
+    _assert_rejected(path, capsys, "bad ledger header", "group order")
 
 
 def _golden_l1_ledger(tmp_path, capsys):
@@ -504,13 +533,43 @@ def _golden_l1_ledger(tmp_path, capsys):
     return path
 
 
-def test_verify_reports_a_party_id_beyond_u32_as_a_malformed_line(tmp_path, capsys):
+def test_verify_reads_a_header_m_of_2_32_as_a_malformed_post_at_once(tmp_path, capsys):
+    # the header's m sizes every read, and no cap on m is left: party 0's
+    # round-1 post, two slots long, fails to read item by item before
+    # anything of size m is built
+    path = _reheaded(_golden_l1_ledger(tmp_path, capsys), tmp_path / "wide.ledger", m=2**32)
+    tracemalloc.start()
+    try:
+        _assert_rejected(path, capsys, "round-1 entry seq 0 of party 0 malformed")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("bound", [5, 3])
+def test_the_header_bound_alone_sets_the_digit_count(tmp_path, capsys, bound):
+    # no bundle posts its bound.  Under 5, as under 4, L = 3 and both enforce
+    # 2^L - 1 = 7, so the ledger verifies with its true tally; under 3, L = 2
+    # and party 0's bundle does not read
+    golden = _golden_l1_ledger(tmp_path, capsys)
+    path = _reheaded(golden, tmp_path / "bound.ledger", policy_bound=bound)
+    if bound == 3:
+        _assert_rejected(path, capsys, "round-2 entry seq 3 of party 0 malformed")
+        return
+    assert run(["verify", path]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1:] == ["tally: 2,2"]
+
+
+@pytest.mark.parametrize("party", [str(2**32), "9" * 5000], ids=["2^32", "5000-digits"])
+def test_verify_reports_a_party_id_beyond_u32_as_a_malformed_line(tmp_path, capsys, party):
     # the entry hash covers the party id as a u32: 2^32 used to escape
-    # verify_chain as struct.error instead of naming the broken line
+    # verify_chain as struct.error, and 5000 digits int()'s digit limit as
+    # ValueError (exit 1), instead of naming the broken line
     path = _golden_l1_ledger(tmp_path, capsys)
     lines = path.read_text().splitlines()
     fields = lines[3].split(" ")  # entry seq 2
-    fields[2] = str(2**32)
+    fields[1] = party
     lines[3] = " ".join(fields)
     path.write_text("\n".join(lines) + "\n")
     assert run(["verify", str(path)]) == EXIT_LEDGER
@@ -557,12 +616,9 @@ def test_random_l1_vector_is_drawn_in_order_m(m):
 
 
 def test_verify_rejects_a_header_bound_beyond_u64(tmp_path, capsys):
-    led = Ledger.load(str(_golden_l1_ledger(tmp_path, capsys)))
-    path = tmp_path / "big.ledger"
-    copy = Ledger(dataclasses.replace(led.header, policy_bound=2**64), path=str(path))
-    for entry in led.entries:
-        copy.append(entry.round, entry.party, entry.payload)
-    _assert_rejected(str(path), capsys, "bad ledger header", "u64")
+    golden = _golden_l1_ledger(tmp_path, capsys)
+    path = _reheaded(golden, tmp_path / "big.ledger", policy_bound=2**64)
+    _assert_rejected(path, capsys, "bad ledger header", "u64")
 
 
 def test_verify_rejects_a_header_whose_tally_needs_unbounded_baby_steps(tmp_path, capsys):

@@ -59,11 +59,11 @@ def _check(posted, proof, pads, ctx, expected, monkeypatch):
     verdict = (expected is None, expected)
     with monkeypatch.context() as patch:
         folded = _fold_spy(patch, sigma)
-        assert verify(CURVE, posted, proof, proof.policy, pads, ctx) == verdict
+        assert verify(CURVE, posted, proof, _policy(proof), pads, ctx) == verdict
     assert folded == [expected is None]
     with monkeypatch.context() as patch:
         _sequentially(patch)
-        assert verify(CURVE, posted, proof, proof.policy, pads, ctx) == verdict
+        assert verify(CURVE, posted, proof, _policy(proof), pads, ctx) == verdict
 
 
 def _replace_bit(proofs, l, **changes):
@@ -110,6 +110,12 @@ HONEST = {
 }
 
 
+def _policy(proof):
+    """The policy of a bundle of this module: every l1 or l2 bundle here is
+    proved under HONEST's policy of its kind."""
+    return HONEST["l1" if isinstance(proof, L1RangeProof) else "l2"][1]
+
+
 @functools.cache
 def _case(group, kind):
     prove, policy, values, seed, tag = HONEST[kind]
@@ -133,7 +139,7 @@ def l2_case():
 def _forced_l1(case, digits, sum_digits):
     c = case
     proof = _build_l1(
-        c.group, c.values, digits, sum_digits, c.x, c.pads, c.kp, c.proof.policy, c.ctx, c.rng
+        c.group, c.values, digits, sum_digits, c.x, c.pads, c.kp, _policy(c.proof), c.ctx, c.rng
     )
     return c.posted, proof, c.pads
 
@@ -144,7 +150,7 @@ def _l1_element(case, j=0, spelled=0):
     the honest E*[T_j], so the link holds and only the first components, off
     from ct_j.A, show it."""
     c = case
-    q, L, T = c.group.q, c.proof.policy.L, c.values[j]
+    q, L, T = c.group.q, _policy(c.proof).L, c.values[j]
     target = (c.x[j] + (T - spelled) * pow(c.kp.sk, -1, q)) % q
     row, proofs = _prove_digits(
         c.group, bits_of(spelled, L), _digit_randomness(c.group, target, L, c.rng), c.kp,
@@ -251,7 +257,7 @@ def test_each_bundle_check_is_its_equations(group, kind, reason):
     failing = _failing_labels(group, proof.checks(posted, pads, case.ctx))
     assert failing[:1] == ([] if reason is None else [reason])
     verify = verify_l1 if kind == "l1" else verify_l2
-    assert verify(group, posted, proof, proof.policy, pads, case.ctx) == (reason is None, reason)
+    assert verify(group, posted, proof, _policy(proof), pads, case.ctx) == (reason is None, reason)
 
 
 @pytest.mark.parametrize("group", [MOD, CURVE], ids=lambda g: g.group_id)
@@ -621,7 +627,7 @@ def _ledger_wrong_pad_key(case):
     prove = prove_l1 if isinstance(case.proof, L1RangeProof) else prove_l2
     pads = [case.pads[0], case.pads[1] * CURVE.g]
     c = case
-    proof = prove(CURVE, c.values, c.x, pads, c.kp, c.proof.policy, c.ctx, c.rng)
+    proof = prove(CURVE, c.values, c.x, pads, c.kp, _policy(c.proof), c.ctx, c.rng)
     return case.posted, proof, case.pads
 
 
@@ -725,6 +731,8 @@ def test_bit_d1_off_by_one_reads_the_same_with_the_ledger_fold(
 def test_wrong_policy_bundle_reads_the_same_with_the_ledger_fold(
     l1_ledger, l2_ledger, bundle, monkeypatch
 ):
+    """The header's policy picks how a bundle is read, so a bundle of another
+    kind or digit count does not decode: no fold runs."""
     cfg, _, posts1, posts2, _ = l1_ledger
     if bundle == "other kind":
         forged = l2_ledger[3][1].bundle
@@ -734,7 +742,7 @@ def test_wrong_policy_bundle_reads_the_same_with_the_ledger_fold(
                           case.ctx, case.rng)
     ledger = _ledger(cfg, posts1, [posts2[0], dataclasses.replace(posts2[1], bundle=forged)])
     verdict, folds = _agrees(cfg, ledger, monkeypatch)
-    assert verdict[1:3] == (1, "policy") and folds == [False]
+    assert verdict[1:3] == (1, "malformed") and folds == []
 
 
 def test_round1_response_plus_one_reads_the_same_with_the_ledger_fold(session, monkeypatch):
@@ -877,21 +885,19 @@ def test_each_verifier_records_its_equations(session, l1_case, l2_case):
     counts["verify_dh_tuple"] = {len(recorded(CURVE, sigma.verify_dh_tuple, (statement, proof, ctx)))}
     assert counts == {
         "verify_dlog": {1}, "verify_dh_tuple": {2}, "verify_bit": {4}, "verify_square": {4},
-        "verify_reencryption_link": {2}, "_verify_posted_link": {2}, "_recomposes": {1, 2},
+        "verify_reencryption_link": {2}, "_recomposes": {1, 2},
     }
 
 
-def test_a_failed_guard_is_a_none_part(session, l1_case, l2_case):
+def test_a_failed_guard_is_a_none_part(session, l1_case):
     """A guard outside the group equations runs on real values: when it fails,
     the check is False and its fold part None.  A failed equation is not a
     guard: it is recorded like a true one, as a bit proof's d1 off by one is."""
     cfg, _, posts1, _ = session
     table = l1_case.proof.checks(l1_case.posted, l1_case.pads, l1_case.ctx)
-    l2_table = l2_case.proof.checks(l2_case.posted, l2_case.pads, l2_case.ctx)
     (_, (A, dlog, dlog_ctx)), *_ = _checks(protocol._round1_checks(cfg, posts1), (0, 0))
     statement, dh, dh_ctx = _honest_dh_tuple()
     _, (ct, h_i, bit, bit_ctx) = _checks(table, "bit")[0]
-    link, (ct_a, ct_star, *link_rest) = _checks(l2_table, "tuple")[0]
     q = CURVE.q
     guarded = {
         "dlog base off the curve": (verify_dlog, (CurvePoint(CURVE, 1, 1), dlog, dlog_ctx)),
@@ -900,9 +906,6 @@ def test_a_failed_guard_is_a_none_part(session, l1_case, l2_case):
         ),
         "DH tuple h1 identity": (
             sigma.verify_dh_tuple, ((statement[0], CURVE.identity, *statement[2:]), dh, dh_ctx)
-        ),
-        "L2 link first components differ": (
-            link, (ct_a, dataclasses.replace(ct_star, A=ct_star.A * CURVE.g), *link_rest)
         ),
         "round-1 post of the wrong dimension": (protocol._refused, ()),
     }

@@ -11,9 +11,11 @@ must then print and exit the same with the fold on as with sigma.folds
 forced off, and a ledger it accepts must print the true tally.
 
 Only posted fields are mutated.  A round-2 ciphertext's A is its party's
-round-1 element, a bit proof's d2 is c - d1, and an L1 slot's E*[T_j] is
-the recomposition of its digit row: mutating a round-1 element, a d1 or a
-digit-row point is the only way to change them.
+round-1 element, a bit proof's d2 is c - d1, an L1 slot's E*[T_j] is the
+recomposition of its digit row, and the A of an L2 real slot's E*[T_j] is
+ct_j.A (an L2 bundle holds only its B): mutating a round-1 element, a d1
+or a digit-row point is the only way to change them.  A post's party is
+its entry's, and the header gives the policy: neither is posted.
 """
 
 import contextlib
@@ -51,15 +53,18 @@ LEDGERS = {name: _session(name) for name in VECTORS}
 
 
 def _decode(ledger):
-    """Every post of `ledger` in seq order, each round-2 post read over its
-    party's round-1 elements."""
+    """Every post of `ledger` in seq order, as its header reads it, each
+    round-2 post over its party's round-1 elements."""
+    cfg = ProtocolConfig.from_header(ledger.header)
     posts, elements = [], {}
     for entry in ledger.entries:
         if entry.round == 1:
-            post = Round1Post.from_bytes(CURVE, entry.payload)
+            post = Round1Post.from_bytes(CURVE, entry.payload, entry.party, cfg.m)
             elements[entry.party] = post.elements
         else:
-            post = Round2Post.from_bytes(CURVE, entry.payload, elements[entry.party])
+            post = Round2Post.from_bytes(
+                CURVE, entry.payload, entry.party, cfg.policy, elements[entry.party]
+            )
         posts.append(post)
     return posts
 
@@ -67,13 +72,12 @@ def _decode(ledger):
 def _leaves(value, path=()):
     """(path, leaf) for every posted scalar, point, proof and ciphertext
     below a post, each proof or ciphertext before what it holds; `party`
-    and the bundle policy are left alone, and a round-2 ciphertext's A is
-    not posted."""
+    and a round-2 ciphertext's A are not posted."""
     if isinstance(value, SWAPPED):
         yield path, value
     if dataclasses.is_dataclass(value):
         for field in dataclasses.fields(value):
-            if field.name in ("party", "policy") or (path[:1] == ("cts",) and field.name == "A"):
+            if field.name == "party" or (path[:1] == ("cts",) and field.name == "A"):
                 continue
             yield from _leaves(getattr(value, field.name), (*path, field.name))
     elif isinstance(value, tuple):

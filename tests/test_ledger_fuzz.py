@@ -6,8 +6,8 @@ party relabels, payloads spliced in from another seed's session) and header
 field edits (n, m, bound, kind, group, session; some bounds let legal sums
 wrap mod q).  Each mutated ledger is written either re-chained, with every
 seq and hash recomputed as `Ledger.append` would (a second post of a party
-included), or with each line keeping its old seq and hashes; raw byte flips
-are applied on top.  Whatever the bytes, `zorro verify` must exit 0, 2, 3 or
+included), or with each line keeping its old entry hash, so that a moved
+line breaks the chain; raw byte flips are applied on top.  Whatever the bytes, `zorro verify` must exit 0, 2, 3 or
 4 without raising, an exit-2 rejection must name a party unless the header
 is at fault or the tally of a policy-none ledger fails (no proof binds its
 contributions to a party), and an l1 ledger that passes must print the true
@@ -16,7 +16,6 @@ tally.
 
 import contextlib
 import dataclasses
-import hashlib
 import io
 import random
 import re
@@ -112,14 +111,14 @@ mutations = st.one_of(
 
 def _write(path, header, entries, rechain):
     """Write a ledger file; with `rechain`, seq and hashes are recomputed as
-    Ledger.append would, else every entry line keeps its own."""
+    Ledger.append would, else every entry line keeps its own hash."""
     lines = [header.to_line()]
-    prev = hashlib.sha256(lines[0].encode()).digest()
+    prev = header.digest()
     for seq, entry in enumerate(entries):
         if rechain:
-            entry = dataclasses.replace(entry, seq=seq, session=header.session, prev_hash=prev)
-            prev = hashlib.sha256(prev + entry.canonical_bytes()).digest()
-            entry = dataclasses.replace(entry, entry_hash=prev)
+            entry = dataclasses.replace(entry, seq=seq, session=header.session)
+            entry = dataclasses.replace(entry, entry_hash=entry.hash_after(prev))
+            prev = entry.entry_hash
         lines.append(entry.to_line())
     path.write_text("".join(line + "\n" for line in lines))
 

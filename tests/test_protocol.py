@@ -261,13 +261,14 @@ def test_verify_ledger_rejects_foreign_header():
 
 
 def test_verify_ledger_rejects_dimension_mismatch():
+    # the header's m sizes the read: a two-slot post does not read as one slot
     cfg = config(n=2, m=1)
     parties, posts1, posts2 = make_session(cfg, [[1], [2]])
     _, wide = round1_generate(config(n=2, m=2), 1, random.Random(3))
     ledger, _ = session_ledger(cfg, None, posts=(parties, [posts1[0], wide], posts2))
-    with pytest.raises(LedgerRejected, match="party 1: 2 slots, expected 1") as err:
+    with pytest.raises(LedgerRejected, match="seq 1 of party 1 malformed") as err:
         verify_ledger(cfg, ledger)
-    assert (err.value.party, err.value.check) == (1, "dimension")
+    assert (err.value.party, err.value.check) == (1, "malformed")
 
 
 def test_verify_ledger_missing_post_names_the_round():
@@ -306,11 +307,12 @@ def test_verify_contribution_rejects_cross_session_replay():
 
 
 def test_policy_kind_must_match_bundle():
+    # only a post built in memory can carry a bundle of another policy
     cfg_l1 = config(n=2, m=1, policy=BoundPolicy.l1(3))
     _, posts1, posts2 = make_session(cfg_l1, [[1], [2]])
     cfg_none = config(n=2, m=1, policy=BoundPolicy.none())
     ok, reason = verify_contribution(cfg_none, posts2[0], derive_pads(cfg_none, posts1, 0))
-    assert not ok and reason == "policy"
+    assert not ok and reason == "malformed"
 
 
 def test_party_state_machine_order():
@@ -331,57 +333,55 @@ def test_round1_serialization_roundtrip():
     cfg = config(n=2, m=3)
     _, posts = full_round1(cfg)
     for post in posts:
-        assert Round1Post.from_bytes(MOD, post.to_bytes(MOD)) == post
+        assert Round1Post.from_bytes(MOD, post.to_bytes(MOD), post.party, cfg.m) == post
 
 
 def test_round2_serialization_roundtrip():
-    # only each ciphertext's B is posted: A comes back from round 1
+    # only each ciphertext's B is posted, first: A comes back from round 1
     for policy in (BoundPolicy.none(), BoundPolicy.l1(3), BoundPolicy.l2(4)):
         cfg = config(n=2, m=2, policy=policy)
         _, posts1, posts2 = make_session(cfg, [[1, 1], [2, 0]])
         for post in posts2:
             data = post.to_bytes(MOD)
             elements = posts1[post.party].elements
-            assert Round2Post.from_bytes(MOD, data, elements) == post
+            assert Round2Post.from_bytes(MOD, data, post.party, policy, elements) == post
             assert [ct.A for ct in post.cts] == list(elements)
-            assert data[9 : 9 + 2 * MOD.element_bytes + 1] == (
-                b"".join(MOD.encode_element(ct.B) for ct in post.cts) + bytes([policy.code])
+            assert data[: 2 * MOD.element_bytes] == (
+                b"".join(MOD.encode_element(ct.B) for ct in post.cts)
             )
+            if post.bundle is None:
+                assert len(data) == 2 * MOD.element_bytes
 
 
 def test_round2_decoding_refuses_a_slot_count_other_than_round_1s():
     cfg = config(n=2, m=2, policy=BoundPolicy.none())
     _, posts1, posts2 = make_session(cfg, [[1, 1], [2, 0]])
     data = posts2[0].to_bytes(MOD)
-    with pytest.raises(MalformedEncoding, match="2 slots, but round 1 posted 1"):
-        Round2Post.from_bytes(MOD, data, posts1[0].elements[:1])
-
-
-# offsets in a round-2 post with m=2 on MOD: its bundle kind byte follows the
-# tag, party, slot count and two second components; the bundle's own slot
-# count follows the kind byte, the bundle tag and the 9-byte policy
-_KIND_AT = 1 + 4 + 4 + 2 * MOD.element_bytes
-_BUNDLE_M_AT = _KIND_AT + 1 + 1 + 9
+    with pytest.raises(MalformedEncoding, match="trailing bytes"):
+        Round2Post.from_bytes(MOD, data, 0, cfg.policy, posts1[0].elements[:1])
+    with pytest.raises(MalformedEncoding, match="truncated"):
+        Round2Post.from_bytes(MOD, data, 0, cfg.policy, posts1[0].elements * 2)
 
 
 @pytest.mark.parametrize(
-    "policy, at, patch",
+    "posted, read",
     [
-        (BoundPolicy.l1(3), _KIND_AT, b"\x02"),
-        (BoundPolicy.l2(4), _KIND_AT, b"\x01"),
-        (BoundPolicy.l1(3), _KIND_AT, b"\x03"),
-        (BoundPolicy.l1(3), 5, (1 << 20).to_bytes(4, "big")),
-        (BoundPolicy.l2(4), _BUNDLE_M_AT, (1 << 20).to_bytes(4, "big")),
+        (BoundPolicy.l1(3), BoundPolicy.l2(4)),
+        (BoundPolicy.l2(4), BoundPolicy.l1(3)),
+        (BoundPolicy.l1(3), BoundPolicy.none()),
+        (BoundPolicy.none(), BoundPolicy.l1(3)),
+        (BoundPolicy.l1(3), BoundPolicy.l1(4)),
+        (BoundPolicy.l1(4), BoundPolicy.l1(3)),
     ],
-    ids=["l1-read-as-l2", "l2-read-as-l1", "kind-3", "slot-count-overrun", "bundle-count-overrun"],
+    ids=["l1-read-as-l2", "l2-read-as-l1", "l1-read-as-none", "none-read-as-l1",
+         "L-2-read-as-3", "L-3-read-as-2"],
 )
-def test_round2_decoding_rejects_inconsistent_layouts(policy, at, patch):
-    cfg = config(n=2, m=2, policy=policy)
+def test_round2_decoding_rejects_a_post_read_under_another_policy(posted, read):
+    # the header's policy picks the bundle type and its L: nothing posted does
+    cfg = config(n=2, m=2, policy=posted)
     _, posts1, posts2 = make_session(cfg, [[1, 1], [2, 0]])
-    data = bytearray(posts2[0].to_bytes(MOD))
-    data[at : at + len(patch)] = patch
     with pytest.raises(MalformedEncoding):
-        Round2Post.from_bytes(MOD, bytes(data), posts1[0].elements)
+        Round2Post.from_bytes(MOD, posts2[0].to_bytes(MOD), 0, read, posts1[0].elements)
 
 
 # -- privacy ---------------------------------------------------------------------

@@ -434,7 +434,7 @@ def test_proof_serialization_roundtrips():
         reader = Reader(data)
         assert cls.read_from(MOD, reader) == proof
         reader.expect_end()
-        with pytest.raises(MalformedEncoding):
+        with pytest.raises(MalformedEncoding):  # the first element's top byte, past p
             cls.read_from(MOD, Reader(b"\xff" + data[1:]))
         with pytest.raises(MalformedEncoding):
             cls.read_from(MOD, Reader(data[:-1]))
