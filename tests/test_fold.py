@@ -215,7 +215,7 @@ def test_every_sequential_reason_has_a_dishonest_variant(kind, verify):
     """The reasons verify_* documents are the labels of the bundle's check
     table, and each has a dishonest variant here."""
     case = _case(CURVE, kind)
-    documented = set(re.findall(r'"(\w+)"', verify.__doc__)) - {"policy", "malformed"}
+    documented = set(re.findall(r'"(\w+)"', verify.__doc__)) - {"malformed"}
     labels = [label for label, _ in case.proof.checks(case.posted, case.pads, case.ctx)]
     assert len(labels) == len(set(labels))
     assert set(labels) == documented == set(DISHONEST[kind])

@@ -1,7 +1,7 @@
 import pytest
 
 from zorro.errors import ChainBroken, DuplicatePost
-from zorro.ledger import Ledger, LedgerHeader
+from zorro.ledger import FORMAT, Ledger, LedgerHeader
 
 SESSION = bytes(range(16))
 
@@ -122,7 +122,7 @@ def _header_with(field, value):
     "line",
     [
         b"[1]",
-        b'{"format":"zorro-ledger/2","group":"mod41","session":"00","n":3,"m":2,"policy":5}',
+        b'{"format":"%s","group":"mod41","session":"00","n":3,"m":2,"policy":5}' % FORMAT.encode(),
         _header_with_n('"3"'),
         _header_with_n("3.0"),
         _header_with_n("3.7"),
@@ -151,6 +151,7 @@ def test_header_of_the_wrong_shape_is_unreadable(tmp_path, line):
     with pytest.raises(ChainBroken, match="unreadable header") as err:
         Ledger.load(str(path))
     assert err.value.seq == 0
+    assert "unsupported ledger format" not in err.value.reason  # each case gets past the format
 
 
 def test_unparseable_line_reports_seq(tmp_path):
@@ -158,7 +159,7 @@ def test_unparseable_line_reports_seq(tmp_path):
     filled(path=str(path))
     raw = bytearray(path.read_bytes())
     lines = bytes(raw).split(b"\n")
-    offset = sum(len(l) + 1 for l in lines[:3]) + 2  # inside entry 2's seq/round area
+    offset = sum(len(l) + 1 for l in lines[:3]) + 2  # inside entry 2's party field
     raw[offset] = ord("x")
     path.write_bytes(bytes(raw))
     with pytest.raises(ChainBroken) as err:
