@@ -30,7 +30,6 @@ from .rangeproof import (
     L2RangeProof,
     prove_l1,
     prove_l2,
-    reencryption_link,
     verify_l1,
     verify_l2,
     verify_reencryption_link,

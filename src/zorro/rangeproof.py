@@ -4,11 +4,11 @@ Both proofs hang off the same trick: re-encrypt each slot under the prover's
 own long-term key h_i (tied to the posted ciphertext by a DH-tuple proof),
 then show the relevant quantity decomposes into proven bits.
 
-The provers take the Keypair (sk, h_i).  Every ciphertext under h_i is
-computed from its discrete logs (sigma.encrypt_own) and every bit and square
-proof is committed the same way, each element one fixed-base g ** log; only
-the links' DH-tuple commitments (h_pad/h_i)^r, whose log nobody knows, are
-evaluated on elements.
+The provers take the Keypair (sk, h_i).  Every ciphertext under h_i is the
+one a bit or square proof returns: sigma.prove_bit and sigma.prove_square
+encrypt it from its discrete logs with their commitments, each element one
+fixed-base g ** log.  Only the links' DH-tuple commitments (h_pad/h_i)^r,
+whose log nobody knows, are evaluated on elements.
 
 L2 ("l2"): prove sum_j T_j^2 <= 2^L - 1.  The squares w_j are encrypted with
 noise r_j that telescopes to zero across the vector and carries the digit
@@ -67,7 +67,6 @@ from .sigma import (
     BitProof,
     DhTupleProof,
     SquareProof,
-    encrypt_own,
     first_failure,
     fold_parts,
     prove_bit,
@@ -98,6 +97,8 @@ class BoundPolicy:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind != NONE and self.B < 1:
             raise ValueError("bound must be a positive integer")
+        if self.kind == NONE and self.B != 0:
+            raise ValueError(f"policy none takes no bound, got {self.B}")
         if self.B >= 1 << 64:
             raise ValueError(f"bound {self.B} does not fit in a u64")
 
@@ -160,24 +161,17 @@ def noise_terms(group, xstar: list[int]) -> list[int]:
 # -- re-encryption link -------------------------------------------------------
 
 
-def reencryption_link(group, t: int, x: int, h_pad, keypair: Keypair, ctx, rng):
-    """Re-encrypt t under h_i = keypair.pk with the same randomness x used
-    under h_pad, and prove both ciphertexts carry the same plaintext.
+def _link_proof(group, x: int, h_pad, keypair: Keypair, ctx, rng):
+    """Prove that E*[t] = (g^x, B*) re-encrypts under h_i = keypair.pk, with
+    the same randomness x, what the posted slot encrypts under h_pad.
 
-    Returns (E*[t], proof).  The proof statement is the DH 4-tuple
-    (g, h_pad/h_i, g^x, (h_pad/h_i)^x): the posted and re-encrypted
-    ciphertexts differ exactly by that last factor in their second slot.
-    prove_dh_tuple raises ValueError when the pad key equals h_i.
+    The statement is the DH 4-tuple (g, h_pad/h_i, g^x, (h_pad/h_i)^x): the
+    posted and re-encrypted ciphertexts differ exactly by that last factor
+    in their second slot.  prove_dh_tuple raises ValueError when the pad key
+    equals h_i.
     """
-    ct_star = encrypt_own(group, t, x, keypair)
-    return ct_star, _link_proof(group, x, ct_star.A, h_pad, keypair, ctx, rng)
-
-
-def _link_proof(group, x: int, A, h_pad, keypair: Keypair, ctx, rng):
-    """reencryption_link's proof alone, for A = g^x: an L1 bundle posts no
-    E*[t], whose second component its verifier takes from the digits."""
     base = h_pad / keypair.pk
-    return prove_dh_tuple(group, x, (group.g, base, A, base ** x), ctx, rng)
+    return prove_dh_tuple(group, x, (group.g, base, group.g ** x, base ** x), ctx, rng)
 
 
 def verify_reencryption_link(group, ct: Ciphertext, star_B, h_pad, h_i, proof, ctx) -> bool:
@@ -202,12 +196,10 @@ def _link_checks(posted_cts, star_Bs, proof, pad_keys, ctx) -> list:
 def _prove_digits(group, digits, rand, keypair, row_ctx, rng):
     """Encrypt digit l with randomness rand[l] under keypair.pk and prove it a
     bit in context row_ctx/l; returns (ciphertexts, bit proofs)."""
-    cts = tuple(encrypt_own(group, d, r, keypair) for d, r in zip(digits, rand))
-    proofs = tuple(
-        prove_bit(group, d, r, ct, keypair, row_ctx.child(l), rng)
-        for l, (d, r, ct) in enumerate(zip(digits, rand, cts))
-    )
-    return cts, proofs
+    return tuple(zip(*(
+        prove_bit(group, d, r, keypair, row_ctx.child(l), rng)
+        for l, (d, r) in enumerate(zip(digits, rand))
+    )))
 
 
 def _recomposes(group, cts, digit_cts, parts=("A", "B")) -> bool:
@@ -390,11 +382,10 @@ def prove_l2(
     padded = list(values) + [0] * (m_ext - m)
     x_all = list(x) + [group.random_scalar(rng) for _ in range(m_ext - m)]
 
-    reenc, links = zip(*(
-        reencryption_link(group, values[j], x[j], pad_keys[j], keypair, ctx.child(b"link", j), rng)
-        for j in range(m)
-    ))
-    reenc += tuple(encrypt_own(group, 0, x_all[j], keypair) for j in range(m, m_ext))
+    links = tuple(
+        _link_proof(group, xj, h, keypair, ctx.child(b"link", j), rng)
+        for j, (xj, h) in enumerate(zip(x, pad_keys))
+    )
 
     x_digits = [group.random_scalar(rng) for _ in range(L)]
     digit_cts, digit_proofs = _prove_digits(
@@ -403,24 +394,15 @@ def prove_l2(
 
     xstar = [group.random_scalar(rng) for _ in range(m_ext)]
     noise = noise_terms(group, xstar)
-    square_cts, square_proofs = [], []
-    for j in range(m_ext):
-        r_w = noise[j]
-        if j < L:
-            r_w = (r_w + x_digits[j] * (1 << j)) % group.q
-        w = padded[j] * padded[j]
-        ct_w = encrypt_own(group, w, r_w, keypair)
-        square_cts.append(ct_w)
-        square_proofs.append(
-            prove_square(
-                group, padded[j], x_all[j], r_w, reenc[j], ct_w, keypair,
-                ctx.child(b"square", j), rng,
-            )
-        )
-
+    # the first L squares also carry the digit randomness (_extended_len)
+    r_w = [(noise[j] + (x_digits[j] << j if j < L else 0)) % group.q for j in range(m_ext)]
+    reenc, square_cts, square_proofs = zip(*(
+        prove_square(group, padded[j], x_all[j], r_w[j], keypair, ctx.child(b"square", j), rng)
+        for j in range(m_ext)
+    ))
     return L2RangeProof(
         keypair.pk, tuple(ct.B for ct in reenc[:m]), reenc[m:], links, digit_cts, digit_proofs,
-        tuple(square_cts), tuple(square_proofs),
+        square_cts, square_proofs,
     )
 
 
@@ -507,7 +489,7 @@ def _build_l1(
     # digit lists are taken as given so tests can force dishonest bundles
     L = policy.L
     links = tuple(
-        _link_proof(group, xj, group.g ** xj, h, keypair, ctx.child(b"link", j), rng)
+        _link_proof(group, xj, h, keypair, ctx.child(b"link", j), rng)
         for j, (xj, h) in enumerate(zip(x, pad_keys))
     )
     elem_cts, elem_proofs = zip(*(

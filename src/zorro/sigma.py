@@ -19,9 +19,10 @@ every discrete log involved (sk, the plaintexts, the randomness, the nonces).
 They evaluate the same functions on _Logs(group), where each element is its
 log to base g, and turn each resulting commitment into an element with one
 fixed-base g ** log (_Logs.lift), instead of one variable-base power per use
-of pk or of the ciphertext.  encrypt_own encrypts under the prover's own key
-the same way.  Where no party knows the logs (the DH-tuple statement of a
-re-encryption link, whose base holds a pad key) provers evaluate on elements.
+of pk or of the ciphertext.  They encrypt the ciphertexts they prove the same
+way, in the same lift, and return them with the proof.  Where no party knows
+the logs (the DH-tuple statement of a re-encryption link, whose base holds a
+pad key) provers evaluate on elements.
 
 A verifier states each check once, as verify(group, *args) -> bool: a
 relation verifier here, or rangeproof's link and recomposition checks.  Its
@@ -54,7 +55,6 @@ from dataclasses import dataclass
 
 from .elgamal import Ciphertext, Keypair, encrypt_exp
 from .encoding import Record, pack_u32
-from .errors import KeyMismatch
 
 
 class FsTranscript:
@@ -173,13 +173,6 @@ class _Logs:
         if isinstance(value, Ciphertext):
             return Ciphertext(self.lift(value.A), self.lift(value.B))
         return tuple(map(self.lift, value))
-
-
-def encrypt_own(group, m: int, r: int, keypair: Keypair) -> Ciphertext:
-    """encrypt_exp(group, m, r, keypair.pk), computed from the logs m, r and sk:
-    one fixed-base g ** log per component."""
-    logs = _Logs(group)
-    return logs.lift(encrypt_exp(logs, m, r, logs.at(keypair.sk)))
 
 
 def folds(group) -> bool:
@@ -347,30 +340,30 @@ def _bit_branch(group, x, y, pk, bit: int, d: int, r: int):
 
 
 def prove_bit(
-    group, m: int, r: int, ct: Ciphertext, keypair: Keypair, ctx: FsTranscript, rng
-) -> BitProof:
-    """Prove ct = (g^r, pk^r) or (g^r, pk^r * g) under pk = keypair.pk without
-    revealing which; both branches are evaluated on discrete logs."""
+    group, m: int, r: int, keypair: Keypair, ctx: FsTranscript, rng
+) -> tuple[Ciphertext, BitProof]:
+    """Encrypt bit m with randomness r under pk = keypair.pk, ct = (g^r, pk^r * g^m),
+    and prove it encrypts 0 or 1 without revealing which; returns (ct, proof).
+    The ciphertext and both branches are evaluated on discrete logs."""
     if m not in (0, 1):
         raise ValueError(f"bit witness must be 0 or 1, got {m}")
     logs = _Logs(group)
     pk = logs.at(keypair.sk)
     own = encrypt_exp(logs, m, r, pk)
-    if ct != logs.lift(own):
-        raise KeyMismatch("ciphertext does not match witness under this key")
     x, y = own.A, own.B
     # the branch claiming m is real; the other is simulated from (d_sim, r_sim)
     w = group.random_scalar(rng)
     d_sim, r_sim = group.random_scalar(rng), group.random_scalar(rng)
     real = _bit_branch(logs, x, y, pk, 0, 0, w)  # at d = 0 the claimed bit does not enter
     sim = _bit_branch(logs, x, y, pk, 1 - m, d_sim, r_sim)
-    (a1, b1), (a2, b2) = logs.lift((real, sim) if m == 0 else (sim, real))
+    first, second = (real, sim) if m == 0 else (sim, real)
+    ct, (a1, b1), (a2, b2) = logs.lift((own, first, second))
     c = ctx.challenge(group, keypair.pk, ct.A, ct.B, a1, b1, a2, b2)
     d_real = (c - d_sim) % group.q
     r_real = (w - r * d_real) % group.q
     if m == 0:
-        return BitProof(a1, b1, a2, b2, d_real, r_real, r_sim)
-    return BitProof(a1, b1, a2, b2, d_sim, r_sim, r_real)
+        return ct, BitProof(a1, b1, a2, b2, d_real, r_real, r_sim)
+    return ct, BitProof(a1, b1, a2, b2, d_sim, r_sim, r_real)
 
 
 def verify_bit(group, ct: Ciphertext, pk, proof: BitProof, ctx: FsTranscript) -> bool:
@@ -426,28 +419,23 @@ def _square_challenge(group, ctx: FsTranscript, pk, ct_a, ct_b, C_a, C_b) -> int
 
 
 def prove_square(
-    group, a: int, s_a: int, s_b: int, ct_a: Ciphertext, ct_b: Ciphertext, keypair: Keypair,
-    ctx: FsTranscript, rng,
-) -> SquareProof:
-    """Prove ct_b encrypts a^2 given ct_a encrypts a, both under keypair.pk.
-
-    s_a and s_b are the encryption randomness of ct_a and ct_b.  The
-    commitments are evaluated on discrete logs.
-    """
+    group, a: int, s_a: int, s_b: int, keypair: Keypair, ctx: FsTranscript, rng
+) -> tuple[Ciphertext, Ciphertext, SquareProof]:
+    """Encrypt a with randomness s_a and a^2 with s_b under keypair.pk, and
+    prove the second plaintext the square of the first; returns
+    (ct_a, ct_b, proof).  The ciphertexts and commitments are evaluated on
+    discrete logs."""
     logs = _Logs(group)
     pk = logs.at(keypair.sk)
     own_a, own_b = encrypt_exp(logs, a, s_a, pk), encrypt_exp(logs, a * a, s_b, pk)
-    if ct_a != logs.lift(own_a):
-        raise KeyMismatch("ct_a does not match witness under this key")
-    if ct_b != logs.lift(own_b):
-        raise KeyMismatch("ct_b does not encrypt the square under this key")
     x = group.random_scalar(rng)
     r_a = group.random_scalar(rng)
     r_b = group.random_scalar(rng)
-    C_a, C_b = logs.lift(_square_commitments(logs, own_a, own_b, pk, x, r_a, r_b, 0))
+    commitments = _square_commitments(logs, own_a, own_b, pk, x, r_a, r_b, 0)
+    ct_a, ct_b, (C_a, C_b) = logs.lift((own_a, own_b, commitments))
     c = _square_challenge(group, ctx, keypair.pk, ct_a, ct_b, C_a, C_b)
     q = group.q
-    return SquareProof(
+    return ct_a, ct_b, SquareProof(
         C_a, C_b, (c * a + x) % q, (c * s_a + r_a) % q, (c * (s_b - a * s_a) + r_b) % q
     )
 

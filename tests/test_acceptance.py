@@ -133,17 +133,14 @@ def test_criterion_02_completeness():
             ctx = FsTranscript(b"c2-bit")
             kp = Keypair.generate(group, rng)
             bit = rng.randrange(2)
-            r = group.random_scalar(rng)
-            ct = encrypt_exp(group, bit, r, kp.pk)
-            assert verify_bit(group, ct, kp.pk, prove_bit(group, bit, r, ct, kp, ctx, rng), ctx)
+            ct, proof = prove_bit(group, bit, group.random_scalar(rng), kp, ctx, rng)
+            assert verify_bit(group, ct, kp.pk, proof, ctx)
             checked += 1
 
             ctx = FsTranscript(b"c2-square")
             a = rng.randrange(-5, 6)
             s_a, s_b = group.random_scalar(rng), group.random_scalar(rng)
-            ct_a = encrypt_exp(group, a, s_a, kp.pk)
-            ct_b = encrypt_exp(group, a * a, s_b, kp.pk)
-            proof = prove_square(group, a, s_a, s_b, ct_a, ct_b, kp, ctx, rng)
+            ct_a, ct_b, proof = prove_square(group, a, s_a, s_b, kp, ctx, rng)
             assert verify_square(group, ct_a, ct_b, kp.pk, proof, ctx)
             checked += 1
 
@@ -210,9 +207,7 @@ def test_criterion_03_mutation_soundness():
     dp = prove_dlog(MOD, a, A, ctx, rng)
     targets.append((dp.to_bytes(MOD), lambda payload: _try_verify_dlog(A, payload, ctx)))
     kp = Keypair.generate(MOD, rng)
-    r = MOD.random_scalar(rng)
-    ct = encrypt_exp(MOD, 1, r, kp.pk)
-    bp = prove_bit(MOD, 1, r, ct, kp, ctx, rng)
+    ct, bp = prove_bit(MOD, 1, MOD.random_scalar(rng), kp, ctx, rng)
     targets.append((bp.to_bytes(MOD), lambda payload: _try_verify_bit(ct, kp.pk, payload, ctx)))
 
     for data, check in targets:
@@ -385,11 +380,8 @@ def test_criterion_07_bsgs(monkeypatch):
     announce(7, f"exact recovery on [0, 32000]; ops(4N)/ops(N) = {ratio:.2f} <= 3")
 
 
-def _verify_group_ops(n, monkeypatch):
-    """Group operations spent verifying all n contributions of one session."""
-    cfg, parties, posts1, posts2, _ = run_session(
-        MOD, n, 4, BoundPolicy.l1(4), [[1, 1, 1, 0]] * n, seed=10, verify=False
-    )
+def _group_ops(monkeypatch, names, run):
+    """The ModElement operations in `names` that run() spends, by name."""
     counts = Counter()
 
     def counting(name, fn):
@@ -400,12 +392,43 @@ def _verify_group_ops(n, monkeypatch):
         return wrapped
 
     with monkeypatch.context() as patch:
-        for name in ("__pow__", "__mul__", "__truediv__", "inverse"):
+        for name in names:
             patch.setattr(groups.ModElement, name, counting(name, getattr(groups.ModElement, name)))
+        run()
+    return counts
+
+
+def _verify_group_ops(n, monkeypatch):
+    """Group operations spent verifying all n contributions of one session."""
+    cfg, parties, posts1, posts2, _ = run_session(
+        MOD, n, 4, BoundPolicy.l1(4), [[1, 1, 1, 0]] * n, seed=10, verify=False
+    )
+
+    def verify_all():
         for post in posts2:
             ok, reason = verify_contribution(cfg, post, parties[post.party].pads)
             assert ok, reason
-    return counts
+
+    return _group_ops(monkeypatch, ("__pow__", "__mul__", "__truediv__", "inverse"), verify_all)
+
+
+def _prover_pows(monkeypatch):
+    """The ** spent by one prove_bit, one prove_square and one l1 round 2."""
+    rng = random.Random(12)
+    kp = Keypair.generate(MOD, rng)
+    ctx = FsTranscript(b"c8")
+    s_a, s_b = MOD.random_scalar(rng), MOD.random_scalar(rng)
+    cfg = ProtocolConfig(MOD, 2, 4, BoundPolicy.l1(4), rng.randbytes(16))
+    parties = [Party(cfg, i, random.Random(i)) for i in range(2)]
+    posts1 = [p.round1() for p in parties]
+    for p in parties:
+        p.receive_round1(posts1)
+    runs = {
+        "prove_bit": lambda: prove_bit(MOD, 1, s_a, kp, ctx, rng),
+        "prove_square": lambda: prove_square(MOD, 3, s_a, s_b, kp, ctx, rng),
+        "round2_generate": lambda: parties[0].round2([1, 1, 1, 0]),
+    }
+    return {name: _group_ops(monkeypatch, ("__pow__",), run)["__pow__"] for name, run in runs.items()}
 
 
 def test_criterion_08_benchmark_trends(monkeypatch):
@@ -426,11 +449,16 @@ def test_criterion_08_benchmark_trends(monkeypatch):
     # where the row's second-component equation took L - 1 ** and L - 1 *
     assert small == Counter({"__pow__": 326, "__mul__": 250, "__truediv__": 16, "inverse": 16})
     assert large == Counter({op: 4 * c for op, c in small.items()}), (small, large)
+    # a prover lifts each ciphertext it proves once, with its commitments: a
+    # bit proof 2 + 4, a square proof 4 + 4; the l1 round 2 adds to its 15 bit
+    # proofs the 4 posted slots (12 **) and 4 links (6 ** each)
+    pows = _prover_pows(monkeypatch)
+    assert pows == {"prove_bit": 6, "prove_square": 8, "round2_generate": 114}, pows
     announce(
         8,
         f"gen monotone in m {['%.2f' % g for g in gens]}; "
         f"gen(m=32,B=2)={wide.gen_ms:.2f}ms > gen(m=1,B=32)={tall.gen_ms:.2f}ms; "
-        f"verify linear in n (group ops n=2 {dict(small)}, n=8 exactly 4x)",
+        f"verify linear in n (group ops n=2 {dict(small)}, n=8 exactly 4x); prover ** {pows}",
     )
 
 

@@ -225,6 +225,20 @@ def test_verify_tallies_a_policy_none_round2_copy(tmp_path, capsys):
     _assert_rejected(path, capsys, "tally failed at slot 0")
 
 
+def test_verify_rejects_a_policy_none_header_with_a_bound(tmp_path, capsys):
+    # policy none posts no bundle and its ledger carries bound 0: a header
+    # that reads a bound for it describes no policy, and used to verify
+    source = tmp_path / "none.ledger"
+    code = run(
+        ["aggregate", "--group", "test", "--parties", "3", "--dim", "2", "--seed", "11",
+         "--check", "none", "--ledger", str(source)]
+    )
+    assert code == EXIT_OK
+    capsys.readouterr()
+    path = _reheaded(source, tmp_path / "bound.ledger", policy_bound=5)
+    _assert_rejected(path, capsys, "bad ledger header", "policy none takes no bound")
+
+
 def test_verify_rejects_entry_under_party_id_n(vote_ledger, tmp_path, capsys):
     def edit(entry, entries):
         posts = [(entry.round, entry.party, entry.payload)]

@@ -14,12 +14,12 @@ from zorro.rangeproof import (
     L2RangeProof,
     _build_l1,
     _digit_randomness,
+    _link_proof,
     _prove_digits,
     bits_of,
     noise_terms,
     prove_l1,
     prove_l2,
-    reencryption_link,
     verify_l1,
     verify_l2,
     verify_reencryption_link,
@@ -60,6 +60,8 @@ def test_policy_validation():
         BoundPolicy("l3", 2)
     with pytest.raises(ValueError):
         BoundPolicy.l1(0)
+    with pytest.raises(ValueError, match="no bound"):
+        BoundPolicy("none", 5)
 
 
 def test_policy_windows():
@@ -117,7 +119,8 @@ def test_link_roundtrip():
     x, pads, kp = make_keys(MOD, 1, rng)
     ct = encrypt_exp(MOD, 3, x[0], pads[0])
     ctx = FsTranscript(b"link")
-    ct_star, proof = reencryption_link(MOD, 3, x[0], pads[0], kp, ctx, rng)
+    ct_star = encrypt_exp(MOD, 3, x[0], kp.pk)
+    proof = _link_proof(MOD, x[0], pads[0], kp, ctx, rng)
     assert ct_star.A == ct.A
     assert verify_reencryption_link(MOD, ct, ct_star.B, pads[0], kp.pk, proof, ctx)
 
@@ -128,7 +131,8 @@ def test_link_detects_plaintext_swap():
     ct = encrypt_exp(MOD, 3, x[0], pads[0])
     ctx = FsTranscript(b"link")
     # re-encryption of a different plaintext with the same randomness
-    ct_star, proof = reencryption_link(MOD, 4, x[0], pads[0], kp, ctx, rng)
+    ct_star = encrypt_exp(MOD, 4, x[0], kp.pk)
+    proof = _link_proof(MOD, x[0], pads[0], kp, ctx, rng)
     assert not verify_reencryption_link(MOD, ct, ct_star.B, pads[0], kp.pk, proof, ctx)
 
 
@@ -137,7 +141,7 @@ def test_link_degenerate_keys():
     kp = Keypair.generate(MOD, rng)
     ctx = FsTranscript(b"link")
     with pytest.raises(ValueError):
-        reencryption_link(MOD, 3, 5, kp.pk, kp, ctx, rng)
+        _link_proof(MOD, 5, kp.pk, kp, ctx, rng)
 
 
 def test_link_verifier_refuses_degenerate_keys():
@@ -160,7 +164,8 @@ def test_link_requires_matching_first_component():
     rng = random.Random(5)
     x, pads, kp = make_keys(MOD, 1, rng)
     ctx = FsTranscript(b"link")
-    ct_star, proof = reencryption_link(MOD, 3, x[0], pads[0], kp, ctx, rng)
+    ct_star = encrypt_exp(MOD, 3, x[0], kp.pk)
+    proof = _link_proof(MOD, x[0], pads[0], kp, ctx, rng)
     other = encrypt_exp(MOD, 3, (x[0] + 1) % MOD.q, pads[0])
     assert not verify_reencryption_link(MOD, other, ct_star.B, pads[0], kp.pk, proof, ctx)
 
