@@ -9,6 +9,7 @@ missing from a round).
 
 import argparse
 import hashlib
+import math
 import random
 import sys
 
@@ -182,7 +183,7 @@ def _random_vector(policy: BoundPolicy, m: int, rng) -> list:
         cuts = sorted(rng.randint(0, total) for _ in range(m - 1))
         return [hi - lo for lo, hi in zip([0, *cuts], [*cuts, total])]
     if policy.kind == "l2":
-        cap = max(1, int(policy.B / max(1, m) ** 0.5))
+        cap = math.isqrt(policy.B * policy.B // m)  # floor(B / sqrt(m)): m * cap^2 <= B^2
         return [rng.randrange(cap + 1) for _ in range(m)]
     return [rng.randrange(33) for _ in range(m)]
 

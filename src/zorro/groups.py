@@ -30,28 +30,21 @@ Bernstein and Lange's Explicit-Formulas Database:
 
   * Affine points are added in batches: one inversion (Montgomery's
     simultaneous inversion) serves every pair of a batch, so an addition
-    costs ~6 field multiplications.  Every precomputed table comes from one
-    ladder of such batches: each step doubles a row of multiples P, ..., kP
-    to P, ..., 2kP by adding kP to every entry.
+    costs ~6 field multiplications.  The g table comes from one ladder of
+    such batches: each step doubles a row of multiples P, ..., kP to
+    P, ..., 2kP by adding kP to every entry.
   * GLV (Gallant-Lambert-Vanstone): secp256k1 has the endomorphism
     (x, y) -> (beta * x, y) = lam * P, so each variable-base scalar splits
-    into two ~128-bit halves k1 + k2 * lam = e (mod q), and lam * P's table
-    is P's with x scaled by beta.  A scalar within 2^128 of 0 or q (a fold
-    weight, or its negative) is one half already.
-  * Below 32 variable bases (Straus):
-    - each half is recoded as width-5 wNAF: signed odd digits |d| < 16 over
-      the table P, 3P, ..., 15P, negated by y -> p - y;
-    - the ladder builds P, ..., 16P for all bases of a call at once, in four
-      batches, and the table keeps the odd multiples;
-    - one loop shares ~128 doublings among every half and adds one table
-      entry per nonzero digit.
-  * From 32 variable bases on, as in a fold (Pippenger): each half's
-    signed radix-2^c digits, c about log2(halves) - 3, drop its point into
-    one of 2^(c-1) buckets per window.  The buckets are summed in batches,
-    level by level across the buckets of several windows, and each window's
-    sum_i i * bucket_i comes from two running sums taken in lockstep across
-    the windows, one batch per level and per step.  No tables are built,
-    and ~128 doublings combine the windows.
+    into two ~128-bit halves k1 + k2 * lam = e (mod q), and lam * P is P
+    with x scaled by beta.  A scalar within 2^128 of 0 or q (a fold weight,
+    or its negative) is one half already.
+  * Variable bases, one or a fold's hundreds (Pippenger): each half's
+    signed radix-2^c digits, c about log2(halves) - 3 and at least 2, drop
+    its point into one of 2^(c-1) buckets per window.  The buckets are
+    summed in batches, level by level across the buckets of several
+    windows, and each window's sum_i i * bucket_i comes from two running
+    sums taken in lockstep across the windows, one batch per level and per
+    step.  No tables are built, and ~128 doublings combine the windows.
   * Powers of the generator g are summed and added after the loop through a
     table of 17 rows x 128 multiples d * 256^i * g (Brickell-Gordon-McCurley-
     Wilson), built by the ladder on g's first use, so they need no
@@ -288,9 +281,7 @@ class CurvePoint:
 # -- Jacobian arithmetic for y^2 = x^3 + b, used only inside CurveGroup.multi_exp --
 
 _G_ROWS = 17  # the g table: 8-bit signed digits of a GLV half below 2^129, and a carry
-_TABLE = 8  # P, 3P, ..., 15P: the odd multiples a width-5 wNAF digit selects
 _J_IDENTITY = (1, 1, 0)  # any Z = 0 triple is the identity
-_BUCKETS_FROM = 32  # variable bases from which multi_exp uses buckets, not Straus
 _BUCKET_BATCH = 2048  # about how many bucket points _buckets sums at once, in whole windows
 
 
@@ -332,8 +323,8 @@ def _affine_sums(left, right, p):
     Montgomery's trick: invert the product of every slope denominator, then
     peel off each one from the last.  A pair with equal x is P + P, with the
     tangent slope, or P + (-P) = None; no point has y = 0 on a curve of odd
-    order.  Every table of multi_exp comes from here, through
-    _affine_multiples, and so do the bucket sums.
+    order.  The g table comes from here, through _affine_multiples, and so
+    do the bucket sums.
     """
     prefix = []
     acc = 1
@@ -364,40 +355,16 @@ def _affine_sums(left, right, p):
     return out
 
 
-def _affine_multiples(points, count, p):
-    """[[P, 2P, ..., count * P] for P in points], affine, count a power of two.
+def _affine_multiples(P, count, p):
+    """[P, 2P, ..., count * P], affine, count a power of two.
 
-    Each step adds every row's last entry to each of its entries, which
-    doubles the rows: one _affine_sums, so one inversion, per step for all
-    rows together.
+    Each step adds the row's last entry to each of its entries, which
+    doubles the row: one _affine_sums, so one inversion, per step.
     """
-    rows = [[P] for P in points]
-    for _ in range(count.bit_length() - 1):
-        left, right = [P for row in rows for P in row], [row[-1] for row in rows for _ in row]
-        sums = iter(_affine_sums(left, right, p))
-        rows = [row + [next(sums) for _ in row] for row in rows]
-    return rows
-
-
-def _wnaf(k):
-    """Width-5 NAF of k >= 0, least significant digit first.
-
-    sum(d_i * 2^i) == k; every digit is 0 or odd with |d_i| < 16, and a
-    nonzero digit is followed by at least four zeros.
-    """
-    digits = []
-    while k:
-        if k & 1:
-            d = k & 31
-            if d & 16:
-                d -= 32
-            digits += (d, 0, 0, 0, 0)
-            k = (k - d) >> 5
-        else:
-            zeros = (k & -k).bit_length() - 1
-            digits += [0] * zeros
-            k >>= zeros
-    return digits
+    row = [P]
+    while len(row) < count:
+        row += _affine_sums(row, [row[-1]] * len(row), p)
+    return row
 
 
 def _signed_digits(k, c):
@@ -447,7 +414,7 @@ class CurveGroup(Group):
             table = []
             P = (pt.x, pt.y)
             for _ in range(_G_ROWS):
-                (row,) = _affine_multiples([P], 128, self.p)
+                row = _affine_multiples(P, 128, self.p)
                 table.append(row)
                 (P,) = _affine_sums([row[-1]], [row[-1]], self.p)  # 256 * 256^i * g
             self._g_table = table
@@ -474,9 +441,7 @@ class CurveGroup(Group):
         """The product of base ** e over (base, e) pairs.
 
         Each variable base P is split by GLV into two ~128-bit powers of P
-        and lam * P.  Below _BUCKETS_FROM variable bases they are summed by
-        _straus, from that many on by _buckets, where Straus's tables and
-        Jacobian additions cost more than affine bucket sums.  Powers of g
+        and lam * P, and _buckets sums them, however few.  Powers of g
         are summed and added afterwards through the g table, with no
         doublings: the sum is split by GLV too, and each half's signed
         radix-256 digits d select row entries |d| * 256^i * g (x scaled by
@@ -495,8 +460,7 @@ class CurveGroup(Group):
             else:
                 bases.append(base)
                 scalars.append(self._glv_split(e))
-        accumulate = self._buckets if len(bases) >= _BUCKETS_FROM else self._straus
-        X, Y, Z = accumulate(bases, scalars) if bases else _J_IDENTITY
+        X, Y, Z = self._buckets(bases, scalars) if bases else _J_IDENTITY
         if g_e:
             for k, beta in zip(self._glv_split(g_e % q), (1, self.beta)):
                 for row, d in zip(self._g_table, _signed_digits(abs(k), 8)):
@@ -510,52 +474,24 @@ class CurveGroup(Group):
         zi2 = zi * zi % p
         return CurvePoint(self, X * zi2 % p, Y * zi2 * zi % p)
 
-    def _straus(self, bases, scalars):
-        """sum of k1 * P + k2 * (lam * P) over the bases P and their GLV
-        halves (k1, k2), in Jacobian coordinates.
-
-        Each half is recoded as width-5 wNAF.  One Straus loop shares ~128
-        doublings among all of them and adds one table entry per nonzero
-        digit.  The tables of odd multiples are the odd entries of
-        _affine_multiples of every base at once (four inversions), and
-        lam * P's table is P's with x scaled by beta.
-        """
-        p = self.p
-        rows = _affine_multiples([(b.x, b.y) for b in bases], 2 * _TABLE, p)
-        steps = []  # steps[i]: affine points to add at bit i
-        for row, (k1, k2) in zip(rows, scalars):
-            table = row[::2]  # P, 3P, ..., 15P
-            lam_table = [(self.beta * x % p, y) for x, y in table]
-            for tab, k in ((table, k1), (lam_table, k2)):
-                digits = _wnaf(abs(k))
-                steps += [[] for _ in range(len(digits) - len(steps))]
-                for i, d in enumerate(digits):
-                    if d:
-                        x, y = tab[abs(d) >> 1]
-                        steps[i].append((x, y if (d > 0) == (k > 0) else p - y))
-        X, Y, Z = _J_IDENTITY
-        for adds in reversed(steps):
-            if Z:
-                X, Y, Z = _jdouble(X, Y, Z, p)
-            for x, y in adds:
-                X, Y, Z = _jmadd(X, Y, Z, x, y, p)
-        return X, Y, Z
-
     def _buckets(self, bases, scalars):
-        """What _straus returns, by bucket accumulation (Pippenger) with
-        affine bucket sums.
+        """The sum of k1 * P + k2 * (lam * P) over the bases P and their GLV
+        halves (k1, k2), in Jacobian coordinates, by bucket accumulation
+        (Pippenger) with affine bucket sums.
 
         Every nonzero half k of P (or lam * P) becomes the affine point
         sign(k) * P and the radix-2^c signed digits of |k|, c about
-        log2(halves) - 3.  A digit d of window w drops the point, negated
-        for d < 0, into bucket |d| of window w.  The points of each bucket
-        are summed pairwise, one level at a time across every bucket of a
-        batch of whole windows (about _BUCKET_BATCH points, which bounds
-        the intermediate sums held at once).  The windows' sum_i i * bucket_i
-        come from two running sums, a bucket at a time in every window
-        together.  Each level and each step is one _affine_sums, so one
-        inversion.  The window sums are then combined from the top, c
-        Jacobian doublings apart.  No tables are built.
+        log2(halves) - 3 and at least 2: one base's two halves take 2-bit
+        windows, and a fold of 64 or more halves 4-bit windows or wider.  A
+        digit d of window w drops the point, negated for d < 0, into bucket
+        |d| of window w.  The points of each bucket are summed pairwise, one
+        level at a time across every bucket of a batch of whole windows
+        (about _BUCKET_BATCH points, which bounds the intermediate sums held
+        at once).  The windows' sum_i i * bucket_i come from two running
+        sums, a bucket at a time in every window together.  Each level and
+        each step is one _affine_sums, so one inversion.  The window sums
+        are then combined from the top, c Jacobian doublings apart.  No
+        tables are built.
         """
         p = self.p
         points, magnitudes = [], []
@@ -564,7 +500,7 @@ class CurveGroup(Group):
                 if k:
                     points.append((x, base.y if k > 0 else p - base.y))
                     magnitudes.append(abs(k))
-        c = max(4, len(points).bit_length() - 3)
+        c = max(2, len(points).bit_length() - 3)
         half = 1 << (c - 1)
         digits = [_signed_digits(k, c) for k in magnitudes]
         windows = max(map(len, digits), default=0)

@@ -269,7 +269,8 @@ def _all_pads(cfg: ProtocolConfig, round1_posts) -> list:
 def round2_generate(
     cfg: ProtocolConfig, party: int, values, secret: Round1Secret, pads, keypair: Keypair, rng
 ) -> Round2Post:
-    """Encrypt the contribution under the pad keys and attach the policy bundle.
+    """Encrypt the contribution under the pad keys and attach the policy
+    bundle that proves those ciphertexts.
 
     Encryption randomness is the round-1 secret x_ij; the pads only cancel
     because the exact same exponents reappear here.
@@ -286,7 +287,7 @@ def round2_generate(
     if cfg.policy.kind != rangeproof.NONE:
         prove = getattr(rangeproof, f"prove_{cfg.policy.kind}")
         ctx = cfg.base_context().child(b"r2", party)
-        bundle = prove(group, values, secret.x, pads, keypair, cfg.policy, ctx, rng)
+        bundle = prove(group, cts, values, secret.x, pads, keypair, cfg.policy, ctx, rng)
     return Round2Post(party, cts, bundle)
 
 

@@ -4,11 +4,12 @@ Both proofs hang off the same trick: re-encrypt each slot under the prover's
 own long-term key h_i (tied to the posted ciphertext by a DH-tuple proof),
 then show the relevant quantity decomposes into proven bits.
 
-The provers take the Keypair (sk, h_i).  Every ciphertext under h_i is the
-one a bit or square proof returns: sigma.prove_bit and sigma.prove_square
-encrypt it from its discrete logs with their commitments, each element one
-fixed-base g ** log.  Only the links' DH-tuple commitments (h_pad/h_i)^r,
-whose log nobody knows, are evaluated on elements.
+The provers take the posted slots and the Keypair (sk, h_i).  Every
+ciphertext under h_i is the one a bit or square proof returns, encrypted
+from its discrete logs with the proof's commitments, each element one
+fixed-base g ** log.  A link lifts E*[t].B = g ** (t + sk * x) the same way;
+only its DH-tuple commitment (h_pad/h_i)^r, whose log nobody knows, is a
+variable-base power.
 
 L2 ("l2"): prove sum_j T_j^2 <= 2^L - 1.  The squares w_j are encrypted with
 noise r_j that telescopes to zero across the vector and carries the digit
@@ -161,23 +162,33 @@ def noise_terms(group, xstar: list[int]) -> list[int]:
 # -- re-encryption link -------------------------------------------------------
 
 
-def _link_proof(group, x: int, h_pad, keypair: Keypair, ctx, rng):
-    """Prove that E*[t] = (g^x, B*) re-encrypts under h_i = keypair.pk, with
-    the same randomness x, what the posted slot encrypts under h_pad.
+def _link_statement(group, ct: Ciphertext, star_B, h_pad, h_i) -> tuple:
+    """(g, h_pad/h_i, ct.A, ct.B/star_B): a DH tuple exactly when E*[t] =
+    (ct.A, star_B) encrypts under h_i what the posted ct does under h_pad."""
+    return (group.g, h_pad / h_i, ct.A, ct.B / star_B)
 
-    The statement is the DH 4-tuple (g, h_pad/h_i, g^x, (h_pad/h_i)^x): the
-    posted and re-encrypted ciphertexts differ exactly by that last factor
-    in their second slot.  prove_dh_tuple raises ValueError when the pad key
-    equals h_i.
-    """
-    base = h_pad / keypair.pk
-    return prove_dh_tuple(group, x, (group.g, base, group.g ** x, base ** x), ctx, rng)
+
+def _link_proof(group, ct: Ciphertext, t: int, x: int, h_pad, keypair: Keypair, ctx, rng):
+    """Prove the link of the posted slot ct = (g^x, h_pad^x * g^t), witness x,
+    over E*[t].B = g^(t + sk * x).  prove_dh_tuple raises ValueError when the
+    pad key equals h_i = keypair.pk."""
+    star_B = group.g ** ((t + keypair.sk * x) % group.q)
+    statement = _link_statement(group, ct, star_B, h_pad, keypair.pk)
+    return prove_dh_tuple(group, x, statement, ctx, rng)
+
+
+def _link_proofs(group, cts, values, x, pad_keys, keypair, ctx, rng) -> tuple:
+    """The link of every posted slot j in context ctx/link/j."""
+    links = enumerate(zip(cts, values, x, pad_keys))
+    return tuple(
+        _link_proof(group, ct, t, xj, h, keypair, ctx.child(b"link", j), rng)
+        for j, (ct, t, xj, h) in links
+    )
 
 
 def verify_reencryption_link(group, ct: Ciphertext, star_B, h_pad, h_i, proof, ctx) -> bool:
-    """Whether the link proves the DH tuple (g, h_pad/h_i, ct.A, ct.B/star_B):
-    then E*[t] = (ct.A, star_B) encrypts under h_i what ct does under h_pad."""
-    return verify_dh_tuple(group, (group.g, h_pad / h_i, ct.A, ct.B / star_B), proof, ctx)
+    """Whether `proof` proves the link of ct and E*[t] = (ct.A, star_B)."""
+    return verify_dh_tuple(group, _link_statement(group, ct, star_B, h_pad, h_i), proof, ctx)
 
 
 def _link_checks(posted_cts, star_Bs, proof, pad_keys, ctx) -> list:
@@ -362,11 +373,11 @@ def _extended_len(m: int, L: int) -> int:
 
 
 def prove_l2(
-    group, values, x, pad_keys, keypair: Keypair, policy: BoundPolicy, ctx, rng
+    group, cts, values, x, pad_keys, keypair: Keypair, policy: BoundPolicy, ctx, rng
 ) -> L2RangeProof:
-    """Build the L2 validity bundle for `values` posted with randomness `x`
-    under pad keys `pad_keys`, re-encrypted under the prover's key h_i =
-    keypair.pk.
+    """Build the L2 validity bundle for the posted slots `cts`, which encrypt
+    `values` with randomness `x` under pad keys `pad_keys`, re-encrypted
+    under the prover's key h_i = keypair.pk.
 
     Refuses with BoundExceeded when sum of squares exceeds the effective
     bound 2^L - 1.
@@ -382,10 +393,7 @@ def prove_l2(
     padded = list(values) + [0] * (m_ext - m)
     x_all = list(x) + [group.random_scalar(rng) for _ in range(m_ext - m)]
 
-    links = tuple(
-        _link_proof(group, xj, h, keypair, ctx.child(b"link", j), rng)
-        for j, (xj, h) in enumerate(zip(x, pad_keys))
-    )
+    links = _link_proofs(group, cts, values, x, pad_keys, keypair, ctx, rng)
 
     x_digits = [group.random_scalar(rng) for _ in range(L)]
     digit_cts, digit_proofs = _prove_digits(
@@ -464,9 +472,9 @@ def _digit_randomness(group, target: int, width: int, rng) -> list[int]:
 
 
 def prove_l1(
-    group, values, x, pad_keys, keypair: Keypair, policy: BoundPolicy, ctx, rng
+    group, cts, values, x, pad_keys, keypair: Keypair, policy: BoundPolicy, ctx, rng
 ) -> L1RangeProof:
-    """Build the L1 + non-negativity bundle under the prover's key h_i = keypair.pk.
+    """Build the L1 + non-negativity bundle of the posted slots `cts` under h_i = keypair.pk.
 
     Refuses with NegativeEntry on any negative element and BoundExceeded
     when the element sum exceeds 2^L - 1.
@@ -480,18 +488,17 @@ def prove_l1(
         raise BoundExceeded(f"element sum {total} > {policy.effective_bound}")
     digits = [bits_of(t, policy.L) for t in values]
     sum_digits = bits_of(total, policy.L)
-    return _build_l1(group, values, digits, sum_digits, x, pad_keys, keypair, policy, ctx, rng)
+    return _build_l1(
+        group, cts, values, digits, sum_digits, x, pad_keys, keypair, policy, ctx, rng
+    )
 
 
 def _build_l1(
-    group, values, digits, sum_digits, x, pad_keys, keypair, policy, ctx, rng
+    group, cts, values, digits, sum_digits, x, pad_keys, keypair, policy, ctx, rng
 ) -> L1RangeProof:
     # digit lists are taken as given so tests can force dishonest bundles
     L = policy.L
-    links = tuple(
-        _link_proof(group, xj, h, keypair, ctx.child(b"link", j), rng)
-        for j, (xj, h) in enumerate(zip(x, pad_keys))
-    )
+    links = _link_proofs(group, cts, values, x, pad_keys, keypair, ctx, rng)
     elem_cts, elem_proofs = zip(*(
         _prove_digits(
             group, digits[j], _digit_randomness(group, x[j], L, rng), keypair,

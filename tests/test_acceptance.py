@@ -269,25 +269,25 @@ def test_criterion_04_range_enforcement():
 
         over = [0] * m
         over[rng.randrange(m)] = 4  # element sum exactly 2^L
-        with pytest.raises(BoundExceeded):
-            prove_l1(MOD, over, x, pads, kp, policy, ctx, rng)
-        refused += 1
         cts = [encrypt_exp(MOD, over[j], x[j], pads[j]) for j in range(m)]
+        with pytest.raises(BoundExceeded):
+            prove_l1(MOD, cts, over, x, pads, kp, policy, ctx, rng)
+        refused += 1
         digits = [bits_of(v % 4, 2) for v in over]
-        forced = _build_l1(MOD, over, digits, bits_of(0, 2), x, pads, kp, policy, ctx, rng)
+        forced = _build_l1(MOD, cts, over, digits, bits_of(0, 2), x, pads, kp, policy, ctx, rng)
         ok, _ = verify_l1(MOD, cts, forced, policy, pads, ctx)
         assert not ok
         rejected += 1
 
         neg = [1] * m
         neg[rng.randrange(m)] = -1
-        with pytest.raises(NegativeEntry):
-            prove_l1(MOD, neg, x, pads, kp, policy, ctx, rng)
-        refused += 1
         cts = [encrypt_exp(MOD, neg[j], x[j], pads[j]) for j in range(m)]
+        with pytest.raises(NegativeEntry):
+            prove_l1(MOD, cts, neg, x, pads, kp, policy, ctx, rng)
+        refused += 1
         digits = [bits_of(v % 4, 2) for v in neg]
         forced = _build_l1(
-            MOD, neg, digits, bits_of(sum(neg) % 4, 2), x, pads, kp, policy, ctx, rng
+            MOD, cts, neg, digits, bits_of(sum(neg) % 4, 2), x, pads, kp, policy, ctx, rng
         )
         ok, _ = verify_l1(MOD, cts, forced, policy, pads, ctx)
         assert not ok
@@ -309,7 +309,8 @@ def test_criterion_05_noise_and_consistency():
         x = [MOD.random_scalar(rng) for _ in range(m)]
         kp = Keypair.generate(MOD, rng)
         pads = [MOD.g ** MOD.random_scalar(rng) for _ in range(m)]
-        proof = prove_l2(MOD, vec, x, pads, kp, policy, FsTranscript(b"c5").child(trial), rng)
+        cts = [encrypt_exp(MOD, t, xj, h) for t, xj, h in zip(vec, x, pads)]
+        proof = prove_l2(MOD, cts, vec, x, pads, kp, policy, FsTranscript(b"c5").child(trial), rng)
         lhs = proof.square_cts[0]
         for ct in proof.square_cts[1:]:
             lhs = hom_mul(lhs, ct)
@@ -451,9 +452,12 @@ def test_criterion_08_benchmark_trends(monkeypatch):
     assert large == Counter({op: 4 * c for op, c in small.items()}), (small, large)
     # a prover lifts each ciphertext it proves once, with its commitments: a
     # bit proof 2 + 4, a square proof 4 + 4; the l1 round 2 adds to its 15 bit
-    # proofs the 4 posted slots (12 **) and 4 links (6 ** each)
+    # proofs the 4 posted slots (8 **: a plaintext of 0 or 1 takes no g **)
+    # and 4 links of 3 ** each: g ** (T_j + sk * x_j) for E*[T_j].B and the
+    # two DH-tuple commitments.  A link reads g^x_j as the posted slot's A and
+    # (h_pad / h_i)^x_j as ct_j.B / E*[T_j].B, so it raises no base to x_j
     pows = _prover_pows(monkeypatch)
-    assert pows == {"prove_bit": 6, "prove_square": 8, "round2_generate": 114}, pows
+    assert pows == {"prove_bit": 6, "prove_square": 8, "round2_generate": 110}, pows
     announce(
         8,
         f"gen monotone in m {['%.2f' % g for g in gens]}; "

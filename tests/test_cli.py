@@ -629,6 +629,24 @@ def test_random_l1_vector_is_drawn_in_order_m(m):
     assert len({sum(vec) for vec in vectors}) > 1
 
 
+@pytest.mark.parametrize("B, m", [(1, 2), (1, 4), (2, 8), (3, 16), (9, 2), (10**6, 5)])
+def test_random_l2_vector_is_within_its_bound(B, m):
+    policy, rng = BoundPolicy.l2(B), random.Random(m)
+    for _ in range(50):
+        vec = cli._random_vector(policy, m, rng)
+        assert len(vec) == m and sum(t * t for t in vec) <= B * B, vec
+
+
+def test_aggregate_random_l2_with_a_bound_below_the_root_of_the_dimension(tmp_path, capsys):
+    # B * B < m: only the zero vector fits under every draw's per-entry cap
+    ledger = str(tmp_path / "agg.ledger")
+    code = run(["aggregate", "--check", "l2", "--bound", "1", "--dim", "4", "--parties", "2",
+                "--ledger", ledger])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out == "tally: 0,0,0,0\n"
+    assert run(["verify", ledger]) == EXIT_OK
+
+
 def test_verify_rejects_a_header_bound_beyond_u64(tmp_path, capsys):
     golden = _golden_l1_ledger(tmp_path, capsys)
     path = _reheaded(golden, tmp_path / "big.ledger", policy_bound=2**64)

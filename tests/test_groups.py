@@ -275,7 +275,6 @@ def test_g_alone_skips_the_variable_base_loop(monkeypatch):
     def loop(bases, scalars):
         raise AssertionError(f"variable-base loop run for {len(bases)} bases")
 
-    monkeypatch.setattr(CURVE, "_straus", loop)
     monkeypatch.setattr(CURVE, "_buckets", loop)
     assert CURVE.g ** 12345 == affine_pow(CURVE.g, 12345)
     pairs = [(CURVE.g, 7), (CURVE.identity, 5), (HASHED, CURVE.q), (CURVE.g, -2)]
@@ -293,7 +292,7 @@ HASHED_POWER = affine_pow(HASHED, A_HASHED)
 
 
 def test_g_multi_exp_on_table_edge_scalars():
-    # g with one more variable base, on the Straus path
+    # g with one more variable base
     for k in G_TABLE_SCALARS:
         expected = affine_pow(CURVE.g, k) * HASHED_POWER
         assert CURVE.multi_exp([(CURVE.g, k), (HASHED, A_HASHED)]) == expected, k
@@ -301,11 +300,10 @@ def test_g_multi_exp_on_table_edge_scalars():
         assert CURVE.multi_exp([(CURVE.g, k - 5), (HASHED, A_HASHED), (CURVE.g, 5)]) == expected
 
 
-@pytest.mark.parametrize("path", ["straus", "buckets"])
-def test_g_merged_with_many_bases(path):
+@pytest.mark.parametrize("count", [20, 70])
+def test_g_merged_with_many_bases(count):
     # CURVE_MANY[j] = g ** (1000 + j), so the product is one power of g for the oracle
-    q, count = CURVE.q, 20 if path == "straus" else 70
-    assert (count >= groups._BUCKETS_FROM) == (path == "buckets")
+    q = CURVE.q
     rng = random.Random(count)
     for k in G_TABLE_SCALARS[::7]:
         es = [rng.randrange(q) for _ in range(count)]
@@ -375,36 +373,14 @@ def mod_product(group, pairs):
 
 
 @pytest.mark.parametrize("case", MULTI_CASES)
-def test_curve_multi_exp_matches_affine_oracle(case):
+@pytest.mark.parametrize("batch", ["all windows", "one window"])
+def test_curve_multi_exp_matches_affine_oracle(case, batch, monkeypatch):
+    if batch == "one window":
+        monkeypatch.setattr(groups, "_BUCKET_BATCH", 1)
     pairs = MULTI_CASES[case]
     result = CURVE.multi_exp(pairs)
     assert result == curve_product(pairs), case
     assert CURVE.contains(result)
-
-
-@pytest.mark.parametrize("case", MULTI_CASES)
-def test_curve_multi_exp_in_buckets_matches_affine_oracle(case, monkeypatch):
-    monkeypatch.setattr(groups, "_BUCKETS_FROM", 1)
-    pairs = MULTI_CASES[case]
-    assert CURVE.multi_exp(pairs) == curve_product(pairs), case
-
-
-def test_buckets_and_straus_agree_on_many_bases(monkeypatch):
-    # fold-like terms: full, 128-bit and negated 128-bit exponents, zero
-    # exponents, repeated bases, inverse pairs, the identity and g
-    rng = random.Random(64)
-    points = CURVE_MANY
-    q = CURVE.q
-    pairs = [(P, rng.randrange(q)) for P in points[:40]]
-    pairs += [(P, rng.getrandbits(128)) for P in points[40:60]]
-    pairs += [(P, q - rng.getrandbits(128)) for P in points[60:]]
-    pairs += [(points[0], 5), (points[1].inverse(), pairs[1][1]), (points[2], 0),
-              (CURVE.identity, 9), (CURVE.g, rng.randrange(q))]
-    assert len({P for P, e in pairs if e % q and P not in (CURVE.g, CURVE.identity)}) >= 64
-    folded = CURVE.multi_exp(pairs)
-    monkeypatch.setattr(groups, "_BUCKETS_FROM", len(pairs) + 1)
-    assert folded == CURVE.multi_exp(pairs)
-    assert CURVE.multi_exp(pairs + [(folded, q - 1)]) is CURVE.identity
 
 
 def test_curve_multi_exp_returns_the_identity_object():
@@ -442,9 +418,9 @@ def _lam(P):
 
 
 def _bucket_cases():
-    """Terms (log of the base to g, base, exponent) over at least
-    _BUCKETS_FROM variable bases, each case reaching an edge of the affine
-    bucket sums: equal x in one bucket, or a window with nothing left."""
+    """Terms (log of the base to g, base, exponent) over at least 32
+    variable bases, each case reaching an edge of the affine bucket sums:
+    equal x in one bucket, or a window with nothing left."""
     q, lam, rng = CURVE.q, CURVE.lam, random.Random(32)
     many = [(1000 + j, P) for j, P in enumerate(CURVE_MANY[:40])]
     cases = {}
@@ -494,7 +470,7 @@ def test_curve_multi_exp_on_bucket_edges_matches_affine_oracle(case, batch, monk
         monkeypatch.setattr(groups, "_BUCKET_BATCH", 1)
     terms, q = BUCKET_CASES[case], CURVE.q
     pairs = [(P, e) for _, P, e in terms]
-    assert len({P for P, e in pairs if e % q and not P.is_identity}) >= groups._BUCKETS_FROM
+    assert len({P for P, e in pairs if e % q and not P.is_identity}) >= 32
     expected = affine_pow(CURVE.g, sum(a * e for a, _, e in terms))
     assert CURVE.multi_exp(pairs) == expected, case
     if case == "all windows cancel":
@@ -524,7 +500,7 @@ def test_mod_multi_exp_matches_product_of_powers_on_drawn_terms(group, terms):
     assert group.multi_exp(pairs) == mod_product(group, pairs)
 
 
-# -- GLV split and wNAF recoding ------------------------------------------------------
+# -- GLV split and signed digits ------------------------------------------------------
 
 SPLIT_SCALARS = [0, 1, 2, CURVE.q - 1, CURVE.q - 2, CURVE.lam, CURVE.q - CURVE.lam,
                  2**128, 2**128 - 1, CURVE.q >> 1, (CURVE.q >> 1) + 1]
@@ -555,27 +531,7 @@ def test_glv_split_on_drawn_scalars(k):
     _check_split(k)
 
 
-def _check_wnaf(k):
-    digits = groups._wnaf(k)
-    assert sum(d << i for i, d in enumerate(digits)) == k
-    nonzero = [i for i, d in enumerate(digits) if d]
-    assert all(d % 2 == 1 and abs(d) < 16 for d in digits if d)
-    assert all(b - a >= 5 for a, b in zip(nonzero, nonzero[1:])), digits
-
-
-def test_wnaf_on_edge_scalars():
-    assert groups._wnaf(0) == []
-    for k in [1, 15, 16, 17, 31, 32, 2**129 - 1] + SPLIT_SCALARS:
-        _check_wnaf(k)
-
-
-@settings(derandomize=True, max_examples=50, deadline=None)
-@given(k=st.integers(min_value=0, max_value=2**130))
-def test_wnaf_on_drawn_scalars(k):
-    _check_wnaf(k)
-
-
-@pytest.mark.parametrize("c", [4, 5, 7])
+@pytest.mark.parametrize("c", [2, 3, 4, 5, 7])
 def test_signed_digits(c):
     rng = random.Random(c)
     for k in [0, 1, (1 << c) - 1, 1 << (c - 1), (1 << (c - 1)) + 1, CURVE.q - 1]:

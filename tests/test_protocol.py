@@ -180,6 +180,27 @@ def test_l1_session_verifies_and_tallies():
     assert tally(cfg, posts2) == (4, 2)
 
 
+def test_secp256k1_l1_round2_raises_a_variable_base_eight_times(monkeypatch):
+    """At m = 4, a party's l1 round 2 makes one multi_exp with a base other
+    than g per posted slot (h_pad ** x_j) and per link (the DH-tuple
+    commitment (h_pad / h_i) ** r): every other element is a power of g."""
+    cfg = config(n=3, m=4, policy=BoundPolicy.l1(4), group=groups.prod_group())
+    parties = [Party(cfg, i, random.Random(i)) for i in range(cfg.n)]
+    posts1 = [p.round1() for p in parties]
+    parties[0].receive_round1(posts1)
+    curve, multi_exp, calls = cfg.group, cfg.group.multi_exp, []
+
+    def counting(pairs):
+        pairs = list(pairs)
+        if any(e % curve.q and base not in (curve.g, curve.identity) for base, e in pairs):
+            calls.append(len(pairs))
+        return multi_exp(pairs)
+
+    monkeypatch.setattr(curve, "multi_exp", counting)
+    parties[0].round2([1, 0, 2, 0])
+    assert len(calls) == 8
+
+
 def test_l1_session_refuses_illegal_vector():
     cfg = config(n=2, m=2, policy=BoundPolicy.l1(3))
     parties = [Party(cfg, i, random.Random(i)) for i in range(2)]

@@ -120,7 +120,7 @@ def test_link_roundtrip():
     ct = encrypt_exp(MOD, 3, x[0], pads[0])
     ctx = FsTranscript(b"link")
     ct_star = encrypt_exp(MOD, 3, x[0], kp.pk)
-    proof = _link_proof(MOD, x[0], pads[0], kp, ctx, rng)
+    proof = _link_proof(MOD, ct, 3, x[0], pads[0], kp, ctx, rng)
     assert ct_star.A == ct.A
     assert verify_reencryption_link(MOD, ct, ct_star.B, pads[0], kp.pk, proof, ctx)
 
@@ -132,7 +132,10 @@ def test_link_detects_plaintext_swap():
     ctx = FsTranscript(b"link")
     # re-encryption of a different plaintext with the same randomness
     ct_star = encrypt_exp(MOD, 4, x[0], kp.pk)
-    proof = _link_proof(MOD, x[0], pads[0], kp, ctx, rng)
+    proof = _link_proof(MOD, ct, 3, x[0], pads[0], kp, ctx, rng)
+    assert not verify_reencryption_link(MOD, ct, ct_star.B, pads[0], kp.pk, proof, ctx)
+    # a prover that claims the swapped plaintext states a false tuple
+    proof = _link_proof(MOD, ct, 4, x[0], pads[0], kp, ctx, rng)
     assert not verify_reencryption_link(MOD, ct, ct_star.B, pads[0], kp.pk, proof, ctx)
 
 
@@ -141,7 +144,7 @@ def test_link_degenerate_keys():
     kp = Keypair.generate(MOD, rng)
     ctx = FsTranscript(b"link")
     with pytest.raises(ValueError):
-        _link_proof(MOD, 5, kp.pk, kp, ctx, rng)
+        _link_proof(MOD, encrypt_exp(MOD, 3, 5, kp.pk), 3, 5, kp.pk, kp, ctx, rng)
 
 
 def test_link_verifier_refuses_degenerate_keys():
@@ -165,7 +168,7 @@ def test_link_requires_matching_first_component():
     x, pads, kp = make_keys(MOD, 1, rng)
     ctx = FsTranscript(b"link")
     ct_star = encrypt_exp(MOD, 3, x[0], kp.pk)
-    proof = _link_proof(MOD, x[0], pads[0], kp, ctx, rng)
+    proof = _link_proof(MOD, encrypt_exp(MOD, 3, x[0], pads[0]), 3, x[0], pads[0], kp, ctx, rng)
     other = encrypt_exp(MOD, 3, (x[0] + 1) % MOD.q, pads[0])
     assert not verify_reencryption_link(MOD, other, ct_star.B, pads[0], kp.pk, proof, ctx)
 
@@ -180,7 +183,7 @@ def test_l2_boundary_case():
     x, pads, kp = make_keys(MOD, 2, rng)
     cts = posted(MOD, [3, 4], x, pads)
     ctx = FsTranscript(b"l2")
-    proof = prove_l2(MOD, [3, 4], x, pads, kp, policy, ctx, rng)
+    proof = prove_l2(MOD, cts, [3, 4], x, pads, kp, policy, ctx, rng)
     assert verify_l2(MOD, cts, proof, policy, pads, ctx) == (True, None)
 
 
@@ -190,7 +193,7 @@ def test_l2_zero_vector():
     x, pads, kp = make_keys(MOD, 3, rng)
     cts = posted(MOD, [0, 0, 0], x, pads)
     ctx = FsTranscript(b"l2")
-    proof = prove_l2(MOD, [0, 0, 0], x, pads, kp, policy, ctx, rng)
+    proof = prove_l2(MOD, cts, [0, 0, 0], x, pads, kp, policy, ctx, rng)
     assert verify_l2(MOD, cts, proof, policy, pads, ctx) == (True, None)
 
 
@@ -199,7 +202,8 @@ def test_l2_prover_refuses_over_bound():
     policy = BoundPolicy.l2(5)
     x, pads, kp = make_keys(MOD, 2, rng)
     with pytest.raises(BoundExceeded):
-        prove_l2(MOD, [6, 0], x, pads, kp, policy, FsTranscript(b"l2"), rng)
+        prove_l2(MOD, posted(MOD, [6, 0], x, pads), [6, 0], x, pads, kp, policy,
+                 FsTranscript(b"l2"), rng)
 
 
 def test_l2_pads_short_vectors():
@@ -209,7 +213,7 @@ def test_l2_pads_short_vectors():
     x, pads, kp = make_keys(MOD, 1, rng)
     cts = posted(MOD, [5], x, pads)
     ctx = FsTranscript(b"l2")
-    proof = prove_l2(MOD, [5], x, pads, kp, policy, ctx, rng)
+    proof = prove_l2(MOD, cts, [5], x, pads, kp, policy, ctx, rng)
     assert len(proof.square_cts) == 6
     assert len(proof.reencrypted_B) == 1 and len(proof.reencrypted_pad) == 5
     assert len(proof.links) == 1
@@ -222,7 +226,7 @@ def test_l2_signed_entries():
     x, pads, kp = make_keys(MOD, 2, rng)
     cts = posted(MOD, [-3, 4], x, pads)
     ctx = FsTranscript(b"l2")
-    proof = prove_l2(MOD, [-3, 4], x, pads, kp, policy, ctx, rng)
+    proof = prove_l2(MOD, cts, [-3, 4], x, pads, kp, policy, ctx, rng)
     assert verify_l2(MOD, cts, proof, policy, pads, ctx) == (True, None)
 
 
@@ -233,7 +237,7 @@ def test_l2_reason_codes():
     values = [3, 4]
     cts = posted(MOD, values, x, pads)
     ctx = FsTranscript(b"l2")
-    proof = prove_l2(MOD, values, x, pads, kp, policy, ctx, rng)
+    proof = prove_l2(MOD, cts, values, x, pads, kp, policy, ctx, rng)
 
     # re-randomizing one w ciphertext breaks the telescoped noise
     cts_w = list(proof.square_cts)
@@ -269,7 +273,7 @@ def test_l2_square_check_catches_wrong_square():
     values = [3, 4]
     cts = posted(MOD, values, x, pads)
     ctx = FsTranscript(b"l2")
-    proof = prove_l2(MOD, values, x, pads, kp, policy, ctx, rng)
+    proof = prove_l2(MOD, cts, values, x, pads, kp, policy, ctx, rng)
     cts_w = list(proof.square_cts)
     cts_w[0] = hom_mul(cts_w[0], encrypt_exp(MOD, 1, 0, kp.pk))  # now encrypts 10
     bad = dataclasses.replace(proof, square_cts=tuple(cts_w))
@@ -287,7 +291,7 @@ def test_l2_square_check_isolated():
     values = [3, 4]
     cts = posted(MOD, values, x, pads)
     ctx = FsTranscript(b"l2")
-    proof = prove_l2(MOD, values, x, pads, kp, policy, ctx, rng)
+    proof = prove_l2(MOD, cts, values, x, pads, kp, policy, ctx, rng)
     cts_w = list(proof.square_cts)
     cts_w[0] = hom_mul(cts_w[0], encrypt_exp(MOD, 1, 0, kp.pk))   # 9 -> 10
     cts_w[1] = hom_mul(cts_w[1], encrypt_exp(MOD, -1, 0, kp.pk))  # 16 -> 15
@@ -300,7 +304,7 @@ def test_l2_context_binding():
     policy = BoundPolicy.l2(5)
     x, pads, kp = make_keys(MOD, 2, rng)
     cts = posted(MOD, [1, 2], x, pads)
-    proof = prove_l2(MOD, [1, 2], x, pads, kp, policy, FsTranscript(b"session-a"), rng)
+    proof = prove_l2(MOD, cts, [1, 2], x, pads, kp, policy, FsTranscript(b"session-a"), rng)
     ok, reason = verify_l2(MOD, cts, proof, policy, pads, FsTranscript(b"session-b"))
     assert not ok and reason == "tuple"
 
@@ -309,7 +313,8 @@ def test_l2_serialization():
     rng = random.Random(14)
     policy = BoundPolicy.l2(5)
     x, pads, kp = make_keys(MOD, 2, rng)
-    proof = prove_l2(MOD, [3, 4], x, pads, kp, policy, FsTranscript(b"l2"), rng)
+    cts = posted(MOD, [3, 4], x, pads)
+    proof = prove_l2(MOD, cts, [3, 4], x, pads, kp, policy, FsTranscript(b"l2"), rng)
     data = proof.to_bytes(MOD)
     reader = Reader(data)
     assert L2RangeProof.read_from(MOD, reader, 2, policy.L) == proof
@@ -329,12 +334,12 @@ def test_l1_ballot_cases():
     x, pads, kp = make_keys(MOD, 3, rng)
     cts = posted(MOD, [3, 0, 0], x, pads)
     ctx = FsTranscript(b"l1")
-    proof = prove_l1(MOD, [3, 0, 0], x, pads, kp, policy, ctx, rng)
+    proof = prove_l1(MOD, cts, [3, 0, 0], x, pads, kp, policy, ctx, rng)
     assert verify_l1(MOD, cts, proof, policy, pads, ctx) == (True, None)
     with pytest.raises(BoundExceeded):
-        prove_l1(MOD, [2, 2, 0], x, pads, kp, policy, ctx, rng)
+        prove_l1(MOD, cts, [2, 2, 0], x, pads, kp, policy, ctx, rng)
     with pytest.raises(NegativeEntry):
-        prove_l1(MOD, [-1, 1, 0], x, pads, kp, policy, ctx, rng)
+        prove_l1(MOD, cts, [-1, 1, 0], x, pads, kp, policy, ctx, rng)
 
 
 def test_l1_forced_overflow_rejected():
@@ -347,7 +352,7 @@ def test_l1_forced_overflow_rejected():
     ctx = FsTranscript(b"l1")
     digits = [bits_of(v, policy.L) for v in values]
     forced_sum = bits_of(4 % 4, policy.L)
-    proof = _build_l1(MOD, values, digits, forced_sum, x, pads, kp, policy, ctx, rng)
+    proof = _build_l1(MOD, cts, values, digits, forced_sum, x, pads, kp, policy, ctx, rng)
     ok, reason = verify_l1(MOD, cts, proof, policy, pads, ctx)
     assert not ok and reason == "sum"
 
@@ -362,7 +367,7 @@ def test_l1_forced_negative_rejected():
     ctx = FsTranscript(b"l1")
     digits = [bits_of(v % 4, policy.L) for v in values]
     forced_sum = bits_of(sum(values) % 4, policy.L)
-    proof = _build_l1(MOD, values, digits, forced_sum, x, pads, kp, policy, ctx, rng)
+    proof = _build_l1(MOD, cts, values, digits, forced_sum, x, pads, kp, policy, ctx, rng)
     # E*[T_0] is what row 0 spells, 3, so the link of slot 0 fails
     assert verify_l1(MOD, cts, proof, policy, pads, ctx) == (False, "tuple")
 
@@ -374,7 +379,7 @@ def test_l1_reason_codes():
     values = [2, 1]
     cts = posted(MOD, values, x, pads)
     ctx = FsTranscript(b"l1")
-    proof = prove_l1(MOD, values, x, pads, kp, policy, ctx, rng)
+    proof = prove_l1(MOD, cts, values, x, pads, kp, policy, ctx, rng)
 
     # a row moved by E[0; r = 1] moves E*[T_0] with it: the link fails first
     rows = [list(r) for r in proof.element_digit_cts]
@@ -409,7 +414,8 @@ def test_l1_serialization():
     rng = random.Random(19)
     policy = BoundPolicy.l1(3)
     x, pads, kp = make_keys(MOD, 2, rng)
-    proof = prove_l1(MOD, [2, 1], x, pads, kp, policy, FsTranscript(b"l1"), rng)
+    cts = posted(MOD, [2, 1], x, pads)
+    proof = prove_l1(MOD, cts, [2, 1], x, pads, kp, policy, FsTranscript(b"l1"), rng)
     data = proof.to_bytes(MOD)
     reader = Reader(data)
     assert L1RangeProof.read_from(MOD, reader, 2, policy.L) == proof
@@ -435,8 +441,9 @@ def _bundle_case(kind):
     x, pads, kp = make_keys(MOD, 2, rng)
     values = [1, 2]
     prove = prove_l1 if kind == "l1" else prove_l2
-    proof = prove(MOD, values, x, pads, kp, policy, FsTranscript(b"shape"), rng)
-    return posted(MOD, values, x, pads), proof, policy, pads
+    cts = posted(MOD, values, x, pads)
+    proof = prove(MOD, cts, values, x, pads, kp, policy, FsTranscript(b"shape"), rng)
+    return cts, proof, policy, pads
 
 
 @pytest.mark.parametrize(
@@ -489,7 +496,8 @@ def test_l2_toy_exhaustive_rejection():
         assert s > policy.effective_bound
         with pytest.raises(BoundExceeded):
             x, pads, kp = make_keys(TOY, 2, rng)
-            prove_l2(TOY, list(values), x, pads, kp, policy, ctx, rng)
+            cts = posted(TOY, values, x, pads)
+            prove_l2(TOY, cts, list(values), x, pads, kp, policy, ctx, rng)
 
 
 def test_l1_toy_forced_bundles_all_digit_choices():
@@ -506,7 +514,7 @@ def test_l1_toy_forced_bundles_all_digit_choices():
                 digits = [bits_of(digit_bits, 2)]
                 sum_digits = bits_of(sum_bits, 2)
                 proof = _build_l1(
-                    TOY, [value], digits, sum_digits, x, pads, kp, policy, ctx, rng
+                    TOY, cts, [value], digits, sum_digits, x, pads, kp, policy, ctx, rng
                 )
                 ok, reason = verify_l1(TOY, cts, proof, policy, pads, ctx)
                 assert not ok, (value, digit_bits, sum_bits)
@@ -526,7 +534,8 @@ def test_digit_ciphertexts_show_no_bias():
         chunks = []
         for _ in range(60):
             x, pads, kp = make_keys(MOD, 2, rng)
-            proof = prove_l1(MOD, values, x, pads, kp, policy, ctx, rng)
+            cts = posted(MOD, values, x, pads)
+            proof = prove_l1(MOD, cts, values, x, pads, kp, policy, ctx, rng)
             for row in proof.element_digit_cts:
                 for ct in row:
                     chunks.append(ct.to_bytes(MOD))
