@@ -291,15 +291,6 @@ def round2_generate(
     return Round2Post(party, cts, bundle)
 
 
-def _contribution_failure(cfg: ProtocolConfig, post: Round2Post):
-    """"malformed" for a wrong dimension or a bundle of the wrong type for
-    the policy (which only a post built in memory can have), else None: a
-    contribution's checks before its bundle's."""
-    if len(post.cts) != cfg.m or type(post.bundle) is not _BUNDLES[cfg.policy.kind]:
-        return "malformed"
-    return None
-
-
 def verify_contribution(cfg: ProtocolConfig, post: Round2Post, pads):
     """Check one round-2 post against its party's pad keys.
 
@@ -307,10 +298,11 @@ def verify_contribution(cfg: ProtocolConfig, post: Round2Post, pads):
     (ok, reason).  Each ciphertext's first component must be the party's
     round-1 element; a post read from a ledger has it so by construction
     (Round2Post.from_bytes), and the pads alone do not carry those elements.
+    A wrong dimension, or a bundle of the wrong type for the policy, which
+    only a post built in memory can have, is "malformed".
     """
-    reason = _contribution_failure(cfg, post)
-    if reason is not None:
-        return False, reason
+    if len(post.cts) != cfg.m or type(post.bundle) is not _BUNDLES[cfg.policy.kind]:
+        return False, "malformed"
     if post.bundle is None:
         return True, None
     verify = getattr(rangeproof, f"verify_{cfg.policy.kind}")
@@ -370,20 +362,16 @@ def _ledger_round(cfg: ProtocolConfig, ledger, round: int, decode) -> list:
     return [posts[i] for i in range(cfg.n)]
 
 
-def _ledger_parts(cfg: ProtocolConfig, posts1, posts2) -> list:
-    """Every group equation of a decoded ledger, as sigma.fold_holds parts: the
-    round-1 table, then each contribution's bundle table under its _all_pads
-    keys, in party order.  A contribution that fails _contribution_failure,
-    or its bundle's shape check, is a None part, failing the fold."""
-    group, base = cfg.group, cfg.base_context()
-    parts = fold_parts(group, _round1_checks(cfg, posts1))
+def _ledger_checks(cfg: ProtocolConfig, posts1, posts2) -> list:
+    """The check table of a decoded ledger: the round-1 table, then each
+    contribution's bundle table under its _all_pads keys, in party order.
+    Decoding fixes every post's shape, so the bundles' tables are read as
+    they are."""
+    base, table = cfg.base_context(), _round1_checks(cfg, posts1)
     for post, pads in zip(posts2, _all_pads(cfg, posts1)):
-        if _contribution_failure(cfg, post) is not None:
-            parts.append(None)
-        elif post.bundle is not None:
-            ctx = base.child(b"r2", post.party)
-            parts += rangeproof.bundle_parts(group, post.cts, post.bundle, cfg.policy, pads, ctx)
-    return parts
+        if post.bundle is not None:
+            table += post.bundle.checks(post.cts, pads, base.child(b"r2", post.party))
+    return table
 
 
 def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
@@ -400,13 +388,13 @@ def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
     party, the check and, where there is one, the slot or digit; an absent
     post raises MissingPost.  Malformed bytes never raise anything else.
 
-    After the header and decode checks, a folding group checks the
-    rest as one fold (sigma.fold_holds) of every post's check table
-    (_ledger_parts); a check outside the group equations that fails
-    while the parts are built fails the fold.  A failed fold, and every
-    ledger on the modular groups, goes through _check_round1 and then
-    verify_contribution party by party, so a rejection reads the same with
-    or without the fold.
+    After the header and decode checks, a folding group checks the rest
+    as one fold (sigma.fold_holds) of one check table of the decoded posts
+    (_ledger_checks), whose shape the decoder fixes; a check outside the
+    group equations that fails while it is recorded fails the fold.  A
+    failed fold, and every ledger on the modular groups, goes through
+    _check_round1 and then verify_contribution party by party, so a
+    rejection reads the same with or without the fold.
     """
     if ledger.header != cfg.header():
         raise LedgerRejected(None, "header", "ledger header does not match the session")
@@ -420,7 +408,7 @@ def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
             group, data, party, cfg.policy, posts1[party].elements
         ),
     )
-    if folds(group) and fold_holds(group, _ledger_parts(cfg, posts1, posts2)):
+    if folds(group) and fold_holds(group, fold_parts(group, _ledger_checks(cfg, posts1, posts2))):
         return posts2
     _check_round1(cfg, posts1)
     for post in posts2:
@@ -428,7 +416,7 @@ def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
         ok, reason = verify_contribution(cfg, post, pads)
         if not ok:
             ctx = cfg.base_context().child(b"r2", post.party)
-            where = None if post.bundle is None else rangeproof.failure_position(
+            where = rangeproof.failure_position(
                 group, post.cts, post.bundle, cfg.policy.L, pads, ctx, reason
             )
             raise _rejected("contribution", post.party, reason, where)

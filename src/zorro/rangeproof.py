@@ -69,7 +69,6 @@ from .sigma import (
     DhTupleProof,
     SquareProof,
     first_failure,
-    fold_parts,
     prove_bit,
     prove_dh_tuple,
     prove_square,
@@ -243,24 +242,12 @@ def _bit_checks(digit_cts, digit_proofs, h_i, row_ctx) -> list:
 # -- verification: shape, then the check table --------------------------------
 
 
-def _well_shaped(posted_cts, proof, L, pad_keys) -> bool:
-    """Whether the bundle's runs fit the m posted slots and L digits, with m pad keys."""
-    m = len(posted_cts)
-    return proof.fits(m, L) and len(pad_keys) == m
-
-
-def bundle_parts(group, posted_cts, proof, policy, pad_keys, ctx):
-    """The fold parts of an L1 or L2 bundle's check table, or [None], which
-    fails the fold, when its shape check fails."""
-    if not _well_shaped(posted_cts, proof, policy.L, pad_keys):
-        return [None]
-    return fold_parts(group, proof.checks(posted_cts, pad_keys, ctx))
-
-
 def _verify(group, posted_cts, proof, policy, pad_keys, ctx):
-    """(ok, reason) of a bundle: "malformed" when its shape is wrong, else
-    the first label of its check table that fails (sigma.first_failure)."""
-    if not _well_shaped(posted_cts, proof, policy.L, pad_keys):
+    """(ok, reason) of a bundle: "malformed" when its runs do not fit the m
+    posted slots and L digits, or there are not m pad keys, else the first
+    label of its check table that fails (sigma.first_failure)."""
+    m = len(posted_cts)
+    if not (proof.fits(m, policy.L) and len(pad_keys) == m):
         return False, "malformed"
     reason = first_failure(group, proof.checks(posted_cts, pad_keys, ctx))
     return reason is None, reason

@@ -47,7 +47,7 @@ fresh weights, and a false equation passes with probability about 2^-128 a
 draw.  When the fold fails, and always on the modular groups, the checks run
 one by one on the group and the label of the first failing entry is
 returned, so a rejection reads the same with or without the fold.
-protocol.verify_ledger folds every post's table (fold_parts) at once.
+protocol.verify_ledger folds one table of every decoded post (fold_parts) at once.
 """
 
 import hashlib
@@ -132,12 +132,6 @@ class _Log:
     log: int
     q: int
 
-    def __mul__(self, other):
-        return _Log((self.log + other.log) % self.q, self.q)
-
-    def __truediv__(self, other):
-        return _Log((self.log - other.log) % self.q, self.q)
-
     def __pow__(self, e: int):
         return _Log(self.log * e % self.q, self.q)
 
@@ -145,10 +139,10 @@ class _Log:
 class _Logs:
     """`group` seen through discrete logs to base g, the mirror of _Recording.
 
-    Its elements are _Log scalars: * adds, / subtracts, ** scales, and
-    multi_exp returns sum(log * e) mod q.  Passed to a commitment function by
-    a prover that knows every log, it gives each commitment's log; lift turns
-    those into elements with one fixed-base g ** log each.
+    Its elements are _Log scalars: ** scales, and multi_exp returns
+    sum(log * e) mod q.  Passed to a commitment function by a prover that
+    knows every log, it gives each commitment's log; lift turns those into
+    elements with one fixed-base g ** log each.
     """
 
     __slots__ = ("_group", "q", "g")

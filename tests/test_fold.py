@@ -793,7 +793,7 @@ def test_ledger_fold_weights_cover_every_post(session, monkeypatch):
     for post, shift in zip(posts1, (delta * w[cfg.m], -delta * w[0])):
         first = DlogProof(post.proofs[0].K, (post.proofs[0].s + shift) % q)
         shifted.append(dataclasses.replace(post, proofs=(first, *post.proofs[1:])))
-    parts = protocol._ledger_parts(cfg, shifted, posts2)
+    parts = sigma.fold_parts(CURVE, protocol._ledger_checks(cfg, shifted, posts2))
     assert _fold_under(monkeypatch, honest_weights, parts)
 
     verdict = _rejection(cfg, _ledger(cfg, shifted, posts2))
@@ -815,7 +815,8 @@ def test_ledger_fold_equations_are_pinned(l1_ledger, l2_ledger, kind):
     """Every term of every ledger-fold equation, in order, is pinned: a
     verifier that records a term differently changes the fold's weights."""
     cfg, _, posts1, posts2, _ = l1_ledger if kind == "l1" else l2_ledger
-    equations = [eq for part in protocol._ledger_parts(cfg, posts1, posts2) for eq in part]
+    parts = sigma.fold_parts(CURVE, protocol._ledger_checks(cfg, posts1, posts2))
+    equations = [eq for part in parts for eq in part]
     h = hashlib.sha256()
     for terms in equations:
         h.update(pack_u32(len(terms)))
@@ -835,7 +836,7 @@ def test_vote_ledger_fold_has_357_variable_bases(vote_ledger):
     so it adds no y / g base: g and 357 variable bases, not 402.  The fold,
     several batches of bucket windows, holds."""
     cfg, _, posts1, posts2, _ = vote_ledger
-    parts = protocol._ledger_parts(cfg, posts1, posts2)
+    parts = sigma.fold_parts(CURVE, protocol._ledger_checks(cfg, posts1, posts2))
     bases = {base for part in parts for terms in part for base, _ in terms}
     assert CURVE.g in bases and len(bases) - 1 == 357
     assert fold_holds(CURVE, parts)

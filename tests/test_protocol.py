@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -27,7 +28,7 @@ from zorro.protocol import (
     verify_ledger,
     verify_round1,
 )
-from zorro.rangeproof import BoundPolicy
+from zorro.rangeproof import BoundPolicy, L1RangeProof, L2RangeProof
 from zorro.sigma import verify_dlog
 
 TOY = groups.toy_group()
@@ -403,6 +404,66 @@ def test_round2_decoding_rejects_a_post_read_under_another_policy(posted, read):
     _, posts1, posts2 = make_session(cfg, [[1, 1], [2, 0]])
     with pytest.raises(MalformedEncoding):
         Round2Post.from_bytes(MOD, posts2[0].to_bytes(MOD), 0, read, posts1[0].elements)
+
+
+def _item_widths(group, value) -> list:
+    """The byte width of every element and scalar that put() lays out for
+    `value`, in wire order: records and bundles field by field."""
+    if value is None:
+        return []
+    if isinstance(value, int):
+        return [group.scalar_bytes]
+    if isinstance(value, tuple):
+        return [w for item in value for w in _item_widths(group, item)]
+    if dataclasses.is_dataclass(value):
+        return _item_widths(group, tuple(getattr(value, f.name) for f in dataclasses.fields(value)))
+    return [group.element_bytes]
+
+
+def _variants(group, data: bytes, widths) -> list:
+    """`data` whole, cut at every item boundary, and one element longer."""
+    ends = list(itertools.accumulate(widths, initial=0))
+    assert ends[-1] == len(data)
+    return [data[:end] for end in ends] + [data + group.encode_element(group.g)]
+
+
+@pytest.mark.parametrize(
+    "group, policy",
+    [
+        (MOD, BoundPolicy.none()),
+        (MOD, BoundPolicy.l1(3)),
+        (MOD, BoundPolicy.l2(4)),
+        (groups.prod_group(), BoundPolicy.l1(3)),
+    ],
+    ids=["mod41-none", "mod41-l1", "mod41-l2", "secp256k1-l1"],
+)
+def test_decoding_fixes_every_posts_shape(group, policy):
+    """A payload cut at any item boundary, or one element too long, fails to
+    decode; whatever decodes has m slots and the header policy's bundle
+    runs(m, L), the shape the ledger fold takes as given."""
+    cfg = config(n=2, m=2, policy=policy, group=group)
+    _, posts1, posts2 = make_session(cfg, [[1, 1], [2, 0]])
+    post1, post2 = posts1[0], posts2[0]
+    bundle_type = {"none": type(None), "l1": L1RangeProof, "l2": L2RangeProof}[policy.kind]
+    decoded = 0
+    widths = _item_widths(group, (post1.elements, post1.proofs))
+    for data in _variants(group, post1.to_bytes(group), widths):
+        try:
+            post = Round1Post.from_bytes(group, data, 0, cfg.m)
+        except MalformedEncoding:
+            continue
+        decoded += 1
+        assert len(post.elements) == len(post.proofs) == cfg.m
+    widths = _item_widths(group, (tuple(ct.B for ct in post2.cts), post2.bundle))
+    for data in _variants(group, post2.to_bytes(group), widths):
+        try:
+            post = Round2Post.from_bytes(group, data, 0, policy, post1.elements)
+        except MalformedEncoding:
+            continue
+        decoded += 1
+        assert len(post.cts) == cfg.m and type(post.bundle) is bundle_type
+        assert post.bundle is None or post.bundle.fits(cfg.m, policy.L)
+    assert decoded == 2  # the honest payloads
 
 
 # -- privacy ---------------------------------------------------------------------
