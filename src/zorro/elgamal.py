@@ -4,7 +4,8 @@ A ciphertext for m under public key pk is (g^r, g^m * pk^r).  Multiplying
 ciphertexts adds plaintexts; recovering m after decryption is a small
 discrete log (see zorro.dlog).  Randomness is always supplied by the
 caller, never drawn internally: the aggregation protocol needs exact
-control of it (round-1 secrets are reused, digit randomness must telescope).
+control of it (round-1 secrets are reused, digit randomness must recompose
+to that of the ciphertexts the digits spell).
 """
 
 from dataclasses import dataclass

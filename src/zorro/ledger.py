@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from .encoding import pack_u8, pack_u32, pack_u64
 from .errors import ChainBroken, DuplicatePost, MalformedEncoding
 
-FORMAT = "zorro-ledger/3"
+FORMAT = "zorro-ledger/4"
 
 # a party id of at most 10 digits, so that int() never meets a huge string
 _LINE_RE = re.compile(r"^([12]) (0|[1-9][0-9]{0,9}) ([0-9a-f]{64}) ((?:[0-9a-f]{2})*)$")

@@ -7,13 +7,15 @@ then show the relevant quantity decomposes into proven bits.
 The provers take the posted slots and the Keypair (sk, h_i).  Every
 ciphertext under h_i is the one a bit or square proof returns, encrypted
 from its discrete logs with the proof's commitments, each element one
-fixed-base g ** log.  A link lifts E*[t].B = g ** (t + sk * x) the same way;
-only its DH-tuple commitment (h_pad/h_i)^r, whose log nobody knows, is a
-variable-base power.
+fixed-base g ** log.  A link proves its slot's E*[t].B = g ** (t + sk * x):
+L2 takes the one its square proof returns, and L1 lifts it the same way.
+Only a link's DH-tuple commitment (h_pad/h_i)^r, whose log nobody knows, is
+a variable-base power.
 
-L2 ("l2"): prove sum_j T_j^2 <= 2^L - 1.  The squares w_j are encrypted with
-noise r_j that telescopes to zero across the vector and carries the digit
-randomness, so the ledger equality
+L2 ("l2"): prove sum_j T_j^2 <= 2^L - 1, with one square per slot.  Each
+square w_j is encrypted with fresh randomness r_j, and the digits' randomness
+recomposes to sum_j r_j (as L1's sum digits recompose to sum_j x_j), so the
+ledger equality
 
     prod_j E[w_j]  ==  prod_l E[s_l]^(2^l)
 
@@ -32,9 +34,9 @@ An L1 bundle does not post E*[T_j]: the verifier takes it as
 second component row j recomposes (one Horner chain per slot).  The first
 identity is then the one equation ct_j.A == prod_l E[b_jl].A^(2^l), and the
 link of slot j hashes and checks ct_j.B over that derived second component.
-An L2 bundle posts E*[T_j] whole only for its padded slots past m; for a
-real slot it posts the second component, and the verifier takes the first
-as ct_j.A, the component the link proves, as for L1.
+An L2 bundle posts the second component of each E*[T_j], the one its square
+proof returns; the verifier takes the first as ct_j.A, the component the link
+proves, as for L1.
 
 The enforced bound is always the full digit range 2^L - 1; exact non-power
 bounds would need set-membership machinery that is out of scope.
@@ -145,19 +147,6 @@ def bits_of(value: int, width: int) -> list[int]:
     return [(value >> l) & 1 for l in range(width)]
 
 
-def noise_terms(group, xstar: list[int]) -> list[int]:
-    """r_j = (sum_{k<j} x*_k - sum_{k>j} x*_k) * x*_j; telescopes to zero."""
-    q = group.q
-    total = sum(xstar) % q
-    terms = []
-    prefix = 0
-    for x in xstar:
-        suffix = (total - prefix - x) % q
-        terms.append((prefix - suffix) * x % q)
-        prefix = (prefix + x) % q
-    return terms
-
-
 # -- re-encryption link -------------------------------------------------------
 
 
@@ -167,21 +156,20 @@ def _link_statement(group, ct: Ciphertext, star_B, h_pad, h_i) -> tuple:
     return (group.g, h_pad / h_i, ct.A, ct.B / star_B)
 
 
-def _link_proof(group, ct: Ciphertext, t: int, x: int, h_pad, keypair: Keypair, ctx, rng):
+def _link_proof(group, ct: Ciphertext, star_B, x: int, h_pad, h_i, ctx, rng):
     """Prove the link of the posted slot ct = (g^x, h_pad^x * g^t), witness x,
-    over E*[t].B = g^(t + sk * x).  prove_dh_tuple raises ValueError when the
-    pad key equals h_i = keypair.pk."""
-    star_B = group.g ** ((t + keypair.sk * x) % group.q)
-    statement = _link_statement(group, ct, star_B, h_pad, keypair.pk)
-    return prove_dh_tuple(group, x, statement, ctx, rng)
+    to E*[t] = (ct.A, star_B), star_B = g^(t + sk * x).  prove_dh_tuple raises
+    ValueError when the pad key equals h_i."""
+    return prove_dh_tuple(group, x, _link_statement(group, ct, star_B, h_pad, h_i), ctx, rng)
 
 
-def _link_proofs(group, cts, values, x, pad_keys, keypair, ctx, rng) -> tuple:
-    """The link of every posted slot j in context ctx/link/j."""
-    links = enumerate(zip(cts, values, x, pad_keys))
+def _link_proofs(group, cts, star_Bs, x, pad_keys, h_i, ctx, rng) -> tuple:
+    """The link of every posted slot j in context ctx/link/j, star_Bs[j] the
+    second component of the slot's E*[T_j]."""
+    links = enumerate(zip(cts, star_Bs, x, pad_keys))
     return tuple(
-        _link_proof(group, ct, t, xj, h, keypair, ctx.child(b"link", j), rng)
-        for j, (ct, t, xj, h) in links
+        _link_proof(group, ct, B, xj, h, h_i, ctx.child(b"link", j), rng)
+        for j, (ct, B, xj, h) in links
     )
 
 
@@ -201,6 +189,13 @@ def _link_checks(posted_cts, star_Bs, proof, pad_keys, ctx) -> list:
 
 
 # -- digit decomposition -------------------------------------------------------
+
+
+def _digit_randomness(group, target: int, width: int, rng) -> list[int]:
+    """Scalars rho_l with sum_l 2^l rho_l = target (mod q)."""
+    rho = [group.random_scalar(rng) for _ in range(width)]
+    rho[0] = (target - sum(rho[l] << l for l in range(1, width))) % group.q
+    return rho
 
 
 def _prove_digits(group, digits, rand, keypair, row_ctx, rng):
@@ -317,30 +312,27 @@ class Bundle:
 
 @dataclass(frozen=True)
 class L2RangeProof(Bundle):
-    reencrypted_B: tuple      # E*[T_j].B of the real slots; E*[T_j].A is ct_j.A
-    reencrypted_pad: tuple    # E*[0] whole, for the slots past m
-    links: tuple              # DH-tuple proofs, one per real slot
+    reencrypted_B: tuple      # E*[T_j].B; E*[T_j].A is ct_j.A
+    links: tuple              # DH-tuple proofs, one per slot
     digit_cts: tuple          # E[s_l]
     digit_proofs: tuple       # bit proofs for the digits
-    square_cts: tuple         # E[w_j], one per (padded) slot
+    square_cts: tuple         # E[w_j], one per slot
     square_proofs: tuple      # square-relation proofs, aligned with square_cts
 
     POSITIONS = {"tuple": "slot", "bit": "digit", "square": "slot"}
 
     @staticmethod
     def runs(m: int, L: int) -> tuple:
-        m_ext = _extended_len(m, L)
         return (
-            (object, m), (Ciphertext, m_ext - m), (DhTupleProof, m), (Ciphertext, L),
-            (BitProof, L), (Ciphertext, m_ext), (SquareProof, m_ext),
+            (object, m), (DhTupleProof, m), (Ciphertext, L), (BitProof, L),
+            (Ciphertext, m), (SquareProof, m),
         )
 
     def checks(self, posted_cts, pad_keys, ctx) -> list:
         """The check table (sigma.first_failure): the links, the square sum
         against the digits, the digits' bits, the squares.  E*[T_j] is
-        (ct_j.A, reencrypted_B[j]) for a real slot."""
+        (ct_j.A, reencrypted_B[j])."""
         stars = [Ciphertext(ct.A, B) for ct, B in zip(posted_cts, self.reencrypted_B)]
-        stars += self.reencrypted_pad
         squares = enumerate(zip(stars, self.square_cts, self.square_proofs))
         return [
             ("tuple", _link_checks(posted_cts, self.reencrypted_B, self, pad_keys, ctx)),
@@ -351,12 +343,6 @@ class L2RangeProof(Bundle):
                 for j, (t, w, p) in squares
             ]),
         ]
-
-
-def _extended_len(m: int, L: int) -> int:
-    # the digit randomness rides on the first L square-ciphertext slots, so
-    # the w-vector must be strictly longer than L
-    return m if m > L else L + 1
 
 
 def prove_l2(
@@ -371,33 +357,25 @@ def prove_l2(
     """
     if policy.kind != L2:
         raise ValueError("policy kind must be l2")
-    m, L = len(values), policy.L
     s = sum(t * t for t in values)
     if s > policy.effective_bound:
         raise BoundExceeded(f"sum of squares {s} > {policy.effective_bound}")
 
-    m_ext = _extended_len(m, L)
-    padded = list(values) + [0] * (m_ext - m)
-    x_all = list(x) + [group.random_scalar(rng) for _ in range(m_ext - m)]
-
-    links = _link_proofs(group, cts, values, x, pad_keys, keypair, ctx, rng)
-
-    x_digits = [group.random_scalar(rng) for _ in range(L)]
-    digit_cts, digit_proofs = _prove_digits(
-        group, bits_of(s, L), x_digits, keypair, ctx.child(b"bit"), rng
-    )
-
-    xstar = [group.random_scalar(rng) for _ in range(m_ext)]
-    noise = noise_terms(group, xstar)
-    # the first L squares also carry the digit randomness (_extended_len)
-    r_w = [(noise[j] + (x_digits[j] << j if j < L else 0)) % group.q for j in range(m_ext)]
+    r_w = [group.random_scalar(rng) for _ in values]
     reenc, square_cts, square_proofs = zip(*(
-        prove_square(group, padded[j], x_all[j], r_w[j], keypair, ctx.child(b"square", j), rng)
-        for j in range(m_ext)
+        prove_square(group, t, xj, r, keypair, ctx.child(b"square", j), rng)
+        for j, (t, xj, r) in enumerate(zip(values, x, r_w))
     ))
+    star_Bs = tuple(ct.B for ct in reenc)
+    links = _link_proofs(group, cts, star_Bs, x, pad_keys, keypair.pk, ctx, rng)
+    # the digits' randomness recomposes to that of the squares' product, so the
+    # consistency identity holds between ciphertexts
+    digit_rand = _digit_randomness(group, sum(r_w) % group.q, policy.L, rng)
+    digit_cts, digit_proofs = _prove_digits(
+        group, bits_of(s, policy.L), digit_rand, keypair, ctx.child(b"bit"), rng
+    )
     return L2RangeProof(
-        keypair.pk, tuple(ct.B for ct in reenc[:m]), reenc[m:], links, digit_cts, digit_proofs,
-        square_cts, square_proofs,
+        keypair.pk, star_Bs, links, digit_cts, digit_proofs, square_cts, square_proofs
     )
 
 
@@ -451,13 +429,6 @@ class L1RangeProof(Bundle):
         ]
 
 
-def _digit_randomness(group, target: int, width: int, rng) -> list[int]:
-    """Scalars rho_l with sum_l 2^l rho_l = target (mod q)."""
-    rho = [group.random_scalar(rng) for _ in range(width)]
-    rho[0] = (target - sum(rho[l] << l for l in range(1, width))) % group.q
-    return rho
-
-
 def prove_l1(
     group, cts, values, x, pad_keys, keypair: Keypair, policy: BoundPolicy, ctx, rng
 ) -> L1RangeProof:
@@ -485,7 +456,8 @@ def _build_l1(
 ) -> L1RangeProof:
     # digit lists are taken as given so tests can force dishonest bundles
     L = policy.L
-    links = _link_proofs(group, cts, values, x, pad_keys, keypair, ctx, rng)
+    star_Bs = [group.g ** ((t + keypair.sk * xj) % group.q) for t, xj in zip(values, x)]
+    links = _link_proofs(group, cts, star_Bs, x, pad_keys, keypair.pk, ctx, rng)
     elem_cts, elem_proofs = zip(*(
         _prove_digits(
             group, digits[j], _digit_randomness(group, x[j], L, rng), keypair,

@@ -271,14 +271,14 @@ def test_verify_rejects_undecodable_round2_post(vote_ledger, tmp_path, capsys, c
     _assert_rejected(path, capsys, "of party 1", "malformed")
 
 
-@pytest.mark.parametrize("old", [1, 2])
+@pytest.mark.parametrize("old", [1, 2, 3])
 def test_verify_refuses_a_format_1_ledger(vote_ledger, tmp_path, capsys, old):
-    # format 3 has the only reader: a format-1 or format-2 file is
-    # unreadable, by name
+    # format 4 has the only reader: a file of an older format is unreadable,
+    # by name, and its posts are never read as malformed format-4 ones
     path = tmp_path / "old.ledger"
     text = vote_ledger.read_text()
-    assert '"format":"zorro-ledger/3"' in text
-    path.write_text(text.replace('"format":"zorro-ledger/3"', f'"format":"zorro-ledger/{old}"'))
+    assert '"format":"zorro-ledger/4"' in text
+    path.write_text(text.replace('"format":"zorro-ledger/4"', f'"format":"zorro-ledger/{old}"'))
     assert run(["verify", str(path)]) == EXIT_LEDGER
     err = capsys.readouterr().err
     assert err.startswith("ledger corrupt at seq 0: unreadable header")
@@ -423,8 +423,8 @@ def test_verify_maps_tally_failure_to_proof_rejection(vote_ledger, capsys, monke
 @pytest.mark.parametrize(
     "check, bound, digest, size, totals",
     [
-        ("l1", "4", "929fb23d82d172cd75673009c35d5d2134b71284e1b0ceada1211b59dd13b76d", 4010, "2,2"),
-        ("l2", "9", "263086fa576dd35424f5f7750cf98ea3fc64947b01f4e116f0e39d9cc365a892", 6458, "4,7"),
+        ("l1", "4", "ae6a7b836b4efe1f90923af408a8b524b46e3b679e4f91233485d1900349528d", 4010, "2,2"),
+        ("l2", "9", "1cca266ce54d5dc6d9d27ab7cc5cee23cee0d0b6ecd76cd6ccab6b66ec16714f", 4082, "4,7"),
     ],
 )
 def test_golden_ledger_bytes(tmp_path, capsys, check, bound, digest, size, totals):
@@ -451,7 +451,7 @@ def test_golden_secp256k1_ledger_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == "tally: 2,2\n"
     raw = path.read_bytes()
     assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
-        19380, "a338eeeea9e78da3b01cf15d8e01a83712fd9c3f0145b05e4bca3b9d47b3152a"
+        19380, "2e2112f0c07942132b0dc8a871d5b1166eafebce7ccb88e563efbdfbf92bf67b"
     )
 
 
@@ -466,7 +466,7 @@ def test_golden_secp256k1_l2_ledger_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == "tally: 4,7\n"
     raw = path.read_bytes()
     assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
-        32736, "9fd99cd50e13a5fa2f130e934891a1ebf4534633228d3a56a5ebc45d7b6c4af0"
+        19776, "6fd3d58f6ef59dbce81012f36914d4e8af499e6a4c622b28d5083f8ff31dc4c0"
     )
 
 

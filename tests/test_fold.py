@@ -189,7 +189,7 @@ def _l2_bit(case):
 
 def _l2_square(case):
     squares = list(case.proof.square_proofs)
-    squares[2] = dataclasses.replace(squares[2], z_b=(squares[2].z_b + 1) % case.group.q)
+    squares[1] = dataclasses.replace(squares[1], z_b=(squares[1].z_b + 1) % case.group.q)
     return case.posted, dataclasses.replace(case.proof, square_proofs=tuple(squares)), case.pads
 
 
@@ -806,7 +806,7 @@ def test_ledger_fold_weights_cover_every_post(session, monkeypatch):
 # E*[T_j] is that row's recomposition.
 LEDGER_FOLD_DIGESTS = {
     "l1": (68, "51c04e1b6c7e65dd0ff86918525201c14595a861fc8222511247623ee9bfd6d2"),
-    "l2": (72, "f65cf9f71228b430cfb2bdf7cf345c2523009ebe3acf985a0e828e55d97affd2"),
+    "l2": (56, "a4d57cd03766625c19cdd5ee99384656e3e316dbc59fb36209c7d88e939d11ae"),
 }
 
 

@@ -12,7 +12,7 @@ forced off, and a ledger it accepts must print the true tally.
 
 Only posted fields are mutated.  A round-2 ciphertext's A is its party's
 round-1 element, a bit proof's d2 is c - d1, an L1 slot's E*[T_j] is the
-recomposition of its digit row, and the A of an L2 real slot's E*[T_j] is
+recomposition of its digit row, and the A of an L2 slot's E*[T_j] is
 ct_j.A (an L2 bundle holds only its B): mutating a round-1 element, a d1
 or a digit-row point is the only way to change them.  A post's party is
 its entry's, and the header gives the policy: neither is posted.

@@ -1,11 +1,11 @@
 import dataclasses
+import functools
 import random
 
 import pytest
-import sympy
 
 from zorro import groups
-from zorro.elgamal import Keypair, encrypt_exp, hom_mul
+from zorro.elgamal import Ciphertext, Keypair, encrypt_exp, hom_mul
 from zorro.encoding import Reader
 from zorro.errors import BoundExceeded, MalformedEncoding, NegativeEntry
 from zorro.rangeproof import (
@@ -17,7 +17,6 @@ from zorro.rangeproof import (
     _link_proof,
     _prove_digits,
     bits_of,
-    noise_terms,
     prove_l1,
     prove_l2,
     verify_l1,
@@ -88,29 +87,6 @@ def test_bits_of():
         bits_of(-1, 3)
 
 
-# -- noise construction -----------------------------------------------------------
-
-
-def test_noise_terms_cancel_randomized():
-    rng = random.Random(1)
-    for m in (2, 3, 7, 20):
-        xstar = [MOD.random_scalar(rng) for _ in range(m)]
-        terms = noise_terms(MOD, xstar)
-        assert len(terms) == m
-        assert sum(terms) % MOD.q == 0
-
-
-@pytest.mark.parametrize("m", [2, 3, 5])
-def test_noise_terms_cancel_symbolically(m):
-    # the telescoping identity holds over the integers, not just mod q
-    xs = sympy.symbols(f"x0:{m}")
-    terms = [
-        (sum(xs[:j]) - sum(xs[j + 1 :])) * xs[j]
-        for j in range(m)
-    ]
-    assert sympy.expand(sum(terms)) == 0
-
-
 # -- re-encryption link ------------------------------------------------------------
 
 
@@ -120,7 +96,7 @@ def test_link_roundtrip():
     ct = encrypt_exp(MOD, 3, x[0], pads[0])
     ctx = FsTranscript(b"link")
     ct_star = encrypt_exp(MOD, 3, x[0], kp.pk)
-    proof = _link_proof(MOD, ct, 3, x[0], pads[0], kp, ctx, rng)
+    proof = _link_proof(MOD, ct, ct_star.B, x[0], pads[0], kp.pk, ctx, rng)
     assert ct_star.A == ct.A
     assert verify_reencryption_link(MOD, ct, ct_star.B, pads[0], kp.pk, proof, ctx)
 
@@ -132,10 +108,11 @@ def test_link_detects_plaintext_swap():
     ctx = FsTranscript(b"link")
     # re-encryption of a different plaintext with the same randomness
     ct_star = encrypt_exp(MOD, 4, x[0], kp.pk)
-    proof = _link_proof(MOD, ct, 3, x[0], pads[0], kp, ctx, rng)
+    honest_B = encrypt_exp(MOD, 3, x[0], kp.pk).B
+    proof = _link_proof(MOD, ct, honest_B, x[0], pads[0], kp.pk, ctx, rng)
     assert not verify_reencryption_link(MOD, ct, ct_star.B, pads[0], kp.pk, proof, ctx)
-    # a prover that claims the swapped plaintext states a false tuple
-    proof = _link_proof(MOD, ct, 4, x[0], pads[0], kp, ctx, rng)
+    # a prover that links the swapped plaintext states a false tuple
+    proof = _link_proof(MOD, ct, ct_star.B, x[0], pads[0], kp.pk, ctx, rng)
     assert not verify_reencryption_link(MOD, ct, ct_star.B, pads[0], kp.pk, proof, ctx)
 
 
@@ -143,8 +120,9 @@ def test_link_degenerate_keys():
     rng = random.Random(4)
     kp = Keypair.generate(MOD, rng)
     ctx = FsTranscript(b"link")
+    ct = encrypt_exp(MOD, 3, 5, kp.pk)
     with pytest.raises(ValueError):
-        _link_proof(MOD, encrypt_exp(MOD, 3, 5, kp.pk), 3, 5, kp.pk, kp, ctx, rng)
+        _link_proof(MOD, ct, ct.B, 5, kp.pk, kp.pk, ctx, rng)
 
 
 def test_link_verifier_refuses_degenerate_keys():
@@ -168,7 +146,8 @@ def test_link_requires_matching_first_component():
     x, pads, kp = make_keys(MOD, 1, rng)
     ctx = FsTranscript(b"link")
     ct_star = encrypt_exp(MOD, 3, x[0], kp.pk)
-    proof = _link_proof(MOD, encrypt_exp(MOD, 3, x[0], pads[0]), 3, x[0], pads[0], kp, ctx, rng)
+    ct = encrypt_exp(MOD, 3, x[0], pads[0])
+    proof = _link_proof(MOD, ct, ct_star.B, x[0], pads[0], kp.pk, ctx, rng)
     other = encrypt_exp(MOD, 3, (x[0] + 1) % MOD.q, pads[0])
     assert not verify_reencryption_link(MOD, other, ct_star.B, pads[0], kp.pk, proof, ctx)
 
@@ -206,18 +185,26 @@ def test_l2_prover_refuses_over_bound():
                  FsTranscript(b"l2"), rng)
 
 
-def test_l2_pads_short_vectors():
-    # m <= L: the w vector is extended to L + 1 slots with encrypted zeros
+@pytest.mark.parametrize("m", [1, 3, 5, 6, 8], ids=["m=1", "m<L", "m=L", "m=L+1", "m>L"])
+def test_l2_bundle_holds_exactly_m_squares(m):
+    # L = 5: an m below, at or above L gets exactly m squares, and the digits'
+    # randomness recomposes to theirs, so the identity is one of ciphertexts
     rng = random.Random(9)
-    policy = BoundPolicy.l2(5)  # L = 5
-    x, pads, kp = make_keys(MOD, 1, rng)
-    cts = posted(MOD, [5], x, pads)
+    policy = BoundPolicy.l2(5)
+    values = [j % 3 - 1 for j in range(m)]
+    x, pads, kp = make_keys(MOD, m, rng)
+    cts = posted(MOD, values, x, pads)
     ctx = FsTranscript(b"l2")
-    proof = prove_l2(MOD, cts, [5], x, pads, kp, policy, ctx, rng)
-    assert len(proof.square_cts) == 6
-    assert len(proof.reencrypted_B) == 1 and len(proof.reencrypted_pad) == 5
-    assert len(proof.links) == 1
+    proof = prove_l2(MOD, cts, values, x, pads, kp, policy, ctx, rng)
+    runs = (proof.square_cts, proof.square_proofs, proof.reencrypted_B, proof.links)
+    assert [len(run) for run in runs] == [m] * 4
     assert verify_l2(MOD, cts, proof, policy, pads, ctx) == (True, None)
+    # prod_j E[w_j] == prod_l E[s_l]^(2^l), both components
+    squares = functools.reduce(hom_mul, proof.square_cts)
+    digits = functools.reduce(hom_mul, (
+        Ciphertext(d.A ** (1 << l), d.B ** (1 << l)) for l, d in enumerate(proof.digit_cts)
+    ))
+    assert squares == digits
 
 
 def test_l2_signed_entries():
@@ -239,7 +226,7 @@ def test_l2_reason_codes():
     ctx = FsTranscript(b"l2")
     proof = prove_l2(MOD, cts, values, x, pads, kp, policy, ctx, rng)
 
-    # re-randomizing one w ciphertext breaks the telescoped noise
+    # re-randomizing one w ciphertext breaks the exact consistency identity
     cts_w = list(proof.square_cts)
     cts_w[0] = hom_mul(cts_w[0], encrypt_exp(MOD, 0, 1, kp.pk))
     bad = dataclasses.replace(proof, square_cts=tuple(cts_w))
@@ -319,7 +306,7 @@ def test_l2_serialization():
     reader = Reader(data)
     assert L2RangeProof.read_from(MOD, reader, 2, policy.L) == proof
     reader.expect_end()
-    # h_i, then only the B of each real slot's E*[T_j]: its A is ct_j.A
+    # h_i, then only the B of each slot's E*[T_j]: its A is ct_j.A
     assert data.startswith(b"".join(map(MOD.encode_element, (proof.h_i, *proof.reencrypted_B))))
     with pytest.raises(MalformedEncoding):
         L2RangeProof.read_from(MOD, Reader(data[:-3]), 2, policy.L)
@@ -457,7 +444,6 @@ def _bundle_case(kind):
         ("l1", "sum_digit_cts", None),
         ("l1", "sum_digit_proofs", None),
         ("l2", "reencrypted_B", None),
-        ("l2", "reencrypted_pad", None),
         ("l2", "links", None),
         ("l2", "digit_cts", None),
         ("l2", "digit_proofs", None),
