@@ -11,6 +11,7 @@ import statistics
 import time
 from dataclasses import dataclass
 
+from .errors import ZorroError
 from .protocol import (
     Party,
     ProtocolConfig,
@@ -66,7 +67,8 @@ def bench_grid(group, kind: str, ms, Bs, reps: int = 3, seed: int = 0):
                 t0 = time.perf_counter()
                 ok, reason = verify_contribution(cfg, post, first.pads)
                 verify_times.append(time.perf_counter() - t0)
-                assert ok, reason
+                if not ok:
+                    raise ZorroError(f"benchmarked contribution rejected ({reason})")
             other = parties[1].round2(values)
             posts2 = [post, other]
             for _ in range(reps):

@@ -43,12 +43,18 @@ class MissingPost(ZorroError):
 
 
 class LedgerRejected(ZorroError):
-    """A ledger post fails a public check; `party` and `check` name it."""
+    """A ledger post fails a public check; `party` and `check` name it, and
+    `slot` and `digit` where the failing check sits (None where it runs over
+    neither).  The message ends ": slot j, digit l" for those that are set."""
 
-    def __init__(self, party, check, message):
-        super().__init__(message)
+    def __init__(self, party, check, message, slot=None, digit=None):
+        named = (("slot", slot), ("digit", digit))
+        where = [f"{name} {at}" for name, at in named if at is not None]
+        super().__init__(message + (": " + ", ".join(where) if where else ""))
         self.party = party
         self.check = check
+        self.slot = slot
+        self.digit = digit
 
 
 class DuplicatePost(ZorroError):

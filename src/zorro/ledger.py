@@ -13,9 +13,9 @@ header bytes and each entry's canonical encoding, so flipping any persisted
 byte breaks the chain at an identifiable seq.  The in-memory form is the
 same object without a path.
 
-Format 3 posts nothing that the header, the entry or the line above states
+Format 4 posts nothing that the header, the entry or the line above states
 (see protocol and rangeproof).  There is one reader: a file of any other
-format, formats 1 and 2 included, is refused as unreadable, naming its
+format, formats 1 to 3 included, is refused as unreadable, naming its
 format.
 """
 

@@ -199,11 +199,11 @@ def _round1_checks(cfg: ProtocolConfig, posts) -> list:
     base, table = cfg.base_context(), []
     for post in posts:
         if len(post.elements) != cfg.m or len(post.proofs) != cfg.m:
-            table.append(((post.party, 0), [(_refused, ())]))
+            table.append(((post.party, 0), _refused, ()))
             continue
         for j, (A, proof) in enumerate(zip(post.elements, post.proofs)):
             ctx = base.child(b"r1", post.party, j)
-            table.append(((post.party, j), [(verify_dlog, (A, proof, ctx))]))
+            table.append(((post.party, j), verify_dlog, (A, proof, ctx)))
     return table
 
 
@@ -211,9 +211,8 @@ def verify_round1(cfg: ProtocolConfig, post: Round1Post) -> bool:
     return first_failure(cfg.group, _round1_checks(cfg, [post])) is None
 
 
-def _rejected(what: str, party: int, check: str, detail=None) -> LedgerRejected:
-    message = f"{what} of party {party} rejected ({check})"
-    return LedgerRejected(party, check, message + (f": {detail}" if detail else ""))
+def _rejected(what: str, party: int, check: str, slot=None, digit=None) -> LedgerRejected:
+    return LedgerRejected(party, check, f"{what} of party {party} rejected ({check})", slot, digit)
 
 
 def _check_round1(cfg: ProtocolConfig, posts):
@@ -222,7 +221,7 @@ def _check_round1(cfg: ProtocolConfig, posts):
     failure = first_failure(cfg.group, _round1_checks(cfg, posts))
     if failure is not None:
         party, slot = failure
-        raise _rejected("round-1 proof", party, "round1", f"slot {slot}")
+        raise _rejected("round-1 proof", party, "round1", slot)
 
 
 def derive_pads(cfg: ProtocolConfig, round1_posts, party: int):
@@ -385,8 +384,10 @@ def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
     construction.  Returns the round-2 posts in party order, ready for
     tally().  The hash chain is the caller's to check
     (Ledger.verify_chain).  A failed check raises LedgerRejected naming the
-    party, the check and, where there is one, the slot or digit; an absent
-    post raises MissingPost.  Malformed bytes never raise anything else.
+    party, the check and, where there is one, the slot or digit (its slot
+    and digit fields, from the label of the first failing entry under that
+    check); an absent post raises MissingPost.  Malformed bytes never raise
+    anything else.
 
     After the header and decode checks, a folding group checks the rest
     as one fold (sigma.fold_holds) of one check table of the decoded posts
@@ -415,11 +416,12 @@ def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
         pads = derive_pads(cfg, posts1, post.party)
         ok, reason = verify_contribution(cfg, post, pads)
         if not ok:
-            ctx = cfg.base_context().child(b"r2", post.party)
-            where = rangeproof.failure_position(
-                group, post.cts, post.bundle, cfg.policy.L, pads, ctx, reason
-            )
-            raise _rejected("contribution", post.party, reason, where)
+            # no entry fails only where the post is malformed, which decoding rules out
+            table = post.bundle.checks(post.cts, pads, cfg.base_context().child(b"r2", post.party))
+            failing = (label for label, verify, args in table
+                       if label[0] == reason and not verify(group, *args))
+            _, slot, digit = next(failing, (reason, None, None))
+            raise _rejected("contribution", post.party, reason, slot, digit)
     return posts2
 
 

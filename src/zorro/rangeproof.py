@@ -42,13 +42,14 @@ The enforced bound is always the full digit range 2^L - 1; exact non-power
 bounds would need set-membership machinery that is out of scope.
 
 verify_l1 and verify_l2 check a bundle's shape, then its check table,
-checks(posted_cts, pad_keys, ctx), as the sigma module describes; the
-table's labels are the reasons a rejection names, and failure_position
-names the slot or digit of the first failing entry under one.  The link and
-recomposition checks are verifiers in sigma's form, so the fold records
-their equations as it records the sigma proofs': a link checks its DH tuple,
-and a recomposition is multi_exp(cts at 1) == multi_exp(digits at 2^l), one
-equation per ciphertext component compared.
+checks(posted_cts, pad_keys, ctx), as the sigma module describes.  Each
+entry is labelled (check, slot, digit) where it is built: the check is the
+reason a rejection names, and slot and digit say where the entry sits (None
+where it runs over neither).  The link and recomposition checks are
+verifiers in sigma's form, so the fold records their equations as it
+records the sigma proofs': a link checks its DH tuple, and a recomposition
+is multi_exp(cts at 1) == multi_exp(digits at 2^l), one equation per
+ciphertext component compared.
 
 Each bundle states its shape once, as runs(m, L): the item type and count
 of every field after h_i, in wire order, for m slots and L digits.  A count
@@ -179,11 +180,13 @@ def verify_reencryption_link(group, ct: Ciphertext, star_B, h_pad, h_i, proof, c
 
 
 def _link_checks(posted_cts, star_Bs, proof, pad_keys, ctx) -> list:
-    """The link of every posted slot j in context ctx/link/j, star_Bs[j] the
-    second component of the slot's E*[T_j], whose first is ct_j.A."""
+    """The link of every posted slot j in context ctx/link/j, labelled
+    ("tuple", j, None), star_Bs[j] the second component of the slot's
+    E*[T_j], whose first is ct_j.A."""
     links = enumerate(zip(posted_cts, star_Bs, pad_keys, proof.links))
     return [
-        (verify_reencryption_link, (ct, B, h, proof.h_i, link, ctx.child(b"link", j)))
+        (("tuple", j, None), verify_reencryption_link,
+         (ct, B, h, proof.h_i, link, ctx.child(b"link", j)))
         for j, (ct, B, h, link) in links
     ]
 
@@ -226,10 +229,11 @@ def _recomposed_B(digit_cts):
     return B
 
 
-def _bit_checks(digit_cts, digit_proofs, h_i, row_ctx) -> list:
-    """The bit proof of digit l in context row_ctx/l, for every digit of a row."""
+def _bit_checks(check, slot, digit_cts, digit_proofs, h_i, row_ctx) -> list:
+    """The bit proof of digit l in context row_ctx/l, labelled (check, slot, l),
+    for every digit of a row."""
     return [
-        (verify_bit, (ct, h_i, p, row_ctx.child(l)))
+        ((check, slot, l), verify_bit, (ct, h_i, p, row_ctx.child(l)))
         for l, (ct, p) in enumerate(zip(digit_cts, digit_proofs))
     ]
 
@@ -239,29 +243,13 @@ def _bit_checks(digit_cts, digit_proofs, h_i, row_ctx) -> list:
 
 def _verify(group, posted_cts, proof, policy, pad_keys, ctx):
     """(ok, reason) of a bundle: "malformed" when its runs do not fit the m
-    posted slots and L digits, or there are not m pad keys, else the first
-    label of its check table that fails (sigma.first_failure)."""
+    posted slots and L digits, or there are not m pad keys, else the check
+    of the first entry of its check table that fails (sigma.first_failure)."""
     m = len(posted_cts)
     if not (proof.fits(m, policy.L) and len(pad_keys) == m):
         return False, "malformed"
-    reason = first_failure(group, proof.checks(posted_cts, pad_keys, ctx))
-    return reason is None, reason
-
-
-def failure_position(group, posted_cts, proof, L, pad_keys, ctx, label):
-    """Where the first failing entry under `label` of a well-shaped bundle's
-    check table sits: "slot j", "digit l" or "slot j, digit l"; None for a
-    label that is not one of its POSITIONS, or when no entry fails."""
-    kind = proof.POSITIONS.get(label)
-    if kind is None:
-        return None
-    checks = dict(proof.checks(posted_cts, pad_keys, ctx))[label]
-    k = next((k for k, (verify, args) in enumerate(checks) if not verify(group, *args)), None)
-    if k is None:
-        return None
-    if kind == "slot, digit":
-        return f"slot {k // L}, digit {k % L}"
-    return f"{kind} {k}"
+    label = first_failure(group, proof.checks(posted_cts, pad_keys, ctx))
+    return (True, None) if label is None else (False, label[0])
 
 
 # -- bundle shape and codec ---------------------------------------------------
@@ -283,8 +271,7 @@ def _run_fits(items, count) -> bool:
 class Bundle:
     """A validity bundle: the prover key h_i, then the runs of items that its
     subclass lays out in runs(m, L) for m slots and L digits, which the
-    reader takes from the ledger header.  POSITIONS maps a check-table label
-    whose entries run over slots or digits to what entry k names."""
+    reader takes from the ledger header."""
 
     h_i: object
 
@@ -319,8 +306,6 @@ class L2RangeProof(Bundle):
     square_cts: tuple         # E[w_j], one per slot
     square_proofs: tuple      # square-relation proofs, aligned with square_cts
 
-    POSITIONS = {"tuple": "slot", "bit": "digit", "square": "slot"}
-
     @staticmethod
     def runs(m: int, L: int) -> tuple:
         return (
@@ -335,13 +320,15 @@ class L2RangeProof(Bundle):
         stars = [Ciphertext(ct.A, B) for ct, B in zip(posted_cts, self.reencrypted_B)]
         squares = enumerate(zip(stars, self.square_cts, self.square_proofs))
         return [
-            ("tuple", _link_checks(posted_cts, self.reencrypted_B, self, pad_keys, ctx)),
-            ("consistency", [(_recomposes, (self.square_cts, self.digit_cts))]),
-            ("bit", _bit_checks(self.digit_cts, self.digit_proofs, self.h_i, ctx.child(b"bit"))),
-            ("square", [
-                (verify_square, (t, w, self.h_i, p, ctx.child(b"square", j)))
+            *_link_checks(posted_cts, self.reencrypted_B, self, pad_keys, ctx),
+            (("consistency", None, None), _recomposes, (self.square_cts, self.digit_cts)),
+            *_bit_checks(
+                "bit", None, self.digit_cts, self.digit_proofs, self.h_i, ctx.child(b"bit")
+            ),
+            *(
+                (("square", j, None), verify_square, (t, w, self.h_i, p, ctx.child(b"square", j)))
                 for j, (t, w, p) in squares
-            ]),
+            ),
         ]
 
 
@@ -399,8 +386,6 @@ class L1RangeProof(Bundle):
     sum_digit_cts: tuple      # E[sigma_l]
     sum_digit_proofs: tuple
 
-    POSITIONS = {"tuple": "slot", "element": "slot", "bit": "slot, digit", "sum_bit": "digit"}
-
     @staticmethod
     def runs(m: int, L: int) -> tuple:
         return (
@@ -415,17 +400,21 @@ class L1RangeProof(Bundle):
         rows = self.element_digit_cts
         stars = [Ciphertext(ct.A, _recomposed_B(row)) for ct, row in zip(posted_cts, rows)]
         return [
-            ("tuple", _link_checks(posted_cts, [star.B for star in stars], self, pad_keys, ctx)),
-            ("element", [(_recomposes, ((ct,), row, ("A",))) for ct, row in zip(posted_cts, rows)]),
-            ("bit", [
+            *_link_checks(posted_cts, [star.B for star in stars], self, pad_keys, ctx),
+            *(
+                (("element", j, None), _recomposes, ((ct,), row, ("A",)))
+                for j, (ct, row) in enumerate(zip(posted_cts, rows))
+            ),
+            *(
                 check
                 for j, (cts, proofs) in enumerate(zip(rows, self.element_digit_proofs))
-                for check in _bit_checks(cts, proofs, self.h_i, ctx.child(b"bit", j))
-            ]),
-            ("sum", [(_recomposes, (stars, self.sum_digit_cts))]),
-            ("sum_bit", _bit_checks(
-                self.sum_digit_cts, self.sum_digit_proofs, self.h_i, ctx.child(b"sumbit")
-            )),
+                for check in _bit_checks("bit", j, cts, proofs, self.h_i, ctx.child(b"bit", j))
+            ),
+            (("sum", None, None), _recomposes, (stars, self.sum_digit_cts)),
+            *_bit_checks(
+                "sum_bit", None, self.sum_digit_cts, self.sum_digit_proofs, self.h_i,
+                ctx.child(b"sumbit"),
+            ),
         ]
 
 

@@ -35,18 +35,20 @@ element or _Product it must equal appends that equation, as terms whose
 product must be the identity, and reads True.  recorded() returns the
 equations, or None when a guard fails.
 
-A verifier states the checks of one post as a check table: an ordered list
-of (label, [(verify, args), ...]).  first_failure reads a table.  On a
-group with q > 2^128 (secp256k1, see folds) it folds every recorded
-equation into one multi_exp (fold_holds), the small-exponent batch test of
-Bellare, Garay and Rabin (EUROCRYPT 1998): equation k is raised to its own
-128-bit weight and terms that share a base merge.  The weights hash every
-term of every equation folded (fold_weights), so changing any base or
-exponent the fold checks (a response, commitment, challenge or pad) draws
-fresh weights, and a false equation passes with probability about 2^-128 a
-draw.  When the fold fails, and always on the modular groups, the checks run
-one by one on the group and the label of the first failing entry is
-returned, so a rejection reads the same with or without the fold.
+A verifier states the checks of one post as a check table: a flat ordered
+list of (label, verify, args) entries, each labelled where it is built with
+what a rejection names: a bundle's (check, slot, digit), a round-1 proof's
+(party, slot).  first_failure reads a table.  On a group with q > 2^128
+(secp256k1, see folds) it folds every recorded equation into one multi_exp
+(fold_holds), the small-exponent batch test of Bellare, Garay and Rabin
+(EUROCRYPT 1998): equation k is raised to its own 128-bit weight and terms
+that share a base merge.  The weights hash every term of every equation
+folded (fold_weights), so changing any base or exponent the fold checks (a
+response, commitment, challenge or pad) draws fresh weights, and a false
+equation passes with probability about 2^-128 a draw.  When the fold fails,
+and always on the modular groups, the entries run one by one on the group
+and the label of the first failing one is returned, so a rejection reads
+the same with or without the fold.
 protocol.verify_ledger folds one table of every decoded post (fold_parts) at once.
 """
 
@@ -219,23 +221,20 @@ def recorded(group, verify, args):
 
 
 def fold_parts(group, table) -> list:
-    """The recorded equations of every check of a check table, in table
+    """The recorded equations of every entry of a check table, in table
     order: the table's fold_holds parts."""
-    return [recorded(group, verify, args) for _, checks in table for verify, args in checks]
+    return [recorded(group, verify, args) for _, verify, args in table]
 
 
 def first_failure(group, table):
     """The label of the first entry of a check table that fails, or None.
 
     On a folding group the table is folded first; when that fails, and on
-    every other group, the checks run one by one.
+    every other group, the entries run one by one.
     """
     if folds(group) and fold_holds(group, fold_parts(group, table)):
         return None
-    for label, checks in table:
-        if not all(verify(group, *args) for verify, args in checks):
-            return label
-    return None
+    return next((label for label, verify, args in table if not verify(group, *args)), None)
 
 
 # -- knowledge of discrete log ------------------------------------------------

@@ -721,6 +721,20 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_bench_refuses_to_time_a_rejected_contribution(tmp_path, capsys, monkeypatch):
+    """A rejected contribution stops the benchmark with an error naming the
+    reason, under python -O too, rather than being reported as verified."""
+    monkeypatch.setattr(zorro.bench, "verify_contribution", lambda *args: (False, "bit"))
+    out = tmp_path / "bench.csv"
+    code = run(
+        ["bench", "--check", "l1", "--dims", "1", "--bounds", "2", "--reps", "1",
+         "--out", str(out)]
+    )
+    assert code == EXIT_USAGE
+    assert "rejected (bit)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # SHA-256 of each demo's whole stdout at --seed 4
 _DEMO_STDOUT = {
     "demo-lda": "5c03db5040dbe04b9cb79055392f2c0452cd9b00db3f554d7106af8f251fa489",

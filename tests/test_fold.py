@@ -209,17 +209,27 @@ L2_DISHONEST = {
     "square": _l2_square,
 }
 DISHONEST = {"l1": L1_DISHONEST, "l2": L2_DISHONEST}
+# the (slot, digit) of the first entry each dishonest variant fails, which its
+# rejection names
+FAILS_AT = {
+    "l1": {
+        "tuple": (1, None), "element": (0, None), "bit": (1, 1), "sum": (None, None),
+        "sum_bit": (None, 0),
+    },
+    "l2": {"tuple": (1, None), "consistency": (None, None), "bit": (None, 1), "square": (1, None)},
+}
 
 
 @pytest.mark.parametrize("kind, verify", [("l1", verify_l1), ("l2", verify_l2)], ids=["l1", "l2"])
 def test_every_sequential_reason_has_a_dishonest_variant(kind, verify):
-    """The reasons verify_* documents are the labels of the bundle's check
-    table, and each has a dishonest variant here."""
+    """The reasons verify_* documents are the checks its table's entries
+    name, and each has a dishonest variant here.  No two entries share a
+    label, so a rejection names exactly one entry."""
     case = _case(CURVE, kind)
     documented = set(re.findall(r'"(\w+)"', verify.__doc__)) - {"malformed"}
-    labels = [label for label, _ in case.proof.checks(case.posted, case.pads, case.ctx)]
+    labels = [label for label, _, _ in case.proof.checks(case.posted, case.pads, case.ctx)]
     assert len(labels) == len(set(labels))
-    assert set(labels) == documented == set(DISHONEST[kind])
+    assert {check for check, _, _ in labels} == documented == set(DISHONEST[kind])
 
 
 def _holds_alone(group, verify, args) -> bool:
@@ -232,15 +242,14 @@ def _holds_alone(group, verify, args) -> bool:
 
 
 def _failing_labels(group, table) -> list:
-    """The labels of a check table whose checks fail, in table order, after
-    asserting that each check's verify agrees with the equations it records."""
+    """The labels of a check table's failing entries, in table order, after
+    asserting that each entry's verify agrees with the equations it records."""
     failing = []
-    for label, checks in table:
-        for verify, args in checks:
-            ok = verify(group, *args)
-            assert ok == _holds_alone(group, verify, args), (label, verify.__name__)
-            if not ok and label not in failing:
-                failing.append(label)
+    for label, verify, args in table:
+        ok = verify(group, *args)
+        assert ok == _holds_alone(group, verify, args), (label, verify.__name__)
+        if not ok:
+            failing.append(label)
     return failing
 
 
@@ -256,7 +265,7 @@ def test_each_bundle_check_is_its_equations(group, kind, reason):
     else:
         posted, proof, pads = DISHONEST[kind][reason](case)
     failing = _failing_labels(group, proof.checks(posted, pads, case.ctx))
-    assert failing[:1] == ([] if reason is None else [reason])
+    assert failing[:1] == ([] if reason is None else [(reason, *FAILS_AT[kind][reason])])
     verify = verify_l1 if kind == "l1" else verify_l2
     assert verify(group, posted, proof, _policy(proof), pads, case.ctx) == (reason is None, reason)
 
@@ -269,20 +278,19 @@ def test_every_response_is_in_the_equations(group, kind):
     equation the recording missed would let its responses go unchecked."""
     case = _case(group, kind)
     shifted = 0
-    for label, checks in case.proof.checks(case.posted, case.pads, case.ctx):
-        for verify, args in checks:
-            for k, proof in enumerate(args):
-                if not dataclasses.is_dataclass(proof):
+    for label, verify, args in case.proof.checks(case.posted, case.pads, case.ctx):
+        for k, proof in enumerate(args):
+            if not dataclasses.is_dataclass(proof):
+                continue
+            for field in dataclasses.fields(proof):
+                value = getattr(proof, field.name)
+                if not isinstance(value, int):
                     continue
-                for field in dataclasses.fields(proof):
-                    value = getattr(proof, field.name)
-                    if not isinstance(value, int):
-                        continue
-                    forged = dataclasses.replace(proof, **{field.name: (value + 1) % group.q})
-                    forged_args = (*args[:k], forged, *args[k + 1:])
-                    assert not verify(group, *forged_args), (label, field.name)
-                    assert not _holds_alone(group, verify, forged_args), (label, field.name)
-                    shifted += 1
+                forged = dataclasses.replace(proof, **{field.name: (value + 1) % group.q})
+                forged_args = (*args[:k], forged, *args[k + 1:])
+                assert not verify(group, *forged_args), (label, field.name)
+                assert not _holds_alone(group, verify, forged_args), (label, field.name)
+                shifted += 1
     assert shifted > 0
 
 
@@ -643,11 +651,12 @@ def _ledger_variant(ledger, variants, reason):
 
 
 def _verdict(cfg, ledger):
-    """What verify_ledger says: ("ok",) or the exception's type, party, check and message."""
+    """What verify_ledger says: ("ok",) or the exception's type, party, check
+    and message, and for a LedgerRejected its (slot, digit)."""
     try:
         verify_ledger(cfg, ledger)
     except LedgerRejected as exc:
-        return "LedgerRejected", exc.party, exc.check, str(exc)
+        return "LedgerRejected", exc.party, exc.check, str(exc), (exc.slot, exc.digit)
     except MissingPost as exc:
         return "MissingPost", exc.party, None, str(exc)
     return ("ok",)
@@ -691,6 +700,7 @@ def test_dishonest_l1_contribution_reads_the_same_with_the_ledger_fold(
     cfg, ledger = _ledger_variant(l1_ledger, L1_DISHONEST, reason)
     verdict, folds = _agrees(cfg, ledger, monkeypatch)
     assert verdict[1:3] == (1, reason) and folds == [False]
+    assert verdict[4] == FAILS_AT["l1"][reason]
 
 
 @pytest.mark.parametrize("reason", L2_DISHONEST)
@@ -700,6 +710,7 @@ def test_dishonest_l2_contribution_reads_the_same_with_the_ledger_fold(
     cfg, ledger = _ledger_variant(l2_ledger, L2_DISHONEST, reason)
     verdict, folds = _agrees(cfg, ledger, monkeypatch)
     assert verdict[1:3] == (1, reason) and folds == [False]
+    assert verdict[4] == FAILS_AT["l2"][reason]
 
 
 @pytest.mark.parametrize("delta", [1, -1], ids=["d1+1", "d1-1"])
@@ -753,6 +764,7 @@ def test_round1_response_plus_one_reads_the_same_with_the_ledger_fold(session, m
     forged = dataclasses.replace(posts1[1], proofs=tuple(proofs))
     verdict, folds = _agrees(cfg, _ledger(cfg, [posts1[0], forged], posts2), monkeypatch)
     assert verdict[1:3] == (1, "round1") and verdict[3].endswith("slot 2") and folds == [False]
+    assert verdict[4] == (2, None)
 
 
 def test_flipped_round2_bytes_read_the_same_with_the_ledger_fold(l1_ledger, monkeypatch):
@@ -868,8 +880,8 @@ def _honest_dh_tuple():
 
 
 def _checks(table, label):
-    """The (verify, args) entries of a check table under `label`."""
-    return [check for name, checks in table if name == label for check in checks]
+    """The (verify, args) of every entry of a check table labelled `label`."""
+    return [(verify, args) for name, verify, args in table if name == label]
 
 
 def test_each_verifier_records_its_equations(session, l1_case, l2_case):
@@ -880,9 +892,8 @@ def test_each_verifier_records_its_equations(session, l1_case, l2_case):
     ]
     counts = {}
     for table in tables:
-        for _, checks in table:
-            for verify, args in checks:
-                counts.setdefault(verify.__name__, set()).add(len(recorded(CURVE, verify, args)))
+        for _, verify, args in table:
+            counts.setdefault(verify.__name__, set()).add(len(recorded(CURVE, verify, args)))
     statement, proof, ctx = _honest_dh_tuple()
     counts["verify_dh_tuple"] = {len(recorded(CURVE, sigma.verify_dh_tuple, (statement, proof, ctx)))}
     assert counts == {
@@ -897,9 +908,9 @@ def test_a_failed_guard_is_a_none_part(session, l1_case):
     guard: it is recorded like a true one, as a bit proof's d1 off by one is."""
     cfg, _, posts1, _ = session
     table = l1_case.proof.checks(l1_case.posted, l1_case.pads, l1_case.ctx)
-    (_, (A, dlog, dlog_ctx)), *_ = _checks(protocol._round1_checks(cfg, posts1), (0, 0))
+    [(_, (A, dlog, dlog_ctx))] = _checks(protocol._round1_checks(cfg, posts1), (0, 0))
     statement, dh, dh_ctx = _honest_dh_tuple()
-    _, (ct, h_i, bit, bit_ctx) = _checks(table, "bit")[0]
+    [(_, (ct, h_i, bit, bit_ctx))] = _checks(table, ("bit", 0, 0))
     q = CURVE.q
     guarded = {
         "dlog base off the curve": (verify_dlog, (CurvePoint(CURVE, 1, 1), dlog, dlog_ctx)),
