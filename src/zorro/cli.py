@@ -14,7 +14,6 @@ import random
 import sys
 
 from . import bench as bench_mod
-from .dlog import DlogWindow
 from .errors import (
     ChainBroken,
     IllegalBallot,
@@ -44,8 +43,6 @@ def _group_for(name: str):
 
 
 def _policy_for(kind: str, bound: int) -> BoundPolicy:
-    if kind == "none":
-        return BoundPolicy.none()
     if bound is None:
         raise SessionFailure(f"--bound is required for --check {kind}")
     return BoundPolicy(kind, bound)
@@ -56,7 +53,7 @@ def _derived_rng(seed: int, label: str) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def run_session(cfg: ProtocolConfig, vectors, ledger: Ledger, seed: int, window=None):
+def run_session(cfg: ProtocolConfig, vectors, ledger: Ledger, seed: int):
     """Drive n in-process parties through both rounds over the ledger.
 
     Parties see each other only through their posts: round-1 posts derive
@@ -72,7 +69,7 @@ def run_session(cfg: ProtocolConfig, vectors, ledger: Ledger, seed: int, window=
         party.receive_round1(posts1)
     for party, values in zip(parties, vectors):
         ledger.append(2, party.index, party.round2(values).to_bytes(group))
-    return tally(cfg, verify_ledger(cfg, ledger), window)
+    return tally(cfg, verify_ledger(cfg, ledger))
 
 
 def _read_rows(path, cast=int):
@@ -95,7 +92,7 @@ def _session_config(args, n: int, m: int, policy) -> ProtocolConfig:
     return ProtocolConfig(_group_for(args.group), n, m, policy, session)
 
 
-def _run_and_report(args, vectors, policy, window=None):
+def _run_and_report(args, vectors, policy):
     """Run one session over the per-party vectors and return its totals.
 
     The ledger is kept at --ledger when the subcommand has that flag and its
@@ -103,7 +100,7 @@ def _run_and_report(args, vectors, policy, window=None):
     """
     cfg = _session_config(args, len(vectors), len(vectors[0]) if vectors else 0, policy)
     ledger = Ledger(cfg.header(), path=getattr(args, "ledger", None))
-    totals = run_session(cfg, vectors, ledger, args.seed, window=window)
+    totals = run_session(cfg, vectors, ledger, args.seed)
     ledger.verify_chain()
     if args.out:
         with open(args.out, "w") as fh:
@@ -151,41 +148,26 @@ def cmd_vote(args) -> int:
     return EXIT_OK
 
 
-def _tally_window(args, policy):
-    """The --window of a policy-none session, refused if bsgs may not search
-    it; None under any other policy, which implies its own window."""
-    if policy.kind != "none":
-        return None
-    window = DlogWindow(0, args.window)
-    window.check_width()
-    return window
-
-
 def cmd_aggregate(args) -> int:
     policy = _policy_for(args.check, args.bound)
-    window = _tally_window(args, policy)
     if args.vectors:
         vectors = _read_rows(args.vectors)
     else:
         _session_config(args, args.parties, args.dim, policy)  # refuse it before the draw
         rng = _derived_rng(args.seed, "inputs")
         vectors = [_random_vector(policy, args.dim, rng) for _ in range(args.parties)]
-    print("tally:", ",".join(map(str, _run_and_report(args, vectors, policy, window))))
+    print("tally:", ",".join(map(str, _run_and_report(args, vectors, policy))))
     return EXIT_OK
 
 
 def _random_vector(policy: BoundPolicy, m: int, rng) -> list:
-    if m < 1:
-        return []  # the session refuses the dimension
-    if policy.kind == "l1":
-        # a total in [0, B], cut into m non-negative parts at m - 1 sorted points
-        total = rng.randint(0, policy.B)
-        cuts = sorted(rng.randint(0, total) for _ in range(m - 1))
-        return [hi - lo for lo, hi in zip([0, *cuts], [*cuts, total])]
     if policy.kind == "l2":
         cap = math.isqrt(policy.B * policy.B // m)  # floor(B / sqrt(m)): m * cap^2 <= B^2
         return [rng.randrange(cap + 1) for _ in range(m)]
-    return [rng.randrange(33) for _ in range(m)]
+    # l1 and none: a total in [0, B], cut into m non-negative parts at m - 1 sorted points
+    total = rng.randint(0, policy.B)
+    cuts = sorted(rng.randint(0, total) for _ in range(m - 1))
+    return [hi - lo for lo, hi in zip([0, *cuts], [*cuts, total])]
 
 
 def cmd_verify(args) -> int:
@@ -195,10 +177,9 @@ def cmd_verify(args) -> int:
         cfg = ProtocolConfig.from_header(ledger.header)
     except (KeyError, ValueError) as exc:
         raise LedgerRejected(None, "header", f"bad ledger header: {exc.args[0]}") from exc
-    window = _tally_window(args, cfg.policy)
     posts2 = verify_ledger(cfg, ledger)
     try:
-        totals = tally(cfg, posts2, window)
+        totals = tally(cfg, posts2)
     except NotInWindow as exc:
         raise LedgerRejected(None, "tally", f"tally failed at {exc}") from exc
     print(f"ledger ok: {len(ledger.entries)} entries, {cfg.n} parties verified")
@@ -258,18 +239,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aggregate", help="aggregate integer vectors (random or from file)")
     p.add_argument("--parties", type=int, default=3)
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--bound", type=int)
+    p.add_argument("--bound", type=int,
+                   help="B, required: each party's element sum under l1, its vector's "
+                        "l2 norm under l2, and under none its nominal element sum, which "
+                        "no proof enforces and which sets the tally window [0, n*B]")
     p.add_argument("--check", choices=["l1", "l2", "none"], default="l1")
     p.add_argument("--vectors", help="file with one vector per line (overrides --parties/--dim)")
-    p.add_argument("--window", type=int, default=100000,
-                   help="tally search bound when --check none")
     _add_common(p, ledger=True)
     p.set_defaults(func=cmd_aggregate)
 
     p = sub.add_parser("verify", help="re-verify a persisted ledger end to end")
     p.add_argument("ledger", help="ledger file path")
-    p.add_argument("--window", type=int, default=100000,
-                   help="tally search bound when the ledger's policy is none")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="benchmark proof generation/verification/tally")

@@ -90,11 +90,3 @@ class Record:
     @classmethod
     def read_from(cls, group, reader: Reader):
         return cls(*(read_one(group, reader, f.type) for f in dataclasses.fields(cls)))
-
-    @classmethod
-    def from_bytes(cls, group, data: bytes):
-        """Decode exactly one record; leftover bytes are malformed."""
-        reader = Reader(data)
-        record = cls.read_from(group, reader)
-        reader.expect_end()
-        return record

@@ -38,7 +38,7 @@ at once, with all n pad vectors from one prefix/suffix pass (_all_pads).
 from dataclasses import dataclass
 
 from . import rangeproof
-from .dlog import DlogWindow, bsgs
+from .dlog import bsgs
 from .elgamal import Ciphertext, Keypair, encrypt_exp
 from .encoding import Reader, put, read_many
 from .errors import (
@@ -81,10 +81,9 @@ class ProtocolConfig:
             raise ValueError(f"session id must be {SESSION_BYTES} bytes")
         # proofs and the tally hold mod q, so no legal sum may reach q
         q, window = self.group.q, self.policy.tally_window(self.n)
-        if window is not None and window.size > q:
+        if window.size > q:
             raise ValueError(f"tally window of {window.size} values exceeds the group order {q}")
-        if window is not None:
-            window.check_width()
+        window.check_width()
         if self.policy.kind == rangeproof.L1 and self.m * self.policy.effective_bound >= q:
             raise ValueError(f"a sum of {self.m} l1 entries can reach the group order {q}")
 
@@ -309,18 +308,15 @@ def verify_contribution(cfg: ProtocolConfig, post: Round2Post, pads):
     return verify(cfg.group, post.cts, post.bundle, cfg.policy, pads, ctx)
 
 
-def tally(cfg: ProtocolConfig, round2_posts, window: DlogWindow | None = None) -> tuple:
+def tally(cfg: ProtocolConfig, round2_posts) -> tuple:
     """Self-tally: multiply everyone's second components and take small dlogs.
 
-    Returns the m slot totals.  The window defaults to what the policy
-    implies; sessions without a policy must supply one.  A NotInWindow
-    failure here means a corrupt contribution slipped past verification.
+    Returns the m slot totals, each searched in the policy's tally window.
+    A NotInWindow failure here means a contribution outside its policy
+    slipped past verification, as any may under policy none.
     """
     table = _by_party(cfg, round2_posts, 2)
-    if window is None:
-        window = cfg.policy.tally_window(cfg.n)
-    if window is None:
-        raise ValueError("policy none implies no window; pass one explicitly")
+    window = cfg.policy.tally_window(cfg.n)
     group = cfg.group
     totals = []
     for j in range(cfg.m):

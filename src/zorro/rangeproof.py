@@ -93,15 +93,13 @@ class BoundPolicy:
     """
 
     kind: str
-    B: int = 0
+    B: int
 
     def __post_init__(self):
         if self.kind not in (NONE, L1, L2):
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.kind != NONE and self.B < 1:
+        if self.B < 1:
             raise ValueError("bound must be a positive integer")
-        if self.kind == NONE and self.B != 0:
-            raise ValueError(f"policy none takes no bound, got {self.B}")
         if self.B >= 1 << 64:
             raise ValueError(f"bound {self.B} does not fit in a u64")
 
@@ -112,10 +110,6 @@ class BoundPolicy:
     @classmethod
     def l2(cls, B: int) -> "BoundPolicy":
         return cls(L2, B)
-
-    @classmethod
-    def none(cls) -> "BoundPolicy":
-        return cls(NONE, 0)
 
     @property
     def L(self) -> int:
@@ -129,16 +123,15 @@ class BoundPolicy:
     @property
     def effective_bound(self) -> int:
         """What the digit decomposition actually enforces: 2^L - 1."""
-        return (1 << self.L) - 1 if self.kind != NONE else 0
+        return (1 << self.L) - 1
 
-    def tally_window(self, n: int) -> DlogWindow | None:
-        """Search window for the n-party tally; None when unbounded."""
-        if self.kind == L1:
-            return DlogWindow(0, n * self.effective_bound)
+    def tally_window(self, n: int) -> DlogWindow:
+        """Search window for the n-party tally.  Policy none proves nothing,
+        so its B, each party's nominal element sum, sets the window alone."""
         if self.kind == L2:
             per_party = math.isqrt(self.effective_bound)
             return DlogWindow(-n * per_party, n * per_party)
-        return None
+        return DlogWindow(0, n * (self.effective_bound if self.kind == L1 else self.B))
 
 
 def bits_of(value: int, width: int) -> list[int]:

@@ -71,7 +71,7 @@ def announce(number, text):
     print(f"\ncriterion {number:2d}: PASS - {text}", flush=True)
 
 
-def run_session(group, n, m, policy, vectors, seed, window=None, verify=True):
+def run_session(group, n, m, policy, vectors, seed, verify=True):
     cfg = ProtocolConfig(group, n, m, policy, random.Random(seed).randbytes(16))
     parties = [Party(cfg, i, random.Random(seed * 1009 + i)) for i in range(n)]
     posts1 = [p.round1() for p in parties]
@@ -82,7 +82,7 @@ def run_session(group, n, m, policy, vectors, seed, window=None, verify=True):
         for post in posts2:
             ok, reason = verify_contribution(cfg, post, parties[post.party].pads)
             assert ok, f"party {post.party} rejected: {reason}"
-    return cfg, parties, posts1, posts2, tally(cfg, posts2, window)
+    return cfg, parties, posts1, posts2, tally(cfg, posts2)
 
 
 def test_criterion_01_exact_self_tally():
@@ -94,17 +94,13 @@ def test_criterion_01_exact_self_tally():
         m = rng.randint(1, 20)
         vectors = [[rng.randint(0, 32) for _ in range(m)] for _ in range(n)]
         kind = ("none", "l1", "l2")[trial % 3]
-        window = None
-        if kind == "none":
-            policy = BoundPolicy.none()
-            window = DlogWindow(0, 32 * n)
-        elif kind == "l1":
-            policy = BoundPolicy.l1(max(1, max(sum(v) for v in vectors)))
-        else:
+        if kind == "l2":
             policy = BoundPolicy.l2(
                 max(1, math.isqrt(max(sum(e * e for e in v) for v in vectors)) + 1)
             )
-        _, _, _, _, result = run_session(MOD, n, m, policy, vectors, seed=trial, window=window)
+        else:
+            policy = BoundPolicy(kind, max(1, max(sum(v) for v in vectors)))
+        _, _, _, _, result = run_session(MOD, n, m, policy, vectors, seed=trial)
         oracle = tuple(sum(v[j] for v in vectors) for j in range(m))
         assert result == oracle, f"session {trial}: {result} != {oracle}"
     elapsed = time.perf_counter() - t0
@@ -320,7 +316,7 @@ def test_criterion_06_pad_cancellation():
     rng = random.Random(6)
     for trial in range(30):
         n, m = rng.randint(2, 8), rng.randint(1, 10)
-        cfg = ProtocolConfig(MOD, n, m, BoundPolicy.none(), random.Random(trial).randbytes(16))
+        cfg = ProtocolConfig(MOD, n, m, BoundPolicy("none", 1), random.Random(trial).randbytes(16))
         parties = [Party(cfg, i, random.Random(trial * 31 + i)) for i in range(n)]
         posts1 = [p.round1() for p in parties]
         pads = [derive_pads(cfg, posts1, i) for i in range(n)]

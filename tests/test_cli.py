@@ -20,7 +20,7 @@ from zorro.cli import (
     EXIT_USAGE,
     main,
 )
-from zorro import cli, dlog, groups, protocol
+from zorro import cli, dlog, groups, protocol, rangeproof, sigma
 from zorro.errors import NotInWindow
 from zorro.ledger import Ledger, LedgerHeader
 from zorro.rangeproof import BoundPolicy
@@ -211,32 +211,43 @@ def test_verify_rejects_byte_copy_of_another_partys_post(
     assert folds == ([False] if group == "prod" else [])
 
 
+def _none_ledger(tmp_path, capsys):
+    path = tmp_path / "none.ledger"
+    code = run(
+        ["aggregate", "--group", "test", "--parties", "3", "--dim", "2", "--seed", "11",
+         "--check", "none", "--bound", "4", "--ledger", str(path)]
+    )
+    assert code == EXIT_OK
+    capsys.readouterr()
+    return path
+
+
 def test_verify_tallies_a_policy_none_round2_copy(tmp_path, capsys):
     # no proof binds a policy-none contribution: party 0's B's under party 1
     # pass verification, and only the tally, whose pads no longer cancel, fails
-    source = tmp_path / "none.ledger"
-    code = run(
-        ["aggregate", "--group", "test", "--parties", "3", "--dim", "2", "--seed", "11",
-         "--check", "none", "--ledger", str(source)]
-    )
-    assert code == EXIT_OK
-    capsys.readouterr()
-    path = _copied(source, tmp_path / "copied.ledger", 2)
+    path = _copied(_none_ledger(tmp_path, capsys), tmp_path / "copied.ledger", 2)
     _assert_rejected(path, capsys, "tally failed at slot 0")
 
 
-def test_verify_rejects_a_policy_none_header_with_a_bound(tmp_path, capsys):
-    # policy none posts no bundle and its ledger carries bound 0: a header
-    # that reads a bound for it describes no policy, and used to verify
-    source = tmp_path / "none.ledger"
-    code = run(
-        ["aggregate", "--group", "test", "--parties", "3", "--dim", "2", "--seed", "11",
-         "--check", "none", "--ledger", str(source)]
-    )
+def test_verify_rejects_a_policy_none_header_with_bound_0(tmp_path, capsys):
+    # the header's bound sets policy none's tally window, so like l1's and
+    # l2's it must be positive
+    path = _reheaded(_none_ledger(tmp_path, capsys), tmp_path / "bound.ledger", policy_bound=0)
+    _assert_rejected(path, capsys, "bad ledger header", "bound must be a positive integer")
+
+
+def test_a_policy_none_ledger_verifies_and_tallies_from_its_header_alone(tmp_path, capsys):
+    # the tally window [0, n * B] is in the header: a bare verify of a ledger
+    # whose sum exceeds the old default --window of 100000 used to exit 2
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("60000\n60000\n")
+    path = str(tmp_path / "none.ledger")
+    code = run(["aggregate", "--check", "none", "--bound", "60000", "--vectors", str(vectors),
+                "--ledger", path])
     assert code == EXIT_OK
-    capsys.readouterr()
-    path = _reheaded(source, tmp_path / "bound.ledger", policy_bound=5)
-    _assert_rejected(path, capsys, "bad ledger header", "policy none takes no bound")
+    assert capsys.readouterr().out == "tally: 120000\n"
+    assert run(["verify", path]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1:] == ["tally: 120000"]
 
 
 def test_verify_rejects_entry_under_party_id_n(vote_ledger, tmp_path, capsys):
@@ -271,14 +282,14 @@ def test_verify_rejects_undecodable_round2_post(vote_ledger, tmp_path, capsys, c
     _assert_rejected(path, capsys, "of party 1", "malformed")
 
 
-@pytest.mark.parametrize("old", [1, 2, 3])
+@pytest.mark.parametrize("old", [1, 2, 3, 4])
 def test_verify_refuses_a_format_1_ledger(vote_ledger, tmp_path, capsys, old):
-    # format 4 has the only reader: a file of an older format is unreadable,
-    # by name, and its posts are never read as malformed format-4 ones
+    # format 5 has the only reader: a file of an older format is unreadable,
+    # by name, and its posts are never read as malformed format-5 ones
     path = tmp_path / "old.ledger"
     text = vote_ledger.read_text()
-    assert '"format":"zorro-ledger/4"' in text
-    path.write_text(text.replace('"format":"zorro-ledger/4"', f'"format":"zorro-ledger/{old}"'))
+    assert '"format":"zorro-ledger/5"' in text
+    path.write_text(text.replace('"format":"zorro-ledger/5"', f'"format":"zorro-ledger/{old}"'))
     assert run(["verify", str(path)]) == EXIT_LEDGER
     err = capsys.readouterr().err
     assert err.startswith("ledger corrupt at seq 0: unreadable header")
@@ -331,7 +342,7 @@ def test_verify_names_the_slot_of_a_bad_round1_proof(vote_ledger, tmp_path, caps
     "policy, names",
     [
         (BoundPolicy.l1(4), ("of party 1", "(tuple)", "slot 0")),
-        (BoundPolicy.none(), ("tally failed at slot 0",)),
+        (BoundPolicy("none", 4), ("tally failed at slot 0",)),
     ],
     ids=["l1", "none"],
 )
@@ -360,6 +371,64 @@ def test_verify_rejects_ciphertexts_not_bound_to_round1(tmp_path, capsys, policy
         for post in posts:
             ledger.append(round, post.party, post.to_bytes(group))
     _assert_rejected(str(path), capsys, *names)
+
+
+def _wrapping_prove_l2(group, cts, values, x, pad_keys, keypair, policy, ctx, rng):
+    """prove_l2 with its bound check on the squared norm taken mod q: the
+    same sub-proofs, over a vector whose squares only sum to a small number
+    modulo the group order."""
+    s = sum(t * t for t in values) % group.q
+    assert s <= policy.effective_bound
+    r_w = [group.random_scalar(rng) for _ in values]
+    reenc, square_cts, square_proofs = zip(*(
+        sigma.prove_square(group, t, xj, r, keypair, ctx.child(b"square", j), rng)
+        for j, (t, xj, r) in enumerate(zip(values, x, r_w))
+    ))
+    star_Bs = tuple(ct.B for ct in reenc)
+    links = rangeproof._link_proofs(group, cts, star_Bs, x, pad_keys, keypair.pk, ctx, rng)
+    digit_rand = rangeproof._digit_randomness(group, sum(r_w) % group.q, policy.L, rng)
+    digit_cts, digit_proofs = rangeproof._prove_digits(
+        group, rangeproof.bits_of(s, policy.L), digit_rand, keypair, ctx.child(b"bit"), rng
+    )
+    return rangeproof.L2RangeProof(
+        keypair.pk, star_Bs, links, digit_cts, digit_proofs, square_cts, square_proofs
+    )
+
+
+# sqrt(2) mod the secp256k1 group order, a 251-bit root
+SECP256K1_ROOT_OF_2 = 0x63E4B822D103A31A484D5EFC164DE812448B0C4820F957860DC0068FFE13C60
+
+
+@pytest.mark.xfail(strict=True, reason="no proof bounds an l2 slot: its square may wrap mod q")
+@pytest.mark.parametrize(
+    "group, bound, vector",
+    [
+        (groups.prod_group(), 2, [SECP256K1_ROOT_OF_2, 0]),
+        (groups.test_group(), 2**19, [2**20, 4]),
+    ],
+    ids=["secp256k1-root-of-2", "mod41-norm-2^40+16"],
+)
+def test_verify_rejects_an_l2_contribution_whose_squares_wrap_mod_q(
+    tmp_path, capsys, monkeypatch, group, bound, vector
+):
+    # party 0's squared norm is 2 on secp256k1 and 2^40 + 16 = 1 (mod q) on
+    # mod41, both within the digits.  Every check holds mod q: the secp256k1
+    # ledger verifies and only its tally fails, naming no party; the mod41
+    # ledger verifies and tallies (1048576, 4)
+    assert sum(t * t for t in vector) % group.q <= 3
+    cfg = protocol.ProtocolConfig(group, 2, 2, BoundPolicy.l2(bound), bytes(range(16)))
+    monkeypatch.setattr(rangeproof, "prove_l2", _wrapping_prove_l2)
+    parties = [protocol.Party(cfg, i, random.Random(i)) for i in range(2)]
+    posts1 = [p.round1() for p in parties]
+    for p in parties:
+        p.receive_round1(posts1)
+    posts2 = [p.round2(v) for p, v in zip(parties, [vector, [0, 0]])]
+    path = tmp_path / "wrapped.ledger"
+    ledger = Ledger(cfg.header(), path=str(path))
+    for round, posts in ((1, posts1), (2, posts2)):
+        for post in posts:
+            ledger.append(round, post.party, post.to_bytes(group))
+    _assert_rejected(str(path), capsys, "of party 0")
 
 
 @pytest.mark.parametrize(
@@ -423,8 +492,8 @@ def test_verify_maps_tally_failure_to_proof_rejection(vote_ledger, capsys, monke
 @pytest.mark.parametrize(
     "check, bound, digest, size, totals",
     [
-        ("l1", "4", "ae6a7b836b4efe1f90923af408a8b524b46e3b679e4f91233485d1900349528d", 4010, "2,2"),
-        ("l2", "9", "1cca266ce54d5dc6d9d27ab7cc5cee23cee0d0b6ecd76cd6ccab6b66ec16714f", 4082, "4,7"),
+        ("l1", "4", "5a135526543e78c4a954133ba262a59237415c89b9b5e175307d055f7f3d9c25", 4010, "2,2"),
+        ("l2", "9", "84b2e9c7bb1dee78de63c7c43a2207b85378eaf134e72499412c38ad63899517", 4082, "4,7"),
     ],
 )
 def test_golden_ledger_bytes(tmp_path, capsys, check, bound, digest, size, totals):
@@ -451,7 +520,7 @@ def test_golden_secp256k1_ledger_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == "tally: 2,2\n"
     raw = path.read_bytes()
     assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
-        19380, "2e2112f0c07942132b0dc8a871d5b1166eafebce7ccb88e563efbdfbf92bf67b"
+        19380, "53b40a4639592590b31cce737f93d870afe62bd2181f6c77830db1e9065c74d1"
     )
 
 
@@ -466,7 +535,7 @@ def test_golden_secp256k1_l2_ledger_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == "tally: 4,7\n"
     raw = path.read_bytes()
     assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
-        19776, "6fd3d58f6ef59dbce81012f36914d4e8af499e6a4c622b28d5083f8ff31dc4c0"
+        19776, "107139ddf965341efc85ee199aab03ed6a4338b4a1dfb4f64d0a55f877e991ed"
     )
 
 
@@ -663,12 +732,10 @@ def test_verify_rejects_a_header_whose_tally_needs_unbounded_baby_steps(tmp_path
 
 
 def test_a_window_too_wide_for_bsgs_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
-    # --window 2^50 asked _baby_table for 33,554,433 baby steps, a table of
-    # several GB, after a whole session (aggregate) or ledger check (verify)
-    path = tmp_path / "none.ledger"
-    argv = ["aggregate", "--check", "none", "--parties", "2", "--dim", "1", "--ledger", str(path)]
-    assert run(argv) == EXIT_OK
-    capsys.readouterr()
+    # a policy-none window of 2^50 once asked _baby_table for 33,554,433 baby
+    # steps, a table of several GB, after a whole session (aggregate) or
+    # ledger check (verify); the config now refuses its bound first
+    path = _reheaded(_none_ledger(tmp_path, capsys), tmp_path / "wide.ledger", policy_bound=2**50)
 
     def refuse(*args, **kwargs):
         raise AssertionError("work done for a window bsgs may not search")
@@ -676,12 +743,15 @@ def test_a_window_too_wide_for_bsgs_is_refused_before_any_work(tmp_path, capsys,
     for name in ("run_session", "verify_ledger"):
         monkeypatch.setattr(cli, name, refuse)
     monkeypatch.setattr(dlog, "_baby_table", refuse)
-    wide = ["--window", str(2**50)]
-    for argv in (["aggregate", "--check", "none", "--ledger", str(tmp_path / "wide.ledger")],
-                 ["verify", str(path)]):
-        assert run(argv + wide) == EXIT_USAGE, argv
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("1\n2\n")
+    for source in (["--parties", "2", "--dim", "1"], ["--vectors", str(vectors)]):
+        argv = ["aggregate", "--check", "none", "--bound", str(2**50), *source,
+                "--ledger", str(tmp_path / "refused.ledger")]
+        assert run(argv) == EXIT_USAGE, argv
         captured = capsys.readouterr()
-        assert captured.out == "" and "33554433 baby steps" in captured.err, argv
+        assert captured.out == "" and "exceeds the group order" in captured.err, argv
+    _assert_rejected(path, capsys, "bad ledger header", "exceeds the group order")
 
 
 def test_aggregate_with_vector_file(tmp_path, capsys):
@@ -706,7 +776,8 @@ def test_aggregate_random_l2(tmp_path, capsys):
 
 
 def test_aggregate_requires_bound(tmp_path):
-    assert run(["aggregate", "--check", "l1", "--ledger", str(tmp_path / "x")]) == EXIT_USAGE
+    for check in ("l1", "l2", "none"):
+        assert run(["aggregate", "--check", check, "--ledger", str(tmp_path / "x")]) == EXIT_USAGE
 
 
 def test_bench_writes_csv(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from zorro.dlog import DlogWindow, bsgs
 from zorro.elgamal import Ciphertext, Keypair, encrypt_exp, hom_mul
+from zorro.encoding import Reader
 from zorro.errors import KeyMismatch
 from zorro import groups
 
@@ -109,5 +110,7 @@ def test_ciphertext_serialization():
     rng = random.Random(8)
     kp = Keypair.generate(MOD, rng)
     ct = encrypt_exp(MOD, 3, MOD.random_scalar(rng), kp.pk)
-    assert Ciphertext.from_bytes(MOD, ct.to_bytes(MOD)) == ct
+    reader = Reader(ct.to_bytes(MOD))
+    assert Ciphertext.read_from(MOD, reader) == ct
+    reader.expect_end()
 

@@ -936,7 +936,7 @@ def test_a_failed_guard_is_a_none_part(session, l1_case):
 @pytest.mark.parametrize("group", [groups.toy_group(), MOD, CURVE], ids=lambda g: g.group_id)
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_all_pads_are_derive_pads(group, n):
-    cfg = ProtocolConfig(group, n, 2, BoundPolicy.none(), bytes(16))
+    cfg = ProtocolConfig(group, n, 2, BoundPolicy("none", 2), bytes(16))  # toy23: 5 * 2 < q = 11
     rng = random.Random(n)
     secrets, posts1 = zip(*(protocol.round1_generate(cfg, i, rng) for i in range(n)))
     pads = protocol._all_pads(cfg, posts1)

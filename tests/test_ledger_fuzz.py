@@ -25,7 +25,6 @@ from hypothesis import given, settings, strategies as st
 
 from zorro import groups
 from zorro.cli import EXIT_DROPOUT, EXIT_LEDGER, EXIT_OK, EXIT_PROOF, main, run_session
-from zorro.dlog import DlogWindow
 from zorro.ledger import Ledger
 from zorro.protocol import ProtocolConfig
 from zorro.rangeproof import BoundPolicy
@@ -33,13 +32,13 @@ from zorro.rangeproof import BoundPolicy
 N, M = 3, 2
 VECTORS = [[1, 0], [2, 1], [0, 3]]
 TOTALS = ",".join(str(sum(col)) for col in zip(*VECTORS))
-POLICIES = {"l1": BoundPolicy.l1(4), "none": BoundPolicy.none()}
+POLICIES = {"l1": BoundPolicy.l1(4), "none": BoundPolicy("none", 4)}
 
 
 def _session(policy, seed):
     cfg = ProtocolConfig(groups.test_group(), N, M, policy, random.Random(seed).randbytes(16))
     ledger = Ledger(cfg.header())
-    run_session(cfg, VECTORS, ledger, seed, window=DlogWindow(0, 12))
+    run_session(cfg, VECTORS, ledger, seed)
     return ledger
 
 

@@ -38,7 +38,7 @@ SESSION = bytes(range(16))
 
 
 def config(n=3, m=2, policy=None, group=MOD, session=SESSION):
-    return ProtocolConfig(group, n, m, policy or BoundPolicy.none(), session)
+    return ProtocolConfig(group, n, m, policy or BoundPolicy("none", 5), session)
 
 
 def full_round1(cfg, seed=0):
@@ -57,7 +57,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         config(m=0)
     with pytest.raises(ValueError):
-        ProtocolConfig(MOD, 2, 1, BoundPolicy.none(), b"short")
+        ProtocolConfig(MOD, 2, 1, BoundPolicy("none", 5), b"short")
 
 
 def test_round1_proofs_verify():
@@ -120,10 +120,16 @@ def test_config_refuses_bounds_whose_sums_wrap_mod_q():
     with pytest.raises(ValueError, match="tally window"):
         ProtocolConfig(MOD, 2, 1, BoundPolicy.l2(2**39), session)
     ProtocolConfig(MOD, 2, 1, BoundPolicy.l2(2**37), session)
+    # policy none proves nothing, yet its header bound sets the same window
+    with pytest.raises(ValueError, match="tally window"):
+        ProtocolConfig(MOD, 2, 1, BoundPolicy("none", 2**39 + 8), session)
+    ProtocolConfig(MOD, 2, 1, BoundPolicy("none", 2**39 + 7), session)  # 2 (2^39 + 7) + 1 = q
 
 
 @pytest.mark.parametrize(
-    "policy", [BoundPolicy.l1(2**63), BoundPolicy.l2(2**48)], ids=["l1-2^63", "l2-2^48"]
+    "policy",
+    [BoundPolicy.l1(2**63), BoundPolicy.l2(2**48), BoundPolicy("none", 2**63)],
+    ids=["l1-2^63", "l2-2^48", "none-2^63"],
 )
 def test_config_refuses_a_window_too_wide_for_bsgs(policy):
     """The tally's baby-step table is bounded by MAX_BABY_STEPS before any is built."""
@@ -160,7 +166,7 @@ def test_round2_policy_none_tallies():
     partial = r2[0].cts[0].B
     with pytest.raises(NotInWindow):
         bsgs(MOD, partial, DlogWindow(0, 10))
-    result = tally(cfg, r2, window=DlogWindow(0, 10))
+    result = tally(cfg, r2)
     assert result == (7,)
 
 
@@ -215,27 +221,20 @@ def test_l1_session_refuses_illegal_vector():
 def test_spec_tally_example():
     cfg = config(n=3, m=2)
     _, _, posts2 = make_session(cfg, [[1, 0], [2, 1], [0, 4]])
-    assert tally(cfg, posts2, window=DlogWindow(0, 20)) == (3, 5)
+    assert tally(cfg, posts2) == (3, 5)
 
 
 def test_tally_all_zero():
     cfg = config(n=3, m=3)
     _, _, posts2 = make_session(cfg, [[0] * 3] * 3)
-    assert tally(cfg, posts2, window=DlogWindow(0, 5)) == (0, 0, 0)
-
-
-def test_tally_requires_window_without_policy():
-    cfg = config(n=2, m=1)
-    _, _, posts2 = make_session(cfg, [[1], [2]])
-    with pytest.raises(ValueError):
-        tally(cfg, posts2)
+    assert tally(cfg, posts2) == (0, 0, 0)
 
 
 def test_tally_missing_post():
     cfg = config(n=3, m=1)
     _, _, posts2 = make_session(cfg, [[1], [2], [3]])
     with pytest.raises(MissingPost, match="^party 2 missing from round 2$") as err:
-        tally(cfg, posts2[:2], window=DlogWindow(0, 10))
+        tally(cfg, posts2[:2])
     assert (err.value.party, err.value.round) == (2, 2)
 
 
@@ -246,14 +245,14 @@ def test_dropout_leaves_pads_uncancelled():
     _, _, posts2 = make_session(cfg, [[1], [2], [3]])
     fake = dataclasses.replace(posts2[1], party=2)
     with pytest.raises(NotInWindow):
-        tally(cfg, [posts2[0], posts2[1], fake], window=DlogWindow(0, 10))
+        tally(cfg, [posts2[0], posts2[1], fake])
 
 
 def test_tally_names_the_slot_out_of_window():
     cfg = config(n=2, m=2)
     _, _, posts2 = make_session(cfg, [[1, 2], [3, 9]])
     with pytest.raises(NotInWindow, match="slot 1"):
-        tally(cfg, posts2, window=DlogWindow(0, 10))
+        tally(cfg, posts2)
 
 
 def session_ledger(cfg, vectors, order=None, posts=None):
@@ -332,7 +331,7 @@ def test_policy_kind_must_match_bundle():
     # only a post built in memory can carry a bundle of another policy
     cfg_l1 = config(n=2, m=1, policy=BoundPolicy.l1(3))
     _, posts1, posts2 = make_session(cfg_l1, [[1], [2]])
-    cfg_none = config(n=2, m=1, policy=BoundPolicy.none())
+    cfg_none = config(n=2, m=1, policy=BoundPolicy("none", 5))
     ok, reason = verify_contribution(cfg_none, posts2[0], derive_pads(cfg_none, posts1, 0))
     assert not ok and reason == "malformed"
 
@@ -360,7 +359,7 @@ def test_round1_serialization_roundtrip():
 
 def test_round2_serialization_roundtrip():
     # only each ciphertext's B is posted, first: A comes back from round 1
-    for policy in (BoundPolicy.none(), BoundPolicy.l1(3), BoundPolicy.l2(4)):
+    for policy in (BoundPolicy("none", 5), BoundPolicy.l1(3), BoundPolicy.l2(4)):
         cfg = config(n=2, m=2, policy=policy)
         _, posts1, posts2 = make_session(cfg, [[1, 1], [2, 0]])
         for post in posts2:
@@ -376,7 +375,7 @@ def test_round2_serialization_roundtrip():
 
 
 def test_round2_decoding_refuses_a_slot_count_other_than_round_1s():
-    cfg = config(n=2, m=2, policy=BoundPolicy.none())
+    cfg = config(n=2, m=2, policy=BoundPolicy("none", 5))
     _, posts1, posts2 = make_session(cfg, [[1, 1], [2, 0]])
     data = posts2[0].to_bytes(MOD)
     with pytest.raises(MalformedEncoding, match="trailing bytes"):
@@ -390,8 +389,8 @@ def test_round2_decoding_refuses_a_slot_count_other_than_round_1s():
     [
         (BoundPolicy.l1(3), BoundPolicy.l2(4)),
         (BoundPolicy.l2(4), BoundPolicy.l1(3)),
-        (BoundPolicy.l1(3), BoundPolicy.none()),
-        (BoundPolicy.none(), BoundPolicy.l1(3)),
+        (BoundPolicy.l1(3), BoundPolicy("none", 5)),
+        (BoundPolicy("none", 5), BoundPolicy.l1(3)),
         (BoundPolicy.l1(3), BoundPolicy.l1(4)),
         (BoundPolicy.l1(4), BoundPolicy.l1(3)),
     ],
@@ -430,7 +429,7 @@ def _variants(group, data: bytes, widths) -> list:
 @pytest.mark.parametrize(
     "group, policy",
     [
-        (MOD, BoundPolicy.none()),
+        (MOD, BoundPolicy("none", 5)),
         (MOD, BoundPolicy.l1(3)),
         (MOD, BoundPolicy.l2(4)),
         (groups.prod_group(), BoundPolicy.l1(3)),
@@ -493,7 +492,7 @@ def test_full_collusion_recovers_contribution():
 def test_partial_collusion_leaves_ambiguity():
     # with two honest parties left, any candidate plaintext is consistent
     # with some in-group pad value, so the ciphertext alone pins nothing
-    cfg = config(n=4, m=1, group=TOY)
+    cfg = config(n=4, m=1, policy=BoundPolicy("none", 2), group=TOY)  # toy23: 4 * 2 < q = 11
     while True:
         try:
             parties, posts1, posts2 = make_session(cfg, [[3], [2], [0], [4]], seed=11)

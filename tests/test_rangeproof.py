@@ -51,7 +51,7 @@ def test_policy_digit_counts():
     assert BoundPolicy.l1(4).L == 3 and BoundPolicy.l1(4).effective_bound == 7
     assert BoundPolicy.l2(5).L == 5 and BoundPolicy.l2(5).effective_bound == 31
     assert BoundPolicy.l2(2).L == 3
-    assert BoundPolicy.none().L == 0
+    assert BoundPolicy("none", 5).L == 0
 
 
 def test_policy_validation():
@@ -59,8 +59,8 @@ def test_policy_validation():
         BoundPolicy("l3", 2)
     with pytest.raises(ValueError):
         BoundPolicy.l1(0)
-    with pytest.raises(ValueError, match="no bound"):
-        BoundPolicy("none", 5)
+    with pytest.raises(ValueError, match="positive"):
+        BoundPolicy("none", 0)
 
 
 def test_policy_windows():
@@ -68,12 +68,13 @@ def test_policy_windows():
     assert (w.lo, w.hi) == (0, 12)
     w = BoundPolicy.l2(5).tally_window(2)
     assert (w.lo, w.hi) == (-10, 10)  # isqrt(31) = 5 per party
-    assert BoundPolicy.none().tally_window(3) is None
+    w = BoundPolicy("none", 5).tally_window(3)
+    assert (w.lo, w.hi) == (0, 15)  # policy none proves nothing: B alone sets it
 
 
 def test_policy_refuses_a_bound_beyond_u64():
     assert BoundPolicy.l1(2**64 - 1).B == 2**64 - 1
-    for kind in ("l1", "l2"):
+    for kind in ("l1", "l2", "none"):
         with pytest.raises(ValueError, match="u64"):
             BoundPolicy(kind, 2**64)
 
