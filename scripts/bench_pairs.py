@@ -33,13 +33,14 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("vote-l1-secp256k1", "audit-l1-mod41-n128")  # the gated ones, the default
+GATE = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(w["name"] for w in GATE["workloads"])  # the gated ones, the default
 DEFINED = tuple(json.loads((ROOT / "perfbench" / "spec.json").read_text())["workloads"])
 PAIRS = 10
-SECONDS = 40
+SECONDS = GATE["run_seconds"]
 TRACED_PAIRS = 3  # one traced run per side cannot tell a layer change from noise
-END_TO_END = ("setup_s", "aggregate_s", "verify_s", "ledger_bytes", "peak_rss_mb")
-UNITS = {m["name"]: m["unit"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+UNITS = {m["name"]: m["unit"] for m in GATE["end_to_end"]}
+END_TO_END = tuple(UNITS)
 
 
 def unpack(rev: str, dest: Path) -> Path:

@@ -14,14 +14,7 @@ import random
 import sys
 
 from . import bench as bench_mod
-from .errors import (
-    ChainBroken,
-    IllegalBallot,
-    LedgerRejected,
-    MissingPost,
-    NotInWindow,
-    ZorroError,
-)
+from .errors import ChainBroken, LedgerRejected, MissingPost, NotInWindow, ZorroError
 from .groups import prod_group, test_group
 from .ledger import Ledger
 from .protocol import Party, ProtocolConfig, tally, verify_ledger
@@ -126,16 +119,15 @@ def _run_encoded(args, encode, inputs):
 def encode_ballot(ballot, B: int):
     """Votes per candidate for a voter holding a budget of B - 1 votes.
 
-    Legal ballots are non-negative with total under B; the encoding is the
-    identity plus an L1(B-1) policy.  It lives here, not among the numpy
-    encoders of zorro.reductions, so `zorro vote` runs without numpy.
+    Legal ballots are non-negative with total under B: the encoding is the
+    identity plus an L1(B-1) policy, which the ballot must satisfy
+    (BoundPolicy.check).  It lives here, not among the numpy encoders of
+    zorro.reductions, so `zorro vote` runs without numpy.
     """
     votes = [int(v) for v in ballot]
-    if any(v < 0 for v in votes):
-        raise IllegalBallot("negative votes are not allowed")
-    if sum(votes) >= B:
-        raise IllegalBallot(f"ballot spends {sum(votes)} votes, budget is {B - 1}")
-    return votes, BoundPolicy.l1(B - 1)
+    policy = BoundPolicy.l1(B - 1)
+    policy.check(votes)
+    return votes, policy
 
 
 def cmd_vote(args) -> int:

@@ -22,11 +22,11 @@ class NotInWindow(ZorroError):
 
 
 class BoundExceeded(ZorroError):
-    """Witness vector violates the norm bound; prover refuses."""
+    """An input vector violates its policy's norm bound (BoundPolicy.check)."""
 
 
 class NegativeEntry(ZorroError):
-    """Witness vector contains a negative entry under a non-negative policy."""
+    """An input vector has a negative entry under a non-negative policy."""
 
 
 class KeyMismatch(ZorroError):
@@ -68,18 +68,6 @@ class ChainBroken(ZorroError):
         super().__init__(f"ledger chain broken at seq {seq}" + (f": {reason}" if reason else ""))
         self.seq = seq
         self.reason = reason
-
-
-class IllegalBallot(ZorroError):
-    """Ballot violates the cumulative-voting rules."""
-
-
-class NegativeCount(ZorroError):
-    """Count matrix contains a negative entry."""
-
-
-class CapExceeded(ZorroError):
-    """Count matrix total exceeds the per-user cap."""
 
 
 class ZeroClassCount(ZorroError):

@@ -268,7 +268,9 @@ def round2_generate(
     cfg: ProtocolConfig, party: int, values, secret: Round1Secret, pads, keypair: Keypair, rng
 ) -> Round2Post:
     """Encrypt the contribution under the pad keys and attach the policy
-    bundle that proves those ciphertexts.
+    bundle that proves those ciphertexts.  A vector that breaks the policy's
+    input rule is refused: by its prover, or under policy none, which proves
+    nothing, by BoundPolicy.check at the nominal B.
 
     Encryption randomness is the round-1 secret x_ij; the pads only cancel
     because the exact same exponents reappear here.
@@ -282,7 +284,9 @@ def round2_generate(
         encrypt_exp(group, values[j], secret.x[j], pads[j]) for j in range(cfg.m)
     )
     bundle = None
-    if cfg.policy.kind != rangeproof.NONE:
+    if cfg.policy.kind == rangeproof.NONE:
+        cfg.policy.check(values)
+    else:
         prove = getattr(rangeproof, f"prove_{cfg.policy.kind}")
         ctx = cfg.base_context().child(b"r2", party)
         bundle = prove(group, cts, values, secret.x, pads, keypair, cfg.policy, ctx, rng)

@@ -87,9 +87,12 @@ L1, L2, NONE = "l1", "l2", "none"
 class BoundPolicy:
     """Validity policy: which norm is bounded and by how much.
 
-    The digit count L is the smallest width whose range covers the nominal
-    bound B (inclusive); what the proof actually enforces is the full digit
-    range, exposed as effective_bound.
+    The input rule: under l1 and none, entries are non-negative and their
+    sum is at most a limit; under l2, the sum of squares is at most a limit.
+    The nominal limit is B, or B * B under l2.  The digit count L is the
+    smallest width whose range covers the nominal limit (inclusive); what
+    the proof actually enforces is the full digit range, exposed as
+    effective_bound.
     """
 
     kind: str
@@ -114,11 +117,11 @@ class BoundPolicy:
     @property
     def L(self) -> int:
         # ceil(log2(x + 1)) == x.bit_length(), exact for any size of B
-        if self.kind == L1:
-            return max(1, self.B.bit_length())
-        if self.kind == L2:
-            return max(1, (self.B * self.B).bit_length())
-        return 0
+        return 0 if self.kind == NONE else max(1, self._nominal.bit_length())
+
+    @property
+    def _nominal(self) -> int:
+        return self.B * self.B if self.kind == L2 else self.B
 
     @property
     def effective_bound(self) -> int:
@@ -132,6 +135,26 @@ class BoundPolicy:
             per_party = math.isqrt(self.effective_bound)
             return DlogWindow(-n * per_party, n * per_party)
         return DlogWindow(0, n * (self.effective_bound if self.kind == L1 else self.B))
+
+    def check(self, values) -> int:
+        """Refuse `values` that break the input rule at the nominal limit,
+        with NegativeEntry or BoundExceeded.  Returns the element sum, or
+        under l2 the sum of squares."""
+        return self._admit(values, self._nominal)
+
+    def _admit(self, values, limit: int) -> int:
+        """check at `limit`; the provers apply it at effective_bound."""
+        if self.kind == L2:
+            total = sum(t * t for t in values)
+            if total > limit:
+                raise BoundExceeded(f"sum of squares {total} > {limit}")
+            return total
+        if any(t < 0 for t in values):
+            raise NegativeEntry(f"{self.kind} policy admits only non-negative entries")
+        total = sum(values)
+        if total > limit:
+            raise BoundExceeded(f"element sum {total} > {limit}")
+        return total
 
 
 def bits_of(value: int, width: int) -> list[int]:
@@ -332,14 +355,12 @@ def prove_l2(
     `values` with randomness `x` under pad keys `pad_keys`, re-encrypted
     under the prover's key h_i = keypair.pk.
 
-    Refuses with BoundExceeded when sum of squares exceeds the effective
-    bound 2^L - 1.
+    Refuses with BoundExceeded when the sum of squares exceeds the effective
+    bound 2^L - 1: the input rule of BoundPolicy.check at that limit.
     """
     if policy.kind != L2:
         raise ValueError("policy kind must be l2")
-    s = sum(t * t for t in values)
-    if s > policy.effective_bound:
-        raise BoundExceeded(f"sum of squares {s} > {policy.effective_bound}")
+    s = policy._admit(values, policy.effective_bound)
 
     r_w = [group.random_scalar(rng) for _ in values]
     reenc, square_cts, square_proofs = zip(*(
@@ -417,15 +438,12 @@ def prove_l1(
     """Build the L1 + non-negativity bundle of the posted slots `cts` under h_i = keypair.pk.
 
     Refuses with NegativeEntry on any negative element and BoundExceeded
-    when the element sum exceeds 2^L - 1.
+    when the element sum exceeds 2^L - 1: the input rule of
+    BoundPolicy.check at that limit.
     """
     if policy.kind != L1:
         raise ValueError("policy kind must be l1")
-    if any(t < 0 for t in values):
-        raise NegativeEntry("l1 policy admits only non-negative entries")
-    total = sum(values)
-    if total > policy.effective_bound:
-        raise BoundExceeded(f"element sum {total} > {policy.effective_bound}")
+    total = policy._admit(values, policy.effective_bound)
     digits = [bits_of(t, policy.L) for t in values]
     sum_digits = bits_of(total, policy.L)
     return _build_l1(

@@ -16,31 +16,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BoundExceeded,
-    CapExceeded,
-    EmptyDataset,
-    NegativeCount,
-    ShapeMismatch,
-    SingularGram,
-    ZeroClassCount,
-)
+from .errors import EmptyDataset, ShapeMismatch, SingularGram, ZeroClassCount
 from .rangeproof import BoundPolicy
 
 # -- count matrices (LDA sync, ID3 / naive Bayes statistics) -------------------
 
 
 def encode_counts(matrix, cap: int):
-    """Flatten a non-negative count matrix row-major under an L1(cap) policy."""
+    """Flatten a non-negative count matrix row-major under an L1(cap) policy,
+    which it must satisfy (BoundPolicy.check)."""
     arr = np.asarray(matrix)
     if arr.size == 0:
         raise ValueError("empty count matrix")
     flat = [int(v) for v in arr.reshape(-1)]
-    if any(v < 0 for v in flat):
-        raise NegativeCount("count matrices are non-negative")
-    if sum(flat) > cap:
-        raise CapExceeded(f"total count {sum(flat)} exceeds per-user cap {cap}")
-    return flat, BoundPolicy.l1(cap)
+    policy = BoundPolicy.l1(cap)
+    policy.check(flat)
+    return flat, policy
 
 
 def decode_counts(tally, shape):
@@ -154,13 +145,13 @@ def regression_tensors(X, Y) -> RegressionTensors:
 def encode_regression(X, Y, bound: int):
     """Flattened normal-equation share of the floored data plus its L2(bound) policy.
 
-    Fails closed when the share's Euclidean norm exceeds the bound.
+    Fails closed when the share's Euclidean norm exceeds the bound
+    (BoundPolicy.check).
     """
-    tensors = regression_tensors(X, Y)
-    vector = tensors.to_vector()
-    if sum(v * v for v in vector) > bound * bound:
-        raise BoundExceeded(f"tensor norm exceeds {bound}")
-    return vector, BoundPolicy.l2(bound)
+    vector = regression_tensors(X, Y).to_vector()
+    policy = BoundPolicy.l2(bound)
+    policy.check(vector)
+    return vector, policy
 
 
 def solve_beta(tally, d: int):
@@ -193,13 +184,11 @@ def cf_gradient(A, P):
 
 def encode_cf_gradient(A, P_i, bound: int, scale: int = 1):
     """Fixed-point encode a user's gradient share, floor(G * scale), under an
-    L2(bound) policy."""
-    G = cf_gradient(A, P_i)
-    Gq = _quantize(G, scale)
-    vector = [int(v) for v in Gq.reshape(-1)]
-    if sum(v * v for v in vector) > bound * bound:
-        raise BoundExceeded(f"gradient norm exceeds {bound}")
-    return vector, BoundPolicy.l2(bound)
+    L2(bound) policy, which it must satisfy (BoundPolicy.check)."""
+    vector = [int(v) for v in _quantize(cf_gradient(A, P_i), scale).reshape(-1)]
+    policy = BoundPolicy.l2(bound)
+    policy.check(vector)
+    return vector, policy
 
 
 def cf_gradient_step(tally, A, step: float, scale: int = 1):

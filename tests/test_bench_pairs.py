@@ -1,9 +1,11 @@
 """The claim rule of scripts/bench_pairs.py on synthetic pair statistics: a
 claimed gain is met when the median ratio reaches the claimed one, the
 change wins at least 9 of 10 pairs, and the median gap exceeds the parent's
-interquartile range."""
+interquartile range.  The script takes its workloads, end-to-end metrics
+and run length from BENCHMARK.json."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -52,3 +54,10 @@ def test_claim_reports_the_metrics_own_unit():
     assert result["met"]
     assert (result["median_difference_bytes"], result["parent_iqr_bytes"]) == (5256, 0)
     assert "median_difference_s" not in result
+
+
+def test_gate_is_read_from_benchmark_json():
+    gate = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text())
+    assert bench_pairs.WORKLOADS == tuple(w["name"] for w in gate["workloads"])
+    assert bench_pairs.END_TO_END == tuple(m["name"] for m in gate["end_to_end"])
+    assert bench_pairs.SECONDS == gate["run_seconds"]

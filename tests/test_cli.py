@@ -250,6 +250,24 @@ def test_a_policy_none_ledger_verifies_and_tallies_from_its_header_alone(tmp_pat
     assert capsys.readouterr().out.splitlines()[1:] == ["tally: 120000"]
 
 
+@pytest.mark.parametrize(
+    "check, refusal", [("none", "element sum 60000 > 10"), ("l1", "element sum 60000 > 15")]
+)
+def test_aggregate_refuses_an_out_of_bound_vector_before_round_2(tmp_path, capsys, check, refusal):
+    # policy none proves nothing, yet its party refuses a vector over the
+    # nominal B as an l1 prover refuses one over 2^L - 1: the ledger keeps
+    # the header and round 1, and no tally fails later naming no party
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("60000\n60000\n")
+    path = tmp_path / "refused.ledger"
+    code = run(["aggregate", "--check", check, "--bound", "10", "--vectors", str(vectors),
+                "--ledger", str(path)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == refusal + "\n"
+    lines = path.read_text().splitlines()
+    assert len(lines) == 3 and [line.split()[0] for line in lines[1:]] == ["1", "1"]
+
+
 def test_verify_rejects_entry_under_party_id_n(vote_ledger, tmp_path, capsys):
     def edit(entry, entries):
         posts = [(entry.round, entry.party, entry.payload)]

@@ -12,6 +12,7 @@ from zorro.errors import (
     LedgerRejected,
     MalformedEncoding,
     MissingPost,
+    NegativeEntry,
     NotInWindow,
 )
 from zorro.ledger import Ledger
@@ -218,6 +219,20 @@ def test_l1_session_refuses_illegal_vector():
         parties[0].round2([4, 0])
 
 
+def test_policy_none_session_refuses_illegal_vector():
+    # no bundle, but the same input rule at the nominal B (config's default 5)
+    cfg = config(n=2, m=2)
+    parties = [Party(cfg, i, random.Random(i)) for i in range(2)]
+    posts1 = [p.round1() for p in parties]
+    for p in parties:
+        p.receive_round1(posts1)
+    assert parties[0].round2([5, 0]).bundle is None
+    with pytest.raises(BoundExceeded, match="element sum 6 > 5"):
+        parties[1].round2([6, 0])
+    with pytest.raises(NegativeEntry):
+        parties[1].round2([-1, 1])
+
+
 def test_spec_tally_example():
     cfg = config(n=3, m=2)
     _, _, posts2 = make_session(cfg, [[1, 0], [2, 1], [0, 4]])
@@ -248,9 +263,18 @@ def test_dropout_leaves_pads_uncancelled():
         tally(cfg, [posts2[0], posts2[1], fake])
 
 
+def unchecked_post(party, values):
+    """The round-2 post of a policy-none party that skips BoundPolicy.check:
+    its slots encrypted as round2_generate encrypts them, and no bundle."""
+    group, x = party.cfg.group, party.secret.x
+    cts = tuple(encrypt_exp(group, v, xj, h) for v, xj, h in zip(values, x, party.pads))
+    return Round2Post(party.index, cts, None)
+
+
 def test_tally_names_the_slot_out_of_window():
     cfg = config(n=2, m=2)
-    _, _, posts2 = make_session(cfg, [[1, 2], [3, 9]])
+    parties, _, posts2 = make_session(cfg, [[1, 2], [3, 2]])
+    posts2[1] = unchecked_post(parties[1], [3, 9])  # sum 12 > B = 5
     with pytest.raises(NotInWindow, match="slot 1"):
         tally(cfg, posts2)
 
@@ -495,7 +519,7 @@ def test_partial_collusion_leaves_ambiguity():
     cfg = config(n=4, m=1, policy=BoundPolicy("none", 2), group=TOY)  # toy23: 4 * 2 < q = 11
     while True:
         try:
-            parties, posts1, posts2 = make_session(cfg, [[3], [2], [0], [4]], seed=11)
+            parties, posts1, posts2 = make_session(cfg, [[2], [2], [0], [1]], seed=11)
             break
         except ValueError:
             continue

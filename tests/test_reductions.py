@@ -7,10 +7,8 @@ import pytest
 from zorro.cli import encode_ballot
 from zorro.errors import (
     BoundExceeded,
-    CapExceeded,
     EmptyDataset,
-    IllegalBallot,
-    NegativeCount,
+    NegativeEntry,
     ShapeMismatch,
     SingularGram,
     ZeroClassCount,
@@ -43,13 +41,6 @@ def test_ballot_legal():
     assert policy.kind == "l1" and policy.B == 3
 
 
-def test_ballot_illegal():
-    with pytest.raises(IllegalBallot):
-        encode_ballot([2, 2, 0], B=4)
-    with pytest.raises(IllegalBallot):
-        encode_ballot([-1, 0], B=4)
-
-
 def test_ballot_abstention():
     vec, _ = encode_ballot([0, 0, 0], B=4)
     assert vec == [0, 0, 0]
@@ -76,13 +67,6 @@ def test_counts_roundtrip():
 def test_counts_neutral_zero_user():
     v, _ = encode_counts([[0, 0], [0, 0]], cap=5)
     assert sum(v) == 0
-
-
-def test_counts_errors():
-    with pytest.raises(NegativeCount):
-        encode_counts([[1, -1]], cap=10)
-    with pytest.raises(CapExceeded):
-        encode_counts([[6, 6]], cap=10)
 
 
 def test_id3_split_recomposes_label_vector():
@@ -284,6 +268,40 @@ def test_cf_step_descales():
 
 
 # -- policy conformance --------------------------------------------------------------------
+
+
+# encoder: (encode(input), an input at its policy's limit, one past it, one
+# with a negative entry or None under l2).  The limit is B, or B * B under l2:
+# the ballot's is 3, the counts' 10, regression's and cf's 5 * 5 = 25.  The
+# regression input [[2], [1]], [1, -2] has Gram 5 and moment 0; the cf input
+# [2, p], scale s under A = [0.5, 0] has gradient [1.5 s, p s] before flooring
+INPUT_RULE = {
+    "ballot": (lambda votes: encode_ballot(votes, B=4), [3, 0], [3, 1], [-1, 0]),
+    "counts": (lambda counts: encode_counts(counts, cap=10), [[4, 6]], [[5, 6]], [[1, -1]]),
+    "regression": (
+        lambda XY: encode_regression(*XY, bound=5),
+        ([[2], [1]], [1, -2]), ([[2], [1]], [0, 1]), None,
+    ),
+    "cf": (
+        lambda Ps: encode_cf_gradient([[0.5, 0.0]], Ps[0], bound=5, scale=Ps[1]),
+        ([2, 2], 2), ([2, 5], 1), None,
+    ),
+}
+
+
+@pytest.mark.parametrize("encoder", INPUT_RULE)
+def test_encoders_refuse_through_the_policy_input_rule(encoder):
+    # the boundary is legal, one past it is BoundExceeded, and under l1 a
+    # negative entry is NegativeEntry: BoundPolicy.check at the nominal limit
+    encode, at_limit, past, negative = INPUT_RULE[encoder]
+    vector, policy = encode(at_limit)
+    limit = policy.B * policy.B if policy.kind == "l2" else policy.B
+    assert policy.check(vector) == limit
+    with pytest.raises(BoundExceeded, match=rf" {limit + 1} > {limit}$"):
+        encode(past)
+    if negative is not None:
+        with pytest.raises(NegativeEntry):
+            encode(negative)
 
 
 def test_table_policy_conformance():
