@@ -14,7 +14,15 @@ import random
 import sys
 
 from . import bench as bench_mod
-from .errors import ChainBroken, LedgerRejected, MissingPost, NotInWindow, ZorroError
+from .errors import (
+    BoundExceeded,
+    ChainBroken,
+    LedgerRejected,
+    MissingPost,
+    NegativeEntry,
+    NotInWindow,
+    ZorroError,
+)
 from .groups import prod_group, test_group
 from .ledger import Ledger
 from .protocol import Party, ProtocolConfig, tally, verify_ledger
@@ -51,7 +59,8 @@ def run_session(cfg: ProtocolConfig, vectors, ledger: Ledger, seed: int):
 
     Parties see each other only through their posts: round-1 posts derive
     the pads, and the finished ledger is verified from its bytes alone by
-    verify_ledger before tallying.  Returns the tally.
+    verify_ledger before tallying.  Returns the tally.  A vector that its
+    party's round 2 refuses is a SessionFailure naming that party.
     """
     group = cfg.group
     parties = [Party(cfg, i, _derived_rng(seed, f"party{i}")) for i in range(cfg.n)]
@@ -61,7 +70,11 @@ def run_session(cfg: ProtocolConfig, vectors, ledger: Ledger, seed: int):
     for party in parties:
         party.receive_round1(posts1)
     for party, values in zip(parties, vectors):
-        ledger.append(2, party.index, party.round2(values).to_bytes(group))
+        try:
+            post = party.round2(values)
+        except (BoundExceeded, NegativeEntry) as exc:
+            raise SessionFailure(f"input of party {party.index} is illegal: {exc}") from exc
+        ledger.append(2, party.index, post.to_bytes(group))
     return tally(cfg, verify_ledger(cfg, ledger))
 
 

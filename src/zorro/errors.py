@@ -29,10 +29,6 @@ class NegativeEntry(ZorroError):
     """An input vector has a negative entry under a non-negative policy."""
 
 
-class KeyMismatch(ZorroError):
-    """Statement ciphertexts are not consistent with the claimed public key."""
-
-
 class MissingPost(ZorroError):
     """A required ledger post from some party is absent."""
 

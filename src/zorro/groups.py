@@ -30,8 +30,8 @@ Bernstein and Lange's Explicit-Formulas Database:
 
   * Affine points are added in batches: one inversion (Montgomery's
     simultaneous inversion) serves every pair of a batch, so an addition
-    costs ~6 field multiplications.  The g table comes from one ladder of
-    such batches: each step doubles a row of multiples P, ..., kP to
+    costs ~6 field multiplications.  Each fixed-base table comes from one
+    ladder of such batches: each step doubles a row of multiples P, ..., kP to
     P, ..., 2kP by adding kP to every entry.
   * GLV (Gallant-Lambert-Vanstone): secp256k1 has the endomorphism
     (x, y) -> (beta * x, y) = lam * P, so each variable-base scalar splits
@@ -45,14 +45,17 @@ Bernstein and Lange's Explicit-Formulas Database:
     windows, and each window's sum_i i * bucket_i comes from two running
     sums taken in lockstep across the windows, one batch per level and per
     step.  No tables are built, and ~128 doublings combine the windows.
-  * Powers of the generator g are summed and added after the loop through a
-    table of 17 rows x 128 multiples d * 256^i * g (Brickell-Gordon-McCurley-
-    Wilson), built by the ladder on g's first use, so they need no
-    doublings.  The sum is split by GLV, each half recoded as signed
-    radix-256 digits |d| <= 128, and the lam half reads the same rows with
-    x scaled by beta: ~34 mixed additions, ~0.4 ms per g ** k on a 2-vCPU
-    x86_64 with CPython 3.11.  gamma is a variable base.  A call with no
-    other base skips the loop.
+  * Powers of the two fixed generators, g and gamma, are summed per base and
+    added after the loop through a table per base of 17 rows x 128
+    multiples d * 256^i * P (Brickell-Gordon-McCurley-Wilson), built by the
+    ladder on that base's first exponentiation, so they need no doublings.
+    Each sum is split by GLV, each half recoded as signed radix-256 digits
+    |d| <= 128, and the lam half reads the same rows with x scaled by beta:
+    ~34 mixed additions, ~0.4 ms per g ** k on a 2-vCPU x86_64 with
+    CPython 3.11, and ~68 and ~0.5 ms for a Pedersen commitment
+    g^u * gamma^v.
+    Reading gamma does not build its table.  A call with no other base
+    skips the loop.
   * One final inversion returns an affine point.
 
 The digit patterns follow the scalars, so like the rest of the arithmetic
@@ -280,7 +283,7 @@ class CurvePoint:
 
 # -- Jacobian arithmetic for y^2 = x^3 + b, used only inside CurveGroup.multi_exp --
 
-_G_ROWS = 17  # the g table: 8-bit signed digits of a GLV half below 2^129, and a carry
+_G_ROWS = 17  # a fixed-base table: 8-bit signed digits of a GLV half below 2^129, and a carry
 _J_IDENTITY = (1, 1, 0)  # any Z = 0 triple is the identity
 _BUCKET_BATCH = 2048  # about how many bucket points _buckets sums at once, in whole windows
 
@@ -323,8 +326,8 @@ def _affine_sums(left, right, p):
     Montgomery's trick: invert the product of every slope denominator, then
     peel off each one from the last.  A pair with equal x is P + P, with the
     tangent slope, or P + (-P) = None; no point has y = 0 on a curve of odd
-    order.  The g table comes from here, through _affine_multiples, and so
-    do the bucket sums.
+    order.  The fixed-base tables come from here, through _affine_multiples,
+    and so do the bucket sums.
     """
     prefix = []
     acc = 1
@@ -401,24 +404,27 @@ class CurveGroup(Group):
         self.g = CurvePoint(self, gx, gy)
         self.identity = CurvePoint(self, None, None)
         self.element_bytes = 1 + (p.bit_length() + 7) // 8
-        self._g_table = None
+        self._tables = None  # (x, y) of g and of gamma -> its table, None until built
 
     def _fixed_base_table(self, pt):
-        """Rows i = 0..16 of affine [d * 256^i * g for d = 1..128] when pt is
-        g, else None: 2,176 points, built on the first exponentiation of g.
-        Each row is _affine_multiples of 256^i * g, and one more doubling of
-        its last entry starts the next row: 8 inversions per row."""
-        if (pt.x, pt.y) != (self.g.x, self.g.y):
+        """Rows i = 0..16 of affine [d * 256^i * pt for d = 1..128] when pt is
+        g or gamma, else None: 2,176 points, built on the first
+        exponentiation of pt.  Each row is _affine_multiples of 256^i * pt,
+        and one more doubling of its last entry starts the next row: 8
+        inversions per row."""
+        if self._tables is None:
+            self._tables = {(P.x, P.y): None for P in (self.g, self.gamma)}
+        key = (pt.x, pt.y)
+        if key not in self._tables:
             return None
-        if self._g_table is None:
-            table = []
-            P = (pt.x, pt.y)
+        if self._tables[key] is None:
+            table, P = [], key
             for _ in range(_G_ROWS):
                 row = _affine_multiples(P, 128, self.p)
                 table.append(row)
-                (P,) = _affine_sums([row[-1]], [row[-1]], self.p)  # 256 * 256^i * g
-            self._g_table = table
-        return self._g_table
+                (P,) = _affine_sums([row[-1]], [row[-1]], self.p)  # 256 * 256^i * pt
+            self._tables[key] = table
+        return self._tables[key]
 
     def _glv_split(self, k):
         """(k1, k2) with k1 + k2 * lam = k (mod q) and |k1|, |k2| about sqrt(q).
@@ -441,29 +447,31 @@ class CurveGroup(Group):
         """The product of base ** e over (base, e) pairs.
 
         Each variable base P is split by GLV into two ~128-bit powers of P
-        and lam * P, and _buckets sums them, however few.  Powers of g
-        are summed and added afterwards through the g table, with no
-        doublings: the sum is split by GLV too, and each half's signed
-        radix-256 digits d select row entries |d| * 256^i * g (x scaled by
-        beta for the lam half, y negated for a negative digit or half), ~34
-        mixed additions in all.  One final inversion returns an affine point.
+        and lam * P, and _buckets sums them, however few.  Powers of g and
+        of gamma are summed per base and added afterwards through that
+        base's table, with no doublings: each sum is split by GLV too, and
+        each half's signed radix-256 digits d select row entries
+        |d| * 256^i * P (x scaled by beta for the lam half, y negated for a
+        negative digit or half), ~34 mixed additions a base.  One final
+        inversion returns an affine point.
         """
         p, q = self.p, self.q
-        g_e = 0
+        fixed = {}  # g or gamma -> its summed exponent
         bases, scalars = [], []
         for base, e in pairs:
             e %= q
             if not e or base.is_identity:
                 continue
             if self._fixed_base_table(base) is not None:
-                g_e += e
+                fixed[base] = fixed.get(base, 0) + e
             else:
                 bases.append(base)
                 scalars.append(self._glv_split(e))
         X, Y, Z = self._buckets(bases, scalars) if bases else _J_IDENTITY
-        if g_e:
-            for k, beta in zip(self._glv_split(g_e % q), (1, self.beta)):
-                for row, d in zip(self._g_table, _signed_digits(abs(k), 8)):
+        for base, e in fixed.items():
+            table = self._fixed_base_table(base)
+            for k, beta in zip(self._glv_split(e % q), (1, self.beta)):
+                for row, d in zip(table, _signed_digits(abs(k), 8)):
                     if d:
                         x, y = row[abs(d) - 1]
                         y = y if (d > 0) == (k > 0) else p - y

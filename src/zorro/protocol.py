@@ -9,12 +9,15 @@ keys
 which satisfy prod_i h_ij^(x_ij) = 1 for every slot j.
 
 Round 2: party i posts E[T_ij] = (g^(x_ij), g^(T_ij) h_ij^(x_ij)) - the same
-x_ij - plus the validity bundle its policy demands.  Only the second
-component goes on the wire: the first is the party's round-1 element, which
-a reader takes from round 1 (Round2Post.from_bytes), so a contribution
-cannot carry an exponent other than its round-1 one.  The slot-wise product
-of all posted second components collapses to g^(sum T_ij), and a
-baby-step/giant-step search over the policy window recovers the sum.  No
+x_ij - plus the validity bundle its policy demands, whose bit and square
+proofs are over Pedersen commitments under g and gamma (rangeproof), so a
+party holds no long-term key.  Only the second component goes on the wire:
+the first is the party's round-1 element, which the party keeps with its
+round-1 secret and a reader takes from round 1 (Round2Post.from_bytes), so
+a contribution cannot carry an exponent other than its round-1 one.  The
+slot-wise product of all posted second components collapses to
+g^(sum T_ij), and a baby-step/giant-step search over the policy window
+recovers the sum.  No
 decryption key exists: the "key" cancels only when all n posts multiply.
 
 A post carries no tag, party id, slot count or bundle kind: the ledger
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 from . import rangeproof
 from .dlog import bsgs
-from .elgamal import Ciphertext, Keypair, encrypt_exp
+from .elgamal import Ciphertext
 from .encoding import Reader, put, read_many
 from .errors import (
     LedgerRejected,
@@ -107,8 +110,11 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class Round1Secret:
+    """A party's round-1 exponents x_j and the elements g^(x_j) it posted."""
+
     party: int
     x: tuple
+    elements: tuple
 
 
 @dataclass(frozen=True)
@@ -183,7 +189,8 @@ def round1_generate(cfg: ProtocolConfig, party: int, rng):
         x.append(xj)
         elements.append(Aj)
         proofs.append(prove_dlog(group, xj, Aj, base.child(b"r1", party, j), rng))
-    return Round1Secret(party, tuple(x)), Round1Post(party, tuple(elements), tuple(proofs))
+    elements = tuple(elements)
+    return Round1Secret(party, tuple(x), elements), Round1Post(party, elements, tuple(proofs))
 
 
 def _refused(group):
@@ -265,14 +272,15 @@ def _all_pads(cfg: ProtocolConfig, round1_posts) -> list:
 
 
 def round2_generate(
-    cfg: ProtocolConfig, party: int, values, secret: Round1Secret, pads, keypair: Keypair, rng
+    cfg: ProtocolConfig, party: int, values, secret: Round1Secret, pads, rng
 ) -> Round2Post:
     """Encrypt the contribution under the pad keys and attach the policy
     bundle that proves those ciphertexts.  A vector that breaks the policy's
     input rule is refused: by its prover, or under policy none, which proves
     nothing, by BoundPolicy.check at the nominal B.
 
-    Encryption randomness is the round-1 secret x_ij; the pads only cancel
+    Encryption randomness is the round-1 secret x_ij, and each slot's first
+    component the round-1 element g^(x_ij) itself; the pads only cancel
     because the exact same exponents reappear here.
     """
     if secret.party != party:
@@ -281,7 +289,8 @@ def round2_generate(
         raise ValueError(f"expected {cfg.m} entries, got {len(values)}")
     group = cfg.group
     cts = tuple(
-        encrypt_exp(group, values[j], secret.x[j], pads[j]) for j in range(cfg.m)
+        Ciphertext(A, group.multi_exp(((group.g, t), (h, xj))))
+        for A, t, xj, h in zip(secret.elements, values, secret.x, pads)
     )
     bundle = None
     if cfg.policy.kind == rangeproof.NONE:
@@ -289,7 +298,7 @@ def round2_generate(
     else:
         prove = getattr(rangeproof, f"prove_{cfg.policy.kind}")
         ctx = cfg.base_context().child(b"r2", party)
-        bundle = prove(group, cts, values, secret.x, pads, keypair, cfg.policy, ctx, rng)
+        bundle = prove(group, cts, values, secret.x, pads, cfg.policy, ctx, rng)
     return Round2Post(party, cts, bundle)
 
 
@@ -437,7 +446,6 @@ class Party:
         self.cfg = cfg
         self.index = index
         self.rng = rng
-        self.keypair = Keypair.generate(cfg.group, rng)
         self._secret = None
         self._pads = None
         self._state = "new"
@@ -467,8 +475,6 @@ class Party:
     def round2(self, values) -> Round2Post:
         if self._state != "pads":
             raise RuntimeError(f"round2 called in state {self._state}")
-        post = round2_generate(
-            self.cfg, self.index, values, self._secret, self._pads, self.keypair, self.rng
-        )
+        post = round2_generate(self.cfg, self.index, values, self._secret, self._pads, self.rng)
         self._state = "round2"
         return post

@@ -1,42 +1,42 @@
 """Composite validity proofs bounding the L2 or L1 norm of an encrypted vector.
 
-Both proofs hang off the same trick: re-encrypt each slot under the prover's
-own long-term key h_i (tied to the posted ciphertext by a DH-tuple proof),
-then show the relevant quantity decomposes into proven bits.
+Both proofs hang off the same trick: link each posted slot ct_j = (A_j, B_j)
+= (g^x_j, h_pad^x_j * g^T_j) to a Pedersen commitment C_j = g^T_j * gamma^x_j
+under the group's second generator gamma (sigma's BitProof and SquareProof
+are over such commitments), then show the relevant quantity decomposes into
+committed bits.  (A_j, C_j) is an ElGamal encryption of T_j under gamma,
+whose key nobody holds, so C_j hides T_j under DDH as the posted slot does.
 
-The provers take the posted slots and the Keypair (sk, h_i).  Every
-ciphertext under h_i is the one a bit or square proof returns, encrypted
-from its discrete logs with the proof's commitments, each element one
-fixed-base g ** log.  A link proves its slot's E*[t].B = g ** (t + sk * x):
-L2 takes the one its square proof returns, and L1 lifts it the same way.
-Only a link's DH-tuple commitment (h_pad/h_i)^r, whose log nobody knows, is
-a variable-base power.
+The link of slot j is the DH-tuple proof of (g, h_pad/gamma, A_j, B_j/C_j)
+with witness x_j: it forces B_j = C_j * (h_pad/gamma)^x_j, so C_j commits,
+with randomness x_j, to the T_j the slot encrypts.  Only its commitment
+(h_pad/gamma)^r, whose log nobody knows, is a variable-base power.  Every
+other element a prover makes is a Pedersen commitment or a commitment of a
+sigma proof, each one lift g^u * gamma^v through the fixed-base tables.
 
 L2 ("l2"): prove sum_j T_j^2 <= 2^L - 1, with one square per slot.  Each
-square w_j is encrypted with fresh randomness r_j, and the digits' randomness
-recomposes to sum_j r_j (as L1's sum digits recompose to sum_j x_j), so the
-ledger equality
+square W_j = g^(T_j^2) * gamma^s_j takes fresh randomness s_j, and the
+digits' randomness recomposes to sum_j s_j, so
 
-    prod_j E[w_j]  ==  prod_l E[s_l]^(2^l)
+    prod_j W_j  ==  prod_l y_l^(2^l)
 
-holds as an exact ciphertext identity exactly when sum w = sum 2^l s_l.
-Square proofs tie every w_j to T_j^2 and bit proofs pin each digit.
+is one equation, which holds exactly when sum_j T_j^2 = sum_l 2^l b_l.
+Square proofs tie every W_j to the C_j its link checks, and bit proofs pin
+each digit y_l = g^b_l * gamma^rho_l.
 
 L1 ("l1"): prove every element and their sum decompose into L proven bits,
-hence each T_j >= 0 and sum_j T_j <= 2^L - 1.  Digit randomness is chosen to
-recompose exactly, so both recompositions are plain ciphertext equalities:
+hence each T_j >= 0 and sum_j T_j <= 2^L - 1.  The digits of row j take
+randomness recomposing to x_j and the sum's digits to sum_j x_j, so
 
-    prod_l E[b_jl]^(2^l) == E*[T_j]      for every j
-    prod_j E*[T_j]       == prod_l E[sigma_l]^(2^l)
+    prod_l y_jl^(2^l) == C_j                     for every j
+    prod_j C_j        == prod_l sigma_l^(2^l)
 
-An L1 bundle does not post E*[T_j]: the verifier takes it as
-(ct_j.A, prod_l E[b_jl].B^(2^l)), the posted slot's first component and the
-second component row j recomposes (one Horner chain per slot).  The first
-identity is then the one equation ct_j.A == prod_l E[b_jl].A^(2^l), and the
-link of slot j hashes and checks ct_j.B over that derived second component.
-An L2 bundle posts the second component of each E*[T_j], the one its square
-proof returns; the verifier takes the first as ct_j.A, the component the link
-proves, as for L1.
+An L1 bundle does not post C_j: the verifier takes it as what row j
+recomposes (one Horner chain per slot), so the first identity holds by
+construction and the link of slot j checks that C_j.  The sum check is the
+second identity, stated over the row digits themselves, so a fold merges
+its terms into bases it already holds.
+An L2 bundle posts each C_j, the one its square proof returns.
 
 The enforced bound is always the full digit range 2^L - 1; exact non-power
 bounds would need set-membership machinery that is out of scope.
@@ -48,24 +48,22 @@ reason a rejection names, and slot and digit say where the entry sits (None
 where it runs over neither).  The link and recomposition checks are
 verifiers in sigma's form, so the fold records their equations as it
 records the sigma proofs': a link checks its DH tuple, and a recomposition
-is multi_exp(cts at 1) == multi_exp(digits at 2^l), one equation per
-ciphertext component compared.
+is multi_exp(terms) == multi_exp(digits at 2^l), one equation.
 
 Each bundle states its shape once, as runs(m, L): the item type and count
-of every field after h_i, in wire order, for m slots and L digits.  A count
-is an int, or (rows, cols) for a table such as L1's m x L digit rows.  The
-shared Bundle base derives the codec (h_i, then each run item by item) and
-the verifiers' shape check fits(m, L) from that table.  A bundle posts no
-tag, policy or slot count: the ledger header gives the policy, and with it
-L, and m.
+of every field, in wire order, for m slots and L digits.  A count is an
+int, or (rows, cols) for a table such as L1's m x L digit rows.  The shared
+Bundle base derives the codec (each run item by item) and the verifiers'
+shape check fits(m, L) from that table.  A bundle posts no tag, policy or
+slot count: the ledger header gives the policy, and with it L, and m.
 """
 
 import math
 from dataclasses import dataclass, fields
 
 from .dlog import DlogWindow
-from .elgamal import Ciphertext, Keypair
-from .encoding import Reader, put, read_many, read_one
+from .elgamal import Ciphertext
+from .encoding import Reader, put, read_many
 from .errors import BoundExceeded, NegativeEntry
 from .sigma import (
     BitProof,
@@ -167,43 +165,35 @@ def bits_of(value: int, width: int) -> list[int]:
 # -- re-encryption link -------------------------------------------------------
 
 
-def _link_statement(group, ct: Ciphertext, star_B, h_pad, h_i) -> tuple:
-    """(g, h_pad/h_i, ct.A, ct.B/star_B): a DH tuple exactly when E*[t] =
-    (ct.A, star_B) encrypts under h_i what the posted ct does under h_pad."""
-    return (group.g, h_pad / h_i, ct.A, ct.B / star_B)
+def _link_statement(group, ct: Ciphertext, C, h_pad) -> tuple:
+    """(g, h_pad/gamma, ct.A, ct.B/C): a DH tuple exactly when (ct.A, C)
+    encrypts under gamma what the posted ct does under h_pad, that is when
+    C = g^t * gamma^x for ct = (g^x, h_pad^x * g^t)."""
+    return (group.g, h_pad / group.gamma, ct.A, ct.B / C)
 
 
-def _link_proof(group, ct: Ciphertext, star_B, x: int, h_pad, h_i, ctx, rng):
-    """Prove the link of the posted slot ct = (g^x, h_pad^x * g^t), witness x,
-    to E*[t] = (ct.A, star_B), star_B = g^(t + sk * x).  prove_dh_tuple raises
-    ValueError when the pad key equals h_i."""
-    return prove_dh_tuple(group, x, _link_statement(group, ct, star_B, h_pad, h_i), ctx, rng)
-
-
-def _link_proofs(group, cts, star_Bs, x, pad_keys, h_i, ctx, rng) -> tuple:
-    """The link of every posted slot j in context ctx/link/j, star_Bs[j] the
-    second component of the slot's E*[T_j]."""
-    links = enumerate(zip(cts, star_Bs, x, pad_keys))
+def _link_proofs(group, cts, Cs, x, pad_keys, ctx, rng) -> tuple:
+    """The link of every posted slot j, witness x[j], to its commitment
+    Cs[j], in context ctx/link/j.  prove_dh_tuple raises ValueError when a
+    pad key equals gamma."""
+    links = enumerate(zip(cts, Cs, x, pad_keys))
     return tuple(
-        _link_proof(group, ct, B, xj, h, h_i, ctx.child(b"link", j), rng)
-        for j, (ct, B, xj, h) in links
+        prove_dh_tuple(group, xj, _link_statement(group, ct, C, h), ctx.child(b"link", j), rng)
+        for j, (ct, C, xj, h) in links
     )
 
 
-def verify_reencryption_link(group, ct: Ciphertext, star_B, h_pad, h_i, proof, ctx) -> bool:
-    """Whether `proof` proves the link of ct and E*[t] = (ct.A, star_B)."""
-    return verify_dh_tuple(group, _link_statement(group, ct, star_B, h_pad, h_i), proof, ctx)
+def verify_reencryption_link(group, ct: Ciphertext, C, h_pad, proof, ctx) -> bool:
+    """Whether `proof` proves the link of ct and its commitment C."""
+    return verify_dh_tuple(group, _link_statement(group, ct, C, h_pad), proof, ctx)
 
 
-def _link_checks(posted_cts, star_Bs, proof, pad_keys, ctx) -> list:
-    """The link of every posted slot j in context ctx/link/j, labelled
-    ("tuple", j, None), star_Bs[j] the second component of the slot's
-    E*[T_j], whose first is ct_j.A."""
-    links = enumerate(zip(posted_cts, star_Bs, pad_keys, proof.links))
+def _link_checks(posted_cts, Cs, links, pad_keys, ctx) -> list:
+    """The link of every posted slot j to Cs[j] in context ctx/link/j,
+    labelled ("tuple", j, None)."""
     return [
-        (("tuple", j, None), verify_reencryption_link,
-         (ct, B, h, proof.h_i, link, ctx.child(b"link", j)))
-        for j, (ct, B, h, link) in links
+        (("tuple", j, None), verify_reencryption_link, (ct, C, h, link, ctx.child(b"link", j)))
+        for j, (ct, C, h, link) in enumerate(zip(posted_cts, Cs, pad_keys, links))
     ]
 
 
@@ -217,40 +207,41 @@ def _digit_randomness(group, target: int, width: int, rng) -> list[int]:
     return rho
 
 
-def _prove_digits(group, digits, rand, keypair, row_ctx, rng):
-    """Encrypt digit l with randomness rand[l] under keypair.pk and prove it a
-    bit in context row_ctx/l; returns (ciphertexts, bit proofs)."""
-    return tuple(zip(*(
-        prove_bit(group, d, r, keypair, row_ctx.child(l), rng)
+def _prove_digits(group, digits, rand, row_ctx, rng) -> tuple:
+    """Commit to digit l with randomness rand[l] and prove it a bit in
+    context row_ctx/l; returns the bit proofs, each holding its digit."""
+    return tuple(
+        prove_bit(group, d, r, row_ctx.child(l), rng)
         for l, (d, r) in enumerate(zip(digits, rand))
-    )))
-
-
-def _recomposes(group, cts, digit_cts, parts=("A", "B")) -> bool:
-    """Whether prod(cts) == prod_l E[d_l]^(2^l), the product of `cts` an
-    encryption of the number the digits spell: one equation per component
-    in `parts`."""
-    return all(
-        group.multi_exp((getattr(ct, part), 1) for ct in cts)
-        == group.multi_exp((getattr(d, part), 1 << l) for l, d in enumerate(digit_cts))
-        for part in parts
     )
 
 
-def _recomposed_B(digit_cts):
-    """prod_l E[d_l].B^(2^l), by Horner's rule from the top digit."""
-    B = digit_cts[-1].B
-    for d in reversed(digit_cts[:-1]):
-        B = B * B * d.B
-    return B
+def _spelled(digits) -> list:
+    """The (y_l, 2^l) terms of the number the digits of bit proofs spell."""
+    return [(p.y, 1 << l) for l, p in enumerate(digits)]
 
 
-def _bit_checks(check, slot, digit_cts, digit_proofs, h_i, row_ctx) -> list:
+def _recomposes(group, terms, digits) -> bool:
+    """Whether multi_exp(terms) == prod_l y_l^(2^l), the number the digits
+    spell: one equation."""
+    return group.multi_exp(terms) == group.multi_exp(_spelled(digits))
+
+
+def _recomposed(digits):
+    """prod_l y_l^(2^l) of the digits of bit proofs, by Horner's rule from
+    the top digit."""
+    C = digits[-1].y
+    for d in reversed(digits[:-1]):
+        C = C * C * d.y
+    return C
+
+
+def _bit_checks(check, slot, digit_proofs, row_ctx) -> list:
     """The bit proof of digit l in context row_ctx/l, labelled (check, slot, l),
     for every digit of a row."""
     return [
-        ((check, slot, l), verify_bit, (ct, h_i, p, row_ctx.child(l)))
-        for l, (ct, p) in enumerate(zip(digit_cts, digit_proofs))
+        ((check, slot, l), verify_bit, (p, row_ctx.child(l)))
+        for l, p in enumerate(digit_proofs)
     ]
 
 
@@ -285,14 +276,12 @@ def _run_fits(items, count) -> bool:
 
 @dataclass(frozen=True)
 class Bundle:
-    """A validity bundle: the prover key h_i, then the runs of items that its
-    subclass lays out in runs(m, L) for m slots and L digits, which the
-    reader takes from the ledger header."""
-
-    h_i: object
+    """A validity bundle: the runs of items that its subclass lays out in
+    runs(m, L) for m slots and L digits, which the reader takes from the
+    ledger header."""
 
     def _run_values(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)[1:]]
+        return [getattr(self, f.name) for f in fields(self)]
 
     def fits(self, m: int, L: int) -> bool:
         """Every run has the length runs(m, L) gives it."""
@@ -302,12 +291,11 @@ class Bundle:
         )
 
     def to_bytes(self, group) -> bytes:
-        return put(group, self.h_i, *self._run_values())
+        return put(group, *self._run_values())
 
     @classmethod
     def read_from(cls, group, reader: Reader, m: int, L: int) -> "Bundle":
-        h_i = read_one(group, reader, object)
-        return cls(h_i, *(_read_run(group, reader, kind, count) for kind, count in cls.runs(m, L)))
+        return cls(*(_read_run(group, reader, kind, count) for kind, count in cls.runs(m, L)))
 
 
 # -- L2 norm bound ------------------------------------------------------------
@@ -315,45 +303,37 @@ class Bundle:
 
 @dataclass(frozen=True)
 class L2RangeProof(Bundle):
-    reencrypted_B: tuple      # E*[T_j].B; E*[T_j].A is ct_j.A
+    commitments: tuple        # C_j = g^T_j * gamma^x_j, one per slot
     links: tuple              # DH-tuple proofs, one per slot
-    digit_cts: tuple          # E[s_l]
-    digit_proofs: tuple       # bit proofs for the digits
-    square_cts: tuple         # E[w_j], one per slot
-    square_proofs: tuple      # square-relation proofs, aligned with square_cts
+    digit_proofs: tuple       # bit proofs of the digits of sum_j T_j^2
+    squares: tuple            # W_j = g^(T_j^2) * gamma^s_j, one per slot
+    square_proofs: tuple      # square-relation proofs, aligned with squares
 
     @staticmethod
     def runs(m: int, L: int) -> tuple:
         return (
-            (object, m), (DhTupleProof, m), (Ciphertext, L), (BitProof, L),
-            (Ciphertext, m), (SquareProof, m),
+            (object, m), (DhTupleProof, m), (BitProof, L), (object, m), (SquareProof, m),
         )
 
     def checks(self, posted_cts, pad_keys, ctx) -> list:
-        """The check table (sigma.first_failure): the links, the square sum
-        against the digits, the digits' bits, the squares.  E*[T_j] is
-        (ct_j.A, reencrypted_B[j])."""
-        stars = [Ciphertext(ct.A, B) for ct, B in zip(posted_cts, self.reencrypted_B)]
-        squares = enumerate(zip(stars, self.square_cts, self.square_proofs))
+        """The check table (sigma.first_failure): the links, the squares'
+        product against the digits, the digits' bits, the squares."""
+        squares = enumerate(zip(self.commitments, self.squares, self.square_proofs))
         return [
-            *_link_checks(posted_cts, self.reencrypted_B, self, pad_keys, ctx),
-            (("consistency", None, None), _recomposes, (self.square_cts, self.digit_cts)),
-            *_bit_checks(
-                "bit", None, self.digit_cts, self.digit_proofs, self.h_i, ctx.child(b"bit")
-            ),
+            *_link_checks(posted_cts, self.commitments, self.links, pad_keys, ctx),
+            (("consistency", None, None), _recomposes,
+             ([(W, 1) for W in self.squares], self.digit_proofs)),
+            *_bit_checks("bit", None, self.digit_proofs, ctx.child(b"bit")),
             *(
-                (("square", j, None), verify_square, (t, w, self.h_i, p, ctx.child(b"square", j)))
-                for j, (t, w, p) in squares
+                (("square", j, None), verify_square, (C, W, p, ctx.child(b"square", j)))
+                for j, (C, W, p) in squares
             ),
         ]
 
 
-def prove_l2(
-    group, cts, values, x, pad_keys, keypair: Keypair, policy: BoundPolicy, ctx, rng
-) -> L2RangeProof:
+def prove_l2(group, cts, values, x, pad_keys, policy: BoundPolicy, ctx, rng) -> L2RangeProof:
     """Build the L2 validity bundle for the posted slots `cts`, which encrypt
-    `values` with randomness `x` under pad keys `pad_keys`, re-encrypted
-    under the prover's key h_i = keypair.pk.
+    `values` with randomness `x` under pad keys `pad_keys`.
 
     Refuses with BoundExceeded when the sum of squares exceeds the effective
     bound 2^L - 1: the input rule of BoundPolicy.check at that limit.
@@ -362,22 +342,17 @@ def prove_l2(
         raise ValueError("policy kind must be l2")
     s = policy._admit(values, policy.effective_bound)
 
-    r_w = [group.random_scalar(rng) for _ in values]
-    reenc, square_cts, square_proofs = zip(*(
-        prove_square(group, t, xj, r, keypair, ctx.child(b"square", j), rng)
-        for j, (t, xj, r) in enumerate(zip(values, x, r_w))
+    s_w = [group.random_scalar(rng) for _ in values]
+    Cs, Ws, square_proofs = zip(*(
+        prove_square(group, t, xj, sj, ctx.child(b"square", j), rng)
+        for j, (t, xj, sj) in enumerate(zip(values, x, s_w))
     ))
-    star_Bs = tuple(ct.B for ct in reenc)
-    links = _link_proofs(group, cts, star_Bs, x, pad_keys, keypair.pk, ctx, rng)
+    links = _link_proofs(group, cts, Cs, x, pad_keys, ctx, rng)
     # the digits' randomness recomposes to that of the squares' product, so the
-    # consistency identity holds between ciphertexts
-    digit_rand = _digit_randomness(group, sum(r_w) % group.q, policy.L, rng)
-    digit_cts, digit_proofs = _prove_digits(
-        group, bits_of(s, policy.L), digit_rand, keypair, ctx.child(b"bit"), rng
-    )
-    return L2RangeProof(
-        keypair.pk, star_Bs, links, digit_cts, digit_proofs, square_cts, square_proofs
-    )
+    # consistency identity holds between commitments
+    digit_rand = _digit_randomness(group, sum(s_w) % group.q, policy.L, rng)
+    digit_proofs = _prove_digits(group, bits_of(s, policy.L), digit_rand, ctx.child(b"bit"), rng)
+    return L2RangeProof(Cs, links, digit_proofs, Ws, square_proofs)
 
 
 def verify_l2(group, posted_cts, proof: L2RangeProof, policy: BoundPolicy, pad_keys, ctx):
@@ -394,48 +369,36 @@ def verify_l2(group, posted_cts, proof: L2RangeProof, policy: BoundPolicy, pad_k
 
 @dataclass(frozen=True)
 class L1RangeProof(Bundle):
-    links: tuple              # DH-tuple proofs; E*[T_j] is derived, not posted
-    element_digit_cts: tuple  # rows of E[b_jl], one row per slot
-    element_digit_proofs: tuple
-    sum_digit_cts: tuple      # E[sigma_l]
-    sum_digit_proofs: tuple
+    links: tuple              # DH-tuple proofs; C_j is what row j recomposes, not posted
+    element_digit_proofs: tuple  # rows of bit proofs of the digits of T_j, one row per slot
+    sum_digit_proofs: tuple   # bit proofs of the digits of sum_j T_j
 
     @staticmethod
     def runs(m: int, L: int) -> tuple:
-        return (
-            (DhTupleProof, m), (Ciphertext, (m, L)), (BitProof, (m, L)),
-            (Ciphertext, L), (BitProof, L),
-        )
+        return ((DhTupleProof, m), (BitProof, (m, L)), (BitProof, L))
 
     def checks(self, posted_cts, pad_keys, ctx) -> list:
-        """The check table (sigma.first_failure): the links, each row's first
-        components against its slot's, the rows' bits, the sum against its
-        digits, its bits.  E*[T_j] is (ct_j.A, the B that row j recomposes)."""
-        rows = self.element_digit_cts
-        stars = [Ciphertext(ct.A, _recomposed_B(row)) for ct, row in zip(posted_cts, rows)]
+        """The check table (sigma.first_failure): the links, the rows' bits,
+        the sum against its digits, its bits.  C_j is what row j
+        recomposes."""
+        rows = self.element_digit_proofs
+        Cs = [_recomposed(row) for row in rows]
         return [
-            *_link_checks(posted_cts, [star.B for star in stars], self, pad_keys, ctx),
-            *(
-                (("element", j, None), _recomposes, ((ct,), row, ("A",)))
-                for j, (ct, row) in enumerate(zip(posted_cts, rows))
-            ),
+            *_link_checks(posted_cts, Cs, self.links, pad_keys, ctx),
             *(
                 check
-                for j, (cts, proofs) in enumerate(zip(rows, self.element_digit_proofs))
-                for check in _bit_checks("bit", j, cts, proofs, self.h_i, ctx.child(b"bit", j))
+                for j, row in enumerate(rows)
+                for check in _bit_checks("bit", j, row, ctx.child(b"bit", j))
             ),
-            (("sum", None, None), _recomposes, (stars, self.sum_digit_cts)),
-            *_bit_checks(
-                "sum_bit", None, self.sum_digit_cts, self.sum_digit_proofs, self.h_i,
-                ctx.child(b"sumbit"),
-            ),
+            (("sum", None, None), _recomposes,
+             ([term for row in rows for term in _spelled(row)], self.sum_digit_proofs)),
+            *_bit_checks("sum_bit", None, self.sum_digit_proofs, ctx.child(b"sumbit")),
         ]
 
 
-def prove_l1(
-    group, cts, values, x, pad_keys, keypair: Keypair, policy: BoundPolicy, ctx, rng
-) -> L1RangeProof:
-    """Build the L1 + non-negativity bundle of the posted slots `cts` under h_i = keypair.pk.
+def prove_l1(group, cts, values, x, pad_keys, policy: BoundPolicy, ctx, rng) -> L1RangeProof:
+    """Build the L1 + non-negativity bundle of the posted slots `cts`, which
+    encrypt `values` with randomness `x` under pad keys `pad_keys`.
 
     Refuses with NegativeEntry on any negative element and BoundExceeded
     when the element sum exceeds 2^L - 1: the input rule of
@@ -446,36 +409,30 @@ def prove_l1(
     total = policy._admit(values, policy.effective_bound)
     digits = [bits_of(t, policy.L) for t in values]
     sum_digits = bits_of(total, policy.L)
-    return _build_l1(
-        group, cts, values, digits, sum_digits, x, pad_keys, keypair, policy, ctx, rng
-    )
+    return _build_l1(group, cts, digits, sum_digits, x, pad_keys, policy, ctx, rng)
 
 
-def _build_l1(
-    group, cts, values, digits, sum_digits, x, pad_keys, keypair, policy, ctx, rng
-) -> L1RangeProof:
+def _build_l1(group, cts, digits, sum_digits, x, pad_keys, policy, ctx, rng) -> L1RangeProof:
     # digit lists are taken as given so tests can force dishonest bundles
     L = policy.L
-    star_Bs = [group.g ** ((t + keypair.sk * xj) % group.q) for t, xj in zip(values, x)]
-    links = _link_proofs(group, cts, star_Bs, x, pad_keys, keypair.pk, ctx, rng)
-    elem_cts, elem_proofs = zip(*(
+    rows = tuple(
         _prove_digits(
-            group, digits[j], _digit_randomness(group, x[j], L, rng), keypair,
-            ctx.child(b"bit", j), rng,
+            group, digits[j], _digit_randomness(group, x[j], L, rng), ctx.child(b"bit", j), rng
         )
-        for j in range(len(values))
-    ))
-    sum_cts, sum_proofs = _prove_digits(
-        group, sum_digits, _digit_randomness(group, sum(x) % group.q, L, rng), keypair,
+        for j in range(len(cts))
+    )
+    sums = _prove_digits(
+        group, sum_digits, _digit_randomness(group, sum(x) % group.q, L, rng),
         ctx.child(b"sumbit"), rng,
     )
-    return L1RangeProof(keypair.pk, links, elem_cts, elem_proofs, sum_cts, sum_proofs)
+    links = _link_proofs(group, cts, [_recomposed(row) for row in rows], x, pad_keys, ctx, rng)
+    return L1RangeProof(links, rows, sums)
 
 
 def verify_l1(group, posted_cts, proof: L1RangeProof, policy: BoundPolicy, pad_keys, ctx):
     """Check an L1 bundle against the posted ciphertexts.
 
-    Returns (ok, reason); reason is one of "malformed", "tuple", "element",
-    "bit", "sum", "sum_bit".
+    Returns (ok, reason); reason is one of "malformed", "tuple", "bit",
+    "sum", "sum_bit".
     """
     return _verify(group, posted_cts, proof, policy, pad_keys, ctx)

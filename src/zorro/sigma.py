@@ -2,8 +2,13 @@
 
   DlogProof     knowledge of a with A = g^a
   DhTupleProof  (g, h, u, v) is a DH 4-tuple: u = g^w and v = h^w
-  BitProof      disjunctive proof that a ciphertext encrypts 0 or 1
-  SquareProof   plaintext of one ciphertext is the square of the other's
+  BitProof      a Pedersen commitment y = g^b * gamma^rho holds a bit b
+  SquareProof   a Pedersen commitment W holds the square of what C holds
+
+Bit and square proofs are over Pedersen commitments g^v * gamma^rho
+(Pedersen, CRYPTO 1991), gamma = group.gamma a generator hashed to the
+group, whose log to base g nobody knows: one element binds v, and a proof
+about it needs one commitment per equation.
 
 Challenges are SHA-256 over the length-prefixed domain tag, group id and
 encoded elements, reduced mod q.  Element order is pinned: statement
@@ -14,15 +19,16 @@ Each relation states its verification equations once, as a function of
 compares its value at the posted responses and hashed challenge with the
 posted commitments, and the prover takes it at its nonces with challenge 0.
 
-Provers of bit and square proofs work under their own key pk = g^sk and know
-every discrete log involved (sk, the plaintexts, the randomness, the nonces).
-They evaluate the same functions on _Logs(group), where each element is its
-log to base g, and turn each resulting commitment into an element with one
-fixed-base g ** log (_Logs.lift), instead of one variable-base power per use
-of pk or of the ciphertext.  They encrypt the ciphertexts they prove the same
-way, in the same lift, and return them with the proof.  Where no party knows
-the logs (the DH-tuple statement of a re-encryption link, whose base holds a
-pad key) provers evaluate on elements.
+Provers of bit and square proofs know every log involved, to base g and to
+base gamma (the committed values, the randomness, the nonces).  They
+evaluate the same functions on _Logs(group), where each element is the pair
+of its logs (u, v) for g^u * gamma^v, and turn each resulting commitment
+into an element with one lift, g^u * gamma^v through the two fixed-base
+tables (_Logs.lift), instead of one variable-base power per use of a
+commitment.  They lift the commitments they prove the same way, in the same
+lift, and return them with the proof.  Where no party knows the logs (the
+DH-tuple statement of a re-encryption link, whose base holds a pad key)
+provers evaluate on elements.
 
 A verifier states each check once, as verify(group, *args) -> bool: a
 relation verifier here, or rangeproof's link and recomposition checks.  Its
@@ -55,7 +61,6 @@ protocol.verify_ledger folds one table of every decoded post (fold_parts) at onc
 import hashlib
 from dataclasses import dataclass
 
-from .elgamal import Ciphertext, Keypair, encrypt_exp
 from .encoding import Record, pack_u32
 
 
@@ -129,45 +134,48 @@ class _Recording:
 
 @dataclass(frozen=True)
 class _Log:
-    """A group element held as its discrete log to base g, mod q."""
+    """A group element g^u * gamma^v held as its discrete logs (u, v) mod q."""
 
-    log: int
+    u: int
+    v: int
     q: int
 
     def __pow__(self, e: int):
-        return _Log(self.log * e % self.q, self.q)
+        return _Log(self.u * e % self.q, self.v * e % self.q, self.q)
 
 
 class _Logs:
-    """`group` seen through discrete logs to base g, the mirror of _Recording.
+    """`group` seen through discrete logs to bases g and gamma, the mirror of
+    _Recording.
 
-    Its elements are _Log scalars: ** scales, and multi_exp returns
-    sum(log * e) mod q.  Passed to a commitment function by a prover that
-    knows every log, it gives each commitment's log; lift turns those into
-    elements with one fixed-base g ** log each.
+    Its elements are _Log pairs: ** scales both, and multi_exp returns the
+    pair of sums of log * e mod q.  Passed to a commitment function by a
+    prover that knows every log, it gives each commitment's logs; lift turns
+    those into elements with one multi_exp over g and gamma each.
     """
 
-    __slots__ = ("_group", "q", "g")
+    __slots__ = ("_group", "q", "g", "gamma")
 
     def __init__(self, group):
         self._group = group
         self.q = group.q
         self.g = self.at(1)
+        self.gamma = self.at(0, 1)
 
-    def at(self, log: int) -> _Log:
-        """The element g^log."""
-        return _Log(log % self.q, self.q)
+    def at(self, u: int, v: int = 0) -> _Log:
+        """The element g^u * gamma^v."""
+        return _Log(u % self.q, v % self.q, self.q)
 
     def multi_exp(self, pairs) -> _Log:
-        return self.at(sum(P.log * e for P, e in pairs))
+        pairs = tuple(pairs)
+        return self.at(sum(P.u * e for P, e in pairs), sum(P.v * e for P, e in pairs))
 
     def lift(self, value):
-        """`value` (a _Log, a Ciphertext of them, or a tuple of either) with
-        every _Log replaced by its group element g ** log."""
+        """`value` (a _Log or a tuple of them) with every _Log replaced by its
+        group element g^u * gamma^v."""
         if isinstance(value, _Log):
-            return self._group.g ** value.log
-        if isinstance(value, Ciphertext):
-            return Ciphertext(self.lift(value.A), self.lift(value.B))
+            group = self._group
+            return group.multi_exp(((group.g, value.u), (group.gamma, value.v)))
         return tuple(map(self.lift, value))
 
 
@@ -301,71 +309,66 @@ def verify_dh_tuple(group, statement, proof: DhTupleProof, ctx: FsTranscript) ->
     return _dh_commitments(group, statement, proof.z, e) == (proof.a, proof.b)
 
 
-# -- encryption of a bit ------------------------------------------------------
+# -- a committed bit ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class BitProof(Record):
-    """Disjunctive Chaum-Pedersen: (x, y) encrypts 0 or encrypts 1.
+    """The digit y = g^b * gamma^rho and a proof that b is 0 or 1.
 
-    Branch 1 plays against (x, y) (the m=0 claim), branch 2 against
-    (x, y/g) (the m=1 claim).  The branch challenges split the hash
-    challenge c, so only d1 is posted: the verifier takes d2 = c - d1 mod q,
-    the OR-proof form of Cramer, Damgard and Schoenmakers (CRYPTO 1994).
+    Branch 0 claims y = gamma^rho, branch 1 claims y / g = gamma^rho, each a
+    Schnorr proof of a log to base gamma: one commitment a_b a branch.  The
+    branch challenges split the hash challenge c, so only d0 is posted: the
+    verifier takes d1 = c - d0 mod q, the OR-proof form of Cramer, Damgard
+    and Schoenmakers (CRYPTO 1994).
     """
 
+    y: object
+    a0: object
     a1: object
-    b1: object
-    a2: object
-    b2: object
-    d1: int
+    d0: int
+    r0: int
     r1: int
-    r2: int
 
 
-def _bit_branch(group, x, y, pk, bit: int, d: int, r: int):
-    """(g^r * x^d, pk^r * (y / g^bit)^d): the commitments of the branch claiming
-    `bit` that response r answers under branch challenge d.  For bit 1 the
-    second is stated as pk^r * y^d * g^-d, so a fold merges its bases into the
-    y and g it already holds, and no quotient y / g is computed."""
-    b_terms = ((pk, r), (y, d), (group.g, -d % group.q)) if bit else ((pk, r), (y, d))
-    return group.multi_exp(((group.g, r), (x, d))), group.multi_exp(b_terms)
+def _bit_branch(group, y, bit: int, d: int, r: int):
+    """gamma^r * (y / g^bit)^d: the commitment of the branch claiming `bit`
+    that response r answers under branch challenge d.  For bit 1 it is
+    stated as gamma^r * y^d * g^-d, so a fold merges its bases into the y
+    and g it already holds, and no quotient y / g is computed."""
+    terms = ((group.gamma, r), (y, d))
+    return group.multi_exp((*terms, (group.g, -d % group.q)) if bit else terms)
 
 
-def prove_bit(
-    group, m: int, r: int, keypair: Keypair, ctx: FsTranscript, rng
-) -> tuple[Ciphertext, BitProof]:
-    """Encrypt bit m with randomness r under pk = keypair.pk, ct = (g^r, pk^r * g^m),
-    and prove it encrypts 0 or 1 without revealing which; returns (ct, proof).
-    The ciphertext and both branches are evaluated on discrete logs."""
-    if m not in (0, 1):
-        raise ValueError(f"bit witness must be 0 or 1, got {m}")
+def prove_bit(group, b: int, rho: int, ctx: FsTranscript, rng) -> BitProof:
+    """Commit to bit b with randomness rho, y = g^b * gamma^rho, and prove it
+    holds 0 or 1 without revealing which.  y and both branches are
+    evaluated on discrete logs."""
+    if b not in (0, 1):
+        raise ValueError(f"bit witness must be 0 or 1, got {b}")
     logs = _Logs(group)
-    pk = logs.at(keypair.sk)
-    own = encrypt_exp(logs, m, r, pk)
-    x, y = own.A, own.B
-    # the branch claiming m is real; the other is simulated from (d_sim, r_sim)
+    y = logs.at(b, rho)
+    # the branch claiming b is real; the other is simulated from (d_sim, r_sim)
     w = group.random_scalar(rng)
     d_sim, r_sim = group.random_scalar(rng), group.random_scalar(rng)
-    real = _bit_branch(logs, x, y, pk, 0, 0, w)  # at d = 0 the claimed bit does not enter
-    sim = _bit_branch(logs, x, y, pk, 1 - m, d_sim, r_sim)
-    first, second = (real, sim) if m == 0 else (sim, real)
-    ct, (a1, b1), (a2, b2) = logs.lift((own, first, second))
-    c = ctx.challenge(group, keypair.pk, ct.A, ct.B, a1, b1, a2, b2)
+    real = _bit_branch(logs, y, 0, 0, w)  # at d = 0 the claimed bit does not enter
+    sim = _bit_branch(logs, y, 1 - b, d_sim, r_sim)
+    y, a0, a1 = logs.lift((y, *((real, sim) if b == 0 else (sim, real))))
+    c = ctx.challenge(group, y, a0, a1)
     d_real = (c - d_sim) % group.q
-    r_real = (w - r * d_real) % group.q
-    if m == 0:
-        return ct, BitProof(a1, b1, a2, b2, d_real, r_real, r_sim)
-    return ct, BitProof(a1, b1, a2, b2, d_sim, r_sim, r_real)
+    r_real = (w - rho * d_real) % group.q
+    if b == 0:
+        return BitProof(y, a0, a1, d_real, r_real, r_sim)
+    return BitProof(y, a0, a1, d_sim, r_sim, r_real)
 
 
-def verify_bit(group, ct: Ciphertext, pk, proof: BitProof, ctx: FsTranscript) -> bool:
-    x, y = ct.A, ct.B
-    c = ctx.challenge(group, pk, x, y, proof.a1, proof.b1, proof.a2, proof.b2)
-    d2 = (c - proof.d1) % group.q
+def verify_bit(group, proof: BitProof, ctx: FsTranscript) -> bool:
+    y = proof.y
+    c = ctx.challenge(group, y, proof.a0, proof.a1)
+    d1 = (c - proof.d0) % group.q
     return (
-        _bit_branch(group, x, y, pk, 0, proof.d1, proof.r1) == (proof.a1, proof.b1)
-        and _bit_branch(group, x, y, pk, 1, d2, proof.r2) == (proof.a2, proof.b2)
+        _bit_branch(group, y, 0, proof.d0, proof.r0) == proof.a0
+        and _bit_branch(group, y, 1, d1, proof.r1) == proof.a1
     )
 
 
@@ -374,68 +377,46 @@ def verify_bit(group, ct: Ciphertext, pk, proof: BitProof, ctx: FsTranscript) ->
 
 @dataclass(frozen=True)
 class SquareProof(Record):
-    """Plaintext of ct_b is the square of the plaintext of ct_a.
+    """W = g^(a^2) * gamma^s_b holds the square of what C = g^a * gamma^s_a
+    holds: C opens to (a, s_a), and W = C^a * gamma^(s_b - a * s_a)."""
 
-    Both ciphertexts encrypt in the exponent of g under one key pk (the
-    challenge also hashes g, in the statement slot after pk).
+    K1: object
+    K2: object
+    z1: int
+    z2: int
+    z3: int
+
+
+def _square_commitments(group, C, W, z1: int, z2: int, z3: int, c: int):
+    """The (K1, K2) that responses (z1, z2, z3) answer under challenge c:
+
+        K1 = g^z1 * gamma^z2 / C^c
+        K2 = C^z1 * gamma^z3 / W^c
     """
-
-    C_a: Ciphertext
-    C_b: Ciphertext
-    v: int
-    z_a: int
-    z_b: int
-
-
-def _square_commitments(group, ct_a, ct_b, pk, v: int, z_a: int, z_b: int, c: int):
-    """The (C_a, C_b) that responses (v, z_a, z_b) answer under challenge c:
-
-        C_a = (g^z_a, g^v * pk^z_a) / ct_a^c
-        C_b = ct_a^v * (g^z_b, pk^z_b) / ct_b^c
-    """
-    g, exp, minus_c = group.g, group.multi_exp, group.q - c
-    C_a = Ciphertext(
-        exp(((g, z_a), (ct_a.A, minus_c))), exp(((g, v), (pk, z_a), (ct_a.B, minus_c)))
-    )
-    C_b = Ciphertext(
-        exp(((ct_a.A, v), (g, z_b), (ct_b.A, minus_c))),
-        exp(((ct_a.B, v), (pk, z_b), (ct_b.B, minus_c))),
-    )
-    return C_a, C_b
-
-
-def _square_challenge(group, ctx: FsTranscript, pk, ct_a, ct_b, C_a, C_b) -> int:
-    """The hash of pk, g, ct_a, ct_b, C_a, C_b, one element at a time."""
-    return ctx.challenge(
-        group, pk, group.g, ct_a.A, ct_a.B, ct_b.A, ct_b.B, C_a.A, C_a.B, C_b.A, C_b.B
+    g, gamma, minus_c = group.g, group.gamma, group.q - c
+    return (
+        group.multi_exp(((g, z1), (gamma, z2), (C, minus_c))),
+        group.multi_exp(((C, z1), (gamma, z3), (W, minus_c))),
     )
 
 
-def prove_square(
-    group, a: int, s_a: int, s_b: int, keypair: Keypair, ctx: FsTranscript, rng
-) -> tuple[Ciphertext, Ciphertext, SquareProof]:
-    """Encrypt a with randomness s_a and a^2 with s_b under keypair.pk, and
-    prove the second plaintext the square of the first; returns
-    (ct_a, ct_b, proof).  The ciphertexts and commitments are evaluated on
-    discrete logs."""
+def prove_square(group, a: int, s_a: int, s_b: int, ctx: FsTranscript, rng) -> tuple:
+    """Commit to a with randomness s_a and to a^2 with s_b, and prove the
+    second holds the square of the first; returns (C, W, proof).  The
+    commitments are evaluated on discrete logs, and lifted together."""
     logs = _Logs(group)
-    pk = logs.at(keypair.sk)
-    own_a, own_b = encrypt_exp(logs, a, s_a, pk), encrypt_exp(logs, a * a, s_b, pk)
-    x = group.random_scalar(rng)
-    r_a = group.random_scalar(rng)
-    r_b = group.random_scalar(rng)
-    commitments = _square_commitments(logs, own_a, own_b, pk, x, r_a, r_b, 0)
-    ct_a, ct_b, (C_a, C_b) = logs.lift((own_a, own_b, commitments))
-    c = _square_challenge(group, ctx, keypair.pk, ct_a, ct_b, C_a, C_b)
+    own_C, own_W = logs.at(a, s_a), logs.at(a * a, s_b)
+    k1, k2, k3 = (group.random_scalar(rng) for _ in range(3))
+    K = _square_commitments(logs, own_C, own_W, k1, k2, k3, 0)
+    C, W, K1, K2 = logs.lift((own_C, own_W, *K))
+    c = ctx.challenge(group, C, W, K1, K2)
     q = group.q
-    return ct_a, ct_b, SquareProof(
-        C_a, C_b, (c * a + x) % q, (c * s_a + r_a) % q, (c * (s_b - a * s_a) + r_b) % q
+    return C, W, SquareProof(
+        K1, K2, (k1 + c * a) % q, (k2 + c * s_a) % q, (k3 + c * (s_b - a * s_a)) % q
     )
 
 
-def verify_square(
-    group, ct_a: Ciphertext, ct_b: Ciphertext, pk, proof: SquareProof, ctx: FsTranscript
-) -> bool:
-    c = _square_challenge(group, ctx, pk, ct_a, ct_b, proof.C_a, proof.C_b)
-    commitments = _square_commitments(group, ct_a, ct_b, pk, proof.v, proof.z_a, proof.z_b, c)
-    return commitments == (proof.C_a, proof.C_b)
+def verify_square(group, C, W, proof: SquareProof, ctx: FsTranscript) -> bool:
+    c = ctx.challenge(group, C, W, proof.K1, proof.K2)
+    K = _square_commitments(group, C, W, proof.z1, proof.z2, proof.z3, c)
+    return K == (proof.K1, proof.K2)

@@ -19,7 +19,7 @@ import pytest
 from zorro import groups
 from zorro.bench import bench_grid
 from zorro.dlog import DlogWindow, bsgs
-from zorro.elgamal import Ciphertext, Keypair, encrypt_exp, hom_mul
+from zorro.elgamal import encrypt_exp
 from zorro.errors import BoundExceeded, ChainBroken, NegativeEntry, ZorroError
 from zorro.ledger import Ledger, LedgerHeader
 from zorro.protocol import (
@@ -126,17 +126,16 @@ def test_criterion_02_completeness():
             checked += 1
 
             ctx = FsTranscript(b"c2-bit")
-            kp = Keypair.generate(group, rng)
             bit = rng.randrange(2)
-            ct, proof = prove_bit(group, bit, group.random_scalar(rng), kp, ctx, rng)
-            assert verify_bit(group, ct, kp.pk, proof, ctx)
+            proof = prove_bit(group, bit, group.random_scalar(rng), ctx, rng)
+            assert verify_bit(group, proof, ctx)
             checked += 1
 
             ctx = FsTranscript(b"c2-square")
             a = rng.randrange(-5, 6)
             s_a, s_b = group.random_scalar(rng), group.random_scalar(rng)
-            ct_a, ct_b, proof = prove_square(group, a, s_a, s_b, kp, ctx, rng)
-            assert verify_square(group, ct_a, ct_b, kp.pk, proof, ctx)
+            C, W, proof = prove_square(group, a, s_a, s_b, ctx, rng)
+            assert verify_square(group, C, W, proof, ctx)
             checked += 1
 
     for trial in range(150):
@@ -201,9 +200,8 @@ def test_criterion_03_mutation_soundness():
     A = MOD.g ** a
     dp = prove_dlog(MOD, a, A, ctx, rng)
     targets.append((dp.to_bytes(MOD), lambda payload: _try_verify_dlog(A, payload, ctx)))
-    kp = Keypair.generate(MOD, rng)
-    ct, bp = prove_bit(MOD, 1, MOD.random_scalar(rng), kp, ctx, rng)
-    targets.append((bp.to_bytes(MOD), lambda payload: _try_verify_bit(ct, kp.pk, payload, ctx)))
+    bp = prove_bit(MOD, 1, MOD.random_scalar(rng), ctx, rng)
+    targets.append((bp.to_bytes(MOD), lambda payload: _try_verify_bit(payload, ctx)))
 
     for data, check in targets:
         assert check(bytes(data)), "corpus must verify before mutation"
@@ -237,7 +235,7 @@ def _try_verify_dlog(A, payload, ctx):
     return verify_dlog(MOD, A, proof, ctx)
 
 
-def _try_verify_bit(ct, pk, payload, ctx):
+def _try_verify_bit(payload, ctx):
     from zorro.encoding import Reader
     from zorro.sigma import BitProof
 
@@ -247,7 +245,7 @@ def _try_verify_bit(ct, pk, payload, ctx):
         reader.expect_end()
     except ZorroError:
         return False
-    return verify_bit(MOD, ct, pk, proof, ctx)
+    return verify_bit(MOD, proof, ctx)
 
 
 def test_criterion_04_range_enforcement():
@@ -258,7 +256,6 @@ def test_criterion_04_range_enforcement():
     for trial in range(trials):
         m = rng.randint(1, 4)
         x = [MOD.random_scalar(rng) for _ in range(m)]
-        kp = Keypair.generate(MOD, rng)
         pads = [MOD.g ** MOD.random_scalar(rng) for _ in range(m)]
         ctx = FsTranscript(b"c4").child(trial)
 
@@ -266,10 +263,10 @@ def test_criterion_04_range_enforcement():
         over[rng.randrange(m)] = 4  # element sum exactly 2^L
         cts = [encrypt_exp(MOD, over[j], x[j], pads[j]) for j in range(m)]
         with pytest.raises(BoundExceeded):
-            prove_l1(MOD, cts, over, x, pads, kp, policy, ctx, rng)
+            prove_l1(MOD, cts, over, x, pads, policy, ctx, rng)
         refused += 1
         digits = [bits_of(v % 4, 2) for v in over]
-        forced = _build_l1(MOD, cts, over, digits, bits_of(0, 2), x, pads, kp, policy, ctx, rng)
+        forced = _build_l1(MOD, cts, digits, bits_of(0, 2), x, pads, policy, ctx, rng)
         ok, _ = verify_l1(MOD, cts, forced, policy, pads, ctx)
         assert not ok
         rejected += 1
@@ -278,12 +275,10 @@ def test_criterion_04_range_enforcement():
         neg[rng.randrange(m)] = -1
         cts = [encrypt_exp(MOD, neg[j], x[j], pads[j]) for j in range(m)]
         with pytest.raises(NegativeEntry):
-            prove_l1(MOD, cts, neg, x, pads, kp, policy, ctx, rng)
+            prove_l1(MOD, cts, neg, x, pads, policy, ctx, rng)
         refused += 1
         digits = [bits_of(v % 4, 2) for v in neg]
-        forced = _build_l1(
-            MOD, cts, neg, digits, bits_of(sum(neg) % 4, 2), x, pads, kp, policy, ctx, rng
-        )
+        forced = _build_l1(MOD, cts, digits, bits_of(sum(neg) % 4, 2), x, pads, policy, ctx, rng)
         ok, _ = verify_l1(MOD, cts, forced, policy, pads, ctx)
         assert not ok
         rejected += 1
@@ -297,19 +292,17 @@ def test_criterion_05_consistency():
         vec = [rng.randint(-3, 3) for _ in range(m)]
         policy = BoundPolicy.l2(max(1, math.isqrt(sum(e * e for e in vec)) + 1))
         x = [MOD.random_scalar(rng) for _ in range(m)]
-        kp = Keypair.generate(MOD, rng)
         pads = [MOD.g ** MOD.random_scalar(rng) for _ in range(m)]
         cts = [encrypt_exp(MOD, t, xj, h) for t, xj, h in zip(vec, x, pads)]
-        proof = prove_l2(MOD, cts, vec, x, pads, kp, policy, FsTranscript(b"c5").child(trial), rng)
-        lhs = proof.square_cts[0]
-        for ct in proof.square_cts[1:]:
-            lhs = hom_mul(lhs, ct)
-        rhs = proof.digit_cts[0]
-        for l in range(1, policy.L):
-            d = proof.digit_cts[l]
-            rhs = hom_mul(rhs, Ciphertext(d.A ** (1 << l), d.B ** (1 << l)))
-        assert lhs == rhs  # exact ciphertext identity, both components
-    announce(5, "w/digit products match on 100 bundles")
+        proof = prove_l2(MOD, cts, vec, x, pads, policy, FsTranscript(b"c5").child(trial), rng)
+        lhs = MOD.identity
+        for W in proof.squares:
+            lhs = lhs * W
+        rhs = MOD.identity
+        for l, digit in enumerate(proof.digit_proofs):
+            rhs = rhs * digit.y ** (1 << l)
+        assert lhs == rhs  # exact identity of Pedersen commitments
+    announce(5, "square/digit products match on 100 bundles")
 
 
 def test_criterion_06_pad_cancellation():
@@ -406,7 +399,6 @@ def _verify_group_ops(n, monkeypatch):
 def _prover_pows(monkeypatch):
     """The ** spent by one prove_bit, one prove_square and one l1 round 2."""
     rng = random.Random(12)
-    kp = Keypair.generate(MOD, rng)
     ctx = FsTranscript(b"c8")
     s_a, s_b = MOD.random_scalar(rng), MOD.random_scalar(rng)
     cfg = ProtocolConfig(MOD, 2, 4, BoundPolicy.l1(4), rng.randbytes(16))
@@ -415,8 +407,8 @@ def _prover_pows(monkeypatch):
     for p in parties:
         p.receive_round1(posts1)
     runs = {
-        "prove_bit": lambda: prove_bit(MOD, 1, s_a, kp, ctx, rng),
-        "prove_square": lambda: prove_square(MOD, 3, s_a, s_b, kp, ctx, rng),
+        "prove_bit": lambda: prove_bit(MOD, 1, s_a, ctx, rng),
+        "prove_square": lambda: prove_square(MOD, 3, s_a, s_b, ctx, rng),
         "round2_generate": lambda: parties[0].round2([1, 1, 1, 0]),
     }
     return {name: _group_ops(monkeypatch, ("__pow__",), run)["__pow__"] for name, run in runs.items()}
@@ -434,20 +426,26 @@ def test_criterion_08_benchmark_trends(monkeypatch):
 
     # verification is linear in n: exact group-op counts, not wall-clock time
     small, large = _verify_group_ops(2, monkeypatch), _verify_group_ops(8, monkeypatch)
-    # the mod41 op mix is pinned: multi_exp there is one ** per term plus the *,
-    # a bit-1 branch takes g ** -d where it took y / g, and the second
-    # component of each slot's E*[T_j] is its row's Horner chain, 2(L - 1) *,
-    # where the row's second-component equation took L - 1 ** and L - 1 *
-    assert small == Counter({"__pow__": 326, "__mul__": 250, "__truediv__": 16, "inverse": 16})
+    # the mod41 op mix is pinned: multi_exp there is one ** per term at an
+    # exponent other than 1, plus the *.  Per party: 4 links of 4 ** and 2 *
+    # and 2 / (h_pad / gamma, ct.B / C_j, each one inverse and one *); each
+    # C_j is its row's Horner chain, 2(L - 1) *; 15 bit proofs of 5 ** and
+    # 3 * (a bit-1 branch takes g ** -d, not y / g); and the sum, one
+    # equation over the 12 row digits and the 3 sum digits, 10 ** and 13 *
+    assert small == Counter({"__pow__": 202, "__mul__": 180, "__truediv__": 16, "inverse": 16})
     assert large == Counter({op: 4 * c for op, c in small.items()}), (small, large)
-    # a prover lifts each ciphertext it proves once, with its commitments: a
-    # bit proof 2 + 4, a square proof 4 + 4; the l1 round 2 adds to its 15 bit
-    # proofs the 4 posted slots (8 **: a plaintext of 0 or 1 takes no g **)
-    # and 4 links of 3 ** each: g ** (T_j + sk * x_j) for E*[T_j].B and the
-    # two DH-tuple commitments.  A link reads g^x_j as the posted slot's A and
-    # (h_pad / h_i)^x_j as ct_j.B / E*[T_j].B, so it raises no base to x_j
+    # a prover lifts each commitment it proves once, with its commitments,
+    # each g^u * gamma^v at most 2 ** (none for a log of 0, nor for g at 1):
+    # a bit proof of 1 lifts y = g * gamma^rho (1), the simulated branch (2)
+    # and the real one gamma^w (1); a square proof C, W, K1 and K2 (8).  The
+    # l1 round 2 adds to its 15 bit proofs (5 of 1, 4 ** each; 10 of 0, 4
+    # each) the 4 posted slots' B (4 **: their A is the round-1 element, and
+    # a plaintext of 0 or 1 takes no g **) and 4 links of 2 ** each, the
+    # DH-tuple commitments.  C_j is its row's Horner chain, and a link reads
+    # g^x_j as the posted slot's A and (h_pad / gamma)^x_j as ct_j.B / C_j,
+    # so it raises no base to x_j
     pows = _prover_pows(monkeypatch)
-    assert pows == {"prove_bit": 6, "prove_square": 8, "round2_generate": 110}, pows
+    assert pows == {"prove_bit": 4, "prove_square": 8, "round2_generate": 72}, pows
     announce(
         8,
         f"gen monotone in m {['%.2f' % g for g in gens]}; "

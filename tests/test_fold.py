@@ -16,8 +16,8 @@ import re
 
 import pytest
 
-from zorro import groups, protocol, sigma
-from zorro.elgamal import Keypair, encrypt_exp
+from zorro import groups, protocol, rangeproof, sigma
+from zorro.elgamal import encrypt_exp
 from zorro.encoding import pack_u32
 from zorro.errors import LedgerRejected, MissingPost
 from zorro.groups import CurvePoint
@@ -26,6 +26,7 @@ from zorro.protocol import Party, ProtocolConfig, Round2Post, verify_ledger
 from zorro.rangeproof import (
     BoundPolicy,
     L1RangeProof,
+    L2RangeProof,
     _build_l1,
     _digit_randomness,
     _prove_digits,
@@ -35,7 +36,16 @@ from zorro.rangeproof import (
     verify_l1,
     verify_l2,
 )
-from zorro.sigma import DlogProof, FsTranscript, fold_holds, recorded, verify_dlog
+from zorro.sigma import (
+    BitProof,
+    DlogProof,
+    FsTranscript,
+    fold_holds,
+    prove_bit,
+    prove_square,
+    recorded,
+    verify_dlog,
+)
 
 CURVE = groups.prod_group()
 MOD = groups.test_group()
@@ -43,9 +53,8 @@ MOD = groups.test_group()
 
 def _keys(group, m, rng):
     x = [group.random_scalar(rng) for _ in range(m)]
-    kp = Keypair.generate(group, rng)
     pads = [group.g ** group.random_scalar(rng) for _ in range(m)]
-    return x, pads, kp
+    return x, pads
 
 
 def _posted(values, x, pads, group=CURVE):
@@ -76,6 +85,10 @@ def _bit_plus_one(proofs, l, q):
     return _replace_bit(proofs, l, r1=(proofs[l].r1 + 1) % q)
 
 
+def _pedersen(group, v, rho):
+    return group.multi_exp(((group.g, v), (group.gamma, rho)))
+
+
 def _wrong_pad_key(case):
     return case.posted, case.proof, [case.pads[0], case.pads[1] * case.group.g]
 
@@ -93,7 +106,6 @@ class Case:
     values: list
     x: list
     pads: list
-    kp: Keypair
     ctx: FsTranscript
     proof: object
     rng: random.Random
@@ -120,10 +132,10 @@ def _policy(proof):
 def _case(group, kind):
     prove, policy, values, seed, tag = HONEST[kind]
     rng = random.Random(seed)
-    x, pads, kp = _keys(group, len(values), rng)
+    x, pads = _keys(group, len(values), rng)
     ctx = FsTranscript(tag)
-    proof = prove(group, _posted(values, x, pads, group), values, x, pads, kp, policy, ctx, rng)
-    return Case(group, values, x, pads, kp, ctx, proof, rng)
+    proof = prove(group, _posted(values, x, pads, group), values, x, pads, policy, ctx, rng)
+    return Case(group, values, x, pads, ctx, proof, rng)
 
 
 @pytest.fixture(scope="module")
@@ -136,33 +148,13 @@ def l2_case():
     return _case(CURVE, "l2")
 
 
-def _forced_l1(case, digits, sum_digits):
+def _forced_l1(case, digits, sum_digits, policy=None):
     c = case
     proof = _build_l1(
-        c.group, c.posted, c.values, digits, sum_digits, c.x, c.pads, c.kp, _policy(c.proof),
-        c.ctx, c.rng,
+        c.group, c.posted, digits, sum_digits, c.x, c.pads, policy or _policy(c.proof), c.ctx,
+        c.rng,
     )
     return c.posted, proof, c.pads
-
-
-def _l1_element(case, j=0, spelled=0):
-    """Row j spells `spelled`, not T_j, under digit randomness off by
-    (T_j - spelled) / sk: its second components still recompose to those of
-    the honest E*[T_j], so the link holds and only the first components, off
-    from ct_j.A, show it."""
-    c = case
-    q, L, T = c.group.q, _policy(c.proof).L, c.values[j]
-    target = (c.x[j] + (T - spelled) * pow(c.kp.sk, -1, q)) % q
-    row, proofs = _prove_digits(
-        c.group, bits_of(spelled, L), _digit_randomness(c.group, target, L, c.rng), c.kp,
-        c.ctx.child(b"bit", j), c.rng,
-    )
-    rows, row_proofs = list(c.proof.element_digit_cts), list(c.proof.element_digit_proofs)
-    rows[j], row_proofs[j] = row, proofs
-    forged = dataclasses.replace(
-        c.proof, element_digit_cts=tuple(rows), element_digit_proofs=tuple(row_proofs)
-    )
-    return c.posted, forged, c.pads
 
 
 def _l1_row_bit(case):
@@ -177,9 +169,9 @@ def _l1_sum_bit(case):
 
 
 def _l2_consistency(case):
-    squares = list(case.proof.square_cts)
-    squares[0] = encrypt_exp(case.group, 1, 5, case.kp.pk)
-    return case.posted, dataclasses.replace(case.proof, square_cts=tuple(squares)), case.pads
+    squares = list(case.proof.squares)
+    squares[0] = _pedersen(case.group, 1, 5)
+    return case.posted, dataclasses.replace(case.proof, squares=tuple(squares)), case.pads
 
 
 def _l2_bit(case):
@@ -189,7 +181,7 @@ def _l2_bit(case):
 
 def _l2_square(case):
     squares = list(case.proof.square_proofs)
-    squares[1] = dataclasses.replace(squares[1], z_b=(squares[1].z_b + 1) % case.group.q)
+    squares[1] = dataclasses.replace(squares[1], z3=(squares[1].z3 + 1) % case.group.q)
     return case.posted, dataclasses.replace(case.proof, square_proofs=tuple(squares)), case.pads
 
 
@@ -197,7 +189,6 @@ def _l2_square(case):
 # case -> (posted ciphertexts, bundle, pad keys).
 L1_DISHONEST = {
     "tuple": _wrong_pad_key,
-    "element": _l1_element,  # slot 0 spells 0, not 2
     "bit": _l1_row_bit,
     "sum": lambda c: _forced_l1(c, [[0, 1], [1, 0]], [0, 0]),  # the sum spells 0, not 3
     "sum_bit": _l1_sum_bit,
@@ -213,8 +204,7 @@ DISHONEST = {"l1": L1_DISHONEST, "l2": L2_DISHONEST}
 # rejection names
 FAILS_AT = {
     "l1": {
-        "tuple": (1, None), "element": (0, None), "bit": (1, 1), "sum": (None, None),
-        "sum_bit": (None, 0),
+        "tuple": (1, None), "bit": (1, 1), "sum": (None, None), "sum_bit": (None, 0),
     },
     "l2": {"tuple": (1, None), "consistency": (None, None), "bit": (None, 1), "square": (1, None)},
 }
@@ -404,11 +394,42 @@ def test_round1_response_plus_one_names_the_slot(session, monkeypatch):
     assert _rejection(cfg, ledger) == verdict
 
 
-@pytest.mark.parametrize("check", ["tuple", "element"])
-def test_dishonest_contribution_on_the_ledger_names_the_party(session, check, monkeypatch):
-    """Slot 2 of party 1 spells 1, not 2.  Under the honest digit randomness
-    the row re-encrypts 1, so the link of slot 2 fails; under randomness that
-    keeps the link, the row's first components fail."""
+def _forged_bit(group, y, ctx, rng):
+    """A bit proof of digit y with both branches simulated: no split of the
+    hash challenge answers both, so it fails unless y commits to a bit and
+    log_gamma(g) is known."""
+    d0, r0, d1, r1 = (group.random_scalar(rng) for _ in range(4))
+    a0, a1 = sigma._bit_branch(group, y, 0, d0, r0), sigma._bit_branch(group, y, 1, d1, r1)
+    return BitProof(y, a0, a1, d0, r0, r1)
+
+
+def _row_of(case, j, digits):
+    """Bit proofs of row j spelling `digits`, under randomness that recomposes
+    to x_j: each digit l is g^d * gamma^rho_l, a non-bit one with _forged_bit."""
+    c = case
+    row_ctx = c.ctx.child(b"bit", j)
+    rand = _digit_randomness(c.group, c.x[j], len(digits), c.rng)
+    return tuple(
+        prove_bit(c.group, d, rho, row_ctx.child(l), c.rng) if d in (0, 1)
+        else _forged_bit(c.group, _pedersen(c.group, d, rho), row_ctx.child(l), c.rng)
+        for l, (d, rho) in enumerate(zip(digits, rand))
+    )
+
+
+def _with_row(case, j, digits):
+    rows = list(case.proof.element_digit_proofs)
+    rows[j] = _row_of(case, j, digits)
+    return dataclasses.replace(case.proof, element_digit_proofs=tuple(rows))
+
+
+@pytest.mark.parametrize("check, named", [
+    ("tuple", ": slot 2"), ("bit", ": slot 2, digit 0"),
+])
+def test_dishonest_contribution_on_the_ledger_names_the_party(session, check, named, monkeypatch):
+    """Slot 2 of party 1 holds 2.  Its row spelling 1, under randomness that
+    recomposes to x_2, commits to 1, so the link of slot 2 fails; its row
+    spelling 2 as the digits (2, 0) keeps the link, and the bit proof of its
+    digit 0 fails."""
     cfg, parties, posts1, posts2 = session
     party = parties[1]
     values = [1, 0, 2]
@@ -417,19 +438,19 @@ def test_dishonest_contribution_on_the_ledger_names_the_party(session, check, mo
     if check == "tuple":
         digits = [bits_of(1, 2), bits_of(0, 2), bits_of(1, 2)]
         bundle = _build_l1(
-            CURVE, cts, values, digits, bits_of(3, 2), party.secret.x, party.pads,
-            party.keypair, cfg.policy, ctx, random.Random(9),
+            CURVE, cts, digits, bits_of(3, 2), party.secret.x, party.pads, cfg.policy, ctx,
+            random.Random(9),
         )
     else:
-        case = Case(CURVE, values, list(party.secret.x), list(party.pads), party.keypair, ctx,
+        case = Case(CURVE, values, list(party.secret.x), list(party.pads), ctx,
                     posts2[1].bundle, random.Random(9))
-        bundle = _l1_element(case, j=2, spelled=1)[1]
+        bundle = _with_row(case, 2, [2, 0])
     forged = Round2Post(party.index, cts, bundle)
     _check(cts, bundle, party.pads, ctx, check, monkeypatch)
 
     ledger = _ledger(cfg, posts1, [posts2[0], forged])
     verdict = _rejection(cfg, ledger)
-    assert verdict[:2] == (1, check) and verdict[2].endswith(": slot 2")
+    assert verdict[:2] == (1, check) and verdict[2].endswith(named)
     _sequentially(monkeypatch)
     assert _rejection(cfg, ledger) == verdict
 
@@ -582,11 +603,10 @@ def test_modular_groups_never_fold(monkeypatch):
     rng = random.Random(444)
     policy = BoundPolicy.l1(3)
     x = [MOD.random_scalar(rng) for _ in range(2)]
-    kp = Keypair.generate(MOD, rng)
     pads = [MOD.g ** MOD.random_scalar(rng) for _ in range(2)]
     ctx = FsTranscript(b"no-fold")
     cts = [encrypt_exp(MOD, t, xj, h) for t, xj, h in zip([1, 2], x, pads)]
-    proof = prove_l1(MOD, cts, [1, 2], x, pads, kp, policy, ctx, rng)
+    proof = prove_l1(MOD, cts, [1, 2], x, pads, policy, ctx, rng)
     folded = _fold_spy(monkeypatch, sigma)
     assert verify_l1(MOD, cts, proof, policy, pads, ctx) == (True, None)
     assert folded == []
@@ -625,8 +645,8 @@ def _party_case(ledger):
     party = parties[1]
     ctx = cfg.base_context().child(b"r2", party.index)
     return Case(
-        CURVE, values, list(party.secret.x), list(party.pads), party.keypair, ctx,
-        posts2[1].bundle, random.Random(party.index),
+        CURVE, values, list(party.secret.x), list(party.pads), ctx, posts2[1].bundle,
+        random.Random(party.index),
     )
 
 
@@ -636,7 +656,7 @@ def _ledger_wrong_pad_key(case):
     prove = prove_l1 if isinstance(case.proof, L1RangeProof) else prove_l2
     pads = [case.pads[0], case.pads[1] * CURVE.g]
     c = case
-    proof = prove(CURVE, c.posted, c.values, c.x, pads, c.kp, _policy(c.proof), c.ctx, c.rng)
+    proof = prove(CURVE, c.posted, c.values, c.x, pads, _policy(c.proof), c.ctx, c.rng)
     return case.posted, proof, case.pads
 
 
@@ -713,30 +733,106 @@ def test_dishonest_l2_contribution_reads_the_same_with_the_ledger_fold(
     assert verdict[4] == FAILS_AT["l2"][reason]
 
 
-@pytest.mark.parametrize("delta", [1, -1], ids=["d1+1", "d1-1"])
+@pytest.mark.parametrize("delta", [1, -1], ids=["d0+1", "d0-1"])
 @pytest.mark.parametrize("where, check, named", [
     ("row", "bit", "slot 1, digit 0"), ("sum", "sum_bit", "digit 1"),
 ])
-def test_bit_d1_off_by_one_reads_the_same_with_the_ledger_fold(
+def test_bit_d0_off_by_one_reads_the_same_with_the_ledger_fold(
     l1_ledger, delta, where, check, named, monkeypatch
 ):
-    """d2 is not posted: the verifier takes c - d1, so a d1 off by one moves
+    """d1 is not posted: the verifier takes c - d0, so a d0 off by one moves
     both branch challenges and fails the bit proof it sits in."""
     cfg, _, posts1, posts2, _ = l1_ledger
     bundle, q = posts2[1].bundle, CURVE.q
     if where == "row":
         rows = list(bundle.element_digit_proofs)
-        rows[1] = _replace_bit(rows[1], 0, d1=(rows[1][0].d1 + delta) % q)
+        rows[1] = _replace_bit(rows[1], 0, d0=(rows[1][0].d0 + delta) % q)
         forged = dataclasses.replace(bundle, element_digit_proofs=tuple(rows))
     else:
         sums = bundle.sum_digit_proofs
         forged = dataclasses.replace(
-            bundle, sum_digit_proofs=_replace_bit(sums, 1, d1=(sums[1].d1 + delta) % q)
+            bundle, sum_digit_proofs=_replace_bit(sums, 1, d0=(sums[1].d0 + delta) % q)
         )
     post = dataclasses.replace(posts2[1], bundle=forged)
     verdict, folds = _agrees(cfg, _ledger(cfg, posts1, [posts2[0], post]), monkeypatch)
     assert verdict[1:3] == (1, check) and verdict[3].endswith(f"({check}): {named}")
     assert folds == [False]
+
+
+# -- binding: a commitment opens to one value unless log_gamma(g) is known ----------
+
+
+@pytest.fixture(scope="module")
+def binding_l1_ledger():
+    """An honest secp256k1 l1 session, bound 4 (L = 3): party 1 posts [2, 1],
+    so its digits can spell its sum plus one and its slot 0 as (2, 0, 0)."""
+    return _session_ledger(BoundPolicy.l1(4), [[1, 1], [2, 1]], 110)
+
+
+def _row_spells_one_more(case, policy):
+    """Row 1 spells T_1 + 1 = 2 under randomness that still recomposes to x_1."""
+    return _with_row(case, 1, bits_of(case.values[1] + 1, policy.L))
+
+
+def _sum_spells_one_more(case, policy):
+    """The sum's digits spell S + 1 under randomness recomposing to sum_j x_j."""
+    c = case
+    rand = _digit_randomness(c.group, sum(c.x) % c.group.q, policy.L, c.rng)
+    sums = _prove_digits(
+        c.group, bits_of(sum(c.values) + 1, policy.L), rand, c.ctx.child(b"sumbit"), c.rng
+    )
+    return dataclasses.replace(c.proof, sum_digit_proofs=sums)
+
+
+def _digit_of_two(case, policy):
+    """Row 0 spells T_0 = 2 as the digits (2, 0, 0): digit 0 is g^2 * gamma^rho."""
+    return _with_row(case, 0, [2] + [0] * (policy.L - 1))
+
+
+def _square_of_one_more(case, policy):
+    """An L2 bundle whose W_1 holds T_1^2 + 1, with digits spelling the sum of
+    the squares plus one, so that only the square proof of slot 1 fails."""
+    c, group = case, case.group
+    s_w = [group.random_scalar(c.rng) for _ in c.values]
+    Cs, Ws, proofs = zip(*(
+        prove_square(group, t, xj, sj, c.ctx.child(b"square", j), c.rng)
+        for j, (t, xj, sj) in enumerate(zip(c.values, c.x, s_w))
+    ))
+    Ws = (Ws[0], Ws[1] * group.g)
+    links = rangeproof._link_proofs(group, c.posted, Cs, c.x, c.pads, c.ctx, c.rng)
+    rand = _digit_randomness(group, sum(s_w) % group.q, policy.L, c.rng)
+    total = sum(t * t for t in c.values) + 1
+    digits = _prove_digits(group, bits_of(total, policy.L), rand, c.ctx.child(b"bit"), c.rng)
+    return L2RangeProof(Cs, links, digits, Ws, proofs)
+
+
+BINDING = {
+    # forgery: (bundle kind, forger, the (check, slot, digit) its rejection names)
+    "row spells T_j + 1": ("l1", _row_spells_one_more, ("tuple", 1, None)),
+    "sum spells S + 1": ("l1", _sum_spells_one_more, ("sum", None, None)),
+    "digit g^2 gamma^rho": ("l1", _digit_of_two, ("bit", 0, 0)),
+    "square T_j^2 + 1": ("l2", _square_of_one_more, ("square", 1, None)),
+}
+
+
+@pytest.mark.parametrize("forgery", BINDING)
+def test_a_commitment_to_another_value_is_rejected_naming_where(
+    binding_l1_ledger, l2_ledger, forgery, monkeypatch
+):
+    """Each forgery commits to a value other than the honest one where only
+    log_gamma(g) would let the commitment keep its old value.  The bundle
+    fails the check that opens it, and the ledger names party 1, that check
+    and its slot or digit, with and without the fold."""
+    kind, forge, (check, slot, digit) = BINDING[forgery]
+    ledger = binding_l1_ledger if kind == "l1" else l2_ledger
+    cfg, _, posts1, posts2, _ = ledger
+    case = _party_case(ledger)
+    bundle = forge(case, cfg.policy)
+    verify = verify_l1 if kind == "l1" else verify_l2
+    assert verify(CURVE, case.posted, bundle, cfg.policy, case.pads, case.ctx) == (False, check)
+    forged = Round2Post(1, tuple(case.posted), bundle)
+    verdict, folds = _agrees(cfg, _ledger(cfg, posts1, [posts2[0], forged]), monkeypatch)
+    assert verdict[1:3] == (1, check) and verdict[4] == (slot, digit) and folds == [False]
 
 
 @pytest.mark.parametrize("bundle", ["other kind", "other bound"])
@@ -750,7 +846,7 @@ def test_wrong_policy_bundle_reads_the_same_with_the_ledger_fold(
         forged = l2_ledger[3][1].bundle
     else:
         case = _party_case(l1_ledger)
-        forged = prove_l1(CURVE, case.posted, case.values, case.x, case.pads, case.kp,
+        forged = prove_l1(CURVE, case.posted, case.values, case.x, case.pads,
                           BoundPolicy.l1(7), case.ctx, case.rng)
     ledger = _ledger(cfg, posts1, [posts2[0], dataclasses.replace(posts2[1], bundle=forged)])
     verdict, folds = _agrees(cfg, ledger, monkeypatch)
@@ -813,12 +909,12 @@ def test_ledger_fold_weights_cover_every_post(session, monkeypatch):
 
 
 # per pinned ledger: its ledger-fold equation count and the SHA-256 of, equation
-# by equation, u32(term count) then each term as fold_weights encodes it.  An
-# l1 row is one equation, on its first components: the second component of
-# E*[T_j] is that row's recomposition.
+# by equation, u32(term count) then each term as fold_weights encodes it.  A bit
+# or square proof is two equations, and a row adds none: C_j is that row's
+# recomposition, and the sum check is one equation over the row digits.
 LEDGER_FOLD_DIGESTS = {
-    "l1": (68, "51c04e1b6c7e65dd0ff86918525201c14595a861fc8222511247623ee9bfd6d2"),
-    "l2": (56, "a4d57cd03766625c19cdd5ee99384656e3e316dbc59fb36209c7d88e939d11ae"),
+    "l1": (38, "32fbc4e7e7d40a6692355590a122ca2a56faf8ba772ade91568a23687b6a8c0f"),
+    "l2": (34, "b05b427f07f6f8b81bd68aa300b6669c6d680347ec3139f39385821e77387cc9"),
 }
 
 
@@ -843,14 +939,17 @@ def vote_ledger():
     return _session_ledger(BoundPolicy.l1(4), [[1, 0, 2, 0], [0, 1, 1, 1], [3, 0, 0, 1]], 90)
 
 
-def test_vote_ledger_fold_has_357_variable_bases(vote_ledger):
-    """Each bit-1 branch is stated over y and g, which the fold already holds,
-    so it adds no y / g base: g and 357 variable bases, not 402.  The fold,
+def test_vote_ledger_fold_has_207_variable_bases(vote_ledger):
+    """Per party: m round-1 elements and their dlog commitments, m pad
+    bases h_pad / gamma, m quotients ct_j.B / C_j, 2m link commitments and
+    15 digits of one point and two commitments each; every bit branch and
+    the sum check are stated over the digits, g and gamma, which the fold
+    already holds.  So g, gamma and 3 * 69 = 207 variable bases.  The fold,
     several batches of bucket windows, holds."""
     cfg, _, posts1, posts2, _ = vote_ledger
     parts = sigma.fold_parts(CURVE, protocol._ledger_checks(cfg, posts1, posts2))
     bases = {base for part in parts for terms in part for base, _ in terms}
-    assert CURVE.g in bases and len(bases) - 1 == 357
+    assert {CURVE.g, CURVE.gamma} <= bases and len(bases) - 2 == 207
     assert fold_holds(CURVE, parts)
 
 
@@ -861,7 +960,7 @@ def test_tampered_vote_ledger_fails_the_bucket_fold(vote_ledger, monkeypatch):
     cfg, _, posts1, posts2, _ = vote_ledger
     bundle = posts2[2].bundle
     rows = list(bundle.element_digit_proofs)
-    rows[3] = _replace_bit(rows[3], 0, r2=(rows[3][0].r2 + 1) % CURVE.q)
+    rows[3] = _replace_bit(rows[3], 0, r1=(rows[3][0].r1 + 1) % CURVE.q)
     forged = dataclasses.replace(bundle, element_digit_proofs=tuple(rows))
     ledger = _ledger(cfg, posts1, [*posts2[:2], dataclasses.replace(posts2[2], bundle=forged)])
     sizes, buckets = [], CURVE._buckets
@@ -869,7 +968,7 @@ def test_tampered_vote_ledger_fails_the_bucket_fold(vote_ledger, monkeypatch):
                         or buckets(bases, scalars))
     verdict, folds = _agrees(cfg, ledger, monkeypatch)
     assert verdict[1:3] == (2, "bit") and folds == [False]
-    assert max(sizes) == 357  # the ledger fold's variable bases
+    assert max(sizes) == 207  # the ledger fold's variable bases
 
 
 def _honest_dh_tuple():
@@ -897,20 +996,20 @@ def test_each_verifier_records_its_equations(session, l1_case, l2_case):
     statement, proof, ctx = _honest_dh_tuple()
     counts["verify_dh_tuple"] = {len(recorded(CURVE, sigma.verify_dh_tuple, (statement, proof, ctx)))}
     assert counts == {
-        "verify_dlog": {1}, "verify_dh_tuple": {2}, "verify_bit": {4}, "verify_square": {4},
-        "verify_reencryption_link": {2}, "_recomposes": {1, 2},
+        "verify_dlog": {1}, "verify_dh_tuple": {2}, "verify_bit": {2}, "verify_square": {2},
+        "verify_reencryption_link": {2}, "_recomposes": {1},
     }
 
 
 def test_a_failed_guard_is_a_none_part(session, l1_case):
     """A guard outside the group equations runs on real values: when it fails,
     the check is False and its fold part None.  A failed equation is not a
-    guard: it is recorded like a true one, as a bit proof's d1 off by one is."""
+    guard: it is recorded like a true one, as a bit proof's d0 off by one is."""
     cfg, _, posts1, _ = session
     table = l1_case.proof.checks(l1_case.posted, l1_case.pads, l1_case.ctx)
     [(_, (A, dlog, dlog_ctx))] = _checks(protocol._round1_checks(cfg, posts1), (0, 0))
     statement, dh, dh_ctx = _honest_dh_tuple()
-    [(_, (ct, h_i, bit, bit_ctx))] = _checks(table, ("bit", 0, 0))
+    [(_, (bit, bit_ctx))] = _checks(table, ("bit", 0, 0))
     q = CURVE.q
     guarded = {
         "dlog base off the curve": (verify_dlog, (CurvePoint(CURVE, 1, 1), dlog, dlog_ctx)),
@@ -928,9 +1027,9 @@ def test_a_failed_guard_is_a_none_part(session, l1_case):
     forged = DlogProof(dlog.K, (dlog.s + 1) % q)
     assert not verify_dlog(CURVE, A, forged, dlog_ctx)
     assert len(recorded(CURVE, verify_dlog, (A, forged, dlog_ctx))) == 1
-    shifted = (ct, h_i, dataclasses.replace(bit, d1=(bit.d1 + 1) % q), bit_ctx)
+    shifted = (dataclasses.replace(bit, d0=(bit.d0 + 1) % q), bit_ctx)
     assert not sigma.verify_bit(CURVE, *shifted)
-    assert len(recorded(CURVE, sigma.verify_bit, shifted)) == 4
+    assert len(recorded(CURVE, sigma.verify_bit, shifted)) == 2
 
 
 @pytest.mark.parametrize("group", [groups.toy_group(), MOD, CURVE], ids=lambda g: g.group_id)

@@ -194,11 +194,21 @@ def test_curve_exp_is_affine_at_rest():
     assert isinstance(P.x, int) and CURVE.contains(P)
     assert CURVE.decode_element(CURVE.encode_element(P)) == P
     assert hash(P) == hash(affine_pow(HASHED, 12345))
-    # only the generator g gets a table
+    # only the generators g and gamma get a table
     assert CURVE._fixed_base_table(HASHED) is None
-    assert CURVE._fixed_base_table(CURVE.gamma) is None
     CURVE.g ** 3
-    assert CURVE._fixed_base_table(CURVE.g) is CURVE._g_table is not None
+    assert CURVE._fixed_base_table(CURVE.g) is CURVE._tables[CURVE.g.x, CURVE.g.y] is not None
+
+
+def test_reading_gamma_builds_no_table():
+    # a fresh instance: the registered one has built its tables already
+    fresh = groups.CurveGroup("secp256k1", **groups._SECP256K1)
+    assert fresh.gamma == CURVE.gamma and fresh._tables is None
+    fresh.multi_exp([(HASHED, 3)])
+    assert fresh._tables == {(fresh.g.x, fresh.g.y): None, (fresh.gamma.x, fresh.gamma.y): None}
+    fresh.gamma ** 5
+    assert fresh._tables[fresh.g.x, fresh.g.y] is None
+    assert fresh._tables[fresh.gamma.x, fresh.gamma.y] is not None
 
 
 # -- the g table: GLV halves in signed radix-256 digits ---------------------------
@@ -249,37 +259,51 @@ def test_g_table_scalars_reach_every_branch():
     assert max(_rows(h) for pair in halves for h in pair) == groups._G_ROWS
 
 
-def test_g_table_shape_and_reuse():
-    table = CURVE._fixed_base_table(CURVE.g)
+@pytest.mark.parametrize("name", ["g", "gamma"])
+def test_fixed_base_table_shape_and_reuse(name):
+    P = BASES[name]
+    table = CURVE._fixed_base_table(P)
     assert len(table) == groups._G_ROWS == 17
     assert all(len(row) == 128 for row in table)
-    assert CURVE._fixed_base_table(CURVE.g) is table
-    CURVE.g ** 12345
-    assert CURVE._g_table is table
+    assert CURVE._fixed_base_table(P) is table
+    P ** 12345
+    assert CURVE._tables[P.x, P.y] is table
     for i, d in ((0, 1), (0, 128), (1, 1), (16, 77), (16, 128)):
-        assert groups.CurvePoint(CURVE, *table[i][d - 1]) == affine_pow(CURVE.g, d << (8 * i))
+        assert groups.CurvePoint(CURVE, *table[i][d - 1]) == affine_pow(P, d << (8 * i))
 
 
-def test_g_table_is_every_multiple_the_oracle_builds():
-    # row i holds d * 256^i * g for d = 1..128: the oracle adds 256^i * g each step
-    base = CURVE.g
-    for row in CURVE._fixed_base_table(CURVE.g):
+@pytest.mark.parametrize("name", ["g", "gamma"])
+def test_fixed_base_table_is_every_multiple_the_oracle_builds(name):
+    # row i holds d * 256^i * P for d = 1..128: the oracle adds 256^i * P each step
+    base = BASES[name]
+    for row in CURVE._fixed_base_table(base):
         multiple = CURVE.identity
         for entry in row:
             multiple = multiple * base
             assert groups.CurvePoint(CURVE, *entry) == multiple
-        base = multiple * multiple  # 256 * 256^i * g
+        base = multiple * multiple  # 256 * 256^i * P
 
 
-def test_g_alone_skips_the_variable_base_loop(monkeypatch):
+def test_g_and_gamma_alone_skip_the_variable_base_loop(monkeypatch):
     def loop(bases, scalars):
         raise AssertionError(f"variable-base loop run for {len(bases)} bases")
 
     monkeypatch.setattr(CURVE, "_buckets", loop)
-    assert CURVE.g ** 12345 == affine_pow(CURVE.g, 12345)
-    pairs = [(CURVE.g, 7), (CURVE.identity, 5), (HASHED, CURVE.q), (CURVE.g, -2)]
-    assert CURVE.multi_exp(pairs) == affine_pow(CURVE.g, 5)
-    assert CURVE.multi_exp([(CURVE.g, 3), (CURVE.g, -3)]) is CURVE.identity
+    g, gamma = CURVE.g, CURVE.gamma
+    assert g ** 12345 == affine_pow(g, 12345)
+    assert gamma ** 12345 == affine_pow(gamma, 12345)
+    pairs = [(g, 7), (CURVE.identity, 5), (HASHED, CURVE.q), (g, -2)]
+    assert CURVE.multi_exp(pairs) == affine_pow(g, 5)
+    assert CURVE.multi_exp([(g, 3), (g, -3)]) is CURVE.identity
+    # a Pedersen commitment g^u * gamma^v, and gamma's terms summed before its table is read
+    pedersen = [(gamma, 2**250 + 3), (g, CURVE.q - 9), (gamma, -3)]
+    assert CURVE.multi_exp(pedersen) == affine_pow(g, -9) * affine_pow(gamma, 2**250)
+    assert CURVE.multi_exp([(gamma, 4), (g, 2), (gamma, -4)]) == affine_pow(g, 2)
+
+
+@pytest.mark.parametrize("k", G_TABLE_SCALARS[::4])
+def test_gamma_pow_on_table_edge_scalars(k):
+    assert CURVE.gamma ** k == affine_pow(CURVE.gamma, k)
 
 
 @pytest.mark.parametrize("k", G_TABLE_SCALARS)

@@ -158,10 +158,7 @@ def test_round2_policy_none_tallies():
     r2 = []
     for i, values in enumerate([[5], [2]]):
         pads = derive_pads(cfg, posts, i)
-        party_kp_rng = random.Random(10 + i)
-        from zorro.elgamal import Keypair
-
-        r2.append(round2_generate(cfg, i, values, secrets[i], pads, Keypair.generate(MOD, party_kp_rng), rng))
+        r2.append(round2_generate(cfg, i, values, secrets[i], pads, rng))
     # a single ciphertext alone does not decrypt to the plaintext: the pad
     # only cancels across the full set
     partial = r2[0].cts[0].B
@@ -190,8 +187,10 @@ def test_l1_session_verifies_and_tallies():
 
 def test_secp256k1_l1_round2_raises_a_variable_base_eight_times(monkeypatch):
     """At m = 4, a party's l1 round 2 makes one multi_exp with a base other
-    than g per posted slot (h_pad ** x_j) and per link (the DH-tuple
-    commitment (h_pad / h_i) ** r): every other element is a power of g."""
+    than g and gamma per posted slot (h_pad ** x_j) and per link (the
+    DH-tuple commitment (h_pad / gamma) ** r): every other element is a
+    Pedersen commitment g^u * gamma^v, and each slot's first component is
+    the party's round-1 element, not lifted again."""
     cfg = config(n=3, m=4, policy=BoundPolicy.l1(4), group=groups.prod_group())
     parties = [Party(cfg, i, random.Random(i)) for i in range(cfg.n)]
     posts1 = [p.round1() for p in parties]
@@ -200,7 +199,8 @@ def test_secp256k1_l1_round2_raises_a_variable_base_eight_times(monkeypatch):
 
     def counting(pairs):
         pairs = list(pairs)
-        if any(e % curve.q and base not in (curve.g, curve.identity) for base, e in pairs):
+        if any(e % curve.q and base not in (curve.g, curve.gamma, curve.identity)
+               for base, e in pairs):
             calls.append(len(pairs))
         return multi_exp(pairs)
 

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from zorro.elgamal import Ciphertext, Keypair, encrypt_exp
 from zorro.encoding import Reader
 from zorro.errors import MalformedEncoding
 from zorro import groups
@@ -132,152 +131,169 @@ def test_dh_tuple_degenerate_statement():
     assert not verify_dh_tuple(MOD, st, fake, ctx)
 
 
+def pedersen(group, v, rho):
+    """The commitment g^v * gamma^rho."""
+    return group.multi_exp(((group.g, v), (group.gamma, rho)))
+
+
 @pytest.mark.parametrize("group", [TOY, MOD, CURVE], ids=lambda g: g.group_id)
-@pytest.mark.parametrize("m", [0, 1])
-def test_bit_roundtrip(group, m):
-    # the prover returns the ciphertext it proves, from the logs: the one
-    # encrypt_exp computes from elements
+@pytest.mark.parametrize("b", [0, 1])
+def test_bit_roundtrip(group, b):
+    # the proof holds the digit it proves, lifted from the logs: the
+    # commitment g^b * gamma^rho computed from elements
     rng = random.Random(6)
-    kp = Keypair.generate(group, rng)
     ctx = FsTranscript(b"bit")
     for _ in range(10):
-        r = group.random_scalar(rng)
-        ct, proof = prove_bit(group, m, r, kp, ctx, rng)
-        assert ct == encrypt_exp(group, m, r, kp.pk)
-        assert verify_bit(group, ct, kp.pk, proof, ctx)
+        rho = group.random_scalar(rng)
+        proof = prove_bit(group, b, rho, ctx, rng)
+        assert proof.y == pedersen(group, b, rho)
+        assert verify_bit(group, proof, ctx)
 
 
 def test_bit_rejects_witness_misuse():
     rng = random.Random(7)
-    kp = Keypair.generate(MOD, rng)
     ctx = FsTranscript(b"bit")
     with pytest.raises(ValueError):
-        prove_bit(MOD, 2, MOD.random_scalar(rng), kp, ctx, rng)
+        prove_bit(MOD, 2, MOD.random_scalar(rng), ctx, rng)
 
 
 def test_bit_mutations():
     rng = random.Random(8)
-    kp = Keypair.generate(MOD, rng)
     ctx = FsTranscript(b"bit")
-    r = MOD.random_scalar(rng)
-    ct, proof = prove_bit(MOD, 1, r, kp, ctx, rng)
-    for field in ("a1", "b1", "a2", "b2"):
+    rho = MOD.random_scalar(rng)
+    proof = prove_bit(MOD, 1, rho, ctx, rng)
+    for field in ("y", "a0", "a1"):
         bad = dataclasses.replace(proof, **{field: getattr(proof, field) * MOD.g})
-        assert not verify_bit(MOD, ct, kp.pk, bad, ctx)
-    for field in ("d1", "r1", "r2"):  # d2 is c - d1, not posted
+        assert not verify_bit(MOD, bad, ctx)
+    for field in ("d0", "r0", "r1"):  # d1 is c - d0, not posted
         bad = dataclasses.replace(proof, **{field: (getattr(proof, field) + 1) % MOD.q})
-        assert not verify_bit(MOD, ct, kp.pk, bad, ctx)
-    # proof for E[1] does not verify against E[0]
-    other = encrypt_exp(MOD, 0, r, kp.pk)
-    assert not verify_bit(MOD, other, kp.pk, proof, ctx)
+        assert not verify_bit(MOD, bad, ctx)
+    # the proof for a commitment to 1 does not verify for one to 0 or to 2
+    for v in (0, 2):
+        assert not verify_bit(MOD, dataclasses.replace(proof, y=pedersen(MOD, v, rho)), ctx)
+    assert not verify_bit(MOD, proof, FsTranscript(b"other"))
 
 
 @pytest.mark.parametrize("group", [TOY, MOD, CURVE], ids=lambda g: g.group_id)
 @pytest.mark.parametrize("a", [3, -2, 0])
 def test_square_roundtrip(group, a):
     rng = random.Random(9)
-    kp = Keypair.generate(group, rng)
     ctx = FsTranscript(b"square")
     s_a, s_b = group.random_scalar(rng), group.random_scalar(rng)
-    ct_a, ct_b, proof = prove_square(group, a, s_a, s_b, kp, ctx, rng)
-    assert ct_a == encrypt_exp(group, a, s_a, kp.pk)
-    assert ct_b == encrypt_exp(group, a * a, s_b, kp.pk)
-    assert verify_square(group, ct_a, ct_b, kp.pk, proof, ctx)
+    C, W, proof = prove_square(group, a, s_a, s_b, ctx, rng)
+    assert C == pedersen(group, a, s_a)
+    assert W == pedersen(group, a * a, s_b)
+    assert verify_square(group, C, W, proof, ctx)
 
 
-def test_square_challenge_hashes_g_after_pk():
+def test_square_challenge_hashes_the_statement_then_the_commitments():
     rng = random.Random(10)
-    kp = Keypair.generate(MOD, rng)
     ctx = FsTranscript(b"square")
     s_a, s_b = MOD.random_scalar(rng), MOD.random_scalar(rng)
-    ct_a, ct_b, proof = prove_square(MOD, 4, s_a, s_b, kp, ctx, rng)
-    C_a, C_b = proof.C_a, proof.C_b
-    statement = (ct_a.A, ct_a.B, ct_b.A, ct_b.B, C_a.A, C_a.B, C_b.A, C_b.B)
-    c = ctx.challenge(MOD, kp.pk, MOD.g, *statement)
-    assert MOD.g ** proof.z_a == ct_a.A ** c * C_a.A
-    assert c != ctx.challenge(MOD, kp.pk, *statement)
+    C, W, proof = prove_square(MOD, 4, s_a, s_b, ctx, rng)
+    c = ctx.challenge(MOD, C, W, proof.K1, proof.K2)
+    assert pedersen(MOD, proof.z1, proof.z2) == C ** c * proof.K1
+    assert C ** proof.z1 * MOD.gamma ** proof.z3 == W ** c * proof.K2
+    assert c != ctx.challenge(MOD, W, C, proof.K1, proof.K2)
 
 
 def test_square_rejects_non_square():
     rng = random.Random(11)
-    kp = Keypair.generate(MOD, rng)
     ctx = FsTranscript(b"square")
     s_a, s_b = MOD.random_scalar(rng), MOD.random_scalar(rng)
-    ct_a, ct_b, proof = prove_square(MOD, 3, s_a, s_b, kp, ctx, rng)
-    ct_bad = encrypt_exp(MOD, 8, s_b, kp.pk)
-    assert not verify_square(MOD, ct_a, ct_bad, kp.pk, proof, ctx)
-    for field, delta in (("v", 1), ("z_a", 1), ("z_b", 1)):
-        bad = dataclasses.replace(proof, **{field: (getattr(proof, field) + delta) % MOD.q})
-        assert not verify_square(MOD, ct_a, ct_b, kp.pk, bad, ctx)
+    C, W, proof = prove_square(MOD, 3, s_a, s_b, ctx, rng)
+    assert not verify_square(MOD, C, pedersen(MOD, 8, s_b), proof, ctx)
+    assert not verify_square(MOD, C, W * MOD.g, proof, ctx)
+    assert not verify_square(MOD, C * MOD.g, W, proof, ctx)
+    for field in ("z1", "z2", "z3"):
+        bad = dataclasses.replace(proof, **{field: (getattr(proof, field) + 1) % MOD.q})
+        assert not verify_square(MOD, C, W, bad, ctx)
+    for field in ("K1", "K2"):
+        bad = dataclasses.replace(proof, **{field: getattr(proof, field) * MOD.gamma})
+        assert not verify_square(MOD, C, W, bad, ctx)
 
 
-# -- exhaustive soundness at toy scale ------------------------------------------
+# -- exhaustive special soundness at toy scale -----------------------------------
 #
 # In the 11-element group every (response, challenge) combination can be
-# enumerated; the verification equations pin the commitments each one opens.
-# For a false statement, no commitment may open under two distinct
-# challenges: otherwise special soundness would extract a witness that does
-# not exist.  A cheating prover's interactive success is therefore exactly
-# the 1/q guessing probability, which the hash challenge makes negligible at
-# production scale.
+# enumerated, and the log of gamma to base g is known, so every statement
+# about a Pedersen commitment is true of some opening: what binds a prover
+# is only that nobody knows log_gamma(g).  These tests check that binding
+# is all it takes: any two accepting transcripts that share commitments and
+# differ in challenge extract, for a commitment to a non-bit or a non-square,
+# a second opening of it, hence log_gamma(g).  So a prover that can answer
+# two challenges of such a statement computes that log, and a hash
+# challenge leaves a prover that cannot a 1/q chance.
+
+Y_OF_TWO = pedersen(TOY, 2, 4)  # a digit committing to 2
 
 
-def test_bit_proof_for_two_single_challenge_exhaustive():
-    kp = Keypair(3, TOY.g ** 3)
-    ct = encrypt_exp(TOY, 2, 4, kp.pk)  # encrypts 2: both branches false
-    x, y = ct.A, ct.B
-    openable = {}
-    for d1 in range(11):
-        for d2 in range(11):
-            for r1 in range(11):
-                for r2 in range(11):
-                    a1 = TOY.g ** r1 * x ** d1
-                    b1 = kp.pk ** r1 * y ** d1
-                    a2 = TOY.g ** r2 * x ** d2
-                    b2 = kp.pk ** r2 * (y / TOY.g) ** d2
-                    key = (a1.value, b1.value, a2.value, b2.value)
-                    openable.setdefault(key, set()).add((d1 + d2) % 11)
-    assert all(len(challenges) == 1 for challenges in openable.values())
+def _inverse(k):
+    return pow(k % TOY.q, -1, TOY.q)
 
 
-def test_square_proof_for_non_square_single_challenge_exhaustive():
-    kp = Keypair(5, TOY.g ** 5)
-    ct_a = encrypt_exp(TOY, 3, 2, kp.pk)
-    ct_b = encrypt_exp(TOY, 8, 6, kp.pk)  # 8 != 3^2 = 9 mod 11
-    openable = {}
-    for v in range(11):
-        for z_a in range(11):
-            for z_b in range(11):
-                for c in range(11):
-                    C_a = Ciphertext(
-                        TOY.g ** z_a / ct_a.A ** c,
-                        TOY.g ** v * kp.pk ** z_a / ct_a.B ** c,
-                    )
-                    C_b = Ciphertext(
-                        ct_a.A ** v * TOY.g ** z_b / ct_b.A ** c,
-                        ct_a.B ** v * kp.pk ** z_b / ct_b.B ** c,
-                    )
-                    key = (C_a.A.value, C_a.B.value, C_b.A.value, C_b.B.value)
-                    openable.setdefault(key, set()).add(c)
-    assert all(len(challenges) == 1 for challenges in openable.values())
+def test_bit_proof_of_a_two_extracts_log_gamma_g_exhaustive():
+    y, q = Y_OF_TWO, TOY.q
+    transcripts = {}
+    for d0 in range(q):
+        for d1 in range(q):
+            for r0 in range(q):
+                for r1 in range(q):
+                    a0 = _bit_branch(TOY, y, 0, d0, r0)
+                    a1 = _bit_branch(TOY, y, 1, d1, r1)
+                    transcripts.setdefault((a0.value, a1.value), []).append((d0, d1, r0, r1))
+    extracted = 0
+    for opened in transcripts.values():
+        d0, d1, r0, r1 = opened[0]
+        for e0, e1, s0, s1 in opened:
+            if (e0 + e1) % q == (d0 + d1) % q:
+                continue
+            # a branch whose challenges differ opens y / g^bit = gamma^rho
+            bit, (d, r, e, s) = (0, (d0, r0, e0, s0)) if e0 != d0 else (1, (d1, r1, e1, s1))
+            rho = (s - r) * _inverse(d - e) % q
+            assert y / TOY.g ** bit == TOY.gamma ** rho
+            # y = g^2 * gamma^4 = g^bit * gamma^rho: g^(2 - bit) = gamma^(rho - 4)
+            assert TOY.g == TOY.gamma ** ((rho - 4) * _inverse(2 - bit))
+            extracted += 1
+    assert extracted == len(transcripts) * (q * q - q)
+
+
+def test_square_proof_for_a_non_square_extracts_log_gamma_g_exhaustive():
+    C, W, q = pedersen(TOY, 3, 2), pedersen(TOY, 8, 6), TOY.q  # 8 is no square mod 11
+    transcripts = {}
+    for z1 in range(q):
+        for z2 in range(q):
+            for z3 in range(q):
+                for c in range(q):
+                    K1, K2 = _square_commitments(TOY, C, W, z1, z2, z3, c)
+                    transcripts.setdefault((K1.value, K2.value), []).append((z1, z2, z3, c))
+    extracted = 0
+    for opened in transcripts.values():
+        first = opened[0]
+        for other in opened:
+            if other[3] == first[3]:
+                continue
+            inv = _inverse(first[3] - other[3])
+            a, s_a, t = ((u - v) * inv % q for u, v in zip(first[:3], other[:3]))
+            # C opens to (a, s_a) and W = C^a * gamma^t: W opens to a^2 as well as to 8
+            assert C == pedersen(TOY, a, s_a) and W == C ** a * TOY.gamma ** t
+            assert TOY.g == TOY.gamma ** ((a * s_a + t - 6) * _inverse(8 - a * a))
+            extracted += 1
+    assert extracted == len(transcripts) * (q * q - q)
 
 
 def test_square_proof_true_statement_opens_all_challenges():
     # contrast: with a genuine square, one commitment answers every challenge
-    kp = Keypair(5, TOY.g ** 5)
     rng = random.Random(16)
     a, s_a, s_b = 3, 2, 6
-    ct_a = encrypt_exp(TOY, a, s_a, kp.pk)
-    ct_b = encrypt_exp(TOY, 9, s_b, kp.pk)
-    x, r_a, r_b = (TOY.random_scalar(rng) for _ in range(3))
-    C_a, C_b = _square_commitments(TOY, ct_a, ct_b, kp.pk, x, r_a, r_b, 0)
+    C, W = pedersen(TOY, a, s_a), pedersen(TOY, 9, s_b)
+    k1, k2, k3 = (TOY.random_scalar(rng) for _ in range(3))
+    K = _square_commitments(TOY, C, W, k1, k2, k3, 0)
     for c in range(11):
-        v, z_a, z_b = (c * a + x) % 11, (c * s_a + r_a) % 11, (c * (s_b - a * s_a) + r_b) % 11
-        assert _square_commitments(TOY, ct_a, ct_b, kp.pk, v, z_a, z_b, c) == (C_a, C_b)
-        assert TOY.g ** z_a == ct_a.A ** c * C_a.A
-        assert TOY.g ** v * kp.pk ** z_a == ct_a.B ** c * C_a.B
-        assert ct_a.A ** v * TOY.g ** z_b == ct_b.A ** c * C_b.A
-        assert ct_a.B ** v * kp.pk ** z_b == ct_b.B ** c * C_b.B
+        z1, z2, z3 = (k1 + c * a) % 11, (k2 + c * s_a) % 11, (k3 + c * (s_b - a * s_a)) % 11
+        assert _square_commitments(TOY, C, W, z1, z2, z3, c) == K
+        assert pedersen(TOY, z1, z2) == C ** c * K[0]
+        assert C ** z1 * TOY.gamma ** z3 == W ** c * K[1]
 
 
 # -- special soundness: two accepting transcripts extract the witness -----------
@@ -316,64 +332,63 @@ def test_dh_extraction():
 
 def test_square_extraction():
     rng = random.Random(14)
-    kp = Keypair(2, TOY.g ** 2)
     a, s_a, s_b = 4, 3, 8
-    ct_a = encrypt_exp(TOY, a, s_a, kp.pk)
-    ct_b = encrypt_exp(TOY, a * a, s_b, kp.pk)
-    x, r_a, r_b = (TOY.random_scalar(rng) for _ in range(3))
-    commitments = _square_commitments(TOY, ct_a, ct_b, kp.pk, x, r_a, r_b, 0)
+    C, W = pedersen(TOY, a, s_a), pedersen(TOY, a * a, s_b)
+    k1, k2, k3 = (TOY.random_scalar(rng) for _ in range(3))
+    commitments = _square_commitments(TOY, C, W, k1, k2, k3, 0)
     c1, c2 = 1, 6
-    vs = []
+    responses = []
     for c in (c1, c2):
-        v, z_a, z_b = (c * a + x) % 11, (c * s_a + r_a) % 11, (c * (s_b - a * s_a) + r_b) % 11
-        assert _square_commitments(TOY, ct_a, ct_b, kp.pk, v, z_a, z_b, c) == commitments
-        vs.append(v)
-    extracted = (vs[0] - vs[1]) * pow(c1 - c2, -1, TOY.q) % TOY.q
-    assert extracted == a % TOY.q
+        z = (k1 + c * a) % 11, (k2 + c * s_a) % 11, (k3 + c * (s_b - a * s_a)) % 11
+        assert _square_commitments(TOY, C, W, *z, c) == commitments
+        responses.append(z)
+    inv = pow(c1 - c2, -1, TOY.q)
+    extracted = [(u - v) * inv % TOY.q for u, v in zip(*responses)]
+    assert extracted == [a, s_a, (s_b - a * s_a) % TOY.q]
 
 
 # -- provers' evaluation on discrete logs ----------------------------------------
 #
-# A prover that knows the log of every base evaluates a commitment function
-# on _Logs(group) and lifts each result with g ** log; that must be the
-# element the same function gives on the group.
+# A prover that knows the logs of every base to g and gamma evaluates a
+# commitment function on _Logs(group) and lifts each result with
+# g^u * gamma^v; that must be the element the same function gives on the
+# group.
 
 COMMITMENT_FUNCTIONS = {
     # name: (number of bases, number of scalars, the function on (view, bases, scalars))
     "dlog": (1, 2, lambda G, b, s: _dlog_commitment(G, b[0], s[0], s[1])),
     "dh_tuple": (4, 2, lambda G, b, s: _dh_commitments(G, b, s[0], s[1])),
-    "bit_branch_0": (3, 2, lambda G, b, s: _bit_branch(G, *b, 0, s[0], s[1])),
-    "bit_branch_1": (3, 2, lambda G, b, s: _bit_branch(G, *b, 1, s[0], s[1])),
-    "square": (
-        5, 4,
-        lambda G, b, s: _square_commitments(
-            G, Ciphertext(b[0], b[1]), Ciphertext(b[2], b[3]), b[4], *s
-        ),
-    ),
-    "encrypt_exp": (1, 2, lambda G, b, s: encrypt_exp(G, s[0], s[1], b[0])),
+    "bit_branch_0": (1, 2, lambda G, b, s: _bit_branch(G, b[0], 0, s[0], s[1])),
+    "bit_branch_1": (1, 2, lambda G, b, s: _bit_branch(G, b[0], 1, s[0], s[1])),
+    "square": (2, 4, lambda G, b, s: _square_commitments(G, b[0], b[1], *s)),
 }
 
 
 def _agrees_on_logs(group, name, values):
-    """f(_Logs(group)) lifted equals f(group) at bases g^values[:k] and the
-    scalars that follow them."""
+    """f(_Logs(group)) lifted equals f(group) at bases g^u * gamma^v, the
+    (u, v) taken in pairs from values, and the scalars that follow them."""
     k, count, f = COMMITMENT_FUNCTIONS[name]
-    bases, scalars = values[:k], values[k:k + count]
+    logs_of = [values[2 * i:2 * i + 2] for i in range(k)]
+    scalars = values[2 * k:2 * k + count]
     logs = _Logs(group)
-    on_logs = f(logs, tuple(logs.at(a) for a in bases), scalars)
-    on_elements = f(group, tuple(group.g ** a for a in bases), scalars)
+    on_logs = f(logs, tuple(logs.at(u, v) for u, v in logs_of), scalars)
+    on_elements = f(group, tuple(pedersen(group, u, v) for u, v in logs_of), scalars)
     return logs.lift(on_logs) == on_elements
+
+
+def _width(name):
+    k, count, _ = COMMITMENT_FUNCTIONS[name]
+    return 2 * k + count
 
 
 @pytest.mark.parametrize("name", COMMITMENT_FUNCTIONS)
 def test_logs_agree_with_elements_on_every_toy_scalar_pair(name):
     q = TOY.q
-    k, count, _ = COMMITMENT_FUNCTIONS[name]
     for u in range(q):
         for v in range(q):
             # every pair (u, v), and a third value from both, in every slot
             pattern = (u, v, (u * v + 1) % q)
-            values = [pattern[i % 3] for i in range(k + count)]
+            values = [pattern[i % 3] for i in range(_width(name))]
             assert _agrees_on_logs(TOY, name, values), (u, v)
 
 
@@ -382,19 +397,20 @@ def test_logs_agree_with_elements_on_every_toy_scalar_pair(name):
 def test_logs_agree_with_elements_on_seeded_scalars(group, name):
     rng = random.Random(17)
     q = group.q
-    width = sum(COMMITMENT_FUNCTIONS[name][:2])
+    width = _width(name)
     rows = [[0] * width, [q - 1] * width, [0, q - 1] * width, [q - 1, 1] * width]
     rows += [[group.random_scalar(rng) for _ in range(width)] for _ in range(4)]
     for row in rows:
         assert _agrees_on_logs(group, name, row[:width]), row
 
 
-def test_logs_lift_commitments_through_g():
+def test_logs_lift_commitments_through_g_and_gamma():
     logs = _Logs(MOD)
-    assert logs.g == logs.at(1) and logs.at(MOD.q + 3) == logs.at(3)
-    assert logs.at(5) ** 3 == logs.at(15)
-    assert logs.lift((logs.at(0), Ciphertext(logs.at(2), logs.g))) == (
-        MOD.identity, Ciphertext(MOD.g ** 2, MOD.g)
+    assert logs.g == logs.at(1) and logs.gamma == logs.at(0, 1)
+    assert logs.at(MOD.q + 3, -1) == logs.at(3, MOD.q - 1)
+    assert logs.at(5, 2) ** 3 == logs.at(15, 6)
+    assert logs.lift((logs.at(0), (logs.at(2, 1), logs.g))) == (
+        MOD.identity, (MOD.g ** 2 * MOD.gamma, MOD.g)
     )
 
 
@@ -403,16 +419,15 @@ def test_logs_lift_commitments_through_g():
 
 def test_proof_serialization_roundtrips():
     rng = random.Random(15)
-    kp = Keypair.generate(MOD, rng)
     ctx = FsTranscript(b"serial")
     a = MOD.random_scalar(rng)
     proofs = []
     proofs.append((prove_dlog(MOD, a, MOD.g ** a, ctx, rng), DlogProof))
     h = MOD.g ** 3
     proofs.append((prove_dh_tuple(MOD, 5, (MOD.g, h, MOD.g ** 5, h ** 5), ctx, rng), DhTupleProof))
-    proofs.append((prove_bit(MOD, 1, MOD.random_scalar(rng), kp, ctx, rng)[1], BitProof))
+    proofs.append((prove_bit(MOD, 1, MOD.random_scalar(rng), ctx, rng), BitProof))
     s_a, s_b = MOD.random_scalar(rng), MOD.random_scalar(rng)
-    proofs.append((prove_square(MOD, 3, s_a, s_b, kp, ctx, rng)[2], SquareProof))
+    proofs.append((prove_square(MOD, 3, s_a, s_b, ctx, rng)[2], SquareProof))
     for proof, cls in proofs:
         data = proof.to_bytes(MOD)
         reader = Reader(data)
