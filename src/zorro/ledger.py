@@ -13,12 +13,14 @@ header bytes and each entry's canonical encoding, so flipping any persisted
 byte breaks the chain at an identifiable seq.  The in-memory form is the
 same object without a path.
 
-Format 6 posts nothing that the header, the entry or the line above states
+Format 7 posts nothing that the header, the entry or the line above states
 (see protocol and rangeproof), its header gives every policy, none
 included, a bound, and its bundles commit to digits and squares with
-Pedersen commitments, one point each.  There is one reader: a file of any
-other format, formats 1 to 5 included, is refused as unreadable, naming
-its format.
+Pedersen commitments, one point each.  Format 7 changed from format 6 only
+in round 1: a post carries one proof of all its m exponents, where format 6
+carried one proof per element.  There is one reader: a file of any other
+format, formats 1 to 6 included, is refused as unreadable, naming its
+format.
 """
 
 import hashlib
@@ -29,7 +31,7 @@ from dataclasses import dataclass, replace
 from .encoding import pack_u8, pack_u32, pack_u64
 from .errors import ChainBroken, DuplicatePost, MalformedEncoding
 
-FORMAT = "zorro-ledger/6"
+FORMAT = "zorro-ledger/7"
 
 # a party id of at most 10 digits, so that int() never meets a huge string
 _LINE_RE = re.compile(r"^([12]) (0|[1-9][0-9]{0,9}) ([0-9a-f]{64}) ((?:[0-9a-f]{2})*)$")

@@ -1,8 +1,8 @@
 """Two-round self-tallying aggregation.
 
-Round 1: every party posts g^(x_ij) for fresh scalars x_ij plus a proof of
-knowledge of each exponent.  From everyone's posts, party i derives its pad
-keys
+Round 1: every party posts g^(x_ij) for fresh scalars x_ij plus one proof
+of knowledge of all m exponents (sigma.DlogProof).  From everyone's posts,
+party i derives its pad keys
 
     h_ij = prod_{k<i} g^(x_kj)  /  prod_{k>i} g^(x_kj)
 
@@ -23,7 +23,7 @@ decryption key exists: the "key" cancels only when all n posts multiply.
 A post carries no tag, party id, slot count or bundle kind: the ledger
 entry gives the party, and the header gives m and the policy, which pick
 how the payload is read.  Each statement stays bound to its party because
-every Fiat-Shamir context hashes the session and the party index (r1/i/j
+every Fiat-Shamir context hashes the session and the party index (r1/i
 for round 1, r2/i for round 2), so a proof copied under another party's
 entry fails; see Bernhard, Pereira and Warinschi, "How not to prove
 yourself" (Asiacrypt 2012).
@@ -119,23 +119,24 @@ class Round1Secret:
 
 @dataclass(frozen=True)
 class Round1Post:
-    """m round-1 elements and their proofs; the party is its entry's."""
+    """m round-1 elements and the one proof of their exponents; the party
+    is its entry's."""
 
     party: int
     elements: tuple
-    proofs: tuple
+    proof: DlogProof
 
     def to_bytes(self, group) -> bytes:
-        return put(group, self.elements, self.proofs)
+        return put(group, self.elements, self.proof)
 
     @classmethod
     def from_bytes(cls, group, data: bytes, party: int, m: int) -> "Round1Post":
         """Decode the post of `party` in a session of m slots."""
         r = Reader(data)
         elements = read_many(group, r, m, object)
-        proofs = read_many(group, r, m, DlogProof)
+        proof = DlogProof.read_from(group, r)
         r.expect_end()
-        return cls(party, elements, proofs)
+        return cls(party, elements, proof)
 
 
 # policy kind -> the type of its round-2 bundle; policy none posts no bundle
@@ -177,20 +178,14 @@ def _by_party(cfg, posts, round: int) -> dict:
 
 
 def round1_generate(cfg: ProtocolConfig, party: int, rng):
-    """Draw the m round-1 secrets and build the post carrying their proofs."""
+    """Draw the m round-1 secrets and build the post carrying their proof."""
     if not 0 <= party < cfg.n:
         raise ValueError(f"party index {party} out of range")
     group = cfg.group
-    base = cfg.base_context()
-    x, elements, proofs = [], [], []
-    for j in range(cfg.m):
-        xj = group.random_scalar(rng)
-        Aj = group.g ** xj
-        x.append(xj)
-        elements.append(Aj)
-        proofs.append(prove_dlog(group, xj, Aj, base.child(b"r1", party, j), rng))
-    elements = tuple(elements)
-    return Round1Secret(party, tuple(x), elements), Round1Post(party, elements, tuple(proofs))
+    x = tuple(group.random_scalar(rng) for _ in range(cfg.m))
+    elements = tuple(group.g ** xj for xj in x)
+    proof = prove_dlog(group, x, elements, cfg.base_context().child(b"r1", party), rng)
+    return Round1Secret(party, x, elements), Round1Post(party, elements, proof)
 
 
 def _refused(group):
@@ -200,16 +195,15 @@ def _refused(group):
 
 def _round1_checks(cfg: ProtocolConfig, posts) -> list:
     """The check table (sigma.first_failure) of round-1 posts, in the given
-    order: the proof of slot j of party i, labelled (i, j), or one failing
-    entry (i, 0) for a post of the wrong dimension."""
+    order: one entry per post, labelled (i, None) for party i, that checks
+    its proof or, for a post of the wrong dimension, fails."""
     base, table = cfg.base_context(), []
     for post in posts:
-        if len(post.elements) != cfg.m or len(post.proofs) != cfg.m:
-            table.append(((post.party, 0), _refused, ()))
-            continue
-        for j, (A, proof) in enumerate(zip(post.elements, post.proofs)):
-            ctx = base.child(b"r1", post.party, j)
-            table.append(((post.party, j), verify_dlog, (A, proof, ctx)))
+        if len(post.elements) != cfg.m:
+            table.append(((post.party, None), _refused, ()))
+        else:
+            ctx = base.child(b"r1", post.party)
+            table.append(((post.party, None), verify_dlog, (post.elements, post.proof, ctx)))
     return table
 
 
@@ -222,12 +216,12 @@ def _rejected(what: str, party: int, check: str, slot=None, digit=None) -> Ledge
 
 
 def _check_round1(cfg: ProtocolConfig, posts):
-    """Raise LedgerRejected (check "round1") naming the first post, in the
-    given order, whose proof fails and its slot: one table for all posts."""
+    """Raise LedgerRejected (check "round1") naming the party of the first
+    post, in the given order, whose proof fails: one table for all posts."""
     failure = first_failure(cfg.group, _round1_checks(cfg, posts))
     if failure is not None:
-        party, slot = failure
-        raise _rejected("round-1 proof", party, "round1", slot)
+        party, _ = failure
+        raise _rejected("round-1 proof", party, "round1")
 
 
 def derive_pads(cfg: ProtocolConfig, round1_posts, party: int):
@@ -235,8 +229,7 @@ def derive_pads(cfg: ProtocolConfig, round1_posts, party: int):
 
     All n posts must be present (else MissingPost) and every discrete-log
     proof must check out (else LedgerRejected with check "round1", naming
-    the party and slot, as verify_ledger reports it) before any pad is
-    trusted.
+    the party, as verify_ledger reports it) before any pad is trusted.
     """
     table = _by_party(cfg, round1_posts, 1)
     _check_round1(cfg, [table[k] for k in range(cfg.n)])

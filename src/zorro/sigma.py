@@ -1,6 +1,6 @@
 """The four base sigma protocols, made non-interactive via Fiat-Shamir.
 
-  DlogProof     knowledge of a with A = g^a
+  DlogProof     knowledge of every x_j with A_j = g^(x_j), one proof for all
   DhTupleProof  (g, h, u, v) is a DH 4-tuple: u = g^w and v = h^w
   BitProof      a Pedersen commitment y = g^b * gamma^rho holds a bit b
   SquareProof   a Pedersen commitment W holds the square of what C holds
@@ -44,7 +44,7 @@ equations, or None when a guard fails.
 A verifier states the checks of one post as a check table: a flat ordered
 list of (label, verify, args) entries, each labelled where it is built with
 what a rejection names: a bundle's (check, slot, digit), a round-1 proof's
-(party, slot).  first_failure reads a table.  On a group with q > 2^128
+(party, None).  first_failure reads a table.  On a group with q > 2^128
 (secp256k1, see folds) it folds every recorded equation into one multi_exp
 (fold_holds), the small-exponent batch test of Bellare, Garay and Rabin
 (EUROCRYPT 1998): equation k is raised to its own 128-bit weight and terms
@@ -250,27 +250,49 @@ def first_failure(group, table):
 
 @dataclass(frozen=True)
 class DlogProof(Record):
+    """Knowledge of every x_j with A_j = g^(x_j), j = 1..m, in one proof.
+
+    K = g^k and s = k + sum_j c^j * x_j, c the hash challenge: the batched
+    Schnorr proof of Gennaro, Leigh, Sundaram and Yerazunis (ASIACRYPT
+    2004).  m + 1 accepting transcripts with one K and distinct c solve a
+    Vandermonde system for k and every x_j; the powers start at c^1 so that
+    k stays apart from x_1.  The knowledge error is m/q, and at m = 1 this
+    is the Schnorr proof.
+    """
+
     K: object
     s: int
 
 
-def _dlog_commitment(group, A, s: int, c: int):
-    """g^s * A^-c: the K that response s answers under challenge c."""
-    return group.multi_exp(((group.g, s), (A, group.q - c)))
+def _powers(c: int, count: int, q: int) -> list[int]:
+    """c^1, ..., c^count mod q."""
+    powers, power = [], 1
+    for _ in range(count):
+        power = power * c % q
+        powers.append(power)
+    return powers
 
 
-def prove_dlog(group, a: int, A, ctx: FsTranscript, rng) -> DlogProof:
+def _dlog_commitment(group, As, s: int, c: int):
+    """g^s * prod_j A_j^(-c^j): the K that response s answers under challenge c."""
+    q = group.q
+    powers = _powers(c, len(As), q)
+    return group.multi_exp(((group.g, s), *((A, -e % q) for A, e in zip(As, powers))))
+
+
+def prove_dlog(group, xs, As, ctx: FsTranscript, rng) -> DlogProof:
+    """Prove knowledge of each xs[j] with As[j] = g^(xs[j])."""
     k = group.random_scalar(rng)
-    K = _dlog_commitment(group, A, k, 0)
-    c = ctx.challenge(group, A, K)
-    return DlogProof(K, (k + c * a) % group.q)
+    K = _dlog_commitment(group, As, k, 0)
+    c, q = ctx.challenge(group, *As, K), group.q
+    return DlogProof(K, (k + sum(e * x for e, x in zip(_powers(c, len(xs), q), xs))) % q)
 
 
-def verify_dlog(group, A, proof: DlogProof, ctx: FsTranscript) -> bool:
-    if not group.contains(A):
+def verify_dlog(group, As, proof: DlogProof, ctx: FsTranscript) -> bool:
+    if not all(map(group.contains, As)):
         return False
-    c = ctx.challenge(group, A, proof.K)
-    return _dlog_commitment(group, A, proof.s, c) == proof.K
+    c = ctx.challenge(group, *As, proof.K)
+    return _dlog_commitment(group, As, proof.s, c) == proof.K
 
 
 # -- Diffie-Hellman 4-tuple ---------------------------------------------------

@@ -112,10 +112,11 @@ def test_criterion_02_completeness():
     rng = random.Random(2)
     checked = 0
     for group in (TOY, MOD):
-        for _ in range(100):
+        for trial in range(100):
             ctx = FsTranscript(b"c2-dlog")
-            a = group.random_scalar(rng)
-            assert verify_dlog(group, group.g ** a, prove_dlog(group, a, group.g ** a, ctx, rng), ctx)
+            xs = [group.random_scalar(rng) for _ in range(1 + trial % 3)]
+            As = [group.g ** x for x in xs]
+            assert verify_dlog(group, As, prove_dlog(group, xs, As, ctx, rng), ctx)
             checked += 1
 
             ctx = FsTranscript(b"c2-dh")
@@ -196,10 +197,10 @@ def test_criterion_03_mutation_soundness():
 
     # standalone sigma proofs (cheap to verify, so they can carry bulk)
     ctx = FsTranscript(b"c3")
-    a = MOD.random_scalar(rng)
-    A = MOD.g ** a
-    dp = prove_dlog(MOD, a, A, ctx, rng)
-    targets.append((dp.to_bytes(MOD), lambda payload: _try_verify_dlog(A, payload, ctx)))
+    xs = [MOD.random_scalar(rng) for _ in range(2)]
+    As = [MOD.g ** x for x in xs]
+    dp = prove_dlog(MOD, xs, As, ctx, rng)
+    targets.append((dp.to_bytes(MOD), lambda payload: _try_verify_dlog(As, payload, ctx)))
     bp = prove_bit(MOD, 1, MOD.random_scalar(rng), ctx, rng)
     targets.append((bp.to_bytes(MOD), lambda payload: _try_verify_bit(payload, ctx)))
 
@@ -222,7 +223,7 @@ def test_criterion_03_mutation_soundness():
     announce(3, f"{mutations} single-byte mutations, 0 accepted")
 
 
-def _try_verify_dlog(A, payload, ctx):
+def _try_verify_dlog(As, payload, ctx):
     from zorro.encoding import Reader
     from zorro.sigma import DlogProof
 
@@ -232,7 +233,7 @@ def _try_verify_dlog(A, payload, ctx):
         reader.expect_end()
     except ZorroError:
         return False
-    return verify_dlog(MOD, A, proof, ctx)
+    return verify_dlog(MOD, As, proof, ctx)
 
 
 def _try_verify_bit(payload, ctx):

@@ -184,7 +184,7 @@ def _copied(src, dst, round):
 @pytest.mark.parametrize(
     "round, named",
     [
-        (1, "round-1 proof of party 1 rejected (round1): slot 0"),
+        (1, "round-1 proof of party 1 rejected (round1)\n"),
         (2, "contribution of party 1 rejected (tuple): slot 0"),
     ],
     ids=["round1", "round2"],
@@ -193,7 +193,8 @@ def test_verify_rejects_byte_copy_of_another_partys_post(
     ballots_file, tmp_path, capsys, monkeypatch, group, round, named
 ):
     # no post names its party: every proof context hashes the entry's party
-    # index, so the copied proofs fail from slot 0.  secp256k1 folds the
+    # index, so the copied round-1 proof fails, as does the copied bundle
+    # from slot 0.  secp256k1 folds the
     # ledger first; the failed fold falls back to the checks one by one
     source = tmp_path / "vote.ledger"
     argv = ["vote", ballots_file, "--bound", "4", "--group", group, "--ledger", str(source)]
@@ -327,14 +328,14 @@ def test_verify_rejects_undecodable_round2_post(vote_ledger, tmp_path, capsys, c
     _assert_rejected(path, capsys, "of party 1", "malformed")
 
 
-@pytest.mark.parametrize("old", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("old", [1, 2, 3, 4, 5, 6])
 def test_verify_refuses_a_format_1_ledger(vote_ledger, tmp_path, capsys, old):
-    # format 6 has the only reader: a file of an older format is unreadable,
-    # by name, and its posts are never read as malformed format-6 ones
+    # format 7 has the only reader: a file of an older format is unreadable,
+    # by name, and its posts are never read as malformed format-7 ones
     path = tmp_path / "old.ledger"
     text = vote_ledger.read_text()
-    assert '"format":"zorro-ledger/6"' in text
-    path.write_text(text.replace('"format":"zorro-ledger/6"', f'"format":"zorro-ledger/{old}"'))
+    assert '"format":"zorro-ledger/7"' in text
+    path.write_text(text.replace('"format":"zorro-ledger/7"', f'"format":"zorro-ledger/{old}"'))
     assert run(["verify", str(path)]) == EXIT_LEDGER
     err = capsys.readouterr().err
     assert err.startswith("ledger corrupt at seq 0: unreadable header")
@@ -367,7 +368,9 @@ def test_verify_rejects_a_format_1_round2_payload(tmp_path, capsys, check):
     _assert_rejected(path, capsys, "round-2 entry seq 4 of party 1 malformed")
 
 
-def test_verify_names_the_slot_of_a_bad_round1_proof(vote_ledger, tmp_path, capsys):
+def test_verify_names_the_party_of_a_bad_round1_proof(vote_ledger, tmp_path, capsys):
+    # one proof covers a party's m round-1 elements, so a rejection names
+    # the party and no slot
     group = groups.test_group()
     cfg = protocol.ProtocolConfig.from_header(Ledger.load(str(vote_ledger)).header)
 
@@ -375,12 +378,11 @@ def test_verify_names_the_slot_of_a_bad_round1_proof(vote_ledger, tmp_path, caps
         if (entry.round, entry.party) != (1, 2):
             return [(entry.round, entry.party, entry.payload)]
         post = _decoded(cfg, entries, 1, 2)
-        bad = dataclasses.replace(post.proofs[1], s=(post.proofs[1].s + 1) % group.q)
-        post = dataclasses.replace(post, proofs=(post.proofs[0], bad))
-        return [(1, 2, post.to_bytes(group))]
+        bad = dataclasses.replace(post.proof, s=(post.proof.s + 1) % group.q)
+        return [(1, 2, dataclasses.replace(post, proof=bad).to_bytes(group))]
 
     path = _rechained(vote_ledger, tmp_path / "round1.ledger", edit)
-    _assert_rejected(path, capsys, "of party 2", "round1", "slot 1")
+    _assert_rejected(path, capsys, "round-1 proof of party 2 rejected (round1)\n")
 
 
 @pytest.mark.parametrize(
@@ -535,8 +537,8 @@ def test_verify_maps_tally_failure_to_proof_rejection(vote_ledger, capsys, monke
 @pytest.mark.parametrize(
     "check, bound, digest, size, totals",
     [
-        ("l1", "4", "d6a239d8cd06370bea1236938bd97f6c665c38ddd0c8560a8ce73fc5ba239bbc", 3002, "2,2"),
-        ("l2", "9", "0550c1c144ffb28ba97779b81e34559ccb6ef05b7a5218e48cc8a2f9a09c38ab", 3074, "4,7"),
+        ("l1", "4", "cd266c351c612e74bd751e0bfd219582c80e75d8e66f7e7d8c373e3db82a50c6", 2930, "2,2"),
+        ("l2", "9", "74674f8bdaf2d972f021c6be5af9bdc478cbe9f16fdccd8a0cff1ed1d562d09a", 3002, "4,7"),
     ],
 )
 def test_golden_ledger_bytes(tmp_path, capsys, check, bound, digest, size, totals):
@@ -563,7 +565,7 @@ def test_golden_secp256k1_ledger_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == "tally: 2,2\n"
     raw = path.read_bytes()
     assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
-        13836, "0728f3ba2f335c8e2ef1f140d8460c37139965caddfeecde0fbf47e318b7f358"
+        13446, "a2caec0fd4a0b0b2e5f5ca41a027f15f4762ed82b7661ddbe5d9913044dec66d"
     )
 
 
@@ -578,7 +580,7 @@ def test_golden_secp256k1_l2_ledger_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == "tally: 4,7\n"
     raw = path.read_bytes()
     assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
-        14232, "040b7946ee5e7590251841d58723ceb1822f368b7f97a08c7847c06d1eea1715"
+        13842, "89694f639dd67725abbb3d4ec798a48b46341346d5c869037af88af65b6ade7b"
     )
 
 

@@ -284,18 +284,22 @@ def test_every_response_is_in_the_equations(group, kind):
     assert shifted > 0
 
 
+def _shifted_response(post, shift, group):
+    """`post` with its round-1 response s moved by `shift`."""
+    return dataclasses.replace(post, proof=DlogProof(post.proof.K, (post.proof.s + shift) % group.q))
+
+
 @pytest.mark.parametrize("group", [MOD, CURVE], ids=lambda g: g.group_id)
-@pytest.mark.parametrize("forged", [False, True], ids=["honest", "slot-2-plus-one"])
+@pytest.mark.parametrize("forged", [False, True], ids=["honest", "response-plus-one"])
 def test_each_round1_check_is_its_equations(group, forged):
     cfg = ProtocolConfig(group, 2, 3, BoundPolicy.l1(3), bytes(16))
     _, post = protocol.round1_generate(cfg, 1, random.Random(55))
     if forged:
-        proofs = list(post.proofs)
-        proofs[2] = DlogProof(proofs[2].K, (proofs[2].s + 1) % group.q)
-        post = dataclasses.replace(post, proofs=tuple(proofs))
+        post = _shifted_response(post, 1, group)
     table = protocol._round1_checks(cfg, [post])
-    assert _failing_labels(group, table) == ([(1, 2)] if forged else [])
-    assert sigma.first_failure(group, table) == ((1, 2) if forged else None)
+    assert len(table) == 1
+    assert _failing_labels(group, table) == ([(1, None)] if forged else [])
+    assert sigma.first_failure(group, table) == ((1, None) if forged else None)
 
 
 def test_honest_l1_bundle_passes_the_fold(l1_case, monkeypatch):
@@ -370,26 +374,18 @@ def test_honest_round1_posts_and_ledger_pass_the_fold(session, monkeypatch):
     assert verify_ledger(cfg, _ledger(cfg, posts1, posts2)) == posts2
 
 
-def test_round1_response_plus_one_names_the_slot(session, monkeypatch):
+def test_round1_response_plus_one_names_the_party(session, monkeypatch):
     cfg, _, posts1, posts2 = session
-    post = posts1[1]
-    proofs = list(post.proofs)
-    proofs[2] = DlogProof(proofs[2].K, (proofs[2].s + 1) % CURVE.q)
-    forged = dataclasses.replace(post, proofs=tuple(proofs))
-
-    base = cfg.base_context()
-    sequential = [
-        verify_dlog(CURVE, A, p, base.child(b"r1", forged.party, j))
-        for j, (A, p) in enumerate(zip(forged.elements, forged.proofs))
-    ]
-    assert sequential == [True, True, False]
+    forged = _shifted_response(posts1[1], 1, CURVE)
+    ctx = cfg.base_context().child(b"r1", forged.party)
+    assert not verify_dlog(CURVE, forged.elements, forged.proof, ctx)
     folded = _fold_spy(monkeypatch, sigma)
-    assert sigma.first_failure(CURVE, protocol._round1_checks(cfg, [forged])) == (1, 2)
+    assert sigma.first_failure(CURVE, protocol._round1_checks(cfg, [forged])) == (1, None)
     assert folded == [False]
 
     ledger = _ledger(cfg, [posts1[0], forged], posts2)
     verdict = _rejection(cfg, ledger)
-    assert verdict[:2] == (1, "round1") and verdict[2].endswith("slot 2")
+    assert verdict == (1, "round1", "round-1 proof of party 1 rejected (round1)")
     _sequentially(monkeypatch)
     assert _rejection(cfg, ledger) == verdict
 
@@ -475,31 +471,24 @@ def _fold_under(monkeypatch, weights, parts) -> bool:
 
 
 def test_fold_weights_bind_the_responses(session, monkeypatch):
-    """Two responses shifted so that the shifts cancel under the honest post's
-    weights: a fold whose weights skipped the responses would accept them."""
+    """The responses of both round-1 posts shifted so that the shifts cancel
+    under the honest posts' weights: a fold whose weights skipped the
+    responses would accept them."""
     cfg, _, posts1, _ = session
-    post = posts1[0]
     drawn = _recording_weights(monkeypatch)
-    assert protocol.verify_round1(cfg, post)
+    assert sigma.first_failure(CURVE, protocol._round1_checks(cfg, posts1)) is None
     honest_weights = w = drawn[-1]
 
-    q, delta = CURVE.q, 0x5EED
-    p0, p1 = post.proofs[:2]
-    proofs = (
-        DlogProof(p0.K, (p0.s + delta * w[1]) % q),
-        DlogProof(p1.K, (p1.s - delta * w[0]) % q),
-        *post.proofs[2:],
-    )
-    forged = dataclasses.replace(post, proofs=proofs)
-    base = cfg.base_context()
-    parts = [
-        recorded(CURVE, verify_dlog, (A, p, base.child(b"r1", forged.party, j)))
-        for j, (A, p) in enumerate(zip(forged.elements, forged.proofs))
+    delta = 0x5EED
+    forged = [
+        _shifted_response(post, shift, CURVE)
+        for post, shift in zip(posts1, (delta * w[1], -delta * w[0]))
     ]
+    parts = sigma.fold_parts(CURVE, protocol._round1_checks(cfg, forged))
     # the shifts cancel under these weights
     assert _fold_under(monkeypatch, honest_weights, parts)
 
-    assert sigma.first_failure(CURVE, protocol._round1_checks(cfg, [forged])) == (0, 0)
+    assert sigma.first_failure(CURVE, protocol._round1_checks(cfg, forged)) == (0, None)
     assert drawn[-1] != honest_weights
     assert not fold_holds(CURVE, parts)
 
@@ -549,25 +538,19 @@ def round1_of_three():
     return cfg, [protocol.round1_generate(cfg, i, rng)[1] for i in range(cfg.n)]
 
 
-def _bad_proof(post, slot):
-    proofs = list(post.proofs)
-    proofs[slot] = DlogProof(proofs[slot].K, (proofs[slot].s + 1) % CURVE.q)
-    return dataclasses.replace(post, proofs=tuple(proofs))
+def _bad_proof(post):
+    return _shifted_response(post, 1, CURVE)
 
 
 def _one_slot_short(post):
-    return dataclasses.replace(post, elements=post.elements[:1], proofs=post.proofs[:1])
+    return dataclasses.replace(post, elements=post.elements[:1])
 
 
 ROUND1_FORGERIES = {
-    # which posts change (party -> forgery), and the (party, slot) named
-    "bad proof in party 2": ({2: lambda p: _bad_proof(p, 1)}, (2, 1)),
-    "bad proof, then wrong dimension": (
-        {1: lambda p: _bad_proof(p, 1), 2: _one_slot_short}, (1, 1)
-    ),
-    "wrong dimension, then bad proof": (
-        {1: _one_slot_short, 2: lambda p: _bad_proof(p, 0)}, (1, 0)
-    ),
+    # which posts change (party -> forgery), and the party named
+    "bad proof in party 2": ({2: _bad_proof}, 2),
+    "bad proof, then wrong dimension": ({1: _bad_proof, 2: _one_slot_short}, 1),
+    "wrong dimension, then bad proof": ({1: _one_slot_short, 2: _bad_proof}, 1),
 }
 
 
@@ -576,9 +559,10 @@ def test_round1_is_one_table_and_names_the_first_failing_post(
     round1_of_three, forgery, monkeypatch
 ):
     """_check_round1 folds all n posts once and, whether or not it folds,
-    names the first failing post in the given order and its slot."""
+    names the party of the first failing post in the given order, and no
+    slot."""
     cfg, posts1 = round1_of_three
-    forged_at, (party, slot) = ROUND1_FORGERIES[forgery]
+    forged_at, party = ROUND1_FORGERIES[forgery]
     posts = [forged_at.get(i, lambda p: p)(post) for i, post in enumerate(posts1)]
 
     def verdict():
@@ -593,7 +577,7 @@ def test_round1_is_one_table_and_names_the_first_failing_post(
         folded.clear()
         with_fold = verdict()
         assert folded == [False]
-    assert with_fold[:2] == (party, "round1") and with_fold[2].endswith(f"slot {slot}")
+    assert with_fold == (party, "round1", f"round-1 proof of party {party} rejected (round1)")
     with monkeypatch.context() as patch:
         _sequentially(patch)
         assert verdict() == with_fold
@@ -709,8 +693,9 @@ def test_honest_ledger_is_one_fold(l1_ledger, monkeypatch):
 
         monkeypatch.setattr(protocol, name, spy)
     assert verify_ledger(cfg, ledger) == posts2
-    # each round-1 proof is recorded for the fold once, and never checked on the group
-    assert folded == [True] and calls == [("verify_dlog", False)] * (cfg.n * cfg.m)
+    # each party's round-1 proof is recorded for the fold once, and never
+    # checked on the group
+    assert folded == [True] and calls == [("verify_dlog", False)] * cfg.n
 
 
 @pytest.mark.parametrize("reason", L1_DISHONEST)
@@ -855,12 +840,10 @@ def test_wrong_policy_bundle_reads_the_same_with_the_ledger_fold(
 
 def test_round1_response_plus_one_reads_the_same_with_the_ledger_fold(session, monkeypatch):
     cfg, _, posts1, posts2 = session
-    proofs = list(posts1[1].proofs)
-    proofs[2] = DlogProof(proofs[2].K, (proofs[2].s + 1) % CURVE.q)
-    forged = dataclasses.replace(posts1[1], proofs=tuple(proofs))
+    forged = _shifted_response(posts1[1], 1, CURVE)
     verdict, folds = _agrees(cfg, _ledger(cfg, [posts1[0], forged], posts2), monkeypatch)
-    assert verdict[1:3] == (1, "round1") and verdict[3].endswith("slot 2") and folds == [False]
-    assert verdict[4] == (2, None)
+    assert verdict[1:4] == (1, "round1", "round-1 proof of party 1 rejected (round1)")
+    assert verdict[4] == (None, None) and folds == [False]
 
 
 def test_flipped_round2_bytes_read_the_same_with_the_ledger_fold(l1_ledger, monkeypatch):
@@ -894,18 +877,17 @@ def test_ledger_fold_weights_cover_every_post(session, monkeypatch):
     drawn = _recording_weights(monkeypatch)
     assert verify_ledger(cfg, _ledger(cfg, posts1, posts2)) == posts2
     (honest_weights,) = drawn
-    # the ledger's equations start with party 0's m round-1 proofs, then party 1's
-    w = honest_weights
-    q, delta = CURVE.q, 0x5EED
-    shifted = []
-    for post, shift in zip(posts1, (delta * w[cfg.m], -delta * w[0])):
-        first = DlogProof(post.proofs[0].K, (post.proofs[0].s + shift) % q)
-        shifted.append(dataclasses.replace(post, proofs=(first, *post.proofs[1:])))
+    # the ledger's equations start with party 0's round-1 proof, then party 1's
+    w, delta = honest_weights, 0x5EED
+    shifted = [
+        _shifted_response(post, shift, CURVE)
+        for post, shift in zip(posts1, (delta * w[1], -delta * w[0]))
+    ]
     parts = sigma.fold_parts(CURVE, protocol._ledger_checks(cfg, shifted, posts2))
     assert _fold_under(monkeypatch, honest_weights, parts)
 
     verdict = _rejection(cfg, _ledger(cfg, shifted, posts2))
-    assert verdict[:2] == (0, "round1") and verdict[2].endswith("slot 0")
+    assert verdict == (0, "round1", "round-1 proof of party 0 rejected (round1)")
 
 
 # per pinned ledger: its ledger-fold equation count and the SHA-256 of, equation
@@ -913,8 +895,8 @@ def test_ledger_fold_weights_cover_every_post(session, monkeypatch):
 # or square proof is two equations, and a row adds none: C_j is that row's
 # recomposition, and the sum check is one equation over the row digits.
 LEDGER_FOLD_DIGESTS = {
-    "l1": (38, "32fbc4e7e7d40a6692355590a122ca2a56faf8ba772ade91568a23687b6a8c0f"),
-    "l2": (34, "b05b427f07f6f8b81bd68aa300b6669c6d680347ec3139f39385821e77387cc9"),
+    "l1": (36, "a841140d48fabff0f4ab58a594e33caa4702512c9bf263557e5a3f9efd3ed08a"),
+    "l2": (32, "46be2507265b6084c78572bdd043365b2a3ac35a051b094910da886c6148d97b"),
 }
 
 
@@ -939,17 +921,17 @@ def vote_ledger():
     return _session_ledger(BoundPolicy.l1(4), [[1, 0, 2, 0], [0, 1, 1, 1], [3, 0, 0, 1]], 90)
 
 
-def test_vote_ledger_fold_has_207_variable_bases(vote_ledger):
-    """Per party: m round-1 elements and their dlog commitments, m pad
-    bases h_pad / gamma, m quotients ct_j.B / C_j, 2m link commitments and
-    15 digits of one point and two commitments each; every bit branch and
-    the sum check are stated over the digits, g and gamma, which the fold
-    already holds.  So g, gamma and 3 * 69 = 207 variable bases.  The fold,
-    several batches of bucket windows, holds."""
+def test_vote_ledger_fold_has_198_variable_bases(vote_ledger):
+    """Per party: m round-1 elements and the one commitment of their dlog
+    proof, m pad bases h_pad / gamma, m quotients ct_j.B / C_j, 2m link
+    commitments and 15 digits of one point and two commitments each; every
+    bit branch and the sum check are stated over the digits, g and gamma,
+    which the fold already holds.  So g, gamma and 3 * 66 = 198 variable
+    bases.  The fold, several batches of bucket windows, holds."""
     cfg, _, posts1, posts2, _ = vote_ledger
     parts = sigma.fold_parts(CURVE, protocol._ledger_checks(cfg, posts1, posts2))
     bases = {base for part in parts for terms in part for base, _ in terms}
-    assert {CURVE.g, CURVE.gamma} <= bases and len(bases) - 2 == 207
+    assert {CURVE.g, CURVE.gamma} <= bases and len(bases) - 2 == 198
     assert fold_holds(CURVE, parts)
 
 
@@ -968,7 +950,7 @@ def test_tampered_vote_ledger_fails_the_bucket_fold(vote_ledger, monkeypatch):
                         or buckets(bases, scalars))
     verdict, folds = _agrees(cfg, ledger, monkeypatch)
     assert verdict[1:3] == (2, "bit") and folds == [False]
-    assert max(sizes) == 207  # the ledger fold's variable bases
+    assert max(sizes) == 198  # the ledger fold's variable bases
 
 
 def _honest_dh_tuple():
@@ -1007,12 +989,14 @@ def test_a_failed_guard_is_a_none_part(session, l1_case):
     guard: it is recorded like a true one, as a bit proof's d0 off by one is."""
     cfg, _, posts1, _ = session
     table = l1_case.proof.checks(l1_case.posted, l1_case.pads, l1_case.ctx)
-    [(_, (A, dlog, dlog_ctx))] = _checks(protocol._round1_checks(cfg, posts1), (0, 0))
+    [(_, (As, dlog, dlog_ctx))] = _checks(protocol._round1_checks(cfg, posts1), (0, None))
     statement, dh, dh_ctx = _honest_dh_tuple()
     [(_, (bit, bit_ctx))] = _checks(table, ("bit", 0, 0))
     q = CURVE.q
     guarded = {
-        "dlog base off the curve": (verify_dlog, (CurvePoint(CURVE, 1, 1), dlog, dlog_ctx)),
+        "dlog element off the curve": (
+            verify_dlog, ((*As[:-1], CurvePoint(CURVE, 1, 1)), dlog, dlog_ctx)
+        ),
         "DH tuple g1 identity": (
             sigma.verify_dh_tuple, ((CURVE.identity, *statement[1:]), dh, dh_ctx)
         ),
@@ -1025,8 +1009,8 @@ def test_a_failed_guard_is_a_none_part(session, l1_case):
         assert not verify(CURVE, *args), what
         assert recorded(CURVE, verify, args) is None, what
     forged = DlogProof(dlog.K, (dlog.s + 1) % q)
-    assert not verify_dlog(CURVE, A, forged, dlog_ctx)
-    assert len(recorded(CURVE, verify_dlog, (A, forged, dlog_ctx))) == 1
+    assert not verify_dlog(CURVE, As, forged, dlog_ctx)
+    assert len(recorded(CURVE, verify_dlog, (As, forged, dlog_ctx))) == 1
     shifted = (dataclasses.replace(bit, d0=(bit.d0 + 1) % q), bit_ctx)
     assert not sigma.verify_bit(CURVE, *shifted)
     assert len(recorded(CURVE, sigma.verify_bit, shifted)) == 2

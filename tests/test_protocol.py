@@ -62,12 +62,12 @@ def test_config_validation():
 
 
 def test_round1_proofs_verify():
-    cfg = config(m=1)
+    cfg = config(m=3)
     _, posts = full_round1(cfg)
     base = cfg.base_context()
     for post in posts:
         assert verify_round1(cfg, post)
-        assert verify_dlog(MOD, post.elements[0], post.proofs[0], base.child(b"r1", post.party, 0))
+        assert verify_dlog(MOD, post.elements, post.proof, base.child(b"r1", post.party))
 
 
 def test_round1_posts_distinct():
@@ -80,7 +80,8 @@ def test_round1_posts_distinct():
 def test_round1_proofs_bound_to_party():
     cfg = config()
     _, posts = full_round1(cfg)
-    swapped = dataclasses.replace(posts[0], proofs=posts[1].proofs)
+    # party 1's whole post, elements and proof, under party 0's entry
+    swapped = dataclasses.replace(posts[1], party=0)
     assert not verify_round1(cfg, swapped)
     with pytest.raises(LedgerRejected) as exc:
         derive_pads(cfg, [swapped] + posts[1:], 0)
@@ -469,14 +470,14 @@ def test_decoding_fixes_every_posts_shape(group, policy):
     post1, post2 = posts1[0], posts2[0]
     bundle_type = {"none": type(None), "l1": L1RangeProof, "l2": L2RangeProof}[policy.kind]
     decoded = 0
-    widths = _item_widths(group, (post1.elements, post1.proofs))
+    widths = _item_widths(group, (post1.elements, post1.proof))
     for data in _variants(group, post1.to_bytes(group), widths):
         try:
             post = Round1Post.from_bytes(group, data, 0, cfg.m)
         except MalformedEncoding:
             continue
         decoded += 1
-        assert len(post.elements) == len(post.proofs) == cfg.m
+        assert len(post.elements) == cfg.m
     widths = _item_widths(group, (tuple(ct.B for ct in post2.cts), post2.bundle))
     for data in _variants(group, post2.to_bytes(group), widths):
         try:

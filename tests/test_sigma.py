@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -75,23 +76,68 @@ def test_child_context_extends_tag():
 def test_dlog_roundtrip(group):
     rng = random.Random(1)
     ctx = FsTranscript(b"dlog")
-    for _ in range(20):
-        a = group.random_scalar(rng)
-        A = group.g ** a
-        proof = prove_dlog(group, a, A, ctx, rng)
-        assert verify_dlog(group, A, proof, ctx)
+    for m in (1, 2, 4):
+        for _ in range(20):
+            xs = [group.random_scalar(rng) for _ in range(m)]
+            As = [group.g ** x for x in xs]
+            proof = prove_dlog(group, xs, As, ctx, rng)
+            assert verify_dlog(group, As, proof, ctx)
 
 
 def test_dlog_mutations():
     rng = random.Random(2)
     ctx = FsTranscript(b"dlog")
-    a = 7
-    A = MOD.g ** a
-    proof = prove_dlog(MOD, a, A, ctx, rng)
-    assert not verify_dlog(MOD, A, dataclasses.replace(proof, s=(proof.s + 1) % MOD.q), ctx)
-    assert not verify_dlog(MOD, A, dataclasses.replace(proof, K=proof.K * MOD.g), ctx)
-    assert not verify_dlog(MOD, A, proof, FsTranscript(b"other"))
-    assert not verify_dlog(MOD, A * MOD.g, proof, ctx)
+    xs = [7, 11, 13]
+    As = [MOD.g ** x for x in xs]
+    proof = prove_dlog(MOD, xs, As, ctx, rng)
+    assert verify_dlog(MOD, As, proof, ctx)
+    assert not verify_dlog(MOD, As, dataclasses.replace(proof, s=(proof.s + 1) % MOD.q), ctx)
+    assert not verify_dlog(MOD, As, dataclasses.replace(proof, K=proof.K * MOD.g), ctx)
+    assert not verify_dlog(MOD, As, proof, FsTranscript(b"other"))
+    assert not verify_dlog(MOD, As[:2], proof, ctx)
+    assert not verify_dlog(MOD, [*As, MOD.g], proof, ctx)
+    assert not verify_dlog(MOD, [As[0] * MOD.g, *As[1:]], proof, ctx)
+
+
+def _toy_dlog_proof(seed):
+    """A valid toy23 proof of two distinct exponents: (xs, As, proof, ctx)."""
+    ctx = FsTranscript(b"dlog/toy")
+    xs = [3, 8]
+    As = [TOY.g ** x for x in xs]
+    proof = prove_dlog(TOY, xs, As, ctx, random.Random(seed))
+    assert verify_dlog(TOY, As, proof, ctx)
+    return xs, As, proof, ctx
+
+
+def test_dlog_binds_the_order_of_its_elements():
+    xs, As, proof, ctx = _toy_dlog_proof(20)
+    assert not verify_dlog(TOY, As[::-1], proof, ctx)
+    # under one challenge c the swap shifts s by c(1 - c)(x_2 - x_1), nonzero
+    # for every c but 0 and 1: the powers of c, not only the hash, bind order
+    k = TOY.random_scalar(random.Random(20))  # the prover's first draw
+    for c in range(2, TOY.q):
+        s = (k + c * xs[0] + c * c * xs[1]) % TOY.q
+        assert _dlog_commitment(TOY, As, s, c) == proof.K
+        assert _dlog_commitment(TOY, As[::-1], s, c) != proof.K
+
+
+def test_dlog_refuses_a_shifted_element():
+    xs, As, proof, ctx = _toy_dlog_proof(21)
+    for j in range(len(As)):
+        shifted = [A * TOY.g if i == j else A for i, A in enumerate(As)]
+        assert not verify_dlog(TOY, shifted, proof, ctx)
+
+
+def test_dlog_at_one_element_is_the_schnorr_proof():
+    ctx = FsTranscript(b"dlog/schnorr")
+    for a in range(TOY.q):
+        A = TOY.g ** a
+        proof = prove_dlog(TOY, [a], [A], ctx, random.Random(a))
+        k = TOY.random_scalar(random.Random(a))  # the prover's first draw
+        c = ctx.challenge(TOY, A, proof.K)
+        assert proof == DlogProof(TOY.g ** k, (k + c * a) % TOY.q)
+        assert TOY.g ** proof.s == proof.K * A ** c
+        assert verify_dlog(TOY, [A], proof, ctx)
 
 
 @pytest.mark.parametrize("group", [TOY, MOD], ids=lambda g: g.group_id)
@@ -302,17 +348,36 @@ def test_square_proof_true_statement_opens_all_challenges():
 # 0; the honest response to any challenge must give that commitment back.
 
 
+def _interpolate(points, q):
+    """The coefficients, constant first, of the polynomial of degree
+    len(points) - 1 mod q through the (c, s) points: Gauss-Jordan on the
+    Vandermonde system."""
+    rows = [[pow(c, i, q) for i in range(len(points))] + [s] for c, s in points]
+    for col in range(len(rows)):
+        pivot = next(r for r in range(col, len(rows)) if rows[r][col] % q)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = pow(rows[col][col], -1, q)
+        rows[col] = [v * inv % q for v in rows[col]]
+        for r in range(len(rows)):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(v - f * w) % q for v, w in zip(rows[r], rows[col])]
+    return [row[-1] for row in rows]
+
+
 def test_dlog_extraction():
-    rng = random.Random(12)
-    a = 7
-    A = TOY.g ** a
-    k = TOY.random_scalar(rng)
-    K = _dlog_commitment(TOY, A, k, 0)
-    c1, c2 = 2, 9
-    s1, s2 = (k + c1 * a) % TOY.q, (k + c2 * a) % TOY.q
-    assert _dlog_commitment(TOY, A, s1, c1) == K == _dlog_commitment(TOY, A, s2, c2)
-    extracted = (s1 - s2) * pow(c1 - c2, -1, TOY.q) % TOY.q
-    assert extracted == a
+    # m = 2: every three accepting transcripts with one K and distinct c
+    # solve for (k, x_1, x_2), the responses found by search, not computed
+    k, xs = 5, [3, 8]
+    As = [TOY.g ** x for x in xs]
+    K = _dlog_commitment(TOY, As, k, 0)
+    assert K == TOY.g ** k
+    accepting = {}
+    for c in range(TOY.q):
+        (s,) = [s for s in range(TOY.q) if _dlog_commitment(TOY, As, s, c) == K]
+        accepting[c] = s
+    for cs in itertools.combinations(range(TOY.q), 3):
+        assert _interpolate([(c, accepting[c]) for c in cs], TOY.q) == [k, *xs]
 
 
 def test_dh_extraction():
@@ -356,7 +421,7 @@ def test_square_extraction():
 
 COMMITMENT_FUNCTIONS = {
     # name: (number of bases, number of scalars, the function on (view, bases, scalars))
-    "dlog": (1, 2, lambda G, b, s: _dlog_commitment(G, b[0], s[0], s[1])),
+    "dlog": (2, 2, lambda G, b, s: _dlog_commitment(G, b, s[0], s[1])),
     "dh_tuple": (4, 2, lambda G, b, s: _dh_commitments(G, b, s[0], s[1])),
     "bit_branch_0": (1, 2, lambda G, b, s: _bit_branch(G, b[0], 0, s[0], s[1])),
     "bit_branch_1": (1, 2, lambda G, b, s: _bit_branch(G, b[0], 1, s[0], s[1])),
@@ -422,7 +487,7 @@ def test_proof_serialization_roundtrips():
     ctx = FsTranscript(b"serial")
     a = MOD.random_scalar(rng)
     proofs = []
-    proofs.append((prove_dlog(MOD, a, MOD.g ** a, ctx, rng), DlogProof))
+    proofs.append((prove_dlog(MOD, [a], [MOD.g ** a], ctx, rng), DlogProof))
     h = MOD.g ** 3
     proofs.append((prove_dh_tuple(MOD, 5, (MOD.g, h, MOD.g ** 5, h ** 5), ctx, rng), DhTupleProof))
     proofs.append((prove_bit(MOD, 1, MOD.random_scalar(rng), ctx, rng), BitProof))
