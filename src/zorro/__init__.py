@@ -40,6 +40,7 @@ from .sigma import (
     DlogProof,
     FsTranscript,
     SquareProof,
+    lift_proofs,
     prove_bit,
     prove_dh_tuple,
     prove_dlog,

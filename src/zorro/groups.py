@@ -18,6 +18,9 @@ injective; decoding validates subgroup membership.
 
 Every group has one exponentiation engine, ``group.multi_exp(pairs)``, the
 product of base ** e over (base, e) pairs; ``a ** e`` is the one-term case.
+A prover's batch of Pedersen commitments g^u * gamma^v has one more entry
+point, ``group.lift(pairs)``: one multi_exp per (u, v) pair on the modular
+groups, and on the curve one lockstep walk of the g and gamma tables.
 Every group skips the terms whose exponent is 0 mod q, so a sigma prover
 evaluates its verification equations at challenge 0 for free.  The modular
 groups multiply builtin ``pow`` results, and take a term at exponent 1 as
@@ -39,12 +42,13 @@ Bernstein and Lange's Explicit-Formulas Database:
     with x scaled by beta.  A scalar within 2^128 of 0 or q (a fold weight,
     or its negative) is one half already.
   * Variable bases, one or a fold's hundreds (Pippenger): each half's
-    signed radix-2^c digits, c about log2(halves) - 3 and at least 2, drop
-    its point into one of 2^(c-1) buckets per window.  The buckets are
-    summed in batches, level by level across the buckets of several
-    windows, and each window's sum_i i * bucket_i comes from two running
-    sums taken in lockstep across the windows, one batch per level and per
-    step.  No tables are built, and ~128 doublings combine the windows.
+    signed radix-2^c digits, c the width that minimises the cost model
+    (halves + 2^c) * ceil(bits / c), drop its point into one of 2^(c-1)
+    buckets per window.  The buckets are summed in batches, level by level
+    across the buckets of several windows, and each window's
+    sum_i i * bucket_i comes from two running sums taken in lockstep across
+    the windows, one batch per level and per step.  No tables are built, and
+    ~128 doublings combine the windows.
   * Powers of the two fixed generators, g and gamma, are summed per base and
     added after the loop through a table per base of 17 rows x 128
     multiples d * 256^i * P (Brickell-Gordon-McCurley-Wilson), built by the
@@ -57,6 +61,10 @@ Bernstein and Lange's Explicit-Formulas Database:
     Reading gamma does not build its table.  A call with no other base
     skips the loop.
   * One final inversion returns an affine point.
+  * lift(pairs) reads the same table entries for every g^u * gamma^v of a
+    batch, and sums each pair's entries pairwise in affine coordinates, one
+    level at a time across the whole batch (Montgomery's trick again), so
+    ~7 inversions serve the batch and no Jacobian addition is made.
 
 The digit patterns follow the scalars, so like the rest of the arithmetic
 this is not constant-time.
@@ -72,8 +80,9 @@ class Group:
     """Shared behaviour for prime-order groups.
 
     Concrete subclasses define group_id, q, g, identity, element_bytes, the
-    element codec and multi_exp(pairs), the product of base ** e over
-    (base, e) pairs.  Elements are immutable and hashable.
+    element codec, multi_exp(pairs), the product of base ** e over
+    (base, e) pairs, and lift(pairs), the Pedersen commitment g^u * gamma^v
+    of each (u, v) pair.  Elements are immutable and hashable.
     """
 
     group_id: str
@@ -187,6 +196,10 @@ class ModGroup(Group):
                 term = base if e == 1 else base ** e
                 result = term if result is None else result * term
         return self.identity if result is None else result
+
+    def lift(self, pairs) -> list:
+        """[g^u * gamma^v for (u, v) in pairs]: one multi_exp each."""
+        return [self.multi_exp(((self.g, u), (self.gamma, v))) for u, v in pairs]
 
     def contains(self, a) -> bool:
         return (
@@ -370,6 +383,34 @@ def _affine_multiples(P, count, p):
     return row
 
 
+def _sum_pairwise(lists, p):
+    """Replace each list of affine points by its sum: [] for the identity,
+    else [sum].  The points of every list are added pairwise, one level at a
+    time across all the lists, and each level is one _affine_sums, so one
+    inversion; a pair that cancels drops out."""
+    level = [points for points in lists if len(points) > 1]
+    while level:
+        sums = _affine_sums(
+            [P for points in level for P in points[:-1:2]],
+            [Q for points in level for Q in points[1::2]],
+            p,
+        )
+        j = 0
+        for points in level:
+            pairs = len(points) >> 1
+            points[:] = [s for s in sums[j:j + pairs] if s] + points[2 * pairs:]
+            j += pairs
+        level = [points for points in level if len(points) > 1]
+
+
+def _bucket_width(points, bits):
+    """The window width c, from 2 to 16, that minimises the cost model
+    (points + 2^c) * ceil(bits / c): each window takes one addition per
+    point and about two per bucket.  2 for one base, 4 for 27 points, 6
+    for the ~280 of a vote ledger fold."""
+    return min(range(2, 17), key=lambda c: (points + (1 << c)) * -(-bits // c))
+
+
 def _signed_digits(k, c):
     """Radix-2^c digits of k >= 0 in (-2^(c-1), 2^(c-1)], least significant first.
 
@@ -449,11 +490,8 @@ class CurveGroup(Group):
         Each variable base P is split by GLV into two ~128-bit powers of P
         and lam * P, and _buckets sums them, however few.  Powers of g and
         of gamma are summed per base and added afterwards through that
-        base's table, with no doublings: each sum is split by GLV too, and
-        each half's signed radix-256 digits d select row entries
-        |d| * 256^i * P (x scaled by beta for the lam half, y negated for a
-        negative digit or half), ~34 mixed additions a base.  One final
-        inversion returns an affine point.
+        base's table (_table_entries), with no doublings, ~34 mixed
+        additions a base.  One final inversion returns an affine point.
         """
         p, q = self.p, self.q
         fixed = {}  # g or gamma -> its summed exponent
@@ -469,18 +507,45 @@ class CurveGroup(Group):
                 scalars.append(self._glv_split(e))
         X, Y, Z = self._buckets(bases, scalars) if bases else _J_IDENTITY
         for base, e in fixed.items():
-            table = self._fixed_base_table(base)
-            for k, beta in zip(self._glv_split(e % q), (1, self.beta)):
-                for row, d in zip(table, _signed_digits(abs(k), 8)):
-                    if d:
-                        x, y = row[abs(d) - 1]
-                        y = y if (d > 0) == (k > 0) else p - y
-                        X, Y, Z = _jmadd(X, Y, Z, beta * x % p, y, p)
+            for x, y in self._table_entries(base, e):
+                X, Y, Z = _jmadd(X, Y, Z, x, y, p)
         if Z == 0:
             return self.identity
         zi = pow(Z, -1, p)
         zi2 = zi * zi % p
         return CurvePoint(self, X * zi2 % p, Y * zi2 * zi % p)
+
+    def _table_entries(self, base, e) -> list:
+        """The affine entries of base's table (g or gamma) that sum to
+        base ** e: e mod q is split by GLV, and each half's signed radix-256
+        digits d select row entries |d| * 256^i * base, x scaled by beta for
+        the lam half and y negated for a negative digit or half.  ~34
+        entries; none at e = 0 mod q, which builds no table."""
+        p, entries = self.p, []
+        e %= self.q
+        if not e:
+            return entries
+        table = self._fixed_base_table(base)
+        for k, beta in zip(self._glv_split(e), (1, self.beta)):
+            for row, d in zip(table, _signed_digits(abs(k), 8)):
+                if d:
+                    x, y = row[abs(d) - 1]
+                    entries.append((beta * x % p, y if (d > 0) == (k > 0) else p - y))
+        return entries
+
+    def lift(self, pairs) -> list:
+        """[g^u * gamma^v for (u, v) in pairs], in lockstep: each pair's
+        table entries (_table_entries of g at u and of gamma at v, ~68)
+        are summed pairwise in affine coordinates, one level at a time
+        across every pair (_sum_pairwise), so the whole batch shares one
+        inversion per level, ~7 in all, and an addition costs ~6 field
+        multiplications against a mixed Jacobian addition's 11."""
+        sums = [
+            self._table_entries(self.g, u) + self._table_entries(self.gamma, v)
+            for u, v in pairs
+        ]
+        _sum_pairwise(sums, self.p)
+        return [CurvePoint(self, *s[0]) if s else self.identity for s in sums]
 
     def _buckets(self, bases, scalars):
         """The sum of k1 * P + k2 * (lam * P) over the bases P and their GLV
@@ -488,18 +553,18 @@ class CurveGroup(Group):
         (Pippenger) with affine bucket sums.
 
         Every nonzero half k of P (or lam * P) becomes the affine point
-        sign(k) * P and the radix-2^c signed digits of |k|, c about
-        log2(halves) - 3 and at least 2: one base's two halves take 2-bit
-        windows, and a fold of 64 or more halves 4-bit windows or wider.  A
+        sign(k) * P and the radix-2^c signed digits of |k|, c from
+        _bucket_width: one base's two halves take 2-bit windows, a round-1
+        fold's 27 halves 4-bit windows, and a vote ledger fold 6-bit.  A
         digit d of window w drops the point, negated for d < 0, into bucket
         |d| of window w.  The points of each bucket are summed pairwise, one
         level at a time across every bucket of a batch of whole windows
-        (about _BUCKET_BATCH points, which bounds the intermediate sums held
-        at once).  The windows' sum_i i * bucket_i come from two running
-        sums, a bucket at a time in every window together.  Each level and
-        each step is one _affine_sums, so one inversion.  The window sums
-        are then combined from the top, c Jacobian doublings apart.  No
-        tables are built.
+        (_sum_pairwise over about _BUCKET_BATCH points, which bounds the
+        intermediate sums held at once).  The windows' sum_i i * bucket_i
+        come from two running sums, a bucket at a time in every window
+        together.  Each level and each step is one _affine_sums, so one
+        inversion.  The window sums are then combined from the top, c
+        Jacobian doublings apart.  No tables are built.
         """
         p = self.p
         points, magnitudes = [], []
@@ -508,7 +573,7 @@ class CurveGroup(Group):
                 if k:
                     points.append((x, base.y if k > 0 else p - base.y))
                     magnitudes.append(abs(k))
-        c = max(2, len(points).bit_length() - 3)
+        c = _bucket_width(len(points), max(magnitudes).bit_length())
         half = 1 << (c - 1)
         digits = [_signed_digits(k, c) for k in magnitudes]
         windows = max(map(len, digits), default=0)
@@ -520,17 +585,7 @@ class CurveGroup(Group):
                     buckets[w * half + abs(d) - 1].append(point if d > 0 else negated)
         batch = max(1, _BUCKET_BATCH // len(points)) * half  # whole windows
         for first in range(0, len(buckets), batch):
-            level = [b for b in buckets[first:first + batch] if len(b) > 1]
-            while level:
-                sums = _affine_sums(
-                    [P for b in level for P in b[:-1:2]], [Q for b in level for Q in b[1::2]], p
-                )
-                j = 0
-                for b in level:
-                    pairs = len(b) >> 1
-                    b[:] = [s for s in sums[j:j + pairs] if s] + b[2 * pairs:]
-                    j += pairs
-                level = [b for b in level if len(b) > 1]
+            _sum_pairwise(buckets[first:first + batch], p)
         running = totals = [None] * windows
         for i in range(half - 1, -1, -1):
             running = _affine_sums(running, [b[0] if b else None for b in buckets[i::half]], p)

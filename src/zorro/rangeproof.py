@@ -12,7 +12,9 @@ with witness x_j: it forces B_j = C_j * (h_pad/gamma)^x_j, so C_j commits,
 with randomness x_j, to the T_j the slot encrypts.  Only its commitment
 (h_pad/gamma)^r, whose log nobody knows, is a variable-base power.  Every
 other element a prover makes is a Pedersen commitment or a commitment of a
-sigma proof, each one lift g^u * gamma^v through the fixed-base tables.
+sigma proof, each a g^u * gamma^v that sigma.lift_proofs lifts in one
+batch: an L1 prover lifts all its bit proofs at once, an L2 prover its
+squares, then, after the links that need each C_j, its digits.
 
 L2 ("l2"): prove sum_j T_j^2 <= 2^L - 1, with one square per slot.  Each
 square W_j = g^(T_j^2) * gamma^s_j takes fresh randomness s_j, and the
@@ -60,6 +62,7 @@ slot count: the ledger header gives the policy, and with it L, and m.
 
 import math
 from dataclasses import dataclass, fields
+from itertools import islice
 
 from .dlog import DlogWindow
 from .elgamal import Ciphertext
@@ -70,6 +73,7 @@ from .sigma import (
     DhTupleProof,
     SquareProof,
     first_failure,
+    lift_proofs,
     prove_bit,
     prove_dh_tuple,
     prove_square,
@@ -209,7 +213,8 @@ def _digit_randomness(group, target: int, width: int, rng) -> list[int]:
 
 def _prove_digits(group, digits, rand, row_ctx, rng) -> tuple:
     """Commit to digit l with randomness rand[l] and prove it a bit in
-    context row_ctx/l; returns the bit proofs, each holding its digit."""
+    context row_ctx/l; returns the pending bit proofs (sigma.Pending), each
+    finished proof holding its digit."""
     return tuple(
         prove_bit(group, d, r, row_ctx.child(l), rng)
         for l, (d, r) in enumerate(zip(digits, rand))
@@ -343,15 +348,17 @@ def prove_l2(group, cts, values, x, pad_keys, policy: BoundPolicy, ctx, rng) -> 
     s = policy._admit(values, policy.effective_bound)
 
     s_w = [group.random_scalar(rng) for _ in values]
-    Cs, Ws, square_proofs = zip(*(
+    Cs, Ws, square_proofs = zip(*lift_proofs(group, [
         prove_square(group, t, xj, sj, ctx.child(b"square", j), rng)
         for j, (t, xj, sj) in enumerate(zip(values, x, s_w))
-    ))
+    ]))
     links = _link_proofs(group, cts, Cs, x, pad_keys, ctx, rng)
     # the digits' randomness recomposes to that of the squares' product, so the
     # consistency identity holds between commitments
     digit_rand = _digit_randomness(group, sum(s_w) % group.q, policy.L, rng)
-    digit_proofs = _prove_digits(group, bits_of(s, policy.L), digit_rand, ctx.child(b"bit"), rng)
+    digit_proofs = tuple(lift_proofs(
+        group, _prove_digits(group, bits_of(s, policy.L), digit_rand, ctx.child(b"bit"), rng)
+    ))
     return L2RangeProof(Cs, links, digit_proofs, Ws, square_proofs)
 
 
@@ -415,18 +422,21 @@ def prove_l1(group, cts, values, x, pad_keys, policy: BoundPolicy, ctx, rng) -> 
 def _build_l1(group, cts, digits, sum_digits, x, pad_keys, policy, ctx, rng) -> L1RangeProof:
     # digit lists are taken as given so tests can force dishonest bundles
     L = policy.L
-    rows = tuple(
+    pending = [
         _prove_digits(
             group, digits[j], _digit_randomness(group, x[j], L, rng), ctx.child(b"bit", j), rng
         )
         for j in range(len(cts))
-    )
-    sums = _prove_digits(
+    ]
+    pending.append(_prove_digits(
         group, sum_digits, _digit_randomness(group, sum(x) % group.q, L, rng),
         ctx.child(b"sumbit"), rng,
-    )
+    ))
+    # every bit proof of the bundle in one lift, then cut back into rows
+    proofs = iter(lift_proofs(group, [p for row in pending for p in row]))
+    *rows, sums = (tuple(islice(proofs, len(row))) for row in pending)
     links = _link_proofs(group, cts, [_recomposed(row) for row in rows], x, pad_keys, ctx, rng)
-    return L1RangeProof(links, rows, sums)
+    return L1RangeProof(links, tuple(rows), sums)
 
 
 def verify_l1(group, posted_cts, proof: L1RangeProof, policy: BoundPolicy, pad_keys, ctx):

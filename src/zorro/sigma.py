@@ -20,15 +20,20 @@ compares its value at the posted responses and hashed challenge with the
 posted commitments, and the prover takes it at its nonces with challenge 0.
 
 Provers of bit and square proofs know every log involved, to base g and to
-base gamma (the committed values, the randomness, the nonces).  They
+base gamma (the committed values, the randomness, the nonces), and run in
+two phases.  First, prove_bit and prove_square draw their nonces and
 evaluate the same functions on _Logs(group), where each element is the pair
-of its logs (u, v) for g^u * gamma^v, and turn each resulting commitment
-into an element with one lift, g^u * gamma^v through the two fixed-base
-tables (_Logs.lift), instead of one variable-base power per use of a
-commitment.  They lift the commitments they prove the same way, in the same
-lift, and return them with the proof.  Where no party knows the logs (the
-DH-tuple statement of a re-encryption link, whose base holds a pad key)
-provers evaluate on elements.
+of its logs (u, v) for g^u * gamma^v, instead of making one variable-base
+power per use of a commitment.  Each returns a Pending proof: the _Log
+values of what it proves and of its commitments, and the function that
+turns their elements into the proof (hash the challenge, compute the
+responses).  Then lift_proofs lifts the logs of a whole list of pending
+proofs with one group.lift call, which on the curve walks the g and gamma
+tables for all of them in lockstep, and finishes each.  The nonces are
+drawn in proof order, before any lift, so a bundle's bytes do not depend on
+how its proofs are batched.  Where no party knows the logs (the DH-tuple
+statement of a re-encryption link, whose base holds a pad key) provers
+evaluate on elements.
 
 A verifier states each check once, as verify(group, *args) -> bool: a
 relation verifier here, or rangeproof's link and recomposition checks.  Its
@@ -60,6 +65,8 @@ protocol.verify_ledger folds one table of every decoded post (fold_parts) at onc
 
 import hashlib
 from dataclasses import dataclass
+from itertools import islice
+from typing import Callable, NamedTuple
 
 from .encoding import Record, pack_u32
 
@@ -150,14 +157,13 @@ class _Logs:
 
     Its elements are _Log pairs: ** scales both, and multi_exp returns the
     pair of sums of log * e mod q.  Passed to a commitment function by a
-    prover that knows every log, it gives each commitment's logs; lift turns
-    those into elements with one multi_exp over g and gamma each.
+    prover that knows every log, it gives each commitment's logs, which
+    lift_proofs turns into elements.
     """
 
-    __slots__ = ("_group", "q", "g", "gamma")
+    __slots__ = ("q", "g", "gamma")
 
     def __init__(self, group):
-        self._group = group
         self.q = group.q
         self.g = self.at(1)
         self.gamma = self.at(0, 1)
@@ -170,13 +176,22 @@ class _Logs:
         pairs = tuple(pairs)
         return self.at(sum(P.u * e for P, e in pairs), sum(P.v * e for P, e in pairs))
 
-    def lift(self, value):
-        """`value` (a _Log or a tuple of them) with every _Log replaced by its
-        group element g^u * gamma^v."""
-        if isinstance(value, _Log):
-            group = self._group
-            return group.multi_exp(((group.g, value.u), (group.gamma, value.v)))
-        return tuple(map(self.lift, value))
+
+class Pending(NamedTuple):
+    """A proof whose nonces are drawn and whose elements are still logs:
+    finish(*elements) is the proof, given the element g^u * gamma^v of each
+    _Log of `logs`, in order."""
+
+    logs: tuple
+    finish: Callable
+
+
+def lift_proofs(group, pending) -> list:
+    """Every pending proof finished, in order, after one group.lift call
+    for the logs of all of them."""
+    pending = list(pending)
+    elements = iter(group.lift([(P.u, P.v) for proof in pending for P in proof.logs]))
+    return [proof.finish(*islice(elements, len(proof.logs))) for proof in pending]
 
 
 def folds(group) -> bool:
@@ -362,26 +377,29 @@ def _bit_branch(group, y, bit: int, d: int, r: int):
     return group.multi_exp((*terms, (group.g, -d % group.q)) if bit else terms)
 
 
-def prove_bit(group, b: int, rho: int, ctx: FsTranscript, rng) -> BitProof:
+def prove_bit(group, b: int, rho: int, ctx: FsTranscript, rng) -> Pending:
     """Commit to bit b with randomness rho, y = g^b * gamma^rho, and prove it
     holds 0 or 1 without revealing which.  y and both branches are
-    evaluated on discrete logs."""
+    evaluated on discrete logs; lift_proofs finishes the BitProof."""
     if b not in (0, 1):
         raise ValueError(f"bit witness must be 0 or 1, got {b}")
-    logs = _Logs(group)
+    logs, q = _Logs(group), group.q
     y = logs.at(b, rho)
     # the branch claiming b is real; the other is simulated from (d_sim, r_sim)
     w = group.random_scalar(rng)
     d_sim, r_sim = group.random_scalar(rng), group.random_scalar(rng)
     real = _bit_branch(logs, y, 0, 0, w)  # at d = 0 the claimed bit does not enter
     sim = _bit_branch(logs, y, 1 - b, d_sim, r_sim)
-    y, a0, a1 = logs.lift((y, *((real, sim) if b == 0 else (sim, real))))
-    c = ctx.challenge(group, y, a0, a1)
-    d_real = (c - d_sim) % group.q
-    r_real = (w - rho * d_real) % group.q
-    if b == 0:
-        return BitProof(y, a0, a1, d_real, r_real, r_sim)
-    return BitProof(y, a0, a1, d_sim, r_sim, r_real)
+
+    def finish(y, a0, a1) -> BitProof:
+        c = ctx.challenge(group, y, a0, a1)
+        d_real = (c - d_sim) % q
+        r_real = (w - rho * d_real) % q
+        if b == 0:
+            return BitProof(y, a0, a1, d_real, r_real, r_sim)
+        return BitProof(y, a0, a1, d_sim, r_sim, r_real)
+
+    return Pending((y, *((real, sim) if b == 0 else (sim, real))), finish)
 
 
 def verify_bit(group, proof: BitProof, ctx: FsTranscript) -> bool:
@@ -422,20 +440,22 @@ def _square_commitments(group, C, W, z1: int, z2: int, z3: int, c: int):
     )
 
 
-def prove_square(group, a: int, s_a: int, s_b: int, ctx: FsTranscript, rng) -> tuple:
+def prove_square(group, a: int, s_a: int, s_b: int, ctx: FsTranscript, rng) -> Pending:
     """Commit to a with randomness s_a and to a^2 with s_b, and prove the
-    second holds the square of the first; returns (C, W, proof).  The
-    commitments are evaluated on discrete logs, and lifted together."""
-    logs = _Logs(group)
-    own_C, own_W = logs.at(a, s_a), logs.at(a * a, s_b)
+    second holds the square of the first.  The commitments are evaluated on
+    discrete logs; lift_proofs finishes (C, W, proof)."""
+    logs, q = _Logs(group), group.q
+    C, W = logs.at(a, s_a), logs.at(a * a, s_b)
     k1, k2, k3 = (group.random_scalar(rng) for _ in range(3))
-    K = _square_commitments(logs, own_C, own_W, k1, k2, k3, 0)
-    C, W, K1, K2 = logs.lift((own_C, own_W, *K))
-    c = ctx.challenge(group, C, W, K1, K2)
-    q = group.q
-    return C, W, SquareProof(
-        K1, K2, (k1 + c * a) % q, (k2 + c * s_a) % q, (k3 + c * (s_b - a * s_a)) % q
-    )
+    K = _square_commitments(logs, C, W, k1, k2, k3, 0)
+
+    def finish(C, W, K1, K2) -> tuple:
+        c = ctx.challenge(group, C, W, K1, K2)
+        return C, W, SquareProof(
+            K1, K2, (k1 + c * a) % q, (k2 + c * s_a) % q, (k3 + c * (s_b - a * s_a)) % q
+        )
+
+    return Pending((C, W, *K), finish)
 
 
 def verify_square(group, C, W, proof: SquareProof, ctx: FsTranscript) -> bool:

@@ -52,6 +52,7 @@ from zorro.reductions import (
 )
 from zorro.sigma import (
     FsTranscript,
+    lift_proofs,
     prove_bit,
     prove_dh_tuple,
     prove_dlog,
@@ -128,14 +129,14 @@ def test_criterion_02_completeness():
 
             ctx = FsTranscript(b"c2-bit")
             bit = rng.randrange(2)
-            proof = prove_bit(group, bit, group.random_scalar(rng), ctx, rng)
+            (proof,) = lift_proofs(group, [prove_bit(group, bit, group.random_scalar(rng), ctx, rng)])
             assert verify_bit(group, proof, ctx)
             checked += 1
 
             ctx = FsTranscript(b"c2-square")
             a = rng.randrange(-5, 6)
             s_a, s_b = group.random_scalar(rng), group.random_scalar(rng)
-            C, W, proof = prove_square(group, a, s_a, s_b, ctx, rng)
+            ((C, W, proof),) = lift_proofs(group, [prove_square(group, a, s_a, s_b, ctx, rng)])
             assert verify_square(group, C, W, proof, ctx)
             checked += 1
 
@@ -201,7 +202,7 @@ def test_criterion_03_mutation_soundness():
     As = [MOD.g ** x for x in xs]
     dp = prove_dlog(MOD, xs, As, ctx, rng)
     targets.append((dp.to_bytes(MOD), lambda payload: _try_verify_dlog(As, payload, ctx)))
-    bp = prove_bit(MOD, 1, MOD.random_scalar(rng), ctx, rng)
+    (bp,) = lift_proofs(MOD, [prove_bit(MOD, 1, MOD.random_scalar(rng), ctx, rng)])
     targets.append((bp.to_bytes(MOD), lambda payload: _try_verify_bit(payload, ctx)))
 
     for data, check in targets:
@@ -398,7 +399,8 @@ def _verify_group_ops(n, monkeypatch):
 
 
 def _prover_pows(monkeypatch):
-    """The ** spent by one prove_bit, one prove_square and one l1 round 2."""
+    """The ** spent by one prove_bit, one prove_square (each finished by
+    lift_proofs) and one l1 round 2."""
     rng = random.Random(12)
     ctx = FsTranscript(b"c8")
     s_a, s_b = MOD.random_scalar(rng), MOD.random_scalar(rng)
@@ -408,8 +410,8 @@ def _prover_pows(monkeypatch):
     for p in parties:
         p.receive_round1(posts1)
     runs = {
-        "prove_bit": lambda: prove_bit(MOD, 1, s_a, ctx, rng),
-        "prove_square": lambda: prove_square(MOD, 3, s_a, s_b, ctx, rng),
+        "prove_bit": lambda: lift_proofs(MOD, [prove_bit(MOD, 1, s_a, ctx, rng)]),
+        "prove_square": lambda: lift_proofs(MOD, [prove_square(MOD, 3, s_a, s_b, ctx, rng)]),
         "round2_generate": lambda: parties[0].round2([1, 1, 1, 0]),
     }
     return {name: _group_ops(monkeypatch, ("__pow__",), run)["__pow__"] for name, run in runs.items()}

@@ -425,15 +425,15 @@ def _wrapping_prove_l2(group, cts, values, x, pad_keys, policy, ctx, rng):
     s = sum(t * t for t in values) % group.q
     assert s <= policy.effective_bound
     s_w = [group.random_scalar(rng) for _ in values]
-    Cs, Ws, square_proofs = zip(*(
+    Cs, Ws, square_proofs = zip(*sigma.lift_proofs(group, [
         sigma.prove_square(group, t, xj, sj, ctx.child(b"square", j), rng)
         for j, (t, xj, sj) in enumerate(zip(values, x, s_w))
-    ))
+    ]))
     links = rangeproof._link_proofs(group, cts, Cs, x, pad_keys, ctx, rng)
     digit_rand = rangeproof._digit_randomness(group, sum(s_w) % group.q, policy.L, rng)
-    digit_proofs = rangeproof._prove_digits(
+    digit_proofs = tuple(sigma.lift_proofs(group, rangeproof._prove_digits(
         group, rangeproof.bits_of(s, policy.L), digit_rand, ctx.child(b"bit"), rng
-    )
+    )))
     return rangeproof.L2RangeProof(Cs, links, digit_proofs, Ws, square_proofs)
 
 

@@ -41,6 +41,7 @@ from zorro.sigma import (
     DlogProof,
     FsTranscript,
     fold_holds,
+    lift_proofs,
     prove_bit,
     prove_square,
     recorded,
@@ -406,7 +407,8 @@ def _row_of(case, j, digits):
     row_ctx = c.ctx.child(b"bit", j)
     rand = _digit_randomness(c.group, c.x[j], len(digits), c.rng)
     return tuple(
-        prove_bit(c.group, d, rho, row_ctx.child(l), c.rng) if d in (0, 1)
+        lift_proofs(c.group, [prove_bit(c.group, d, rho, row_ctx.child(l), c.rng)])[0]
+        if d in (0, 1)
         else _forged_bit(c.group, _pedersen(c.group, d, rho), row_ctx.child(l), c.rng)
         for l, (d, rho) in enumerate(zip(digits, rand))
     )
@@ -766,7 +768,7 @@ def _sum_spells_one_more(case, policy):
     sums = _prove_digits(
         c.group, bits_of(sum(c.values) + 1, policy.L), rand, c.ctx.child(b"sumbit"), c.rng
     )
-    return dataclasses.replace(c.proof, sum_digit_proofs=sums)
+    return dataclasses.replace(c.proof, sum_digit_proofs=tuple(lift_proofs(c.group, sums)))
 
 
 def _digit_of_two(case, policy):
@@ -779,16 +781,16 @@ def _square_of_one_more(case, policy):
     the squares plus one, so that only the square proof of slot 1 fails."""
     c, group = case, case.group
     s_w = [group.random_scalar(c.rng) for _ in c.values]
-    Cs, Ws, proofs = zip(*(
+    Cs, Ws, proofs = zip(*lift_proofs(group, [
         prove_square(group, t, xj, sj, c.ctx.child(b"square", j), c.rng)
         for j, (t, xj, sj) in enumerate(zip(c.values, c.x, s_w))
-    ))
+    ]))
     Ws = (Ws[0], Ws[1] * group.g)
     links = rangeproof._link_proofs(group, c.posted, Cs, c.x, c.pads, c.ctx, c.rng)
     rand = _digit_randomness(group, sum(s_w) % group.q, policy.L, c.rng)
     total = sum(t * t for t in c.values) + 1
     digits = _prove_digits(group, bits_of(total, policy.L), rand, c.ctx.child(b"bit"), c.rng)
-    return L2RangeProof(Cs, links, digits, Ws, proofs)
+    return L2RangeProof(Cs, links, tuple(lift_proofs(group, digits)), Ws, proofs)
 
 
 BINDING = {

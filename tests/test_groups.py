@@ -501,6 +501,108 @@ def test_curve_multi_exp_on_bucket_edges_matches_affine_oracle(case, batch, monk
         assert CURVE.multi_exp(pairs) is CURVE.identity
 
 
+# the window width each case is summed at, and the edges it reaches there
+BUCKET_EDGES = {
+    "repeated bases": (6, {"P + P"}),
+    "negations": (6, {"P + (-P)"}),
+    "lam halves": (5, {"P + P", "P + (-P)"}),
+    "identity bases": (5, set()),  # the identity terms make no point
+    "all windows cancel": (6, {"P + (-P)", "every window empty"}),
+    "low windows cancel": (5, {"P + (-P)", "low windows empty"}),
+    "high windows cancel": (5, {"P + (-P)", "high windows empty"}),
+}
+
+
+@pytest.mark.parametrize("case", BUCKET_CASES)
+def test_each_bucket_case_reaches_its_edges_at_its_width(case, monkeypatch):
+    # _bucket_width picks each case's width; the bucket sums (inside
+    # _sum_pairwise) add a pair of equal x, and the window totals (the last
+    # _affine_sums) leave windows empty, as the case is built to make them
+    terms, q = BUCKET_CASES[case], CURVE.q
+    width, affine_sums, sum_pairwise = groups._bucket_width, groups._affine_sums, groups._sum_pairwise
+    widths, bucket_pairs, outputs, inside = [], [], [], []
+
+    def recording_width(points, bits):
+        widths.append((points, width(points, bits)))
+        return widths[-1][1]
+
+    def recording_sums(left, right, p):
+        if inside:
+            bucket_pairs.extend((P, Q) for P, Q in zip(left, right) if P and Q)
+        outputs.append(affine_sums(left, right, p))
+        return outputs[-1]
+
+    def marked(lists, p):
+        inside.append(True)
+        sum_pairwise(lists, p)
+        inside.pop()
+
+    monkeypatch.setattr(groups, "_bucket_width", recording_width)
+    monkeypatch.setattr(groups, "_affine_sums", recording_sums)
+    monkeypatch.setattr(groups, "_sum_pairwise", marked)
+    CURVE.multi_exp([(P, e) for _, P, e in terms])
+    halves = sum(
+        1 for _, P, e in terms if e % q and not P.is_identity
+        for k in CURVE._glv_split(e % q) if k
+    )
+    empty = [total is None for total in outputs[-1]]
+    edges = {
+        "P + P": any(P == Q for P, Q in bucket_pairs),
+        "P + (-P)": any(P[0] == Q[0] and P[1] != Q[1] for P, Q in bucket_pairs),
+        "every window empty": all(empty),
+        "low windows empty": empty[0] and not all(empty),
+        "high windows empty": empty[-1] and not all(empty),
+    }
+    expected_width, expected_edges = BUCKET_EDGES[case]
+    assert widths == [(halves, expected_width)]
+    assert {edge for edge, reached in edges.items() if reached} >= expected_edges
+
+
+def test_bucket_width_follows_its_cost_model():
+    # (points + 2^c) * ceil(bits / c): one base keeps 2-bit windows, each
+    # party's 27-point round-1 fold takes 4 and the 279-point vote ledger
+    # fold 6
+    assert [groups._bucket_width(n, 128) for n in (1, 2, 27, 279)] == [2, 2, 4, 6]
+    assert [groups._bucket_width(n, 129) for n in (1, 2, 27, 279)] == [2, 2, 4, 6]
+
+
+# -- Pedersen commitments in lockstep ---------------------------------------------
+
+
+def _lift_batches(group):
+    """Batches of (u, v) pairs for group.lift, each an edge of the lockstep
+    walk: empty, the identity, one base alone, exponents outside [0, q),
+    30 drawn pairs, and a batch longer than one party's 45 l1 lifts."""
+    q, rng = group.q, random.Random(33)
+    drawn = [(group.random_scalar(rng), group.random_scalar(rng)) for _ in range(30)]
+    return {
+        "empty": [],
+        "identity": [(0, 0), (q, -q)],
+        "one base": [(5, 0), (0, 7), (q - 1, 0), (0, q - 1), (1, 0), (0, 1)],
+        "outside [0, q)": [(q + 3, 2 * q - 1), (-1, -2), (-(2**300) - 5, 2**300), (q, 9)],
+        "drawn": drawn,
+        "longer than 45": drawn + [(-u, v) for u, v in drawn] + [(0, 0)] * 3,
+    }
+
+
+@pytest.mark.parametrize("group", ALL, ids=lambda g: g.group_id)
+def test_lift_matches_multi_exp_pair_by_pair(group):
+    for name, pairs in _lift_batches(group).items():
+        expected = [group.multi_exp(((group.g, u), (group.gamma, v))) for u, v in pairs]
+        assert group.lift(pairs) == expected, name
+
+
+def test_curve_lift_matches_the_affine_oracle():
+    # independent of multi_exp: g^u * gamma^v from repeated affine additions
+    rng = random.Random(34)
+    pairs = [(rng.getrandbits(24), rng.getrandbits(24)) for _ in range(3)]
+    pairs += [(0, 0), (CURVE.q - 1, 1)]
+    lifted = CURVE.lift(pairs)
+    assert lifted[3] is CURVE.identity
+    for (u, v), point in zip(pairs, lifted):
+        assert point == affine_pow(CURVE.g, u) * affine_pow(CURVE.gamma, v), (u, v)
+
+
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(
     terms=st.lists(

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from zorro import groups
+from zorro import groups, rangeproof
 from zorro.dlog import MAX_BABY_STEPS, DlogWindow, bsgs
 from zorro.elgamal import encrypt_exp
 from zorro.errors import (
@@ -208,6 +208,37 @@ def test_secp256k1_l1_round2_raises_a_variable_base_eight_times(monkeypatch):
     monkeypatch.setattr(curve, "multi_exp", counting)
     parties[0].round2([1, 0, 2, 0])
     assert len(calls) == 8
+
+
+def _secp256k1_round2_lifts(policy, values, monkeypatch):
+    """The pair count of each group.lift call, and the number of prove_bit
+    calls, in party 0's round 2 on secp256k1 (n = 3, m = len(values))."""
+    cfg = config(n=3, m=len(values), policy=policy, group=groups.prod_group())
+    parties = [Party(cfg, i, random.Random(i)) for i in range(cfg.n)]
+    posts1 = [p.round1() for p in parties]
+    parties[0].receive_round1(posts1)
+    curve, lift, prove_bit, lifts, bits = cfg.group, cfg.group.lift, rangeproof.prove_bit, [], []
+    monkeypatch.setattr(curve, "lift", lambda pairs: lifts.append(len(pairs)) or lift(pairs))
+    monkeypatch.setattr(rangeproof, "prove_bit", lambda *a: bits.append(a) or prove_bit(*a))
+    post = parties[0].round2(values)
+    assert verify_contribution(cfg, post, parties[0].pads) == (True, None)
+    return lifts, len(bits)
+
+
+def test_secp256k1_l1_round2_lifts_every_bit_proof_at_once(monkeypatch):
+    # m = 4 rows and the sum, L = 3 digits each: 15 bit proofs, one call
+    # each, whose y, a0 and a1 are lifted together in one batch
+    lifts, bits = _secp256k1_round2_lifts(BoundPolicy.l1(4), [1, 0, 2, 0], monkeypatch)
+    assert (lifts, bits) == ([45], 15)
+
+
+def test_secp256k1_l2_round2_lifts_its_squares_then_its_digits(monkeypatch):
+    # the links need each C_j, so the m squares (C, W, K1, K2 each) are
+    # lifted first, and the L digits of sum_j T_j^2 after the links
+    policy = BoundPolicy.l2(2)
+    lifts, bits = _secp256k1_round2_lifts(policy, [1, 0, -1, 1], monkeypatch)
+    assert policy.L == 3
+    assert (lifts, bits) == ([4 * 4, 3 * 3], 3)
 
 
 def test_l1_session_refuses_illegal_vector():

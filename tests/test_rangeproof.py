@@ -24,7 +24,7 @@ from zorro.rangeproof import (
     verify_l2,
     verify_reencryption_link,
 )
-from zorro.sigma import DhTupleProof, FsTranscript, prove_dh_tuple
+from zorro.sigma import DhTupleProof, FsTranscript, lift_proofs, prove_dh_tuple
 
 TOY = groups.toy_group()
 MOD = groups.test_group()
@@ -384,10 +384,10 @@ def test_l1_reason_codes():
 
     # row 0 spells T_0 + 1 under randomness that still recomposes to x_0:
     # only log_gamma(g) could keep C_0, so the link fails
-    row = _prove_digits(
+    row = tuple(lift_proofs(MOD, _prove_digits(
         MOD, bits_of(3, policy.L), _digit_randomness(MOD, x[0], policy.L, rng),
         ctx.child(b"bit", 0), rng,
-    )
+    )))
     bad = dataclasses.replace(
         proof, element_digit_proofs=(row, *proof.element_digit_proofs[1:])
     )

@@ -19,6 +19,7 @@ from zorro.sigma import (
     _dlog_commitment,
     _Logs,
     _square_commitments,
+    lift_proofs,
     prove_bit,
     prove_dh_tuple,
     prove_dlog,
@@ -182,6 +183,18 @@ def pedersen(group, v, rho):
     return group.multi_exp(((group.g, v), (group.gamma, rho)))
 
 
+def bit_proof(group, b, rho, ctx, rng) -> BitProof:
+    """prove_bit, finished by lift_proofs alone."""
+    (proof,) = lift_proofs(group, [prove_bit(group, b, rho, ctx, rng)])
+    return proof
+
+
+def square_proof(group, a, s_a, s_b, ctx, rng) -> tuple:
+    """prove_square, finished by lift_proofs alone: (C, W, proof)."""
+    (proved,) = lift_proofs(group, [prove_square(group, a, s_a, s_b, ctx, rng)])
+    return proved
+
+
 @pytest.mark.parametrize("group", [TOY, MOD, CURVE], ids=lambda g: g.group_id)
 @pytest.mark.parametrize("b", [0, 1])
 def test_bit_roundtrip(group, b):
@@ -191,7 +204,7 @@ def test_bit_roundtrip(group, b):
     ctx = FsTranscript(b"bit")
     for _ in range(10):
         rho = group.random_scalar(rng)
-        proof = prove_bit(group, b, rho, ctx, rng)
+        proof = bit_proof(group, b, rho, ctx, rng)
         assert proof.y == pedersen(group, b, rho)
         assert verify_bit(group, proof, ctx)
 
@@ -207,7 +220,7 @@ def test_bit_mutations():
     rng = random.Random(8)
     ctx = FsTranscript(b"bit")
     rho = MOD.random_scalar(rng)
-    proof = prove_bit(MOD, 1, rho, ctx, rng)
+    proof = bit_proof(MOD, 1, rho, ctx, rng)
     for field in ("y", "a0", "a1"):
         bad = dataclasses.replace(proof, **{field: getattr(proof, field) * MOD.g})
         assert not verify_bit(MOD, bad, ctx)
@@ -226,7 +239,7 @@ def test_square_roundtrip(group, a):
     rng = random.Random(9)
     ctx = FsTranscript(b"square")
     s_a, s_b = group.random_scalar(rng), group.random_scalar(rng)
-    C, W, proof = prove_square(group, a, s_a, s_b, ctx, rng)
+    C, W, proof = square_proof(group, a, s_a, s_b, ctx, rng)
     assert C == pedersen(group, a, s_a)
     assert W == pedersen(group, a * a, s_b)
     assert verify_square(group, C, W, proof, ctx)
@@ -236,7 +249,7 @@ def test_square_challenge_hashes_the_statement_then_the_commitments():
     rng = random.Random(10)
     ctx = FsTranscript(b"square")
     s_a, s_b = MOD.random_scalar(rng), MOD.random_scalar(rng)
-    C, W, proof = prove_square(MOD, 4, s_a, s_b, ctx, rng)
+    C, W, proof = square_proof(MOD, 4, s_a, s_b, ctx, rng)
     c = ctx.challenge(MOD, C, W, proof.K1, proof.K2)
     assert pedersen(MOD, proof.z1, proof.z2) == C ** c * proof.K1
     assert C ** proof.z1 * MOD.gamma ** proof.z3 == W ** c * proof.K2
@@ -247,7 +260,7 @@ def test_square_rejects_non_square():
     rng = random.Random(11)
     ctx = FsTranscript(b"square")
     s_a, s_b = MOD.random_scalar(rng), MOD.random_scalar(rng)
-    C, W, proof = prove_square(MOD, 3, s_a, s_b, ctx, rng)
+    C, W, proof = square_proof(MOD, 3, s_a, s_b, ctx, rng)
     assert not verify_square(MOD, C, pedersen(MOD, 8, s_b), proof, ctx)
     assert not verify_square(MOD, C, W * MOD.g, proof, ctx)
     assert not verify_square(MOD, C * MOD.g, W, proof, ctx)
@@ -416,8 +429,8 @@ def test_square_extraction():
 #
 # A prover that knows the logs of every base to g and gamma evaluates a
 # commitment function on _Logs(group) and lifts each result with
-# g^u * gamma^v; that must be the element the same function gives on the
-# group.
+# group.lift, g^u * gamma^v; that must be the element the same function
+# gives on the group.
 
 COMMITMENT_FUNCTIONS = {
     # name: (number of bases, number of scalars, the function on (view, bases, scalars))
@@ -438,7 +451,9 @@ def _agrees_on_logs(group, name, values):
     logs = _Logs(group)
     on_logs = f(logs, tuple(logs.at(u, v) for u, v in logs_of), scalars)
     on_elements = f(group, tuple(pedersen(group, u, v) for u, v in logs_of), scalars)
-    return logs.lift(on_logs) == on_elements
+    if not isinstance(on_logs, tuple):
+        on_logs, on_elements = (on_logs,), (on_elements,)
+    return group.lift([(P.u, P.v) for P in on_logs]) == list(on_elements)
 
 
 def _width(name):
@@ -474,9 +489,31 @@ def test_logs_lift_commitments_through_g_and_gamma():
     assert logs.g == logs.at(1) and logs.gamma == logs.at(0, 1)
     assert logs.at(MOD.q + 3, -1) == logs.at(3, MOD.q - 1)
     assert logs.at(5, 2) ** 3 == logs.at(15, 6)
-    assert logs.lift((logs.at(0), (logs.at(2, 1), logs.g))) == (
-        MOD.identity, (MOD.g ** 2 * MOD.gamma, MOD.g)
-    )
+    assert MOD.lift([(P.u, P.v) for P in (logs.at(0), logs.at(2, 1), logs.g)]) == [
+        MOD.identity, MOD.g ** 2 * MOD.gamma, MOD.g
+    ]
+
+
+def test_pending_proofs_finish_in_order_after_one_lift(monkeypatch):
+    # a batch draws each proof's nonces when it is built, so the batch
+    # finishes to the proofs each would give lifted alone, from one
+    # group.lift call of every proof's logs in order
+    ctx, s_a, s_b = FsTranscript(b"batch"), 5, 7
+    make = [
+        lambda rng: prove_bit(CURVE, 1, 11, ctx.child(0), rng),
+        lambda rng: prove_square(CURVE, 3, s_a, s_b, ctx.child(1), rng),
+        lambda rng: prove_bit(CURVE, 0, 13, ctx.child(2), rng),
+    ]
+    rng = random.Random(3)
+    alone = [lift_proofs(CURVE, [f(rng)])[0] for f in make]
+    lift, calls = CURVE.lift, []
+    monkeypatch.setattr(CURVE, "lift", lambda pairs: calls.append(len(pairs)) or lift(pairs))
+    rng = random.Random(3)
+    assert lift_proofs(CURVE, [f(rng) for f in make]) == alone
+    assert calls == [3 + 4 + 3]
+    assert lift_proofs(CURVE, []) == [] and calls == [10, 0]
+    assert verify_bit(CURVE, alone[0], ctx.child(0))
+    assert verify_square(CURVE, *alone[1], ctx.child(1))
 
 
 # -- serialization ----------------------------------------------------------------
@@ -490,9 +527,9 @@ def test_proof_serialization_roundtrips():
     proofs.append((prove_dlog(MOD, [a], [MOD.g ** a], ctx, rng), DlogProof))
     h = MOD.g ** 3
     proofs.append((prove_dh_tuple(MOD, 5, (MOD.g, h, MOD.g ** 5, h ** 5), ctx, rng), DhTupleProof))
-    proofs.append((prove_bit(MOD, 1, MOD.random_scalar(rng), ctx, rng), BitProof))
+    proofs.append((bit_proof(MOD, 1, MOD.random_scalar(rng), ctx, rng), BitProof))
     s_a, s_b = MOD.random_scalar(rng), MOD.random_scalar(rng)
-    proofs.append((prove_square(MOD, 3, s_a, s_b, ctx, rng)[2], SquareProof))
+    proofs.append((square_proof(MOD, 3, s_a, s_b, ctx, rng)[2], SquareProof))
     for proof, cls in proofs:
         data = proof.to_bytes(MOD)
         reader = Reader(data)
