@@ -13,8 +13,11 @@ Three registered instantiations share one interface:
 
 The group law is written multiplicatively everywhere (``a * b``, ``a ** e``)
 even for the curve, so higher-level code reads like the underlying algebra.
-Scalars are plain ints in [0, q).  All encodings are fixed-length and
-injective; decoding validates subgroup membership.
+Scalars are plain ints in [0, q).  Fiat-Shamir challenges and the challenge
+shares a bit proof posts are ints in the challenge space [0, N),
+N = min(q, 2^SECURITY_BITS): Z_q itself on the modular groups, 2^128 on
+secp256k1.  All encodings are fixed-length and injective; decoding
+validates subgroup membership.
 
 Every group has one exponentiation engine, ``group.multi_exp(pairs)``, the
 product of base ** e over (base, e) pairs; ``a ** e`` is the one-term case.
@@ -76,6 +79,21 @@ from itertools import count
 from .errors import EntropyFailure, MalformedEncoding, NotInSubgroup
 
 
+# the security level: the bit length of the challenge space on a large
+# group, and of every fold weight (sigma.FOLD_WEIGHT_BITS)
+SECURITY_BITS = 128
+
+
+def _draw(rng, bound: int) -> int:
+    """Uniform draw from [0, bound) using the caller's entropy source."""
+    if rng is None:
+        raise EntropyFailure("no randomness source supplied")
+    try:
+        return rng.randrange(bound)
+    except Exception as exc:  # rng object broken or exhausted
+        raise EntropyFailure(str(exc)) from exc
+
+
 class Group:
     """Shared behaviour for prime-order groups.
 
@@ -92,16 +110,22 @@ class Group:
     def scalar_bytes(self) -> int:
         return (self.q.bit_length() + 7) // 8
 
+    @property
+    def challenge_space(self) -> int:
+        """N = min(q, 2^SECURITY_BITS): every Fiat-Shamir challenge, and every
+        share of one, is in [0, N).  N = q on the modular groups, and 2^128
+        on secp256k1."""
+        return min(self.q, 1 << SECURITY_BITS)
+
     # -- scalar field -------------------------------------------------------
 
     def random_scalar(self, rng) -> int:
         """Uniform draw from [0, q) using the caller's entropy source."""
-        if rng is None:
-            raise EntropyFailure("no randomness source supplied")
-        try:
-            return rng.randrange(self.q)
-        except Exception as exc:  # rng object broken or exhausted
-            raise EntropyFailure(str(exc)) from exc
+        return _draw(rng, self.q)
+
+    def random_share(self, rng) -> int:
+        """Uniform draw from the challenge space [0, N), as random_scalar."""
+        return _draw(rng, self.challenge_space)
 
     # -- codecs -------------------------------------------------------------
 

@@ -13,14 +13,17 @@ header bytes and each entry's canonical encoding, so flipping any persisted
 byte breaks the chain at an identifiable seq.  The in-memory form is the
 same object without a path.
 
-Format 7 posts nothing that the header, the entry or the line above states
+Format 8 posts nothing that the header, the entry or the line above states
 (see protocol and rangeproof), its header gives every policy, none
-included, a bound, and its bundles commit to digits and squares with
-Pedersen commitments, one point each.  Format 7 changed from format 6 only
-in round 1: a post carries one proof of all its m exponents, where format 6
-carried one proof per element.  There is one reader: a file of any other
-format, formats 1 to 6 included, is refused as unreadable, naming its
-format.
+included, a bound, its bundles commit to digits and squares with Pedersen
+commitments, one point each, and a round-1 post carries one proof of all
+its m exponents.  Format 8 changed from format 7 only in its challenges:
+every Fiat-Shamir challenge is taken mod N = min(q, 2^128), and a bit
+proof posts its challenge share d0 in the byte length of N - 1, 16 bytes
+on secp256k1 where format 7 posted a 32-byte scalar.  On the modular
+groups N = q, so their posts are format 7's byte for byte.  There is one
+reader: a file of any other format, formats 1 to 7 included, is refused as
+unreadable, naming its format.
 """
 
 import hashlib
@@ -31,7 +34,7 @@ from dataclasses import dataclass, replace
 from .encoding import pack_u8, pack_u32, pack_u64
 from .errors import ChainBroken, DuplicatePost, MalformedEncoding
 
-FORMAT = "zorro-ledger/7"
+FORMAT = "zorro-ledger/8"
 
 # a party id of at most 10 digits, so that int() never meets a huge string
 _LINE_RE = re.compile(r"^([12]) (0|[1-9][0-9]{0,9}) ([0-9a-f]{64}) ((?:[0-9a-f]{2})*)$")

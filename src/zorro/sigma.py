@@ -11,8 +11,11 @@ group, whose log to base g nobody knows: one element binds v, and a proof
 about it needs one commitment per equation.
 
 Challenges are SHA-256 over the length-prefixed domain tag, group id and
-encoded elements, reduced mod q.  Element order is pinned: statement
-elements in transcript order, then commitment elements.
+encoded elements, reduced mod N, N = Group.challenge_space = min(q, 2^128):
+the whole of Z_q on the modular groups, 128 bits on secp256k1, so that a
+cheating prover who fixes its commitments meets the one challenge it can
+answer with probability 1/N, 2^-128 there.  Element order is pinned:
+statement elements in transcript order, then commitment elements.
 
 Each relation states its verification equations once, as a function of
 (responses, challenge) returning the commitments they answer: the verifier
@@ -38,8 +41,9 @@ evaluate on elements.
 A verifier states each check once, as verify(group, *args) -> bool: a
 relation verifier here, or rangeproof's link and recomposition checks.  Its
 guards outside the group equations (a membership or identity-base guard, a
-shared first component) run on real values, and each group equation is a
-multi_exp compared with what it must equal, the computed side on the left.  Passed _Recording(group) in place of the group,
+challenge share's range, a shared first component) run on real values, and
+each group equation is a multi_exp compared with what it must equal, the
+computed side on the left.  Passed _Recording(group) in place of the group,
 the same verifier records its equations instead of evaluating them: there
 multi_exp returns an unevaluated _Product, and comparing one with the posted
 element or _Product it must equal appends that equation, as terms whose
@@ -68,7 +72,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, NamedTuple
 
-from .encoding import Record, pack_u32
+from .encoding import Record, Share, pack_u32
+from .groups import SECURITY_BITS
 
 
 class FsTranscript:
@@ -91,17 +96,17 @@ class FsTranscript:
         return FsTranscript(tag)
 
     def challenge(self, group, *elements) -> int:
-        """SHA-256 of u32(len m) || m for m in [tag, group id, enc(e)...], mod q."""
+        """SHA-256 of u32(len m) || m for m in [tag, group id, enc(e)...], mod N."""
         h = hashlib.sha256()
         for msg in (self.domain_tag, group.group_id.encode(), *map(group.encode_element, elements)):
             h.update(pack_u32(len(msg)))
             h.update(msg)
-        return int.from_bytes(h.digest(), "big") % group.q
+        return int.from_bytes(h.digest(), "big") % group.challenge_space
 
 
 # -- equations as data, and their fold ----------------------------------------
 
-FOLD_WEIGHT_BITS = 128
+FOLD_WEIGHT_BITS = SECURITY_BITS
 
 
 class _Product:
@@ -271,8 +276,8 @@ class DlogProof(Record):
     Schnorr proof of Gennaro, Leigh, Sundaram and Yerazunis (ASIACRYPT
     2004).  m + 1 accepting transcripts with one K and distinct c solve a
     Vandermonde system for k and every x_j; the powers start at c^1 so that
-    k stays apart from x_1.  The knowledge error is m/q, and at m = 1 this
-    is the Schnorr proof.
+    k stays apart from x_1.  Challenges are drawn from [0, N), so the
+    knowledge error is m/N, and at m = 1 this is the Schnorr proof.
     """
 
     K: object
@@ -355,15 +360,16 @@ class BitProof(Record):
 
     Branch 0 claims y = gamma^rho, branch 1 claims y / g = gamma^rho, each a
     Schnorr proof of a log to base gamma: one commitment a_b a branch.  The
-    branch challenges split the hash challenge c, so only d0 is posted: the
-    verifier takes d1 = c - d0 mod q, the OR-proof form of Cramer, Damgard
-    and Schoenmakers (CRYPTO 1994).
+    branch challenges split the hash challenge c mod N, so only d0 is posted,
+    as a challenge share in [0, N): the verifier takes d1 = c - d0 mod N, the
+    OR-proof form of Cramer, Damgard and Schoenmakers (CRYPTO 1994), which
+    holds over any challenge group.
     """
 
     y: object
     a0: object
     a1: object
-    d0: int
+    d0: Share
     r0: int
     r1: int
 
@@ -383,17 +389,17 @@ def prove_bit(group, b: int, rho: int, ctx: FsTranscript, rng) -> Pending:
     evaluated on discrete logs; lift_proofs finishes the BitProof."""
     if b not in (0, 1):
         raise ValueError(f"bit witness must be 0 or 1, got {b}")
-    logs, q = _Logs(group), group.q
+    logs, q, N = _Logs(group), group.q, group.challenge_space
     y = logs.at(b, rho)
     # the branch claiming b is real; the other is simulated from (d_sim, r_sim)
     w = group.random_scalar(rng)
-    d_sim, r_sim = group.random_scalar(rng), group.random_scalar(rng)
+    d_sim, r_sim = group.random_share(rng), group.random_scalar(rng)
     real = _bit_branch(logs, y, 0, 0, w)  # at d = 0 the claimed bit does not enter
     sim = _bit_branch(logs, y, 1 - b, d_sim, r_sim)
 
     def finish(y, a0, a1) -> BitProof:
         c = ctx.challenge(group, y, a0, a1)
-        d_real = (c - d_sim) % q
+        d_real = (c - d_sim) % N
         r_real = (w - rho * d_real) % q
         if b == 0:
             return BitProof(y, a0, a1, d_real, r_real, r_sim)
@@ -403,9 +409,11 @@ def prove_bit(group, b: int, rho: int, ctx: FsTranscript, rng) -> Pending:
 
 
 def verify_bit(group, proof: BitProof, ctx: FsTranscript) -> bool:
-    y = proof.y
+    N, y = group.challenge_space, proof.y
+    if not 0 <= proof.d0 < N:
+        return False
     c = ctx.challenge(group, y, proof.a0, proof.a1)
-    d1 = (c - proof.d0) % group.q
+    d1 = (c - proof.d0) % N
     return (
         _bit_branch(group, y, 0, proof.d0, proof.r0) == proof.a0
         and _bit_branch(group, y, 1, d1, proof.r1) == proof.a1

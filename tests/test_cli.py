@@ -21,6 +21,7 @@ from zorro.cli import (
     main,
 )
 from zorro import cli, dlog, groups, protocol, rangeproof, sigma
+from zorro.encoding import Share
 from zorro.errors import NotInWindow
 from zorro.ledger import Ledger, LedgerHeader
 from zorro.rangeproof import BoundPolicy
@@ -328,14 +329,14 @@ def test_verify_rejects_undecodable_round2_post(vote_ledger, tmp_path, capsys, c
     _assert_rejected(path, capsys, "of party 1", "malformed")
 
 
-@pytest.mark.parametrize("old", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("old", [1, 2, 3, 4, 5, 6, 7])
 def test_verify_refuses_a_format_1_ledger(vote_ledger, tmp_path, capsys, old):
-    # format 7 has the only reader: a file of an older format is unreadable,
-    # by name, and its posts are never read as malformed format-7 ones
+    # format 8 has the only reader: a file of an older format is unreadable,
+    # by name, and its posts are never read as malformed format-8 ones
     path = tmp_path / "old.ledger"
     text = vote_ledger.read_text()
-    assert '"format":"zorro-ledger/7"' in text
-    path.write_text(text.replace('"format":"zorro-ledger/7"', f'"format":"zorro-ledger/{old}"'))
+    assert '"format":"zorro-ledger/8"' in text
+    path.write_text(text.replace('"format":"zorro-ledger/8"', f'"format":"zorro-ledger/{old}"'))
     assert run(["verify", str(path)]) == EXIT_LEDGER
     err = capsys.readouterr().err
     assert err.startswith("ledger corrupt at seq 0: unreadable header")
@@ -534,15 +535,28 @@ def test_verify_maps_tally_failure_to_proof_rejection(vote_ledger, capsys, monke
     assert "tally failed at slot 0" in captured.err
 
 
+def _payloads_digest(path) -> str:
+    """SHA-256 of a ledger's entry payloads in seq order, each u32-length-prefixed."""
+    h = hashlib.sha256()
+    for entry in Ledger.load(str(path)).entries:
+        h.update(len(entry.payload).to_bytes(4, "big") + entry.payload)
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize(
-    "check, bound, digest, size, totals",
+    "check, bound, digest, payloads, size, totals",
     [
-        ("l1", "4", "cd266c351c612e74bd751e0bfd219582c80e75d8e66f7e7d8c373e3db82a50c6", 2930, "2,2"),
-        ("l2", "9", "74674f8bdaf2d972f021c6be5af9bdc478cbe9f16fdccd8a0cff1ed1d562d09a", 3002, "4,7"),
+        ("l1", "4", "6d1225dbdb854b14ea6ceb4d8e4c81313ee925940bcd89b95ac9f82890158bf2",
+         "f43e72f84e32a7603871ee1bf5cf183722567adfb8b0d38bd849b825ae5fd629", 2930, "2,2"),
+        ("l2", "9", "a1b4d79fc682e39865f009e64509189f842703fca9dd22a7f8fadc22f6df66bc",
+         "c7785bcbedb7f7233214e15d209511dec006829897a570fe477958a303fddeeb", 3002, "4,7"),
     ],
 )
-def test_golden_ledger_bytes(tmp_path, capsys, check, bound, digest, size, totals):
-    # a fixed-seed session must keep producing the same ledger file byte for byte
+def test_golden_ledger_bytes(tmp_path, capsys, check, bound, digest, payloads, size, totals):
+    # a fixed-seed session must keep producing the same ledger file byte for
+    # byte.  On mod41 the challenge space is all of Z_q, so every payload is
+    # format 7's: `payloads` is the digest format 7 wrote, and only the
+    # header's format, and with it the chain, moved
     path = tmp_path / "golden.ledger"
     code = run(
         ["aggregate", "--group", "test", "--parties", "3", "--dim", "2", "--seed", "11",
@@ -552,6 +566,7 @@ def test_golden_ledger_bytes(tmp_path, capsys, check, bound, digest, size, total
     assert capsys.readouterr().out == f"tally: {totals}\n"
     raw = path.read_bytes()
     assert (len(raw), hashlib.sha256(raw).hexdigest()) == (size, digest)
+    assert _payloads_digest(path) == payloads
 
 
 def test_golden_secp256k1_ledger_bytes(tmp_path, capsys):
@@ -565,7 +580,7 @@ def test_golden_secp256k1_ledger_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == "tally: 2,2\n"
     raw = path.read_bytes()
     assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
-        13446, "a2caec0fd4a0b0b2e5f5ca41a027f15f4762ed82b7661ddbe5d9913044dec66d"
+        12582, "05f9fb31022de07009582b470878491236d136283c7fd1b6d1a8ffb6db43114b"
     )
 
 
@@ -580,8 +595,44 @@ def test_golden_secp256k1_l2_ledger_bytes(tmp_path, capsys):
     assert capsys.readouterr().out == "tally: 4,7\n"
     raw = path.read_bytes()
     assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
-        13842, "89694f639dd67725abbb3d4ec798a48b46341346d5c869037af88af65b6ade7b"
+        13170, "5ab86e773a34dd8c8ef3eeb7e5f43cd93e562a3485da768db6d0a5a3dc548c42"
     )
+
+
+def test_verify_names_a_bit_proof_whose_share_bytes_are_all_ones(tmp_path, capsys):
+    # party 1's challenge share of slot 2, digit 0 rewritten as 16 bytes of
+    # 0xff, re-chained: 2^128 - 1 is a share in [0, N), so the post decodes,
+    # and its bit proof fails where the verifier names it
+    group = groups.prod_group()
+    source = tmp_path / "source.ledger"
+    code = run(
+        ["aggregate", "--group", "prod", "--parties", "3", "--dim", "3", "--seed", "5",
+         "--check", "l1", "--bound", "4", "--ledger", str(source)]
+    )
+    assert code == EXIT_OK
+    capsys.readouterr()
+    m, L, width = 3, 3, Share.width(group)
+    E, S = group.element_bytes, group.scalar_bytes
+    bit = 3 * E + width + 2 * S  # y, a0, a1, d0, r0, r1
+    # the m slots' B, the m links, rows 0 and 1, then digit 0's y, a0 and a1
+    at = m * E + m * (2 * E + S) + 2 * L * bit + 3 * E
+
+    def edit(entry, entries):
+        payload = entry.payload
+        if (entry.round, entry.party) == (2, 1):
+            assert width == 16 and len(payload) == m * E + m * (2 * E + S) + (m + 1) * L * bit
+            payload = payload[:at] + b"\xff" * width + payload[at + width:]
+        return [(entry.round, entry.party, payload)]
+
+    path = _rechained(source, tmp_path / "ones.ledger", edit)
+    led = Ledger.load(path)
+    cfg = protocol.ProtocolConfig.from_header(led.header)
+    post1 = protocol.Round1Post.from_bytes(group, _payload(led.entries, 1, 1), 1, m)
+    post2 = protocol.Round2Post.from_bytes(
+        group, _payload(led.entries, 2, 1), 1, cfg.policy, post1.elements
+    )
+    assert post2.bundle.element_digit_proofs[2][0].d0 == (1 << 128) - 1
+    _assert_rejected(path, capsys, "contribution of party 1 rejected (bit): slot 2, digit 0")
 
 
 @pytest.mark.parametrize(

@@ -392,10 +392,11 @@ def test_round1_response_plus_one_names_the_party(session, monkeypatch):
 
 
 def _forged_bit(group, y, ctx, rng):
-    """A bit proof of digit y with both branches simulated: no split of the
-    hash challenge answers both, so it fails unless y commits to a bit and
-    log_gamma(g) is known."""
-    d0, r0, d1, r1 = (group.random_scalar(rng) for _ in range(4))
+    """A bit proof of digit y with both branches simulated, each from a share
+    in the challenge space [0, N): no split of the hash challenge answers
+    both, so it fails unless y commits to a bit and log_gamma(g) is known."""
+    d0, d1 = group.random_share(rng), group.random_share(rng)
+    r0, r1 = group.random_scalar(rng), group.random_scalar(rng)
     a0, a1 = sigma._bit_branch(group, y, 0, d0, r0), sigma._bit_branch(group, y, 1, d1, r1)
     return BitProof(y, a0, a1, d0, r0, r1)
 
@@ -730,15 +731,15 @@ def test_bit_d0_off_by_one_reads_the_same_with_the_ledger_fold(
     """d1 is not posted: the verifier takes c - d0, so a d0 off by one moves
     both branch challenges and fails the bit proof it sits in."""
     cfg, _, posts1, posts2, _ = l1_ledger
-    bundle, q = posts2[1].bundle, CURVE.q
+    bundle, N = posts2[1].bundle, CURVE.challenge_space
     if where == "row":
         rows = list(bundle.element_digit_proofs)
-        rows[1] = _replace_bit(rows[1], 0, d0=(rows[1][0].d0 + delta) % q)
+        rows[1] = _replace_bit(rows[1], 0, d0=(rows[1][0].d0 + delta) % N)
         forged = dataclasses.replace(bundle, element_digit_proofs=tuple(rows))
     else:
         sums = bundle.sum_digit_proofs
         forged = dataclasses.replace(
-            bundle, sum_digit_proofs=_replace_bit(sums, 1, d0=(sums[1].d0 + delta) % q)
+            bundle, sum_digit_proofs=_replace_bit(sums, 1, d0=(sums[1].d0 + delta) % N)
         )
     post = dataclasses.replace(posts2[1], bundle=forged)
     verdict, folds = _agrees(cfg, _ledger(cfg, posts1, [posts2[0], post]), monkeypatch)
@@ -897,8 +898,8 @@ def test_ledger_fold_weights_cover_every_post(session, monkeypatch):
 # or square proof is two equations, and a row adds none: C_j is that row's
 # recomposition, and the sum check is one equation over the row digits.
 LEDGER_FOLD_DIGESTS = {
-    "l1": (36, "a841140d48fabff0f4ab58a594e33caa4702512c9bf263557e5a3f9efd3ed08a"),
-    "l2": (32, "46be2507265b6084c78572bdd043365b2a3ac35a051b094910da886c6148d97b"),
+    "l1": (36, "ae2c4431b0aebe5aa43436beaf5264982e23b5dfd45a48698037f12c066efef0"),
+    "l2": (32, "1e8532fddd93fa3c822b854f776cce45feaffa933ec6da392819537acb225417"),
 }
 
 
@@ -1013,9 +1014,42 @@ def test_a_failed_guard_is_a_none_part(session, l1_case):
     forged = DlogProof(dlog.K, (dlog.s + 1) % q)
     assert not verify_dlog(CURVE, As, forged, dlog_ctx)
     assert len(recorded(CURVE, verify_dlog, (As, forged, dlog_ctx))) == 1
-    shifted = (dataclasses.replace(bit, d0=(bit.d0 + 1) % q), bit_ctx)
+    shifted = (dataclasses.replace(bit, d0=(bit.d0 + 1) % CURVE.challenge_space), bit_ctx)
     assert not sigma.verify_bit(CURVE, *shifted)
     assert len(recorded(CURVE, sigma.verify_bit, shifted)) == 2
+
+
+def test_a_share_outside_the_challenge_space_is_a_none_part(session, monkeypatch):
+    """Party 1's bit proof of slot 2, digit 0 built in memory with d0 + N,
+    which no decoder returns: the share's range guard fails on the real
+    value, so its ledger-fold part is None and the fold fails; each path,
+    with the fold and without, names party 1 and ("bit", 2, 0)."""
+    cfg, _, posts1, posts2 = session
+    bundle = posts2[1].bundle
+    rows = list(bundle.element_digit_proofs)
+    rows[2] = _replace_bit(rows[2], 0, d0=rows[2][0].d0 + CURVE.challenge_space)
+    forged = dataclasses.replace(
+        posts2[1], bundle=dataclasses.replace(bundle, element_digit_proofs=tuple(rows))
+    )
+    posts2 = [posts2[0], forged]
+    table = protocol._ledger_checks(cfg, posts1, posts2)
+    parts = sigma.fold_parts(CURVE, table)
+    assert [label for (label, _, _), part in zip(table, parts) if part is None] == [("bit", 2, 0)]
+    assert not fold_holds(CURVE, parts)
+
+    def verdicts():
+        """(party, verify_contribution, first failing label) of each post."""
+        out = []
+        for post, pads in zip(posts2, protocol._all_pads(cfg, posts1)):
+            table = post.bundle.checks(post.cts, pads, cfg.base_context().child(b"r2", post.party))
+            verdict = protocol.verify_contribution(cfg, post, pads)
+            out.append((post.party, verdict, sigma.first_failure(CURVE, table)))
+        return out
+
+    folded = verdicts()
+    assert folded == [(0, (True, None), None), (1, (False, "bit"), ("bit", 2, 0))]
+    _sequentially(monkeypatch)
+    assert verdicts() == folded
 
 
 @pytest.mark.parametrize("group", [groups.toy_group(), MOD, CURVE], ids=lambda g: g.group_id)

@@ -4,16 +4,17 @@ Two pinned secp256k1 ledgers (n = 2, m = 2), one under l1 and one under l2,
 are mutated one field at a time: a post is decoded, one scalar, point or
 pair of proofs or ciphertexts in it is changed, and the post is re-encoded
 and the ledger re-chained.  A scalar moves by +-1 or takes a value from
-another post; a point becomes another valid point of the ledger, its
-negation or the identity; two proofs of one type, or two ciphertexts, in
-the post swap places.  `zorro verify`
+another post, modulo what its field holds: q, or N = 2^128 for a bit
+proof's challenge share d0, so that every mutant encodes; a point becomes
+another valid point of the ledger, its negation or the identity; two
+proofs of one type, or two ciphertexts, in the post swap places.  `zorro verify`
 must then print and exit the same with the fold on as with sigma.folds
 forced off, and a ledger it accepts must print the true tally.
 
 Only posted fields are mutated.  A round-2 ciphertext's A is its party's
-round-1 element, a bit proof's d2 is c - d1, an L1 slot's E*[T_j] is the
-recomposition of its digit row, and the A of an L2 slot's E*[T_j] is
-ct_j.A (an L2 bundle holds only its B): mutating a round-1 element, a d1
+round-1 element, a bit proof's d1 is c - d0 mod N, an L1 slot's E*[T_j] is
+the recomposition of its digit row, and the A of an L2 slot's E*[T_j] is
+ct_j.A (an L2 bundle holds only its B): mutating a round-1 element, a d0
 or a digit-row point is the only way to change them.  A post's party is
 its entry's, and the header gives the policy: neither is posted.
 """
@@ -28,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 from zorro import groups, protocol, sigma
 from zorro.cli import EXIT_OK, main, run_session
 from zorro.elgamal import Ciphertext
+from zorro.encoding import Share
 from zorro.groups import CurvePoint
 from zorro.ledger import Ledger
 from zorro.protocol import ProtocolConfig, Round1Post, Round2Post
@@ -101,6 +103,17 @@ def _of(leaves, kind):
     return [(path, leaf) for path, leaf in leaves if isinstance(leaf, kind)]
 
 
+def _modulus(post, path) -> int:
+    """What the scalar field at `path` holds values modulo: N for a field of
+    kind Share (a bit proof's d0), else q."""
+    *parents, name = path
+    record = post
+    for key in parents:
+        record = record[key] if isinstance(record, tuple) else getattr(record, key)
+    kinds = {f.name: f.type for f in dataclasses.fields(record)}
+    return CURVE.challenge_space if kinds[name] is Share else CURVE.q
+
+
 def _mutated(post, donors, kind, a, b):
     """`post` with one field changed by `kind`, or None when it has no such field.
 
@@ -117,12 +130,13 @@ def _mutated(post, donors, kind, a, b):
     if kind.startswith("scalar"):
         scalars = _of(leaves, int)
         path, s = scalars[a % len(scalars)]
+        modulus = _modulus(post, path)
         if kind == "scalar+1":
-            return _replace(post, path, (s + 1) % CURVE.q)
+            return _replace(post, path, (s + 1) % modulus)
         if kind == "scalar-1":
-            return _replace(post, path, (s - 1) % CURVE.q)
+            return _replace(post, path, (s - 1) % modulus)
         pool = [leaf for d in donors for _, leaf in _of(_leaves(d), int)]
-        return _replace(post, path, pool[b % len(pool)])
+        return _replace(post, path, pool[b % len(pool)] % modulus)
     points = _of(leaves, CurvePoint)
     path, point = points[a % len(points)]
     if kind == "point-negated":

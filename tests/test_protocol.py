@@ -7,6 +7,7 @@ import pytest
 from zorro import groups, rangeproof
 from zorro.dlog import MAX_BABY_STEPS, DlogWindow, bsgs
 from zorro.elgamal import encrypt_exp
+from zorro.encoding import Share
 from zorro.errors import (
     BoundExceeded,
     LedgerRejected,
@@ -461,17 +462,23 @@ def test_round2_decoding_rejects_a_post_read_under_another_policy(posted, read):
         Round2Post.from_bytes(MOD, posts2[0].to_bytes(MOD), 0, read, posts1[0].elements)
 
 
-def _item_widths(group, value) -> list:
-    """The byte width of every element and scalar that put() lays out for
-    `value`, in wire order: records and bundles field by field."""
+def _item_widths(group, value, kind=None) -> list:
+    """The byte width of every element, scalar and challenge share that put()
+    lays out for `value`, in wire order: records and bundles field by field,
+    a field of declared kind Share at the share width."""
     if value is None:
         return []
+    if kind is Share:
+        return [Share.width(group)]
     if isinstance(value, int):
         return [group.scalar_bytes]
     if isinstance(value, tuple):
         return [w for item in value for w in _item_widths(group, item)]
     if dataclasses.is_dataclass(value):
-        return _item_widths(group, tuple(getattr(value, f.name) for f in dataclasses.fields(value)))
+        return [
+            w for f in dataclasses.fields(value)
+            for w in _item_widths(group, getattr(value, f.name), f.type)
+        ]
     return [group.element_bytes]
 
 

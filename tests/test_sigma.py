@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from zorro.encoding import Reader
+from zorro.encoding import Reader, Share
 from zorro.errors import MalformedEncoding
 from zorro import groups
 from zorro.sigma import (
@@ -19,6 +19,7 @@ from zorro.sigma import (
     _dlog_commitment,
     _Logs,
     _square_commitments,
+    folds,
     lift_proofs,
     prove_bit,
     prove_dh_tuple,
@@ -68,6 +69,113 @@ def test_child_context_extends_tag():
     child = base.child(b"bit", 3)
     assert child.domain_tag == b"base/bit/3"
     assert base.challenge(MOD, MOD.g) != child.challenge(MOD, MOD.g)
+
+
+# -- the challenge space [0, N), N = min(q, 2^128) --------------------------------
+
+
+class _FixedChallenge(FsTranscript):
+    """A transcript whose challenge is c whatever it hashes: the interactive
+    protocol, where the verifier picks c."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        super().__init__(b"fixed")
+        self.c = c
+
+    def challenge(self, group, *elements):
+        return self.c
+
+
+@pytest.mark.parametrize("group", [TOY, MOD, CURVE], ids=lambda g: g.group_id)
+def test_challenges_are_the_digest_mod_n(group):
+    # N is all of Z_q on the modular groups, whose challenges stay
+    # int(digest) % q, and 2^128 on secp256k1, exactly where the fold runs
+    N = group.challenge_space
+    assert N == (1 << 128 if group is CURVE else group.q)
+    assert folds(group) == (N == 1 << 128)
+    for i in range(20):
+        ctx = FsTranscript(bytes([i]))
+        msgs = [ctx.domain_tag, group.group_id.encode(), group.encode_element(group.g)]
+        digest = hashlib.sha256(b"".join(len(m).to_bytes(4, "big") + m for m in msgs)).digest()
+        c = ctx.challenge(group, group.g)
+        assert c == int.from_bytes(digest, "big") % N and 0 <= c < N
+        if group is not CURVE:
+            assert c == int.from_bytes(digest, "big") % group.q
+
+
+@pytest.mark.parametrize("b", [0, 1])
+def test_bit_special_soundness_over_the_challenge_space(b):
+    # two accepting transcripts of one (y, a0, a1) under distinct c in [0, N)
+    # differ in the share of at least one branch, and that branch opens
+    # y / g^bit = gamma^rho: gamma^r (y / g^bit)^d = gamma^s (y / g^bit)^e
+    N, q, rho = CURVE.challenge_space, CURVE.q, 123456789
+    pairs = [(0, N - 1), (1, 2), (N - 1, N - 2), (5, 1 << 127)]
+    for seed, (c, c2) in enumerate(pairs):
+        first, second = (
+            bit_proof(CURVE, b, rho, _FixedChallenge(e), random.Random(seed)) for e in (c, c2)
+        )
+        assert (first.y, first.a0, first.a1) == (second.y, second.a0, second.a1)
+        assert verify_bit(CURVE, first, _FixedChallenge(c))
+        assert verify_bit(CURVE, second, _FixedChallenge(c2))
+        branches = [
+            (first.d0, second.d0, first.r0, second.r0),
+            ((c - first.d0) % N, (c2 - second.d0) % N, first.r1, second.r1),
+        ]
+        bit, (d, e, r, s) = next((k, t) for k, t in enumerate(branches) if t[0] != t[1])
+        extracted = (s - r) * pow(d - e, -1, q) % q
+        assert first.y / CURVE.g ** bit == CURVE.gamma ** extracted
+        assert (bit, extracted) == (b, rho)
+
+
+@pytest.mark.parametrize("v", [0, 1, 2])
+def test_simulated_bit_transcripts_verify(v):
+    # HVZK: given c, a share d0 drawn from [0, N), d1 = c - d0 mod N and
+    # uniform responses make an accepting transcript without rho, for a
+    # commitment to any value
+    rng = random.Random(30 + v)
+    N = CURVE.challenge_space
+    y = pedersen(CURVE, v, CURVE.random_scalar(rng))
+    for _ in range(4):
+        c, d0 = CURVE.random_share(rng), CURVE.random_share(rng)
+        r0, r1 = CURVE.random_scalar(rng), CURVE.random_scalar(rng)
+        a0, a1 = _bit_branch(CURVE, y, 0, d0, r0), _bit_branch(CURVE, y, 1, (c - d0) % N, r1)
+        assert verify_bit(CURVE, BitProof(y, a0, a1, d0, r0, r1), _FixedChallenge(c))
+
+
+@pytest.mark.parametrize("b", [0, 1])
+def test_a_simulated_branch_lifts_one_glv_half_of_g(b):
+    # the simulated branch's g-exponent is -d_sim (b = 0: branch 1) or d_sim
+    # (b = 1: branch 0), a share below 2^128, so one GLV half and at most 17
+    # signed radix-256 entries of g's table; the real branch has none
+    ctx = FsTranscript(b"entries")
+    for seed in range(8):
+        y, a0, a1 = prove_bit(CURVE, b, 99, ctx.child(seed), random.Random(seed)).logs
+        sim, real = (a1, a0) if b == 0 else (a0, a1)
+        assert min(sim.u, CURVE.q - sim.u) < CURVE.challenge_space
+        assert 0 < len(CURVE._table_entries(CURVE.g, sim.u)) <= 17
+        assert CURVE._table_entries(CURVE.g, real.u) == []
+
+
+@pytest.mark.parametrize("group", [TOY, MOD, CURVE], ids=lambda g: g.group_id)
+def test_a_bit_proof_posts_its_share_at_the_width_of_n(group):
+    # d0 is written in the byte length of N - 1, 16 bytes on secp256k1 and a
+    # scalar's width where N = q; a share outside [0, N) is refused by name
+    rng = random.Random(31)
+    proof = bit_proof(group, 1, group.random_scalar(rng), FsTranscript(b"share"), rng)
+    width, E, S = Share.width(group), group.element_bytes, group.scalar_bytes
+    assert width == (16 if group is CURVE else S)
+    data = proof.to_bytes(group)
+    assert len(data) == 3 * E + width + 2 * S == (179 if group is CURVE else len(data))
+    assert data[3 * E:3 * E + width] == proof.d0.to_bytes(width, "big")
+    for bad in (-1, group.challenge_space, proof.d0 + group.challenge_space):
+        with pytest.raises(ValueError, match=r"^BitProof\.d0 = "):
+            dataclasses.replace(proof, d0=bad).to_bytes(group)
+    if group is not CURVE:  # 16 bytes hold no share past 2^128 - 1
+        past = data[:3 * E] + group.challenge_space.to_bytes(width, "big") + data[3 * E + width:]
+        with pytest.raises(MalformedEncoding, match="challenge share out of range"):
+            BitProof.read_from(group, Reader(past))
 
 
 # -- completeness and targeted mutations ----------------------------------------
