@@ -60,7 +60,7 @@ def bench_grid(group, kind: str, ms, Bs, reps: int = 3, seed: int = 0):
             first = parties[0]
             for _ in range(reps):
                 t0 = time.perf_counter()
-                post = round2_generate(cfg, 0, values, first.secret, first.pads, first.rng)
+                post = round2_generate(cfg, values, first.secret, first.pads, first.rng)
                 gen_times.append(time.perf_counter() - t0)
                 t0 = time.perf_counter()
                 ok, reason = verify_contribution(cfg, post, first.pads)

@@ -79,14 +79,18 @@ def run_session(cfg: ProtocolConfig, vectors, ledger: Ledger, seed: int):
 
 
 def _read_rows(path, cast=int):
-    """Rows of a dataset file: comma/space separated, `#` starts a comment."""
+    """Rows of a dataset file: comma/space separated, `#` starts a comment.
+    A token `cast` cannot read is a SessionFailure naming its path and line."""
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([cast(tok) for tok in line.replace(",", " ").split()])
+            try:
+                rows.append([cast(tok) for tok in line.replace(",", " ").split()])
+            except ValueError as exc:
+                raise SessionFailure(f"{path}:{number}: {exc}") from exc
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise SessionFailure(f"{path}: need equal-length non-empty rows")
     return rows

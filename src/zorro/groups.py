@@ -80,7 +80,7 @@ from .errors import EntropyFailure, MalformedEncoding, NotInSubgroup
 
 
 # the security level: the bit length of the challenge space on a large
-# group, and of every fold weight (sigma.FOLD_WEIGHT_BITS)
+# group, and of every fold weight (sigma.fold_weights)
 SECURITY_BITS = 128
 
 

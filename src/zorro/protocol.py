@@ -24,9 +24,11 @@ A post carries no tag, party id, slot count or bundle kind: the ledger
 entry gives the party, and the header gives m and the policy, which pick
 how the payload is read.  Each statement stays bound to its party because
 every Fiat-Shamir context hashes the session and the party index (r1/i
-for round 1, r2/i for round 2), so a proof copied under another party's
-entry fails; see Bernhard, Pereira and Warinschi, "How not to prove
-yourself" (Asiacrypt 2012).
+for round 1, r2/i for round 2; ProtocolConfig.context states it once), so
+a proof copied under another party's entry fails; see Bernhard, Pereira
+and Warinschi, "How not to prove yourself" (Asiacrypt 2012).  _by_party
+states the other rule every reader shares: one post per party, in party
+order, or MissingPost.
 
 A party that completes round 1 but never posts round 2 leaves the pads
 uncancellable; tally() then fails naming the culprit, and the session must
@@ -102,10 +104,10 @@ class ProtocolConfig:
         policy = BoundPolicy(header.policy_kind, header.policy_bound)
         return cls(get_group(header.group_id), header.n, header.m, policy, header.session)
 
-    def base_context(self) -> FsTranscript:
-        return FsTranscript(
-            b"zorro.protocol.v1|" + self.group.group_id.encode() + b"|" + self.session
-        )
+    def context(self, round: int, party: int) -> FsTranscript:
+        """The Fiat-Shamir domain of `party`'s post in round 1 or 2."""
+        session = b"zorro.protocol.v1|" + self.group.group_id.encode() + b"|" + self.session
+        return FsTranscript(session).child(b"r%d" % round, party)
 
 
 @dataclass(frozen=True)
@@ -169,12 +171,15 @@ class Round2Post:
         return cls(party, cts, bundle)
 
 
-def _by_party(cfg, posts, round: int) -> dict:
+def _by_party(cfg, posts, round: int) -> list:
+    """The posts of a round in party order, the last one given per party.
+    The one check that all n parties posted: MissingPost names the first
+    party without a post."""
     table = {post.party: post for post in posts}
     for i in range(cfg.n):
         if i not in table:
             raise MissingPost(i, round)
-    return table
+    return [table[i] for i in range(cfg.n)]
 
 
 def round1_generate(cfg: ProtocolConfig, party: int, rng):
@@ -184,7 +189,7 @@ def round1_generate(cfg: ProtocolConfig, party: int, rng):
     group = cfg.group
     x = tuple(group.random_scalar(rng) for _ in range(cfg.m))
     elements = tuple(group.g ** xj for xj in x)
-    proof = prove_dlog(group, x, elements, cfg.base_context().child(b"r1", party), rng)
+    proof = prove_dlog(group, x, elements, cfg.context(1, party), rng)
     return Round1Secret(party, x, elements), Round1Post(party, elements, proof)
 
 
@@ -197,12 +202,12 @@ def _round1_checks(cfg: ProtocolConfig, posts) -> list:
     """The check table (sigma.first_failure) of round-1 posts, in the given
     order: one entry per post, labelled (i, None) for party i, that checks
     its proof or, for a post of the wrong dimension, fails."""
-    base, table = cfg.base_context(), []
+    table = []
     for post in posts:
         if len(post.elements) != cfg.m:
             table.append(((post.party, None), _refused, ()))
         else:
-            ctx = base.child(b"r1", post.party)
+            ctx = cfg.context(1, post.party)
             table.append(((post.party, None), verify_dlog, (post.elements, post.proof, ctx)))
     return table
 
@@ -231,15 +236,15 @@ def derive_pads(cfg: ProtocolConfig, round1_posts, party: int):
     proof must check out (else LedgerRejected with check "round1", naming
     the party, as verify_ledger reports it) before any pad is trusted.
     """
-    table = _by_party(cfg, round1_posts, 1)
-    _check_round1(cfg, [table[k] for k in range(cfg.n)])
+    posts = _by_party(cfg, round1_posts, 1)
+    _check_round1(cfg, posts)
     pads = []
     for j in range(cfg.m):
         h = cfg.group.identity
         for k in range(party):
-            h = h * table[k].elements[j]
+            h = h * posts[k].elements[j]
         for k in range(party + 1, cfg.n):
-            h = h / table[k].elements[j]
+            h = h / posts[k].elements[j]
         pads.append(h)
     return tuple(pads)
 
@@ -264,20 +269,17 @@ def _all_pads(cfg: ProtocolConfig, round1_posts) -> list:
     return list(zip(*columns))
 
 
-def round2_generate(
-    cfg: ProtocolConfig, party: int, values, secret: Round1Secret, pads, rng
-) -> Round2Post:
-    """Encrypt the contribution under the pad keys and attach the policy
-    bundle that proves those ciphertexts.  A vector that breaks the policy's
-    input rule is refused: by its prover, or under policy none, which proves
-    nothing, by BoundPolicy.check at the nominal B.
+def round2_generate(cfg: ProtocolConfig, values, secret: Round1Secret, pads, rng) -> Round2Post:
+    """Encrypt the contribution of secret.party under its pad keys and attach
+    the policy bundle that proves those ciphertexts, under that party's
+    round-2 context (ProtocolConfig.context).  A vector that breaks the
+    policy's input rule is refused: by its prover, or under policy none,
+    which proves nothing, by BoundPolicy.check at the nominal B.
 
     Encryption randomness is the round-1 secret x_ij, and each slot's first
     component the round-1 element g^(x_ij) itself; the pads only cancel
     because the exact same exponents reappear here.
     """
-    if secret.party != party:
-        raise ValueError("round-1 secret belongs to a different party")
     if len(values) != cfg.m:
         raise ValueError(f"expected {cfg.m} entries, got {len(values)}")
     group = cfg.group
@@ -290,9 +292,9 @@ def round2_generate(
         cfg.policy.check(values)
     else:
         prove = getattr(rangeproof, f"prove_{cfg.policy.kind}")
-        ctx = cfg.base_context().child(b"r2", party)
+        ctx = cfg.context(2, secret.party)
         bundle = prove(group, cts, values, secret.x, pads, cfg.policy, ctx, rng)
-    return Round2Post(party, cts, bundle)
+    return Round2Post(secret.party, cts, bundle)
 
 
 def verify_contribution(cfg: ProtocolConfig, post: Round2Post, pads):
@@ -310,8 +312,7 @@ def verify_contribution(cfg: ProtocolConfig, post: Round2Post, pads):
     if post.bundle is None:
         return True, None
     verify = getattr(rangeproof, f"verify_{cfg.policy.kind}")
-    ctx = cfg.base_context().child(b"r2", post.party)
-    return verify(cfg.group, post.cts, post.bundle, cfg.policy, pads, ctx)
+    return verify(cfg.group, post.cts, post.bundle, cfg.policy, pads, cfg.context(2, post.party))
 
 
 def tally(cfg: ProtocolConfig, round2_posts) -> tuple:
@@ -357,10 +358,7 @@ def _ledger_round(cfg: ProtocolConfig, ledger, round: int, decode) -> list:
         except ZorroError as exc:
             raise LedgerRejected(party, "malformed", f"{where} malformed: {exc}") from exc
         posts[party] = post
-    for i in range(cfg.n):
-        if i not in posts:
-            raise MissingPost(i, round)
-    return [posts[i] for i in range(cfg.n)]
+    return _by_party(cfg, posts.values(), round)
 
 
 def _ledger_checks(cfg: ProtocolConfig, posts1, posts2) -> list:
@@ -368,10 +366,10 @@ def _ledger_checks(cfg: ProtocolConfig, posts1, posts2) -> list:
     contribution's bundle table under its _all_pads keys, in party order.
     Decoding fixes every post's shape, so the bundles' tables are read as
     they are."""
-    base, table = cfg.base_context(), _round1_checks(cfg, posts1)
+    table = _round1_checks(cfg, posts1)
     for post, pads in zip(posts2, _all_pads(cfg, posts1)):
         if post.bundle is not None:
-            table += post.bundle.checks(post.cts, pads, base.child(b"r2", post.party))
+            table += post.bundle.checks(post.cts, pads, cfg.context(2, post.party))
     return table
 
 
@@ -387,9 +385,9 @@ def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
     tally().  The hash chain is the caller's to check
     (Ledger.verify_chain).  A failed check raises LedgerRejected naming the
     party, the check and, where there is one, the slot or digit (its slot
-    and digit fields, from the label of the first failing entry under that
-    check); an absent post raises MissingPost.  Malformed bytes never raise
-    anything else.
+    and digit fields, from the label of the first failing entry of the
+    post's table); an absent post raises MissingPost.  Malformed bytes
+    never raise anything else.
 
     After the header and decode checks, a folding group checks the rest
     as one fold (sigma.fold_holds) of one check table of the decoded posts
@@ -418,11 +416,9 @@ def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
         pads = derive_pads(cfg, posts1, post.party)
         ok, reason = verify_contribution(cfg, post, pads)
         if not ok:
-            # no entry fails only where the post is malformed, which decoding rules out
-            table = post.bundle.checks(post.cts, pads, cfg.base_context().child(b"r2", post.party))
-            failing = (label for label, verify, args in table
-                       if label[0] == reason and not verify(group, *args))
-            _, slot, digit = next(failing, (reason, None, None))
+            # decoding rules out "malformed", so the table that failed has a first failure
+            table = post.bundle.checks(post.cts, pads, cfg.context(2, post.party))
+            _, slot, digit = first_failure(group, table)
             raise _rejected("contribution", post.party, reason, slot, digit)
     return posts2
 
@@ -468,6 +464,6 @@ class Party:
     def round2(self, values) -> Round2Post:
         if self._state != "pads":
             raise RuntimeError(f"round2 called in state {self._state}")
-        post = round2_generate(self.cfg, self.index, values, self._secret, self._pads, self.rng)
+        post = round2_generate(self.cfg, values, self._secret, self._pads, self.rng)
         self._state = "round2"
         return post

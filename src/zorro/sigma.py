@@ -106,8 +106,6 @@ class FsTranscript:
 
 # -- equations as data, and their fold ----------------------------------------
 
-FOLD_WEIGHT_BITS = SECURITY_BITS
-
 
 class _Product:
     """An unevaluated multi_exp of a _Recording: its (base, exponent) terms."""
@@ -202,7 +200,7 @@ def lift_proofs(group, pending) -> list:
 def folds(group) -> bool:
     """Whether verifiers fold each post: only where q > 2^128 (secp256k1), so
     that 128-bit weights are distinct mod q and still short exponents."""
-    return group.q >> FOLD_WEIGHT_BITS > 0
+    return group.q >> SECURITY_BITS > 0
 
 
 def fold_weights(group, equations) -> list[int]:
@@ -215,7 +213,7 @@ def fold_weights(group, equations) -> list[int]:
         h.update(pack_u32(len(terms)))
         for base, e in terms:
             h.update(group.encode_element(base) + group.encode_scalar(e))
-    digest, size = h.digest(), FOLD_WEIGHT_BITS // 8
+    digest, size = h.digest(), SECURITY_BITS // 8
     return [
         int.from_bytes(hashlib.sha256(digest + pack_u32(k)).digest()[:size], "big")
         for k in range(len(equations))

@@ -410,7 +410,7 @@ def test_verify_rejects_ciphertexts_not_bound_to_round1(tmp_path, capsys, policy
     fresh, _ = protocol.round1_generate(cfg, 1, random.Random(99))
     cheat = parties[1]
     posts2 = [p.round2(v) for p, v in zip(parties, [[1, 0], [2, 1], [0, 3]])]
-    posts2[1] = protocol.round2_generate(cfg, 1, [2, 1], fresh, cheat.pads, random.Random(7))
+    posts2[1] = protocol.round2_generate(cfg, [2, 1], fresh, cheat.pads, random.Random(7))
     path = tmp_path / "rebound.ledger"
     ledger = Ledger(cfg.header(), path=str(path))
     for round, posts in ((1, posts1), (2, posts2)):
@@ -932,15 +932,23 @@ def test_demos_match_centralized(command, capsys):
         (["bench", "--dims", "1", "--bounds", "2", "--reps", "-2", "--out", "FILE"], None, "reps"),
         (["vote", "FILE", "--bound", "1", "--ledger", "FILE"], "0,0\n0,0\n", "--bound"),
         (["vote", "FILE", "--bound", "0", "--ledger", "FILE"], "0,0\n0,0\n", "--bound"),
+        (["vote", "FILE", "--bound", "4", "--ledger", "FILE"], "0 1\n1.5 0\n",
+         "input:2: invalid literal for int() with base 10: '1.5'"),
+        (["aggregate", "--vectors", "FILE", "--bound", "4", "--ledger", "FILE"],
+         "# header\n\n1 0\n0 x\n", "input:4: invalid literal for int() with base 10: 'x'"),
+        (["demo-regression", "--parties", "3", "--data", "FILE"], "1,2\n2,3\n3,y\n",
+         "input:3: could not convert string to float: 'y'"),
     ],
     ids=[
         "lda-0", "id3-0", "nb-0", "regression-30", "regression-data", "id3-samples", "dim-0",
-        "reps-0", "reps-negative", "vote-bound-1", "vote-bound-0",
+        "reps-0", "reps-negative", "vote-bound-1", "vote-bound-0", "vote-token",
+        "vectors-token", "regression-token",
     ],
 )
 def test_bad_party_counts_are_usage_errors(tmp_path, capsys, argv, data, name):
     # the demo cases other than id3-samples escaped main as IndexError /
-    # AttributeError tracebacks; --dim 0 said "empty range for randrange()"
+    # AttributeError tracebacks; --dim 0 said "empty range for randrange()"; a
+    # token a row cannot read named neither its file nor its line
     path = tmp_path / "input"
     if data is not None:
         path.write_text(data)

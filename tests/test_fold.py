@@ -378,7 +378,7 @@ def test_honest_round1_posts_and_ledger_pass_the_fold(session, monkeypatch):
 def test_round1_response_plus_one_names_the_party(session, monkeypatch):
     cfg, _, posts1, posts2 = session
     forged = _shifted_response(posts1[1], 1, CURVE)
-    ctx = cfg.base_context().child(b"r1", forged.party)
+    ctx = cfg.context(1, forged.party)
     assert not verify_dlog(CURVE, forged.elements, forged.proof, ctx)
     folded = _fold_spy(monkeypatch, sigma)
     assert sigma.first_failure(CURVE, protocol._round1_checks(cfg, [forged])) == (1, None)
@@ -432,7 +432,7 @@ def test_dishonest_contribution_on_the_ledger_names_the_party(session, check, na
     cfg, parties, posts1, posts2 = session
     party = parties[1]
     values = [1, 0, 2]
-    ctx = cfg.base_context().child(b"r2", party.index)
+    ctx = cfg.context(2, party.index)
     cts = tuple(_posted(values, party.secret.x, party.pads))
     if check == "tuple":
         digits = [bits_of(1, 2), bits_of(0, 2), bits_of(1, 2)]
@@ -630,7 +630,7 @@ def _party_case(ledger):
     """The Case of party 1's honest contribution to a _session_ledger."""
     cfg, parties, _, posts2, values = ledger
     party = parties[1]
-    ctx = cfg.base_context().child(b"r2", party.index)
+    ctx = cfg.context(2, party.index)
     return Case(
         CURVE, values, list(party.secret.x), list(party.pads), ctx, posts2[1].bundle,
         random.Random(party.index),
@@ -1041,7 +1041,7 @@ def test_a_share_outside_the_challenge_space_is_a_none_part(session, monkeypatch
         """(party, verify_contribution, first failing label) of each post."""
         out = []
         for post, pads in zip(posts2, protocol._all_pads(cfg, posts1)):
-            table = post.bundle.checks(post.cts, pads, cfg.base_context().child(b"r2", post.party))
+            table = post.bundle.checks(post.cts, pads, cfg.context(2, post.party))
             verdict = protocol.verify_contribution(cfg, post, pads)
             out.append((post.party, verdict, sigma.first_failure(CURVE, table)))
         return out

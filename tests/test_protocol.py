@@ -65,10 +65,18 @@ def test_config_validation():
 def test_round1_proofs_verify():
     cfg = config(m=3)
     _, posts = full_round1(cfg)
-    base = cfg.base_context()
     for post in posts:
         assert verify_round1(cfg, post)
-        assert verify_dlog(MOD, post.elements, post.proof, base.child(b"r1", post.party))
+        assert verify_dlog(MOD, post.elements, post.proof, cfg.context(1, post.party))
+
+
+def test_each_post_has_its_own_fiat_shamir_domain():
+    cfg = config(n=3)
+    tags = {cfg.context(r, i).domain_tag for r in (1, 2) for i in range(cfg.n)}
+    assert len(tags) == 2 * cfg.n
+    assert cfg.context(2, 1).domain_tag == (
+        b"zorro.protocol.v1|mod41|\x00\x01\x02\x03\x04\x05\x06\x07\x08\t\n\x0b\x0c\r\x0e\x0f/r2/1"
+    )
 
 
 def test_round1_posts_distinct():
@@ -160,7 +168,7 @@ def test_round2_policy_none_tallies():
     r2 = []
     for i, values in enumerate([[5], [2]]):
         pads = derive_pads(cfg, posts, i)
-        r2.append(round2_generate(cfg, i, values, secrets[i], pads, rng))
+        r2.append(round2_generate(cfg, values, secrets[i], pads, rng))
     # a single ciphertext alone does not decrypt to the plaintext: the pad
     # only cancels across the full set
     partial = r2[0].cts[0].B
