@@ -18,7 +18,9 @@ BENCHMARK.json sets.  Each run is a separate process, one at a time.  With
 --trace-seconds > 0, TRACED_PAIRS alternating `--trace 1 --seed 1` pairs per
 workload add the median and the runs of each per-layer time on each side,
 every count that differs between the sides, and every count that differs
-within one side.  The output has the shape of BENCH_8.json.
+within one side.  The output has the shape of BENCH_8.json, plus a
+`regressions` block that marks every (workload, end-to-end metric) `ok`,
+`worse` or `unresolved` against its BENCHMARK.json bound (regression()).
 """
 
 import argparse
@@ -40,6 +42,7 @@ PAIRS = 10
 SECONDS = GATE["run_seconds"]
 TRACED_PAIRS = 3  # one traced run per side cannot tell a layer change from noise
 UNITS = {m["name"]: m["unit"] for m in GATE["end_to_end"]}
+BOUNDS = {m["name"]: m["bound"] for m in GATE["end_to_end"]}
 END_TO_END = tuple(UNITS)
 
 
@@ -187,6 +190,37 @@ def claim(result, spec) -> dict:
     }
 
 
+def regression(stats, bound: float) -> dict:
+    """The no-regression verdict of one lower-is-better metric at `bound`, a
+    fraction of the parent median: "worse" when the change median exceeds
+    the parent median by more than that, else "unresolved" when the
+    parent's IQR over its median is wider than the bound and not every
+    change run beats every parent run, else "ok"."""
+    parent, change = stats["parent"], stats["change"]
+    spread = (parent["q3"] - parent["q1"]) / parent["median"] if parent["median"] else 0.0
+    if change["median"] > parent["median"] * (1 + bound):
+        verdict = "worse"
+    elif spread > bound and max(stats["change_runs"]) >= min(stats["parent_runs"]):
+        verdict = "unresolved"
+    else:
+        verdict = "ok"
+    return {
+        "bound": bound,
+        "change_over_parent": round(change["median"] / parent["median"], 4)
+        if parent["median"] else None,
+        "parent_iqr_over_median": round(spread, 4),
+        "verdict": verdict,
+    }
+
+
+def regressions(result) -> dict:
+    """regression() of every end-to-end metric of every workload run."""
+    return {
+        workload: {name: regression(stats[name], BOUNDS[name]) for name in END_TO_END}
+        for workload, stats in result["perfbench_trace0_pairs"].items()
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
@@ -225,6 +259,9 @@ def main(argv=None):
                 workload: traced(trees, workload, args.trace_seconds, scratch)
                 for workload in workloads
             }
+    result["regressions"] = regressions(result)
+    for workload, verdicts in result["regressions"].items():
+        print(f"{workload}: " + " ".join(f"{k}={v['verdict']}" for k, v in verdicts.items()))
     if args.claim:
         result["claim"] = claim(result, args.claim)
     args.out.write_text(json.dumps(result, indent=1) + "\n")

@@ -11,7 +11,6 @@ from .elgamal import Ciphertext, encrypt_exp, hom_mul
 from .groups import get_group, prod_group, test_group, toy_group
 from .ledger import Ledger, LedgerEntry, LedgerHeader
 from .protocol import (
-    Party,
     ProtocolConfig,
     Round1Post,
     Round1Secret,

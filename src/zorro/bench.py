@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 from .errors import ZorroError
 from .protocol import (
-    Party,
     ProtocolConfig,
+    derive_pads,
+    round1_generate,
     round2_generate,
     tally,
     verify_contribution,
@@ -38,12 +39,11 @@ def _legal_vector(m: int, B: int) -> list:
 
 
 def _session(group, kind: str, n: int, m: int, B: int, rng):
+    """A session's config, and each party's rng, round-1 secret and pads."""
     cfg = ProtocolConfig(group, n, m, BoundPolicy(kind, B), bytes(rng.randbytes(16)))
-    parties = [Party(cfg, i, random.Random(rng.randrange(2**63))) for i in range(n)]
-    posts1 = [p.round1() for p in parties]
-    for p in parties:
-        p.receive_round1(posts1)
-    return cfg, parties
+    rngs = [random.Random(rng.randrange(2**63)) for _ in range(n)]
+    secrets, posts1 = zip(*(round1_generate(cfg, i, r) for i, r in enumerate(rngs)))
+    return cfg, rngs, secrets, [derive_pads(cfg, posts1, i) for i in range(n)]
 
 
 def bench_grid(group, kind: str, ms, Bs, reps: int = 3, seed: int = 0):
@@ -54,20 +54,19 @@ def bench_grid(group, kind: str, ms, Bs, reps: int = 3, seed: int = 0):
     rows = []
     for m in ms:
         for B in Bs:
-            cfg, parties = _session(group, kind, 2, m, B, rng)
+            cfg, rngs, secrets, pads = _session(group, kind, 2, m, B, rng)
             values = _legal_vector(m, B)
             gen_times, verify_times, tally_times = [], [], []
-            first = parties[0]
             for _ in range(reps):
                 t0 = time.perf_counter()
-                post = round2_generate(cfg, values, first.secret, first.pads, first.rng)
+                post = round2_generate(cfg, values, secrets[0], pads[0], rngs[0])
                 gen_times.append(time.perf_counter() - t0)
                 t0 = time.perf_counter()
-                ok, reason = verify_contribution(cfg, post, first.pads)
+                ok, reason = verify_contribution(cfg, post, pads[0])
                 verify_times.append(time.perf_counter() - t0)
                 if not ok:
                     raise ZorroError(f"benchmarked contribution rejected ({reason})")
-            other = parties[1].round2(values)
+            other = round2_generate(cfg, values, secrets[1], pads[1], rngs[1])
             posts2 = [post, other]
             for _ in range(reps):
                 t0 = time.perf_counter()

@@ -25,7 +25,14 @@ from .errors import (
 )
 from .groups import prod_group, test_group
 from .ledger import Ledger
-from .protocol import Party, ProtocolConfig, tally, verify_ledger
+from .protocol import (
+    ProtocolConfig,
+    derive_pads,
+    round1_generate,
+    round2_generate,
+    tally,
+    verify_ledger,
+)
 from .rangeproof import BoundPolicy
 
 EXIT_OK = 0
@@ -57,24 +64,24 @@ def _derived_rng(seed: int, label: str) -> random.Random:
 def run_session(cfg: ProtocolConfig, vectors, ledger: Ledger, seed: int):
     """Drive n in-process parties through both rounds over the ledger.
 
-    Parties see each other only through their posts: round-1 posts derive
-    the pads, and the finished ledger is verified from its bytes alone by
+    A party is its own rng and round-1 secret: it sees the others only
+    through their posts, from which it derives (and checks) its own pads,
+    and the finished ledger is verified from its bytes alone by
     verify_ledger before tallying.  Returns the tally.  A vector that its
     party's round 2 refuses is a SessionFailure naming that party.
     """
     group = cfg.group
-    parties = [Party(cfg, i, _derived_rng(seed, f"party{i}")) for i in range(cfg.n)]
-    posts1 = [party.round1() for party in parties]
+    rngs = [_derived_rng(seed, f"party{i}") for i in range(cfg.n)]
+    secrets, posts1 = zip(*(round1_generate(cfg, i, rng) for i, rng in enumerate(rngs)))
     for post in posts1:
         ledger.append(1, post.party, post.to_bytes(group))
-    for party in parties:
-        party.receive_round1(posts1)
-    for party, values in zip(parties, vectors):
+    for i, values in enumerate(vectors):
+        pads = derive_pads(cfg, posts1, i)
         try:
-            post = party.round2(values)
+            post = round2_generate(cfg, values, secrets[i], pads, rngs[i])
         except (BoundExceeded, NegativeEntry) as exc:
-            raise SessionFailure(f"input of party {party.index} is illegal: {exc}") from exc
-        ledger.append(2, party.index, post.to_bytes(group))
+            raise SessionFailure(f"input of party {i} is illegal: {exc}") from exc
+        ledger.append(2, i, post.to_bytes(group))
     return tally(cfg, verify_ledger(cfg, ledger))
 
 

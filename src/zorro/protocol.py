@@ -236,6 +236,8 @@ def derive_pads(cfg: ProtocolConfig, round1_posts, party: int):
     proof must check out (else LedgerRejected with check "round1", naming
     the party, as verify_ledger reports it) before any pad is trusted.
     """
+    if not 0 <= party < cfg.n:
+        raise ValueError(f"party index {party} out of range")
     posts = _by_party(cfg, round1_posts, 1)
     _check_round1(cfg, posts)
     pads = []
@@ -421,49 +423,3 @@ def verify_ledger(cfg: ProtocolConfig, ledger) -> list:
             _, slot, digit = first_failure(group, table)
             raise _rejected("contribution", post.party, reason, slot, digit)
     return posts2
-
-
-class Party:
-    """One participant as an explicit state machine.
-
-    States advance new -> round1 -> pads -> round2; calling out of order
-    raises.  The only inputs are public posts, mirroring the no-private-
-    channels model.
-    """
-
-    def __init__(self, cfg: ProtocolConfig, index: int, rng):
-        self.cfg = cfg
-        self.index = index
-        self.rng = rng
-        self._secret = None
-        self._pads = None
-        self._state = "new"
-
-    @property
-    def secret(self) -> Round1Secret:
-        """This party's own round-1 secret (harness and test access)."""
-        return self._secret
-
-    @property
-    def pads(self):
-        return self._pads
-
-    def round1(self) -> Round1Post:
-        if self._state != "new":
-            raise RuntimeError(f"round1 called in state {self._state}")
-        self._secret, post = round1_generate(self.cfg, self.index, self.rng)
-        self._state = "round1"
-        return post
-
-    def receive_round1(self, posts):
-        if self._state != "round1":
-            raise RuntimeError(f"receive_round1 called in state {self._state}")
-        self._pads = derive_pads(self.cfg, posts, self.index)
-        self._state = "pads"
-
-    def round2(self, values) -> Round2Post:
-        if self._state != "pads":
-            raise RuntimeError(f"round2 called in state {self._state}")
-        post = round2_generate(self.cfg, values, self._secret, self._pads, self.rng)
-        self._state = "round2"
-        return post

@@ -40,8 +40,11 @@ second identity, stated over the row digits themselves, so a fold merges
 its terms into bases it already holds.
 An L2 bundle posts each C_j, the one its square proof returns.
 
-The enforced bound is always the full digit range 2^L - 1; exact non-power
-bounds would need set-membership machinery that is out of scope.
+What either bundle enforces today is the full digit range 2^L - 1, not B:
+an l1 bound of 4 (L = 3) verifies a sum of 7, and an l2 bound of 2 a
+squared norm up to 7 (tests/test_validity_claim.py pins both as strict
+xfails).  An exact bound needs no further proof, only an interval shift
+of the decomposed value by 2^L - 1 - B.
 
 verify_l1 and verify_l2 check a bundle's shape, then its check table,
 checks(posted_cts, pad_keys, ctx), as the sigma module describes.  Each
@@ -92,9 +95,9 @@ class BoundPolicy:
     The input rule: under l1 and none, entries are non-negative and their
     sum is at most a limit; under l2, the sum of squares is at most a limit.
     The nominal limit is B, or B * B under l2.  The digit count L is the
-    smallest width whose range covers the nominal limit (inclusive); what
-    the proof actually enforces is the full digit range, exposed as
-    effective_bound.
+    smallest width whose range covers the nominal limit (inclusive).  The
+    provers admit, and the verifiers accept, the full digit range
+    effective_bound = 2^L - 1: an l1 bound of 4 verifies a sum of 7.
     """
 
     kind: str

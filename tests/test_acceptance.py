@@ -23,11 +23,12 @@ from zorro.elgamal import encrypt_exp
 from zorro.errors import BoundExceeded, ChainBroken, NegativeEntry, ZorroError
 from zorro.ledger import Ledger, LedgerHeader
 from zorro.protocol import (
-    Party,
     ProtocolConfig,
     Round1Post,
     Round2Post,
     derive_pads,
+    round1_generate,
+    round2_generate,
     tally,
     verify_contribution,
     verify_round1,
@@ -72,18 +73,26 @@ def announce(number, text):
     print(f"\ncriterion {number:2d}: PASS - {text}", flush=True)
 
 
+def round1(cfg, seeds):
+    """Each party's rng, Random(seeds[i]), and the round-1 secrets and posts
+    it draws."""
+    rngs = [random.Random(seed) for seed in seeds]
+    secrets, posts1 = zip(*(round1_generate(cfg, i, rng) for i, rng in enumerate(rngs)))
+    return rngs, secrets, posts1
+
+
 def run_session(group, n, m, policy, vectors, seed, verify=True):
+    """An honest session: its config, every party's pads, both rounds' posts
+    and the tally."""
     cfg = ProtocolConfig(group, n, m, policy, random.Random(seed).randbytes(16))
-    parties = [Party(cfg, i, random.Random(seed * 1009 + i)) for i in range(n)]
-    posts1 = [p.round1() for p in parties]
-    for p in parties:
-        p.receive_round1(posts1)
-    posts2 = [parties[i].round2(vectors[i]) for i in range(n)]
+    rngs, secrets, posts1 = round1(cfg, [seed * 1009 + i for i in range(n)])
+    pads = [derive_pads(cfg, posts1, i) for i in range(n)]
+    posts2 = [round2_generate(cfg, *args) for args in zip(vectors, secrets, pads, rngs)]
     if verify:
         for post in posts2:
-            ok, reason = verify_contribution(cfg, post, parties[post.party].pads)
+            ok, reason = verify_contribution(cfg, post, pads[post.party])
             assert ok, f"party {post.party} rejected: {reason}"
-    return cfg, parties, posts1, posts2, tally(cfg, posts2)
+    return cfg, pads, posts1, posts2, tally(cfg, posts2)
 
 
 def test_criterion_01_exact_self_tally():
@@ -169,8 +178,7 @@ def test_criterion_03_mutation_soundness():
     # protocol posts carrying every proof type
     for kind, vec in (("l1", [2, 1]), ("l2", [2, 1])):
         policy = BoundPolicy.l1(3) if kind == "l1" else BoundPolicy.l2(3)
-        cfg, parties, posts1, posts2, _ = run_session(MOD, 2, 2, policy, [vec, [0, 0]], seed=33)
-        pads0 = parties[0].pads
+        cfg, pads, posts1, posts2, _ = run_session(MOD, 2, 2, policy, [vec, [0, 0]], seed=33)
         for post in posts1:
             data = post.to_bytes(MOD)
 
@@ -184,10 +192,11 @@ def test_criterion_03_mutation_soundness():
             targets.append((data, check_r1))
         for post in posts2:
             data = post.to_bytes(MOD)
-            pads = parties[post.party].pads
             elements = posts1[post.party].elements
 
-            def check_r2(payload, cfg=cfg, pads=pads, elements=elements, party=post.party):
+            def check_r2(
+                payload, cfg=cfg, pads=pads[post.party], elements=elements, party=post.party
+            ):
                 try:
                     decoded = Round2Post.from_bytes(MOD, payload, party, cfg.policy, elements)
                 except ZorroError:
@@ -312,13 +321,12 @@ def test_criterion_06_pad_cancellation():
     for trial in range(30):
         n, m = rng.randint(2, 8), rng.randint(1, 10)
         cfg = ProtocolConfig(MOD, n, m, BoundPolicy("none", 1), random.Random(trial).randbytes(16))
-        parties = [Party(cfg, i, random.Random(trial * 31 + i)) for i in range(n)]
-        posts1 = [p.round1() for p in parties]
+        _, secrets, posts1 = round1(cfg, [trial * 31 + i for i in range(n)])
         pads = [derive_pads(cfg, posts1, i) for i in range(n)]
         for j in range(m):
             prod = MOD.identity
             for i in range(n):
-                prod = prod * pads[i][j] ** parties[i].secret.x[j]
+                prod = prod * pads[i][j] ** secrets[i].x[j]
             assert prod == MOD.identity
     announce(6, "pad products collapse to the identity in every session")
 
@@ -386,13 +394,13 @@ def _group_ops(monkeypatch, names, run):
 
 def _verify_group_ops(n, monkeypatch):
     """Group operations spent verifying all n contributions of one session."""
-    cfg, parties, posts1, posts2, _ = run_session(
+    cfg, pads, posts1, posts2, _ = run_session(
         MOD, n, 4, BoundPolicy.l1(4), [[1, 1, 1, 0]] * n, seed=10, verify=False
     )
 
     def verify_all():
         for post in posts2:
-            ok, reason = verify_contribution(cfg, post, parties[post.party].pads)
+            ok, reason = verify_contribution(cfg, post, pads[post.party])
             assert ok, reason
 
     return _group_ops(monkeypatch, ("__pow__", "__mul__", "__truediv__", "inverse"), verify_all)
@@ -405,14 +413,12 @@ def _prover_pows(monkeypatch):
     ctx = FsTranscript(b"c8")
     s_a, s_b = MOD.random_scalar(rng), MOD.random_scalar(rng)
     cfg = ProtocolConfig(MOD, 2, 4, BoundPolicy.l1(4), rng.randbytes(16))
-    parties = [Party(cfg, i, random.Random(i)) for i in range(2)]
-    posts1 = [p.round1() for p in parties]
-    for p in parties:
-        p.receive_round1(posts1)
+    rngs, secrets, posts1 = round1(cfg, range(2))
+    pads = derive_pads(cfg, posts1, 0)
     runs = {
         "prove_bit": lambda: lift_proofs(MOD, [prove_bit(MOD, 1, s_a, ctx, rng)]),
         "prove_square": lambda: lift_proofs(MOD, [prove_square(MOD, 3, s_a, s_b, ctx, rng)]),
-        "round2_generate": lambda: parties[0].round2([1, 1, 1, 0]),
+        "round2_generate": lambda: round2_generate(cfg, [1, 1, 1, 0], secrets[0], pads, rngs[0]),
     }
     return {name: _group_ops(monkeypatch, ("__pow__",), run)["__pow__"] for name, run in runs.items()}
 

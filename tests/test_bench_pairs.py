@@ -1,8 +1,11 @@
-"""The claim rule of scripts/bench_pairs.py on synthetic pair statistics: a
-claimed gain is met when the median ratio reaches the claimed one, the
-change wins at least 9 of 10 pairs, and the median gap exceeds the parent's
-interquartile range.  The script takes its workloads, end-to-end metrics
-and run length from BENCHMARK.json."""
+"""The claim and no-regression rules of scripts/bench_pairs.py on synthetic
+pair statistics.  A claimed gain is met when the median ratio reaches the
+claimed one, the change wins at least 9 of 10 pairs, and the median gap
+exceeds the parent's interquartile range.  A metric is worse when its
+change median exceeds the parent median by more than its bound, and
+unresolved when the parent's IQR over its median is wider than the bound
+and the change does not beat every parent run.  The script takes its
+workloads, end-to-end metrics, bounds and run length from BENCHMARK.json."""
 
 import importlib.util
 import json
@@ -60,4 +63,34 @@ def test_gate_is_read_from_benchmark_json():
     gate = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text())
     assert bench_pairs.WORKLOADS == tuple(w["name"] for w in gate["workloads"])
     assert bench_pairs.END_TO_END == tuple(m["name"] for m in gate["end_to_end"])
+    assert bench_pairs.BOUNDS == {m["name"]: m["bound"] for m in gate["end_to_end"]}
     assert bench_pairs.SECONDS == gate["run_seconds"]
+
+
+# a parent spread of IQR/median 0.75, wider than a 0.25 bound
+WIDE = [0.5, 1.0, 1.5, 0.6, 1.4, 0.7, 1.3, 0.5, 1.5, 1.0]
+
+
+@pytest.mark.parametrize(
+    "parent, change, verdict",
+    [
+        (PARENT, [1.20] * 10, "ok"),  # 20% slower, inside a 25% bound
+        (PARENT, [1.30] * 10, "worse"),
+        (WIDE, [1.30] * 10, "worse"),  # worse however wide the parent
+        (WIDE, [0.90] * 10, "unresolved"),  # faster in the median, yet not in every run
+        (WIDE, [0.45] * 10, "ok"),  # every change run beats every parent run
+    ],
+    ids=["ok-inside-bound", "worse", "worse-wide-parent", "unresolved", "ok-wide-parent"],
+)
+def test_regression_marks_each_metric_by_its_bound(parent, change, verdict):
+    result = bench_pairs.regression(bench_pairs.compare(parent, change), 0.25)
+    assert result["verdict"] == verdict and result["bound"] == 0.25
+
+
+def test_regressions_cover_every_workload_and_end_to_end_metric():
+    stats = {name: bench_pairs.compare([1.0] * 10, [1.0] * 10) for name in bench_pairs.END_TO_END}
+    result = bench_pairs.regressions({"perfbench_trace0_pairs": {"a": stats, "b": stats}})
+    assert list(result) == ["a", "b"]
+    for verdicts in result.values():
+        assert list(verdicts) == list(bench_pairs.END_TO_END)
+        assert {v["verdict"] for v in verdicts.values()} == {"ok"}

@@ -386,6 +386,17 @@ def test_verify_names_the_party_of_a_bad_round1_proof(vote_ledger, tmp_path, cap
     _assert_rejected(path, capsys, "round-1 proof of party 2 rejected (round1)\n")
 
 
+def _session_posts(cfg, vectors):
+    """Both rounds' posts of a session in which party i draws from Random(i)."""
+    rngs = [random.Random(i) for i in range(cfg.n)]
+    secrets, posts1 = zip(*(protocol.round1_generate(cfg, i, r) for i, r in enumerate(rngs)))
+    posts2 = [
+        protocol.round2_generate(cfg, v, s, protocol.derive_pads(cfg, posts1, s.party), r)
+        for v, s, r in zip(vectors, secrets, rngs)
+    ]
+    return posts1, posts2
+
+
 @pytest.mark.parametrize(
     "policy, names",
     [
@@ -403,14 +414,10 @@ def test_verify_rejects_ciphertexts_not_bound_to_round1(tmp_path, capsys, policy
     # also posted its fresh A
     group = groups.test_group()
     cfg = protocol.ProtocolConfig(group, 3, 2, policy, bytes(range(16)))
-    parties = [protocol.Party(cfg, i, random.Random(i)) for i in range(3)]
-    posts1 = [p.round1() for p in parties]
-    for p in parties:
-        p.receive_round1(posts1)
+    posts1, posts2 = _session_posts(cfg, [[1, 0], [2, 1], [0, 3]])
     fresh, _ = protocol.round1_generate(cfg, 1, random.Random(99))
-    cheat = parties[1]
-    posts2 = [p.round2(v) for p, v in zip(parties, [[1, 0], [2, 1], [0, 3]])]
-    posts2[1] = protocol.round2_generate(cfg, [2, 1], fresh, cheat.pads, random.Random(7))
+    pads = protocol.derive_pads(cfg, posts1, 1)
+    posts2[1] = protocol.round2_generate(cfg, [2, 1], fresh, pads, random.Random(7))
     path = tmp_path / "rebound.ledger"
     ledger = Ledger(cfg.header(), path=str(path))
     for round, posts in ((1, posts1), (2, posts2)):
@@ -464,11 +471,7 @@ def test_verify_rejects_an_l2_contribution_whose_squares_wrap_mod_q(
     assert sum(t * t for t in vector) % group.q <= 3
     cfg = protocol.ProtocolConfig(group, 2, 2, BoundPolicy.l2(bound), bytes(range(16)))
     monkeypatch.setattr(rangeproof, "prove_l2", _wrapping_prove_l2)
-    parties = [protocol.Party(cfg, i, random.Random(i)) for i in range(2)]
-    posts1 = [p.round1() for p in parties]
-    for p in parties:
-        p.receive_round1(posts1)
-    posts2 = [p.round2(v) for p, v in zip(parties, [vector, [0, 0]])]
+    posts1, posts2 = _session_posts(cfg, [vector, [0, 0]])
     path = tmp_path / "wrapped.ledger"
     ledger = Ledger(cfg.header(), path=str(path))
     for round, posts in ((1, posts1), (2, posts2)):

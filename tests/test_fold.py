@@ -22,7 +22,14 @@ from zorro.encoding import pack_u32
 from zorro.errors import LedgerRejected, MissingPost
 from zorro.groups import CurvePoint
 from zorro.ledger import Ledger
-from zorro.protocol import Party, ProtocolConfig, Round2Post, verify_ledger
+from zorro.protocol import (
+    ProtocolConfig,
+    Round2Post,
+    derive_pads,
+    round1_generate,
+    round2_generate,
+    verify_ledger,
+)
 from zorro.rangeproof import (
     BoundPolicy,
     L1RangeProof,
@@ -324,16 +331,23 @@ def test_dishonest_l2_bundle_fails_the_fold(l2_case, reason, monkeypatch):
 # -- round 1 and the ledger ---------------------------------------------------------
 
 
+def _posts(cfg, vectors, seed):
+    """The round-1 secrets and both rounds' posts of an honest session in
+    which party i draws from Random(seed + i)."""
+    rngs = [random.Random(seed + i) for i in range(cfg.n)]
+    secrets, posts1 = zip(*(round1_generate(cfg, i, rng) for i, rng in enumerate(rngs)))
+    posts2 = [
+        round2_generate(cfg, values, secret, derive_pads(cfg, posts1, secret.party), rng)
+        for values, secret, rng in zip(vectors, secrets, rngs)
+    ]
+    return secrets, list(posts1), posts2
+
+
 @pytest.fixture(scope="module")
 def session():
     """An honest secp256k1 session: n = 2, m = 3, l1 bound 3."""
     cfg = ProtocolConfig(CURVE, 2, 3, BoundPolicy.l1(3), bytes(range(16)))
-    parties = [Party(cfg, i, random.Random(330 + i)) for i in range(cfg.n)]
-    posts1 = [p.round1() for p in parties]
-    for p in parties:
-        p.receive_round1(posts1)
-    posts2 = [p.round2([1, 0, 2]) for p in parties]
-    return cfg, parties, posts1, posts2
+    return (cfg, *_posts(cfg, [[1, 0, 2]] * cfg.n, 330))
 
 
 def _ledger(cfg, posts1, posts2):
@@ -429,23 +443,21 @@ def test_dishonest_contribution_on_the_ledger_names_the_party(session, check, na
     recomposes to x_2, commits to 1, so the link of slot 2 fails; its row
     spelling 2 as the digits (2, 0) keeps the link, and the bit proof of its
     digit 0 fails."""
-    cfg, parties, posts1, posts2 = session
-    party = parties[1]
+    cfg, secrets, posts1, posts2 = session
+    x, pads = secrets[1].x, derive_pads(cfg, posts1, 1)
     values = [1, 0, 2]
-    ctx = cfg.context(2, party.index)
-    cts = tuple(_posted(values, party.secret.x, party.pads))
+    ctx = cfg.context(2, 1)
+    cts = tuple(_posted(values, x, pads))
     if check == "tuple":
         digits = [bits_of(1, 2), bits_of(0, 2), bits_of(1, 2)]
         bundle = _build_l1(
-            CURVE, cts, digits, bits_of(3, 2), party.secret.x, party.pads, cfg.policy, ctx,
-            random.Random(9),
+            CURVE, cts, digits, bits_of(3, 2), x, pads, cfg.policy, ctx, random.Random(9),
         )
     else:
-        case = Case(CURVE, values, list(party.secret.x), list(party.pads), ctx,
-                    posts2[1].bundle, random.Random(9))
+        case = Case(CURVE, values, list(x), list(pads), ctx, posts2[1].bundle, random.Random(9))
         bundle = _with_row(case, 2, [2, 0])
-    forged = Round2Post(party.index, cts, bundle)
-    _check(cts, bundle, party.pads, ctx, check, monkeypatch)
+    forged = Round2Post(1, cts, bundle)
+    _check(cts, bundle, pads, ctx, check, monkeypatch)
 
     ledger = _ledger(cfg, posts1, [posts2[0], forged])
     verdict = _rejection(cfg, ledger)
@@ -604,15 +616,10 @@ def test_modular_groups_never_fold(monkeypatch):
 
 def _session_ledger(policy, vectors, seed):
     """An honest secp256k1 session of `vectors` under `policy`: its config,
-    parties, posts and the values of party 1."""
+    round-1 secrets, posts and the values of party 1."""
     session = bytes(range(seed, seed + 16))
     cfg = ProtocolConfig(CURVE, len(vectors), len(vectors[0]), policy, session)
-    parties = [Party(cfg, i, random.Random(seed + i)) for i in range(cfg.n)]
-    posts1 = [p.round1() for p in parties]
-    for p in parties:
-        p.receive_round1(posts1)
-    posts2 = [p.round2(values) for p, values in zip(parties, vectors)]
-    return cfg, parties, posts1, posts2, vectors[1]
+    return (cfg, *_posts(cfg, vectors, seed), vectors[1])
 
 
 # party 1 posts the values of l1_case / l2_case, so every dishonest variant fits it
@@ -628,12 +635,11 @@ def l2_ledger():
 
 def _party_case(ledger):
     """The Case of party 1's honest contribution to a _session_ledger."""
-    cfg, parties, _, posts2, values = ledger
-    party = parties[1]
-    ctx = cfg.context(2, party.index)
+    cfg, secrets, posts1, posts2, values = ledger
+    pads = derive_pads(cfg, posts1, 1)
     return Case(
-        CURVE, values, list(party.secret.x), list(party.pads), ctx, posts2[1].bundle,
-        random.Random(party.index),
+        CURVE, values, list(secrets[1].x), list(pads), cfg.context(2, 1), posts2[1].bundle,
+        random.Random(1),
     )
 
 

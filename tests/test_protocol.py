@@ -18,7 +18,6 @@ from zorro.errors import (
 )
 from zorro.ledger import Ledger
 from zorro.protocol import (
-    Party,
     ProtocolConfig,
     Round1Post,
     Round2Post,
@@ -161,6 +160,18 @@ def test_derive_pads_missing_post():
     assert (err.value.party, err.value.round) == (1, 1)
 
 
+@pytest.mark.parametrize("party", [-1, 3])
+def test_a_party_outside_the_session_gets_no_pads(party):
+    # unchecked, party -1 got the inverse of each column's full product and
+    # party n the product itself; both are refused as round 1 refuses them
+    cfg = config(n=3)
+    _, posts = full_round1(cfg)
+    with pytest.raises(ValueError, match=f"^party index {party} out of range$"):
+        derive_pads(cfg, posts, party)
+    with pytest.raises(ValueError, match=f"^party index {party} out of range$"):
+        round1_generate(cfg, party, random.Random(0))
+
+
 def test_round2_policy_none_tallies():
     cfg = config(n=2, m=1)
     secrets, posts = full_round1(cfg)
@@ -178,18 +189,27 @@ def test_round2_policy_none_tallies():
     assert result == (7,)
 
 
+def make_round1(cfg, seed=0):
+    """Each party's rng, Random(seed * 97 + i), and the round-1 secrets and
+    posts it draws."""
+    rngs = [random.Random(seed * 97 + i) for i in range(cfg.n)]
+    secrets, posts1 = zip(*(round1_generate(cfg, i, rng) for i, rng in enumerate(rngs)))
+    return rngs, list(secrets), list(posts1)
+
+
 def make_session(cfg, vectors, seed=0):
-    parties = [Party(cfg, i, random.Random(seed * 97 + i)) for i in range(cfg.n)]
-    posts1 = [p.round1() for p in parties]
-    for p in parties:
-        p.receive_round1(posts1)
-    posts2 = [parties[i].round2(vectors[i]) for i in range(cfg.n)]
-    return parties, posts1, posts2
+    """The round-1 secrets and both rounds' posts of an honest session."""
+    rngs, secrets, posts1 = make_round1(cfg, seed)
+    posts2 = [
+        round2_generate(cfg, values, secret, derive_pads(cfg, posts1, secret.party), rng)
+        for values, secret, rng in zip(vectors, secrets, rngs)
+    ]
+    return secrets, posts1, posts2
 
 
 def test_l1_session_verifies_and_tallies():
     cfg = config(n=2, m=2, policy=BoundPolicy.l1(3))
-    parties, posts1, posts2 = make_session(cfg, [[3, 0], [1, 2]])
+    _, posts1, posts2 = make_session(cfg, [[3, 0], [1, 2]])
     for post in posts2:
         assert verify_contribution(cfg, post, derive_pads(cfg, posts1, post.party)) == (True, None)
     assert tally(cfg, posts2) == (4, 2)
@@ -202,9 +222,8 @@ def test_secp256k1_l1_round2_raises_a_variable_base_eight_times(monkeypatch):
     Pedersen commitment g^u * gamma^v, and each slot's first component is
     the party's round-1 element, not lifted again."""
     cfg = config(n=3, m=4, policy=BoundPolicy.l1(4), group=groups.prod_group())
-    parties = [Party(cfg, i, random.Random(i)) for i in range(cfg.n)]
-    posts1 = [p.round1() for p in parties]
-    parties[0].receive_round1(posts1)
+    rngs, secrets, posts1 = make_round1(cfg)
+    pads = derive_pads(cfg, posts1, 0)
     curve, multi_exp, calls = cfg.group, cfg.group.multi_exp, []
 
     def counting(pairs):
@@ -215,7 +234,7 @@ def test_secp256k1_l1_round2_raises_a_variable_base_eight_times(monkeypatch):
         return multi_exp(pairs)
 
     monkeypatch.setattr(curve, "multi_exp", counting)
-    parties[0].round2([1, 0, 2, 0])
+    round2_generate(cfg, [1, 0, 2, 0], secrets[0], pads, rngs[0])
     assert len(calls) == 8
 
 
@@ -223,14 +242,13 @@ def _secp256k1_round2_lifts(policy, values, monkeypatch):
     """The pair count of each group.lift call, and the number of prove_bit
     calls, in party 0's round 2 on secp256k1 (n = 3, m = len(values))."""
     cfg = config(n=3, m=len(values), policy=policy, group=groups.prod_group())
-    parties = [Party(cfg, i, random.Random(i)) for i in range(cfg.n)]
-    posts1 = [p.round1() for p in parties]
-    parties[0].receive_round1(posts1)
+    rngs, secrets, posts1 = make_round1(cfg)
+    pads = derive_pads(cfg, posts1, 0)
     curve, lift, prove_bit, lifts, bits = cfg.group, cfg.group.lift, rangeproof.prove_bit, [], []
     monkeypatch.setattr(curve, "lift", lambda pairs: lifts.append(len(pairs)) or lift(pairs))
     monkeypatch.setattr(rangeproof, "prove_bit", lambda *a: bits.append(a) or prove_bit(*a))
-    post = parties[0].round2(values)
-    assert verify_contribution(cfg, post, parties[0].pads) == (True, None)
+    post = round2_generate(cfg, values, secrets[0], pads, rngs[0])
+    assert verify_contribution(cfg, post, pads) == (True, None)
     return lifts, len(bits)
 
 
@@ -252,26 +270,24 @@ def test_secp256k1_l2_round2_lifts_its_squares_then_its_digits(monkeypatch):
 
 def test_l1_session_refuses_illegal_vector():
     cfg = config(n=2, m=2, policy=BoundPolicy.l1(3))
-    parties = [Party(cfg, i, random.Random(i)) for i in range(2)]
-    posts1 = [p.round1() for p in parties]
-    for p in parties:
-        p.receive_round1(posts1)
+    rngs, secrets, posts1 = make_round1(cfg)
     with pytest.raises(BoundExceeded):
-        parties[0].round2([4, 0])
+        round2_generate(cfg, [4, 0], secrets[0], derive_pads(cfg, posts1, 0), rngs[0])
 
 
 def test_policy_none_session_refuses_illegal_vector():
     # no bundle, but the same input rule at the nominal B (config's default 5)
     cfg = config(n=2, m=2)
-    parties = [Party(cfg, i, random.Random(i)) for i in range(2)]
-    posts1 = [p.round1() for p in parties]
-    for p in parties:
-        p.receive_round1(posts1)
-    assert parties[0].round2([5, 0]).bundle is None
+    rngs, secrets, posts1 = make_round1(cfg)
+
+    def round2(i, values):
+        return round2_generate(cfg, values, secrets[i], derive_pads(cfg, posts1, i), rngs[i])
+
+    assert round2(0, [5, 0]).bundle is None
     with pytest.raises(BoundExceeded, match="element sum 6 > 5"):
-        parties[1].round2([6, 0])
+        round2(1, [6, 0])
     with pytest.raises(NegativeEntry):
-        parties[1].round2([-1, 1])
+        round2(1, [-1, 1])
 
 
 def test_spec_tally_example():
@@ -304,18 +320,18 @@ def test_dropout_leaves_pads_uncancelled():
         tally(cfg, [posts2[0], posts2[1], fake])
 
 
-def unchecked_post(party, values):
+def unchecked_post(cfg, secret, pads, values):
     """The round-2 post of a policy-none party that skips BoundPolicy.check:
     its slots encrypted as round2_generate encrypts them, and no bundle."""
-    group, x = party.cfg.group, party.secret.x
-    cts = tuple(encrypt_exp(group, v, xj, h) for v, xj, h in zip(values, x, party.pads))
-    return Round2Post(party.index, cts, None)
+    cts = tuple(encrypt_exp(cfg.group, v, xj, h) for v, xj, h in zip(values, secret.x, pads))
+    return Round2Post(secret.party, cts, None)
 
 
 def test_tally_names_the_slot_out_of_window():
     cfg = config(n=2, m=2)
-    parties, _, posts2 = make_session(cfg, [[1, 2], [3, 2]])
-    posts2[1] = unchecked_post(parties[1], [3, 9])  # sum 12 > B = 5
+    secrets, posts1, posts2 = make_session(cfg, [[1, 2], [3, 2]])
+    pads = derive_pads(cfg, posts1, 1)
+    posts2[1] = unchecked_post(cfg, secrets[1], pads, [3, 9])  # sum 12 > B = 5
     with pytest.raises(NotInWindow, match="slot 1"):
         tally(cfg, posts2)
 
@@ -349,9 +365,9 @@ def test_verify_ledger_rejects_foreign_header():
 def test_verify_ledger_rejects_dimension_mismatch():
     # the header's m sizes the read: a two-slot post does not read as one slot
     cfg = config(n=2, m=1)
-    parties, posts1, posts2 = make_session(cfg, [[1], [2]])
+    secrets, posts1, posts2 = make_session(cfg, [[1], [2]])
     _, wide = round1_generate(config(n=2, m=2), 1, random.Random(3))
-    ledger, _ = session_ledger(cfg, None, posts=(parties, [posts1[0], wide], posts2))
+    ledger, _ = session_ledger(cfg, None, posts=(secrets, [posts1[0], wide], posts2))
     with pytest.raises(LedgerRejected, match="seq 1 of party 1 malformed") as err:
         verify_ledger(cfg, ledger)
     assert (err.value.party, err.value.check) == (1, "malformed")
@@ -367,9 +383,9 @@ def test_verify_ledger_missing_post_names_the_round():
 
 def test_verify_contribution_detects_ciphertext_swap():
     cfg = config(n=2, m=2, policy=BoundPolicy.l1(3))
-    parties, posts1, posts2 = make_session(cfg, [[2, 0], [1, 1]])
+    secrets, posts1, posts2 = make_session(cfg, [[2, 0], [1, 1]])
     pads0 = derive_pads(cfg, posts1, 0)
-    x0 = parties[0].secret.x
+    x0 = secrets[0].x
     swapped_cts = (encrypt_exp(MOD, 3, x0[0], pads0[0]), posts2[0].cts[1])
     bad = dataclasses.replace(posts2[0], cts=swapped_cts)
     ok, reason = verify_contribution(cfg, bad, pads0)
@@ -379,12 +395,8 @@ def test_verify_contribution_detects_ciphertext_swap():
 def test_verify_contribution_rejects_cross_session_replay():
     cfg_a = config(n=2, m=1, policy=BoundPolicy.l1(3), session=bytes(16))
     cfg_b = config(n=2, m=1, policy=BoundPolicy.l1(3), session=bytes(range(16)))
-    parties = [Party(cfg_a, i, random.Random(i)) for i in range(2)]
-    posts1 = [p.round1() for p in parties]
-    for p in parties:
-        p.receive_round1(posts1)
-    post = parties[0].round2([1])
-    assert verify_contribution(cfg_a, post, derive_pads(cfg_a, posts1, 0)) == (True, None)
+    _, posts1, posts2 = make_session(cfg_a, [[1], [0]])
+    assert verify_contribution(cfg_a, posts2[0], derive_pads(cfg_a, posts1, 0)) == (True, None)
     # round-1 proofs are session-bound too, so deriving pads under the other
     # session already fails
     with pytest.raises(LedgerRejected) as exc:
@@ -399,20 +411,6 @@ def test_policy_kind_must_match_bundle():
     cfg_none = config(n=2, m=1, policy=BoundPolicy("none", 5))
     ok, reason = verify_contribution(cfg_none, posts2[0], derive_pads(cfg_none, posts1, 0))
     assert not ok and reason == "malformed"
-
-
-def test_party_state_machine_order():
-    cfg = config(n=2, m=1)
-    party = Party(cfg, 0, random.Random(0))
-    with pytest.raises(RuntimeError):
-        party.round2([1])
-    post = party.round1()
-    with pytest.raises(RuntimeError):
-        party.round1()
-    other = Party(cfg, 1, random.Random(1))
-    posts1 = [post, other.round1()]
-    party.receive_round1(posts1)
-    party.round2([1])
 
 
 def test_round1_serialization_roundtrip():
@@ -543,15 +541,15 @@ def test_full_collusion_recovers_contribution():
     # n-1 colluding parties can reconstruct the last party's pad factors and
     # strip them; this is the protocol's stated privacy limit
     cfg = config(n=4, m=2)
-    parties, posts1, posts2 = make_session(cfg, [[3, 1], [2, 2], [0, 5], [4, 0]])
+    secrets, posts1, posts2 = make_session(cfg, [[3, 1], [2, 2], [0, 5], [4, 0]])
     victim = 2
-    colluders = [p for p in parties if p.index != victim]
+    colluders = [secret for secret in secrets if secret.party != victim]
     for j in range(cfg.m):
         A_vj = posts1[victim].elements[j]
         mask = MOD.identity
-        for p in colluders:
-            factor = A_vj ** p.secret.x[j]
-            if p.index < victim:
+        for secret in colluders:
+            factor = A_vj ** secret.x[j]
+            if secret.party < victim:
                 mask = mask * factor
             else:
                 mask = mask / factor
@@ -566,7 +564,7 @@ def test_partial_collusion_leaves_ambiguity():
     cfg = config(n=4, m=1, policy=BoundPolicy("none", 2), group=TOY)  # toy23: 4 * 2 < q = 11
     while True:
         try:
-            parties, posts1, posts2 = make_session(cfg, [[2], [2], [0], [1]], seed=11)
+            _, posts1, posts2 = make_session(cfg, [[2], [2], [0], [1]], seed=11)
             break
         except ValueError:
             continue
