@@ -7,7 +7,7 @@ map common joint-training statistics onto that primitive.
 """
 
 from .dlog import DlogWindow, bsgs
-from .elgamal import Ciphertext, encrypt_exp, hom_mul
+from .elgamal import Ciphertext, encrypt_exp
 from .groups import get_group, prod_group, test_group, toy_group
 from .ledger import Ledger, LedgerEntry, LedgerHeader
 from .protocol import (

@@ -52,15 +52,13 @@ class Reader:
 
 def put(group, *values) -> bytes:
     """Encode values back to back: bytes verbatim, tuples item by item,
-    records by their layout, ints as scalars, anything else as an element."""
+    records by their layout, anything else as an element."""
     out = []
     for v in values:
         if isinstance(v, bytes):
             out.append(v)
         elif isinstance(v, tuple):
             out.append(put(group, *v))
-        elif isinstance(v, int):
-            out.append(group.encode_scalar(v))
         elif isinstance(v, Record):
             out.append(v.to_bytes(group))
         else:

@@ -58,11 +58,10 @@ Bernstein and Lange's Explicit-Formulas Database:
     ladder on that base's first exponentiation, so they need no doublings.
     Each sum is split by GLV, each half recoded as signed radix-256 digits
     |d| <= 128, and the lam half reads the same rows with x scaled by beta:
-    ~34 mixed additions, ~0.4 ms per g ** k on a 2-vCPU x86_64 with
-    CPython 3.11, and ~68 and ~0.5 ms for a Pedersen commitment
-    g^u * gamma^v.
-    Reading gamma does not build its table.  A call with no other base
-    skips the loop.
+    ~34 mixed additions per g ** k, and ~68 for a Pedersen commitment
+    g^u * gamma^v.  Each group hashes gamma when it is built, but builds
+    neither table before that base's first exponentiation.  A call with no
+    other base skips the loop.
   * One final inversion returns an affine point.
   * lift(pairs) reads the same table entries for every g^u * gamma^v of a
     batch, and sums each pair's entries pairwise in affine coordinates, one
@@ -97,10 +96,12 @@ def _draw(rng, bound: int) -> int:
 class Group:
     """Shared behaviour for prime-order groups.
 
-    Concrete subclasses define group_id, q, g, identity, element_bytes, the
-    element codec, multi_exp(pairs), the product of base ** e over
-    (base, e) pairs, and lift(pairs), the Pedersen commitment g^u * gamma^v
-    of each (u, v) pair.  Elements are immutable and hashable.
+    Concrete subclasses define group_id, q, g, gamma, identity,
+    element_bytes, the element codec, multi_exp(pairs), the product of
+    base ** e over (base, e) pairs, and lift(pairs), the Pedersen commitment
+    g^u * gamma^v of each (u, v) pair.  gamma, the second generator, is
+    hashed to the group when it is built (hash_to_group), so nobody knows
+    its log to base g.  Elements are immutable and hashable.
     """
 
     group_id: str
@@ -152,13 +153,6 @@ class Group:
             if candidate is not None:
                 return candidate
 
-    @property
-    def gamma(self):
-        """Second generator, independent of g by hash-to-group construction."""
-        if not hasattr(self, "_gamma"):
-            self._gamma = self.hash_to_group(b"zorro.gamma.v1|" + self.group_id.encode())
-        return self._gamma
-
     def __repr__(self):
         return f"<Group {self.group_id}>"
 
@@ -208,6 +202,7 @@ class ModGroup(Group):
         self.g = ModElement(self, g)
         self.identity = ModElement(self, 1)
         self.element_bytes = (p.bit_length() + 7) // 8
+        self.gamma = self.hash_to_group(b"zorro.gamma.v1|" + group_id.encode())
 
     def multi_exp(self, pairs):
         """The product of base ** e over (base, e) pairs: one ** per term with
@@ -469,7 +464,9 @@ class CurveGroup(Group):
         self.g = CurvePoint(self, gx, gy)
         self.identity = CurvePoint(self, None, None)
         self.element_bytes = 1 + (p.bit_length() + 7) // 8
-        self._tables = None  # (x, y) of g and of gamma -> its table, None until built
+        self.gamma = self.hash_to_group(b"zorro.gamma.v1|" + group_id.encode())
+        # (x, y) of g and of gamma -> its table, None until its first exponentiation
+        self._tables = {(P.x, P.y): None for P in (self.g, self.gamma)}
 
     def _fixed_base_table(self, pt):
         """Rows i = 0..16 of affine [d * 256^i * pt for d = 1..128] when pt is
@@ -477,8 +474,6 @@ class CurveGroup(Group):
         exponentiation of pt.  Each row is _affine_multiples of 256^i * pt,
         and one more doubling of its last entry starts the next row: 8
         inversions per row."""
-        if self._tables is None:
-            self._tables = {(P.x, P.y): None for P in (self.g, self.gamma)}
         key = (pt.x, pt.y)
         if key not in self._tables:
             return None

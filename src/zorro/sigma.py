@@ -148,17 +148,13 @@ class _Log:
 
     u: int
     v: int
-    q: int
-
-    def __pow__(self, e: int):
-        return _Log(self.u * e % self.q, self.v * e % self.q, self.q)
 
 
 class _Logs:
     """`group` seen through discrete logs to bases g and gamma, the mirror of
     _Recording.
 
-    Its elements are _Log pairs: ** scales both, and multi_exp returns the
+    Its elements are _Log pairs, made by at(u, v), and multi_exp returns the
     pair of sums of log * e mod q.  Passed to a commitment function by a
     prover that knows every log, it gives each commitment's logs, which
     lift_proofs turns into elements.
@@ -173,7 +169,7 @@ class _Logs:
 
     def at(self, u: int, v: int = 0) -> _Log:
         """The element g^u * gamma^v."""
-        return _Log(u % self.q, v % self.q, self.q)
+        return _Log(u % self.q, v % self.q)
 
     def multi_exp(self, pairs) -> _Log:
         pairs = tuple(pairs)
@@ -206,7 +202,8 @@ def folds(group) -> bool:
 def fold_weights(group, equations) -> list[int]:
     """Weight k, for equation k, is the first 16 bytes of SHA-256(d || u32(k)),
     d the SHA-256 of a tag, the group id and, equation by equation, u32(its
-    term count) then each term as put(group, base, e), e taken mod q."""
+    term count) then each term as encode_element(base) || encode_scalar(e),
+    e taken mod q."""
     group_id = group.group_id.encode()
     h = hashlib.sha256(b"zorro.fold.v2" + pack_u32(len(group_id)) + group_id)
     for terms in equations:

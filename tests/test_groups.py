@@ -203,9 +203,10 @@ def test_curve_exp_is_affine_at_rest():
 def test_reading_gamma_builds_no_table():
     # a fresh instance: the registered one has built its tables already
     fresh = groups.CurveGroup("secp256k1", **groups._SECP256K1)
-    assert fresh.gamma == CURVE.gamma and fresh._tables is None
-    fresh.multi_exp([(HASHED, 3)])
+    assert fresh.gamma == CURVE.gamma
     assert fresh._tables == {(fresh.g.x, fresh.g.y): None, (fresh.gamma.x, fresh.gamma.y): None}
+    fresh.multi_exp([(HASHED, 3)])
+    assert set(fresh._tables.values()) == {None}
     fresh.gamma ** 5
     assert fresh._tables[fresh.g.x, fresh.g.y] is None
     assert fresh._tables[fresh.gamma.x, fresh.gamma.y] is not None

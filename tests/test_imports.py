@@ -1,6 +1,6 @@
 """No module of the package imports a name it never uses, no private
-function, class or constant of the package goes unused, and `zorro vote`
-runs without numpy.
+function, class or constant of the package goes unused, `zorro vote`
+runs without numpy, and importing the CLI builds no fixed-base table.
 
 __init__.py is the exception to the first: its imports are the package's
 re-exports.  The import check reads each module with ast alone: every name
@@ -118,6 +118,28 @@ def test_every_private_function_and_class_is_referenced():
     assert _unreferenced_privates({path.stem: path.read_text() for path in PACKAGE}) == []
 
 
+def _run_fresh(script: str) -> subprocess.CompletedProcess:
+    """`script` run by a fresh interpreter that imports the package from src."""
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+
+
+def test_importing_the_cli_hashes_gamma_and_builds_no_table():
+    # every group hashes gamma when it is built, and secp256k1's g and gamma
+    # tables wait for their first exponentiation, so import stays cheap
+    script = (
+        "import zorro.cli\n"
+        "from zorro import groups\n"
+        "for group in groups._REGISTRY.values():\n"
+        "    assert 'gamma' in vars(group) and group.contains(group.gamma), group\n"
+        "tables = groups.prod_group()._tables\n"
+        "assert len(tables) == 2 and set(tables.values()) == {None}, tables\n"
+    )
+    proc = _run_fresh(script)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_vote_does_not_import_numpy(tmp_path):
     # numpy is for the demos' encoders; a vote session in a fresh interpreter
     # must not load it
@@ -129,8 +151,6 @@ def test_vote_does_not_import_numpy(tmp_path):
         f"assert zorro.cli.main({argv!r}) == 0\n"
         "assert 'numpy' not in sys.modules\n"
     )
-    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    proc = _run_fresh(script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-2:] == ["candidate 0: 4 votes", "candidate 1: 3 votes"]

@@ -562,16 +562,7 @@ def test_partial_collusion_leaves_ambiguity():
     # with two honest parties left, any candidate plaintext is consistent
     # with some in-group pad value, so the ciphertext alone pins nothing
     cfg = config(n=4, m=1, policy=BoundPolicy("none", 2), group=TOY)  # toy23: 4 * 2 < q = 11
-    while True:
-        try:
-            _, posts1, posts2 = make_session(cfg, [[2], [2], [0], [1]], seed=11)
-            break
-        except ValueError:
-            continue
+    _, _, posts2 = make_session(cfg, [[2], [2], [0], [1]], seed=11)
     victim_ct = posts2[0].cts[0]
-    consistent = []
-    for candidate in range(10):
-        pad_value = victim_ct.B / TOY.g ** candidate
-        if TOY.contains(pad_value):
-            consistent.append(candidate)
-    assert len(consistent) >= 2
+    consistent = [c for c in range(10) if TOY.contains(victim_ct.B / TOY.g ** c)]
+    assert consistent == list(range(10))
